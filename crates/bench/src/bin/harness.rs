@@ -433,7 +433,7 @@ fn service(wsj: &Corpus, wsj_n: usize) {
         let build_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
         for _ in 0..rounds {
-            for r in svc.eval_batch(&texts) {
+            for r in svc.eval_multi(&texts) {
                 let _ = r.expect("evaluation query");
             }
         }
@@ -448,12 +448,12 @@ fn service(wsj: &Corpus, wsj_n: usize) {
                 ..ServiceConfig::default()
             },
         );
-        for r in cached.eval_batch(&texts) {
+        for r in cached.eval_multi(&texts) {
             let _ = r.expect("warm-up query");
         }
         let t = Instant::now();
         for _ in 0..rounds {
-            for r in cached.eval_batch(&texts) {
+            for r in cached.eval_multi(&texts) {
                 let _ = r.expect("cached query");
             }
         }
@@ -473,7 +473,7 @@ fn service(wsj: &Corpus, wsj_n: usize) {
         let mut live_queries = 0usize;
         for batch in &ingest_batches {
             live.append_ptb(batch).expect("ingest batch");
-            for r in live.eval_batch(&texts) {
+            for r in live.eval_multi(&texts) {
                 let _ = r.expect("live query");
             }
             live_queries += texts.len();

@@ -83,19 +83,11 @@ fn dispatch(
         }
         "eval_page" => {
             let query = query_param(params)?;
-            let token = match params.and_then(|p| p.get("token")) {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(t)) => Some(t.as_str()),
-                Some(_) => return Err(bad_request("field 'token' must be a string")),
+            let token = token_param(params)?;
+            let limit = match params.and_then(|p| p.get("limit")) {
+                None => cfg.default_page_limit,
+                Some(v) => usize_value("limit", v)?,
             };
-            let limit =
-                match params.and_then(|p| p.get("limit")) {
-                    None => cfg.default_page_limit,
-                    Some(v) => usize::try_from(v.as_u64().ok_or_else(|| {
-                        bad_request("field 'limit' must be a non-negative integer")
-                    })?)
-                    .map_err(|_| bad_request("field 'limit' out of range"))?,
-                };
             let page = svc
                 .eval_page_token(query, token, limit)
                 .map_err(service_error)?;
@@ -146,19 +138,10 @@ fn dispatch(
         }
         "count" => {
             let query = query_param(params)?;
-            let token = match params.and_then(|p| p.get("token")) {
-                None | Some(Value::Null) => None,
-                Some(Value::Str(t)) => Some(t.as_str()),
-                Some(_) => return Err(bad_request("field 'token' must be a string")),
-            };
+            let token = token_param(params)?;
             let budget = match params.and_then(|p| p.get("budget")) {
                 None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    usize::try_from(v.as_u64().ok_or_else(|| {
-                        bad_request("field 'budget' must be a non-negative integer")
-                    })?)
-                    .map_err(|_| bad_request("field 'budget' out of range"))?,
-                ),
+                Some(v) => Some(usize_value("budget", v)?),
             };
             // One-shot form (no token, no budget) keeps the original
             // `{"count": n}` shape; the budgeted form drives the
@@ -239,6 +222,23 @@ fn query_param(params: Option<&Value>) -> Result<&str, MethodError> {
         .ok_or_else(|| bad_request("missing string field 'query'"))
 }
 
+/// The optional echoed `token` (absent or `null`: start a sweep).
+fn token_param(params: Option<&Value>) -> Result<Option<&str>, MethodError> {
+    match params.and_then(|p| p.get("token")) {
+        None | Some(Value::Null) => Ok(None),
+        Some(Value::Str(t)) => Ok(Some(t.as_str())),
+        Some(_) => Err(bad_request("field 'token' must be a string")),
+    }
+}
+
+/// A present `limit` / `budget` value as a `usize`.
+fn usize_value(field: &str, v: &Value) -> Result<usize, MethodError> {
+    let n = v
+        .as_u64()
+        .ok_or_else(|| bad_request(&format!("field '{field}' must be a non-negative integer")))?;
+    usize::try_from(n).map_err(|_| bad_request(&format!("field '{field}' out of range")))
+}
+
 fn bad_request(message: &str) -> MethodError {
     (CODE_BAD_REQUEST, message.to_string())
 }
@@ -252,7 +252,6 @@ fn error_code(e: &ServiceError) -> &'static str {
     match e {
         ServiceError::Syntax(_) => "syntax",
         ServiceError::Corpus(_) => "corpus",
-        ServiceError::BadShard(_) => "bad_shard",
         ServiceError::BadToken(_) => "bad_token",
         ServiceError::Aborted => "aborted",
     }

@@ -1,7 +1,7 @@
 //! Bounded, generation-invalidated LRU caches: `(normalized query,
-//! shard set)` → materialized match set, and — kept separate so
-//! counting never forces (or evicts) materialized results — the same
-//! key → result *count*.
+//! shard id | whole corpus)` → materialized match set, and — kept
+//! separate so counting never forces (or evicts) materialized
+//! results — the same key → result *count*.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,9 +35,14 @@ impl PartialEq for PrefixEntry {
     }
 }
 
-/// Cache key: the normalized query text plus the (sorted) shard subset
-/// it was evaluated over.
-pub(crate) type Key = (String, Vec<u16>);
+/// Cache key: the normalized query text plus the shard it was
+/// evaluated on, or [`WHOLE_CORPUS`].
+pub(crate) type Key = (String, u16);
+
+/// The shard slot of a [`Key`] whose value covers every shard. The
+/// service clamps its shard count below this id, so it can never name
+/// a real shard.
+pub(crate) const WHOLE_CORPUS: u16 = u16::MAX;
 
 struct Entry<V> {
     generation: u64,
@@ -55,19 +60,16 @@ struct Entry<V> {
 /// nothing, so sweep entries never reach it.
 const HOT: u32 = 2;
 
-/// A bounded least-recently-used map. Entries stamped with an older
-/// corpus generation are treated as absent (and dropped on contact),
-/// so a swap or append invalidates the whole cache in O(1).
+/// A bounded least-recently-used map. Entries whose stamp — the corpus
+/// generation, or a shard build id — differs from the one presented
+/// are treated as absent and dropped on contact. Eviction is by
+/// recency alone: build-id-stamped caches legitimately hold different
+/// stamps side by side, and generation-stamped ones are cleared on
+/// every append or swap, so an old stamp only ever coexists with live
+/// ones when a reader races a writer.
 pub(crate) struct GenCache<V> {
     capacity: usize,
     tick: u64,
-    /// Prefer evicting entries whose generation differs from the one
-    /// being inserted. Right for caches stamped with the (single,
-    /// monotonic) corpus generation; wrong — and disabled via
-    /// [`GenCache::new_plain_lru`] — for caches stamped with per-shard
-    /// build ids, where valid entries legitimately carry different
-    /// stamps and "differs" does not mean "stale".
-    stale_first: bool,
     map: HashMap<Key, Entry<V>>,
 }
 
@@ -79,7 +81,7 @@ pub(crate) type ResultCache = GenCache<Arc<ResultSet>>;
 pub(crate) type CountCache = GenCache<usize>;
 
 /// The per-shard prefix cache: checkpointed result prefixes, stamped
-/// with shard build ids (use [`GenCache::new_plain_lru`]).
+/// with shard build ids.
 pub(crate) type PrefixCache = GenCache<PrefixEntry>;
 
 impl<V: Clone + PartialEq> GenCache<V> {
@@ -87,17 +89,7 @@ impl<V: Clone + PartialEq> GenCache<V> {
         GenCache {
             capacity,
             tick: 0,
-            stale_first: true,
             map: HashMap::new(),
-        }
-    }
-
-    /// A cache that evicts purely by recency — for values scoped to
-    /// per-shard build ids rather than the corpus generation.
-    pub fn new_plain_lru(capacity: usize) -> Self {
-        GenCache {
-            stale_first: false,
-            ..Self::new(capacity)
         }
     }
 
@@ -148,15 +140,13 @@ impl<V: Clone + PartialEq> GenCache<V> {
         }
         self.tick += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            // Evict: stale generations first (when the stamp really is
-            // the corpus generation), else the oldest stamp — but
-            // never a current-generation hot entry.
-            let stale_first = self.stale_first;
+            // Evict the oldest stamp — but never a hot entry of the
+            // inserting generation.
             let victim = self
                 .map
                 .iter()
                 .filter(|(_, e)| !(e.generation == generation && e.hits >= HOT))
-                .min_by_key(|(_, e)| (stale_first && e.generation == generation, e.stamp))
+                .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(v) => {
@@ -205,7 +195,7 @@ mod tests {
     use super::*;
 
     fn key(q: &str) -> Key {
-        (q.to_string(), vec![0, 1])
+        (q.to_string(), WHOLE_CORPUS)
     }
 
     fn set(n: u32) -> Arc<ResultSet> {
@@ -244,12 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_sets_are_distinct_keys() {
+    fn whole_corpus_and_per_shard_keys_are_distinct() {
         let mut c = ResultCache::new(4);
-        c.insert(("q".into(), vec![0]), 1, set(1));
-        c.insert(("q".into(), vec![0, 1]), 1, set(2));
-        assert_eq!(c.get(&("q".into(), vec![0]), 1).unwrap()[0].0, 1);
-        assert_eq!(c.get(&("q".into(), vec![0, 1]), 1).unwrap()[0].0, 2);
+        c.insert(("q".into(), 0), 1, set(1));
+        c.insert(("q".into(), WHOLE_CORPUS), 1, set(2));
+        assert_eq!(c.get(&("q".into(), 0), 1).unwrap()[0].0, 1);
+        assert_eq!(c.get(&("q".into(), WHOLE_CORPUS), 1).unwrap()[0].0, 2);
     }
 
     #[test]
@@ -286,25 +276,41 @@ mod tests {
         // Build-id-scoped entries: simultaneously-valid entries carry
         // different stamps. The victim must be the LRU entry, not
         // whichever entry's stamp differs from the insert's.
-        let mut c = CountCache::new_plain_lru(2);
+        let mut c = CountCache::new(2);
         c.insert(key("head"), 7, 10); // build id 7
         c.insert(key("mid"), 8, 20); // build id 8
         assert!(c.get(&key("head"), 7).is_some()); // refresh "head"
-                                                   // Insert under build id 8: the stale-first policy would evict
-                                                   // "head" (stamp differs from 8 — "looks stale"); plain LRU must
-                                                   // evict the least recently used "mid" instead.
         c.insert(key("tail"), 8, 30);
         assert_eq!(c.get(&key("head"), 7), Some(10), "valid entry evicted");
         assert!(c.get(&key("mid"), 8).is_none());
         assert_eq!(c.get(&key("tail"), 8), Some(30));
-        // The generation-scoped default keeps preferring stale stamps.
+    }
+
+    #[test]
+    fn an_entry_that_raced_a_clear_is_never_served_or_pinned() {
+        // A reader that snapshotted generation 1 finishes after the
+        // writer's `clear()` and inserts under the old stamp.
         let mut c = CountCache::new(2);
-        c.insert(key("old"), 1, 10); // stale generation
-        c.insert(key("a"), 2, 20);
-        assert!(c.get(&key("a"), 2).is_some());
-        c.insert(key("b"), 2, 30); // evicts "old", not the LRU "a"
-        assert!(c.get(&key("a"), 2).is_some());
-        assert!(c.get(&key("b"), 2).is_some());
+        c.clear();
+        c.insert(key("raced"), 1, 10);
+        c.insert(key("hot"), 1, 11);
+        for _ in 0..4 {
+            c.get(&key("hot"), 1);
+        }
+        // However hot at its own stamp, an old-stamp entry is never
+        // pinned against inserts at the newer one: plain LRU evicts
+        // "raced" (the older stamp) first, then "hot".
+        assert!(c.insert(key("a"), 2, 20));
+        assert!(c.insert(key("b"), 2, 30));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&key("a"), 2), Some(20));
+        assert_eq!(c.get(&key("b"), 2), Some(30));
+        // And one that is still resident is dropped on contact, never
+        // served at the newer stamp.
+        let mut c = CountCache::new(2);
+        c.insert(key("raced"), 1, 10);
+        assert_eq!(c.get(&key("raced"), 2), None);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -319,7 +325,7 @@ mod tests {
         // A sweep of distinct one-shot inserts: every one rejected,
         // the hot working set intact.
         for i in 0..16 {
-            assert!(!c.insert((format!("sweep{i}"), vec![0]), 1, 99));
+            assert!(!c.insert((format!("sweep{i}"), 0), 1, 99));
         }
         assert_eq!(c.get(&key("hot1"), 1), Some(1));
         assert_eq!(c.get(&key("hot2"), 1), Some(2));

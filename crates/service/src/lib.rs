@@ -19,8 +19,8 @@
 //!   mirroring [`lpath_core::Engine`]'s fallback contract: the
 //!   relational translation where it exists, the full-language tree
 //!   walker otherwise.
-//! * **Result cache** — a bounded LRU from `(query, shard set)` to the
-//!   materialized match set, invalidated by corpus generation —
+//! * **Result cache** — a bounded LRU from `(query, whole corpus)` to
+//!   the materialized match set, invalidated by corpus generation —
 //!   backed by a **per-shard** result cache scoped to each shard's
 //!   *build id*, so per-shard results survive appends that did not
 //!   touch their shard. Counts are cached separately
@@ -46,9 +46,12 @@
 //! * **Incremental ingest** — [`Service::append_ptb`] rebuilds only
 //!   the tail shard, so keeping a growing corpus queryable costs
 //!   `O(corpus / shards)` per batch instead of a full engine rebuild.
-//! * **Batch API** — [`Service::eval_batch`] fans `(query, shard)`
-//!   tasks across worker threads (scoped; shards are `Sync`), merging
-//!   deterministically.
+//! * **One request pipeline** — every entry point is a short mode
+//!   body between one prologue (count, time, compile, snapshot) and
+//!   one epilogue (the latency sample); [`Service::eval`] is
+//!   [`Service::eval_multi`] over a batch of one, so a miss is resolved
+//!   by exactly one piece of code, fanned across worker threads
+//!   (scoped; shards are `Sync`) and merged deterministically.
 //!
 //! ```
 //! use lpath_model::ptb::parse_str;
@@ -94,7 +97,7 @@ use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
 pub use cache::ResultSet;
-use cache::{CountCache, PrefixCache, PrefixEntry, ResultCache};
+use cache::{CountCache, GenCache, PrefixCache, PrefixEntry, ResultCache, WHOLE_CORPUS};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
 pub use plan::{required_symbols, CompiledQuery, ExecStrategy};
@@ -114,8 +117,6 @@ pub enum ServiceError {
     Syntax(SyntaxError),
     /// Appended corpus text does not parse.
     Corpus(ModelError),
-    /// A requested shard id is out of range.
-    BadShard(u16),
     /// An echoed paging token is malformed: truncated, corrupted,
     /// version-skewed, or minted for a different query. (A merely
     /// *stale* token — valid bytes from before an append — is not an
@@ -133,7 +134,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Syntax(e) => e.fmt(f),
             ServiceError::Corpus(e) => e.fmt(f),
-            ServiceError::BadShard(id) => write!(f, "shard {id} out of range"),
             ServiceError::BadToken(e) => write!(f, "bad paging token: {e}"),
             ServiceError::Aborted => write!(f, "batched evaluation aborted"),
         }
@@ -233,6 +233,27 @@ pub struct QueryHistogram {
     pub per_label: Vec<(String, u64)>,
 }
 
+/// One request in flight: everything that is per-request rather than
+/// per-query. The [`CompiledQuery`] stays immutable and shared; this
+/// context is opened by the pipeline's prologue, threaded through the
+/// mode body and closed by its epilogue (see `Service::request`).
+pub(crate) struct Request {
+    /// The request's one shard snapshot, and the generation it is of.
+    pub(crate) shards: Vec<Arc<Shard>>,
+    generation: u64,
+    /// Served entirely from cached state so far; any enumeration — a
+    /// shard evaluation, a resumed prefix, a cursor count — clears it.
+    pub(crate) hit: bool,
+    /// Shards the request visited.
+    pub(crate) fanout: usize,
+    /// Cached prefixes extended through their checkpoints.
+    resumes: u64,
+}
+
+/// What the batch core gives back per member: the whole-corpus rows
+/// beside the plan they answer, or the member's in-band error.
+type Answer = Result<(Arc<CompiledQuery>, Arc<ResultSet>), ServiceError>;
+
 /// Corpus-dependent state, replaced wholesale on swap and patched on
 /// append. Readers snapshot `Arc<Shard>`s under a short read lock.
 struct State {
@@ -253,8 +274,8 @@ pub struct Service {
     state: RwLock<State>,
     plans: RwLock<HashMap<String, PlanEntry>>,
     plan_tick: AtomicU64,
-    /// Multi-shard result sets (`(query, shard set)` keys), scoped to
-    /// the corpus generation: any append or swap invalidates them.
+    /// Whole-corpus result sets (`(query, WHOLE_CORPUS)` keys), scoped
+    /// to the corpus generation: any append or swap invalidates them.
     results: Mutex<ResultCache>,
     counts: Mutex<CountCache>,
     /// Per-shard counts, scoped to each shard's *build id* rather than
@@ -262,8 +283,8 @@ pub struct Service {
     /// so every other shard's cached count stays valid across the
     /// generation bump and only the tail is recounted.
     shard_counts: Mutex<CountCache>,
-    /// *Complete* per-shard result sets (singleton `(query, [shard])`
-    /// keys), build-id scoped like the counts: head-shard results
+    /// *Complete* per-shard result sets (`(query, shard)` keys),
+    /// build-id scoped like the counts: head-shard results
     /// survive `append_ptb`, so a post-append [`Service::eval`] only
     /// re-evaluates the rebuilt tail shard.
     shard_results: Mutex<ResultCache>,
@@ -277,14 +298,15 @@ pub struct Service {
     prefixes: Mutex<PrefixCache>,
     counters: Counters,
     instr: Instruments,
-    /// Test-only fault point: when armed, the next [`Service::eval_multi`]
-    /// with uncached members aborts them before any shard work
-    /// (consumed one-shot). See [`Service::inject_multi_abort`].
+    /// Test-only fault point: when armed, the next request that
+    /// reaches the batch core with uncached members aborts them before
+    /// any shard work (consumed one-shot). See
+    /// [`Service::inject_multi_abort`].
     multi_abort: AtomicBool,
 }
 
-/// Shard ids live in `u16` (cache keys, the public shard-subset API);
-/// the shard count is clamped into that id space.
+/// Shard ids live in `u16` (cache keys, tokens); the shard count is
+/// clamped into that id space, below [`WHOLE_CORPUS`].
 const MAX_SHARDS: usize = u16::MAX as usize - 1;
 
 impl Service {
@@ -315,9 +337,9 @@ impl Service {
             plan_tick: AtomicU64::new(0),
             results: Mutex::new(ResultCache::new(cfg.result_cache_capacity)),
             counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
-            shard_counts: Mutex::new(CountCache::new_plain_lru(cfg.result_cache_capacity)),
-            shard_results: Mutex::new(ResultCache::new_plain_lru(cfg.result_cache_capacity)),
-            prefixes: Mutex::new(PrefixCache::new_plain_lru(cfg.result_cache_capacity)),
+            shard_counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
+            shard_results: Mutex::new(ResultCache::new(cfg.result_cache_capacity)),
+            prefixes: Mutex::new(PrefixCache::new(cfg.result_cache_capacity)),
             counters: Counters::default(),
             instr: Instruments::new(
                 cfg.metrics,
@@ -440,67 +462,305 @@ impl Service {
     }
 
     // -----------------------------------------------------------------
-    // Evaluation
+    // The request pipeline
     // -----------------------------------------------------------------
+
+    /// The one request pipeline every entry point runs through.
+    /// **Prologue**: count the request, start the timer, compile every
+    /// member once, snapshot the shards (one snapshot per request, so
+    /// members and pages never see an append half-applied, and
+    /// evaluation never blocks writers). `body` is the mode.
+    /// **Epilogue**: one latency sample under `class`, whether the
+    /// request succeeded or not — `None` leaves the request
+    /// unclassified and never reads the clock.
+    fn request<T>(
+        &self,
+        class: Option<Class>,
+        queries: &[&str],
+        body: impl FnOnce(&mut Request, Vec<Result<Arc<CompiledQuery>, ServiceError>>) -> T,
+    ) -> T {
+        self.counters.queries.add(queries.len() as u64);
+        let mut timer = class.and_then(|_| self.instr.begin());
+        let compiled = queries.iter().map(|q| self.compile(q)).collect();
+        if let Some(t) = timer.as_mut() {
+            t.mark_compiled();
+        }
+        let mut req = {
+            let st = self.state.read().unwrap();
+            Request {
+                shards: st.shards.clone(),
+                generation: st.generation,
+                hit: true,
+                fanout: 0,
+                resumes: 0,
+            }
+        };
+        let out = body(&mut req, compiled);
+        if let Some(class) = class {
+            self.instr
+                .finish(timer, class, req.hit, queries, req.fanout, req.resumes);
+        }
+        out
+    }
+
+    /// A single-query request: the pipeline with its one member
+    /// unwrapped and the analyzer's verdict applied — a statically
+    /// empty query is answered with `empty`, touching no shard and no
+    /// cache.
+    fn solo<T>(
+        &self,
+        class: Option<Class>,
+        query: &str,
+        empty: T,
+        body: impl FnOnce(&mut Request, &Arc<CompiledQuery>) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        self.request(class, &[query], |req, mut compiled| {
+            let compiled = compiled.pop().expect("one member")?;
+            if compiled.statically_empty {
+                self.counters.statically_empty.bump();
+                return Ok(empty);
+            }
+            body(req, &compiled)
+        })
+    }
 
     /// Evaluate one query over the whole corpus. Results are
     /// `(global tree id, node)` in document order — byte-identical to
     /// a single [`lpath_core::Engine`] over the same corpus.
     pub fn eval(&self, query: &str) -> Result<Arc<ResultSet>, ServiceError> {
-        self.counters.queries.bump();
-        let mut timer = self.instr.begin();
-        let compiled = self.compile(query)?;
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
-        }
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            self.instr.finish(timer, Class::Eval, true, query, 0, 0);
-            return Ok(Arc::new(Vec::new()));
-        }
-        let (shards, generation) = self.snapshot();
-        let all: Vec<u16> = (0..shards.len() as u16).collect();
-        let (rows, hit) = self.eval_compiled(&shards, generation, &compiled, &all);
-        let fanout = if hit { 0 } else { shards.len() };
-        self.instr.finish(timer, Class::Eval, hit, query, fanout, 0);
-        Ok(rows)
+        self.eval_members(&[query], |_, _, rows| rows)
+            .pop()
+            .expect("one member")
     }
 
-    /// Snapshot the current shards and generation under a short read
-    /// lock, so evaluation never blocks writers (and writers never
-    /// stall readers behind them).
-    fn snapshot(&self) -> (Vec<Arc<Shard>>, u64) {
-        let st = self.state.read().unwrap();
-        (st.shards.clone(), st.generation)
+    /// Evaluate a batch of queries with common-subplan sharing: within
+    /// each shard, members whose plans open the same anchor — the same
+    /// full-table scan or the same equality/range index probe — ride
+    /// one cursor, with only their residual filters evaluated per
+    /// candidate row. Per-query results are identical to calling
+    /// [`Service::eval`] one query at a time (same rows, same document
+    /// order); only the work is shared, never the answers.
+    ///
+    /// The whole batch sees one shard snapshot, so members can never
+    /// observe a corpus append half-applied ([`Service::append_ptb`]
+    /// swaps shards in under the lock; clones taken before the swap
+    /// stay consistent with each other). Sharing statistics land in
+    /// [`ServiceStats::multi_shared_scans`] and
+    /// [`ServiceStats::multi_residual_evals`].
+    ///
+    /// A batch of one *is* [`Service::eval`] — same caches, same
+    /// counters, same latency class.
+    pub fn eval_multi(&self, queries: &[&str]) -> Vec<Result<Arc<ResultSet>, ServiceError>> {
+        self.eval_members(queries, |_, _, rows| rows)
     }
 
-    /// Evaluate one query over a subset of shards (sorted,
-    /// deduplicated internally). The result covers exactly the trees
-    /// those shards own.
-    pub fn eval_on(&self, query: &str, shard_ids: &[u16]) -> Result<Arc<ResultSet>, ServiceError> {
-        self.counters.queries.bump();
-        let mut timer = self.instr.begin();
-        let compiled = self.compile(query)?;
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
-        }
-        let (shards, generation) = self.snapshot();
-        let mut ids: Vec<u16> = shard_ids.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        if let Some(&bad) = ids.iter().find(|&&i| i as usize >= shards.len()) {
-            return Err(ServiceError::BadShard(bad));
-        }
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            self.instr.finish(timer, Class::Eval, true, query, 0, 0);
-            return Ok(Arc::new(Vec::new()));
-        }
-        let (rows, hit) = self.eval_compiled(&shards, generation, &compiled, &ids);
-        let fanout = if hit { 0 } else { ids.len() };
-        self.instr.finish(timer, Class::Eval, hit, query, fanout, 0);
-        Ok(rows)
+    /// The body of every row-returning request: resolve the members
+    /// through the batch core, then let `each` shape a member's full
+    /// result (as is, or into a page plus token).
+    pub(crate) fn eval_members<T>(
+        &self,
+        queries: &[&str],
+        each: impl Fn(&Request, &CompiledQuery, Arc<ResultSet>) -> T,
+    ) -> Vec<Result<T, ServiceError>> {
+        let class = if queries.len() == 1 {
+            Class::Eval
+        } else {
+            self.counters.batches.bump();
+            Class::EvalMulti
+        };
+        self.request(Some(class), queries, |req, compiled| {
+            self.resolve(req, compiled)
+                .into_iter()
+                .map(|member| member.map(|(plan, rows)| each(req, &plan, rows)))
+                .collect()
+        })
     }
+
+    /// The one miss-resolution core: whole-corpus result sets for a
+    /// set of compiled members (a solo request is a set of one). One
+    /// result-cache lock round answers hits; in-set duplicates collapse
+    /// onto one evaluation; what remains fans out one task per shard
+    /// carrying the whole miss set, so anchor sharing happens inside
+    /// each shard's engine; per-shard rows concatenate in shard order,
+    /// which *is* document order. Each answer comes back beside its
+    /// plan; compile errors pass through in band.
+    fn resolve(
+        &self,
+        req: &mut Request,
+        members: Vec<Result<Arc<CompiledQuery>, ServiceError>>,
+    ) -> Vec<Answer> {
+        let mut out: Vec<Option<Answer>> = (0..members.len()).map(|_| None).collect();
+        let mut misses: Vec<(Vec<usize>, Arc<CompiledQuery>)> = Vec::new();
+        let mut miss_index: HashMap<String, usize> = HashMap::new();
+        let (mut statically_empty, mut dedup, mut hits, mut probes) = (0u64, 0u64, 0u64, 0u64);
+        {
+            // Probing through a reused key buffer: no per-member
+            // allocation on the hit path.
+            let mut results = self.results.lock().unwrap();
+            let mut probe: cache::Key = (String::new(), WHOLE_CORPUS);
+            for (i, c) in members.into_iter().enumerate() {
+                match c {
+                    Err(e) => out[i] = Some(Err(e)),
+                    Ok(c) if c.statically_empty => {
+                        statically_empty += 1;
+                        out[i] = Some(Ok((c, Arc::new(Vec::new()))));
+                    }
+                    Ok(c) => {
+                        if let Some(&mi) = miss_index.get(&c.normalized) {
+                            // Served from the sibling occurrence's
+                            // evaluation: neither a hit nor a miss.
+                            dedup += 1;
+                            misses[mi].0.push(i);
+                            continue;
+                        }
+                        probes += 1;
+                        probe.0.clear();
+                        probe.0.push_str(&c.normalized);
+                        if let Some(v) = results.get(&probe, req.generation) {
+                            hits += 1;
+                            out[i] = Some(Ok((c, v)));
+                        } else {
+                            miss_index.insert(c.normalized.clone(), misses.len());
+                            misses.push((vec![i], c));
+                        }
+                    }
+                }
+            }
+        }
+        self.counters.statically_empty.add(statically_empty);
+        self.counters.batch_dedup.add(dedup);
+        self.counters.result_hits.add(hits);
+        self.counters.result_misses.add(probes - hits);
+
+        if !misses.is_empty() {
+            req.hit = false;
+            if self.multi_abort.swap(false, Ordering::SeqCst) {
+                // Batch-abort fault point (test-only): every unresolved
+                // member fails without any shard work or cache writes.
+                for &qi in misses.iter().flat_map(|(occurrences, _)| occurrences) {
+                    out[qi] = Some(Err(ServiceError::Aborted));
+                }
+            } else {
+                req.fanout = req.shards.len();
+                let miss_plans: Vec<Arc<CompiledQuery>> =
+                    misses.iter().map(|(_, c)| Arc::clone(c)).collect();
+                let partials = fan_out(self.threads, req.shards.len(), |si| {
+                    self.eval_one_shard(&req.shards[si], si as u16, &miss_plans)
+                });
+                for (mi, (occurrences, c)) in misses.iter().enumerate() {
+                    let mut merged = Vec::new();
+                    for per_shard in &partials {
+                        merged.extend(per_shard[mi].iter().copied());
+                    }
+                    let merged = Arc::new(merged);
+                    let key = (c.normalized.clone(), WHOLE_CORPUS);
+                    self.admit(
+                        &mut self.results.lock().unwrap(),
+                        key,
+                        req.generation,
+                        &merged,
+                    );
+                    for &qi in occurrences {
+                        out[qi] = Some(Ok((Arc::clone(c), Arc::clone(&merged))));
+                    }
+                }
+            }
+        }
+        out.into_iter()
+            .map(|r| r.expect("all slots filled"))
+            .collect()
+    }
+
+    /// Evaluate a miss set on one shard through the build-id-scoped
+    /// per-shard result cache: members answered by symbol-presence
+    /// pruning or a complete cached result — from an earlier request,
+    /// or promoted from an exhausted [`Service::eval_page`] prefix —
+    /// drop out first (and stay reusable across
+    /// [`Service::append_ptb`] for every shard but the rebuilt tail);
+    /// the remainder go through [`Shard::eval_multi`] together so
+    /// plans opening the same anchor share one enumeration.
+    fn eval_one_shard(
+        &self,
+        shard: &Shard,
+        si: u16,
+        members: &[Arc<CompiledQuery>],
+    ) -> Vec<Arc<ResultSet>> {
+        let build = shard.build_id();
+        let mut out: Vec<Option<Arc<ResultSet>>> = vec![None; members.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        let (mut pruned, mut hits) = (0u64, 0u64);
+        {
+            // One per-shard cache lock round for the whole member set,
+            // probing through a reused key buffer.
+            let mut shard_results = self.shard_results.lock().unwrap();
+            let mut probe: cache::Key = (String::new(), si);
+            for (i, c) in members.iter().enumerate() {
+                if !shard.may_match(&c.required) {
+                    pruned += 1;
+                    out[i] = Some(Arc::new(Vec::new()));
+                    continue;
+                }
+                probe.0.clear();
+                probe.0.push_str(&c.normalized);
+                if let Some(hit) = shard_results.get(&probe, build) {
+                    hits += 1;
+                    out[i] = Some(hit);
+                    continue;
+                }
+                pending.push(i);
+            }
+        }
+        self.counters.shards_pruned.add(pruned);
+        self.counters.result_hits.add(hits);
+        if !pending.is_empty() {
+            self.counters.shard_evals.add(pending.len() as u64);
+            let refs: Vec<&CompiledQuery> = pending.iter().map(|&i| members[i].as_ref()).collect();
+            let (rows, stats) = shard.eval_multi(&refs);
+            self.counters.multi_shared_scans.add(stats.shared_scans);
+            self.counters.multi_residual_evals.add(stats.residual_evals);
+            for (&i, rows) in pending.iter().zip(rows) {
+                let rows = Arc::new(rows);
+                let key = (members[i].normalized.clone(), si);
+                self.admit(&mut self.shard_results.lock().unwrap(), key, build, &rows);
+                out[i] = Some(rows);
+            }
+        }
+        out.into_iter()
+            .map(|r| r.expect("all members resolved"))
+            .collect()
+    }
+
+    /// Arm the batch-abort fault point: the next request that reaches
+    /// the batch core with at least one uncached member
+    /// ([`Service::eval`], [`Service::eval_multi`], a slow-path
+    /// [`Service::hist`]) fails those members with
+    /// [`ServiceError::Aborted`] instead of touching the shards.
+    /// One-shot; for failure-injection tests.
+    #[doc(hidden)]
+    pub fn inject_multi_abort(&self) {
+        self.multi_abort.store(true, Ordering::SeqCst);
+    }
+
+    /// Offer `value` to a result cache and record the verdict: an
+    /// insert the size/heat-aware policy rejected (full cache, every
+    /// victim pinned-hot) bumps `admission_rejects`. A capacity of
+    /// zero means the cache is deliberately disabled — not an
+    /// admission decision.
+    fn admit<V: Clone + PartialEq>(
+        &self,
+        cache: &mut GenCache<V>,
+        key: cache::Key,
+        stamp: u64,
+        value: &V,
+    ) {
+        if !cache.insert(key, stamp, value.clone()) && self.cfg.result_cache_capacity > 0 {
+            self.counters.admission_rejects.bump();
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Counting
+    // -----------------------------------------------------------------
 
     /// Result size of `query` (the paper's reported measure). Served
     /// from the count cache when possible; a miss counts shard by
@@ -514,46 +774,58 @@ impl Service {
     /// trees is far cheaper than enumerating (Bárcenas et al., *On
     /// the Count of Trees*); this path exploits exactly that gap.
     pub fn count(&self, query: &str) -> Result<usize, ServiceError> {
-        self.counters.queries.bump();
-        let mut timer = self.instr.begin();
-        let compiled = self.compile(query)?;
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
+        self.solo(Some(Class::Count), query, 0, |req, compiled| {
+            Ok(self.count_whole(req, compiled))
+        })
+    }
+
+    /// The whole-corpus count behind [`Service::count`] and
+    /// [`Service::count_token`]'s stale recovery.
+    pub(crate) fn count_whole(&self, req: &mut Request, compiled: &CompiledQuery) -> usize {
+        let key = (compiled.normalized.clone(), WHOLE_CORPUS);
+        let tally = (&self.counters.count_hits, &self.counters.count_misses);
+        let caches = (&self.counts, &self.results);
+        self.count_through(caches, key, req.generation, tally, || {
+            req.hit = false;
+            req.fanout = req.shards.len();
+            fan_out(self.threads, req.shards.len(), |si| {
+                self.count_one_shard(&req.shards[si], si as u16, compiled)
+            })
+            .iter()
+            .sum()
+        })
+    }
+
+    /// A count through one level of the cache hierarchy: the count
+    /// cache answers; else a cached result set of the same key and
+    /// stamp does, for free — its length is the count; else `compute`
+    /// does. Either way the count cache remembers. `tally` is that
+    /// level's (hits, misses) counter pair.
+    fn count_through(
+        &self,
+        (counts, results): (&Mutex<CountCache>, &Mutex<ResultCache>),
+        key: cache::Key,
+        stamp: u64,
+        (hits, misses): (&lpath_obs::Counter, &lpath_obs::Counter),
+        compute: impl FnOnce() -> usize,
+    ) -> usize {
+        if let Some(n) = counts.lock().unwrap().get(&key, stamp) {
+            hits.bump();
+            return n;
         }
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            self.instr.finish(timer, Class::Count, true, query, 0, 0);
-            return Ok(0);
-        }
-        let (shards, generation) = self.snapshot();
-        let all: Vec<u16> = (0..shards.len() as u16).collect();
-        let key = (compiled.normalized.clone(), all);
-        if let Some(n) = self.counts.lock().unwrap().get(&key, generation) {
-            self.counters.count_hits.bump();
-            self.instr.finish(timer, Class::Count, true, query, 0, 0);
-            return Ok(n);
-        }
-        self.counters.count_misses.bump();
-        // A cached full result set answers for free. (Bind the lookup
-        // before matching: a `match` scrutinee would hold the cache
-        // lock across the whole evaluation.)
-        let cached_full = self.results.lock().unwrap().get(&key, generation);
-        let (n, hit, fanout) = match cached_full {
-            Some(full) => {
+        misses.bump();
+        // Bind the lookup before matching: a `match` scrutinee would
+        // hold the cache lock across the whole computation.
+        let cached = results.lock().unwrap().get(&key, stamp);
+        let n = match cached {
+            Some(rows) => {
                 self.counters.result_hits.bump();
-                (full.len(), true, 0)
+                rows.len()
             }
-            None => {
-                let partial = fan_out(self.threads, shards.len(), |si| {
-                    self.count_one_shard(&shards[si], si as u16, &compiled)
-                });
-                (partial.iter().sum(), false, shards.len())
-            }
+            None => compute(),
         };
-        self.counts.lock().unwrap().insert(key, generation, n);
-        self.instr
-            .finish(timer, Class::Count, hit, query, fanout, 0);
-        Ok(n)
+        counts.lock().unwrap().insert(key, stamp, n);
+        n
     }
 
     /// One shard's count, served from the build-id-scoped per-shard
@@ -573,26 +845,14 @@ impl Service {
             let n = shard.agg().count(fast, shard.corpus().interner());
             return usize::try_from(n).unwrap_or(usize::MAX);
         }
-        let key = (compiled.normalized.clone(), vec![si]);
-        let build = shard.build_id();
-        if let Some(n) = self.shard_counts.lock().unwrap().get(&key, build) {
-            self.counters.shard_count_hits.bump();
-            return n;
-        }
-        self.counters.shard_count_misses.bump();
-        let cached_rows = self.shard_results.lock().unwrap().get(&key, build);
-        let n = match cached_rows {
-            Some(rows) => {
-                self.counters.result_hits.bump();
-                rows.len()
-            }
-            None => {
-                self.counters.shard_evals.bump();
-                shard.count(compiled)
-            }
-        };
-        self.shard_counts.lock().unwrap().insert(key, build, n);
-        n
+        let key = (compiled.normalized.clone(), si);
+        let c = &self.counters;
+        let tally = (&c.shard_count_hits, &c.shard_count_misses);
+        let caches = (&self.shard_counts, &self.shard_results);
+        self.count_through(caches, key, shard.build_id(), tally, || {
+            c.shard_evals.bump();
+            shard.count(compiled)
+        })
     }
 
     /// Resume (or begin) a budgeted count sweep: up to roughly
@@ -624,15 +884,10 @@ impl Service {
         checkpoint: Option<CountCheckpoint>,
         budget: usize,
     ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
-        self.counters.queries.bump();
         self.counters.count_resumes.bump();
-        let compiled = self.compile(query)?;
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            return Ok((0, None));
-        }
-        let (shards, _) = self.snapshot();
-        Ok(self.count_advance(&compiled, &shards, checkpoint, budget))
+        self.solo(Some(Class::Count), query, (0, None), |req, compiled| {
+            Ok(self.count_advance(req, compiled, checkpoint, budget))
+        })
     }
 
     /// The shared engine of [`Service::count_resume`] and the token
@@ -641,8 +896,8 @@ impl Service {
     /// to continue from.
     pub(crate) fn count_advance(
         &self,
+        req: &mut Request,
         compiled: &CompiledQuery,
-        shards: &[Arc<Shard>],
         checkpoint: Option<CountCheckpoint>,
         budget: usize,
     ) -> (u64, Option<CountCheckpoint>) {
@@ -651,7 +906,7 @@ impl Service {
             None => (0, 0, None),
         };
         let mut counted = 0u64;
-        while si < shards.len() {
+        while si < req.shards.len() {
             if counted >= budget as u64 {
                 return (
                     counted,
@@ -662,13 +917,15 @@ impl Service {
                     }),
                 );
             }
-            let shard = &shards[si];
+            let shard = &req.shards[si];
             let fresh = inner.is_none() && shard_counted == 0;
             if fresh && !shard.may_match(&compiled.required) {
                 self.counters.shards_pruned.bump();
                 si += 1;
                 continue;
             }
+            req.hit = false;
+            req.fanout += 1;
             // A whole untouched shard is O(1) when the aggregate
             // tables cover the query — take it regardless of budget.
             if fresh {
@@ -723,52 +980,43 @@ impl Service {
     /// per shard); everything else aggregates an evaluation served
     /// through the result caches.
     pub fn hist(&self, query: &str) -> Result<QueryHistogram, ServiceError> {
-        self.counters.queries.bump();
         self.counters.hists.bump();
-        let mut timer = self.instr.begin();
-        let compiled = self.compile(query)?;
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
-        }
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            self.instr.finish(timer, Class::Hist, true, query, 0, 0);
-            return Ok(QueryHistogram::default());
-        }
-        let (shards, generation) = self.snapshot();
-        if let Some(h) = self.hist_fast(&compiled, &shards) {
-            self.instr.finish(timer, Class::Hist, true, query, 0, 0);
-            return Ok(h);
-        }
-        let ids: Vec<u16> = (0..shards.len() as u16).collect();
-        let (rows, hit) = self.eval_compiled(&shards, generation, &compiled, &ids);
-        let mut h = QueryHistogram {
-            total: rows.len() as u64,
-            per_tree: Vec::new(),
-            per_label: Vec::new(),
-        };
-        // Rows are in document order: per-tree runs accumulate
-        // directly; labels resolve against the shard owning each tree.
-        let mut labels: HashMap<String, u64> = HashMap::new();
-        let mut owner = 0usize;
-        for &(tid, node) in rows.iter() {
-            match h.per_tree.last_mut() {
-                Some(e) if e.0 == tid => e.1 += 1,
-                _ => h.per_tree.push((tid, 1)),
+        let empty = QueryHistogram::default();
+        self.solo(Some(Class::Hist), query, empty, |req, compiled| {
+            if let Some(h) = self.hist_fast(compiled, &req.shards) {
+                return Ok(h);
             }
-            while owner + 1 < shards.len() && shards[owner + 1].base() <= tid {
-                owner += 1;
+            let (_, rows) = self
+                .resolve(req, vec![Ok(Arc::clone(compiled))])
+                .pop()
+                .expect("one member")?;
+            let shards = &req.shards;
+            let mut h = QueryHistogram {
+                total: rows.len() as u64,
+                per_tree: Vec::new(),
+                per_label: Vec::new(),
+            };
+            // Rows are in document order: per-tree runs accumulate
+            // directly; labels resolve against the shard owning each tree.
+            let mut labels: HashMap<String, u64> = HashMap::new();
+            let mut owner = 0usize;
+            for &(tid, node) in rows.iter() {
+                match h.per_tree.last_mut() {
+                    Some(e) if e.0 == tid => e.1 += 1,
+                    _ => h.per_tree.push((tid, 1)),
+                }
+                while owner + 1 < shards.len() && shards[owner + 1].base() <= tid {
+                    owner += 1;
+                }
+                let shard = &shards[owner];
+                let tree = shard.corpus().tree((tid - shard.base()) as usize);
+                let name = shard.corpus().resolve(tree.node(node).name);
+                *labels.entry(name.to_string()).or_default() += 1;
             }
-            let shard = &shards[owner];
-            let tree = shard.corpus().tree((tid - shard.base()) as usize);
-            let name = shard.corpus().resolve(tree.node(node).name);
-            *labels.entry(name.to_string()).or_default() += 1;
-        }
-        h.per_label = labels.into_iter().collect();
-        h.per_label.sort();
-        let fanout = if hit { 0 } else { ids.len() };
-        self.instr.finish(timer, Class::Hist, hit, query, fanout, 0);
-        Ok(h)
+            h.per_label = labels.into_iter().collect();
+            h.per_label.sort();
+            Ok(h)
+        })
     }
 
     /// Aggregate-table histogram: the classes whose *per-tree*
@@ -845,31 +1093,26 @@ impl Service {
     /// at the first match. On selective queries over large corpora
     /// this is orders of magnitude cheaper than any enumeration.
     pub fn exists(&self, query: &str) -> Result<bool, ServiceError> {
-        self.counters.queries.bump();
-        let compiled = self.compile(query)?;
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            return Ok(false);
-        }
-        let (shards, generation) = self.snapshot();
-        let all: Vec<u16> = (0..shards.len() as u16).collect();
-        let key = (compiled.normalized.clone(), all);
-        if let Some(n) = self.counts.lock().unwrap().get(&key, generation) {
-            self.counters.count_hits.bump();
-            return Ok(n > 0);
-        }
-        if let Some(full) = self.results.lock().unwrap().get(&key, generation) {
-            self.counters.result_hits.bump();
-            return Ok(!full.is_empty());
-        }
-        Ok(shards.iter().any(|shard| {
-            if !shard.may_match(&compiled.required) {
-                self.counters.shards_pruned.bump();
-                return false;
+        // Deliberately unclassified: no latency class, no clock reads.
+        self.solo(None, query, false, |req, compiled| {
+            let key = (compiled.normalized.clone(), WHOLE_CORPUS);
+            if let Some(n) = self.counts.lock().unwrap().get(&key, req.generation) {
+                self.counters.count_hits.bump();
+                return Ok(n > 0);
             }
-            self.counters.shard_evals.bump();
-            shard.exists(&compiled)
-        }))
+            if let Some(full) = self.results.lock().unwrap().get(&key, req.generation) {
+                self.counters.result_hits.bump();
+                return Ok(!full.is_empty());
+            }
+            Ok(req.shards.iter().any(|shard| {
+                if !shard.may_match(&compiled.required) {
+                    self.counters.shards_pruned.bump();
+                    return false;
+                }
+                self.counters.shard_evals.bump();
+                shard.exists(compiled)
+            }))
+        })
     }
 
     /// The `[offset, offset + limit)` slice of [`Service::eval`]'s
@@ -899,41 +1142,41 @@ impl Service {
         offset: usize,
         limit: usize,
     ) -> Result<ResultSet, ServiceError> {
-        self.counters.queries.bump();
         self.counters.pages.bump();
-        let mut timer = self.instr.begin();
-        let compiled = self.compile(query)?;
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
-        }
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            self.instr.finish(timer, Class::EvalPage, true, query, 0, 0);
-            return Ok(Vec::new());
-        }
-        let (shards, generation) = self.snapshot();
+        self.solo(Some(Class::EvalPage), query, Vec::new(), |req, compiled| {
+            Ok(self.page_by_offset(req, compiled, offset, limit))
+        })
+    }
+
+    /// The offset page walk behind [`Service::eval_page`] and
+    /// [`Service::eval_page_token`]'s stale recovery. The request
+    /// context records how wide the page fanned out, how many cached
+    /// prefixes it extended, and whether any shard enumerated — a page
+    /// is a "hit" when it was served entirely from cached state, not
+    /// even a delta enumerated.
+    pub(crate) fn page_by_offset(
+        &self,
+        req: &mut Request,
+        compiled: &CompiledQuery,
+        offset: usize,
+        limit: usize,
+    ) -> ResultSet {
         if limit == 0 {
-            self.instr.finish(timer, Class::EvalPage, true, query, 0, 0);
-            return Ok(Vec::new());
+            return Vec::new();
         }
         // Fast path: the full result set is already cached.
-        let all: Vec<u16> = (0..shards.len() as u16).collect();
-        let full_key = (compiled.normalized.clone(), all);
-        if let Some(full) = self.results.lock().unwrap().get(&full_key, generation) {
+        let full_key = (compiled.normalized.clone(), WHOLE_CORPUS);
+        if let Some(full) = self.results.lock().unwrap().get(&full_key, req.generation) {
             self.counters.result_hits.bump();
-            self.instr.finish(timer, Class::EvalPage, true, query, 0, 0);
-            return Ok(full.iter().skip(offset).take(limit).copied().collect());
+            return full.iter().skip(offset).take(limit).copied().collect();
         }
         let need = offset.saturating_add(limit);
-        // Request-local trace: how wide this page fanned out, how many
-        // cached prefixes it extended, whether any shard enumerated.
-        let (mut visited, mut resumes, mut evals) = (0usize, 0u64, 0u64);
         let mut acc: ResultSet = Vec::new();
-        for (si, shard) in shards.iter().enumerate() {
+        for (si, shard) in req.shards.iter().enumerate() {
             if acc.len() >= need {
                 self.counters
                     .page_shards_skipped
-                    .add((shards.len() - si) as u64);
+                    .add((req.shards.len() - si) as u64);
                 break;
             }
             if !shard.may_match(&compiled.required) {
@@ -941,8 +1184,8 @@ impl Service {
                 continue;
             }
             let remaining = need - acc.len();
-            visited += 1;
-            let key = (compiled.normalized.clone(), vec![si as u16]);
+            req.fanout += 1;
+            let key = (compiled.normalized.clone(), si as u16);
             let build = shard.build_id();
             // A complete per-shard result serves any page depth.
             let cached = self.shard_results.lock().unwrap().get(&key, build);
@@ -964,7 +1207,8 @@ impl Service {
                 }
                 Some(entry) => {
                     self.counters.page_resumes.bump();
-                    resumes += 1;
+                    req.resumes += 1;
+                    req.hit = false;
                     let delta = remaining - entry.rows.len();
                     // Take the observed entry back out of the cache
                     // (only it — a deeper prefix a concurrent sweep
@@ -978,7 +1222,7 @@ impl Service {
                     self.prefixes.lock().unwrap().remove_match(&key, &entry);
                     let PrefixEntry { rows, ckpt } = entry;
                     let ckpt = Arc::try_unwrap(ckpt).unwrap_or_else(|shared| (*shared).clone());
-                    match shard.eval_resume(&compiled, Some(ckpt), delta) {
+                    match shard.eval_resume(compiled, Some(ckpt), delta) {
                         Ok((more, next)) => {
                             let mut rows =
                                 Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
@@ -991,16 +1235,15 @@ impl Service {
                         // too. Degrade to a fresh bounded evaluation.
                         Err(_) => {
                             self.counters.stale_checkpoints.bump();
-                            evals += 1;
-                            shard.eval_limit(&compiled, remaining)
+                            shard.eval_limit(compiled, remaining)
                         }
                     }
                 }
                 None => {
                     self.counters.result_misses.bump();
                     self.counters.page_partial_evals.bump();
-                    evals += 1;
-                    shard.eval_limit(&compiled, remaining)
+                    req.hit = false;
+                    shard.eval_limit(compiled, remaining)
                 }
             };
             let rows = Arc::new(rows);
@@ -1009,12 +1252,12 @@ impl Service {
                     // The enumeration completed: the prefix is the
                     // whole shard result — promote it and drop the
                     // superseded prefix slot.
-                    let admitted = self.shard_results.lock().unwrap().insert(
+                    self.admit(
+                        &mut self.shard_results.lock().unwrap(),
                         key.clone(),
                         build,
-                        Arc::clone(&rows),
+                        &rows,
                     );
-                    self.note_admission(admitted);
                     self.prefixes.lock().unwrap().remove(&key);
                 }
                 Some(next) => {
@@ -1026,444 +1269,18 @@ impl Service {
                         .get(&key, build)
                         .is_some_and(|e| e.rows.len() >= rows.len());
                     if !deeper_cached {
-                        let admitted = prefixes.insert(
-                            key,
-                            build,
-                            PrefixEntry {
-                                rows: Arc::clone(&rows),
-                                ckpt: Arc::new(next),
-                            },
-                        );
-                        self.note_admission(admitted);
+                        let entry = PrefixEntry {
+                            rows: Arc::clone(&rows),
+                            ckpt: Arc::new(next),
+                        };
+                        self.admit(&mut prefixes, key, build, &entry);
                     }
                 }
             }
             acc.extend(rows.iter().take(remaining).copied());
         }
-        // A page is a "hit" when it was served entirely from cached
-        // state — no shard enumerated anything, not even a delta.
-        let hit = resumes == 0 && evals == 0;
-        self.instr
-            .finish(timer, Class::EvalPage, hit, query, visited, resumes);
         acc.truncate(need);
-        Ok(acc.split_off(offset.min(acc.len())))
-    }
-
-    /// Evaluate a batch of queries, fanning `(query, shard)` tasks out
-    /// across the worker threads. Per-query results are identical to
-    /// calling [`Service::eval`] one query at a time; the batch form
-    /// pays thread startup once and keeps every worker busy across
-    /// queries of uneven cost.
-    pub fn eval_batch(&self, queries: &[&str]) -> Vec<Result<Arc<ResultSet>, ServiceError>> {
-        self.counters.batches.bump();
-        self.counters.queries.add(queries.len() as u64);
-        let mut timer = self.instr.begin();
-        let compiled: Vec<Result<Arc<CompiledQuery>, ServiceError>> =
-            queries.iter().map(|q| self.compile(q)).collect();
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
-        }
-
-        let (shards, generation) = self.snapshot();
-        let nshards = shards.len();
-        let all: Vec<u16> = (0..nshards as u16).collect();
-
-        let mut out: Vec<Option<Result<Arc<ResultSet>, ServiceError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        // Resolve errors and result-cache hits up front; duplicate
-        // queries in one batch collapse into a single miss evaluated
-        // once, feeding every occurrence.
-        let mut misses: Vec<(Vec<usize>, Arc<CompiledQuery>)> = Vec::new();
-        let mut miss_index: HashMap<String, usize> = HashMap::new();
-        for (i, c) in compiled.into_iter().enumerate() {
-            match c {
-                Err(e) => out[i] = Some(Err(e)),
-                Ok(c) => {
-                    if c.statically_empty {
-                        // The analyzer's verdict answers without any
-                        // shard work or cache traffic.
-                        self.counters.statically_empty.bump();
-                        out[i] = Some(Ok(Arc::new(Vec::new())));
-                        continue;
-                    }
-                    if let Some(&mi) = miss_index.get(&c.normalized) {
-                        // Batch-local dedup: served from the sibling
-                        // occurrence's evaluation, not from the cache.
-                        self.counters.batch_dedup.bump();
-                        misses[mi].0.push(i);
-                        continue;
-                    }
-                    let key = (c.normalized.clone(), all.clone());
-                    let hit = self.results.lock().unwrap().get(&key, generation);
-                    match hit {
-                        Some(v) => {
-                            self.counters.result_hits.bump();
-                            out[i] = Some(Ok(v));
-                        }
-                        None => {
-                            self.counters.result_misses.bump();
-                            miss_index.insert(c.normalized.clone(), misses.len());
-                            misses.push((vec![i], c));
-                        }
-                    }
-                }
-            }
-        }
-
-        if !misses.is_empty() && nshards > 0 {
-            // One task per (missed query, shard); workers pull tasks
-            // off a shared counter.
-            let partials = fan_out(self.threads, misses.len() * nshards, |t| {
-                let (mi, si) = (t / nshards, t % nshards);
-                self.eval_one_shard(&shards[si], si as u16, &misses[mi].1)
-            });
-            for (mi, (occurrences, c)) in misses.iter().enumerate() {
-                let mut merged = Vec::new();
-                for rows in &partials[mi * nshards..(mi + 1) * nshards] {
-                    merged.extend(rows.iter().copied());
-                }
-                let merged = Arc::new(merged);
-                let admitted = self.results.lock().unwrap().insert(
-                    (c.normalized.clone(), all.clone()),
-                    generation,
-                    Arc::clone(&merged),
-                );
-                self.note_admission(admitted);
-                for &qi in occurrences {
-                    out[qi] = Some(Ok(Arc::clone(&merged)));
-                }
-            }
-        }
-        if timer.is_some() {
-            // One histogram sample per batch call (members already
-            // count as queries); a batch is a hit when every member
-            // was served from cache or batch-local dedup.
-            let hit = misses.is_empty();
-            let fanout = misses.len() * nshards;
-            self.instr.finish(
-                timer,
-                Class::EvalBatch,
-                hit,
-                &queries.join(" ; "),
-                fanout,
-                0,
-            );
-        }
-        out.into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect()
-    }
-
-    /// Evaluate a batch of queries with common-subplan sharing: within
-    /// each shard, members whose plans open the same anchor — the same
-    /// full-table scan or the same equality/range index probe — ride
-    /// one cursor, with only their residual filters evaluated per
-    /// candidate row. Per-query results are identical to calling
-    /// [`Service::eval`] one query at a time (same rows, same document
-    /// order); only the work is shared, never the answers.
-    ///
-    /// The whole batch sees one shard snapshot, so members can never
-    /// observe a corpus append half-applied ([`Service::append_ptb`]
-    /// swaps shards in under the lock; clones taken before the swap
-    /// stay consistent with each other). Sharing statistics land in
-    /// [`ServiceStats::multi_shared_scans`] and
-    /// [`ServiceStats::multi_residual_evals`].
-    ///
-    /// A batch of one degrades to exactly the solo [`Service::eval`]
-    /// path — same caches, same counters.
-    pub fn eval_multi(&self, queries: &[&str]) -> Vec<Result<Arc<ResultSet>, ServiceError>> {
-        if queries.len() == 1 {
-            return vec![self.eval(queries[0])];
-        }
-        self.counters.batches.bump();
-        self.counters.queries.add(queries.len() as u64);
-        let mut timer = self.instr.begin();
-
-        // Compile the whole batch through ONE pass over the plan cache
-        // (a single read-lock acquisition instead of one per member);
-        // only members the fast pass missed pay the full per-query
-        // compile path. This is where the steady-state amortization
-        // lives: a hot batch costs one lock round per cache, not one
-        // per member per cache.
-        let mut compiled: Vec<Option<Result<Arc<CompiledQuery>, ServiceError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut plan_hits = 0u64;
-        {
-            let plans = self.plans.read().unwrap();
-            for (slot, q) in compiled.iter_mut().zip(queries) {
-                if let Some(entry) = plans.get(q.trim()) {
-                    let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed) + 1;
-                    entry.stamp.store(tick, Ordering::Relaxed);
-                    plan_hits += 1;
-                    *slot = Some(Ok(Arc::clone(&entry.compiled)));
-                }
-            }
-        }
-        if plan_hits > 0 {
-            self.counters.plan_hits.add(plan_hits);
-        }
-        for (slot, q) in compiled.iter_mut().zip(queries) {
-            if slot.is_none() {
-                *slot = Some(self.compile(q));
-            }
-        }
-        if let Some(t) = timer.as_mut() {
-            t.mark_compiled();
-        }
-
-        // ONE snapshot for the whole batch (see the doc comment): all
-        // members evaluate against the same builds.
-        let (shards, generation) = self.snapshot();
-        let nshards = shards.len();
-        let all: Vec<u16> = (0..nshards as u16).collect();
-
-        let mut out: Vec<Option<Result<Arc<ResultSet>, ServiceError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut misses: Vec<(Vec<usize>, Arc<CompiledQuery>)> = Vec::new();
-        let mut miss_index: HashMap<String, usize> = HashMap::new();
-        let (mut statically_empty, mut dedup, mut hits, mut probes) = (0u64, 0u64, 0u64, 0u64);
-        {
-            // One result-cache lock round for the whole membership
-            // check, probing through a reused key buffer (no per-member
-            // String/Vec allocations on the hit path).
-            let mut results = self.results.lock().unwrap();
-            let mut probe: cache::Key = (String::new(), all.clone());
-            for (i, c) in compiled.into_iter().enumerate() {
-                match c.expect("every slot compiled above") {
-                    Err(e) => out[i] = Some(Err(e)),
-                    Ok(c) => {
-                        if c.statically_empty {
-                            statically_empty += 1;
-                            out[i] = Some(Ok(Arc::new(Vec::new())));
-                            continue;
-                        }
-                        if let Some(&mi) = miss_index.get(&c.normalized) {
-                            dedup += 1;
-                            misses[mi].0.push(i);
-                            continue;
-                        }
-                        probes += 1;
-                        probe.0.clear();
-                        probe.0.push_str(&c.normalized);
-                        match results.get(&probe, generation) {
-                            Some(v) => {
-                                hits += 1;
-                                out[i] = Some(Ok(v));
-                            }
-                            None => {
-                                miss_index.insert(c.normalized.clone(), misses.len());
-                                misses.push((vec![i], c));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.counters.statically_empty.add(statically_empty);
-        self.counters.batch_dedup.add(dedup);
-        self.counters.result_hits.add(hits);
-        self.counters.result_misses.add(probes - hits);
-
-        if !misses.is_empty() && self.multi_abort.swap(false, Ordering::SeqCst) {
-            // Batch-abort fault point (test-only): every unresolved
-            // member fails without any shard work or cache writes.
-            for (occurrences, _) in &misses {
-                for &qi in occurrences {
-                    out[qi] = Some(Err(ServiceError::Aborted));
-                }
-            }
-            self.instr
-                .finish(timer, Class::EvalMulti, false, &queries.join(" ; "), 0, 0);
-            return out
-                .into_iter()
-                .map(|r| r.expect("all slots filled"))
-                .collect();
-        }
-
-        if !misses.is_empty() && nshards > 0 {
-            let miss_plans: Vec<Arc<CompiledQuery>> =
-                misses.iter().map(|(_, c)| Arc::clone(c)).collect();
-            // One task per shard carrying the whole miss set, so
-            // anchor-sharing happens inside each shard's engine.
-            let partials = fan_out(self.threads, nshards, |si| {
-                self.eval_multi_one_shard(&shards[si], si as u16, &miss_plans)
-            });
-            for (mi, (occurrences, c)) in misses.iter().enumerate() {
-                let mut merged = Vec::new();
-                for per_shard in &partials {
-                    merged.extend(per_shard[mi].iter().copied());
-                }
-                let merged = Arc::new(merged);
-                let admitted = self.results.lock().unwrap().insert(
-                    (c.normalized.clone(), all.clone()),
-                    generation,
-                    Arc::clone(&merged),
-                );
-                self.note_admission(admitted);
-                for &qi in occurrences {
-                    out[qi] = Some(Ok(Arc::clone(&merged)));
-                }
-            }
-        }
-        if timer.is_some() {
-            let hit = misses.is_empty();
-            let fanout = if misses.is_empty() { 0 } else { nshards };
-            self.instr.finish(
-                timer,
-                Class::EvalMulti,
-                hit,
-                &queries.join(" ; "),
-                fanout,
-                0,
-            );
-        }
-        out.into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect()
-    }
-
-    /// Arm the batch-abort fault point: the next [`Service::eval_multi`]
-    /// call that reaches execution (has at least one uncached member)
-    /// aborts those members with [`ServiceError::Aborted`] instead of
-    /// touching the shards. One-shot; for failure-injection tests.
-    #[doc(hidden)]
-    pub fn inject_multi_abort(&self) {
-        self.multi_abort.store(true, Ordering::SeqCst);
-    }
-
-    /// Evaluate `compiled` over the (sorted) shard subset `ids`,
-    /// consulting and filling the result cache. Takes a lock-free
-    /// shard snapshot so long evaluations never block corpus writers.
-    /// The returned flag says whether the top-level result cache
-    /// answered (the latency histograms' hit/miss attribution).
-    fn eval_compiled(
-        &self,
-        shards: &[Arc<Shard>],
-        generation: u64,
-        compiled: &Arc<CompiledQuery>,
-        ids: &[u16],
-    ) -> (Arc<ResultSet>, bool) {
-        let key = (compiled.normalized.clone(), ids.to_vec());
-        if let Some(hit) = self.results.lock().unwrap().get(&key, generation) {
-            self.counters.result_hits.bump();
-            return (hit, true);
-        }
-        self.counters.result_misses.bump();
-        let partials = fan_out(self.threads, ids.len(), |i| {
-            let si = ids[i];
-            self.eval_one_shard(&shards[si as usize], si, compiled)
-        });
-        let mut merged = Vec::with_capacity(partials.iter().map(|r| r.len()).sum());
-        for rows in &partials {
-            merged.extend(rows.iter().copied());
-        }
-        let merged = Arc::new(merged);
-        let admitted = self
-            .results
-            .lock()
-            .unwrap()
-            .insert(key, generation, Arc::clone(&merged));
-        self.note_admission(admitted);
-        (merged, false)
-    }
-
-    /// Evaluate on one shard, with symbol-presence pruning, through
-    /// the build-id-scoped per-shard result cache: a complete result
-    /// already cached — by an earlier eval, [`Service::eval_on`], or
-    /// promoted from an exhausted [`Service::eval_page`] prefix — is
-    /// reused instead of re-evaluating, and stays reusable across
-    /// [`Service::append_ptb`] for every shard but the rebuilt tail.
-    fn eval_one_shard(&self, shard: &Shard, si: u16, compiled: &CompiledQuery) -> Arc<ResultSet> {
-        if !shard.may_match(&compiled.required) {
-            self.counters.shards_pruned.bump();
-            return Arc::new(Vec::new());
-        }
-        let key = (compiled.normalized.clone(), vec![si]);
-        let build = shard.build_id();
-        if let Some(hit) = self.shard_results.lock().unwrap().get(&key, build) {
-            self.counters.result_hits.bump();
-            return hit;
-        }
-        self.counters.shard_evals.bump();
-        let rows = Arc::new(shard.eval(compiled));
-        let admitted = self
-            .shard_results
-            .lock()
-            .unwrap()
-            .insert(key, build, Arc::clone(&rows));
-        self.note_admission(admitted);
-        rows
-    }
-
-    /// Evaluate a whole miss set on one shard. Members answered by
-    /// symbol-presence pruning or the per-shard result cache drop out
-    /// first; the remainder go through [`Shard::eval_multi`] together
-    /// so plans opening the same anchor share one enumeration.
-    fn eval_multi_one_shard(
-        &self,
-        shard: &Shard,
-        si: u16,
-        members: &[Arc<CompiledQuery>],
-    ) -> Vec<Arc<ResultSet>> {
-        let build = shard.build_id();
-        let mut out: Vec<Option<Arc<ResultSet>>> = Vec::new();
-        out.resize_with(members.len(), || None);
-        let mut pending: Vec<usize> = Vec::new();
-        let (mut pruned, mut hits) = (0u64, 0u64);
-        {
-            // One per-shard cache lock round for the whole member set,
-            // probing through a reused key buffer.
-            let mut shard_results = self.shard_results.lock().unwrap();
-            let mut probe: cache::Key = (String::new(), vec![si]);
-            for (i, c) in members.iter().enumerate() {
-                if !shard.may_match(&c.required) {
-                    pruned += 1;
-                    out[i] = Some(Arc::new(Vec::new()));
-                    continue;
-                }
-                probe.0.clear();
-                probe.0.push_str(&c.normalized);
-                if let Some(hit) = shard_results.get(&probe, build) {
-                    hits += 1;
-                    out[i] = Some(hit);
-                    continue;
-                }
-                pending.push(i);
-            }
-        }
-        self.counters.shards_pruned.add(pruned);
-        self.counters.result_hits.add(hits);
-        if !pending.is_empty() {
-            self.counters.shard_evals.add(pending.len() as u64);
-            let refs: Vec<&CompiledQuery> = pending.iter().map(|&i| members[i].as_ref()).collect();
-            let (rows, stats) = shard.eval_multi(&refs);
-            self.counters.multi_shared_scans.add(stats.shared_scans);
-            self.counters.multi_residual_evals.add(stats.residual_evals);
-            for (&i, rows) in pending.iter().zip(rows) {
-                let rows = Arc::new(rows);
-                let key = (members[i].normalized.clone(), vec![si]);
-                let admitted =
-                    self.shard_results
-                        .lock()
-                        .unwrap()
-                        .insert(key, build, Arc::clone(&rows));
-                self.note_admission(admitted);
-                out[i] = Some(rows);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("all members resolved"))
-            .collect()
-    }
-
-    /// Record a cache admission verdict: an insert the size/heat-aware
-    /// policy rejected (full cache, every victim pinned-hot) bumps
-    /// `admission_rejects`. A capacity of zero means the cache is
-    /// deliberately disabled — not an admission decision.
-    fn note_admission(&self, admitted: bool) {
-        if !admitted && self.cfg.result_cache_capacity > 0 {
-            self.counters.admission_rejects.bump();
-        }
+        acc.split_off(offset.min(acc.len()))
     }
 
     // -----------------------------------------------------------------
@@ -1853,25 +1670,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_individual_evals_and_reports_errors() {
-        let svc = service(3);
-        let queries = ["//NP", "//VBD->NP", "//VP[", "//_[@lex=dog]", "//NP"];
-        let batch = svc.eval_batch(&queries);
-        assert_eq!(batch.len(), 5);
-        assert!(batch[2].is_err());
-        for (i, q) in queries.iter().enumerate() {
-            if i == 2 {
-                continue;
-            }
-            assert_eq!(
-                *batch[i].as_ref().unwrap().clone(),
-                *service(3).eval(q).unwrap(),
-                "{q}"
-            );
-        }
-    }
-
-    #[test]
     fn multi_matches_individual_evals_and_shares_scans() {
         let svc = service(2);
         // Three members open the same NP anchor (negated subquery
@@ -1946,21 +1744,6 @@ mod tests {
             *retry[1].as_ref().unwrap().clone(),
             *service(2).eval("//VP").unwrap()
         );
-    }
-
-    #[test]
-    fn eval_on_shard_subsets() {
-        let svc = service(2);
-        let full = svc.eval("//NP").unwrap();
-        let head = svc.eval_on("//NP", &[0]).unwrap();
-        let tail = svc.eval_on("//NP", &[1]).unwrap();
-        let mut concat: ResultSet = (*head).clone();
-        concat.extend(tail.iter().copied());
-        assert_eq!(*full, concat);
-        assert!(matches!(
-            svc.eval_on("//NP", &[9]),
-            Err(ServiceError::BadShard(9))
-        ));
     }
 
     #[test]
@@ -2041,7 +1824,7 @@ mod tests {
             assert_eq!(svc.count(q).unwrap(), 0, "{q}");
             assert!(!svc.exists(q).unwrap(), "{q}");
             assert!(svc.eval_page(q, 0, 5).unwrap().is_empty(), "{q}");
-            let batch = svc.eval_batch(&[q, q]);
+            let batch = svc.eval_multi(&[q, q]);
             assert!(batch.iter().all(|r| r.as_ref().unwrap().is_empty()));
         }
         let stats = svc.stats();
@@ -2334,15 +2117,15 @@ mod tests {
         svc.eval("//NP").unwrap(); // result-cache hit
         svc.count("//VP").unwrap(); // miss
         svc.count("//VP").unwrap(); // count-cache hit
-        svc.eval_batch(&["//DT", "//DT"]); // one miss + one dedup = batch miss
-        svc.eval_batch(&["//DT"]); // all cached = batch hit
+        svc.eval_multi(&["//DT", "//DT"]); // one miss + one dedup = batch miss
+        svc.eval_multi(&["//DT", "//NP"]); // all cached = batch hit
         let m = svc.metrics();
         assert!(m.enabled);
         let eval = class(&m, "eval");
         assert_eq!((eval.misses.count, eval.hits.count), (1, 1));
         let count = class(&m, "count");
         assert_eq!((count.misses.count, count.hits.count), (1, 1));
-        let batch = class(&m, "eval_batch");
+        let batch = class(&m, "eval_multi");
         assert_eq!((batch.misses.count, batch.hits.count), (1, 1));
         // Histogram totals equal the requests recorded, and every
         // snapshot keeps p50 <= p90 <= p99 <= max.
@@ -2352,7 +2135,7 @@ mod tests {
             }
         }
         let json = m.to_json();
-        assert!(json.contains("\"eval_batch\""));
+        assert!(json.contains("\"eval_multi\""));
     }
 
     #[test]

@@ -351,6 +351,11 @@ impl Shard {
         &self,
         compiled: &[&CompiledQuery],
     ) -> (Vec<Vec<(u32, NodeId)>>, lpath_core::BatchStats) {
+        // A set of one has nothing to share a scan with: skip the
+        // fingerprinting and anchor-grouping pass.
+        if let [only] = compiled {
+            return (vec![self.eval(only)], lpath_core::BatchStats::default());
+        }
         let mut out: Vec<Option<Vec<(u32, NodeId)>>> = Vec::new();
         out.resize_with(compiled.len(), || None);
         let rel_members: Vec<usize> = compiled

@@ -3,8 +3,9 @@
 //!
 //! The primitives come from `lpath-obs` ([`Counter`], [`Histogram`],
 //! [`Ring`]); this module owns which events the service counts, how
-//! requests are classified (eval / eval_page / count / eval_batch,
-//! each split cache-hit vs miss), and the [`Metrics`] JSON rendering.
+//! requests are classified (eval / eval_page / count / eval_multi /
+//! hist, each split cache-hit vs miss), and the [`Metrics`] JSON
+//! rendering.
 //! The long-standing [`ServiceStats`] snapshot API is unchanged — it
 //! is now populated from `lpath-obs` counters instead of bespoke
 //! atomics.
@@ -54,7 +55,6 @@ pub(crate) enum Class {
     Eval,
     EvalPage,
     Count,
-    EvalBatch,
     EvalMulti,
     Hist,
 }
@@ -65,17 +65,15 @@ impl Class {
             Class::Eval => "eval",
             Class::EvalPage => "eval_page",
             Class::Count => "count",
-            Class::EvalBatch => "eval_batch",
             Class::EvalMulti => "eval_multi",
             Class::Hist => "hist",
         }
     }
 
-    const ALL: [Class; 6] = [
+    const ALL: [Class; 5] = [
         Class::Eval,
         Class::EvalPage,
         Class::Count,
-        Class::EvalBatch,
         Class::EvalMulti,
         Class::Hist,
     ];
@@ -102,7 +100,7 @@ pub(crate) struct Instruments {
     enabled: bool,
     threshold: Duration,
     /// `[class][hit]` latency histograms, nanoseconds.
-    lat: [[Histogram; 2]; 6],
+    lat: [[Histogram; 2]; 5],
     slow: Ring<SlowQuery>,
 }
 
@@ -126,13 +124,14 @@ impl Instruments {
     }
 
     /// Finish a request: record its latency under `(class, hit)` and,
-    /// past the slow threshold, log it with its trace detail.
+    /// past the slow threshold, log it with its trace detail (the
+    /// member texts are joined only then).
     pub(crate) fn finish(
         &self,
         timer: Option<ReqTimer>,
         class: Class,
         hit: bool,
-        query: &str,
+        queries: &[&str],
         fanout: usize,
         resumes: u64,
     ) {
@@ -144,7 +143,7 @@ impl Instruments {
                 .compiled_at
                 .map_or(Duration::ZERO, |at| at.duration_since(timer.start));
             self.slow.push(SlowQuery {
-                query: clip(query),
+                query: clip(&queries.join(" ; ")),
                 class: class.name(),
                 total_ns: as_nanos(total),
                 compile_ns: as_nanos(compile),
@@ -199,7 +198,8 @@ fn clip(q: &str) -> String {
 pub struct SlowQuery {
     /// The query text (batches: the joined texts, clipped).
     pub query: String,
-    /// Request class (`eval` / `eval_page` / `count` / `eval_batch`).
+    /// Request class (`eval` / `eval_page` / `count` / `eval_multi` /
+    /// `hist`).
     pub class: &'static str,
     /// End-to-end latency, nanoseconds.
     pub total_ns: u64,
@@ -217,7 +217,8 @@ pub struct SlowQuery {
 /// Latency snapshots of one request class, split by cache outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct ClassMetrics {
-    /// Class name (`eval` / `eval_page` / `count` / `eval_batch`).
+    /// Class name (`eval` / `eval_page` / `count` / `eval_multi` /
+    /// `hist`).
     pub class: &'static str,
     /// Requests answered from a cache (or batch-deduplicated).
     pub hits: HistogramSnapshot,
@@ -238,7 +239,7 @@ pub struct Metrics {
     /// histograms are structurally present but empty).
     pub enabled: bool,
     /// Per-class latency snapshots, fixed order: eval, eval_page,
-    /// count, eval_batch, eval_multi, hist.
+    /// count, eval_multi, hist.
     pub classes: Vec<ClassMetrics>,
     /// Counts (and fast histograms) answered straight from the
     /// aggregate tables — the O(index) fast path. Surfaced here (not
@@ -388,7 +389,8 @@ pub struct ServiceStats {
     pub queries: u64,
     /// Batch calls served.
     pub batches: u64,
-    /// Paged evaluations served ([`crate::Service::eval_page`]).
+    /// Paged evaluations served ([`crate::Service::eval_page`] and
+    /// [`crate::Service::eval_page_token`], every outcome included).
     pub pages: u64,
     /// Shards never visited because a page filled before reaching them
     /// (the paging short-circuit at work).
@@ -533,7 +535,7 @@ mod tests {
         let instr = Instruments::new(false, Duration::ZERO, 4);
         let t = instr.begin();
         assert!(t.is_none());
-        instr.finish(t, Class::Eval, false, "//A", 3, 0);
+        instr.finish(t, Class::Eval, false, &["//A"], 3, 0);
         assert!(instr
             .class_metrics()
             .iter()
@@ -548,7 +550,7 @@ mod tests {
         if let Some(t) = t.as_mut() {
             t.mark_compiled();
         }
-        instr.finish(t, Class::EvalPage, false, "//VP//NP", 2, 5);
+        instr.finish(t, Class::EvalPage, false, &["//VP//NP"], 2, 5);
         let slow = instr.slow_snapshot();
         assert_eq!(slow.len(), 1);
         let q = &slow[0];
@@ -566,7 +568,7 @@ mod tests {
     fn an_unreachable_threshold_logs_nothing() {
         let instr = Instruments::new(true, Duration::from_hours(1), 4);
         let t = instr.begin();
-        instr.finish(t, Class::Count, true, "//A", 1, 0);
+        instr.finish(t, Class::Count, true, &["//A"], 1, 0);
         assert!(instr.slow_snapshot().is_empty());
         let classes = instr.class_metrics();
         let count = classes.iter().find(|c| c.class == "count").unwrap();
@@ -576,7 +578,7 @@ mod tests {
     #[test]
     fn metrics_render_valid_shape() {
         let instr = Instruments::new(true, Duration::ZERO, 4);
-        instr.finish(instr.begin(), Class::Eval, false, "//A \"quoted\"", 4, 0);
+        instr.finish(instr.begin(), Class::Eval, false, &["//A \"quoted\""], 4, 0);
         let m = Metrics {
             generation: 1,
             queries: 1,
@@ -594,7 +596,6 @@ mod tests {
             "\"eval\"",
             "\"eval_page\"",
             "\"count\"",
-            "\"eval_batch\"",
             "\"eval_multi\"",
             "\"hist\"",
             "\"aggregation\"",

@@ -55,7 +55,8 @@ use lpath_relstore::wire;
 
 use crate::plan::CompiledQuery;
 use crate::shard::{CheckpointDecodeError, Shard, ShardCheckpoint};
-use crate::{CountCheckpoint, ResultSet, Service, ServiceError};
+use crate::stats::Class;
+use crate::{CountCheckpoint, Request, ResultSet, Service, ServiceError};
 
 #[cfg(doc)]
 use crate::ServiceStats;
@@ -74,8 +75,8 @@ pub const COUNT_TOKEN_VERSION: u16 = 2;
 
 /// One page of a token-driven sweep: the rows plus the opaque token
 /// that continues the enumeration — `None` once the result set is
-/// known exhausted.
-#[derive(Clone, Debug)]
+/// known exhausted (as on the default, empty page).
+#[derive(Clone, Debug, Default)]
 pub struct Page {
     /// The page's matches, in document order.
     pub rows: ResultSet,
@@ -100,15 +101,12 @@ pub struct CountPage {
     pub token: Option<String>,
 }
 
-/// The decoded, validated interior of a token.
-struct TokenState {
-    /// Rows already served across all prior pages.
-    emitted: u64,
-    /// `Some` when the token pins an exact resume position; `None`
-    /// for offset-only tokens (the stale-recovery mode).
-    pos: Option<TokenPos>,
-}
+/// The decoded, validated interior of a paging token: the rows already
+/// served across all prior pages, and the exact resume position — or
+/// `None` for offset-only tokens (the stale-recovery mode).
+type TokenState = (u64, Option<TokenPos>);
 
+#[derive(Default)]
 struct TokenPos {
     shard: u16,
     shard_emitted: u64,
@@ -182,38 +180,56 @@ impl Service {
         token: Option<&str>,
         limit: usize,
     ) -> Result<Page, ServiceError> {
-        let compiled = self.compile(query)?;
-        if compiled.statically_empty || limit == 0 {
-            return Ok(Page {
-                rows: Vec::new(),
-                token: None,
-            });
-        }
-        let (shards, _) = self.snapshot();
-        let state = match token {
-            None => TokenState {
-                emitted: 0,
-                pos: Some(TokenPos {
-                    shard: 0,
-                    shard_emitted: 0,
-                    ckpt: None,
-                }),
-            },
-            Some(t) => match open_token(t, &compiled, &shards) {
-                Ok(state) => state,
-                Err(OpenError::Stale { emitted }) => {
-                    self.counters.stale_checkpoints.bump();
-                    TokenState { emitted, pos: None }
+        self.counters.pages.bump();
+        let class = Some(Class::EvalPage);
+        self.solo(class, query, Page::default(), |req, compiled| {
+            if limit == 0 {
+                return Ok(Page::default());
+            }
+            let (emitted, pos) = match token {
+                None => (0, Some(TokenPos::default())),
+                Some(t) => match open_page_token(t, compiled, &req.shards) {
+                    Ok(state) => state,
+                    Err(e) => (self.recover_stale(e)?, None),
+                },
+            };
+            Ok(match pos {
+                Some(pos) => self.page_positioned(req, compiled, emitted, pos, limit),
+                // Stale-token recovery: serve the page by global offset
+                // through `eval_page`'s walk (whose build-id-scoped
+                // prefix cache keeps repeated recoveries from
+                // re-enumerating), then mint an offset-only token. The
+                // *next* echo of that token lands here again, so a
+                // client that was mid-sweep when the corpus changed
+                // keeps paging seamlessly — against the new content, as
+                // the offset contract requires.
+                None => {
+                    let offset = usize::try_from(emitted).unwrap_or(usize::MAX);
+                    let rows = self.page_by_offset(req, compiled, offset, limit);
+                    // Coming back short proves the sweep is complete.
+                    let token = (rows.len() == limit).then(|| {
+                        self.counters.tokens_minted.bump();
+                        seal_page_token(compiled, &req.shards, emitted + rows.len() as u64, None)
+                    });
+                    Page { rows, token }
                 }
-                Err(OpenError::Bad(e)) => {
-                    self.counters.tokens_rejected.bump();
-                    return Err(ServiceError::BadToken(e));
-                }
-            },
-        };
-        match state.pos {
-            Some(pos) => Ok(self.page_positioned(&compiled, &shards, state.emitted, pos, limit)),
-            None => self.page_offset(query, &compiled, &shards, state.emitted, limit),
+            })
+        })
+    }
+
+    /// The one verdict on a token that did not open: a stale one is
+    /// counted and yields the progress it carried (the caller recovers
+    /// from there); a malformed one is counted and rejected.
+    fn recover_stale(&self, e: OpenError) -> Result<u64, ServiceError> {
+        match e {
+            OpenError::Stale { emitted } => {
+                self.counters.stale_checkpoints.bump();
+                Ok(emitted)
+            }
+            OpenError::Bad(e) => {
+                self.counters.tokens_rejected.bump();
+                Err(ServiceError::BadToken(e))
+            }
         }
     }
 
@@ -222,25 +238,25 @@ impl Service {
     /// the shards run out.
     fn page_positioned(
         &self,
+        req: &mut Request,
         compiled: &CompiledQuery,
-        shards: &[Arc<Shard>],
         emitted: u64,
         pos: TokenPos,
         limit: usize,
     ) -> Page {
-        self.counters.queries.bump();
-        self.counters.pages.bump();
         let mut acc: ResultSet = Vec::new();
         let mut si = pos.shard as usize;
         let mut shard_emitted = pos.shard_emitted;
         let mut ckpt = pos.ckpt;
-        while si < shards.len() && acc.len() < limit {
-            let shard = &shards[si];
+        while si < req.shards.len() && acc.len() < limit {
+            let shard = &req.shards[si];
             if ckpt.is_none() && shard_emitted == 0 && !shard.may_match(&compiled.required) {
                 self.counters.shards_pruned.bump();
                 si += 1;
                 continue;
             }
+            req.fanout += 1;
+            req.hit = false;
             let remaining = limit - acc.len();
             let (rows, next) = match shard.eval_resume(compiled, ckpt.take(), remaining) {
                 Ok(page) => page,
@@ -273,12 +289,12 @@ impl Service {
                 }
             }
         }
-        let exhausted = si >= shards.len() && ckpt.is_none();
+        let exhausted = si >= req.shards.len() && ckpt.is_none();
         let token = (!exhausted).then(|| {
             self.counters.tokens_minted.bump();
-            seal_token(
+            seal_page_token(
                 compiled,
-                shards,
+                &req.shards,
                 emitted + acc.len() as u64,
                 Some(&TokenPos {
                     shard: si.min(u16::MAX as usize) as u16,
@@ -288,31 +304,6 @@ impl Service {
             )
         });
         Page { rows: acc, token }
-    }
-
-    /// Stale-token recovery: serve the page by global offset through
-    /// [`Service::eval_page`] (whose build-id-scoped prefix cache
-    /// keeps repeated recoveries from re-enumerating), then mint an
-    /// offset-only token. The *next* echo of that token lands here
-    /// again, so a client that was mid-sweep when the corpus changed
-    /// keeps paging seamlessly — against the new content, as the
-    /// offset contract requires.
-    fn page_offset(
-        &self,
-        query: &str,
-        compiled: &CompiledQuery,
-        shards: &[Arc<Shard>],
-        emitted: u64,
-        limit: usize,
-    ) -> Result<Page, ServiceError> {
-        let offset = usize::try_from(emitted).unwrap_or(usize::MAX);
-        let rows = self.eval_page(query, offset, limit)?;
-        // Coming back short proves the offset sweep is complete.
-        let token = (rows.len() == limit).then(|| {
-            self.counters.tokens_minted.bump();
-            seal_token(compiled, shards, emitted + rows.len() as u64, None)
-        });
-        Ok(Page { rows, token })
     }
 
     /// Paged form of [`Service::eval_multi`]: evaluate the whole batch
@@ -327,24 +318,14 @@ impl Service {
         queries: &[&str],
         limit: usize,
     ) -> Vec<Result<Page, ServiceError>> {
-        let results = self.eval_multi(queries);
-        let (shards, _) = self.snapshot();
-        results
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| {
-                let rows = r?;
-                let page: ResultSet = rows.iter().take(limit).copied().collect();
-                let token = (rows.len() > page.len())
-                    .then(|| -> Result<String, ServiceError> {
-                        let compiled = self.compile(q)?;
-                        self.counters.tokens_minted.bump();
-                        Ok(seal_token(&compiled, &shards, page.len() as u64, None))
-                    })
-                    .transpose()?;
-                Ok(Page { rows: page, token })
-            })
-            .collect()
+        self.eval_members(queries, |req, compiled, full| {
+            let rows: ResultSet = full.iter().take(limit).copied().collect();
+            let token = (full.len() > rows.len()).then(|| {
+                self.counters.tokens_minted.bump();
+                seal_page_token(compiled, &req.shards, rows.len() as u64, None)
+            });
+            Page { rows, token }
+        })
     }
 
     /// One budgeted step of a token-driven count: the stateless form
@@ -373,139 +354,84 @@ impl Service {
         token: Option<&str>,
         budget: usize,
     ) -> Result<CountPage, ServiceError> {
-        self.counters.queries.bump();
         self.counters.count_resumes.bump();
-        let compiled = self.compile(query)?;
-        if compiled.statically_empty {
-            self.counters.statically_empty.bump();
-            return Ok(CountPage {
-                so_far: 0,
-                total: Some(0),
-                token: None,
-            });
-        }
-        let (shards, _) = self.snapshot();
-        let (prior, ckpt) = match token {
-            None => (0, None),
-            Some(t) => match open_count_token(t, &compiled, &shards) {
-                Ok((counted, pos)) => (counted, Some(pos)),
-                Err(OpenError::Stale { .. }) => {
-                    self.counters.stale_checkpoints.bump();
-                    let total = self.count(query)? as u64;
-                    return Ok(CountPage {
-                        so_far: total,
-                        total: Some(total),
-                        token: None,
-                    });
-                }
-                Err(OpenError::Bad(e)) => {
-                    self.counters.tokens_rejected.bump();
-                    return Err(ServiceError::BadToken(e));
-                }
-            },
+        let complete = |total: u64| CountPage {
+            so_far: total,
+            total: Some(total),
+            token: None,
         };
-        let (n, next) = self.count_advance(&compiled, &shards, ckpt, budget);
-        let so_far = prior + n;
-        match next {
-            None => Ok(CountPage {
-                so_far,
-                total: Some(so_far),
-                token: None,
-            }),
-            Some(pos) => {
-                self.counters.tokens_minted.bump();
-                Ok(CountPage {
-                    so_far,
-                    total: None,
-                    token: Some(seal_count_token(&compiled, &shards, so_far, &pos)),
-                })
-            }
-        }
-    }
-}
-
-/// Serialize and seal a token: envelope, FNV-1a checksum, base64.
-fn seal_token(
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-    emitted: u64,
-    pos: Option<&TokenPos>,
-) -> String {
-    let mut w = wire::Writer::new();
-    w.u16(TOKEN_VERSION);
-    w.u64(query_fp(compiled));
-    w.u64(corpus_stamp(shards));
-    w.u64(emitted);
-    match pos {
-        None => w.u8(1),
-        Some(p) => {
-            w.u8(0);
-            w.u16(p.shard);
-            w.u64(p.shard_emitted);
-            match &p.ckpt {
-                Some(c) => {
-                    w.u8(1);
-                    c.encode_into(&mut w);
+        self.solo(Some(Class::Count), query, complete(0), |req, compiled| {
+            let (prior, ckpt) = match token {
+                None => (0, None),
+                Some(t) => match open_count_token(t, compiled, &req.shards) {
+                    Ok((counted, pos)) => (counted, Some(pos)),
+                    Err(e) => {
+                        self.recover_stale(e)?;
+                        return Ok(complete(self.count_whole(req, compiled) as u64));
+                    }
+                },
+            };
+            let (n, next) = self.count_advance(req, compiled, ckpt, budget);
+            let so_far = prior + n;
+            Ok(match next {
+                None => complete(so_far),
+                Some(pos) => {
+                    self.counters.tokens_minted.bump();
+                    CountPage {
+                        so_far,
+                        total: None,
+                        token: Some(seal_count_token(compiled, &req.shards, so_far, &pos)),
+                    }
                 }
-                None => w.u8(0),
-            }
-        }
+            })
+        })
     }
-    let sum = wire::fnv1a(w.bytes());
-    w.u64(sum);
-    wire::b64_encode(w.bytes())
 }
 
-/// Serialize and seal a count token. Envelope, after the shared
-/// `[ver, query_fp, corpus_stamp]` prefix: the cumulative count, the
-/// parked shard, that shard's already-counted offset, and (when the
-/// shard is suspended mid-count) its serialized
-/// [`crate::ShardCountCheckpoint`]; FNV-1a checksum, base64.
-fn seal_count_token(
+/// Seal a token: the envelope every version shares — `ver`,
+/// `query_fp`, `corpus_stamp`, the version's own `body`, an FNV-1a
+/// checksum over all of it — in URL-safe base64.
+fn seal_envelope(
+    version: u16,
     compiled: &CompiledQuery,
     shards: &[Arc<Shard>],
-    counted: u64,
-    pos: &CountCheckpoint,
+    body: impl FnOnce(&mut wire::Writer),
 ) -> String {
     let mut w = wire::Writer::new();
-    w.u16(COUNT_TOKEN_VERSION);
+    w.u16(version);
     w.u64(query_fp(compiled));
     w.u64(corpus_stamp(shards));
-    w.u64(counted);
-    w.u16(pos.shard);
-    w.u64(pos.shard_counted);
-    match &pos.inner {
-        Some(c) => {
-            w.u8(1);
-            c.encode_into(&mut w);
-        }
-        None => w.u8(0),
-    }
+    body(&mut w);
     let sum = wire::fnv1a(w.bytes());
     w.u64(sum);
     wire::b64_encode(w.bytes())
 }
 
-/// Open and validate an echoed count token: the counting mirror of
-/// [`open_token`], with the same trust boundary. Returns the
-/// cumulative count plus the live resume position.
-fn open_count_token(
+/// Open an echoed token's envelope against the current compiled query
+/// and shard snapshot, then hand the version's own `body` a reader
+/// over what follows the header plus whether the corpus stamp is
+/// stale. Hostile input is the normal case here: the checksum gates
+/// structural parsing, and every failure is a typed [`OpenError`],
+/// never a panic.
+fn open_envelope<T>(
+    version: u16,
     token: &str,
     compiled: &CompiledQuery,
     shards: &[Arc<Shard>],
-) -> Result<(u64, CountCheckpoint), OpenError> {
+    body: impl FnOnce(&mut wire::Reader<'_>, bool) -> Result<T, OpenError>,
+) -> Result<T, OpenError> {
     let bytes = wire::b64_decode(token)?;
     let Some(body_len) = bytes.len().checked_sub(8) else {
         return Err(OpenError::Bad(wire::WireError::Truncated));
     };
-    let (body, sum) = bytes.split_at(body_len);
+    let (sealed, sum) = bytes.split_at(body_len);
     let declared = u64::from_le_bytes(sum.try_into().expect("split_at leaves 8 bytes"));
-    if wire::fnv1a(body) != declared {
+    if wire::fnv1a(sealed) != declared {
         return Err(OpenError::Bad(wire::WireError::Checksum));
     }
-    let mut r = wire::Reader::new(body);
+    let mut r = wire::Reader::new(sealed);
     let ver = r.u16()?;
-    if ver != COUNT_TOKEN_VERSION {
+    if ver != version {
         return Err(OpenError::Bad(wire::WireError::Version(ver)));
     }
     if r.u64()? != query_fp(compiled) {
@@ -514,129 +440,140 @@ fn open_count_token(
         )));
     }
     let stale = r.u64()? != corpus_stamp(shards);
-    let counted = r.u64()?;
+    let out = body(&mut r, stale)?;
+    if !r.finished() {
+        return Err(OpenError::Bad(wire::WireError::Malformed(
+            "trailing bytes after token body",
+        )));
+    }
+    Ok(out)
+}
+
+/// Read the position both token kinds park — the shard, the progress
+/// already made within it, and (mid-shard) its suspended state. A
+/// stale envelope stops before the checkpoint — the parked position indexes content
+/// that is gone, so it is not decoded against shards it does not
+/// belong to — and reports the sweep's `progress` to recover from.
+fn open_position<C>(
+    r: &mut wire::Reader<'_>,
+    stale: bool,
+    progress: u64,
+    shards: &[Arc<Shard>],
+    decode: impl FnOnce(&Shard, &mut wire::Reader<'_>) -> Result<C, CheckpointDecodeError>,
+) -> Result<(u16, u64, Option<C>), OpenError> {
     let shard = r.u16()?;
-    let shard_counted = r.u64()?;
-    let has_inner = r.bool()?;
+    let within = r.u64()?;
+    let has_ckpt = r.bool()?;
     if stale {
-        // The parked position indexes content that is gone; don't
-        // decode the checkpoint against shards it does not belong to.
-        return Err(OpenError::Stale { emitted: counted });
+        return Err(OpenError::Stale { emitted: progress });
     }
     let Some(target) = shards.get(shard as usize) else {
         return Err(OpenError::Bad(wire::WireError::Malformed(
             "token shard index out of range",
         )));
     };
-    let inner = if has_inner {
-        match target.decode_count_checkpoint(compiled, &mut r) {
-            Ok(c) => Some(c),
-            Err(CheckpointDecodeError::Stale(_)) => {
-                return Err(OpenError::Stale { emitted: counted })
-            }
-            Err(CheckpointDecodeError::Wire(e)) => return Err(OpenError::Bad(e)),
-        }
-    } else {
-        None
-    };
-    if !r.finished() {
-        return Err(OpenError::Bad(wire::WireError::Malformed(
-            "trailing bytes after count checkpoint",
-        )));
-    }
-    Ok((
-        counted,
-        CountCheckpoint {
-            shard,
-            shard_counted,
-            inner,
-        },
-    ))
+    let ckpt = has_ckpt
+        .then(|| decode(target, r))
+        .transpose()
+        .map_err(|e| match e {
+            CheckpointDecodeError::Stale(_) => OpenError::Stale { emitted: progress },
+            CheckpointDecodeError::Wire(e) => OpenError::Bad(e),
+        })?;
+    Ok((shard, within, ckpt))
 }
 
-/// Open and validate an echoed token against the current compiled
-/// query and shard snapshot. Hostile input is the normal case here:
-/// every failure is a typed [`OpenError`], never a panic.
-fn open_token(
+/// Seal a paging token (see the module docs for the layout).
+fn seal_page_token(
+    compiled: &CompiledQuery,
+    shards: &[Arc<Shard>],
+    emitted: u64,
+    pos: Option<&TokenPos>,
+) -> String {
+    seal_envelope(TOKEN_VERSION, compiled, shards, |w| {
+        w.u64(emitted);
+        w.bool(pos.is_none());
+        if let Some(p) = pos {
+            w.u16(p.shard);
+            w.u64(p.shard_emitted);
+            w.bool(p.ckpt.is_some());
+            if let Some(c) = &p.ckpt {
+                c.encode_into(w);
+            }
+        }
+    })
+}
+
+/// Open an echoed paging token.
+fn open_page_token(
     token: &str,
     compiled: &CompiledQuery,
     shards: &[Arc<Shard>],
 ) -> Result<TokenState, OpenError> {
-    let bytes = wire::b64_decode(token)?;
-    let Some(body_len) = bytes.len().checked_sub(8) else {
-        return Err(OpenError::Bad(wire::WireError::Truncated));
-    };
-    let (body, sum) = bytes.split_at(body_len);
-    let declared = u64::from_le_bytes(sum.try_into().expect("split_at leaves 8 bytes"));
-    if wire::fnv1a(body) != declared {
-        return Err(OpenError::Bad(wire::WireError::Checksum));
-    }
-    let mut r = wire::Reader::new(body);
-    let ver = r.u16()?;
-    if ver != TOKEN_VERSION {
-        return Err(OpenError::Bad(wire::WireError::Version(ver)));
-    }
-    if r.u64()? != query_fp(compiled) {
-        return Err(OpenError::Bad(wire::WireError::Malformed(
-            "token minted for a different query",
-        )));
-    }
-    let stale = r.u64()? != corpus_stamp(shards);
-    let emitted = r.u64()?;
-    match r.u8()? {
-        // Offset-only: the global offset is meaningful against any
-        // content, so staleness is irrelevant — offset paging already
-        // promises "current content at this offset".
-        1 => {
-            if !r.finished() {
-                return Err(OpenError::Bad(wire::WireError::Malformed(
-                    "trailing bytes after offset token",
-                )));
-            }
-            Ok(TokenState { emitted, pos: None })
-        }
-        0 => {
-            let shard = r.u16()?;
-            let shard_emitted = r.u64()?;
-            let has_ckpt = r.bool()?;
-            if stale {
-                // The suspended position indexes into content that is
-                // gone; don't decode the checkpoint against shards it
-                // does not belong to.
-                return Err(OpenError::Stale { emitted });
-            }
-            let Some(target) = shards.get(shard as usize) else {
-                return Err(OpenError::Bad(wire::WireError::Malformed(
-                    "token shard index out of range",
-                )));
-            };
-            let ckpt = if has_ckpt {
-                match target.decode_checkpoint(compiled, &mut r) {
-                    Ok(c) => Some(c),
-                    Err(CheckpointDecodeError::Stale(_)) => {
-                        return Err(OpenError::Stale { emitted })
-                    }
-                    Err(CheckpointDecodeError::Wire(e)) => return Err(OpenError::Bad(e)),
-                }
-            } else {
-                None
-            };
-            if !r.finished() {
-                return Err(OpenError::Bad(wire::WireError::Malformed(
-                    "trailing bytes after checkpoint",
-                )));
-            }
-            Ok(TokenState {
-                emitted,
-                pos: Some(TokenPos {
+    open_envelope(TOKEN_VERSION, token, compiled, shards, |r, stale| {
+        let emitted = r.u64()?;
+        let pos = match r.u8()? {
+            // Offset-only: the global offset is meaningful against any
+            // content, so staleness is irrelevant — offset paging
+            // already promises "current content at this offset".
+            1 => None,
+            0 => {
+                let (shard, shard_emitted, ckpt) =
+                    open_position(r, stale, emitted, shards, |target, r| {
+                        target.decode_checkpoint(compiled, r)
+                    })?;
+                Some(TokenPos {
                     shard,
                     shard_emitted,
                     ckpt,
-                }),
-            })
+                })
+            }
+            _ => return Err(OpenError::Bad(wire::WireError::Malformed("token mode"))),
+        };
+        Ok((emitted, pos))
+    })
+}
+
+/// Seal a count token. Body: the cumulative count, then the parked
+/// position (its checkpoint a [`crate::ShardCountCheckpoint`]).
+fn seal_count_token(
+    compiled: &CompiledQuery,
+    shards: &[Arc<Shard>],
+    counted: u64,
+    pos: &CountCheckpoint,
+) -> String {
+    seal_envelope(COUNT_TOKEN_VERSION, compiled, shards, |w| {
+        w.u64(counted);
+        w.u16(pos.shard);
+        w.u64(pos.shard_counted);
+        w.bool(pos.inner.is_some());
+        if let Some(c) = &pos.inner {
+            c.encode_into(w);
         }
-        _ => Err(OpenError::Bad(wire::WireError::Malformed("token mode"))),
-    }
+    })
+}
+
+/// Open an echoed count token: the cumulative count plus the live
+/// resume position.
+fn open_count_token(
+    token: &str,
+    compiled: &CompiledQuery,
+    shards: &[Arc<Shard>],
+) -> Result<(u64, CountCheckpoint), OpenError> {
+    open_envelope(COUNT_TOKEN_VERSION, token, compiled, shards, |r, stale| {
+        let counted = r.u64()?;
+        let (shard, shard_counted, inner) =
+            open_position(r, stale, counted, shards, |target, r| {
+                target.decode_count_checkpoint(compiled, r)
+            })?;
+        Ok((
+            counted,
+            CountCheckpoint {
+                shard,
+                shard_counted,
+                inner,
+            },
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -797,5 +734,40 @@ mod tests {
         let mut joined = p1.rows;
         joined.extend(p2.rows.iter().copied());
         assert_eq!(joined, full);
+    }
+
+    /// One token per envelope version, minted by the pre-refactor
+    /// sealing code over this module's fixture (2 shards): the bytes on
+    /// the wire must not move, in either direction.
+    const GOLDEN_PAGE_NN: &str = "AQCbhjGqnXDm6Phywi8q-MZoAQAAAAAAAAAAAAABAAAAAAAAAAGOfjTCOkx-6QABAAAAAAAAAAAAAAAAAAAAAQEAAAAAAAAAFQAAAAEAAAAAAAAAAQIAAAAAAAAAAQACAAAAAAAAAAkAAAAAAAAABQAAAAEAAAAAAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAADAAAAgz56ax5cFVs";
+    const GOLDEN_COUNT_VP_NP: &str = "AgCdJohO3zquIvhywi8q-MZoAQAAAAAAAAAAAAEAAAAAAAAAAY5-NMI6TH7pAAIAAAAAAAAADQAAABEAAAACAAAAAAAAAAEBAAAAAAAAAAEBAAAAAAAAAAEAAQAAAAAAAAAHAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAAAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAEAAAAAAAAAC3MpkNgrGGc";
+
+    #[test]
+    fn golden_tokens_still_seal_and_open_byte_for_byte() {
+        let svc = service(2);
+        // Sealing: a fresh mint reproduces the golden string.
+        let p1 = svc.eval_page_token("//NN", None, 1).unwrap();
+        assert_eq!(p1.token.as_deref(), Some(GOLDEN_PAGE_NN));
+        let c1 = svc.count_token("//VP//NP", None, 1).unwrap();
+        assert_eq!(c1.token.as_deref(), Some(GOLDEN_COUNT_VP_NP));
+        // Opening: the golden strings resume their sweeps exactly —
+        // accepted as valid, not recovered as stale.
+        let rest = svc
+            .eval_page_token("//NN", Some(GOLDEN_PAGE_NN), usize::MAX - 1)
+            .unwrap();
+        let mut joined = p1.rows;
+        joined.extend(rest.rows);
+        assert_eq!(joined, *svc.eval("//NN").unwrap());
+        let done = svc
+            .count_token("//VP//NP", Some(GOLDEN_COUNT_VP_NP), usize::MAX)
+            .unwrap();
+        assert_eq!(done.total, Some(svc.count("//VP//NP").unwrap() as u64));
+        let s = svc.stats();
+        assert_eq!((s.stale_checkpoints, s.tokens_rejected), (0, 0), "{s:?}");
+        // The version word keeps the two envelopes apart.
+        assert!(matches!(
+            svc.count_token("//NN", Some(GOLDEN_PAGE_NN), 1),
+            Err(ServiceError::BadToken(wire::WireError::Version(1)))
+        ));
     }
 }

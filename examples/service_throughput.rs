@@ -33,7 +33,7 @@ fn main() {
         // Cold batch: every query compiles and evaluates.
         let t = Instant::now();
         let cold: usize = service
-            .eval_batch(&texts)
+            .eval_multi(&texts)
             .into_iter()
             .map(|r| r.expect("query").len())
             .sum();
@@ -42,7 +42,7 @@ fn main() {
         // Warm batch: all result-cache hits.
         let t = Instant::now();
         let warm: usize = service
-            .eval_batch(&texts)
+            .eval_multi(&texts)
             .into_iter()
             .map(|r| r.expect("query").len())
             .sum();

@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn stats_identities_hold_across_random_workloads(
         trees in arb_treebank(),
-        ops in prop::collection::vec((0usize..5, 0usize..POOL.len()), 1..32),
+        ops in prop::collection::vec((0usize..10, 0usize..POOL.len()), 1..32),
         shards in 1usize..4,
     ) {
         let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
@@ -108,6 +108,10 @@ proptest! {
         // Our own books, kept alongside the service's.
         let (mut evals, mut counts, mut pages, mut exists, mut batches, mut members) =
             (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
+        // The last paging / count token minted per query, for the echo
+        // ops (`None`: no sweep in flight, the echo starts one).
+        let mut page_tokens: Vec<Option<String>> = vec![None; POOL.len()];
+        let mut count_tokens: Vec<Option<String>> = vec![None; POOL.len()];
         for &(op, qi) in &ops {
             let q = POOL[qi];
             match op {
@@ -115,23 +119,42 @@ proptest! {
                 1 => { svc.count(q).unwrap(); counts += 1; }
                 2 => { svc.eval_page(q, 0, 3).unwrap(); pages += 1; }
                 3 => { svc.exists(q).unwrap(); exists += 1; }
-                _ => {
+                4 => {
                     // Two-member batch, possibly with a duplicate.
                     let other = POOL[(qi + op) % POOL.len()];
-                    for r in svc.eval_batch(&[q, other]) { r.unwrap(); }
+                    for r in svc.eval_multi(&[q, other]) { r.unwrap(); }
                     batches += 1;
                     members += 2;
+                }
+                5..=7 => {
+                    // Token page: fresh, echoed, or echoed after an
+                    // append so the token is stale and recovery runs.
+                    if op == 7 {
+                        svc.append_ptb("( (S (A u) (B (C v))) )").unwrap();
+                    }
+                    let token = if op == 5 { None } else { page_tokens[qi].take() };
+                    page_tokens[qi] = svc.eval_page_token(q, token.as_deref(), 2).unwrap().token;
+                    pages += 1;
+                }
+                _ => {
+                    // Budgeted count: fresh or echoed (stale after any
+                    // earlier append: recovery recounts in place).
+                    let token = if op == 8 { None } else { count_tokens[qi].take() };
+                    count_tokens[qi] = svc.count_token(q, token.as_deref(), 1).unwrap().token;
+                    counts += 1;
                 }
             }
         }
         let s = svc.stats();
-        // Every request lands in exactly one class tally.
+        // Every request lands in exactly one class tally — token
+        // requests included, stale recoveries counted once.
         prop_assert_eq!(s.queries, evals + counts + pages + exists + members);
         prop_assert_eq!(s.batches, batches);
         prop_assert_eq!(s.pages, pages);
         // Each query member compiles exactly once: hit or miss.
         prop_assert_eq!(s.plan_hits + s.plan_misses, s.queries);
-        // Count-cache lookups come only from count() and exists().
+        // Count-cache lookups come only from count(), exists() and a
+        // stale count token's recount.
         prop_assert!(s.count_hits + s.count_misses <= counts + exists);
         prop_assert!(s.count_misses <= counts);
         // Rates are probabilities, even on empty denominators.
@@ -150,7 +173,7 @@ proptest! {
         prop_assert_eq!(total("eval"), evals);
         prop_assert_eq!(total("count"), counts);
         prop_assert_eq!(total("eval_page"), pages);
-        prop_assert_eq!(total("eval_batch"), batches);
+        prop_assert_eq!(total("eval_multi"), batches);
         // Zero threshold, oversized ring: the slow log missed nothing.
         prop_assert_eq!(m.slow_queries.len() as u64, evals + counts + pages + batches);
         // Percentiles stay monotone on every snapshot.

@@ -85,7 +85,7 @@ fn check_parity(corpus: &Corpus, shards: usize, label: &str) {
     );
 
     // The batch API answers exactly like the one-at-a-time API.
-    for (i, r) in service.eval_batch(&texts).into_iter().enumerate() {
+    for (i, r) in service.eval_multi(&texts).into_iter().enumerate() {
         assert_eq!(
             *r.unwrap(),
             *first[i],
