@@ -3,16 +3,14 @@
 //! (7 runs, trimmed mean).
 //!
 //! ```text
-//! harness [fig6a|fig6b|fig6c|fig7|fig8|fig9|fig10|ablation|extended|sql|service|firstmatch|page|sweep|metrics|check|count|multiquery|server|all] [sentences]
+//! harness [fig6a|fig6b|fig6c|fig7|fig8|fig9|fig10|ablation|extended|sql|service|firstmatch|sweep|metrics|check|count|multiquery|server|all] [sentences]
 //! ```
 //!
 //! With no arguments, prints everything at the default scale (1/20 of
-//! the paper's corpus; see `lpath-bench`'s crate docs). Six modes
+//! the paper's corpus; see `lpath-bench`'s crate docs). Some modes
 //! additionally write machine-readable numbers to the working
 //! directory: `service` (`BENCH_service.json`), `firstmatch`
-//! (`BENCH_firstmatch.json`), `page` — page-1 latency of the
-//! limit-aware `FirstRows` pipeline against the `AllRows` baseline —
-//! (`BENCH_page.json`), `sweep` — a page-1 → page-K sweep on the
+//! (`BENCH_firstmatch.json`), `sweep` — a page-1 → page-K sweep on the
 //! resumable executor against per-page recomputation —
 //! (`BENCH_sweep.json`), `metrics` — per-query latency
 //! percentiles under the instrumented service, `EXPLAIN ANALYZE`
@@ -41,7 +39,7 @@ use lpath_bench::{
 use lpath_core::{Engine, Walker, EXTENDED_QUERIES, QUERIES};
 use lpath_corpussearch::CS_QUERIES;
 use lpath_model::{Corpus, Profile};
-use lpath_relstore::{JoinOrder, OptGoal, PlannerConfig};
+use lpath_relstore::{JoinOrder, PlannerConfig};
 use lpath_server::{serve, Client, ServerConfig};
 use lpath_service::{Service, ServiceConfig};
 use lpath_tgrep::TGREP_QUERIES;
@@ -77,7 +75,6 @@ fn main() {
         "sql" => sql(&wsj),
         "service" => service(&wsj, wsj_n),
         "firstmatch" => firstmatch(&wsj, wsj_n),
-        "page" => page(&wsj, wsj_n),
         "sweep" => sweep(&wsj, wsj_n),
         "metrics" => metrics(&wsj, wsj_n),
         "check" => check(&wsj, wsj_n),
@@ -96,7 +93,6 @@ fn main() {
             extended(&wsj, &swb);
             service(&wsj, wsj_n);
             firstmatch(&wsj, wsj_n);
-            page(&wsj, wsj_n);
             sweep(&wsj, wsj_n);
             metrics(&wsj, wsj_n);
             check(&wsj, wsj_n);
@@ -107,7 +103,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown figure '{other}'; expected \
-                 fig6a|fig6b|fig6c|fig7|fig8|fig9|fig10|ablation|extended|sql|service|firstmatch|page|sweep|metrics|check|count|multiquery|server|all"
+                 fig6a|fig6b|fig6c|fig7|fig8|fig9|fig10|ablation|extended|sql|service|firstmatch|sweep|metrics|check|count|multiquery|server|all"
             );
             std::process::exit(2);
         }
@@ -691,143 +687,6 @@ fn firstmatch(wsj: &Corpus, wsj_n: usize) {
     match std::fs::write("BENCH_firstmatch.json", &json) {
         Ok(()) => println!("wrote BENCH_firstmatch.json\n"),
         Err(e) => eprintln!("could not write BENCH_firstmatch.json: {e}\n"),
-    }
-}
-
-/// One per-query row of the page benchmark.
-struct PageRow {
-    id: usize,
-    lpath: &'static str,
-    results: usize,
-    allrows_secs: f64,
-    firstrows_secs: f64,
-    service_secs: f64,
-}
-
-/// The `page` mode: page-1 (limit 10) latency of the limit-aware
-/// pipeline against the pre-limit-aware baseline, per evaluation query:
-///
-/// * **AllRows** — `Engine::query_limit_with(.., OptGoal::AllRows)`:
-///   the plan the engine uses for full enumeration, a fixed initial
-///   span of 8 trees doubling per round, tree-id bounds as residual
-///   filters (each round rescans the anchor's candidates);
-/// * **FirstRows** — the same call under `OptGoal::FirstRows`:
-///   startup-cost join order, the initial span sized from the planner's
-///   selectivity estimate (~1 round expected), bounds pushed into the
-///   anchor's index probe;
-/// * **service** — `Service::eval_page` at 8 shards with caching off:
-///   the page bound pushed into each visited shard via
-///   `Shard::eval_limit`.
-///
-/// Writes `BENCH_page.json` with every number printed plus the count
-/// of queries whose page-1 latency the FirstRows path improves — the
-/// plan-regression canary CI smoke-runs on every PR.
-fn page(wsj: &Corpus, wsj_n: usize) {
-    println!("== Page-1 latency: FirstRows pipeline vs AllRows baseline (WSJ) ==");
-    const PAGE: usize = 10;
-    let engine = Engine::build(wsj);
-    let svc = Service::with_config(
-        wsj,
-        ServiceConfig {
-            shards: 8,
-            result_cache_capacity: 0,
-            ..ServiceConfig::default()
-        },
-    );
-    let mut rows: Vec<PageRow> = Vec::new();
-    for case in lpath_bench::fixtures::eval_cases() {
-        let ast = lpath_syntax::parse(case.lpath).expect("evaluation query parses");
-        let results = engine.count(case.lpath).expect("evaluation query");
-        let baseline = engine
-            .query_limit_with(&ast, 0, PAGE, OptGoal::AllRows)
-            .unwrap();
-        assert_eq!(
-            baseline,
-            engine
-                .query_limit_with(&ast, 0, PAGE, OptGoal::FirstRows(PAGE))
-                .unwrap(),
-            "Q{}: goals must agree",
-            case.id
-        );
-        let allrows = time7(|| {
-            engine
-                .query_limit_with(&ast, 0, PAGE, OptGoal::AllRows)
-                .unwrap();
-        });
-        let firstrows = time7(|| {
-            engine
-                .query_limit_with(&ast, 0, PAGE, OptGoal::FirstRows(PAGE))
-                .unwrap();
-        });
-        let service = time7(|| {
-            svc.eval_page(case.lpath, 0, PAGE).unwrap();
-        });
-        rows.push(PageRow {
-            id: case.id,
-            lpath: case.lpath,
-            results,
-            allrows_secs: allrows.as_secs_f64(),
-            firstrows_secs: firstrows.as_secs_f64(),
-            service_secs: service.as_secs_f64(),
-        });
-    }
-
-    let speedup = |base: f64, fast: f64| base / fast.max(1e-12);
-    println!(
-        "{:<5}{:>12}{:>12}{:>13}{:>8}{:>9}",
-        "Q", "AllRows", "FirstRows", "service pg1", "×", "results"
-    );
-    for r in &rows {
-        println!(
-            "{:<5}{:>12.6}{:>12.6}{:>13.6}{:>8.2}{:>9}",
-            format!("Q{}", r.id),
-            r.allrows_secs,
-            r.firstrows_secs,
-            r.service_secs,
-            speedup(r.allrows_secs, r.firstrows_secs),
-            r.results,
-        );
-    }
-    let improved = rows
-        .iter()
-        .filter(|r| r.firstrows_secs < r.allrows_secs)
-        .count();
-    println!(
-        "queries with page-1 latency improved by the FirstRows pipeline: {improved} of {}\n",
-        rows.len()
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"page\",\n");
-    json.push_str(&format!("  \"wsj_sentences\": {wsj_n},\n"));
-    json.push_str(&format!("  \"page_size\": {PAGE},\n"));
-    json.push_str("  \"service_shards\": 8,\n");
-    json.push_str("  \"per_query\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": {}, \"lpath\": {:?}, \"results\": {}, \
-             \"allrows_page1_secs\": {:.9}, \"firstrows_page1_secs\": {:.9}, \
-             \"service_page1_secs\": {:.9}, \"speedup\": {:.3}}}{}\n",
-            r.id,
-            r.lpath,
-            r.results,
-            r.allrows_secs,
-            r.firstrows_secs,
-            r.service_secs,
-            speedup(r.allrows_secs, r.firstrows_secs),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"queries_improved\": {improved},\n  \"queries_total\": {}\n",
-        rows.len()
-    ));
-    json.push_str("}\n");
-    match std::fs::write("BENCH_page.json", &json) {
-        Ok(()) => println!("wrote BENCH_page.json\n"),
-        Err(e) => eprintln!("could not write BENCH_page.json: {e}\n"),
     }
 }
 

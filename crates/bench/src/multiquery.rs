@@ -15,7 +15,7 @@
 //! subplan sharing saves — duplicate plans executed once, shared
 //! anchor enumerations — and the validator demands it stays within a
 //! bounded factor of the uncached solo loop (see
-//! [`COLD_REGRESSION_SLACK`]). The sharing counters
+//! `COLD_REGRESSION_SLACK`). The sharing counters
 //! (`shared_members`, `residual_evals`) come from one instrumented
 //! cold batch.
 //!

@@ -322,11 +322,17 @@ impl Engine {
     /// and replaces proven-empty queries with the constant-empty plan:
     /// no index probes, no scans, a cursor born exhausted.
     fn plan_ast(&self, ast: &Path) -> Result<rel::Plan, EngineError> {
+        Ok(self.plan_for(ast, self.planner.goal)?)
+    }
+
+    /// [`Engine::plan_ast`] under an explicit optimization `goal`.
+    fn plan_for(&self, ast: &Path, goal: OptGoal) -> Result<rel::Plan, Unsupported> {
         let cq = self.translate(ast)?;
         if self.check_ast(ast).statically_empty {
             return Ok(rel::Plan::constant_empty());
         }
-        let mut plan = rel::plan(&self.db, &cq, &self.planner);
+        let order = self.planner.order;
+        let mut plan = rel::plan(&self.db, &cq, &PlannerConfig { order, goal });
         self.refine_estimate(ast, &mut plan);
         Ok(plan)
     }
@@ -584,81 +590,64 @@ impl Engine {
         checkpoint: Option<QueryCheckpoint>,
         limit: usize,
     ) -> Result<Resumed, EngineError> {
-        let ckpt = match checkpoint {
-            Some(c) => c,
+        let (mut ready, plan_k, mut state) = match checkpoint {
+            Some(c) => (c.pending, c.plan_k, c.state),
             None => {
-                let cq = self.translate(ast)?;
                 let plan_k = limit.clamp(1, usize::MAX / 2);
-                let cfg = PlannerConfig {
-                    order: self.planner.order,
-                    goal: OptGoal::FirstRows(plan_k),
-                };
-                let mut plan = if self.check_ast(ast).statically_empty {
-                    rel::Plan::constant_empty()
-                } else {
-                    rel::plan(&self.db, &cq, &cfg)
-                };
-                self.refine_estimate(ast, &mut plan);
-                let state = if self.tid_ordered_anchor(&plan) {
+                let (plan, streams) = self.paging_plan(ast, plan_k)?;
+                let state = if streams {
                     let cursor = rel::Cursor::new(&plan, &self.db).suspend();
-                    ResumeState::Stream {
-                        plan: Box::new(plan),
-                        cursor,
-                        buf: Vec::new(),
-                    }
+                    let buf = Vec::new();
+                    ResumeState::Stream { plan, cursor, buf }
                 } else {
-                    ResumeState::Chunked {
-                        plan: Box::new(plan),
-                        next_tree: 0,
-                    }
+                    ResumeState::Chunked { plan, next_tree: 0 }
                 };
-                QueryCheckpoint {
-                    pending: Vec::new(),
-                    plan_k,
-                    state,
-                }
+                (Vec::new(), plan_k, state)
             }
         };
-        let plan_k = ckpt.plan_k;
         // Rows already enumerated by an earlier call are served first;
         // when they cover the whole page, no strategy work runs at
         // all (no re-plan, no cursor resume).
-        let mut ready = ckpt.pending;
-        let (state, exhausted) = if ready.len() >= limit {
-            let exhausted = matches!(ckpt.state, ResumeState::Drained);
-            (ckpt.state, exhausted)
-        } else {
-            match ckpt.state {
-                ResumeState::Drained => (ResumeState::Drained, true),
+        if ready.len() < limit {
+            state = match state {
+                ResumeState::Drained => ResumeState::Drained,
                 ResumeState::Stream { plan, cursor, buf } => {
                     self.advance_stream(plan, cursor, buf, &mut ready, limit)
                 }
                 ResumeState::Chunked { plan, next_tree } => {
                     self.advance_chunked(ast, plan, next_tree, &mut ready, limit)
                 }
-            }
-        };
+            };
+        }
         let out: Vec<(u32, NodeId)> = ready.drain(..limit.min(ready.len())).collect();
-        let next = if exhausted && ready.is_empty() {
-            None
-        } else {
-            Some(QueryCheckpoint {
-                pending: ready,
-                plan_k,
-                state: if exhausted {
-                    ResumeState::Drained
-                } else {
-                    state
-                },
-            })
-        };
+        let done = ready.is_empty() && matches!(state, ResumeState::Drained);
+        let next = (!done).then_some(QueryCheckpoint {
+            pending: ready,
+            plan_k,
+            state,
+        });
         Ok((out, next))
+    }
+
+    /// The plan a resumable enumeration runs on, and whether it streams
+    /// (see [`Engine::tid_ordered_anchor`]): translate, plan under the
+    /// `FirstRows(plan_k)` goal, sharpen the estimate. Deterministic
+    /// over the same engine content, which is what lets a serialized
+    /// checkpoint carry `plan_k` instead of the plan.
+    fn paging_plan(
+        &self,
+        ast: &Path,
+        plan_k: usize,
+    ) -> Result<(Box<rel::Plan>, bool), Unsupported> {
+        let plan = self.plan_for(ast, OptGoal::FirstRows(plan_k))?;
+        let streams = self.tid_ordered_anchor(&plan);
+        Ok((Box::new(plan), streams))
     }
 
     /// Pull the suspended pipeline until `ready` covers `limit`,
     /// retiring (sorting and appending) each tree as the cursor's
-    /// anchor moves past it. Returns the successor state and whether
-    /// the enumeration completed.
+    /// anchor moves past it. Returns the successor state —
+    /// [`ResumeState::Drained`] once the enumeration completed.
     fn advance_stream(
         &self,
         plan: Box<rel::Plan>,
@@ -666,48 +655,34 @@ impl Engine {
         mut buf: Vec<(u32, NodeId)>,
         ready: &mut Vec<(u32, NodeId)>,
         limit: usize,
-    ) -> (ResumeState, bool) {
+    ) -> ResumeState {
         let mut live = rel::Cursor::resume(&plan, &self.db, cursor);
-        let mut exhausted = false;
         while ready.len() < limit {
-            match live.next() {
-                Some(row) => {
-                    debug_assert_eq!(row.len(), 2);
-                    let m = (row[0], NodeId(row[1] - 2));
-                    if let Some(&(tree, _)) = buf.first() {
-                        debug_assert!(m.0 >= tree, "anchor emitted trees out of order");
-                        if m.0 != tree {
-                            buf.sort_unstable();
-                            ready.append(&mut buf);
-                        }
-                    }
-                    buf.push(m);
-                }
-                None => {
+            let Some(row) = live.next() else {
+                buf.sort_unstable();
+                ready.append(&mut buf);
+                return ResumeState::Drained;
+            };
+            debug_assert_eq!(row.len(), 2);
+            let m = (row[0], NodeId(row[1] - 2));
+            if let Some(&(tree, _)) = buf.first() {
+                debug_assert!(m.0 >= tree, "anchor emitted trees out of order");
+                if m.0 != tree {
                     buf.sort_unstable();
                     ready.append(&mut buf);
-                    exhausted = true;
-                    break;
                 }
             }
+            buf.push(m);
         }
-        let state = if exhausted {
-            ResumeState::Drained
-        } else {
-            ResumeState::Stream {
-                cursor: live.into_checkpoint(),
-                plan,
-                buf,
-            }
-        };
-        (state, exhausted)
+        let cursor = live.into_checkpoint();
+        ResumeState::Stream { plan, cursor, buf }
     }
 
     /// Evaluate adaptive tree-id chunks starting at `next_tree` until
-    /// `ready` covers `limit`, mirroring [`Engine::query_limit_with`]'s
-    /// schedule but re-entrant: the plan rides in the checkpoint
+    /// `ready` covers `limit`. Re-entrant: the plan rides in the checkpoint
     /// (like the stream strategy's, so resumed calls never re-plan)
-    /// and the returned state records the next unscanned tree.
+    /// and the returned state records the next unscanned tree —
+    /// [`ResumeState::Drained`] once none is left.
     fn advance_chunked(
         &self,
         ast: &Path,
@@ -715,22 +690,16 @@ impl Engine {
         next_tree: usize,
         ready: &mut Vec<(u32, NodeId)>,
         limit: usize,
-    ) -> (ResumeState, bool) {
+    ) -> ResumeState {
         if plan.steps.is_empty() {
-            // No join step to push a range onto (cannot happen for
-            // translated queries; defensive): evaluate fully, once.
+            // No join step to push a range onto (the constant-empty
+            // plan of a statically empty query): evaluate fully, once.
             if next_tree == 0 {
                 let mut all = rows_to_matches(rel::execute(&plan, &self.db));
                 all.sort_unstable();
                 ready.append(&mut all);
             }
-            return (
-                ResumeState::Chunked {
-                    plan,
-                    next_tree: self.ntrees,
-                },
-                true,
-            );
+            return ResumeState::Drained;
         }
         let carried = ready.len();
         let mut lo = next_tree;
@@ -738,7 +707,7 @@ impl Engine {
         while lo < self.ntrees && ready.len() < limit {
             let hi = lo.saturating_add(span).min(self.ntrees);
             let mut ranged = plan.clone();
-            self.push_tid_range(&mut ranged, lo as Value, hi as Value, true);
+            self.push_tid_range(&mut ranged, lo as Value, hi as Value);
             let mut chunk = rows_to_matches(rel::execute(&ranged, &self.db));
             chunk.sort_unstable();
             ready.append(&mut chunk);
@@ -750,14 +719,11 @@ impl Engine {
                 self.ntrees,
             );
         }
-        let exhausted = lo >= self.ntrees;
-        (
-            ResumeState::Chunked {
-                plan,
-                next_tree: lo,
-            },
-            exhausted,
-        )
+        if lo >= self.ntrees {
+            return ResumeState::Drained;
+        }
+        let next_tree = lo;
+        ResumeState::Chunked { plan, next_tree }
     }
 
     /// Does the streaming cursor emit this plan's matches in
@@ -806,39 +772,19 @@ impl Engine {
         let state = match r.u8()? {
             0 => ResumeState::Drained,
             tag @ (1 | 2) => {
-                let cq = self
-                    .translate(ast)
+                let (plan, streams) = self
+                    .paging_plan(ast, plan_k)
                     .map_err(|_| Malformed("query has no relational translation"))?;
-                let cfg = PlannerConfig {
-                    order: self.planner.order,
-                    goal: OptGoal::FirstRows(plan_k),
-                };
-                let mut plan = if self.check_ast(ast).statically_empty {
-                    rel::Plan::constant_empty()
-                } else {
-                    rel::plan(&self.db, &cq, &cfg)
-                };
-                self.refine_estimate(ast, &mut plan);
-                if tag == 1 {
-                    if !self.tid_ordered_anchor(&plan) {
-                        return Err(Malformed("stream checkpoint for a non-streaming plan"));
-                    }
+                if streams != (tag == 1) {
+                    return Err(Malformed("checkpoint strategy does not match the plan"));
+                }
+                if streams {
                     let cursor = rel::CursorCheckpoint::decode(r, &plan, &self.db)?;
                     let buf = decode_rows(r)?;
-                    ResumeState::Stream {
-                        plan: Box::new(plan),
-                        cursor,
-                        buf,
-                    }
+                    ResumeState::Stream { plan, cursor, buf }
                 } else {
-                    if self.tid_ordered_anchor(&plan) {
-                        return Err(Malformed("chunked checkpoint for a streaming plan"));
-                    }
-                    let next_tree = r.usize()?;
-                    ResumeState::Chunked {
-                        plan: Box::new(plan),
-                        next_tree: next_tree.min(self.ntrees),
-                    }
+                    let next_tree = r.usize()?.min(self.ntrees);
+                    ResumeState::Chunked { plan, next_tree }
                 }
             }
             _ => return Err(Malformed("resume strategy tag")),
@@ -850,99 +796,27 @@ impl Engine {
         })
     }
 
-    /// [`Engine::query_limit_ast`] with an explicit optimization goal —
-    /// the A/B switch of the `page` benchmark. [`OptGoal::AllRows`]
-    /// reproduces the pre-limit-aware behavior exactly (the plan the
-    /// engine uses for full enumeration, a fixed initial span of 8
-    /// trees doubling per round, range bounds as residual filters);
-    /// [`OptGoal::FirstRows`] is the limit-aware path described on
-    /// [`Engine::query_limit`]. Both return identical pages.
-    pub fn query_limit_with(
-        &self,
-        ast: &Path,
-        offset: usize,
-        limit: usize,
-        goal: OptGoal,
-    ) -> Result<Vec<(u32, NodeId)>, EngineError> {
-        let cfg = PlannerConfig {
-            order: self.planner.order,
-            goal,
-        };
-        let cq = self.translate(ast)?;
-        if limit == 0 {
-            // Untranslatable queries still error above; translatable
-            // ones skip planning for the empty page.
-            return Ok(Vec::new());
-        }
-        if self.check_ast(ast).statically_empty {
-            return Ok(Vec::new());
-        }
-        let mut plan = rel::plan(&self.db, &cq, &cfg);
-        let adaptive = !matches!(goal, OptGoal::AllRows);
-        if adaptive {
-            self.refine_estimate(ast, &mut plan);
-        }
-        let need = offset.saturating_add(limit);
-        if plan.steps.is_empty() {
-            // No join step to push the range filter onto (cannot
-            // happen for translated queries; defensive).
-            let mut all = rows_to_matches(rel::execute(&plan, &self.db));
-            all.sort_unstable();
-            all.truncate(need);
-            return Ok(all.split_off(offset.min(all.len())));
-        }
-        let mut out: Vec<(u32, NodeId)> = Vec::new();
-        let mut lo = 0usize;
-        let mut span = if adaptive {
-            self.density_span(ast, need, 0, plan.estimated_result)
-        } else {
-            8
-        };
-        while lo < self.ntrees && out.len() < need {
-            let hi = lo.saturating_add(span).min(self.ntrees);
-            let mut ranged = plan.clone();
-            self.push_tid_range(&mut ranged, lo as Value, hi as Value, adaptive);
-            let mut chunk = rows_to_matches(rel::execute(&ranged, &self.db));
-            chunk.sort_unstable();
-            out.extend(chunk);
-            lo = hi;
-            span = if adaptive {
-                next_span(out.len(), lo, need, self.ntrees)
-            } else {
-                span.saturating_mul(2)
-            };
-        }
-        out.truncate(need);
-        Ok(out.split_off(offset.min(out.len())))
-    }
-
     /// Constrain the plan's first join step to anchor rows with
-    /// `lo <= tid < hi`. When `into_index` and the step probes an index
-    /// whose key column right after the equality prefix is `tid` (the
-    /// clustered `name`-led index, `value_tid_id`, …), the bounds become
-    /// index range bounds — the probe itself skips every other tree.
+    /// `lo <= tid < hi`. When the step probes an index whose key column
+    /// right after the equality prefix is `tid` (the clustered
+    /// `name`-led index, `value_tid_id`, …), the bounds become index
+    /// range bounds — the probe itself skips every other tree.
     /// Otherwise (full scans, exhausted keys, pre-existing bounds) they
     /// fall back to residual filters, which is always correct.
-    fn push_tid_range(&self, plan: &mut rel::Plan, lo: Value, hi: Value, into_index: bool) {
+    fn push_tid_range(&self, plan: &mut rel::Plan, lo: Value, hi: Value) {
         let tid = self.cols.col(NCol::Tid);
+        let in_index = self.tid_ordered_anchor(plan);
         let step = &mut plan.steps[0];
-        if into_index {
-            if let rel::AccessPath::IndexRange {
-                index,
-                eq,
-                lo: plo,
-                hi: phi,
-            } = &mut step.access
-            {
-                if plo.is_none()
-                    && phi.is_none()
-                    && self.db.index(*index).key().get(eq.len()) == Some(&tid)
-                {
-                    *plo = Some((true, rel::Operand::Const(lo)));
-                    *phi = Some((false, rel::Operand::Const(hi)));
-                    return;
-                }
-            }
+        if let (
+            true,
+            rel::AccessPath::IndexRange {
+                lo: plo, hi: phi, ..
+            },
+        ) = (in_index, &mut step.access)
+        {
+            *plo = Some((true, rel::Operand::Const(lo)));
+            *phi = Some((false, rel::Operand::Const(hi)));
+            return;
         }
         let anchor = ColRef::new(step.alias, tid);
         step.residual.push(Cond::against_const(anchor, Cmp::Ge, lo));
@@ -1236,24 +1110,10 @@ pub struct QueryCheckpoint {
 }
 
 impl QueryCheckpoint {
-    /// Rows already enumerated and awaiting emission — served (for
-    /// free) by the next [`Engine::query_resume`] call before any
-    /// further evaluation.
-    pub fn buffered(&self) -> usize {
-        self.pending.len() + self.stream_buffered()
-    }
-
     /// Is this checkpoint on the suspended-pipeline strategy (as
     /// opposed to chunked re-planning or a fully drained state)?
     pub fn is_streaming(&self) -> bool {
         matches!(self.state, ResumeState::Stream { .. })
-    }
-
-    fn stream_buffered(&self) -> usize {
-        match &self.state {
-            ResumeState::Stream { buf, .. } => buf.len(),
-            _ => 0,
-        }
     }
 
     /// Serialize this checkpoint into `w`.
@@ -1643,8 +1503,14 @@ mod tests {
                     OptGoal::FirstRows(offset.saturating_add(limit)),
                     OptGoal::FirstRows(1),
                 ] {
+                    let cfg = PlannerConfig {
+                        goal,
+                        ..Default::default()
+                    };
+                    let e = Engine::with_config(&corpus, cfg);
+                    assert_eq!(e.query_ast(&ast).unwrap(), full, "{q} goal {goal:?}");
                     assert_eq!(
-                        e.query_limit_with(&ast, offset, limit, goal).unwrap(),
+                        e.query_limit_ast(&ast, offset, limit).unwrap(),
                         want,
                         "{q} offset {offset} limit {limit} goal {goal:?}"
                     );
@@ -1666,7 +1532,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        e.push_tid_range(&mut plan, 0, 1, true);
+        e.push_tid_range(&mut plan, 0, 1);
         // The clustered index is keyed (name, tid, …): the bounds must
         // have landed on the index probe, not the residual.
         let rel::AccessPath::IndexRange { lo, hi, .. } = &plan.steps[0].access else {
@@ -1674,12 +1540,6 @@ mod tests {
         };
         assert!(lo.is_some() && hi.is_some(), "{plan}");
         assert_eq!(plan.steps[0].residual.len(), 0, "{plan}");
-        // The legacy (AllRows) path keeps bounds as residual filters.
-        let cq = e.translate(&ast).unwrap();
-        let mut plan = rel::plan(&e.db, &cq, &PlannerConfig::default());
-        let residual_before = plan.steps[0].residual.len();
-        e.push_tid_range(&mut plan, 0, 1, false);
-        assert_eq!(plan.steps[0].residual.len(), residual_before + 2);
     }
 
     #[test]

@@ -107,6 +107,38 @@ fn sweep_survives_interleaved_appends() {
     assert_eq!(rows, now);
 }
 
+/// `"limit": 0` is a zero-budget step of the sweep, not its end: the
+/// echoed token is validated and the returned one keeps the client's
+/// place; a corrupt token is rejected even though no row is asked for.
+#[test]
+fn zero_limit_pages_keep_the_place_and_validate_the_token() {
+    let (handle, svc) = start(40, 8);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let q = "//NP";
+    let reference: Vec<(u32, u32)> = svc
+        .eval_page(q, 0, usize::MAX - 1)
+        .unwrap()
+        .into_iter()
+        .map(|(t, n)| (t, n.index() as u32))
+        .collect();
+    let p1 = client.eval_page(q, None, 5).unwrap();
+    let t1 = p1.token.expect("a 40-sentence corpus has many NPs");
+    let idle = client.eval_page(q, Some(&t1), 0).unwrap();
+    assert!(idle.rows.is_empty());
+    let parked = idle
+        .token
+        .expect("a zero-limit page must not end the sweep");
+    let rest = client.eval_page(q, Some(&parked), 1_000_000).unwrap();
+    assert!(rest.token.is_none());
+    let mut rows = p1.rows;
+    rows.extend(rest.rows);
+    assert_eq!(rows, reference);
+    match client.eval_page(q, Some("garbage!!"), 0) {
+        Err(ClientError::Remote { code, .. }) => assert_eq!(code, "bad_token"),
+        other => panic!("expected bad_token, got {other:?}"),
+    }
+}
+
 /// The budgeted count sweep over the socket: only echoed count tokens,
 /// reconnecting mid-sweep, lands on the same total as a one-shot
 /// `count` — and `hist` agrees with both and with the in-process

@@ -1,5 +1,6 @@
 //! Bounded, generation-invalidated LRU caches: `(normalized query,
-//! shard id | whole corpus)` → materialized match set, and — kept
+//! shard id | whole corpus)` → materialized match set (per shard:
+//! rows so far plus the checkpoint that continues them), and — kept
 //! separate so counting never forces (or evicts) materialized
 //! results — the same key → result *count*.
 
@@ -13,25 +14,28 @@ use crate::shard::ShardCheckpoint;
 /// A materialized, document-ordered match set.
 pub type ResultSet = Vec<(u32, NodeId)>;
 
-/// A cached, *extendable* result prefix of one shard: the rows
-/// enumerated so far plus the suspended execution state that continues
-/// the enumeration right after them. Entries are stamped with the
-/// shard's build id (the same scope the checkpoint itself is tagged
-/// with), so head-shard prefixes survive `append_ptb` untouched.
+/// What the service knows of one shard's result for one query: the
+/// rows enumerated so far and — while the enumeration is unfinished —
+/// the suspended execution state that continues right after them. The
+/// entry is the shard's **complete** result exactly when `ckpt` is
+/// `None` (what [`crate::shard::ShardPage`] already says). Entries are
+/// stamped with the shard's build id (the same scope the checkpoint
+/// itself is tagged with), so head-shard entries survive `append_ptb`
+/// untouched.
 #[derive(Clone)]
-pub(crate) struct PrefixEntry {
+pub(crate) struct ShardRows {
     /// The shard's first `rows.len()` matches, global tree ids.
     pub rows: Arc<ResultSet>,
     /// Resumes the shard's enumeration at row `rows.len()`.
-    pub ckpt: Arc<ShardCheckpoint>,
+    pub ckpt: Option<Arc<ShardCheckpoint>>,
 }
 
-/// "Identical re-insert" for the LRU's no-restamp rule: same shared
-/// allocations. Every prefix extension allocates fresh `Arc`s, so
-/// only true no-op re-inserts compare equal.
-impl PartialEq for PrefixEntry {
+/// "Identical re-insert" for the LRU's no-restamp rule: the same rows
+/// (racing evaluators produce equal rows in distinct allocations) in
+/// the same state of completion.
+impl PartialEq for ShardRows {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.rows, &other.rows) && Arc::ptr_eq(&self.ckpt, &other.ckpt)
+        self.rows == other.rows && self.ckpt.is_some() == other.ckpt.is_some()
     }
 }
 
@@ -80,9 +84,23 @@ pub(crate) type ResultCache = GenCache<Arc<ResultSet>>;
 /// smaller than the match sets they summarize.
 pub(crate) type CountCache = GenCache<usize>;
 
-/// The per-shard prefix cache: checkpointed result prefixes, stamped
-/// with shard build ids.
-pub(crate) type PrefixCache = GenCache<PrefixEntry>;
+/// The per-shard row store: complete results and checkpointed
+/// prefixes alike, stamped with shard build ids.
+pub(crate) type ShardRowCache = GenCache<ShardRows>;
+
+impl ShardRowCache {
+    /// The shard's full result, when the cached entry is complete.
+    pub fn complete(&mut self, key: &Key, build: u64) -> Option<Arc<ResultSet>> {
+        let entry = self.get(key, build)?;
+        entry.ckpt.is_none().then_some(entry.rows)
+    }
+
+    /// `(complete, checkpointed)` entry counts.
+    pub fn census(&self) -> (usize, usize) {
+        let complete = self.map.values().filter(|e| e.value.ckpt.is_none()).count();
+        (complete, self.map.len() - complete)
+    }
+}
 
 impl<V: Clone + PartialEq> GenCache<V> {
     pub fn new(capacity: usize) -> Self {
@@ -165,12 +183,6 @@ impl<V: Clone + PartialEq> GenCache<V> {
             },
         );
         true
-    }
-
-    /// Drop one entry (e.g. a page prefix superseded by its promotion
-    /// to the full result), freeing its capacity slot.
-    pub fn remove(&mut self, key: &Key) {
-        self.map.remove(key);
     }
 
     /// Compare-and-remove: drop `key`'s entry only if the cached value

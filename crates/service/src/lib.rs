@@ -21,23 +21,24 @@
 //!   walker otherwise.
 //! * **Result cache** — a bounded LRU from `(query, whole corpus)` to
 //!   the materialized match set, invalidated by corpus generation —
-//!   backed by a **per-shard** result cache scoped to each shard's
-//!   *build id*, so per-shard results survive appends that did not
-//!   touch their shard. Counts are cached separately
-//!   ([`Service::count`] never materializes or evicts match sets).
+//!   backed by one **per-shard row store** scoped to each shard's
+//!   *build id*, so per-shard rows survive appends that did not touch
+//!   their shard. Counts are cached separately ([`Service::count`]
+//!   never materializes or evicts match sets).
 //! * **Early termination** — [`Service::exists`] stops at the first
 //!   witness, and the paged [`Service::eval_page`] visits shards in
 //!   document order and short-circuits the fan-out once the page is
 //!   covered, so first-match and page-1 latency track the *selectivity*
 //!   of a query instead of its full result size.
-//! * **Resumable paging** — each shard's enumerated prefix is cached
-//!   with the suspended execution state that continues right after it
-//!   (a [`ShardCheckpoint`] riding `lpath-relstore`'s suspendable
-//!   cursor); a deeper page extends the prefix by exactly the missing
-//!   rows, so sweeping pages 1…K re-enumerates nothing (Gottlob, Koch
-//!   & Schulz's join state, suspended between requests; pages and
-//!   counts served from incremental state rather than re-enumeration,
-//!   as *On the Count of Trees* prescribes).
+//! * **Sweeps** — paging and budgeted counting are one resumable walk
+//!   over the shards ([`sweep`]), parked at a [`SweepPos`]: a shard,
+//!   the progress within it and that shard's build-id-tagged
+//!   [`Checkpoint`] (riding `lpath-relstore`'s suspendable cursor). The
+//!   row store keeps each shard's rows so far *with* that checkpoint,
+//!   tokens seal it, so sweeping pages 1…K re-enumerates nothing
+//!   (Gottlob, Koch & Schulz's join state, suspended between requests;
+//!   pages and counts served from incremental state, as *On the Count
+//!   of Trees* prescribes).
 //! * **Shard pruning** — each shard records which symbols occur in it;
 //!   a query whose required symbols (conservatively extracted) are
 //!   absent from a shard skips that shard outright. Rare-construct
@@ -83,6 +84,7 @@ pub mod cache;
 pub mod plan;
 pub mod shard;
 pub mod stats;
+pub mod sweep;
 pub mod token;
 
 use std::collections::HashMap;
@@ -97,13 +99,14 @@ use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
 pub use cache::ResultSet;
-use cache::{CountCache, GenCache, PrefixCache, PrefixEntry, ResultCache, WHOLE_CORPUS};
+use cache::{CountCache, GenCache, ResultCache, ShardRowCache, ShardRows, WHOLE_CORPUS};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
 pub use plan::{required_symbols, CompiledQuery, ExecStrategy};
-pub use shard::{Shard, ShardCheckpoint, ShardCountCheckpoint, StaleCheckpoint};
+pub use shard::{Checkpoint, Shard, ShardCheckpoint, ShardCountCheckpoint, StaleCheckpoint};
 use stats::{Class, Counters, Instruments};
 pub use stats::{ClassMetrics, Metrics, ServiceStats, ShardStats, SlowQuery};
+pub use sweep::{CountCheckpoint, SweepPos};
 pub use token::{CountPage, Page};
 
 /// Everything that can go wrong answering a service request.
@@ -205,20 +208,6 @@ struct PlanEntry {
     stamp: AtomicU64,
 }
 
-/// A suspended [`Service::count_resume`] sweep: the shard the count
-/// is parked in, how much of that shard has already been counted
-/// (the recovery offset if the shard is rebuilt mid-sweep), and the
-/// shard's own suspended counting state. Sealed into the stateless
-/// count-token envelope by [`Service::count_token`].
-#[derive(Clone, Debug)]
-pub struct CountCheckpoint {
-    shard: u16,
-    /// Matches already counted within `shard` — lets a stale resume
-    /// recover by offset instead of double-counting.
-    shard_counted: u64,
-    inner: Option<ShardCountCheckpoint>,
-}
-
 /// The GROUP BY-style result shape of [`Service::hist`]: one query's
 /// match set aggregated two ways. Both breakdowns sum to `total`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -246,7 +235,7 @@ pub(crate) struct Request {
     pub(crate) hit: bool,
     /// Shards the request visited.
     pub(crate) fanout: usize,
-    /// Cached prefixes extended through their checkpoints.
+    /// Checkpoints resumed, cached or token-borne.
     resumes: u64,
 }
 
@@ -283,19 +272,15 @@ pub struct Service {
     /// so every other shard's cached count stays valid across the
     /// generation bump and only the tail is recounted.
     shard_counts: Mutex<CountCache>,
-    /// *Complete* per-shard result sets (`(query, shard)` keys),
-    /// build-id scoped like the counts: head-shard results
-    /// survive `append_ptb`, so a post-append [`Service::eval`] only
-    /// re-evaluates the rebuilt tail shard.
-    shard_results: Mutex<ResultCache>,
-    /// *Incomplete* per-shard results: a monotonically growing,
-    /// checkpointed prefix per `(query, shard)` ([`PrefixEntry`]).
-    /// Deeper pages resume the suspended enumeration right after the
-    /// cached rows instead of recomputing from the shard's start;
-    /// build-id scoping keeps head-shard prefixes (and their
-    /// checkpoints, which are only valid against that exact build)
-    /// alive across appends.
-    prefixes: Mutex<PrefixCache>,
+    /// Per-shard rows (`(query, shard)` keys), build-id scoped like the
+    /// counts: a shard's *complete* result, or a monotonically growing
+    /// prefix with the checkpoint that continues it ([`ShardRows`]).
+    /// Head-shard entries (and their checkpoints, which are only valid
+    /// against that exact build) survive `append_ptb`, so a post-append
+    /// [`Service::eval`] only re-evaluates the rebuilt tail shard and
+    /// deeper pages resume right after the cached rows instead of
+    /// recomputing from the shard's start.
+    shard_rows: Mutex<ShardRowCache>,
     counters: Counters,
     instr: Instruments,
     /// Test-only fault point: when armed, the next request that
@@ -338,8 +323,7 @@ impl Service {
             results: Mutex::new(ResultCache::new(cfg.result_cache_capacity)),
             counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
             shard_counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
-            shard_results: Mutex::new(ResultCache::new(cfg.result_cache_capacity)),
-            prefixes: Mutex::new(PrefixCache::new(cfg.result_cache_capacity)),
+            shard_rows: Mutex::new(ShardRowCache::new(cfg.result_cache_capacity)),
             counters: Counters::default(),
             instr: Instruments::new(
                 cfg.metrics,
@@ -672,9 +656,9 @@ impl Service {
     }
 
     /// Evaluate a miss set on one shard through the build-id-scoped
-    /// per-shard result cache: members answered by symbol-presence
+    /// per-shard row store: members answered by symbol-presence
     /// pruning or a complete cached result — from an earlier request,
-    /// or promoted from an exhausted [`Service::eval_page`] prefix —
+    /// or an [`Service::eval_page`] sweep that exhausted the shard —
     /// drop out first (and stay reusable across
     /// [`Service::append_ptb`] for every shard but the rebuilt tail);
     /// the remainder go through [`Shard::eval_multi`] together so
@@ -692,7 +676,7 @@ impl Service {
         {
             // One per-shard cache lock round for the whole member set,
             // probing through a reused key buffer.
-            let mut shard_results = self.shard_results.lock().unwrap();
+            let mut shard_rows = self.shard_rows.lock().unwrap();
             let mut probe: cache::Key = (String::new(), si);
             for (i, c) in members.iter().enumerate() {
                 if !shard.may_match(&c.required) {
@@ -702,7 +686,7 @@ impl Service {
                 }
                 probe.0.clear();
                 probe.0.push_str(&c.normalized);
-                if let Some(hit) = shard_results.get(&probe, build) {
+                if let Some(hit) = shard_rows.complete(&probe, build) {
                     hits += 1;
                     out[i] = Some(hit);
                     continue;
@@ -719,10 +703,13 @@ impl Service {
             self.counters.multi_shared_scans.add(stats.shared_scans);
             self.counters.multi_residual_evals.add(stats.residual_evals);
             for (&i, rows) in pending.iter().zip(rows) {
-                let rows = Arc::new(rows);
+                let entry = ShardRows {
+                    rows: Arc::new(rows),
+                    ckpt: None,
+                };
                 let key = (members[i].normalized.clone(), si);
-                self.admit(&mut self.shard_results.lock().unwrap(), key, build, &rows);
-                out[i] = Some(rows);
+                self.admit(&mut self.shard_rows.lock().unwrap(), key, build, &entry);
+                out[i] = Some(entry.rows);
             }
         }
         out.into_iter()
@@ -784,8 +771,8 @@ impl Service {
     pub(crate) fn count_whole(&self, req: &mut Request, compiled: &CompiledQuery) -> usize {
         let key = (compiled.normalized.clone(), WHOLE_CORPUS);
         let tally = (&self.counters.count_hits, &self.counters.count_misses);
-        let caches = (&self.counts, &self.results);
-        self.count_through(caches, key, req.generation, tally, || {
+        let rows = |key: &cache::Key| self.results.lock().unwrap().get(key, req.generation);
+        self.count_through(&self.counts, key, req.generation, tally, rows, || {
             req.hit = false;
             req.fanout = req.shards.len();
             fan_out(self.threads, req.shards.len(), |si| {
@@ -797,16 +784,17 @@ impl Service {
     }
 
     /// A count through one level of the cache hierarchy: the count
-    /// cache answers; else a cached result set of the same key and
-    /// stamp does, for free — its length is the count; else `compute`
-    /// does. Either way the count cache remembers. `tally` is that
-    /// level's (hits, misses) counter pair.
+    /// cache answers; else a cached (complete) result set of the same
+    /// key and stamp does, for free — `rows` looks it up, its length is
+    /// the count; else `compute` does. Either way the count cache
+    /// remembers. `tally` is that level's (hits, misses) counter pair.
     fn count_through(
         &self,
-        (counts, results): (&Mutex<CountCache>, &Mutex<ResultCache>),
+        counts: &Mutex<CountCache>,
         key: cache::Key,
         stamp: u64,
         (hits, misses): (&lpath_obs::Counter, &lpath_obs::Counter),
+        rows: impl FnOnce(&cache::Key) -> Option<Arc<ResultSet>>,
         compute: impl FnOnce() -> usize,
     ) -> usize {
         if let Some(n) = counts.lock().unwrap().get(&key, stamp) {
@@ -814,10 +802,7 @@ impl Service {
             return n;
         }
         misses.bump();
-        // Bind the lookup before matching: a `match` scrutinee would
-        // hold the cache lock across the whole computation.
-        let cached = results.lock().unwrap().get(&key, stamp);
-        let n = match cached {
+        let n = match rows(&key) {
             Some(rows) => {
                 self.counters.result_hits.bump();
                 rows.len()
@@ -830,8 +815,8 @@ impl Service {
 
     /// One shard's count, served from the build-id-scoped per-shard
     /// count cache when its content has not changed since it was
-    /// computed — or from a cached per-shard *result* (e.g. one
-    /// promoted by [`Service::eval_page`]), whose length is the count.
+    /// computed — or from a complete per-shard *result* (e.g. one an
+    /// [`Service::eval_page`] sweep finished), whose length is the count.
     fn count_one_shard(&self, shard: &Shard, si: u16, compiled: &CompiledQuery) -> usize {
         if !shard.may_match(&compiled.required) {
             self.counters.shards_pruned.bump();
@@ -848,8 +833,9 @@ impl Service {
         let key = (compiled.normalized.clone(), si);
         let c = &self.counters;
         let tally = (&c.shard_count_hits, &c.shard_count_misses);
-        let caches = (&self.shard_counts, &self.shard_results);
-        self.count_through(caches, key, shard.build_id(), tally, || {
+        let build = shard.build_id();
+        let rows = |key: &cache::Key| self.shard_rows.lock().unwrap().complete(key, build);
+        self.count_through(&self.shard_counts, key, build, tally, rows, || {
             c.shard_evals.bump();
             shard.count(compiled)
         })
@@ -886,85 +872,8 @@ impl Service {
     ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
         self.counters.count_resumes.bump();
         self.solo(Some(Class::Count), query, (0, None), |req, compiled| {
-            Ok(self.count_advance(req, compiled, checkpoint, budget))
+            Ok(self.count_advance(req, compiled, checkpoint.unwrap_or_default(), budget))
         })
-    }
-
-    /// The shared engine of [`Service::count_resume`] and the token
-    /// form ([`Service::count_token`]): advance the sweep by up to
-    /// `budget` counted matches, returning the chunk and the position
-    /// to continue from.
-    pub(crate) fn count_advance(
-        &self,
-        req: &mut Request,
-        compiled: &CompiledQuery,
-        checkpoint: Option<CountCheckpoint>,
-        budget: usize,
-    ) -> (u64, Option<CountCheckpoint>) {
-        let (mut si, mut shard_counted, mut inner) = match checkpoint {
-            Some(c) => (c.shard as usize, c.shard_counted, c.inner),
-            None => (0, 0, None),
-        };
-        let mut counted = 0u64;
-        while si < req.shards.len() {
-            if counted >= budget as u64 {
-                return (
-                    counted,
-                    Some(CountCheckpoint {
-                        shard: si as u16,
-                        shard_counted,
-                        inner,
-                    }),
-                );
-            }
-            let shard = &req.shards[si];
-            let fresh = inner.is_none() && shard_counted == 0;
-            if fresh && !shard.may_match(&compiled.required) {
-                self.counters.shards_pruned.bump();
-                si += 1;
-                continue;
-            }
-            req.hit = false;
-            req.fanout += 1;
-            // A whole untouched shard is O(1) when the aggregate
-            // tables cover the query — take it regardless of budget.
-            if fresh {
-                if let Some(fast) = &compiled.fast {
-                    self.counters.count_fast.bump();
-                    counted += shard.agg().count(fast, shard.corpus().interner());
-                    si += 1;
-                    continue;
-                }
-            }
-            let room = usize::try_from(budget as u64 - counted).unwrap_or(usize::MAX);
-            match shard.count_resume(compiled, inner.take(), room) {
-                Ok((n, next)) => {
-                    counted += n;
-                    shard_counted += n;
-                    match next {
-                        Some(c) => inner = Some(c),
-                        None => {
-                            si += 1;
-                            shard_counted = 0;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // The corpus changed between calls and this
-                    // shard's suspended position indexes content that
-                    // is gone. Recover by offset: count the current
-                    // content in full (cheap — the per-shard count
-                    // cache or aggregate tables usually answer) and
-                    // report only what the sweep has not yet seen.
-                    self.counters.stale_checkpoints.bump();
-                    let full = self.count_one_shard(shard, si as u16, compiled) as u64;
-                    counted += full.saturating_sub(shard_counted);
-                    si += 1;
-                    shard_counted = 0;
-                }
-            }
-        }
-        (counted, None)
     }
 
     /// GROUP BY-style aggregation of `query`'s match set: the total
@@ -1130,12 +1039,12 @@ impl Service {
     /// deeper page *extends* the cached prefix — enumerating only the
     /// delta — instead of recomputing from the shard's start. A
     /// page-1 → page-K sweep therefore costs amortized O(rows
-    /// emitted), not O(page × shard result). A prefix whose
-    /// enumeration completes is promoted to the full per-shard result
-    /// (where [`Service::eval`] and [`Service::count`] reuse it);
-    /// both prefix and promoted entries are scoped to the shard's
-    /// *build id*, so head-shard pages survive
-    /// [`Service::append_ptb`].
+    /// emitted), not O(page × shard result). An entry whose
+    /// enumeration completes simply loses its checkpoint and *is* the
+    /// full per-shard result ([`Service::eval`] and [`Service::count`]
+    /// reuse it); entries are scoped to the shard's *build id*, so
+    /// head-shard pages survive [`Service::append_ptb`]. (The walk
+    /// itself is described once, in [`sweep`].)
     pub fn eval_page(
         &self,
         query: &str,
@@ -1146,141 +1055,6 @@ impl Service {
         self.solo(Some(Class::EvalPage), query, Vec::new(), |req, compiled| {
             Ok(self.page_by_offset(req, compiled, offset, limit))
         })
-    }
-
-    /// The offset page walk behind [`Service::eval_page`] and
-    /// [`Service::eval_page_token`]'s stale recovery. The request
-    /// context records how wide the page fanned out, how many cached
-    /// prefixes it extended, and whether any shard enumerated — a page
-    /// is a "hit" when it was served entirely from cached state, not
-    /// even a delta enumerated.
-    pub(crate) fn page_by_offset(
-        &self,
-        req: &mut Request,
-        compiled: &CompiledQuery,
-        offset: usize,
-        limit: usize,
-    ) -> ResultSet {
-        if limit == 0 {
-            return Vec::new();
-        }
-        // Fast path: the full result set is already cached.
-        let full_key = (compiled.normalized.clone(), WHOLE_CORPUS);
-        if let Some(full) = self.results.lock().unwrap().get(&full_key, req.generation) {
-            self.counters.result_hits.bump();
-            return full.iter().skip(offset).take(limit).copied().collect();
-        }
-        let need = offset.saturating_add(limit);
-        let mut acc: ResultSet = Vec::new();
-        for (si, shard) in req.shards.iter().enumerate() {
-            if acc.len() >= need {
-                self.counters
-                    .page_shards_skipped
-                    .add((req.shards.len() - si) as u64);
-                break;
-            }
-            if !shard.may_match(&compiled.required) {
-                self.counters.shards_pruned.bump();
-                continue;
-            }
-            let remaining = need - acc.len();
-            req.fanout += 1;
-            let key = (compiled.normalized.clone(), si as u16);
-            let build = shard.build_id();
-            // A complete per-shard result serves any page depth.
-            let cached = self.shard_results.lock().unwrap().get(&key, build);
-            if let Some(hit) = cached {
-                self.counters.result_hits.bump();
-                acc.extend(hit.iter().take(remaining).copied());
-                continue;
-            }
-            // A cached prefix at least as deep as the page serves
-            // outright; a shallower one is *extended* from its
-            // checkpoint — only the missing rows are enumerated,
-            // nothing already cached is replayed.
-            let prefix = self.prefixes.lock().unwrap().get(&key, build);
-            let (rows, ckpt) = match prefix {
-                Some(entry) if entry.rows.len() >= remaining => {
-                    self.counters.page_prefix_hits.bump();
-                    acc.extend(entry.rows.iter().take(remaining).copied());
-                    continue;
-                }
-                Some(entry) => {
-                    self.counters.page_resumes.bump();
-                    req.resumes += 1;
-                    req.hit = false;
-                    let delta = remaining - entry.rows.len();
-                    // Take the observed entry back out of the cache
-                    // (only it — a deeper prefix a concurrent sweep
-                    // just installed must survive): both `Arc`s are
-                    // then unique in the common single-client case,
-                    // so the row buffer and the checkpoint (whose
-                    // dedup watermark is O(rows emitted)) *move*
-                    // through the extension instead of being copied
-                    // per page. Concurrency degrades this to one
-                    // copy, never to a wrong answer.
-                    self.prefixes.lock().unwrap().remove_match(&key, &entry);
-                    let PrefixEntry { rows, ckpt } = entry;
-                    let ckpt = Arc::try_unwrap(ckpt).unwrap_or_else(|shared| (*shared).clone());
-                    match shard.eval_resume(compiled, Some(ckpt), delta) {
-                        Ok((more, next)) => {
-                            let mut rows =
-                                Arc::try_unwrap(rows).unwrap_or_else(|shared| (*shared).clone());
-                            rows.extend(more);
-                            (rows, next)
-                        }
-                        // The prefix cache is keyed by build id, so a
-                        // stale checkpoint here means the entry raced a
-                        // rebuild; its rows belong to the old content
-                        // too. Degrade to a fresh bounded evaluation.
-                        Err(_) => {
-                            self.counters.stale_checkpoints.bump();
-                            shard.eval_limit(compiled, remaining)
-                        }
-                    }
-                }
-                None => {
-                    self.counters.result_misses.bump();
-                    self.counters.page_partial_evals.bump();
-                    req.hit = false;
-                    shard.eval_limit(compiled, remaining)
-                }
-            };
-            let rows = Arc::new(rows);
-            match ckpt {
-                None => {
-                    // The enumeration completed: the prefix is the
-                    // whole shard result — promote it and drop the
-                    // superseded prefix slot.
-                    self.admit(
-                        &mut self.shard_results.lock().unwrap(),
-                        key.clone(),
-                        build,
-                        &rows,
-                    );
-                    self.prefixes.lock().unwrap().remove(&key);
-                }
-                Some(next) => {
-                    let mut prefixes = self.prefixes.lock().unwrap();
-                    // Concurrent sweeps of the same query: cached
-                    // depth only grows — never overwrite a deeper
-                    // prefix with a shallower one.
-                    let deeper_cached = prefixes
-                        .get(&key, build)
-                        .is_some_and(|e| e.rows.len() >= rows.len());
-                    if !deeper_cached {
-                        let entry = PrefixEntry {
-                            rows: Arc::clone(&rows),
-                            ckpt: Arc::new(next),
-                        };
-                        self.admit(&mut prefixes, key, build, &entry);
-                    }
-                }
-            }
-            acc.extend(rows.iter().take(remaining).copied());
-        }
-        acc.truncate(need);
-        acc.split_off(offset.min(acc.len()))
     }
 
     // -----------------------------------------------------------------
@@ -1352,8 +1126,7 @@ impl Service {
     fn invalidate(&self) {
         self.invalidate_generation_scoped();
         self.shard_counts.lock().unwrap().clear();
-        self.shard_results.lock().unwrap().clear();
-        self.prefixes.lock().unwrap().clear();
+        self.shard_rows.lock().unwrap().clear();
     }
 
     // -----------------------------------------------------------------
@@ -1382,6 +1155,7 @@ impl Service {
         let per_shard: Vec<ShardStats> = st.shards.iter().map(|s| s.stats()).collect();
         let c = &self.counters;
         let load = |a: &lpath_obs::Counter| a.get();
+        let (complete, checkpointed) = self.shard_rows.lock().unwrap().census();
         ServiceStats {
             generation: st.generation,
             shards: st.shards.len(),
@@ -1392,8 +1166,8 @@ impl Service {
             plan_hits: load(&c.plan_hits),
             plan_misses: load(&c.plan_misses),
             result_cache_entries: self.results.lock().unwrap().len(),
-            shard_result_cache_entries: self.shard_results.lock().unwrap().len(),
-            prefix_cache_entries: self.prefixes.lock().unwrap().len(),
+            shard_result_cache_entries: complete,
+            prefix_cache_entries: checkpointed,
             result_hits: load(&c.result_hits),
             result_misses: load(&c.result_misses),
             count_hits: load(&c.count_hits),

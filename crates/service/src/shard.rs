@@ -4,7 +4,7 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use lpath_core::{Engine, QueryCheckpoint, Walker, WalkerCheckpoint};
+use lpath_core::{Engine, EngineError, QueryCheckpoint, Walker, WalkerCheckpoint};
 use lpath_model::{label_tree, Corpus, Label, NodeId};
 use lpath_relstore::{wire, CursorCheckpoint};
 use lpath_syntax::Path;
@@ -52,23 +52,116 @@ pub struct Shard {
     agg: AggTables,
 }
 
-/// A suspended per-shard page enumeration: the execution strategy's
-/// own checkpoint ([`lpath_core::QueryCheckpoint`] for the relational
-/// engine, [`lpath_core::WalkerCheckpoint`] for the walker fallback)
-/// tagged with the [`Shard::build_id`] it belongs to.
+/// A suspended per-shard sweep: the execution strategy's own
+/// checkpoint — the engine payload `P` ([`lpath_core::QueryCheckpoint`]
+/// when the sweep yields rows, [`lpath_relstore::CursorCheckpoint`]
+/// when it only counts: the streaming cursor itself, no rows
+/// materialized) or [`lpath_core::WalkerCheckpoint`] on the walker
+/// fallback — tagged with the [`Shard::build_id`] it belongs to.
 ///
 /// The tag makes misuse *recoverable*: a checkpoint resumed against a
 /// shard whose content has changed (the tail shard after an
 /// `append_ptb`-triggered rebuild) would silently yield rows of the
-/// wrong corpus slice, so [`Shard::eval_resume`] returns a typed
+/// wrong corpus slice, so [`Shard::resume`] returns a typed
 /// [`StaleCheckpoint`] error instead — never a panic, because with
 /// serialized tokens a stale checkpoint is an expected runtime event
 /// (an echoed token from before an append), not a caller bug. The
 /// service degrades to a fresh evaluation when it sees one.
 #[derive(Clone, Debug)]
-pub struct ShardCheckpoint {
+pub struct Checkpoint<P> {
     build_id: u64,
-    inner: Resume,
+    inner: Resume<P>,
+}
+
+/// A suspended page enumeration (see [`Shard::eval_resume`]).
+pub type ShardCheckpoint = Checkpoint<QueryCheckpoint>;
+
+/// A suspended count (see [`Shard::resume`]).
+pub type ShardCountCheckpoint = Checkpoint<CursorCheckpoint>;
+
+#[derive(Clone, Debug)]
+enum Resume<P> {
+    // Boxed: a suspended pipeline is much larger than a walker's
+    // tree index, and checkpoints travel inside cache entries.
+    Engine(Box<P>),
+    Walker(WalkerCheckpoint),
+}
+
+/// The engine half of a sweep, by what the sweep keeps: how the
+/// relational strategy resumes, serializes and thaws its suspended
+/// state, and how the walker fallback's rows become the same kind of
+/// chunk. Implemented for exactly the two payloads named on
+/// [`Checkpoint`].
+pub trait Payload: Sized {
+    /// What one step yields: rows, or a number of matches.
+    type Chunk;
+    /// Resume (or begin) on the relational engine.
+    fn resume(
+        engine: &Engine,
+        ast: &Path,
+        checkpoint: Option<Self>,
+        budget: usize,
+    ) -> Result<(Self::Chunk, Option<Self>), EngineError>;
+    /// A walker page, as this sweep's chunk.
+    fn walked(rows: Vec<(u32, NodeId)>) -> Self::Chunk;
+    /// Serialize the suspended state.
+    fn encode_into(&self, w: &mut wire::Writer);
+    /// Thaw it from untrusted bytes, validated against `engine`'s plan.
+    fn decode(
+        engine: &Engine,
+        ast: &Path,
+        r: &mut wire::Reader<'_>,
+    ) -> Result<Self, wire::WireError>;
+}
+
+impl Payload for QueryCheckpoint {
+    type Chunk = Vec<(u32, NodeId)>;
+    fn resume(
+        engine: &Engine,
+        ast: &Path,
+        checkpoint: Option<Self>,
+        budget: usize,
+    ) -> Result<(Self::Chunk, Option<Self>), EngineError> {
+        engine.query_resume(ast, checkpoint, budget)
+    }
+    fn walked(rows: Vec<(u32, NodeId)>) -> Self::Chunk {
+        rows
+    }
+    fn encode_into(&self, w: &mut wire::Writer) {
+        self.encode_into(w);
+    }
+    fn decode(
+        engine: &Engine,
+        ast: &Path,
+        r: &mut wire::Reader<'_>,
+    ) -> Result<Self, wire::WireError> {
+        engine.decode_checkpoint(ast, r)
+    }
+}
+
+impl Payload for CursorCheckpoint {
+    type Chunk = u64;
+    fn resume(
+        engine: &Engine,
+        ast: &Path,
+        checkpoint: Option<Self>,
+        budget: usize,
+    ) -> Result<(u64, Option<Self>), EngineError> {
+        engine.count_resume(ast, checkpoint, budget)
+    }
+    fn walked(rows: Vec<(u32, NodeId)>) -> u64 {
+        rows.len() as u64
+    }
+    fn encode_into(&self, w: &mut wire::Writer) {
+        self.encode_into(w);
+    }
+    fn decode(
+        engine: &Engine,
+        ast: &Path,
+        r: &mut wire::Reader<'_>,
+    ) -> Result<Self, wire::WireError> {
+        engine.decode_count_checkpoint(ast, r)
+    }
 }
 
 /// A checkpoint was presented to a shard build it does not belong to
@@ -95,7 +188,7 @@ impl std::fmt::Display for StaleCheckpoint {
 
 impl std::error::Error for StaleCheckpoint {}
 
-impl ShardCheckpoint {
+impl<P: Payload> Checkpoint<P> {
     /// The shard build this checkpoint is valid against.
     pub fn build_id(&self) -> u64 {
         self.build_id
@@ -137,60 +230,9 @@ impl From<wire::WireError> for CheckpointDecodeError {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Resume {
-    // Boxed: a suspended pipeline is much larger than a walker's
-    // tree index, and checkpoints travel inside cache entries.
-    Engine(Box<QueryCheckpoint>),
-    Walker(WalkerCheckpoint),
-}
-
 /// One chunk of a shard's enumeration: rows with *global* tree ids,
 /// plus the checkpoint to continue from (`None` once exhausted).
 pub type ShardPage = (Vec<(u32, NodeId)>, Option<ShardCheckpoint>);
-
-/// A suspended per-shard *count* sweep: the counting analogue of
-/// [`ShardCheckpoint`], scoped to the same build id with the same
-/// staleness contract. The relational strategy suspends the streaming
-/// cursor itself ([`lpath_relstore::CursorCheckpoint`] — no rows
-/// materialized, only the join position and dedup watermark); the
-/// walker fallback suspends its tree scan.
-#[derive(Clone, Debug)]
-pub struct ShardCountCheckpoint {
-    build_id: u64,
-    inner: CountResume,
-}
-
-#[derive(Clone, Debug)]
-enum CountResume {
-    Engine(CursorCheckpoint),
-    Walker(WalkerCheckpoint),
-}
-
-impl ShardCountCheckpoint {
-    /// The shard build this checkpoint is valid against.
-    pub fn build_id(&self) -> u64 {
-        self.build_id
-    }
-
-    /// Serialize this checkpoint into `w`; mirrors
-    /// [`ShardCheckpoint::encode_into`] (build id, strategy tag,
-    /// strategy payload). [`Shard::decode_count_checkpoint`] reverses
-    /// it.
-    pub fn encode_into(&self, w: &mut wire::Writer) {
-        w.u64(self.build_id);
-        match &self.inner {
-            CountResume::Engine(c) => {
-                w.u8(0);
-                c.encode_into(w);
-            }
-            CountResume::Walker(c) => {
-                w.u8(1);
-                c.encode_into(w);
-            }
-        }
-    }
-}
 
 /// FNV-1a over `u32` words — the stable content hash behind
 /// [`Shard::build_id`]. Seeded with the shard's base tree id and the
@@ -324,20 +366,34 @@ impl Shard {
     /// The caller is expected to have consulted [`Shard::may_match`];
     /// evaluation is still correct without it, just slower.
     pub fn eval(&self, compiled: &CompiledQuery) -> Vec<(u32, NodeId)> {
-        let local = match compiled.strategy {
-            ExecStrategy::Relational => match self.engine.query_ast(&compiled.ast) {
-                Ok(rows) => rows,
-                // The strategy was decided against an engine of the
-                // same dialect, so this arm should be unreachable;
-                // fall back to the walker rather than fail the query.
-                Err(_) => self.walker().eval(&compiled.ast),
-            },
-            ExecStrategy::Walker => self.walker().eval(&compiled.ast),
-        };
-        local
-            .into_iter()
-            .map(|(tid, node)| (tid + self.base, node))
-            .collect()
+        self.global(self.fresh(compiled, Engine::query_ast, |w, ast| w.eval(ast)))
+    }
+
+    /// Shard-local rows, renumbered to global tree ids.
+    fn global(&self, mut rows: Vec<(u32, NodeId)>) -> Vec<(u32, NodeId)> {
+        for row in &mut rows {
+            row.0 += self.base;
+        }
+        rows
+    }
+
+    /// The dispatch of every evaluation that starts fresh: the compiled
+    /// strategy decides, the walker — which answers the full language —
+    /// is the fallback. (The strategy was decided against an engine of
+    /// the same dialect, so a relational error should be unreachable;
+    /// fall back rather than fail the query.)
+    fn fresh<T>(
+        &self,
+        compiled: &CompiledQuery,
+        engine: impl FnOnce(&Engine, &Path) -> Result<T, EngineError>,
+        walker: impl FnOnce(Walker<'_>, &Path) -> T,
+    ) -> T {
+        if compiled.strategy == ExecStrategy::Relational {
+            if let Ok(out) = engine(&self.engine, &compiled.ast) {
+                return out;
+            }
+        }
+        walker(self.walker(), &compiled.ast)
     }
 
     /// Evaluate a batch of compiled queries on this shard with
@@ -356,33 +412,24 @@ impl Shard {
         if let [only] = compiled {
             return (vec![self.eval(only)], lpath_core::BatchStats::default());
         }
-        let mut out: Vec<Option<Vec<(u32, NodeId)>>> = Vec::new();
-        out.resize_with(compiled.len(), || None);
-        let rel_members: Vec<usize> = compiled
+        let asts: Vec<&Path> = compiled
             .iter()
-            .enumerate()
-            .filter(|(_, c)| matches!(c.strategy, ExecStrategy::Relational))
-            .map(|(i, _)| i)
+            .filter(|c| c.strategy == ExecStrategy::Relational)
+            .map(|c| &c.ast)
             .collect();
-        let asts: Vec<&Path> = rel_members.iter().map(|&i| &compiled[i].ast).collect();
         let (results, stats) = self.engine.eval_batch_shared(&asts);
-        for (&i, r) in rel_members.iter().zip(results) {
-            out[i] = Some(match r {
-                Ok(rows) => rows,
-                // Same contract as `eval`: the strategy was decided
-                // against an engine of the same dialect, so fall back
-                // to the walker rather than fail the member.
-                Err(_) => self.walker().eval(&compiled[i].ast),
-            });
-        }
+        // Relational members take their results in batch order; the
+        // walker answers the rest — and, as in `fresh`, any member the
+        // engine unexpectedly refused.
+        let mut results = results.into_iter();
         let rows = compiled
             .iter()
-            .zip(out)
-            .map(|(c, r)| {
-                r.unwrap_or_else(|| self.walker().eval(&c.ast))
-                    .into_iter()
-                    .map(|(tid, node)| (tid + self.base, node))
-                    .collect()
+            .map(|c| {
+                let local = match c.strategy {
+                    ExecStrategy::Relational => results.next().expect("one per member").ok(),
+                    ExecStrategy::Walker => None,
+                };
+                self.global(local.unwrap_or_else(|| self.walker().eval(&c.ast)))
             })
             .collect();
         (rows, stats)
@@ -412,11 +459,34 @@ impl Shard {
     /// continue from — `None` once the shard is known exhausted.
     /// Concatenating the chunks of successive calls is byte-identical
     /// to [`Shard::eval`]; already-returned matches are never
-    /// re-enumerated. On the relational strategy this rides
+    /// re-enumerated. This is [`Shard::resume`] keeping rows: on the
+    /// relational strategy it rides
     /// [`lpath_core::Engine::query_resume`] (a suspended pipeline for
     /// tree-id-ordered anchors, resumable adaptive chunks otherwise);
     /// the walker strategy resumes its tree scan at the next
     /// unvisited tree.
+    ///
+    /// # Errors
+    ///
+    /// [`StaleCheckpoint`], as [`Shard::resume`].
+    pub fn eval_resume(
+        &self,
+        compiled: &CompiledQuery,
+        checkpoint: Option<ShardCheckpoint>,
+        limit: usize,
+    ) -> Result<ShardPage, StaleCheckpoint> {
+        let (rows, next) = self.resume(compiled, checkpoint, limit)?;
+        Ok((self.global(rows), next))
+    }
+
+    /// Resume (or begin) a sweep of the shard's result, keeping what
+    /// the payload `P` keeps: up to `budget` further matches after
+    /// `checkpoint` (from the start when `None`) — as rows with
+    /// *shard-local* tree ids, or merely counted, materialization-free
+    /// through the suspended cursor — plus the checkpoint to continue
+    /// from, `None` once the shard is exhausted. The chunks of
+    /// successive calls add up to [`Shard::eval`] / [`Shard::count`];
+    /// no match is ever produced twice.
     ///
     /// # Errors
     ///
@@ -425,90 +495,75 @@ impl Shard {
     /// (an echoed token from before an append, say) and cannot be
     /// continued correctly. Nothing has been evaluated when this
     /// returns; the caller recovers by re-enumerating from the start
-    /// and skipping the rows it already served.
-    pub fn eval_resume(
+    /// and skipping what it already served.
+    pub fn resume<P: Payload>(
         &self,
         compiled: &CompiledQuery,
-        checkpoint: Option<ShardCheckpoint>,
-        limit: usize,
-    ) -> Result<ShardPage, StaleCheckpoint> {
+        checkpoint: Option<Checkpoint<P>>,
+        budget: usize,
+    ) -> Result<(P::Chunk, Option<Checkpoint<P>>), StaleCheckpoint> {
         if let Some(c) = &checkpoint {
-            if c.build_id != self.build_id {
-                return Err(StaleCheckpoint {
-                    checkpoint_build: c.build_id,
-                    shard_build: self.build_id,
-                });
-            }
+            self.check_build(c.build_id)?;
         }
+        let walk = |w: Walker<'_>, ast: &Path, ck| {
+            let (rows, next) = w.eval_resume(ast, ck, budget);
+            (P::walked(rows), next.map(Resume::Walker))
+        };
+        let engine = |e: &Engine, ast: &Path, ck| {
+            let (chunk, next) = P::resume(e, ast, ck, budget)?;
+            Ok((chunk, next.map(|c| Resume::Engine(Box::new(c)))))
+        };
         // Dispatch on the checkpoint's own strategy when resuming (a
         // first call that fell back to the walker must *stay* on the
         // walker), on the compiled strategy when starting fresh. The
         // checkpoint is consumed, not cloned: its pending rows and
         // dedup watermark move straight back into the executor.
-        let (local, inner) = match (checkpoint.map(|c| c.inner), compiled.strategy) {
-            (Some(Resume::Walker(ck)), _) => {
-                let (rows, next) = self.walker().eval_resume(&compiled.ast, Some(ck), limit);
-                (rows, next.map(Resume::Walker))
-            }
-            (Some(Resume::Engine(ck)), _) => {
-                let (rows, next) = self
-                    .engine
-                    .query_resume(&compiled.ast, Some(*ck), limit)
-                    .expect("a resumed query translated before");
-                (rows, next.map(|c| Resume::Engine(Box::new(c))))
-            }
-            (None, ExecStrategy::Relational) => {
-                match self.engine.query_resume(&compiled.ast, None, limit) {
-                    Ok((rows, next)) => (rows, next.map(|c| Resume::Engine(Box::new(c)))),
-                    // The strategy was decided against an engine of
-                    // the same dialect, so this arm should be
-                    // unreachable; fall back to the walker rather
-                    // than fail the query.
-                    Err(_) => {
-                        let (rows, next) = self.walker().eval_resume(&compiled.ast, None, limit);
-                        (rows, next.map(Resume::Walker))
-                    }
-                }
-            }
-            (None, ExecStrategy::Walker) => {
-                let (rows, next) = self.walker().eval_resume(&compiled.ast, None, limit);
-                (rows, next.map(Resume::Walker))
-            }
+        let (chunk, inner) = match checkpoint.map(|c| c.inner) {
+            Some(Resume::Walker(ck)) => walk(self.walker(), &compiled.ast, Some(ck)),
+            Some(Resume::Engine(ck)) => engine(&self.engine, &compiled.ast, Some(*ck))
+                .expect("a resumed query translated before"),
+            None => self.fresh(
+                compiled,
+                |e, ast| engine(e, ast, None),
+                |w, ast| walk(w, ast, None),
+            ),
         };
-        let rows = local
-            .into_iter()
-            .map(|(tid, node)| (tid + self.base, node))
-            .collect();
-        let next = inner.map(|inner| ShardCheckpoint {
-            build_id: self.build_id,
-            inner,
-        });
-        Ok((rows, next))
+        let build_id = self.build_id;
+        Ok((chunk, inner.map(|inner| Checkpoint { build_id, inner })))
     }
 
-    /// Decode a [`ShardCheckpoint`] for `compiled` from untrusted
-    /// bytes — the validate half of the token API. The build id is
-    /// checked first: a mismatch is [`CheckpointDecodeError::Stale`]
-    /// without touching the strategy payload (which is only meaningful
-    /// against the build that wrote it). A matching build then
-    /// validates the payload structurally against this shard's engine
-    /// (see [`lpath_core::Engine::decode_checkpoint`]); any
-    /// inconsistency is a recoverable [`CheckpointDecodeError::Wire`],
-    /// never a panic.
-    pub fn decode_checkpoint(
+    /// The one staleness gate: does a checkpoint tagged `build_id`
+    /// belong to this build of the shard?
+    fn check_build(&self, build_id: u64) -> Result<(), StaleCheckpoint> {
+        if build_id == self.build_id {
+            return Ok(());
+        }
+        Err(StaleCheckpoint {
+            checkpoint_build: build_id,
+            shard_build: self.build_id,
+        })
+    }
+
+    /// Decode a [`Checkpoint`] for `compiled` from untrusted bytes —
+    /// the validate half of the token API, for either payload. The
+    /// build id is checked first: a mismatch is
+    /// [`CheckpointDecodeError::Stale`] without touching the strategy
+    /// payload (which is only meaningful against the build that wrote
+    /// it). A matching build then validates the payload structurally
+    /// against this shard's engine (see
+    /// [`lpath_core::Engine::decode_checkpoint`]); any inconsistency
+    /// is a recoverable [`CheckpointDecodeError::Wire`], never a
+    /// panic.
+    pub fn decode_checkpoint<P: Payload>(
         &self,
         compiled: &CompiledQuery,
         r: &mut wire::Reader<'_>,
-    ) -> Result<ShardCheckpoint, CheckpointDecodeError> {
+    ) -> Result<Checkpoint<P>, CheckpointDecodeError> {
         let build_id = r.u64()?;
-        if build_id != self.build_id {
-            return Err(CheckpointDecodeError::Stale(StaleCheckpoint {
-                checkpoint_build: build_id,
-                shard_build: self.build_id,
-            }));
-        }
+        self.check_build(build_id)
+            .map_err(CheckpointDecodeError::Stale)?;
         let inner = match r.u8()? {
-            0 => Resume::Engine(Box::new(self.engine.decode_checkpoint(&compiled.ast, r)?)),
+            0 => Resume::Engine(Box::new(P::decode(&self.engine, &compiled.ast, r)?)),
             1 => Resume::Walker(WalkerCheckpoint::decode(r, self.corpus.trees().len())?),
             _ => {
                 return Err(CheckpointDecodeError::Wire(wire::WireError::Malformed(
@@ -516,115 +571,13 @@ impl Shard {
                 )))
             }
         };
-        Ok(ShardCheckpoint { build_id, inner })
+        Ok(Checkpoint { build_id, inner })
     }
 
     /// Result count on this shard, without materializing the match
     /// set (the relational path counts through the streaming cursor).
     pub fn count(&self, compiled: &CompiledQuery) -> usize {
-        match compiled.strategy {
-            ExecStrategy::Relational => match self.engine.count_ast(&compiled.ast) {
-                Ok(n) => n,
-                Err(_) => self.walker().count(&compiled.ast),
-            },
-            ExecStrategy::Walker => self.walker().count(&compiled.ast),
-        }
-    }
-
-    /// Resume (or begin) a materialization-free count of the shard's
-    /// result: up to `budget` further matches counted after
-    /// `checkpoint` (from the start when `None`), plus the checkpoint
-    /// to continue from — `None` once the shard's count is complete.
-    /// Summing the chunks of successive calls equals [`Shard::count`];
-    /// no match is ever counted twice. The relational strategy counts
-    /// through the suspended cursor (dedup-free plans skip row
-    /// materialization entirely); the walker fallback counts its
-    /// tree-granular pages.
-    ///
-    /// # Errors
-    ///
-    /// [`StaleCheckpoint`] exactly as [`Shard::eval_resume`]: the
-    /// checkpoint belongs to different shard content, and nothing has
-    /// been counted when this returns.
-    pub fn count_resume(
-        &self,
-        compiled: &CompiledQuery,
-        checkpoint: Option<ShardCountCheckpoint>,
-        budget: usize,
-    ) -> Result<(u64, Option<ShardCountCheckpoint>), StaleCheckpoint> {
-        if let Some(c) = &checkpoint {
-            if c.build_id != self.build_id {
-                return Err(StaleCheckpoint {
-                    checkpoint_build: c.build_id,
-                    shard_build: self.build_id,
-                });
-            }
-        }
-        // Same dispatch contract as `eval_resume`: the checkpoint's
-        // own strategy wins when resuming, the compiled strategy
-        // decides a fresh start (falling back to the walker if the
-        // relational translation unexpectedly fails).
-        let (n, inner) = match (checkpoint.map(|c| c.inner), compiled.strategy) {
-            (Some(CountResume::Walker(ck)), _) => {
-                self.count_resume_walker(&compiled.ast, Some(ck), budget)
-            }
-            (Some(CountResume::Engine(ck)), _) => {
-                let (n, next) = self
-                    .engine
-                    .count_resume(&compiled.ast, Some(ck), budget)
-                    .expect("a resumed count translated before");
-                (n, next.map(CountResume::Engine))
-            }
-            (None, ExecStrategy::Relational) => {
-                match self.engine.count_resume(&compiled.ast, None, budget) {
-                    Ok((n, next)) => (n, next.map(CountResume::Engine)),
-                    Err(_) => self.count_resume_walker(&compiled.ast, None, budget),
-                }
-            }
-            (None, ExecStrategy::Walker) => self.count_resume_walker(&compiled.ast, None, budget),
-        };
-        let next = inner.map(|inner| ShardCountCheckpoint {
-            build_id: self.build_id,
-            inner,
-        });
-        Ok((n, next))
-    }
-
-    fn count_resume_walker(
-        &self,
-        ast: &Path,
-        checkpoint: Option<WalkerCheckpoint>,
-        budget: usize,
-    ) -> (u64, Option<CountResume>) {
-        let (rows, next) = self.walker().eval_resume(ast, checkpoint, budget);
-        (rows.len() as u64, next.map(CountResume::Walker))
-    }
-
-    /// Decode a [`ShardCountCheckpoint`] from untrusted bytes — the
-    /// count-token mirror of [`Shard::decode_checkpoint`], with the
-    /// same build-id-first staleness gate and structural validation.
-    pub fn decode_count_checkpoint(
-        &self,
-        compiled: &CompiledQuery,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<ShardCountCheckpoint, CheckpointDecodeError> {
-        let build_id = r.u64()?;
-        if build_id != self.build_id {
-            return Err(CheckpointDecodeError::Stale(StaleCheckpoint {
-                checkpoint_build: build_id,
-                shard_build: self.build_id,
-            }));
-        }
-        let inner = match r.u8()? {
-            0 => CountResume::Engine(self.engine.decode_count_checkpoint(&compiled.ast, r)?),
-            1 => CountResume::Walker(WalkerCheckpoint::decode(r, self.corpus.trees().len())?),
-            _ => {
-                return Err(CheckpointDecodeError::Wire(wire::WireError::Malformed(
-                    "shard count resume strategy tag",
-                )))
-            }
-        };
-        Ok(ShardCountCheckpoint { build_id, inner })
+        self.fresh(compiled, Engine::count_ast, |w, ast| w.count(ast))
     }
 
     /// The shard's precomputed aggregate tables (see [`crate::agg`]).
@@ -635,13 +588,7 @@ impl Shard {
     /// Does the query match anywhere on this shard? Stops at the
     /// first witness on both execution strategies.
     pub fn exists(&self, compiled: &CompiledQuery) -> bool {
-        match compiled.strategy {
-            ExecStrategy::Relational => match self.engine.exists_ast(&compiled.ast) {
-                Ok(found) => found,
-                Err(_) => self.walker().exists(&compiled.ast),
-            },
-            ExecStrategy::Walker => self.walker().exists(&compiled.ast),
-        }
+        self.fresh(compiled, Engine::exists_ast, |w, ast| w.exists(ast))
     }
 
     fn walker(&self) -> Walker<'_> {
@@ -841,17 +788,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decoding_against_a_rebuilt_shard_reports_stale() {
+    /// The serialized form of `c`'s checkpoint after one match on
+    /// `shard`, for either payload.
+    fn frozen<P: Payload>(shard: &Shard, c: &CompiledQuery) -> Vec<u8> {
+        let (_, ckpt) = shard.resume::<P>(c, None, 1).unwrap();
+        let mut w = wire::Writer::new();
+        ckpt.expect("more matches remain").encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn rebuilt_shard_reports_stale<P: Payload + std::fmt::Debug>() {
         let master = parse_str(SRC).unwrap();
         let a = Shard::build(&master, 0, 3, 0);
         let b = Shard::build(&master, 0, 3, 7);
         let c = compiled("//NP");
-        let (_, ckpt) = a.eval_resume(&c, None, 1).unwrap();
-        let mut w = wire::Writer::new();
-        ckpt.unwrap().encode_into(&mut w);
-        let bytes = w.into_bytes();
-        match b.decode_checkpoint(&c, &mut wire::Reader::new(&bytes)) {
+        let bytes = frozen::<P>(&a, &c);
+        match b.decode_checkpoint::<P>(&c, &mut wire::Reader::new(&bytes)) {
             Err(CheckpointDecodeError::Stale(s)) => {
                 assert_eq!(s.checkpoint_build, a.build_id());
                 assert_eq!(s.shard_build, b.build_id());
@@ -861,17 +813,19 @@ mod tests {
     }
 
     #[test]
-    fn hostile_checkpoint_bytes_never_panic() {
+    fn decoding_against_a_rebuilt_shard_reports_stale() {
+        rebuilt_shard_reports_stale::<QueryCheckpoint>();
+        rebuilt_shard_reports_stale::<CursorCheckpoint>();
+    }
+
+    fn hostile_bytes_never_panic<P: Payload>() {
         let master = parse_str(SRC).unwrap();
         let shard = Shard::build(&master, 0, 3, 0);
         let c = compiled("//NP");
-        let (_, ckpt) = shard.eval_resume(&c, None, 1).unwrap();
-        let mut w = wire::Writer::new();
-        ckpt.unwrap().encode_into(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = frozen::<P>(&shard, &c);
         // Every truncation decodes to an error, not a panic.
         for cut in 0..bytes.len() {
-            let _ = shard.decode_checkpoint(&c, &mut wire::Reader::new(&bytes[..cut]));
+            let _ = shard.decode_checkpoint::<P>(&c, &mut wire::Reader::new(&bytes[..cut]));
         }
         // Every single-byte corruption either decodes (and can then
         // only yield bounded garbage) or errors — never panics.
@@ -879,9 +833,15 @@ mod tests {
             for delta in [1u8, 0x80] {
                 let mut bad = bytes.clone();
                 bad[i] = bad[i].wrapping_add(delta);
-                let _ = shard.decode_checkpoint(&c, &mut wire::Reader::new(&bad));
+                let _ = shard.decode_checkpoint::<P>(&c, &mut wire::Reader::new(&bad));
             }
         }
+    }
+
+    #[test]
+    fn hostile_checkpoint_bytes_never_panic() {
+        hostile_bytes_never_panic::<QueryCheckpoint>();
+        hostile_bytes_never_panic::<CursorCheckpoint>();
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! requests are classified (eval / eval_page / count / eval_multi /
 //! hist, each split cache-hit vs miss), and the [`Metrics`] JSON
 //! rendering.
-//! The long-standing [`ServiceStats`] snapshot API is unchanged — it
-//! is now populated from `lpath-obs` counters instead of bespoke
-//! atomics.
+//! [`ServiceStats`] is the plain-data snapshot of the counters.
 
 use std::time::{Duration, Instant};
 
@@ -209,8 +207,8 @@ pub struct SlowQuery {
     pub execute_ns: u64,
     /// Shard fan-out width: shards the request actually visited.
     pub fanout: usize,
-    /// Checkpoint resumes performed (paged requests extending cached
-    /// prefixes through their suspended cursors).
+    /// Checkpoints resumed by the request's sweep, cached or
+    /// token-borne.
     pub resumes: u64,
 }
 
@@ -340,11 +338,11 @@ pub struct ServiceStats {
     /// Entries currently in the (generation-scoped, multi-shard)
     /// result cache.
     pub result_cache_entries: usize,
-    /// Entries currently in the build-id-scoped per-shard result
-    /// cache (complete per-shard match sets).
+    /// *Complete* entries (whole per-shard match sets) currently in
+    /// the build-id-scoped per-shard row store.
     pub shard_result_cache_entries: usize,
-    /// Entries currently in the build-id-scoped prefix cache
-    /// (checkpointed, extendable per-shard prefixes).
+    /// Entries of the same store still carrying a checkpoint
+    /// (extendable per-shard prefixes).
     pub prefix_cache_entries: usize,
     /// Result-cache hits.
     pub result_hits: u64,
@@ -395,20 +393,19 @@ pub struct ServiceStats {
     /// Shards never visited because a page filled before reaching them
     /// (the paging short-circuit at work).
     pub page_shards_skipped: u64,
-    /// Page-bounded shard evaluations started **from scratch**
-    /// ([`crate::Shard::eval_resume`] without a checkpoint): shards
-    /// visited by a page with no cached prefix to build on. In a
-    /// page-1 → page-K sweep this stays at one per shard — every
-    /// deeper page extends instead (see
-    /// [`ServiceStats::page_resumes`]).
+    /// Budget-bounded shard enumerations started **from scratch**
+    /// ([`crate::Shard::resume`] without a checkpoint): shards a page
+    /// or count sweep entered with nothing to build on. In a page-1 →
+    /// page-K sweep this stays at one per shard — every deeper page
+    /// resumes instead (see [`ServiceStats::page_resumes`]).
     pub page_partial_evals: u64,
     /// Pages (partially) served from a cached per-shard result prefix
     /// without any new enumeration.
     pub page_prefix_hits: u64,
-    /// Cached prefixes *extended* through their suspended checkpoint:
-    /// the page needed rows beyond the cached depth and only the
-    /// missing delta was enumerated — the no-re-enumeration signal of
-    /// resumable paging.
+    /// Sweep steps that *resumed* a suspended checkpoint — a cached
+    /// prefix extended by exactly the missing delta, or the position
+    /// an echoed token carried: the no-re-enumeration signal of
+    /// resumable paging and counting.
     pub page_resumes: u64,
     /// Per-shard evaluations actually executed.
     pub shard_evals: u64,

@@ -6,7 +6,7 @@
 //! the query's fingerprint, a stamp of the corpus content it was
 //! minted against, the global row offset already served, and (in the
 //! common *positioned* mode) the current shard plus that shard's
-//! serialized [`ShardCheckpoint`] — so the server keeps **no**
+//! serialized [`crate::ShardCheckpoint`] — so the server keeps **no**
 //! per-client session state: any server process holding the same
 //! corpus can continue any client's sweep from the token alone.
 //!
@@ -15,19 +15,24 @@
 //! URL-safe base64 (no padding) over:
 //!
 //! ```text
-//! ver          u16   token format version (currently 1)
+//! ver          u16   1 = paging token, 2 = count token
 //! query_fp     u64   FNV-1a of the normalized query text
 //! corpus_stamp u64   FNV-1a over all shard build ids, in shard order
-//! emitted      u64   rows already served before this token
-//! mode         u8    0 = positioned, 1 = offset-only
-//! -- mode 0 only --
-//! shard        u16   shard the enumeration is suspended in
-//! shard_emitted u64  rows already served from that shard
+//! progress     u64   rows already served / matches already counted
+//! mode         u8    ver 1 only: 0 = positioned, 1 = offset-only
+//! -- the position (absent from offset-only tokens) --
+//! shard        u16   shard the sweep is parked in
+//! within       u64   progress already made within that shard
 //! has_ckpt     u8    0|1
-//! ckpt         ...   ShardCheckpoint::encode_into, when has_ckpt = 1
+//! ckpt         ...   Checkpoint::encode_into, when has_ckpt = 1
 //! -- always --
 //! checksum     u64   FNV-1a over every preceding byte
 //! ```
+//!
+//! Both versions carry the same position body — one
+//! [`SweepPos`], written and read by one codec — around a
+//! [`crate::ShardCheckpoint`] (ver 1) or a [`crate::ShardCountCheckpoint`]
+//! (ver 2).
 //!
 //! # Trust boundary
 //!
@@ -51,12 +56,14 @@
 
 use std::sync::Arc;
 
+use lpath_core::QueryCheckpoint;
 use lpath_relstore::wire;
 
 use crate::plan::CompiledQuery;
-use crate::shard::{CheckpointDecodeError, Shard, ShardCheckpoint};
+use crate::shard::{Checkpoint, CheckpointDecodeError, Payload, Shard};
 use crate::stats::Class;
-use crate::{CountCheckpoint, Request, ResultSet, Service, ServiceError};
+use crate::sweep::SweepPos;
+use crate::{ResultSet, Service, ServiceError};
 
 #[cfg(doc)]
 use crate::ServiceStats;
@@ -101,32 +108,11 @@ pub struct CountPage {
     pub token: Option<String>,
 }
 
-/// The decoded, validated interior of a paging token: the rows already
-/// served across all prior pages, and the exact resume position — or
-/// `None` for offset-only tokens (the stale-recovery mode).
-type TokenState = (u64, Option<TokenPos>);
-
-#[derive(Default)]
-struct TokenPos {
-    shard: u16,
-    shard_emitted: u64,
-    ckpt: Option<ShardCheckpoint>,
-}
-
-/// Why a presented token could not be opened as-is.
-enum OpenError {
-    /// Well-formed, but minted against different corpus content.
-    /// Recoverable: re-enter at `emitted`.
-    Stale { emitted: u64 },
-    /// Not a token (or not one of ours): a protocol error.
-    Bad(wire::WireError),
-}
-
-impl From<wire::WireError> for OpenError {
-    fn from(e: wire::WireError) -> Self {
-        OpenError::Bad(e)
-    }
-}
+/// The decoded, validated interior of a token: the sweep's progress
+/// across all prior calls, and the exact resume position — `None` when
+/// only the progress is meaningful: an offset-only paging token (the
+/// stale-recovery mode), or any token that has just been found stale.
+type TokenState<P> = (u64, Option<SweepPos<Checkpoint<P>>>);
 
 /// FNV-1a fingerprint of the normalized query text — ties a token to
 /// the query it pages, so echoing it with a different query is a
@@ -139,7 +125,7 @@ fn query_fp(compiled: &CompiledQuery) -> u64 {
 /// changes whenever any shard's content does. Validates the
 /// *positionless* parts of a token (global offset, shard index) that
 /// no individual build id covers — a checkpoint suspended exactly on
-/// a shard boundary carries no [`ShardCheckpoint`], so this stamp is
+/// a shard boundary carries no [`Checkpoint`], so this stamp is
 /// what detects that the boundary itself moved.
 fn corpus_stamp(shards: &[Arc<Shard>]) -> u64 {
     let mut w = wire::Writer::new();
@@ -183,21 +169,20 @@ impl Service {
         self.counters.pages.bump();
         let class = Some(Class::EvalPage);
         self.solo(class, query, Page::default(), |req, compiled| {
-            if limit == 0 {
-                return Ok(Page::default());
-            }
             let (emitted, pos) = match token {
-                None => (0, Some(TokenPos::default())),
-                Some(t) => match open_page_token(t, compiled, &req.shards) {
-                    Ok(state) => state,
-                    Err(e) => (self.recover_stale(e)?, None),
-                },
+                None => (0, Some(SweepPos::default())),
+                Some(t) => self.open_token(TOKEN_VERSION, t, compiled, &req.shards)?,
             };
-            Ok(match pos {
-                Some(pos) => self.page_positioned(req, compiled, emitted, pos, limit),
+            // Where the sweep continues, if it does: `Some(None)` is an
+            // offset-only continuation.
+            let (rows, next) = match pos {
+                Some(pos) => {
+                    let (rows, parked) = self.page_positioned(req, compiled, pos, limit);
+                    (rows, parked.map(Some))
+                }
                 // Stale-token recovery: serve the page by global offset
                 // through `eval_page`'s walk (whose build-id-scoped
-                // prefix cache keeps repeated recoveries from
+                // row store keeps repeated recoveries from
                 // re-enumerating), then mint an offset-only token. The
                 // *next* echo of that token lands here again, so a
                 // client that was mid-sweep when the corpus changed
@@ -207,103 +192,50 @@ impl Service {
                     let offset = usize::try_from(emitted).unwrap_or(usize::MAX);
                     let rows = self.page_by_offset(req, compiled, offset, limit);
                     // Coming back short proves the sweep is complete.
-                    let token = (rows.len() == limit).then(|| {
-                        self.counters.tokens_minted.bump();
-                        seal_page_token(compiled, &req.shards, emitted + rows.len() as u64, None)
-                    });
-                    Page { rows, token }
+                    let more = rows.len() == limit;
+                    (rows, more.then_some(None))
                 }
-            })
+            };
+            let token = next.map(|pos| {
+                let emitted = emitted + rows.len() as u64;
+                self.mint(TOKEN_VERSION, compiled, &req.shards, emitted, pos.as_ref())
+            });
+            Ok(Page { rows, token })
         })
     }
 
-    /// The one verdict on a token that did not open: a stale one is
-    /// counted and yields the progress it carried (the caller recovers
-    /// from there); a malformed one is counted and rejected.
-    fn recover_stale(&self, e: OpenError) -> Result<u64, ServiceError> {
-        match e {
-            OpenError::Stale { emitted } => {
-                self.counters.stale_checkpoints.bump();
-                Ok(emitted)
-            }
-            OpenError::Bad(e) => {
-                self.counters.tokens_rejected.bump();
-                Err(ServiceError::BadToken(e))
-            }
-        }
-    }
-
-    /// Continue a positioned sweep: resume the suspended shard (or
-    /// start the next one) and walk forward until the page fills or
-    /// the shards run out.
-    fn page_positioned(
+    /// Mint a token (see the module docs for the layout): the envelope
+    /// — `ver`, `query_fp`, `corpus_stamp` — the sweep's `progress` and
+    /// parked position, an FNV-1a checksum over all of it, in URL-safe
+    /// base64.
+    fn mint<P: Payload>(
         &self,
-        req: &mut Request,
+        version: u16,
         compiled: &CompiledQuery,
-        emitted: u64,
-        pos: TokenPos,
-        limit: usize,
-    ) -> Page {
-        let mut acc: ResultSet = Vec::new();
-        let mut si = pos.shard as usize;
-        let mut shard_emitted = pos.shard_emitted;
-        let mut ckpt = pos.ckpt;
-        while si < req.shards.len() && acc.len() < limit {
-            let shard = &req.shards[si];
-            if ckpt.is_none() && shard_emitted == 0 && !shard.may_match(&compiled.required) {
-                self.counters.shards_pruned.bump();
-                si += 1;
-                continue;
-            }
-            req.fanout += 1;
-            req.hit = false;
-            let remaining = limit - acc.len();
-            let (rows, next) = match shard.eval_resume(compiled, ckpt.take(), remaining) {
-                Ok(page) => page,
-                // Unreachable when the corpus stamp matched (the
-                // checkpoint's build id is covered by the stamp), but
-                // recover locally anyway: re-enumerate this shard and
-                // drop the rows the client already has.
-                Err(_) => {
-                    self.counters.stale_checkpoints.bump();
-                    let already = usize::try_from(shard_emitted).unwrap_or(usize::MAX);
-                    let (mut rows, next) =
-                        shard.eval_limit(compiled, already.saturating_add(remaining));
-                    rows.drain(..already.min(rows.len()));
-                    (rows, next)
-                }
-            };
-            shard_emitted += rows.len() as u64;
-            acc.extend(rows);
-            match next {
-                // The page filled mid-shard; `eval_resume` coming
-                // back short always yields `None`, so `Some` here
-                // implies the page is complete.
-                Some(next) => {
-                    ckpt = Some(next);
-                    break;
-                }
-                None => {
-                    si += 1;
-                    shard_emitted = 0;
-                }
+        shards: &[Arc<Shard>],
+        progress: u64,
+        pos: Option<&SweepPos<Checkpoint<P>>>,
+    ) -> String {
+        self.counters.tokens_minted.bump();
+        let mut w = wire::Writer::new();
+        w.u16(version);
+        w.u64(query_fp(compiled));
+        w.u64(corpus_stamp(shards));
+        w.u64(progress);
+        if version == TOKEN_VERSION {
+            w.bool(pos.is_none());
+        }
+        if let Some(p) = pos {
+            w.u16(p.shard);
+            w.u64(p.within);
+            w.bool(p.ckpt.is_some());
+            if let Some(c) = &p.ckpt {
+                c.encode_into(&mut w);
             }
         }
-        let exhausted = si >= req.shards.len() && ckpt.is_none();
-        let token = (!exhausted).then(|| {
-            self.counters.tokens_minted.bump();
-            seal_page_token(
-                compiled,
-                &req.shards,
-                emitted + acc.len() as u64,
-                Some(&TokenPos {
-                    shard: si.min(u16::MAX as usize) as u16,
-                    shard_emitted,
-                    ckpt,
-                }),
-            )
-        });
-        Page { rows: acc, token }
+        let sum = wire::fnv1a(w.bytes());
+        w.u64(sum);
+        wire::b64_encode(w.bytes())
     }
 
     /// Paged form of [`Service::eval_multi`]: evaluate the whole batch
@@ -321,8 +253,8 @@ impl Service {
         self.eval_members(queries, |req, compiled, full| {
             let rows: ResultSet = full.iter().take(limit).copied().collect();
             let token = (full.len() > rows.len()).then(|| {
-                self.counters.tokens_minted.bump();
-                seal_page_token(compiled, &req.shards, rows.len() as u64, None)
+                let emitted = rows.len() as u64;
+                self.mint::<QueryCheckpoint>(TOKEN_VERSION, compiled, &req.shards, emitted, None)
             });
             Page { rows, token }
         })
@@ -355,225 +287,118 @@ impl Service {
         budget: usize,
     ) -> Result<CountPage, ServiceError> {
         self.counters.count_resumes.bump();
-        let complete = |total: u64| CountPage {
-            so_far: total,
-            total: Some(total),
-            token: None,
+        let page = |so_far: u64, token: Option<String>| CountPage {
+            so_far,
+            total: token.is_none().then_some(so_far),
+            token,
         };
-        self.solo(Some(Class::Count), query, complete(0), |req, compiled| {
-            let (prior, ckpt) = match token {
-                None => (0, None),
-                Some(t) => match open_count_token(t, compiled, &req.shards) {
-                    Ok((counted, pos)) => (counted, Some(pos)),
-                    Err(e) => {
-                        self.recover_stale(e)?;
-                        return Ok(complete(self.count_whole(req, compiled) as u64));
-                    }
-                },
+        self.solo(Some(Class::Count), query, page(0, None), |req, compiled| {
+            let (prior, pos) = match token {
+                None => (0, Some(SweepPos::default())),
+                Some(t) => self.open_token(COUNT_TOKEN_VERSION, t, compiled, &req.shards)?,
             };
-            let (n, next) = self.count_advance(req, compiled, ckpt, budget);
+            // A stale token: its parked position indexes content that
+            // is gone, so finish by recounting current content.
+            let Some(pos) = pos else {
+                return Ok(page(self.count_whole(req, compiled) as u64, None));
+            };
+            let (n, next) = self.count_advance(req, compiled, pos, budget);
             let so_far = prior + n;
-            Ok(match next {
-                None => complete(so_far),
-                Some(pos) => {
-                    self.counters.tokens_minted.bump();
-                    CountPage {
-                        so_far,
-                        total: None,
-                        token: Some(seal_count_token(compiled, &req.shards, so_far, &pos)),
-                    }
-                }
-            })
+            let token = next.map(|pos| {
+                self.mint(
+                    COUNT_TOKEN_VERSION,
+                    compiled,
+                    &req.shards,
+                    so_far,
+                    Some(&pos),
+                )
+            });
+            Ok(page(so_far, token))
         })
     }
-}
 
-/// Seal a token: the envelope every version shares — `ver`,
-/// `query_fp`, `corpus_stamp`, the version's own `body`, an FNV-1a
-/// checksum over all of it — in URL-safe base64.
-fn seal_envelope(
-    version: u16,
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-    body: impl FnOnce(&mut wire::Writer),
-) -> String {
-    let mut w = wire::Writer::new();
-    w.u16(version);
-    w.u64(query_fp(compiled));
-    w.u64(corpus_stamp(shards));
-    body(&mut w);
-    let sum = wire::fnv1a(w.bytes());
-    w.u64(sum);
-    wire::b64_encode(w.bytes())
-}
-
-/// Open an echoed token's envelope against the current compiled query
-/// and shard snapshot, then hand the version's own `body` a reader
-/// over what follows the header plus whether the corpus stamp is
-/// stale. Hostile input is the normal case here: the checksum gates
-/// structural parsing, and every failure is a typed [`OpenError`],
-/// never a panic.
-fn open_envelope<T>(
-    version: u16,
-    token: &str,
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-    body: impl FnOnce(&mut wire::Reader<'_>, bool) -> Result<T, OpenError>,
-) -> Result<T, OpenError> {
-    let bytes = wire::b64_decode(token)?;
-    let Some(body_len) = bytes.len().checked_sub(8) else {
-        return Err(OpenError::Bad(wire::WireError::Truncated));
-    };
-    let (sealed, sum) = bytes.split_at(body_len);
-    let declared = u64::from_le_bytes(sum.try_into().expect("split_at leaves 8 bytes"));
-    if wire::fnv1a(sealed) != declared {
-        return Err(OpenError::Bad(wire::WireError::Checksum));
-    }
-    let mut r = wire::Reader::new(sealed);
-    let ver = r.u16()?;
-    if ver != version {
-        return Err(OpenError::Bad(wire::WireError::Version(ver)));
-    }
-    if r.u64()? != query_fp(compiled) {
-        return Err(OpenError::Bad(wire::WireError::Malformed(
-            "token minted for a different query",
-        )));
-    }
-    let stale = r.u64()? != corpus_stamp(shards);
-    let out = body(&mut r, stale)?;
-    if !r.finished() {
-        return Err(OpenError::Bad(wire::WireError::Malformed(
-            "trailing bytes after token body",
-        )));
-    }
-    Ok(out)
-}
-
-/// Read the position both token kinds park — the shard, the progress
-/// already made within it, and (mid-shard) its suspended state. A
-/// stale envelope stops before the checkpoint — the parked position indexes content
-/// that is gone, so it is not decoded against shards it does not
-/// belong to — and reports the sweep's `progress` to recover from.
-fn open_position<C>(
-    r: &mut wire::Reader<'_>,
-    stale: bool,
-    progress: u64,
-    shards: &[Arc<Shard>],
-    decode: impl FnOnce(&Shard, &mut wire::Reader<'_>) -> Result<C, CheckpointDecodeError>,
-) -> Result<(u16, u64, Option<C>), OpenError> {
-    let shard = r.u16()?;
-    let within = r.u64()?;
-    let has_ckpt = r.bool()?;
-    if stale {
-        return Err(OpenError::Stale { emitted: progress });
-    }
-    let Some(target) = shards.get(shard as usize) else {
-        return Err(OpenError::Bad(wire::WireError::Malformed(
-            "token shard index out of range",
-        )));
-    };
-    let ckpt = has_ckpt
-        .then(|| decode(target, r))
-        .transpose()
-        .map_err(|e| match e {
-            CheckpointDecodeError::Stale(_) => OpenError::Stale { emitted: progress },
-            CheckpointDecodeError::Wire(e) => OpenError::Bad(e),
-        })?;
-    Ok((shard, within, ckpt))
-}
-
-/// Seal a paging token (see the module docs for the layout).
-fn seal_page_token(
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-    emitted: u64,
-    pos: Option<&TokenPos>,
-) -> String {
-    seal_envelope(TOKEN_VERSION, compiled, shards, |w| {
-        w.u64(emitted);
-        w.bool(pos.is_none());
-        if let Some(p) = pos {
-            w.u16(p.shard);
-            w.u64(p.shard_emitted);
-            w.bool(p.ckpt.is_some());
-            if let Some(c) = &p.ckpt {
-                c.encode_into(w);
-            }
-        }
-    })
-}
-
-/// Open an echoed paging token.
-fn open_page_token(
-    token: &str,
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-) -> Result<TokenState, OpenError> {
-    open_envelope(TOKEN_VERSION, token, compiled, shards, |r, stale| {
-        let emitted = r.u64()?;
-        let pos = match r.u8()? {
-            // Offset-only: the global offset is meaningful against any
-            // content, so staleness is irrelevant — offset paging
-            // already promises "current content at this offset".
-            1 => None,
-            0 => {
-                let (shard, shard_emitted, ckpt) =
-                    open_position(r, stale, emitted, shards, |target, r| {
-                        target.decode_checkpoint(compiled, r)
-                    })?;
-                Some(TokenPos {
-                    shard,
-                    shard_emitted,
-                    ckpt,
-                })
-            }
-            _ => return Err(OpenError::Bad(wire::WireError::Malformed("token mode"))),
+    /// Open an echoed token against the current compiled query and
+    /// shard snapshot: the envelope, then the sweep's progress and
+    /// parked position. Hostile input is the normal case here: the
+    /// checksum gates structural parsing, the embedded checkpoint is
+    /// decoded against the shard it names, and every failure is a
+    /// counted, typed [`ServiceError::BadToken`], never a panic. A
+    /// stale token is no failure: it is counted and opens to its
+    /// progress alone, stopping before its checkpoint — the parked
+    /// position indexes content that is gone, so it is not decoded
+    /// against shards it does not belong to.
+    fn open_token<P: Payload>(
+        &self,
+        version: u16,
+        token: &str,
+        compiled: &CompiledQuery,
+        shards: &[Arc<Shard>],
+    ) -> Result<TokenState<P>, ServiceError> {
+        use wire::WireError::{Checksum, Malformed, Truncated, Version};
+        let stale = |progress: u64| {
+            self.counters.stale_checkpoints.bump();
+            Ok((progress, None))
         };
-        Ok((emitted, pos))
-    })
-}
-
-/// Seal a count token. Body: the cumulative count, then the parked
-/// position (its checkpoint a [`crate::ShardCountCheckpoint`]).
-fn seal_count_token(
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-    counted: u64,
-    pos: &CountCheckpoint,
-) -> String {
-    seal_envelope(COUNT_TOKEN_VERSION, compiled, shards, |w| {
-        w.u64(counted);
-        w.u16(pos.shard);
-        w.u64(pos.shard_counted);
-        w.bool(pos.inner.is_some());
-        if let Some(c) = &pos.inner {
-            c.encode_into(w);
-        }
-    })
-}
-
-/// Open an echoed count token: the cumulative count plus the live
-/// resume position.
-fn open_count_token(
-    token: &str,
-    compiled: &CompiledQuery,
-    shards: &[Arc<Shard>],
-) -> Result<(u64, CountCheckpoint), OpenError> {
-    open_envelope(COUNT_TOKEN_VERSION, token, compiled, shards, |r, stale| {
-        let counted = r.u64()?;
-        let (shard, shard_counted, inner) =
-            open_position(r, stale, counted, shards, |target, r| {
-                target.decode_count_checkpoint(compiled, r)
-            })?;
-        Ok((
-            counted,
-            CountCheckpoint {
-                shard,
-                shard_counted,
-                inner,
-            },
-        ))
-    })
+        let open = || {
+            let bytes = wire::b64_decode(token)?;
+            let Some(body_len) = bytes.len().checked_sub(8) else {
+                return Err(Truncated);
+            };
+            let (sealed, sum) = bytes.split_at(body_len);
+            let declared = u64::from_le_bytes(sum.try_into().expect("split_at leaves 8 bytes"));
+            if wire::fnv1a(sealed) != declared {
+                return Err(Checksum);
+            }
+            let mut r = wire::Reader::new(sealed);
+            let ver = r.u16()?;
+            if ver != version {
+                return Err(Version(ver));
+            }
+            if r.u64()? != query_fp(compiled) {
+                return Err(Malformed("token minted for a different query"));
+            }
+            let fresh = r.u64()? == corpus_stamp(shards);
+            let progress = r.u64()?;
+            let pos = match if version == TOKEN_VERSION { r.u8()? } else { 0 } {
+                // Offset-only: the global offset is meaningful against
+                // any content, so staleness is irrelevant — offset
+                // paging already promises "current content at this
+                // offset".
+                1 => None,
+                0 => {
+                    let shard = r.u16()?;
+                    let within = r.u64()?;
+                    let has_ckpt = r.bool()?;
+                    if !fresh {
+                        return stale(progress);
+                    }
+                    let Some(target) = shards.get(shard as usize) else {
+                        return Err(Malformed("token shard index out of range"));
+                    };
+                    let ckpt = match has_ckpt.then(|| target.decode_checkpoint(compiled, &mut r)) {
+                        Some(Err(CheckpointDecodeError::Stale(_))) => return stale(progress),
+                        Some(Err(CheckpointDecodeError::Wire(e))) => return Err(e),
+                        Some(Ok(ckpt)) => Some(ckpt),
+                        None => None,
+                    };
+                    Some(SweepPos {
+                        shard,
+                        within,
+                        ckpt,
+                    })
+                }
+                _ => return Err(Malformed("token mode")),
+            };
+            if !r.finished() {
+                return Err(Malformed("trailing bytes after token body"));
+            }
+            Ok((progress, pos))
+        };
+        open().map_err(|e| {
+            self.counters.tokens_rejected.bump();
+            ServiceError::BadToken(e)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -634,14 +459,85 @@ mod tests {
         assert!(t
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_'));
-        // Zero limit and empty results terminate at once.
+        // A zero limit is a zero-budget step: the sweep stays parked
+        // at its start. Empty results terminate at once.
         assert!(svc
             .eval_page_token("//NP", None, 0)
             .unwrap()
             .token
-            .is_none());
+            .is_some());
         let empty = svc.eval_page_token("//ZZZ", None, 5).unwrap();
         assert!(empty.rows.is_empty() && empty.token.is_none());
+    }
+
+    #[test]
+    fn zero_limit_pages_validate_the_token_and_keep_the_place() {
+        let svc = service(2);
+        let full = (*svc.eval("//NP").unwrap()).clone();
+        let p1 = svc.eval_page_token("//NP", None, 2).unwrap();
+        let t = p1.token.expect("more NPs remain");
+        // No rows, and the returned token parks where the echoed one
+        // did: the sweep continues from it as if nothing was asked.
+        let idle = svc.eval_page_token("//NP", Some(&t), 0).unwrap();
+        assert!(idle.rows.is_empty());
+        let parked = idle
+            .token
+            .expect("a zero-limit page must not end the sweep");
+        let rest = svc
+            .eval_page_token("//NP", Some(&parked), usize::MAX - 1)
+            .unwrap();
+        assert_eq!(rest.rows, full[2..]);
+        assert!(rest.token.is_none());
+        // The token is opened even though nothing is served from it.
+        let rejected = svc.stats().tokens_rejected;
+        assert!(matches!(
+            svc.eval_page_token("//NP", Some("garbage!!"), 0),
+            Err(ServiceError::BadToken(_))
+        ));
+        assert_eq!(svc.stats().tokens_rejected, rejected + 1);
+    }
+
+    #[test]
+    fn token_sweeps_account_their_enumerations() {
+        let corpus = parse_str(SRC).unwrap();
+        let svc = Service::with_config(
+            &corpus,
+            ServiceConfig {
+                shards: 2,
+                threads: 1,
+                slow_query_threshold: std::time::Duration::ZERO,
+                ..ServiceConfig::default()
+            },
+        );
+        // A fresh token page on a cold service starts one shard's
+        // enumeration; echoing its token resumes the checkpoint.
+        let p1 = svc.eval_page_token("//NN", None, 1).unwrap();
+        let s = svc.stats();
+        assert_eq!((s.page_partial_evals, s.page_resumes), (1, 0), "{s:?}");
+        svc.eval_page_token("//NN", p1.token.as_deref(), 1).unwrap();
+        let s = svc.stats();
+        assert_eq!((s.page_partial_evals, s.page_resumes), (1, 1), "{s:?}");
+        // Page-bounded work is not a full shard evaluation.
+        assert_eq!(s.shard_evals, 0, "{s:?}");
+        // The request's own trace carries the resume into the slow log.
+        let resumes: Vec<u64> = svc
+            .metrics()
+            .slow_queries
+            .iter()
+            .map(|q| q.resumes)
+            .collect();
+        assert_eq!(resumes, [0, 1]);
+        // Count sweeps walk the same shards and are accounted the same
+        // way (`//VP//NP` is outside the aggregate tables).
+        let c1 = svc.count_token("//VP//NP", None, 1).unwrap();
+        svc.count_token("//VP//NP", c1.token.as_deref(), 1).unwrap();
+        let s = svc.stats();
+        assert!(
+            s.page_partial_evals >= 2,
+            "the count started a shard: {s:?}"
+        );
+        assert_eq!(s.page_resumes, 2, "the echo resumed its checkpoint: {s:?}");
+        assert_eq!(s.shard_evals, 0, "{s:?}");
     }
 
     #[test]

@@ -176,6 +176,10 @@ proptest! {
         prop_assert_eq!(total("eval_multi"), batches);
         // Zero threshold, oversized ring: the slow log missed nothing.
         prop_assert_eq!(m.slow_queries.len() as u64, evals + counts + pages + batches);
+        // Every resumed checkpoint — a cached prefix or one a token
+        // carried — is on some request's trace.
+        let resumed: u64 = m.slow_queries.iter().map(|e| e.resumes).sum();
+        prop_assert_eq!(resumed, s.page_resumes);
         // Percentiles stay monotone on every snapshot.
         for c in &m.classes {
             for h in [&c.hits, &c.misses] {

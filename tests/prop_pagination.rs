@@ -170,8 +170,8 @@ proptest! {
         match (a, b) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a, &b, "goals disagree on {}", q);
-                for goal in [OptGoal::AllRows, OptGoal::FirstRows(k)] {
-                    let page = all_rows.query_limit_with(&ast, 0, k, goal).unwrap();
+                for (goal, engine) in [(OptGoal::AllRows, &all_rows), (OptGoal::FirstRows(k), &first_rows)] {
+                    let page = engine.query_limit_ast(&ast, 0, k).unwrap();
                     prop_assert_eq!(
                         &page[..],
                         &a[..k.min(a.len())],
@@ -193,6 +193,13 @@ proptest! {
 fn evaluation_queries_paginate_identically_across_goals_and_layers() {
     let corpus = generate(&GenConfig::wsj(60).with_seed(11));
     let engine = Engine::build(&corpus);
+    let first_rows = Engine::with_config(
+        &corpus,
+        PlannerConfig {
+            goal: OptGoal::FirstRows(10),
+            ..Default::default()
+        },
+    );
     let service = Service::with_config(
         &corpus,
         ServiceConfig {
@@ -203,16 +210,14 @@ fn evaluation_queries_paginate_identically_across_goals_and_layers() {
     for case in fixtures::eval_cases() {
         let ast = parse(case.lpath).unwrap();
         let full = engine.query(case.lpath).unwrap();
+        assert_eq!(first_rows.query_ast(&ast).unwrap(), full, "Q{}", case.id);
         for (offset, limit) in [(0, 1), (0, 10), (7, 10), (full.len(), 5)] {
             let want: ResultSet = full.iter().skip(offset).take(limit).copied().collect();
-            for goal in [
-                OptGoal::AllRows,
-                OptGoal::FirstRows(offset.saturating_add(limit)),
-            ] {
+            for (goal, engine) in [("AllRows", &engine), ("FirstRows", &first_rows)] {
                 assert_eq!(
-                    engine.query_limit_with(&ast, offset, limit, goal).unwrap(),
+                    engine.query_limit_ast(&ast, offset, limit).unwrap(),
                     want,
-                    "Q{} {offset}/{limit} under {goal:?}",
+                    "Q{} {offset}/{limit} under {goal}",
                     case.id
                 );
             }

@@ -3,9 +3,10 @@
 //! A paging token is a suspended enumeration flattened to hostile
 //! bytes, so three things must hold for any corpus, query and page
 //! schedule: (1) encoding a genuine checkpoint and decoding it back
-//! is the identity — at the walker, engine and shard layers the
-//! re-encoded bytes are identical and the resumed rows match the
-//! never-serialized resume exactly; (2) a token sweep through
+//! is the identity — at the walker, engine and shard layers, for page
+//! and count checkpoints alike, the re-encoded bytes are identical and
+//! the resumed rows (or counts) match the never-serialized resume
+//! exactly; (2) a token sweep through
 //! [`Service::eval_page_token`] is byte-identical to in-process
 //! offset paging at *every* row boundary, and re-issuing a token is
 //! deterministic (the statelessness contract); (3) corrupted,
@@ -19,9 +20,10 @@
 use proptest::prelude::*;
 
 use lpath::prelude::*;
-use lpath_relstore::wire;
-use lpath_service::shard::CheckpointDecodeError;
-use lpath_service::{ResultSet, Shard};
+use lpath_core::QueryCheckpoint;
+use lpath_relstore::{wire, CursorCheckpoint};
+use lpath_service::shard::{CheckpointDecodeError, Payload};
+use lpath_service::{CompiledQuery, ResultSet, Shard};
 
 /// A random subtree of bounded depth/width in bracketed form.
 fn arb_subtree(depth: u32) -> BoxedStrategy<String> {
@@ -76,6 +78,76 @@ const POOL: [&str; 8] = [
 /// The URL-safe base64 alphabet tokens are written in.
 const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
 
+/// Encode → decode → re-encode → resume, at the engine layer
+/// (translatable queries only) and the shard layer (build-id tagged,
+/// strategy dispatched), for the sweep payload `P`: the thawed
+/// checkpoint re-encodes to the same bytes and resumes to exactly what
+/// the live one yields.
+fn round_trips_below_the_token<P>(
+    corpus: &Corpus,
+    compiled: &CompiledQuery,
+    split: usize,
+) -> Result<(), TestCaseError>
+where
+    P: Payload + Clone,
+    P::Chunk: PartialEq + std::fmt::Debug,
+{
+    let (q, ast) = (&compiled.normalized, &compiled.ast);
+    let frozen = |encode: &dyn Fn(&mut wire::Writer)| {
+        let mut w = wire::Writer::new();
+        encode(&mut w);
+        w.into_bytes()
+    };
+
+    let engine = Engine::build(corpus);
+    if let Ok((_, Some(ckpt))) = P::resume(&engine, ast, None, split) {
+        let bytes = frozen(&|w| ckpt.encode_into(w));
+        let mut r = wire::Reader::new(&bytes);
+        let decoded = P::decode(&engine, ast, &mut r).expect("genuine engine checkpoint decodes");
+        prop_assert!(r.finished(), "engine checkpoint fully consumed on {}", q);
+        prop_assert_eq!(
+            &bytes,
+            &frozen(&|w| decoded.encode_into(w)),
+            "engine re-encode on {}",
+            q
+        );
+        let (live, _) = P::resume(&engine, ast, Some(ckpt), usize::MAX / 4).unwrap();
+        let (thawed, _) = P::resume(&engine, ast, Some(decoded), usize::MAX / 4).unwrap();
+        prop_assert_eq!(live, thawed, "engine resume through the wire on {}", q);
+    }
+
+    let shard = Shard::build(corpus, 0, corpus.trees().len(), 0);
+    let (_, ckpt) = shard.resume::<P>(compiled, None, split).unwrap();
+    if let Some(ckpt) = ckpt {
+        let bytes = frozen(&|w| ckpt.encode_into(w));
+        let mut r = wire::Reader::new(&bytes);
+        let decoded = match shard.decode_checkpoint::<P>(compiled, &mut r) {
+            Ok(c) => c,
+            Err(CheckpointDecodeError::Stale(s)) => {
+                return Err(TestCaseError::fail(format!("own checkpoint stale: {s}")))
+            }
+            Err(CheckpointDecodeError::Wire(e)) => {
+                return Err(TestCaseError::fail(format!(
+                    "own checkpoint malformed: {e}"
+                )))
+            }
+        };
+        prop_assert!(r.finished(), "shard checkpoint fully consumed on {}", q);
+        prop_assert_eq!(
+            &bytes,
+            &frozen(&|w| decoded.encode_into(w)),
+            "shard re-encode on {}",
+            q
+        );
+        let (live, _) = shard.resume(compiled, Some(ckpt), usize::MAX / 4).unwrap();
+        let (thawed, _) = shard
+            .resume(compiled, Some(decoded), usize::MAX / 4)
+            .unwrap();
+        prop_assert_eq!(live, thawed, "shard resume through the wire on {}", q);
+    }
+    Ok(())
+}
+
 fn service_over(corpus: &Corpus, shards: usize) -> Service {
     Service::with_config(
         corpus,
@@ -125,55 +197,12 @@ proptest! {
             prop_assert_eq!(live, thawed, "walker resume through the wire on {}", q);
         }
 
-        // Engine checkpoints (translatable queries only).
-        let engine = Engine::build(&corpus);
-        if engine.query_ast(&ast).is_ok() {
-            let (_, ckpt) = engine.query_resume(&ast, None, split).unwrap();
-            if let Some(ckpt) = ckpt {
-                let mut w = wire::Writer::new();
-                ckpt.encode_into(&mut w);
-                let bytes = w.into_bytes();
-                let mut r = wire::Reader::new(&bytes);
-                let decoded = engine
-                    .decode_checkpoint(&ast, &mut r)
-                    .expect("genuine engine checkpoint decodes");
-                prop_assert!(r.finished(), "engine checkpoint fully consumed on {}", q);
-                let mut w2 = wire::Writer::new();
-                decoded.encode_into(&mut w2);
-                prop_assert_eq!(&bytes, &w2.into_bytes(), "engine re-encode on {}", q);
-                let (live, _) = engine.query_resume(&ast, Some(ckpt), usize::MAX / 4).unwrap();
-                let (thawed, _) = engine.query_resume(&ast, Some(decoded), usize::MAX / 4).unwrap();
-                prop_assert_eq!(live, thawed, "engine resume through the wire on {}", q);
-            }
-        }
-
-        // Shard checkpoints (build-id tagged, strategy dispatched).
+        // Engine and shard checkpoints, for both payloads: rows
+        // (`QueryCheckpoint`) and counts (`CursorCheckpoint`).
         let svc = service_over(&corpus, 1);
         let compiled = svc.compile(q).unwrap();
-        let shard = Shard::build(&corpus, 0, corpus.trees().len(), 0);
-        let (_, ckpt) = shard.eval_resume(&compiled, None, split).unwrap();
-        if let Some(ckpt) = ckpt {
-            let mut w = wire::Writer::new();
-            ckpt.encode_into(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = wire::Reader::new(&bytes);
-            let decoded = match shard.decode_checkpoint(&compiled, &mut r) {
-                Ok(c) => c,
-                Err(CheckpointDecodeError::Stale(s)) => {
-                    return Err(TestCaseError::fail(format!("own checkpoint stale: {s}")))
-                }
-                Err(CheckpointDecodeError::Wire(e)) => {
-                    return Err(TestCaseError::fail(format!("own checkpoint malformed: {e}")))
-                }
-            };
-            prop_assert!(r.finished(), "shard checkpoint fully consumed on {}", q);
-            let mut w2 = wire::Writer::new();
-            decoded.encode_into(&mut w2);
-            prop_assert_eq!(&bytes, &w2.into_bytes(), "shard re-encode on {}", q);
-            let (live, _) = shard.eval_resume(&compiled, Some(ckpt), usize::MAX / 4).unwrap();
-            let (thawed, _) = shard.eval_resume(&compiled, Some(decoded), usize::MAX / 4).unwrap();
-            prop_assert_eq!(live, thawed, "shard resume through the wire on {}", q);
-        }
+        round_trips_below_the_token::<QueryCheckpoint>(&corpus, &compiled, split)?;
+        round_trips_below_the_token::<CursorCheckpoint>(&corpus, &compiled, split)?;
     }
 
     /// A token handed out at any row boundary continues to exactly the
