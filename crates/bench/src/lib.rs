@@ -2,10 +2,10 @@
 //! bundles, the paper's timing methodology and table printers.
 //!
 //! Every figure and table of the paper's evaluation (§5) is regenerated
-//! either by the `harness` binary (paper-style tables, wall-clock
-//! timings with the 7-run trimmed mean the paper describes) or by the
-//! Criterion benches under `benches/` (statistically rigorous
-//! per-query measurements).
+//! by the `harness` binary: paper-style tables with wall-clock timings
+//! under the 7-run trimmed mean the paper describes. This crate only
+//! reproduces the paper; the service, socket and per-layer measurements
+//! live in the `benchmark/` workspace.
 //!
 //! Scale: the paper's corpora hold ~3.5M nodes each. The default here
 //! is 1/20 of the paper's sentence counts — large enough to reproduce
@@ -31,11 +31,6 @@
 // contexts.
 #[path = "../../../tests/fixtures/mod.rs"]
 pub mod fixtures;
-
-pub mod count;
-pub mod metrics;
-pub mod multiquery;
-pub mod server;
 
 use std::time::{Duration, Instant};
 

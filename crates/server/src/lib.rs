@@ -167,22 +167,38 @@ fn accept_loop(svc: &Arc<Service>, listener: &TcpListener, cfg: &ServerConfig, s
             return;
         }
         let Ok(stream) = stream else { continue };
-        // Claim a connection slot optimistically; hand it back (with a
-        // typed refusal) when the claim overshot the limit. The
-        // increment-then-check shape keeps the limit exact under
-        // concurrent accepts.
-        let slot = Arc::clone(&active);
-        if slot.fetch_add(1, Ordering::AcqRel) >= cfg.max_connections {
-            slot.fetch_sub(1, Ordering::AcqRel);
+        let Some(slot) = Slot::claim(&active, cfg.max_connections) else {
             refuse(stream, cfg.max_connections);
             continue;
-        }
+        };
         let svc = Arc::clone(svc);
         let cfg = *cfg;
         thread::spawn(move || {
+            // The thread owns the slot, so it is handed back on return
+            // and on unwind alike: a panicking request cannot leak it.
+            let _slot = slot;
             let _ = connection(&svc, stream, &cfg);
-            slot.fetch_sub(1, Ordering::AcqRel);
         });
+    }
+}
+
+/// One claimed connection slot; dropping it hands the slot back.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// Claim a slot optimistically, or `None` (the claim handed back)
+    /// when it overshot `limit`. The increment-then-check shape keeps
+    /// the limit exact under concurrent accepts.
+    fn claim(active: &Arc<AtomicUsize>, limit: usize) -> Option<Self> {
+        let prior = active.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(Arc::clone(active));
+        (prior < limit).then_some(slot)
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -266,5 +282,37 @@ fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
         }
         line.extend_from_slice(available);
         reader.consume(n);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_connection_thread_hands_its_slot_back() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let slot = Slot::claim(&active, 1).expect("first claim fits");
+        assert!(Slot::claim(&active, 1).is_none(), "limit is exact");
+        assert_eq!(active.load(Ordering::Acquire), 1);
+        let worker = thread::spawn(move || {
+            let _slot = slot;
+            panic!("request handler panicked");
+        });
+        assert!(worker.join().is_err());
+        assert_eq!(active.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn a_returning_connection_thread_hands_its_slot_back() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let slots: Vec<_> = (0..2)
+            .map(|_| Slot::claim(&active, 2).expect("fits"))
+            .collect();
+        assert!(Slot::claim(&active, 2).is_none(), "limit is exact");
+        assert_eq!(active.load(Ordering::Acquire), 2);
+        thread::spawn(move || drop(slots)).join().expect("no panic");
+        assert_eq!(active.load(Ordering::Acquire), 0);
+        assert!(Slot::claim(&active, 2).is_some(), "slot reusable");
     }
 }

@@ -93,6 +93,46 @@ fn check_parity(corpus: &Corpus, shards: usize, label: &str) {
             texts[i]
         );
     }
+
+    // Counts: the one-shot count equals the engine's, and a sweep
+    // driven purely by echoed tokens lands on the same total.
+    for q in QUERIES {
+        let want = engine.count(q.lpath).unwrap();
+        assert_eq!(
+            service.count(q.lpath).unwrap(),
+            want,
+            "{label} Q{} count",
+            q.id
+        );
+        let mut token: Option<String> = None;
+        let total = loop {
+            let page = service.count_token(q.lpath, token.as_deref(), 50).unwrap();
+            match page.total {
+                Some(n) => break n,
+                None => token = Some(page.token.expect("unfinished sweep mints a token")),
+            }
+        };
+        assert_eq!(total, want as u64, "{label} Q{} token sweep", q.id);
+    }
+
+    // Statically-empty probes (unknown vocabulary, an impossible
+    // position, contradictory values on one node) are empty under the
+    // service and the walker alike.
+    for q in [
+        "//QQQZ",
+        "//_[@lex=qqqzz]",
+        "//NP[position()=0]",
+        "//_[@lex=alpha and @lex=beta]",
+    ] {
+        assert!(
+            service.eval(q).unwrap().is_empty(),
+            "{label}: service on {q}"
+        );
+        assert!(
+            walker.eval(&parse(q).unwrap()).is_empty(),
+            "{label}: walker on {q}"
+        );
+    }
 }
 
 #[test]
