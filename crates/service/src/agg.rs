@@ -11,7 +11,7 @@
 //! per tree (a labeling and a bottom-up tag-set fold). Stored per
 //! shard, they survive [`crate::Service::append_ptb`]
 //! untouched on every shard but the rebuilt tail — the same build-id
-//! scoping argument as the per-shard count cache, but with zero bytes
+//! scoping argument as the per-shard count store, but with zero bytes
 //! of cache and zero misses.
 //!
 //! What is tabulated, and the query shape each table answers:

@@ -1,8 +1,7 @@
-//! Bounded, generation-invalidated LRU caches: `(normalized query,
-//! shard id | whole corpus)` → materialized match set (per shard:
-//! rows so far plus the checkpoint that continues them), and — kept
-//! separate so counting never forces (or evicts) materialized
-//! results — the same key → result *count*.
+//! Bounded, build-id-invalidated LRU stores: `(normalized query,
+//! shard id)` → the shard's rows so far plus the checkpoint that
+//! continues them, and — kept separate so counting never forces (or
+//! evicts) materialized rows — the same key → the shard's *count*.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,52 +39,40 @@ impl PartialEq for ShardRows {
 }
 
 /// Cache key: the normalized query text plus the shard it was
-/// evaluated on, or [`WHOLE_CORPUS`].
+/// evaluated on.
 pub(crate) type Key = (String, u16);
 
-/// The shard slot of a [`Key`] whose value covers every shard. The
-/// service clamps its shard count below this id, so it can never name
-/// a real shard.
-pub(crate) const WHOLE_CORPUS: u16 = u16::MAX;
-
 struct Entry<V> {
-    generation: u64,
+    build: u64,
     stamp: u64,
     /// Lookup hits since insertion — the admission policy's heat
     /// signal. Never decays: a hot entry stays pinned until its
-    /// generation goes stale.
+    /// shard's build goes stale.
     hits: u32,
     value: V,
 }
 
 /// Hits at which an entry counts as *hot*: protected from eviction by
-/// colder newcomers while its generation is current. Two hits is the
-/// classic scan-resistance bar — a one-shot query sweep re-reads
+/// colder newcomers while its shard's build is current. Two hits is
+/// the classic scan-resistance bar — a one-shot query sweep re-reads
 /// nothing, so sweep entries never reach it.
 const HOT: u32 = 2;
 
-/// A bounded least-recently-used map. Entries whose stamp — the corpus
-/// generation, or a shard build id — differs from the one presented
-/// are treated as absent and dropped on contact. Eviction is by
-/// recency alone: build-id-stamped caches legitimately hold different
-/// stamps side by side, and generation-stamped ones are cleared on
-/// every append or swap, so an old stamp only ever coexists with live
-/// ones when a reader races a writer.
+/// A bounded least-recently-used map. Entries whose stamp — a shard
+/// build id — differs from the one presented are treated as absent
+/// and dropped on contact. Eviction is by recency alone: entries of
+/// different shards legitimately hold different stamps side by side.
 pub(crate) struct GenCache<V> {
     capacity: usize,
     tick: u64,
     map: HashMap<Key, Entry<V>>,
 }
 
-/// The result cache: values are shared match sets.
-pub(crate) type ResultCache = GenCache<Arc<ResultSet>>;
-
-/// The count cache: values are plain result sizes, orders of magnitude
+/// The count store: values are plain result sizes, orders of magnitude
 /// smaller than the match sets they summarize.
 pub(crate) type CountCache = GenCache<usize>;
 
-/// The per-shard row store: complete results and checkpointed
-/// prefixes alike, stamped with shard build ids.
+/// The row store: complete results and checkpointed prefixes alike.
 pub(crate) type ShardRowCache = GenCache<ShardRows>;
 
 impl ShardRowCache {
@@ -111,22 +98,18 @@ impl<V: Clone + PartialEq> GenCache<V> {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Look up `key` at `generation`, refreshing its recency and
+    /// Look up `key` at shard build `build`, refreshing its recency and
     /// bumping its heat.
-    pub fn get(&mut self, key: &Key, generation: u64) -> Option<V> {
+    pub fn get(&mut self, key: &Key, build: u64) -> Option<V> {
         match self.map.get_mut(key) {
-            Some(e) if e.generation == generation => {
+            Some(e) if e.build == build => {
                 self.tick += 1;
                 e.stamp = self.tick;
                 e.hits = e.hits.saturating_add(1);
                 Some(e.value.clone())
             }
             Some(_) => {
-                // Stale generation: drop eagerly.
+                // Stale build: drop eagerly.
                 self.map.remove(key);
                 None
             }
@@ -141,29 +124,29 @@ impl<V: Clone + PartialEq> GenCache<V> {
     /// query would otherwise keep promoting each other's entry and
     /// evicting innocent neighbours).
     ///
-    /// **Admission policy**: entries re-read [`HOT`]+ times at the
-    /// inserting generation are pinned — a sweep of distinct one-shot
-    /// queries cannot push them out. When every resident entry is
-    /// pinned the newcomer is *rejected* instead (returns `false`):
-    /// the sweep pays the miss, the working set stays. Stale-generation
-    /// entries are never pinned, however hot they once were.
-    pub fn insert(&mut self, key: Key, generation: u64, value: V) -> bool {
+    /// **Admission policy**: entries re-read [`HOT`]+ times are pinned
+    /// — a sweep of distinct one-shot queries cannot push them out.
+    /// When every resident entry is pinned the newcomer is *rejected*
+    /// instead (returns `false`): the sweep pays the miss, the working
+    /// set stays. An entry of the newcomer's own shard under another
+    /// stamp is never pinned, however hot it once was: one of the two
+    /// belongs to a build that is gone.
+    pub fn insert(&mut self, key: Key, build: u64, value: V) -> bool {
         if self.capacity == 0 {
             return false;
         }
         if let Some(e) = self.map.get(&key) {
-            if e.generation == generation && e.value == value {
+            if e.build == build && e.value == value {
                 return true;
             }
         }
         self.tick += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            // Evict the oldest stamp — but never a hot entry of the
-            // inserting generation.
+            // Evict the oldest stamp — but never a pinned entry.
             let victim = self
                 .map
                 .iter()
-                .filter(|(_, e)| !(e.generation == generation && e.hits >= HOT))
+                .filter(|(k, e)| e.hits < HOT || (k.1 == key.1 && e.build != build))
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone());
             match victim {
@@ -176,7 +159,7 @@ impl<V: Clone + PartialEq> GenCache<V> {
         self.map.insert(
             key,
             Entry {
-                generation,
+                build,
                 stamp: self.tick,
                 hits: 0,
                 value,
@@ -207,7 +190,7 @@ mod tests {
     use super::*;
 
     fn key(q: &str) -> Key {
-        (q.to_string(), WHOLE_CORPUS)
+        (q.to_string(), 0)
     }
 
     fn set(n: u32) -> Arc<ResultSet> {
@@ -216,17 +199,17 @@ mod tests {
 
     #[test]
     fn hit_and_generation_invalidation() {
-        let mut c = ResultCache::new(4);
+        let mut c = GenCache::new(4);
         c.insert(key("//NP"), 1, set(1));
         assert!(c.get(&key("//NP"), 1).is_some());
-        // A newer generation sees nothing and purges the entry.
+        // A newer build sees nothing and purges the entry.
         assert!(c.get(&key("//NP"), 2).is_none());
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.map.len(), 0);
     }
 
     #[test]
     fn lru_eviction_prefers_oldest() {
-        let mut c = ResultCache::new(2);
+        let mut c = GenCache::new(2);
         c.insert(key("a"), 1, set(1));
         c.insert(key("b"), 1, set(2));
         // Touch "a" so "b" becomes the LRU victim.
@@ -239,24 +222,24 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let mut c = ResultCache::new(0);
+        let mut c = GenCache::new(0);
         c.insert(key("a"), 1, set(1));
         assert!(c.get(&key("a"), 1).is_none());
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.map.len(), 0);
     }
 
     #[test]
-    fn whole_corpus_and_per_shard_keys_are_distinct() {
-        let mut c = ResultCache::new(4);
+    fn shard_keys_are_distinct() {
+        let mut c = GenCache::new(4);
         c.insert(("q".into(), 0), 1, set(1));
-        c.insert(("q".into(), WHOLE_CORPUS), 1, set(2));
+        c.insert(("q".into(), 1), 1, set(2));
         assert_eq!(c.get(&("q".into(), 0), 1).unwrap()[0].0, 1);
-        assert_eq!(c.get(&("q".into(), WHOLE_CORPUS), 1).unwrap()[0].0, 2);
+        assert_eq!(c.get(&("q".into(), 1), 1).unwrap()[0].0, 2);
     }
 
     #[test]
     fn identical_reinsert_does_not_restamp() {
-        let mut c = ResultCache::new(2);
+        let mut c = GenCache::new(2);
         c.insert(key("a"), 1, set(1));
         c.insert(key("b"), 1, set(2));
         // Re-inserting "a"'s identical value must NOT refresh its
@@ -273,7 +256,7 @@ mod tests {
 
     #[test]
     fn changed_value_reinsert_does_restamp() {
-        let mut c = ResultCache::new(2);
+        let mut c = GenCache::new(2);
         c.insert(key("a"), 1, set(1));
         c.insert(key("b"), 1, set(2));
         // A *different* value under the same key is a real update.
@@ -300,7 +283,7 @@ mod tests {
 
     #[test]
     fn an_entry_that_raced_a_clear_is_never_served_or_pinned() {
-        // A reader that snapshotted generation 1 finishes after the
+        // A reader that snapshotted build 1 finishes after the
         // writer's `clear()` and inserts under the old stamp.
         let mut c = CountCache::new(2);
         c.clear();
@@ -314,7 +297,7 @@ mod tests {
         // "raced" (the older stamp) first, then "hot".
         assert!(c.insert(key("a"), 2, 20));
         assert!(c.insert(key("b"), 2, 30));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
         assert_eq!(c.get(&key("a"), 2), Some(20));
         assert_eq!(c.get(&key("b"), 2), Some(30));
         // And one that is still resident is dropped on contact, never
@@ -322,7 +305,7 @@ mod tests {
         let mut c = CountCache::new(2);
         c.insert(key("raced"), 1, 10);
         assert_eq!(c.get(&key("raced"), 2), None);
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.map.len(), 0);
     }
 
     #[test]
@@ -363,8 +346,14 @@ mod tests {
         c.insert(key("old"), 1, 1);
         c.get(&key("old"), 1);
         c.get(&key("old"), 1);
-        // Generation bump: yesterday's heat buys no protection.
+        // The shard was rebuilt: yesterday's heat buys no protection.
         assert!(c.insert(key("new"), 2, 2));
+        assert_eq!(c.get(&key("new"), 2), Some(2));
+        // Another shard's stamp says nothing about this one's build:
+        // its hot entry stays pinned against the newcomer.
+        c.get(&key("new"), 2);
+        c.get(&key("new"), 2);
+        assert!(!c.insert(("other".into(), 1), 3, 3));
         assert_eq!(c.get(&key("new"), 2), Some(2));
     }
 

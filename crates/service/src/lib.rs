@@ -19,12 +19,12 @@
 //!   mirroring [`lpath_core::Engine`]'s fallback contract: the
 //!   relational translation where it exists, the full-language tree
 //!   walker otherwise.
-//! * **Result cache** — a bounded LRU from `(query, whole corpus)` to
-//!   the materialized match set, invalidated by corpus generation —
-//!   backed by one **per-shard row store** scoped to each shard's
-//!   *build id*, so per-shard rows survive appends that did not touch
-//!   their shard. Counts are cached separately ([`Service::count`]
-//!   never materializes or evicts match sets).
+//! * **Row and count stores** — bounded LRUs from `(query, shard)` to
+//!   the shard's match set (or a prefix of it) and to its count, scoped
+//!   to each shard's *build id*, so entries survive appends that did not
+//!   touch their shard. Whole-corpus answers are built on read: rows
+//!   concatenate in shard order, counts sum ([`Service::count`] never
+//!   materializes or evicts match sets).
 //! * **Early termination** — [`Service::exists`] stops at the first
 //!   witness, and the paged [`Service::eval_page`] visits shards in
 //!   document order and short-circuits the fan-out once the page is
@@ -67,10 +67,12 @@
 //!     &corpus,
 //!     ServiceConfig { shards: 2, ..ServiceConfig::default() },
 //! );
-//! assert_eq!(service.count("//VBD->NP").unwrap(), 1);
-//! // Second time around it's a count-cache hit.
-//! assert_eq!(service.count("//VBD->NP").unwrap(), 1);
-//! assert_eq!(service.stats().count_hits, 1);
+//! // `//S//NP` is outside the aggregate tables, so each shard counts it
+//! // by cursor once; second time around both shard counts are
+//! // count-store hits.
+//! assert_eq!(service.count("//S//NP").unwrap(), 3);
+//! assert_eq!(service.count("//S//NP").unwrap(), 3);
+//! assert_eq!(service.stats().count_hits, 2);
 //! // First page of matches, shard fan-out short-circuited.
 //! assert_eq!(service.eval_page("//NP", 0, 1).unwrap().len(), 1);
 //! assert!(service.exists("//VBD").unwrap());
@@ -87,7 +89,7 @@ pub mod stats;
 pub mod sweep;
 pub mod token;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
@@ -99,7 +101,7 @@ use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
 pub use cache::ResultSet;
-use cache::{CountCache, GenCache, ResultCache, ShardRowCache, ShardRows, WHOLE_CORPUS};
+use cache::{CountCache, GenCache, ShardRowCache, ShardRows};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
 pub use plan::{required_symbols, CompiledQuery, ExecStrategy};
@@ -165,7 +167,7 @@ pub struct ServiceConfig {
     /// Worker threads for shard/batch fan-out; `0` means one per
     /// available CPU (capped by the work at hand).
     pub threads: usize,
-    /// Result-cache capacity in entries; `0` disables result caching.
+    /// Row- and count-store capacity, each in `(query, shard)` entries.
     pub result_cache_capacity: usize,
     /// Plan-cache capacity in entries (each query may occupy two:
     /// normalized form plus a raw-spelling alias); `0` disables plan
@@ -227,9 +229,8 @@ pub struct QueryHistogram {
 /// context is opened by the pipeline's prologue, threaded through the
 /// mode body and closed by its epilogue (see `Service::request`).
 pub(crate) struct Request {
-    /// The request's one shard snapshot, and the generation it is of.
+    /// The request's one shard snapshot.
     pub(crate) shards: Vec<Arc<Shard>>,
-    generation: u64,
     /// Served entirely from cached state so far; any enumeration — a
     /// shard evaluation, a resumed prefix, a cursor count — clears it.
     pub(crate) hit: bool,
@@ -263,10 +264,6 @@ pub struct Service {
     state: RwLock<State>,
     plans: RwLock<HashMap<String, PlanEntry>>,
     plan_tick: AtomicU64,
-    /// Whole-corpus result sets (`(query, WHOLE_CORPUS)` keys), scoped
-    /// to the corpus generation: any append or swap invalidates them.
-    results: Mutex<ResultCache>,
-    counts: Mutex<CountCache>,
     /// Per-shard counts, scoped to each shard's *build id* rather than
     /// the corpus generation: an append rebuilds only the tail shard,
     /// so every other shard's cached count stays valid across the
@@ -290,8 +287,8 @@ pub struct Service {
     multi_abort: AtomicBool,
 }
 
-/// Shard ids live in `u16` (cache keys, tokens); the shard count is
-/// clamped into that id space, below [`WHOLE_CORPUS`].
+/// Shard ids, and the one-past-the-end position of a finished sweep,
+/// live in `u16` (store keys, tokens): the shard count is clamped to fit.
 const MAX_SHARDS: usize = u16::MAX as usize - 1;
 
 impl Service {
@@ -320,8 +317,6 @@ impl Service {
             }),
             plans: RwLock::new(HashMap::new()),
             plan_tick: AtomicU64::new(0),
-            results: Mutex::new(ResultCache::new(cfg.result_cache_capacity)),
-            counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
             shard_counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
             shard_rows: Mutex::new(ShardRowCache::new(cfg.result_cache_capacity)),
             counters: Counters::default(),
@@ -473,7 +468,6 @@ impl Service {
             let st = self.state.read().unwrap();
             Request {
                 shards: st.shards.clone(),
-                generation: st.generation,
                 hit: true,
                 fanout: 0,
                 resumes: 0,
@@ -561,159 +555,131 @@ impl Service {
     }
 
     /// The one miss-resolution core: whole-corpus result sets for a
-    /// set of compiled members (a solo request is a set of one). One
-    /// result-cache lock round answers hits; in-set duplicates collapse
-    /// onto one evaluation; what remains fans out one task per shard
-    /// carrying the whole miss set, so anchor sharing happens inside
-    /// each shard's engine; per-shard rows concatenate in shard order,
-    /// which *is* document order. Each answer comes back beside its
-    /// plan; compile errors pass through in band.
+    /// set of compiled members (a solo request is a set of one). In-set
+    /// duplicates collapse onto one answer; one lock round probes the
+    /// row store for every (member, unpruned shard) pair; only shards
+    /// with a miss fan out, one task each carrying its misses, so
+    /// anchor sharing happens inside each shard's engine; per-shard
+    /// rows concatenate in shard order, which *is* document order. Each
+    /// answer comes back beside its plan; compile errors pass through.
     fn resolve(
         &self,
         req: &mut Request,
         members: Vec<Result<Arc<CompiledQuery>, ServiceError>>,
     ) -> Vec<Answer> {
         let mut out: Vec<Option<Answer>> = (0..members.len()).map(|_| None).collect();
-        let mut misses: Vec<(Vec<usize>, Arc<CompiledQuery>)> = Vec::new();
-        let mut miss_index: HashMap<String, usize> = HashMap::new();
-        let (mut statically_empty, mut dedup, mut hits, mut probes) = (0u64, 0u64, 0u64, 0u64);
-        {
-            // Probing through a reused key buffer: no per-member
-            // allocation on the hit path.
-            let mut results = self.results.lock().unwrap();
-            let mut probe: cache::Key = (String::new(), WHOLE_CORPUS);
-            for (i, c) in members.into_iter().enumerate() {
-                match c {
-                    Err(e) => out[i] = Some(Err(e)),
-                    Ok(c) if c.statically_empty => {
-                        statically_empty += 1;
-                        out[i] = Some(Ok((c, Arc::new(Vec::new()))));
-                    }
-                    Ok(c) => {
-                        if let Some(&mi) = miss_index.get(&c.normalized) {
-                            // Served from the sibling occurrence's
-                            // evaluation: neither a hit nor a miss.
-                            dedup += 1;
-                            misses[mi].0.push(i);
-                            continue;
-                        }
-                        probes += 1;
-                        probe.0.clear();
-                        probe.0.push_str(&c.normalized);
-                        if let Some(v) = results.get(&probe, req.generation) {
-                            hits += 1;
-                            out[i] = Some(Ok((c, v)));
-                        } else {
-                            miss_index.insert(c.normalized.clone(), misses.len());
-                            misses.push((vec![i], c));
-                        }
-                    }
+        // The distinct members, each with the slots it answers.
+        let mut wanted: Vec<(Vec<usize>, Arc<CompiledQuery>)> = Vec::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let (mut statically_empty, mut dedup) = (0u64, 0u64);
+        for (i, c) in members.into_iter().enumerate() {
+            match c {
+                Err(e) => out[i] = Some(Err(e)),
+                Ok(c) if c.statically_empty => {
+                    statically_empty += 1;
+                    out[i] = Some(Ok((c, Arc::new(Vec::new()))));
                 }
+                // A repeat is served from its sibling occurrence's
+                // answer: it probes nothing.
+                Ok(c) => match index.get(&c.normalized) {
+                    Some(&w) => {
+                        dedup += 1;
+                        wanted[w].0.push(i);
+                    }
+                    None => {
+                        index.insert(c.normalized.clone(), wanted.len());
+                        wanted.push((vec![i], c));
+                    }
+                },
             }
         }
         self.counters.statically_empty.add(statically_empty);
         self.counters.batch_dedup.add(dedup);
-        self.counters.result_hits.add(hits);
-        self.counters.result_misses.add(probes - hits);
 
-        if !misses.is_empty() {
+        // `parts[w][si]`: member `w`'s rows on shard `si` (`None` when
+        // pruned); `misses[si]`: the members shard `si` must evaluate.
+        let shards = &req.shards;
+        let mut parts: Vec<Vec<Option<Arc<ResultSet>>>> =
+            vec![vec![None; shards.len()]; wanted.len()];
+        let mut misses: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        {
+            let mut store = self.shard_rows.lock().unwrap();
+            let mut probe: cache::Key = (String::new(), 0);
+            for (w, (_, c)) in wanted.iter().enumerate() {
+                probe.0.clone_from(&c.normalized);
+                for (si, shard) in self.unpruned(c, ids(shards)) {
+                    probe.1 = si;
+                    match store.complete(&probe, shard.build_id()) {
+                        Some(rows) => parts[w][si as usize] = Some(rows),
+                        None => misses.entry(si as usize).or_default().push(w),
+                    }
+                }
+            }
+        }
+        let work: Vec<(usize, Vec<usize>)> = misses.into_iter().collect();
+        let hits = parts.iter().flatten().flatten().count() as u64;
+        let missed: u64 = work.iter().map(|(_, m)| m.len() as u64).sum();
+        self.counters.result_hits.add(hits);
+        self.counters.result_misses.add(missed);
+
+        if !work.is_empty() {
             req.hit = false;
             if self.multi_abort.swap(false, Ordering::SeqCst) {
-                // Batch-abort fault point (test-only): every unresolved
-                // member fails without any shard work or cache writes.
-                for &qi in misses.iter().flat_map(|(occurrences, _)| occurrences) {
-                    out[qi] = Some(Err(ServiceError::Aborted));
+                // Batch-abort fault point (test-only): members with a
+                // miss fail without any shard work or store writes.
+                for &w in work.iter().flat_map(|(_, m)| m) {
+                    for &qi in &wanted[w].0 {
+                        out[qi] = Some(Err(ServiceError::Aborted));
+                    }
                 }
             } else {
-                req.fanout = req.shards.len();
-                let miss_plans: Vec<Arc<CompiledQuery>> =
-                    misses.iter().map(|(_, c)| Arc::clone(c)).collect();
-                let partials = fan_out(self.threads, req.shards.len(), |si| {
-                    self.eval_one_shard(&req.shards[si], si as u16, &miss_plans)
+                req.fanout = work.len();
+                let evaluated = fan_out(self.threads, work.len(), |t| {
+                    let (si, members) = &work[t];
+                    let members: Vec<&CompiledQuery> =
+                        members.iter().map(|&w| wanted[w].1.as_ref()).collect();
+                    // Plans opening the same anchor share one enumeration.
+                    let (rows, stats) = shards[*si].eval_multi(&members);
+                    self.counters.shard_evals.add(members.len() as u64);
+                    self.counters.multi_shared_scans.add(stats.shared_scans);
+                    self.counters.multi_residual_evals.add(stats.residual_evals);
+                    rows
                 });
-                for (mi, (occurrences, c)) in misses.iter().enumerate() {
-                    let mut merged = Vec::new();
-                    for per_shard in &partials {
-                        merged.extend(per_shard[mi].iter().copied());
-                    }
-                    let merged = Arc::new(merged);
-                    let key = (c.normalized.clone(), WHOLE_CORPUS);
-                    self.admit(
-                        &mut self.results.lock().unwrap(),
-                        key,
-                        req.generation,
-                        &merged,
-                    );
-                    for &qi in occurrences {
-                        out[qi] = Some(Ok((Arc::clone(c), Arc::clone(&merged))));
+                // Complete results go to the store, where later requests
+                // reuse them (across appends too, but for the tail).
+                let mut store = self.shard_rows.lock().unwrap();
+                for ((si, members), rows) in work.iter().zip(evaluated) {
+                    for (&w, rows) in members.iter().zip(rows) {
+                        let entry = ShardRows {
+                            rows: Arc::new(rows),
+                            ckpt: None,
+                        };
+                        let key = (wanted[w].1.normalized.clone(), *si as u16);
+                        self.admit(&mut store, key, shards[*si].build_id(), &entry);
+                        parts[w][*si] = Some(entry.rows);
                     }
                 }
+            }
+        }
+        for ((slots, c), parts) in wanted.iter().zip(&parts) {
+            if out[slots[0]].is_some() {
+                continue; // aborted
+            }
+            // The rows of a lone live shard are served as stored.
+            let mut live = parts.iter().flatten();
+            let rows = match (live.next(), live.next()) {
+                (Some(only), None) => Arc::clone(only),
+                _ => {
+                    let slices: Vec<&[_]> = parts.iter().flatten().map(|p| &p[..]).collect();
+                    Arc::new(slices.concat())
+                }
+            };
+            for &qi in slots {
+                out[qi] = Some(Ok((Arc::clone(c), Arc::clone(&rows))));
             }
         }
         out.into_iter()
             .map(|r| r.expect("all slots filled"))
-            .collect()
-    }
-
-    /// Evaluate a miss set on one shard through the build-id-scoped
-    /// per-shard row store: members answered by symbol-presence
-    /// pruning or a complete cached result — from an earlier request,
-    /// or an [`Service::eval_page`] sweep that exhausted the shard —
-    /// drop out first (and stay reusable across
-    /// [`Service::append_ptb`] for every shard but the rebuilt tail);
-    /// the remainder go through [`Shard::eval_multi`] together so
-    /// plans opening the same anchor share one enumeration.
-    fn eval_one_shard(
-        &self,
-        shard: &Shard,
-        si: u16,
-        members: &[Arc<CompiledQuery>],
-    ) -> Vec<Arc<ResultSet>> {
-        let build = shard.build_id();
-        let mut out: Vec<Option<Arc<ResultSet>>> = vec![None; members.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        let (mut pruned, mut hits) = (0u64, 0u64);
-        {
-            // One per-shard cache lock round for the whole member set,
-            // probing through a reused key buffer.
-            let mut shard_rows = self.shard_rows.lock().unwrap();
-            let mut probe: cache::Key = (String::new(), si);
-            for (i, c) in members.iter().enumerate() {
-                if !shard.may_match(&c.required) {
-                    pruned += 1;
-                    out[i] = Some(Arc::new(Vec::new()));
-                    continue;
-                }
-                probe.0.clear();
-                probe.0.push_str(&c.normalized);
-                if let Some(hit) = shard_rows.complete(&probe, build) {
-                    hits += 1;
-                    out[i] = Some(hit);
-                    continue;
-                }
-                pending.push(i);
-            }
-        }
-        self.counters.shards_pruned.add(pruned);
-        self.counters.result_hits.add(hits);
-        if !pending.is_empty() {
-            self.counters.shard_evals.add(pending.len() as u64);
-            let refs: Vec<&CompiledQuery> = pending.iter().map(|&i| members[i].as_ref()).collect();
-            let (rows, stats) = shard.eval_multi(&refs);
-            self.counters.multi_shared_scans.add(stats.shared_scans);
-            self.counters.multi_residual_evals.add(stats.residual_evals);
-            for (&i, rows) in pending.iter().zip(rows) {
-                let entry = ShardRows {
-                    rows: Arc::new(rows),
-                    ckpt: None,
-                };
-                let key = (members[i].normalized.clone(), si);
-                self.admit(&mut self.shard_rows.lock().unwrap(), key, build, &entry);
-                out[i] = Some(entry.rows);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("all members resolved"))
             .collect()
     }
 
@@ -728,7 +694,7 @@ impl Service {
         self.multi_abort.store(true, Ordering::SeqCst);
     }
 
-    /// Offer `value` to a result cache and record the verdict: an
+    /// Offer `value` to a store and record the verdict: an
     /// insert the size/heat-aware policy rejected (full cache, every
     /// victim pinned-hot) bumps `admission_rejects`. A capacity of
     /// zero means the cache is deliberately disabled — not an
@@ -749,17 +715,17 @@ impl Service {
     // Counting
     // -----------------------------------------------------------------
 
-    /// Result size of `query` (the paper's reported measure). Served
-    /// from the count cache when possible; a miss counts shard by
-    /// shard through a **per-shard count cache** scoped to each
-    /// shard's build id — after an [`Service::append_ptb`] only the
-    /// rebuilt tail shard is recounted, every other shard's count is
-    /// reused. The relational path counts through the streaming
-    /// cursor without materializing a match set (walker-fallback
-    /// queries still materialize per shard), and nothing is evicted
-    /// from the (separate) result cache to make room. Counting over
-    /// trees is far cheaper than enumerating (Bárcenas et al., *On
-    /// the Count of Trees*); this path exploits exactly that gap.
+    /// Result size of `query` (the paper's reported measure): the sum
+    /// of per-shard counts held in a **per-shard count store** scoped
+    /// to each shard's build id — after an [`Service::append_ptb`]
+    /// only the rebuilt tail shard is recounted, every other shard's
+    /// count is reused. The relational path counts through the
+    /// streaming cursor without materializing a match set
+    /// (walker-fallback queries still materialize per shard), and
+    /// nothing is evicted from the (separate) row store to make room.
+    /// Counting over trees is far cheaper than enumerating (Bárcenas
+    /// et al., *On the Count of Trees*); this path exploits exactly
+    /// that gap.
     pub fn count(&self, query: &str) -> Result<usize, ServiceError> {
         self.solo(Some(Class::Count), query, 0, |req, compiled| {
             Ok(self.count_whole(req, compiled))
@@ -769,76 +735,92 @@ impl Service {
     /// The whole-corpus count behind [`Service::count`] and
     /// [`Service::count_token`]'s stale recovery.
     pub(crate) fn count_whole(&self, req: &mut Request, compiled: &CompiledQuery) -> usize {
-        let key = (compiled.normalized.clone(), WHOLE_CORPUS);
-        let tally = (&self.counters.count_hits, &self.counters.count_misses);
-        let rows = |key: &cache::Key| self.results.lock().unwrap().get(key, req.generation);
-        self.count_through(&self.counts, key, req.generation, tally, rows, || {
-            req.hit = false;
-            req.fanout = req.shards.len();
-            fan_out(self.threads, req.shards.len(), |si| {
-                self.count_one_shard(&req.shards[si], si as u16, compiled)
-            })
-            .iter()
-            .sum()
-        })
-    }
-
-    /// A count through one level of the cache hierarchy: the count
-    /// cache answers; else a cached (complete) result set of the same
-    /// key and stamp does, for free — `rows` looks it up, its length is
-    /// the count; else `compute` does. Either way the count cache
-    /// remembers. `tally` is that level's (hits, misses) counter pair.
-    fn count_through(
-        &self,
-        counts: &Mutex<CountCache>,
-        key: cache::Key,
-        stamp: u64,
-        (hits, misses): (&lpath_obs::Counter, &lpath_obs::Counter),
-        rows: impl FnOnce(&cache::Key) -> Option<Arc<ResultSet>>,
-        compute: impl FnOnce() -> usize,
-    ) -> usize {
-        if let Some(n) = counts.lock().unwrap().get(&key, stamp) {
-            hits.bump();
-            return n;
-        }
-        misses.bump();
-        let n = match rows(&key) {
-            Some(rows) => {
-                self.counters.result_hits.bump();
-                rows.len()
-            }
-            None => compute(),
-        };
-        counts.lock().unwrap().insert(key, stamp, n);
+        let shards = self.unpruned(compiled, ids(&req.shards));
+        let (n, computed) = self.count_shards(compiled, &shards);
+        req.hit &= computed == 0;
+        req.fanout += computed;
         n
     }
 
-    /// One shard's count, served from the build-id-scoped per-shard
-    /// count cache when its content has not changed since it was
-    /// computed — or from a complete per-shard *result* (e.g. one an
-    /// [`Service::eval_page`] sweep finished), whose length is the count.
-    fn count_one_shard(&self, shard: &Shard, si: u16, compiled: &CompiledQuery) -> usize {
-        if !shard.may_match(&compiled.required) {
-            self.counters.shards_pruned.bump();
-            return 0;
-        }
-        // Aggregate-table fast path: a tabulated query shape is a
-        // hash lookup per shard — cheaper than the cache probes it
-        // replaces, so it sits in front of them.
+    /// The sum of `compiled`'s counts on (unpruned) `shards`, and how
+    /// many shards were counted rather than read. Each goes through one
+    /// chain: the aggregate tables (a hash lookup, cheaper than the
+    /// probes it replaces); the count store; a complete row-store
+    /// entry, whose length is the count; and only then the counting
+    /// cursor, fanned out over the shards that reach it. What the count
+    /// store missed it remembers.
+    fn count_shards(&self, compiled: &CompiledQuery, shards: &[(u16, &Shard)]) -> (usize, usize) {
         if let Some(fast) = &compiled.fast {
-            self.counters.count_fast.bump();
-            let n = shard.agg().count(fast, shard.corpus().interner());
-            return usize::try_from(n).unwrap_or(usize::MAX);
+            self.counters.count_fast.add(shards.len() as u64);
+            let tabulated = |(_, s): &(u16, &Shard)| s.agg().count(fast, s.corpus().interner());
+            let n: u64 = shards.iter().map(tabulated).sum();
+            return (usize::try_from(n).unwrap_or(usize::MAX), shards.len());
         }
-        let key = (compiled.normalized.clone(), si);
+        // `(count, learned)`: learned counts are new to the count store.
+        let rows = |e: ShardRows| e.ckpt.is_none().then(|| (e.rows.len(), true));
+        let mut n = self.known(compiled, shards, |n| (n, false), rows);
+        let uncounted: Vec<usize> = (0..shards.len()).filter(|&i| n[i].is_none()).collect();
+        if !uncounted.is_empty() {
+            let counted = fan_out(self.threads, uncounted.len(), |t| {
+                self.counters.shard_evals.bump();
+                shards[uncounted[t]].1.count(compiled)
+            });
+            for (&i, k) in uncounted.iter().zip(counted) {
+                n[i] = Some((k, true));
+            }
+        }
+        let mut store = None;
+        for (&(si, shard), &(k, learned)) in shards.iter().zip(n.iter().flatten()) {
+            if learned {
+                let store = store.get_or_insert_with(|| self.shard_counts.lock().unwrap());
+                store.insert((compiled.normalized.clone(), si), shard.build_id(), k);
+            }
+        }
+        (n.iter().flatten().map(|&(k, _)| k).sum(), uncounted.len())
+    }
+
+    /// What the stores know of `compiled` on each of `shards`: the
+    /// count store, read through `count`, then — where it misses — the
+    /// row store, read through `rows`. Each store is locked once (the
+    /// count store first), and every probe is one hit or one miss.
+    fn known<T>(
+        &self,
+        compiled: &CompiledQuery,
+        shards: &[(u16, &Shard)],
+        count: impl Fn(usize) -> T,
+        rows: impl Fn(ShardRows) -> Option<T>,
+    ) -> Vec<Option<T>> {
         let c = &self.counters;
-        let tally = (&c.shard_count_hits, &c.shard_count_misses);
-        let build = shard.build_id();
-        let rows = |key: &cache::Key| self.shard_rows.lock().unwrap().complete(key, build);
-        self.count_through(&self.shard_counts, key, build, tally, rows, || {
-            c.shard_evals.bump();
-            shard.count(compiled)
-        })
+        let mut key: cache::Key = (compiled.normalized.clone(), 0);
+        let mut counts = self.shard_counts.lock().unwrap();
+        let mut row_store = None;
+        let read = |&(si, shard): &(u16, &Shard)| {
+            key.1 = si;
+            if let Some(n) = counts.get(&key, shard.build_id()) {
+                c.count_hits.bump();
+                return Some(count(n));
+            }
+            c.count_misses.bump();
+            let store = row_store.get_or_insert_with(|| self.shard_rows.lock().unwrap());
+            let found = store.get(&key, shard.build_id()).and_then(&rows);
+            c.result_hits.add(u64::from(found.is_some()));
+            c.result_misses.add(u64::from(found.is_none()));
+            found
+        };
+        shards.iter().map(read).collect()
+    }
+
+    /// `shards` less those symbol-presence pruning rules out for
+    /// `compiled` (counted in `shards_pruned`), each beside its id.
+    fn unpruned<'s>(
+        &self,
+        compiled: &CompiledQuery,
+        shards: impl IntoIterator<Item = (u16, &'s Shard)>,
+    ) -> Vec<(u16, &'s Shard)> {
+        let may_match = |(_, s): &(u16, &Shard)| s.may_match(&compiled.required);
+        let (live, pruned): (Vec<_>, Vec<_>) = shards.into_iter().partition(may_match);
+        self.counters.shards_pruned.add(pruned.len() as u64);
+        live
     }
 
     /// Resume (or begin) a budgeted count sweep: up to roughly
@@ -872,7 +854,7 @@ impl Service {
     ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
         self.counters.count_resumes.bump();
         self.solo(Some(Class::Count), query, (0, None), |req, compiled| {
-            Ok(self.count_advance(req, compiled, checkpoint.unwrap_or_default(), budget))
+            self.count_advance(req, compiled, checkpoint.unwrap_or_default(), budget)
         })
     }
 
@@ -886,8 +868,8 @@ impl Service {
     /// Single-axis shapes the aggregate tables tabulate per tree
     /// (`//_`, `//TAG`, `/_`, `/TAG`) are answered in O(index) without
     /// visiting a single node ([`ServiceStats::count_fast`] advances
-    /// per shard); everything else aggregates an evaluation served
-    /// through the result caches.
+    /// per shard); everything else aggregates an evaluation built from
+    /// the row store.
     pub fn hist(&self, query: &str) -> Result<QueryHistogram, ServiceError> {
         self.counters.hists.bump();
         let empty = QueryHistogram::default();
@@ -995,32 +977,31 @@ impl Service {
         Some(h)
     }
 
-    /// Does `query` match anywhere in the corpus? A cached count or
-    /// full result set answers immediately; otherwise shards are
-    /// visited in document order and the scan stops at the first
-    /// shard with a witness — within a shard, evaluation itself stops
-    /// at the first match. On selective queries over large corpora
-    /// this is orders of magnitude cheaper than any enumeration.
+    /// Does `query` match anywhere in the corpus? Shards are visited in
+    /// document order, one at a time, and the scan stops at the first
+    /// witness: the aggregate tables answer a tabulated query; else a
+    /// cached count or cached rows (complete, or a non-empty prefix)
+    /// answer for a shard, else its evaluation stops at the first
+    /// match. On selective queries over large corpora this is orders of
+    /// magnitude cheaper than any enumeration.
     pub fn exists(&self, query: &str) -> Result<bool, ServiceError> {
         // Deliberately unclassified: no latency class, no clock reads.
         self.solo(None, query, false, |req, compiled| {
-            let key = (compiled.normalized.clone(), WHOLE_CORPUS);
-            if let Some(n) = self.counts.lock().unwrap().get(&key, req.generation) {
-                self.counters.count_hits.bump();
-                return Ok(n > 0);
-            }
-            if let Some(full) = self.results.lock().unwrap().get(&key, req.generation) {
-                self.counters.result_hits.bump();
-                return Ok(!full.is_empty());
-            }
-            Ok(req.shards.iter().any(|shard| {
-                if !shard.may_match(&compiled.required) {
-                    self.counters.shards_pruned.bump();
-                    return false;
+            // A prefix with rows holds a witness; an empty one knows
+            // nothing yet.
+            let rows =
+                |e: ShardRows| (e.ckpt.is_none() || !e.rows.is_empty()).then(|| !e.rows.is_empty());
+            let witness = |&(si, shard): &(u16, &Shard)| match &compiled.fast {
+                Some(fast) => shard.agg().count(fast, shard.corpus().interner()) > 0,
+                None => {
+                    self.known(compiled, &[(si, shard)], |n| n > 0, rows)[0].unwrap_or_else(|| {
+                        self.counters.shard_evals.bump();
+                        shard.exists(compiled)
+                    })
                 }
-                self.counters.shard_evals.bump();
-                shard.exists(compiled)
-            }))
+            };
+            let shards = self.unpruned(compiled, ids(&req.shards));
+            Ok(shards.iter().any(witness))
         })
     }
 
@@ -1053,7 +1034,7 @@ impl Service {
     ) -> Result<ResultSet, ServiceError> {
         self.counters.pages.bump();
         self.solo(Some(Class::EvalPage), query, Vec::new(), |req, compiled| {
-            Ok(self.page_by_offset(req, compiled, offset, limit))
+            self.page_by_offset(req, compiled, offset, limit)
         })
     }
 
@@ -1090,16 +1071,17 @@ impl Service {
         ));
         self.counters.appends.bump();
         drop(st);
-        // The per-shard count cache survives an append: its entries
-        // are scoped to shard build ids, and only the tail shard got a
-        // new one — head shards keep serving their cached counts,
-        // stale tail entries invalidate themselves on contact.
-        self.invalidate_generation_scoped();
+        // Only the plans (whose static verdicts read the vocabulary)
+        // are generation-scoped. Both stores scope their entries to
+        // shard build ids and only the tail shard got a new one: head
+        // shards keep serving, stale tail entries drop on contact.
+        self.plans.write().unwrap().clear();
         Ok(added)
     }
 
     /// Replace the whole corpus, rebuilding every shard (in parallel
-    /// when worker threads allow) and invalidating both caches.
+    /// when worker threads allow) and clearing the plans and both
+    /// stores.
     pub fn swap_corpus(&self, corpus: &Corpus) {
         let mut st = self.state.write().unwrap();
         st.master = corpus.clone();
@@ -1107,24 +1089,7 @@ impl Service {
         st.shards = build_shards(&st.master, self.cfg.shards, self.threads, st.generation);
         self.counters.swaps.bump();
         drop(st);
-        self.invalidate();
-    }
-
-    /// Drop every generation-scoped cache (plans, multi-shard result
-    /// sets, corpus-level counts). Per-shard counts, results and
-    /// checkpointed prefixes are *not* touched: they scope themselves
-    /// to shard build ids, so entries of untouched shards keep
-    /// serving and entries of the rebuilt tail invalidate themselves
-    /// on contact.
-    fn invalidate_generation_scoped(&self) {
         self.plans.write().unwrap().clear();
-        self.results.lock().unwrap().clear();
-        self.counts.lock().unwrap().clear();
-    }
-
-    /// Drop everything — for swaps, where every shard is rebuilt.
-    fn invalidate(&self) {
-        self.invalidate_generation_scoped();
         self.shard_counts.lock().unwrap().clear();
         self.shard_rows.lock().unwrap().clear();
     }
@@ -1165,15 +1130,12 @@ impl Service {
             plan_cache_entries: self.plans.read().unwrap().len(),
             plan_hits: load(&c.plan_hits),
             plan_misses: load(&c.plan_misses),
-            result_cache_entries: self.results.lock().unwrap().len(),
             shard_result_cache_entries: complete,
             prefix_cache_entries: checkpointed,
             result_hits: load(&c.result_hits),
             result_misses: load(&c.result_misses),
             count_hits: load(&c.count_hits),
             count_misses: load(&c.count_misses),
-            shard_count_hits: load(&c.shard_count_hits),
-            shard_count_misses: load(&c.shard_count_misses),
             count_fast: load(&c.count_fast),
             count_resumes: load(&c.count_resumes),
             hists: load(&c.hists),
@@ -1253,10 +1215,15 @@ fn build_shards(master: &Corpus, k: usize, threads: usize, generation: u64) -> V
     })
 }
 
+/// `shards` beside their ids.
+fn ids(shards: &[Arc<Shard>]) -> impl Iterator<Item = (u16, &Shard)> {
+    (0u16..).zip(shards.iter().map(Arc::as_ref))
+}
+
 /// Run `ntasks` independent tasks across up to `threads` scoped worker
 /// threads (inline when one suffices), returning results in task
-/// order. The single fan-out primitive behind shard builds, per-query
-/// shard evaluation and batch evaluation.
+/// order. The single fan-out primitive behind shard builds and the
+/// shard work of every request path.
 fn fan_out<T, F>(threads: usize, ntasks: usize, task: F) -> Vec<T>
 where
     T: Send,
@@ -1370,17 +1337,29 @@ mod tests {
         let a = svc.eval("//NP").unwrap();
         let b = svc.eval("//NP").unwrap();
         assert_eq!(a, b);
-        assert_eq!(svc.stats().result_hits, 1);
-        assert!(Arc::ptr_eq(&a, &b));
-        // Append invalidates the generation-scoped full set, but the
-        // untouched head shard's build-scoped result survives: the
-        // third eval re-evaluates only the rebuilt tail shard.
+        // One probe per shard: two misses, then two hits.
+        let s = svc.stats();
+        assert_eq!((s.result_misses, s.result_hits), (2, 2));
+        // A lone shard's stored rows are served as they are, and so are
+        // those of the one shard a query is not pruned from.
+        let one = service(1);
+        assert!(Arc::ptr_eq(
+            &one.eval("//NP").unwrap(),
+            &one.eval("//NP").unwrap()
+        ));
+        let two = service(2);
+        let nap = two.eval("//_[@lex=nap]").unwrap();
+        assert!(Arc::ptr_eq(&nap, &two.eval("//_[@lex=nap]").unwrap()));
+        assert_eq!(two.stats().shards_pruned, 2);
+        // Append rebuilds the tail shard, but the untouched head
+        // shard's build-scoped result survives: the third eval
+        // re-evaluates only the rebuilt tail shard.
         svc.append_ptb("( (S (NP (NN bird)) (VP (VBD flew))) )")
             .unwrap();
         let evals = svc.stats().shard_evals;
         let c = svc.eval("//NP").unwrap();
         assert_eq!(c.len(), a.len() + 1);
-        assert_eq!(svc.stats().result_hits, 2, "head shard served from cache");
+        assert_eq!(svc.stats().result_hits, 3, "head shard served from cache");
         assert_eq!(svc.stats().shard_evals, evals + 1, "only the tail re-ran");
     }
 
@@ -1492,16 +1471,16 @@ mod tests {
         );
         let stats = svc.stats();
         // No batch accounting, no sharing machinery — and the second
-        // (solo) eval hit the cache the first populated.
+        // (solo) eval hit the store the first populated, once per shard.
         assert_eq!(stats.batches, 0, "{stats:?}");
         assert_eq!(stats.multi_shared_scans, 0, "{stats:?}");
-        assert_eq!(stats.result_hits, 1, "{stats:?}");
+        assert_eq!(stats.result_hits, 2, "{stats:?}");
     }
 
     #[test]
     fn multi_abort_fault_point_fails_misses_without_cache_writes() {
         let svc = service(2);
-        // A member already in the result cache is immune: it resolves
+        // A member already in the row store is immune: it resolves
         // before the fault point.
         svc.eval("//NP").unwrap();
         svc.inject_multi_abort();
@@ -1509,8 +1488,8 @@ mod tests {
         assert!(multi[0].is_ok(), "cached member survives the abort");
         assert!(matches!(multi[1], Err(ServiceError::Aborted)));
         assert!(matches!(multi[2], Err(ServiceError::Aborted)));
-        let entries = svc.stats().result_cache_entries;
-        assert_eq!(entries, 1, "aborted members wrote nothing");
+        let entries = svc.stats().shard_result_cache_entries;
+        assert_eq!(entries, 2, "aborted members wrote nothing");
         // The fault point is one-shot: the retry succeeds.
         let retry = svc.eval_multi(&["//NP", "//VP", "//DT"]);
         assert!(retry.iter().all(Result::is_ok));
@@ -1534,20 +1513,26 @@ mod tests {
     #[test]
     fn count_uses_the_count_cache_not_the_result_cache() {
         let svc = service(2);
-        assert_eq!(svc.count("//NP").unwrap(), 5);
-        assert_eq!(svc.count("//NP").unwrap(), 5);
+        // Outside the aggregate tables: counted per shard by cursor.
+        assert_eq!(svc.count("//VP//NP").unwrap(), 3);
+        assert_eq!(svc.count("//VP//NP").unwrap(), 3);
         let stats = svc.stats();
-        assert_eq!(stats.count_misses, 1);
-        assert_eq!(stats.count_hits, 1);
-        // Counting never touched the result cache.
-        assert_eq!(stats.result_cache_entries, 0);
+        assert_eq!(stats.count_misses, 2);
+        assert_eq!(stats.count_hits, 2);
+        // Counting never wrote the row store.
+        assert_eq!(stats.shard_result_cache_entries, 0);
         assert_eq!(stats.result_hits, 0);
-        // A full eval feeds later counts too... after invalidation.
-        svc.append_ptb("( (S (NP (NN bird)) (VP (VBD flew))) )")
+        // A full eval feeds later counts too: after an append the
+        // head shard's count survives and the rebuilt tail's is the
+        // length of the rows eval() stored.
+        svc.append_ptb("( (S (NP (NN bird)) (VP (VBD flew) (NP (NN home)))) )")
             .unwrap();
-        svc.eval("//NP").unwrap();
-        assert_eq!(svc.count("//NP").unwrap(), 6);
-        assert_eq!(svc.stats().count_misses, 2);
+        svc.eval("//VP//NP").unwrap();
+        let evals = svc.stats().shard_evals;
+        assert_eq!(svc.count("//VP//NP").unwrap(), 4);
+        let stats = svc.stats();
+        assert_eq!((stats.count_hits, stats.count_misses), (3, 3));
+        assert_eq!(stats.shard_evals, evals);
     }
 
     #[test]
@@ -1569,10 +1554,11 @@ mod tests {
     #[test]
     fn exists_serves_from_the_caches() {
         let svc = service(2);
-        assert_eq!(svc.count("//NP").unwrap(), 5);
+        assert_eq!(svc.count("//VP//NP").unwrap(), 3);
         let evals = svc.stats().shard_evals;
-        assert!(svc.exists("//NP").unwrap());
-        // Answered off the cached count: no new shard work.
+        assert!(svc.exists("//VP//NP").unwrap());
+        // Answered off the first shard's cached count: no new shard
+        // work, and the second shard is not probed.
         assert_eq!(svc.stats().shard_evals, evals);
         assert_eq!(svc.stats().count_hits, 1);
         // A cached full result set answers too.
@@ -1580,6 +1566,22 @@ mod tests {
         let evals = svc.stats().shard_evals;
         assert!(svc.exists("//VBD->NP").unwrap());
         assert_eq!(svc.stats().shard_evals, evals);
+        // A tabulated query is answered by the aggregate tables alone:
+        // no shard work and no store probes.
+        assert!(svc.compile("//NP").unwrap().fast.is_some());
+        assert_eq!(svc.count("//NP").unwrap(), 5);
+        let s = svc.stats();
+        assert!(svc.exists("//NP").unwrap());
+        let t = svc.stats();
+        assert_eq!(t.shard_evals, s.shard_evals);
+        assert_eq!(
+            (t.count_hits, t.count_misses),
+            (s.count_hits, s.count_misses)
+        );
+        assert_eq!(
+            (t.result_hits, t.result_misses),
+            (s.result_hits, s.result_misses)
+        );
     }
 
     #[test]
@@ -1605,7 +1607,6 @@ mod tests {
         // The acceptance bar: zero shard evaluations, zero cache
         // insertions — the verdict answered everything.
         assert_eq!(stats.shard_evals, 0, "{stats:?}");
-        assert_eq!(stats.result_cache_entries, 0, "{stats:?}");
         assert_eq!(stats.shard_result_cache_entries, 0, "{stats:?}");
         assert_eq!(stats.prefix_cache_entries, 0, "{stats:?}");
         assert_eq!(stats.result_misses, 0, "{stats:?}");
@@ -1793,13 +1794,13 @@ mod tests {
     fn append_recounts_only_the_tail_shard() {
         // A descendant chain is outside the aggregate tables'
         // classes, so counting it exercises the per-shard count
-        // cache (the tabulated classes never touch it — see
+        // store (the tabulated classes never touch it — see
         // `fast_counts_bypass_the_count_caches`).
         let svc = service(2);
         assert_eq!(svc.count("//VP//NP").unwrap(), 3);
         let s = svc.stats();
-        assert_eq!(s.shard_count_misses, 2);
-        assert_eq!(s.shard_count_hits, 0);
+        assert_eq!(s.count_misses, 2);
+        assert_eq!(s.count_hits, 0);
         assert_eq!(s.count_fast, 0);
         svc.append_ptb("( (S (NP (NN bird)) (VP (VBD flew) (NP (NN home)))) )")
             .unwrap();
@@ -1807,13 +1808,13 @@ mod tests {
         let s = svc.stats();
         // Head shard served from its build-scoped cache; only the
         // rebuilt tail was recounted.
-        assert_eq!(s.shard_count_hits, 1);
-        assert_eq!(s.shard_count_misses, 3);
+        assert_eq!(s.count_hits, 1);
+        assert_eq!(s.count_misses, 3);
         // A swap rebuilds everything: no stale reuse.
         svc.swap_corpus(&parse_str(SRC).unwrap());
         assert_eq!(svc.count("//VP//NP").unwrap(), 3);
-        assert_eq!(svc.stats().shard_count_hits, 1);
-        assert_eq!(svc.stats().shard_count_misses, 5);
+        assert_eq!(svc.stats().count_hits, 1);
+        assert_eq!(svc.stats().count_misses, 5);
     }
 
     #[test]
@@ -1822,22 +1823,22 @@ mod tests {
         assert_eq!(svc.count("//NP").unwrap(), 5);
         let s = svc.stats();
         // Both shards answered from their aggregate tables: no
-        // per-shard count-cache traffic, no shard evaluation.
+        // count-store traffic, no shard evaluation.
         assert_eq!(s.count_fast, 2);
-        assert_eq!(s.shard_count_misses, 0);
+        assert_eq!(s.count_misses, 0);
         assert_eq!(s.shard_evals, 0);
-        // The corpus-level count cache still serves repeats.
+        // Repeats are answered by the tables again, never a store.
         assert_eq!(svc.count("//NP").unwrap(), 5);
-        assert_eq!(svc.stats().count_fast, 2);
-        assert_eq!(svc.stats().count_hits, 1);
+        assert_eq!(svc.stats().count_fast, 4);
+        assert_eq!(svc.stats().count_hits, 0);
         // After an append the rebuilt tail's tables answer directly:
-        // still no count-cache misses anywhere.
+        // still no count-store misses anywhere.
         svc.append_ptb("( (S (NP (NN bird)) (VP (VBD flew))) )")
             .unwrap();
         assert_eq!(svc.count("//NP").unwrap(), 6);
         let s = svc.stats();
-        assert_eq!(s.count_fast, 4);
-        assert_eq!(s.shard_count_misses, 0);
+        assert_eq!(s.count_fast, 6);
+        assert_eq!(s.count_misses, 0);
         assert_eq!(s.shard_evals, 0);
     }
 
@@ -1888,9 +1889,9 @@ mod tests {
     fn latencies_attribute_hits_and_misses_per_class() {
         let svc = traced_service(2);
         svc.eval("//NP").unwrap(); // miss
-        svc.eval("//NP").unwrap(); // result-cache hit
-        svc.count("//VP").unwrap(); // miss
-        svc.count("//VP").unwrap(); // count-cache hit
+        svc.eval("//NP").unwrap(); // row-store hits
+        svc.count("//VP//NP").unwrap(); // miss
+        svc.count("//VP//NP").unwrap(); // count-store hits
         svc.eval_multi(&["//DT", "//DT"]); // one miss + one dedup = batch miss
         svc.eval_multi(&["//DT", "//NP"]); // all cached = batch hit
         let m = svc.metrics();

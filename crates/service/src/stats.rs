@@ -21,8 +21,6 @@ pub(crate) struct Counters {
     pub result_misses: Counter,
     pub count_hits: Counter,
     pub count_misses: Counter,
-    pub shard_count_hits: Counter,
-    pub shard_count_misses: Counter,
     pub count_fast: Counter,
     pub count_resumes: Counter,
     pub hists: Counter,
@@ -335,29 +333,20 @@ pub struct ServiceStats {
     pub plan_hits: u64,
     /// Plan-cache misses (compilations performed).
     pub plan_misses: u64,
-    /// Entries currently in the (generation-scoped, multi-shard)
-    /// result cache.
-    pub result_cache_entries: usize,
     /// *Complete* entries (whole per-shard match sets) currently in
     /// the build-id-scoped per-shard row store.
     pub shard_result_cache_entries: usize,
     /// Entries of the same store still carrying a checkpoint
     /// (extendable per-shard prefixes).
     pub prefix_cache_entries: usize,
-    /// Result-cache hits.
+    /// Row-store probes answered, one per `(query, shard)` pair asked.
     pub result_hits: u64,
-    /// Result-cache misses (evaluations performed).
+    /// Row-store probes the store could not answer.
     pub result_misses: u64,
-    /// Count-cache hits (counts served without any evaluation).
+    /// Count-store probes answered, one per `(query, shard)` pair asked.
     pub count_hits: u64,
-    /// Count-cache misses (counts actually computed).
+    /// Count-store probes the store could not answer.
     pub count_misses: u64,
-    /// Per-shard count-cache hits: shard counts reused on a corpus-
-    /// level count miss. After an append, every shard but the rebuilt
-    /// tail serves its count from here.
-    pub shard_count_hits: u64,
-    /// Per-shard count-cache misses: shard counts actually recomputed.
-    pub shard_count_misses: u64,
     /// Per-shard counts (and fast histograms) answered from the
     /// aggregate tables in O(index lookup): no cache probe, no cursor,
     /// no walker, no materialization.
@@ -442,12 +431,12 @@ impl ServiceStats {
         rate(self.plan_hits, self.plan_misses)
     }
 
-    /// Fraction of evaluations avoided by the result cache.
+    /// Fraction of row-store probes the store answered.
     pub fn result_hit_rate(&self) -> f64 {
         rate(self.result_hits, self.result_misses)
     }
 
-    /// Fraction of count computations avoided by the count cache.
+    /// Fraction of count-store probes the store answered.
     pub fn count_hit_rate(&self) -> f64 {
         rate(self.count_hits, self.count_misses)
     }
@@ -486,15 +475,12 @@ mod tests {
             plan_cache_entries: 0,
             plan_hits: 0,
             plan_misses: 0,
-            result_cache_entries: 0,
             shard_result_cache_entries: 0,
             prefix_cache_entries: 0,
             result_hits: 3,
             result_misses: 1,
             count_hits: 0,
             count_misses: 0,
-            shard_count_hits: 0,
-            shard_count_misses: 0,
             count_fast: 0,
             count_resumes: 0,
             hists: 0,

@@ -25,9 +25,11 @@
 
 use std::sync::Arc;
 
+use lpath_relstore::wire::WireError::Malformed;
+
 use crate::cache::ShardRows;
 use crate::shard::{Shard, ShardCheckpoint, ShardCountCheckpoint};
-use crate::{CompiledQuery, Request, ResultSet, Service};
+use crate::{CompiledQuery, Request, ResultSet, Service, ServiceError};
 
 /// Where a sweep is parked. The default is the start of the corpus.
 /// [`Service::count_resume`] hands these out directly
@@ -76,6 +78,8 @@ impl Service {
     /// the shard, its index, the progress within it, its checkpoint
     /// and the budget left; it answers how much it produced, the
     /// checkpoint the shard is parked on (`None`: exhausted), and how.
+    /// A token-borne position that advancing would overflow is a
+    /// counted [`ServiceError::BadToken`].
     fn sweep<C>(
         &self,
         req: &mut Request,
@@ -83,7 +87,7 @@ impl Service {
         mut at: SweepPos<C>,
         budget: usize,
         mut step: impl FnMut(&Shard, u16, u64, Option<C>, usize) -> (u64, Option<C>, Did),
-    ) -> (u64, Option<SweepPos<C>>) {
+    ) -> Result<(u64, Option<SweepPos<C>>), ServiceError> {
         let mut produced = 0u64;
         while (at.shard as usize) < req.shards.len() && produced < budget as u64 {
             let shard = &req.shards[at.shard as usize];
@@ -107,7 +111,9 @@ impl Service {
                 Did::Stale => self.counters.stale_checkpoints.bump(),
             }
             produced += n;
-            at.within += n;
+            let within = at.within.checked_add(n);
+            at.within =
+                within.ok_or_else(|| self.bad_token(Malformed("token position overflows")))?;
             at.ckpt = next;
             if at.ckpt.is_some() {
                 // A shard parks only on a spent budget.
@@ -117,7 +123,7 @@ impl Service {
             at.within = 0;
         }
         let parked = (at.shard as usize) < req.shards.len();
-        (produced, parked.then_some(at))
+        Ok((produced, parked.then_some(at)))
     }
 
     /// Continue a positioned page sweep: resume the suspended shard (or
@@ -129,9 +135,9 @@ impl Service {
         compiled: &CompiledQuery,
         pos: SweepPos<ShardCheckpoint>,
         limit: usize,
-    ) -> (ResultSet, Option<SweepPos<ShardCheckpoint>>) {
+    ) -> Result<(ResultSet, Option<SweepPos<ShardCheckpoint>>), ServiceError> {
         let mut acc: ResultSet = Vec::new();
-        let (_, parked) = self.sweep(req, compiled, pos, limit, |shard, _, within, ckpt, room| {
+        let swept = self.sweep(req, compiled, pos, limit, |shard, _, within, ckpt, room| {
             let did = ckpt.as_ref().map_or(Did::Started, |_| Did::Resumed);
             let (rows, next, did) = match shard.eval_resume(compiled, ckpt, room) {
                 Ok((rows, next)) => (rows, next, did),
@@ -150,7 +156,7 @@ impl Service {
             acc.extend(rows);
             (n, next, did)
         });
-        (acc, parked)
+        Ok((acc, swept?.1))
     }
 
     /// The shared engine of [`Service::count_resume`] and the token
@@ -163,7 +169,7 @@ impl Service {
         compiled: &CompiledQuery,
         pos: CountCheckpoint,
         budget: usize,
-    ) -> (u64, Option<CountCheckpoint>) {
+    ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
         self.sweep(
             req,
             compiled,
@@ -182,12 +188,13 @@ impl Service {
                     // The corpus changed between calls and this shard's
                     // suspended position indexes content that is gone.
                     // Recover by offset: count the current content in full
-                    // (cheap — the per-shard count cache or aggregate
-                    // tables usually answer) and report only what the
-                    // sweep has not yet seen.
+                    // (cheap — the count store or aggregate tables
+                    // usually answer) and report only what the sweep has
+                    // not yet seen.
                     Err(_) => {
-                        let full = self.count_one_shard(shard, si, compiled) as u64;
-                        (full.saturating_sub(within), None, Did::Stale)
+                        let (full, _) =
+                            self.count_shards(compiled, &self.unpruned(compiled, [(si, shard)]));
+                        ((full as u64).saturating_sub(within), None, Did::Stale)
                     }
                 }
             },
@@ -204,15 +211,9 @@ impl Service {
         compiled: &CompiledQuery,
         offset: usize,
         limit: usize,
-    ) -> ResultSet {
+    ) -> Result<ResultSet, ServiceError> {
         if limit == 0 {
-            return Vec::new();
-        }
-        // Fast path: the full result set is already cached.
-        let full_key = (compiled.normalized.clone(), crate::cache::WHOLE_CORPUS);
-        if let Some(full) = self.results.lock().unwrap().get(&full_key, req.generation) {
-            self.counters.result_hits.bump();
-            return full.iter().skip(offset).take(limit).copied().collect();
+            return Ok(Vec::new());
         }
         let need = offset.saturating_add(limit);
         let mut acc: ResultSet = Vec::new();
@@ -223,13 +224,13 @@ impl Service {
             let taken = entry.rows.len().min(room);
             acc.extend_from_slice(&entry.rows[..taken]);
             (taken as u64, entry.ckpt, did)
-        });
+        })?;
         if let Some(at) = parked {
             // The page filled before these shards were reached.
             let unvisited = req.shards.len() - at.shard as usize - usize::from(at.ckpt.is_some());
             self.counters.page_shards_skipped.add(unvisited as u64);
         }
-        acc.split_off(offset.min(acc.len()))
+        Ok(acc.split_off(offset.min(acc.len())))
     }
 
     /// One shard's rows to a depth of at least `depth` (or complete),
@@ -256,10 +257,12 @@ impl Service {
                 return (entry, Did::Cached);
             }
             Some(entry) if entry.rows.len() >= depth => {
+                self.counters.result_hits.bump();
                 self.counters.page_prefix_hits.bump();
                 return (entry, Did::Cached);
             }
             Some(entry) => {
+                self.counters.result_misses.bump();
                 // Take the observed entry back out of the cache (only
                 // it — a deeper prefix a concurrent sweep just
                 // installed must survive): both `Arc`s are then unique

@@ -58,6 +58,7 @@ use std::sync::Arc;
 
 use lpath_core::QueryCheckpoint;
 use lpath_relstore::wire;
+use lpath_relstore::wire::WireError::Malformed;
 
 use crate::plan::CompiledQuery;
 use crate::shard::{Checkpoint, CheckpointDecodeError, Payload, Shard};
@@ -177,7 +178,7 @@ impl Service {
             // offset-only continuation.
             let (rows, next) = match pos {
                 Some(pos) => {
-                    let (rows, parked) = self.page_positioned(req, compiled, pos, limit);
+                    let (rows, parked) = self.page_positioned(req, compiled, pos, limit)?;
                     (rows, parked.map(Some))
                 }
                 // Stale-token recovery: serve the page by global offset
@@ -190,16 +191,17 @@ impl Service {
                 // the offset contract requires.
                 None => {
                     let offset = usize::try_from(emitted).unwrap_or(usize::MAX);
-                    let rows = self.page_by_offset(req, compiled, offset, limit);
+                    let rows = self.page_by_offset(req, compiled, offset, limit)?;
                     // Coming back short proves the sweep is complete.
                     let more = rows.len() == limit;
                     (rows, more.then_some(None))
                 }
             };
-            let token = next.map(|pos| {
-                let emitted = emitted + rows.len() as u64;
-                self.mint(TOKEN_VERSION, compiled, &req.shards, emitted, pos.as_ref())
-            });
+            let emitted = emitted
+                .checked_add(rows.len() as u64)
+                .ok_or_else(|| self.bad_token(Malformed("token progress overflows")))?;
+            let token = next
+                .map(|pos| self.mint(TOKEN_VERSION, compiled, &req.shards, emitted, pos.as_ref()));
             Ok(Page { rows, token })
         })
     }
@@ -271,7 +273,7 @@ impl Service {
     /// A stale token (the corpus changed mid-sweep) is not an error:
     /// the parked position indexes content that is gone, so the sweep
     /// finishes by recounting current content outright — cheap, since
-    /// the count caches and aggregate tables answer — and returns a
+    /// the count store and aggregate tables answer — and returns a
     /// final page ([`ServiceStats::stale_checkpoints`] advances).
     ///
     /// # Errors
@@ -302,8 +304,10 @@ impl Service {
             let Some(pos) = pos else {
                 return Ok(page(self.count_whole(req, compiled) as u64, None));
             };
-            let (n, next) = self.count_advance(req, compiled, pos, budget);
-            let so_far = prior + n;
+            let (n, next) = self.count_advance(req, compiled, pos, budget)?;
+            let so_far = prior
+                .checked_add(n)
+                .ok_or_else(|| self.bad_token(Malformed("token progress overflows")))?;
             let token = next.map(|pos| {
                 self.mint(
                     COUNT_TOKEN_VERSION,
@@ -334,7 +338,7 @@ impl Service {
         compiled: &CompiledQuery,
         shards: &[Arc<Shard>],
     ) -> Result<TokenState<P>, ServiceError> {
-        use wire::WireError::{Checksum, Malformed, Truncated, Version};
+        use wire::WireError::{Checksum, Truncated, Version};
         let stale = |progress: u64| {
             self.counters.stale_checkpoints.bump();
             Ok((progress, None))
@@ -368,6 +372,11 @@ impl Service {
                 0 => {
                     let shard = r.u16()?;
                     let within = r.u64()?;
+                    // Progress within a shard is part of the progress
+                    // overall: a position beyond it was forged.
+                    if within > progress {
+                        return Err(Malformed("token position beyond its progress"));
+                    }
                     let has_ckpt = r.bool()?;
                     if !fresh {
                         return stale(progress);
@@ -394,10 +403,14 @@ impl Service {
             }
             Ok((progress, pos))
         };
-        open().map_err(|e| {
-            self.counters.tokens_rejected.bump();
-            ServiceError::BadToken(e)
-        })
+        open().map_err(|e| self.bad_token(e))
+    }
+
+    /// Reject a token: counted in [`ServiceStats::tokens_rejected`],
+    /// typed as [`ServiceError::BadToken`].
+    pub(crate) fn bad_token(&self, e: wire::WireError) -> ServiceError {
+        self.counters.tokens_rejected.bump();
+        ServiceError::BadToken(e)
     }
 }
 

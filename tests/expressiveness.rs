@@ -85,7 +85,10 @@ fn expr_pairs(tree: &Tree, expr: &PathExpr) -> Vec<(u32, u32)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::cases_or_env(48),
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn conditional_xpath_equals_lpath_immediates(corpus in arb_corpus()) {

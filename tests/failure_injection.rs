@@ -10,7 +10,10 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::cases_or_env(256),
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn ptb_parser_never_panics(input in "\\PC{0,80}") {
@@ -216,8 +219,8 @@ fn append_recounts_only_the_tail_shard_and_invalidates_stale_counts() {
     // Three shards over six trees, every shard containing an NP so no
     // count is pruned away. `//S//NP` is deliberately *not* aggregate-
     // tabulated (grandparent axis), so counting goes through the
-    // per-shard counting cursor and its generation-scoped cache —
-    // the paths this test is about.
+    // per-shard counting cursor and the count store — the paths this
+    // test is about.
     let src: String = (0..6)
         .map(|i| format!("( (S (NP (NN w{i})) (VP (VBD ran))) )\n"))
         .collect();
@@ -232,18 +235,27 @@ fn append_recounts_only_the_tail_shard_and_invalidates_stale_counts() {
     );
     assert_eq!(svc.count("//S//NP").unwrap(), 6);
     let s = svc.stats();
-    assert_eq!((s.shard_count_misses, s.shard_count_hits), (3, 0));
+    assert_eq!((s.count_misses, s.count_hits), (3, 0));
 
-    // Append one tree: the corpus-level count entry is generation-
-    // invalidated, but of the per-shard counts only the rebuilt tail's
-    // is stale — exactly one shard is recounted.
+    // Append one tree: of the per-shard counts only the rebuilt tail's
+    // is stale. `exists` finds its witness in the first shard's
+    // surviving count instead of evaluating it, and probes no further
+    // (one hit).
     svc.append_ptb("( (S (NP (NN extra)) (VP (VBD sat))) )")
         .unwrap();
+    let evals = svc.stats().shard_evals;
+    assert!(svc.exists("//S//NP").unwrap());
+    assert_eq!(
+        svc.stats().shard_evals,
+        evals,
+        "exists evaluated a cached shard"
+    );
+    // Exactly one shard is recounted.
     assert_eq!(svc.count("//S//NP").unwrap(), 7);
     let s = svc.stats();
     assert_eq!(
-        (s.shard_count_misses, s.shard_count_hits),
-        (4, 2),
+        (s.count_misses, s.count_hits),
+        (4, 3),
         "only the tail may recount: {s:?}"
     );
 
@@ -251,13 +263,41 @@ fn append_recounts_only_the_tail_shard_and_invalidates_stale_counts() {
     assert!(svc.append_ptb("( (S (NP broken").is_err());
     assert_eq!(svc.count("//S//NP").unwrap(), 7);
     let s = svc.stats();
-    assert_eq!(s.shard_count_misses, 4, "failed append recounted: {s:?}");
+    assert_eq!(s.count_misses, 4, "failed append recounted: {s:?}");
 
     // A swap rebuilds every shard: every per-shard count is stale.
     svc.swap_corpus(&corpus);
     assert_eq!(svc.count("//S//NP").unwrap(), 6);
     let s = svc.stats();
-    assert_eq!((s.shard_count_misses, s.shard_count_hits), (7, 2));
+    assert_eq!((s.count_misses, s.count_hits), (7, 6));
+
+    // Fully cached multi-shard answers do no shard work, miss nothing,
+    // and are sampled as hits.
+    svc.eval("//S//NP").unwrap();
+    let hit_samples = |class: &str| {
+        let m = svc.metrics();
+        m.classes
+            .iter()
+            .find(|c| c.class == class)
+            .unwrap()
+            .hits
+            .count
+    };
+    let (before, evals, counts) = (svc.stats(), hit_samples("eval"), hit_samples("count"));
+    assert_eq!(svc.eval("//S//NP").unwrap().len(), 6);
+    assert_eq!(svc.count("//S//NP").unwrap(), 6);
+    let s = svc.stats();
+    assert_eq!(
+        (s.shard_evals, s.result_misses, s.count_misses),
+        (
+            before.shard_evals,
+            before.result_misses,
+            before.count_misses
+        ),
+        "cached answers did shard work: {s:?}"
+    );
+    assert_eq!(hit_samples("eval"), evals + 1);
+    assert_eq!(hit_samples("count"), counts + 1);
 }
 
 #[test]
@@ -299,7 +339,7 @@ fn batch_abort_fault_point_fails_cleanly_and_retries() {
     );
     // Pre-cache one member: already-answered members survive an abort.
     let cached = svc.eval("//NP").unwrap();
-    let entries_before = svc.stats().result_cache_entries;
+    let entries_before = svc.stats().shard_result_cache_entries;
 
     svc.inject_multi_abort();
     let texts = ["//NP", "//VP", "//VBD->NP"];
@@ -317,7 +357,7 @@ fn batch_abort_fault_point_fails_cleanly_and_retries() {
         );
     }
     assert_eq!(
-        svc.stats().result_cache_entries,
+        svc.stats().shard_result_cache_entries,
         entries_before,
         "an aborted batch must not write caches"
     );

@@ -194,7 +194,7 @@ proptest! {
         prop_assert_eq!(svc.count(q).unwrap() as u64, reference, "fast count on {}", q);
         let stats = svc.stats();
         prop_assert_eq!(stats.shard_evals, 0, "no evaluation ran on {}", q);
-        prop_assert_eq!(stats.shard_count_misses, 0, "no counting cursor ran on {}", q);
+        prop_assert_eq!(stats.count_misses, 0, "no counting cursor ran on {}", q);
         // Every shard was answered from the tables or pruned outright
         // (a shard missing a required symbol is skipped before the
         // tables are consulted); statically-empty queries skip both.

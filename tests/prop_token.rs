@@ -148,6 +148,24 @@ where
     Ok(())
 }
 
+/// Byte offsets into a token (see `lpath_service::token`): `ver` u16,
+/// `query_fp` u64 and `corpus_stamp` u64 precede `progress`; a page
+/// token's `mode` byte, then `shard` u16, precede `within`.
+const PROGRESS: usize = 18;
+const PAGE_WITHIN: usize = 29;
+const COUNT_WITHIN: usize = 28;
+
+/// Overwrite the little-endian `u64` at byte `at` of a token and
+/// re-seal it: the checksum is unkeyed, so any client can.
+fn reseal(token: &str, at: usize, value: u64) -> String {
+    let mut bytes = wire::b64_decode(token).unwrap();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let body_len = bytes.len() - 8;
+    let sum = wire::fnv1a(&bytes[..body_len]);
+    bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+    wire::b64_encode(&bytes)
+}
+
 fn service_over(corpus: &Corpus, shards: usize) -> Service {
     Service::with_config(
         corpus,
@@ -279,6 +297,23 @@ proptest! {
         for cut in 0..token.len() {
             let _ = svc.eval_page_token(q, Some(&token[..cut]), 3);
         }
+
+        // Re-sealed forgeries: `progress` at `u64::MAX` overflows as
+        // soon as the page serves a row, and a `within` beyond the
+        // progress is refused on sight — typed rejections, never a
+        // panic or a wrapped offset.
+        match svc.eval_page_token(q, Some(&reseal(&token, PROGRESS, u64::MAX)), 3) {
+            Err(ServiceError::BadToken(_)) => prop_assert!(!reference.rows.is_empty()),
+            Ok(page) => prop_assert!(page.rows.is_empty() && reference.rows.is_empty()),
+            Err(other) => {
+                return Err(TestCaseError::fail(format!("unexpected error class: {other}")))
+            }
+        }
+        let far = reseal(&token, PAGE_WITHIN, u64::MAX);
+        prop_assert!(
+            matches!(svc.eval_page_token(q, Some(&far), 3), Err(ServiceError::BadToken(_))),
+            "page position beyond its progress accepted on {}", q
+        );
     }
 
     /// The same hostile-bytes discipline for **count** tokens:
@@ -296,7 +331,8 @@ proptest! {
         let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
         let q = POOL[qi];
         let svc = service_over(&corpus, 2);
-        let Some(token) = svc.count_token(q, None, 1).unwrap().token else {
+        let first = svc.count_token(q, None, 1).unwrap();
+        let Some(token) = first.token else {
             return Ok(()); // counted out within the first budget
         };
         let reference = svc.count_token(q, Some(&token), usize::MAX).unwrap();
@@ -326,6 +362,23 @@ proptest! {
         for cut in 0..token.len() {
             let _ = svc.count_token(q, Some(&token[..cut]), 3);
         }
+
+        // Re-sealed forgeries, as for page tokens: a `progress` at
+        // `u64::MAX` overflows once anything more is counted, a
+        // `within` beyond the progress is refused on sight.
+        let rest = reference.so_far - first.so_far;
+        match svc.count_token(q, Some(&reseal(&token, PROGRESS, u64::MAX)), usize::MAX) {
+            Err(ServiceError::BadToken(_)) => prop_assert!(rest > 0),
+            Ok(page) => prop_assert!(rest == 0 && page.so_far == u64::MAX),
+            Err(other) => {
+                return Err(TestCaseError::fail(format!("unexpected error class: {other}")))
+            }
+        }
+        let far = reseal(&token, COUNT_WITHIN, u64::MAX);
+        prop_assert!(
+            matches!(svc.count_token(q, Some(&far), usize::MAX), Err(ServiceError::BadToken(_))),
+            "count position beyond its progress accepted on {}", q
+        );
 
         // Count and paging tokens are version-gated apart: echoing
         // one where the other belongs is a typed rejection, never a
