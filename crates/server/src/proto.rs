@@ -3,6 +3,8 @@
 //! [`lpath_obs::json::escape`]; all parsing goes through the bounded
 //! [`lpath_obs::json::parse`].
 
+use std::fmt::Write as _;
+
 use lpath_model::NodeId;
 use lpath_obs::json::{self, Value};
 use lpath_service::{Service, ServiceError};
@@ -30,13 +32,12 @@ pub(crate) fn handle(svc: &Service, line: &[u8], cfg: &ServerConfig) -> String {
         return error_line(id, CODE_BAD_REQUEST, "missing string field 'method'");
     };
     let params = req.get("params");
-    match dispatch(svc, method, params, cfg) {
-        Ok(result) => {
-            let mut out = String::with_capacity(result.len() + 32);
-            out.push_str("{\"id\": ");
-            push_id(&mut out, id);
-            out.push_str(", \"ok\": true, \"result\": ");
-            out.push_str(&result);
+    // The result renders straight into the response line.
+    let mut out = String::from("{\"id\": ");
+    push_number(&mut out, id);
+    out.push_str(", \"ok\": true, \"result\": ");
+    match dispatch(svc, method, params, cfg, &mut out) {
+        Ok(()) => {
             out.push('}');
             out
         }
@@ -46,40 +47,58 @@ pub(crate) fn handle(svc: &Service, line: &[u8], cfg: &ServerConfig) -> String {
 
 /// Render an error response line (no trailing newline).
 pub(crate) fn error_line(id: Option<u64>, code: &str, message: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\"id\": ");
-    push_id(&mut out, id);
-    out.push_str(&format!(
-        ", \"ok\": false, \"error\": {{\"code\": \"{}\", \"message\": \"{}\"}}}}",
-        json::escape(code),
-        json::escape(message)
-    ));
+    let mut out = String::from("{\"id\": ");
+    push_number(&mut out, id);
+    out.push_str(", \"ok\": false, \"error\": ");
+    push_error(&mut out, code, message);
+    out.push('}');
     out
 }
 
-fn push_id(out: &mut String, id: Option<u64>) {
-    match id {
-        Some(n) => out.push_str(&n.to_string()),
+/// `{"code": …, "message": …}`.
+fn push_error(out: &mut String, code: &str, message: &str) {
+    let (code, message) = (json::escape(code), json::escape(message));
+    let _ = write!(out, "{{\"code\": \"{code}\", \"message\": \"{message}\"}}");
+}
+
+/// A number, or `null`.
+fn push_number(out: &mut String, n: Option<u64>) {
+    match n {
+        Some(n) => {
+            let _ = write!(out, "{n}");
+        }
+        None => out.push_str("null"),
+    }
+}
+
+/// A token field's value: the quoted token, or `null` once the sweep
+/// is complete.
+fn push_token(out: &mut String, token: Option<&str>) {
+    match token {
+        Some(t) => {
+            let _ = write!(out, "\"{}\"", json::escape(t));
+        }
         None => out.push_str("null"),
     }
 }
 
 type MethodError = (&'static str, String);
 
+/// Run `method` and render its result into `out`. (Writing into a
+/// `String` cannot fail, so the `fmt::Result`s are dropped.)
 fn dispatch(
     svc: &Service,
     method: &str,
     params: Option<&Value>,
     cfg: &ServerConfig,
-) -> Result<String, MethodError> {
+    out: &mut String,
+) -> Result<(), MethodError> {
     match method {
         "eval" => {
             let rows = svc.eval(query_param(params)?).map_err(service_error)?;
-            Ok(format!(
-                "{{\"rows\": {}, \"n\": {}}}",
-                rows_json(&rows),
-                rows.len()
-            ))
+            out.push_str("{\"rows\": ");
+            push_rows(out, &rows);
+            let _ = write!(out, ", \"n\": {}}}", rows.len());
         }
         "eval_page" => {
             let query = query_param(params)?;
@@ -91,14 +110,11 @@ fn dispatch(
             let page = svc
                 .eval_page_token(query, token, limit)
                 .map_err(service_error)?;
-            let token_json = page.token.map_or_else(
-                || "null".to_string(),
-                |t| format!("\"{}\"", json::escape(&t)),
-            );
-            Ok(format!(
-                "{{\"rows\": {}, \"token\": {token_json}}}",
-                rows_json(&page.rows)
-            ))
+            out.push_str("{\"rows\": ");
+            push_rows(out, &page.rows);
+            out.push_str(", \"token\": ");
+            push_token(out, page.token.as_deref());
+            out.push('}');
         }
         "eval_multi" => {
             let queries = params
@@ -115,26 +131,25 @@ fn dispatch(
             let results = svc.eval_multi(&texts);
             // Member failures are in-band: one bad query must not
             // discard its siblings' answers.
-            let mut out = String::from("{\"results\": [");
+            out.push_str("{\"results\": [");
             for (i, r) in results.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
                 match r {
-                    Ok(rows) => out.push_str(&format!(
-                        "{{\"ok\": true, \"rows\": {}, \"n\": {}}}",
-                        rows_json(rows),
-                        rows.len()
-                    )),
-                    Err(e) => out.push_str(&format!(
-                        "{{\"ok\": false, \"error\": {{\"code\": \"{}\", \"message\": \"{}\"}}}}",
-                        json::escape(error_code(e)),
-                        json::escape(&e.to_string())
-                    )),
+                    Ok(rows) => {
+                        out.push_str("{\"ok\": true, \"rows\": ");
+                        push_rows(out, rows);
+                        let _ = write!(out, ", \"n\": {}}}", rows.len());
+                    }
+                    Err(e) => {
+                        out.push_str("{\"ok\": false, \"error\": ");
+                        push_error(out, error_code(e), &e.to_string());
+                        out.push('}');
+                    }
                 }
             }
             out.push_str("]}");
-            Ok(out)
         }
         "count" => {
             let query = query_param(params)?;
@@ -148,71 +163,60 @@ fn dispatch(
             // stateless count-token sweep.
             if token.is_none() && budget.is_none() {
                 let n = svc.count(query).map_err(service_error)?;
-                return Ok(format!("{{\"count\": {n}}}"));
+                let _ = write!(out, "{{\"count\": {n}}}");
+                return Ok(());
             }
             let page = svc
                 .count_token(query, token, budget.unwrap_or(usize::MAX))
                 .map_err(service_error)?;
-            let total = page
-                .total
-                .map_or_else(|| "null".to_string(), |n| n.to_string());
-            let token_json = page.token.map_or_else(
-                || "null".to_string(),
-                |t| format!("\"{}\"", json::escape(&t)),
-            );
-            Ok(format!(
-                "{{\"count\": {}, \"total\": {total}, \"token\": {token_json}}}",
-                page.so_far
-            ))
+            let _ = write!(out, "{{\"count\": {}, \"total\": ", page.so_far);
+            push_number(out, page.total);
+            out.push_str(", \"token\": ");
+            push_token(out, page.token.as_deref());
+            out.push('}');
         }
         "hist" => {
             let h = svc.hist(query_param(params)?).map_err(service_error)?;
-            let mut per_tree = String::from("[");
+            let _ = write!(out, "{{\"total\": {}, \"per_tree\": [", h.total);
             for (i, (tid, n)) in h.per_tree.iter().enumerate() {
                 if i > 0 {
-                    per_tree.push_str(", ");
+                    out.push_str(", ");
                 }
-                per_tree.push_str(&format!("[{tid}, {n}]"));
+                let _ = write!(out, "[{tid}, {n}]");
             }
-            per_tree.push(']');
-            let mut per_label = String::from("[");
+            out.push_str("], \"per_label\": [");
             for (i, (label, n)) in h.per_label.iter().enumerate() {
                 if i > 0 {
-                    per_label.push_str(", ");
+                    out.push_str(", ");
                 }
-                per_label.push_str(&format!("[\"{}\", {n}]", json::escape(label)));
+                let _ = write!(out, "[\"{}\", {n}]", json::escape(label));
             }
-            per_label.push(']');
-            Ok(format!(
-                "{{\"total\": {}, \"per_tree\": {per_tree}, \"per_label\": {per_label}}}",
-                h.total
-            ))
+            out.push_str("]}");
         }
         "exists" => {
             let found = svc.exists(query_param(params)?).map_err(service_error)?;
-            Ok(format!("{{\"exists\": {found}}}"))
+            let _ = write!(out, "{{\"exists\": {found}}}");
         }
         "check" => {
             let report = svc.check(query_param(params)?).map_err(service_error)?;
-            Ok(format!("{{\"report\": {}}}", one_line(&report.to_json())))
+            let _ = write!(out, "{{\"report\": {}}}", one_line(&report.to_json()));
         }
-        "metrics" => Ok(format!(
-            "{{\"metrics\": {}}}",
-            one_line(&svc.metrics().to_json())
-        )),
+        "metrics" => {
+            let metrics = one_line(&svc.metrics().to_json());
+            let _ = write!(out, "{{\"metrics\": {metrics}}}");
+        }
         "append_ptb" => {
             let src = params
                 .and_then(|p| p.get("src"))
                 .and_then(Value::as_str)
                 .ok_or_else(|| bad_request("missing string field 'src'"))?;
             let added = svc.append_ptb(src).map_err(service_error)?;
-            Ok(format!(
-                "{{\"added\": {added}, \"generation\": {}}}",
-                svc.generation()
-            ))
+            let generation = svc.generation();
+            let _ = write!(out, "{{\"added\": {added}, \"generation\": {generation}}}");
         }
-        other => Err(bad_request(&format!("unknown method '{other}'"))),
+        other => return Err(bad_request(&format!("unknown method '{other}'"))),
     }
+    Ok(())
 }
 
 fn query_param(params: Option<&Value>) -> Result<&str, MethodError> {
@@ -258,17 +262,16 @@ fn error_code(e: &ServiceError) -> &'static str {
 }
 
 /// `[[tid, node], …]` — the match list in document order.
-fn rows_json(rows: &[(u32, NodeId)]) -> String {
-    let mut out = String::with_capacity(rows.len() * 8 + 2);
+fn push_rows(out: &mut String, rows: &[(u32, NodeId)]) {
+    out.reserve(rows.len() * 8 + 2);
     out.push('[');
     for (i, (tid, node)) in rows.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("[{tid}, {}]", node.index()));
+        let _ = write!(out, "[{tid}, {}]", node.index());
     }
     out.push(']');
-    out
 }
 
 /// Collapse a multi-line JSON rendering (the house `to_json` style is

@@ -48,7 +48,7 @@
 //! * **stale** — well-formed bytes whose corpus stamp or build id no
 //!   longer matches (the corpus was appended to, or the server
 //!   restarted onto different content): recovered silently by
-//!   re-entering at the token's global offset
+//!   re-entering at the token's global offset, offset-only from then on
 //!   ([`ServiceStats::stale_checkpoints`] advances);
 //! * **malformed** — truncated / corrupted / version-skewed / minted
 //!   for a different query: a typed [`ServiceError::BadToken`]
@@ -144,16 +144,22 @@ impl Service {
     /// [`Page::token`] for each subsequent one. Concatenating the
     /// pages of a full sweep is byte-identical to [`Service::eval`]
     /// (and to an offset sweep through [`Service::eval_page`]) over
-    /// unchanged content. Unlike offset paging, a deep page does not
-    /// re-enumerate its prefix even with every cache cold: the token
-    /// embeds the suspended execution state, so continuation is O(new
-    /// rows) on *any* server process holding the same corpus.
+    /// unchanged content. Tokens come in two modes. A positioned token
+    /// carries the suspended execution state of the shard it is parked
+    /// in, so its next page re-enumerates no prefix, even with every
+    /// cache cold: it is O(new rows) on *any* server process holding
+    /// the same corpus. An offset-only token — minted by
+    /// [`Service::eval_multi_tokens`], by stale recovery, and by every
+    /// page that continues one — pages by global offset through the row
+    /// store, as [`Service::eval_page`] does: without re-enumeration
+    /// only where the store holds the prefix.
     ///
     /// A stale token (minted before an [`Service::append_ptb`] or
     /// against a different build of the corpus) is not an error: the
     /// sweep re-enters at the token's global offset against current
     /// content, [`ServiceStats::stale_checkpoints`] advances, and the
-    /// freshly minted token is positioned again.
+    /// freshly minted token is offset-only — as is every token after
+    /// it in that sweep.
     ///
     /// # Errors
     ///
@@ -378,6 +384,11 @@ impl Service {
                         return Err(Malformed("token position beyond its progress"));
                     }
                     let has_ckpt = r.bool()?;
+                    // A sweep parks mid-shard only on its checkpoint:
+                    // honoured, this shape would restart the shard.
+                    if within > 0 && !has_ckpt {
+                        return Err(Malformed("token position without its checkpoint"));
+                    }
                     if !fresh {
                         return stale(progress);
                     }
@@ -616,9 +627,11 @@ mod tests {
         let p1 = svc.eval_page_token("//NP", None, 1).unwrap();
         let t1 = p1.token.unwrap();
         svc.append_ptb("( (S (NP (NN fog))) )").unwrap();
-        // Recovery mints an offset-only token; echoing it pages on.
+        // Recovery mints an offset-only token (`mode` byte 1); echoing
+        // it pages on.
         let p2 = svc.eval_page_token("//NP", Some(&t1), 1).unwrap();
         let t2 = p2.token.expect("more NPs remain");
+        assert_eq!(wire::b64_decode(&t2).unwrap()[26], 1);
         let p3 = svc
             .eval_page_token("//NP", Some(&t2), usize::MAX - 1)
             .unwrap();

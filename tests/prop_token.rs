@@ -166,6 +166,17 @@ fn reseal(token: &str, at: usize, value: u64) -> String {
     wire::b64_encode(&bytes)
 }
 
+/// Re-seal a token as parked at `within` in its shard with no
+/// checkpoint: `within` (at byte `at`) rewritten, `has_ckpt` cleared,
+/// the checkpoint cut off. No honest sweep parks like that.
+fn strip_checkpoint(token: &str, at: usize, within: u64) -> String {
+    let mut bytes = wire::b64_decode(&reseal(token, at, within)).unwrap();
+    bytes.truncate(at + 9);
+    bytes[at + 8] = 0;
+    bytes.extend(wire::fnv1a(&bytes).to_le_bytes());
+    wire::b64_encode(&bytes)
+}
+
 fn service_over(corpus: &Corpus, shards: usize) -> Service {
     Service::with_config(
         corpus,
@@ -314,6 +325,13 @@ proptest! {
             matches!(svc.eval_page_token(q, Some(&far), 3), Err(ServiceError::BadToken(_))),
             "page position beyond its progress accepted on {}", q
         );
+        // Honoured, a mid-shard position without its checkpoint would
+        // serve the shard from its first row again.
+        let bare = strip_checkpoint(&token, PAGE_WITHIN, 1);
+        prop_assert!(
+            matches!(svc.eval_page_token(q, Some(&bare), 3), Err(ServiceError::BadToken(_))),
+            "page position without its checkpoint accepted on {}", q
+        );
     }
 
     /// The same hostile-bytes discipline for **count** tokens:
@@ -378,6 +396,17 @@ proptest! {
         prop_assert!(
             matches!(svc.count_token(q, Some(&far), usize::MAX), Err(ServiceError::BadToken(_))),
             "count position beyond its progress accepted on {}", q
+        );
+        // Honoured, a mid-shard position without its checkpoint would
+        // recount the shard from its first match.
+        let bare = strip_checkpoint(&token, COUNT_WITHIN, first.so_far);
+        prop_assert!(
+            first.so_far == 0
+                || matches!(
+                    svc.count_token(q, Some(&bare), usize::MAX),
+                    Err(ServiceError::BadToken(_))
+                ),
+            "count position without its checkpoint accepted on {}", q
         );
 
         // Count and paging tokens are version-gated apart: echoing
