@@ -9,7 +9,7 @@
 //! in-process.
 
 use lpath_check::CheckReport;
-use lpath_model::{label_tree, Corpus, Interner, NodeId};
+use lpath_model::{label_tree, Corpus, Interner, NodeId, Sym};
 use lpath_obs::{Recorder, Span};
 use lpath_relstore::{
     self as rel, wire, Cmp, ColRef, Cond, Database, OptGoal, PlannerConfig, Schema, Table, TableId,
@@ -67,7 +67,7 @@ pub struct Engine {
     /// breakdown `(tid, count)` sorted by tree id (only trees that
     /// contain the symbol appear). Drives [`Engine::refine_estimate`]
     /// and the density-aware chunk schedule.
-    tag_density: HashMap<u32, TagDensity>,
+    tag_density: HashMap<Sym, TagDensity>,
 }
 
 /// Occurrence histogram of one element name: `(corpus total,
@@ -92,13 +92,13 @@ impl Engine {
             row_count += t.len();
         }
         table.reserve(row_count);
-        let mut tag_density: HashMap<u32, TagDensity> = HashMap::new();
+        let mut tag_density: HashMap<Sym, TagDensity> = HashMap::new();
         for (tid, tree) in corpus.trees().iter().enumerate() {
             let labels = label_tree(tree);
             for id in tree.preorder() {
                 let l = &labels[id.index()];
                 let node = tree.node(id);
-                let d = tag_density.entry(node.name.raw()).or_default();
+                let d = tag_density.entry(node.name).or_default();
                 d.0 += 1;
                 match d.1.last_mut() {
                     Some(e) if e.0 == tid as u32 => e.1 += 1,
@@ -840,8 +840,19 @@ impl Engine {
     pub fn tag_total(&self, tag: &str) -> u64 {
         self.interner
             .get(tag)
-            .and_then(|s| self.tag_density.get(&s.raw()))
+            .and_then(|s| self.tag_density.get(&s))
             .map_or(0, |d| d.0)
+    }
+
+    /// Every element name with its corpus total, unordered.
+    pub fn tag_totals(&self) -> impl Iterator<Item = (Sym, u64)> + '_ {
+        self.tag_density.iter().map(|(&s, d)| (s, d.0))
+    }
+
+    /// Sparse per-tree counts of one element name: `(tid, count)`,
+    /// tid-ascending; empty when the name does not occur.
+    pub fn tag_per_tree(&self, tag: Sym) -> &[(u32, u32)] {
+        self.tag_density.get(&tag).map_or(&[], |d| d.1.as_slice())
     }
 
     /// The occurrence histogram of the query's scarcest element-name
@@ -863,7 +874,7 @@ impl Engine {
                 let d = self
                     .interner
                     .get(tag)
-                    .and_then(|s| self.tag_density.get(&s.raw()))
+                    .and_then(|s| self.tag_density.get(&s))
                     .unwrap_or(&EMPTY);
                 if best.is_none_or(|b| d.0 < b.0) {
                     best = Some(d);
@@ -1690,6 +1701,35 @@ mod tests {
         assert_eq!(e.tag_total("ZZZ"), 0);
         // Attribute names are not element occurrences.
         assert_eq!(e.tag_total("@lex"), 0);
+    }
+
+    #[test]
+    fn per_tree_tables_sum_to_totals() {
+        let corpus = parse_str(
+            "( (S (NP (PRP I)) (VP (VBD saw) (NP (DT the) (NN man))) (. .)) )\n\
+             ( (S (NP (DT the) (NN man)) (VP (VBD left))) )\n\
+             ( (FRAG (NP (NN rain)) (NP (NN snow))) )",
+        )
+        .unwrap();
+        let e = Engine::build(&corpus);
+        let it = corpus.interner();
+        let mut nodes = 0;
+        for (sym, total) in e.tag_totals() {
+            let per_tree = e.tag_per_tree(sym);
+            assert!(
+                per_tree.windows(2).all(|w| w[0].0 < w[1].0),
+                "tid-ascending"
+            );
+            let spread: u64 = per_tree.iter().map(|&(_, n)| u64::from(n)).sum();
+            assert_eq!(spread, total, "{}", it.resolve(sym));
+            assert_eq!(total, e.tag_total(it.resolve(sym)));
+            nodes += total;
+        }
+        assert_eq!(nodes, 20, "every element counted once");
+        assert_eq!(
+            e.tag_per_tree(it.get("NP").unwrap()),
+            [(0, 2), (1, 1), (2, 2)]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use lpath_core::QUERIES;
+use lpath_core::{Walker, QUERIES};
 use lpath_model::{generate, GenConfig};
 use lpath_server::{serve, Client, ClientError, ServerConfig};
 use lpath_service::{Service, ServiceConfig};
@@ -211,6 +211,7 @@ fn full_method_surface_round_trips() {
 #[test]
 fn eval_multi_round_trips_with_in_band_errors() {
     let (handle, svc) = start(30, 8);
+    let corpus = generate(&GenConfig::wsj(30));
     let mut client = Client::connect(handle.addr()).unwrap();
     let queries = ["//NP", "//NP[not(//DT)]", "//VP[", "//NN"];
     let batch = client.eval_multi(&queries).unwrap();
@@ -223,11 +224,11 @@ fn eval_multi_round_trips_with_in_band_errors() {
             }
             continue;
         }
-        // The walker reference path shares nothing with the batched
-        // relational path — a genuinely independent oracle.
-        let reference: Vec<(u32, u32)> = svc
-            .reference_eval(q)
-            .unwrap()
+        // The walker over the test's own copy of the corpus shares
+        // nothing with the batched relational path — a genuinely
+        // independent oracle.
+        let reference: Vec<(u32, u32)> = Walker::new(&corpus)
+            .eval(&lpath_syntax::parse(q).unwrap())
             .iter()
             .map(|&(t, n)| (t, n.index() as u32))
             .collect();

@@ -19,7 +19,7 @@
 //! | table                | query shape        | example        |
 //! |----------------------|--------------------|----------------|
 //! | node total/per-tree  | `//_`              | corpus size    |
-//! | tag totals/per-tree  | `//TAG`            | `//NP`         |
+//! | tag totals/per-tree¹ | `//TAG`            | `//NP`         |
 //! | root tags            | `/TAG`, `/_`       | `/S`           |
 //! | attr (name,value)    | `//_[@a=v]`        | `//_[@lex=saw]`|
 //! | attr (tag,name,value)| `//TAG[@a=v]`      | `//NN[@lex=man]`|
@@ -27,6 +27,10 @@
 //! | sibling-adjacency    | `//A=>B`, `//A<=B` | `//PP=>S`      |
 //! | span-adjacency       | `//A->B`, `//A<-B` | `//VB->NP`     |
 //! | descendant presence  | `//A[//B]`, `//A[not(//B)]` | `//NP[not(//JJ)]` |
+//!
+//! ¹ Not stored here: the shard engine's build-time histogram
+//! ([`Engine::tag_totals`], [`Engine::tag_per_tree`]) already holds
+//! it, and [`AggTables::count`] reads it from there.
 //!
 //! Soundness comes in two flavors. The edge tables lean on functional
 //! dependencies of the tree shape: a node has exactly one parent, at
@@ -45,6 +49,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use lpath_core::Engine;
 use lpath_model::{label_tree, Interner, Sym, Tree};
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, Pred, Step};
 
@@ -233,10 +238,6 @@ pub struct AggTables {
     nodes_per_tree: Vec<u32>,
     /// Root tag per local tree id.
     roots: Vec<Sym>,
-    tag_total: HashMap<Sym, u64>,
-    /// Sparse per-tree tag counts: `(local tid, count)`, tid-ascending
-    /// — only trees where the tag occurs.
-    tag_per_tree: HashMap<Sym, Vec<(u32, u32)>>,
     /// Elements carrying `(@name, value)`, deduplicated per element.
     attr_pair: HashMap<(Sym, Sym), u64>,
     /// Elements tagged `tag` carrying `(@name, value)`.
@@ -264,16 +265,9 @@ impl AggTables {
     pub(crate) fn observe_tree(&mut self, tree: &Tree) {
         self.nodes_per_tree.push(tree.len() as u32);
         self.roots.push(tree.node(tree.root()).name);
-        let tid = (self.nodes_per_tree.len() - 1) as u32;
         for id in tree.preorder() {
             let node = tree.node(id);
             self.nodes_total += 1;
-            *self.tag_total.entry(node.name).or_default() += 1;
-            let per = self.tag_per_tree.entry(node.name).or_default();
-            match per.last_mut() {
-                Some(e) if e.0 == tid => e.1 += 1,
-                _ => per.push((tid, 1)),
-            }
             // Deduplicate attribute pairs per element: the predicate
             // `[@a=v]` is existential, so a (hypothetical) repeated
             // pair still yields one match.
@@ -372,9 +366,10 @@ impl AggTables {
 
     /// Exact match count of a classified query on this shard's slice,
     /// resolving the class's symbol spellings through the shard's
-    /// `interner` (an unknown spelling means zero matches). O(hash
-    /// lookups); equals `eval().len()` by construction.
-    pub fn count(&self, class: &FastClass, interner: &Interner) -> u64 {
+    /// `interner` (an unknown spelling means zero matches) and reading
+    /// tag totals from the shard's `engine`. O(hash lookups); equals
+    /// `eval().len()` by construction.
+    pub fn count(&self, class: &FastClass, interner: &Interner, engine: &Engine) -> u64 {
         let lookup2 = |m: &HashMap<(Sym, Sym), u64>, a: &str, b: &str| match (
             interner.get(a),
             interner.get(b),
@@ -385,11 +380,7 @@ impl AggTables {
         match class {
             FastClass::AllNodes => self.nodes_total,
             FastClass::RootAny => self.roots.len() as u64,
-            FastClass::Tag(t) => interner
-                .get(t)
-                .and_then(|s| self.tag_total.get(&s))
-                .copied()
-                .unwrap_or(0),
+            FastClass::Tag(t) => engine.tag_total(t),
             FastClass::RootTag(t) => match interner.get(t) {
                 Some(s) => self.roots.iter().filter(|&&r| r == s).count() as u64,
                 None => 0,
@@ -424,23 +415,14 @@ impl AggTables {
                         desc: desc.clone(),
                     },
                     interner,
+                    engine,
                 );
-                let pool = match tag {
-                    Some(t) => interner
-                        .get(t)
-                        .and_then(|s| self.tag_total.get(&s))
-                        .copied()
-                        .unwrap_or(0),
-                    None => self.nodes_total,
-                };
+                let pool = tag
+                    .as_ref()
+                    .map_or(self.nodes_total, |t| engine.tag_total(t));
                 pool - with
             }
         }
-    }
-
-    /// Total element nodes in the shard.
-    pub fn nodes_total(&self) -> u64 {
-        self.nodes_total
     }
 
     /// Element count per local tree id.
@@ -451,17 +433,6 @@ impl AggTables {
     /// Root tag per local tree id.
     pub fn roots(&self) -> &[Sym] {
         &self.roots
-    }
-
-    /// All `(tag, total)` pairs, unordered.
-    pub fn tag_totals(&self) -> impl Iterator<Item = (Sym, u64)> + '_ {
-        self.tag_total.iter().map(|(&s, &n)| (s, n))
-    }
-
-    /// Sparse per-tree counts of one tag: `(local tid, count)`,
-    /// tid-ascending; empty when the tag does not occur.
-    pub fn tag_per_tree(&self, tag: Sym) -> &[(u32, u32)] {
-        self.tag_per_tree.get(&tag).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -477,13 +448,14 @@ mod tests {
 ( (FRAG (NP (NN rain)) (NP (NN snow))) )
 ";
 
-    fn tables() -> (AggTables, lpath_model::Corpus) {
+    fn tables() -> (AggTables, lpath_model::Corpus, Engine) {
         let corpus = parse_str(SRC).unwrap();
         let mut agg = AggTables::default();
         for tree in corpus.trees() {
             agg.observe_tree(tree);
         }
-        (agg, corpus)
+        let engine = Engine::build(&corpus);
+        (agg, corpus, engine)
     }
 
     fn class(q: &str) -> FastClass {
@@ -574,9 +546,9 @@ mod tests {
 
     #[test]
     fn table_counts_match_hand_counts() {
-        let (agg, corpus) = tables();
+        let (agg, corpus, engine) = tables();
         let it = corpus.interner();
-        let n = |q: &str| agg.count(&class(q), it);
+        let n = |q: &str| agg.count(&class(q), it, &engine);
         assert_eq!(n("//_"), 20);
         assert_eq!(n("//NP"), 5);
         assert_eq!(n("/S"), 2);
@@ -602,28 +574,9 @@ mod tests {
         assert_eq!(n("//NP[not(//ZZZ)]"), 5); // vacuously all NPs
         assert_eq!(n("//ZZZ"), 0);
         assert_eq!(n("//_[@lex=absent]"), 0);
-    }
-
-    #[test]
-    fn per_tree_tables_sum_to_totals() {
-        let (agg, corpus) = tables();
-        let it = corpus.interner();
-        assert_eq!(
-            agg.nodes_per_tree()
-                .iter()
-                .map(|&n| u64::from(n))
-                .sum::<u64>(),
-            agg.nodes_total()
-        );
-        for (sym, total) in agg.tag_totals() {
-            let spread: u64 = agg
-                .tag_per_tree(sym)
-                .iter()
-                .map(|&(_, n)| u64::from(n))
-                .sum();
-            assert_eq!(spread, total, "{}", it.resolve(sym));
-        }
-        // Roots are one per tree, and every root tag is tabulated.
+        // The per-tree node spread sums to the total; one root per tree.
+        let spread: u64 = agg.nodes_per_tree().iter().map(|&n| u64::from(n)).sum();
+        assert_eq!(spread, agg.nodes_total);
         assert_eq!(agg.roots().len(), 3);
     }
 }

@@ -91,12 +91,11 @@ pub mod token;
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
-use lpath_core::Walker;
 use lpath_model::ptb::parse_into;
-use lpath_model::{Corpus, ModelError};
+use lpath_model::{Corpus, Interner, ModelError};
 use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
@@ -244,12 +243,25 @@ pub(crate) struct Request {
 /// beside the plan they answer, or the member's in-band error.
 type Answer = Result<(Arc<CompiledQuery>, Arc<ResultSet>), ServiceError>;
 
-/// Corpus-dependent state, replaced wholesale on swap and patched on
-/// append. Readers snapshot `Arc<Shard>`s under a short read lock.
+/// Corpus-dependent state: the shards, the only copy of the trees the
+/// service holds. Readers snapshot `Arc<Shard>`s under a short read
+/// lock; writers build outside it and write-lock only to swap.
 struct State {
-    master: Corpus,
     shards: Vec<Arc<Shard>>,
     generation: u64,
+}
+
+impl State {
+    fn tail(&self) -> &Arc<Shard> {
+        self.shards.last().expect("at least one shard")
+    }
+
+    /// The current vocabulary. The tail shard is always the most
+    /// recently built, from an interner holding every symbol known at
+    /// the time, so its interner holds every symbol of every shard.
+    fn vocabulary(&self) -> &Interner {
+        self.tail().corpus().interner()
+    }
 }
 
 /// The sharded, cached, concurrent LPath query service.
@@ -280,6 +292,9 @@ pub struct Service {
     shard_rows: Mutex<ShardRowCache>,
     counters: Counters,
     instr: Instruments,
+    /// Serialises appends and swaps, so two appends never extend the
+    /// same old tail. It guards no data, so poison is ignored.
+    writer: Mutex<()>,
     /// Test-only fault point: when armed, the next request that
     /// reaches the batch core with uncached members aborts them before
     /// any shard work (consumed one-shot). See
@@ -305,13 +320,11 @@ impl Service {
         } else {
             cfg.threads
         };
-        let master = corpus.clone();
-        let shards = build_shards(&master, cfg.shards, threads, 0);
+        let shards = build_shards(corpus, cfg.shards, threads, 0);
         Service {
             cfg,
             threads,
             state: RwLock::new(State {
-                master,
                 shards,
                 generation: 0,
             }),
@@ -325,6 +338,7 @@ impl Service {
                 cfg.slow_query_threshold,
                 cfg.slow_query_log_capacity,
             ),
+            writer: Mutex::new(()),
             multi_abort: AtomicBool::new(false),
         }
     }
@@ -336,6 +350,10 @@ impl Service {
     /// Compile `query` or fetch its cached compilation. Distinct
     /// spellings of the same query (whitespace, display form) share
     /// one entry via the normalized text.
+    ///
+    /// Lock order is state → plans: a plan is analysed and cached under
+    /// one state read guard and writers clear the plans under the write
+    /// guard, so no plan outlives the vocabulary it was analysed against.
     pub fn compile(&self, query: &str) -> Result<Arc<CompiledQuery>, ServiceError> {
         let key = query.trim();
         if let Some(hit) = self.plan_lookup(key) {
@@ -344,6 +362,7 @@ impl Service {
         }
         let ast = parse(key)?;
         let normalized = ast.to_string();
+        let st = self.state.read().unwrap();
         if normalized != key {
             if let Some(hit) = self.plan_lookup(&normalized) {
                 self.counters.plan_hits.bump();
@@ -353,18 +372,16 @@ impl Service {
             }
         }
         self.counters.plan_misses.bump();
-        let (strategy, sql, statically_empty) = {
-            let st = self.state.read().unwrap();
-            // Static analysis against the master vocabulary: a proven
-            // verdict lets every request path skip execution outright.
-            let verdict =
-                lpath_check::check_with(&ast, |sym| st.master.interner().get(sym).is_some())
-                    .statically_empty;
-            // One translation decides both the strategy and the SQL.
-            match st.shards[0].engine().sql_ast(&ast) {
-                Ok(sql) => (ExecStrategy::Relational, Some(sql), verdict),
-                Err(_) => (ExecStrategy::Walker, None, verdict),
-            }
+        // Static analysis against the current vocabulary: a proven
+        // verdict lets every request path skip execution outright.
+        let vocabulary = st.vocabulary();
+        let statically_empty =
+            lpath_check::check_with(&ast, |sym| vocabulary.get(sym).is_some()).statically_empty;
+        // One translation, against the same vocabulary, decides both
+        // the strategy and the SQL.
+        let (strategy, sql) = match st.tail().engine().sql_ast(&ast) {
+            Ok(sql) => (ExecStrategy::Relational, Some(sql)),
+            Err(_) => (ExecStrategy::Walker, None),
         };
         let compiled = Arc::new(CompiledQuery {
             required: required_symbols(&ast),
@@ -425,8 +442,8 @@ impl Service {
         Ok(self.compile(query)?.sql.clone())
     }
 
-    /// Statically analyze `query` against the master corpus
-    /// vocabulary: spanned diagnostics (render with
+    /// Statically analyze `query` against the current corpus
+    /// vocabulary (the tail shard's): spanned diagnostics (render with
     /// [`CheckReport::render`] over the same `query` text, or
     /// [`CheckReport::to_json`]) plus the emptiness verdict the
     /// request paths act on. Parses fresh rather than going through
@@ -435,8 +452,9 @@ impl Service {
     pub fn check(&self, query: &str) -> Result<CheckReport, ServiceError> {
         let ast = parse(query)?;
         let st = self.state.read().unwrap();
+        let vocabulary = st.vocabulary();
         Ok(lpath_check::check_with(&ast, |sym| {
-            st.master.interner().get(sym).is_some()
+            vocabulary.get(sym).is_some()
         }))
     }
 
@@ -752,8 +770,7 @@ impl Service {
     fn count_shards(&self, compiled: &CompiledQuery, shards: &[(u16, &Shard)]) -> (usize, usize) {
         if let Some(fast) = &compiled.fast {
             self.counters.count_fast.add(shards.len() as u64);
-            let tabulated = |(_, s): &(u16, &Shard)| s.agg().count(fast, s.corpus().interner());
-            let n: u64 = shards.iter().map(tabulated).sum();
+            let n: u64 = shards.iter().map(|(_, s)| s.tabulated(fast)).sum();
             return (usize::try_from(n).unwrap_or(usize::MAX), shards.len());
         }
         // `(count, learned)`: learned counts are new to the count store.
@@ -911,65 +928,50 @@ impl Service {
     }
 
     /// Aggregate-table histogram: the classes whose *per-tree*
-    /// distribution the tables carry. Returns `None` for everything
-    /// else (including tabulated count-only classes like `//A/B`,
-    /// whose per-tree spread is not stored).
+    /// distribution the tables (for tags, the engine's histogram)
+    /// carry. Returns `None` for everything else (including tabulated
+    /// count-only classes like `//A/B`, whose per-tree spread is not
+    /// stored).
     fn hist_fast(&self, compiled: &CompiledQuery, shards: &[Arc<Shard>]) -> Option<QueryHistogram> {
-        match compiled.fast.as_ref()? {
-            FastClass::AllNodes
-            | FastClass::Tag(_)
-            | FastClass::RootAny
-            | FastClass::RootTag(_) => {}
-            _ => return None,
-        }
         let fast = compiled.fast.as_ref()?;
+        let roots = match fast {
+            FastClass::AllNodes | FastClass::Tag(_) => false,
+            FastClass::RootAny | FastClass::RootTag(_) => true,
+            _ => return None,
+        };
         let mut h = QueryHistogram::default();
         let mut labels: HashMap<String, u64> = HashMap::new();
         for shard in shards {
             self.counters.count_fast.bump();
-            let agg = shard.agg();
+            let (agg, engine) = (shard.agg(), shard.engine());
             let interner = shard.corpus().interner();
-            let base = shard.base();
-            match fast {
-                FastClass::AllNodes => {
-                    for (ltid, &n) in agg.nodes_per_tree().iter().enumerate() {
-                        if n > 0 {
-                            h.per_tree.push((base + ltid as u32, u64::from(n)));
-                        }
-                    }
-                    for (sym, n) in agg.tag_totals() {
-                        *labels.entry(interner.resolve(sym).to_string()).or_default() += n;
-                    }
-                    h.total += agg.nodes_total();
-                }
-                FastClass::Tag(t) => {
-                    let Some(sym) = interner.get(t) else { continue };
-                    for &(ltid, n) in agg.tag_per_tree(sym) {
-                        h.per_tree.push((base + ltid, u64::from(n)));
-                        h.total += u64::from(n);
-                        *labels.entry(t.clone()).or_default() += u64::from(n);
-                    }
-                }
-                FastClass::RootAny => {
-                    for (ltid, &root) in agg.roots().iter().enumerate() {
-                        h.per_tree.push((base + ltid as u32, 1));
-                        *labels
-                            .entry(interner.resolve(root).to_string())
-                            .or_default() += 1;
-                        h.total += 1;
-                    }
-                }
-                FastClass::RootTag(t) => {
-                    let Some(sym) = interner.get(t) else { continue };
-                    for (ltid, &root) in agg.roots().iter().enumerate() {
-                        if root == sym {
-                            h.per_tree.push((base + ltid as u32, 1));
-                            *labels.entry(t.clone()).or_default() += 1;
-                            h.total += 1;
-                        }
-                    }
-                }
-                _ => unreachable!("filtered above"),
+            let tag = match fast {
+                FastClass::Tag(t) | FastClass::RootTag(t) => match interner.get(t) {
+                    Some(sym) => Some(sym),
+                    None => continue,
+                },
+                _ => None,
+            };
+            // `(local tid, matches)` runs, and `(label, matches)` totals.
+            let (runs, tags): (Vec<_>, Vec<_>) = if roots {
+                let roots = (0u32..).zip(agg.roots().iter().copied());
+                let hits = roots.filter(|&(_, root)| tag.is_none_or(|t| t == root));
+                hits.map(|(ltid, root)| ((ltid, 1u64), (root, 1u64)))
+                    .unzip()
+            } else if let Some(sym) = tag {
+                let per_tree = engine.tag_per_tree(sym).iter();
+                let runs: Vec<_> = per_tree.map(|&(ltid, n)| (ltid, u64::from(n))).collect();
+                let total = runs.iter().map(|r| r.1).sum();
+                (runs, vec![(sym, total)])
+            } else {
+                let sizes = agg.nodes_per_tree().iter().map(|&n| u64::from(n));
+                ((0u32..).zip(sizes).collect(), engine.tag_totals().collect())
+            };
+            h.total += runs.iter().map(|r| r.1).sum::<u64>();
+            h.per_tree
+                .extend(runs.into_iter().map(|(ltid, n)| (shard.base() + ltid, n)));
+            for (sym, n) in tags.into_iter().filter(|t| t.1 > 0) {
+                *labels.entry(interner.resolve(sym).to_string()).or_default() += n;
             }
         }
         h.per_label = labels.into_iter().collect();
@@ -992,7 +994,7 @@ impl Service {
             let rows =
                 |e: ShardRows| (e.ckpt.is_none() || !e.rows.is_empty()).then(|| !e.rows.is_empty());
             let witness = |&(si, shard): &(u16, &Shard)| match &compiled.fast {
-                Some(fast) => shard.agg().count(fast, shard.corpus().interner()) > 0,
+                Some(fast) => shard.tabulated(fast) > 0,
                 None => {
                     self.known(compiled, &[(si, shard)], |n| n > 0, rows)[0].unwrap_or_else(|| {
                         self.counters.shard_evals.bump();
@@ -1045,51 +1047,49 @@ impl Service {
     /// Append bracketed (Penn Treebank) trees to the corpus,
     /// rebuilding only the tail shard. Returns the number of trees
     /// added; on parse error the corpus is unchanged.
+    ///
+    /// The parse and the rebuild run on a copy of the tail's slice
+    /// outside the state lock, which covers only the swap: readers are
+    /// served meanwhile, and a panic in the build fails this append.
     pub fn append_ptb(&self, src: &str) -> Result<usize, ServiceError> {
-        // Stage into a scratch corpus sharing the master's symbol
-        // table, so a mid-text parse error leaves the service intact.
-        let mut st = self.state.write().unwrap();
-        let mut scratch = Corpus::new();
-        *scratch.interner_mut() = st.master.interner().clone();
-        let added = parse_into(src, &mut scratch)?;
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let (tail, generation) = {
+            let st = self.state.read().unwrap();
+            (Arc::clone(st.tail()), st.generation + 1)
+        };
+        // New symbols extend the current vocabulary; a parse error
+        // drops the copy and leaves the service intact.
+        let mut corpus = tail.corpus().clone();
+        let added = parse_into(src, &mut corpus)?;
         if added == 0 {
             return Ok(0);
         }
-        *st.master.interner_mut() = scratch.interner().clone();
-        for tree in scratch.trees() {
-            st.master.add_tree(tree.clone());
-        }
-        let tail = st.shards.len() - 1;
-        let tail_start = st.shards[tail].base() as usize;
-        let tail_len = st.master.trees().len() - tail_start;
-        st.generation += 1;
-        st.shards[tail] = Arc::new(Shard::build(
-            &st.master,
-            tail_start,
-            tail_len,
-            st.generation,
-        ));
-        self.counters.appends.bump();
-        drop(st);
-        // Only the plans (whose static verdicts read the vocabulary)
-        // are generation-scoped. Both stores scope their entries to
-        // shard build ids and only the tail shard got a new one: head
-        // shards keep serving, stale tail entries drop on contact.
+        let shard = Arc::new(Shard::from_slice(corpus, tail.base(), generation));
+        let mut st = self.state.write().unwrap();
+        *st.shards.last_mut().expect("at least one shard") = shard;
+        st.generation = generation;
+        // Only the plans read the vocabulary (cleared under the guard:
+        // see `compile`). The stores are build-id scoped, so head
+        // shards keep serving and stale tail entries drop on contact.
         self.plans.write().unwrap().clear();
+        drop(st);
+        self.counters.appends.bump();
         Ok(added)
     }
 
     /// Replace the whole corpus, rebuilding every shard (in parallel
-    /// when worker threads allow) and clearing the plans and both
-    /// stores.
+    /// when worker threads allow) outside the state lock, then swapping
+    /// them in and clearing the plans and both stores.
     pub fn swap_corpus(&self, corpus: &Corpus) {
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let generation = self.state.read().unwrap().generation + 1;
+        let shards = build_shards(corpus, self.cfg.shards, self.threads, generation);
         let mut st = self.state.write().unwrap();
-        st.master = corpus.clone();
-        st.generation += 1;
-        st.shards = build_shards(&st.master, self.cfg.shards, self.threads, st.generation);
-        self.counters.swaps.bump();
-        drop(st);
+        st.shards = shards;
+        st.generation = generation;
         self.plans.write().unwrap().clear();
+        drop(st);
+        self.counters.swaps.bump();
         self.shard_counts.lock().unwrap().clear();
         self.shard_rows.lock().unwrap().clear();
     }
@@ -1110,7 +1110,8 @@ impl Service {
 
     /// Total trees across all shards.
     pub fn trees(&self) -> usize {
-        self.state.read().unwrap().master.trees().len()
+        let st = self.state.read().unwrap();
+        st.shards.iter().map(|s| s.trees()).sum()
     }
 
     /// A point-in-time statistics snapshot: cache hit rates, per-shard
@@ -1125,7 +1126,7 @@ impl Service {
             generation: st.generation,
             shards: st.shards.len(),
             threads: self.threads,
-            trees: st.master.trees().len(),
+            trees: per_shard.iter().map(|s| s.trees).sum(),
             relation_rows: per_shard.iter().map(|s| s.relation_rows).sum(),
             plan_cache_entries: self.plans.read().unwrap().len(),
             plan_hits: load(&c.plan_hits),
@@ -1180,14 +1181,6 @@ impl Service {
             slow_queries: self.instr.slow_snapshot(),
         }
     }
-
-    /// Evaluate with the walker over the *whole* master corpus —
-    /// a slow reference path used by differential tests.
-    pub fn reference_eval(&self, query: &str) -> Result<ResultSet, ServiceError> {
-        let ast = parse(query.trim())?;
-        let st = self.state.read().unwrap();
-        Ok(Walker::new(&st.master).eval(&ast))
-    }
 }
 
 /// Contiguous near-equal partition of `n` trees into `k` shards.
@@ -1205,13 +1198,14 @@ fn partition(n: usize, k: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Build all shards, in parallel when `threads > 1`, stamped with the
-/// corpus `generation` they belong to (see [`Shard::build_id`]).
-fn build_shards(master: &Corpus, k: usize, threads: usize, generation: u64) -> Vec<Arc<Shard>> {
-    let parts = partition(master.trees().len(), k);
+/// Build all shards over slices of `corpus`, in parallel when
+/// `threads > 1`, stamped with the corpus `generation` they belong to
+/// (see [`Shard::build_id`]).
+fn build_shards(corpus: &Corpus, k: usize, threads: usize, generation: u64) -> Vec<Arc<Shard>> {
+    let parts = partition(corpus.trees().len(), k);
     fan_out(threads, parts.len(), |i| {
         let (start, len) = parts[i];
-        Arc::new(Shard::build(master, start, len, generation))
+        Arc::new(Shard::build(corpus, start, len, generation))
     })
 }
 
@@ -1256,7 +1250,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpath_core::Engine;
+    use lpath_core::{Engine, Walker};
     use lpath_model::ptb::parse_str;
 
     const SRC: &str = "\
@@ -1266,6 +1260,12 @@ mod tests {
 ( (S (NP (NN dog)) (VP (VB barks))) )
 ( (S (NP (DT a) (NN cat)) (VP (VBD slept) (NP (NN nap)))) )
 ";
+
+    /// The walker over a corpus the test holds: an oracle independent
+    /// of the service's partition and append code.
+    fn walk(corpus: &Corpus, query: &str) -> ResultSet {
+        Walker::new(corpus).eval(&parse(query).unwrap())
+    }
 
     fn service(shards: usize) -> Service {
         let corpus = parse_str(SRC).unwrap();
@@ -1327,7 +1327,7 @@ mod tests {
         assert_eq!(compiled.strategy, ExecStrategy::Walker);
         assert!(compiled.sql.is_none());
         let got = svc.eval(q).unwrap();
-        assert_eq!(*got, svc.reference_eval(q).unwrap());
+        assert_eq!(*got, walk(&parse_str(SRC).unwrap(), q));
         assert!(!got.is_empty());
     }
 
@@ -1613,9 +1613,38 @@ mod tests {
         // 6 requests per query (batch members count individually).
         assert_eq!(stats.statically_empty, 4 * 6, "{stats:?}");
         // The verdicts agree with the walker reference on every query.
+        let corpus = parse_str(SRC).unwrap();
         for q in ["//ZZZ", "//NP[position()=0]"] {
-            assert!(svc.reference_eval(q).unwrap().is_empty(), "{q}");
+            assert!(walk(&corpus, q).is_empty(), "{q}");
         }
+    }
+
+    #[test]
+    fn sql_renders_a_tag_first_seen_in_an_append() {
+        // The translation reads the tail shard's vocabulary, which the
+        // append extended; the head shard's never learns `NEWTAG`.
+        let svc = service(2);
+        assert!(svc
+            .sql("//NEWTAG")
+            .unwrap()
+            .unwrap()
+            .contains("n0.left < 0"));
+        svc.append_ptb("( (S (NEWTAG (NN bird)) (VP (VBD flew))) )")
+            .unwrap();
+        let sql = svc.sql("//NEWTAG").unwrap().unwrap();
+        assert_eq!(svc.count("//NEWTAG").unwrap(), 1);
+        let mut grown = parse_str(SRC).unwrap();
+        parse_into("( (S (NEWTAG (NN bird)) (VP (VBD flew))) )", &mut grown).unwrap();
+        let fresh = Service::with_config(
+            &grown,
+            ServiceConfig {
+                shards: 2,
+                threads: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        assert_eq!(Some(sql.clone()), fresh.sql("//NEWTAG").unwrap());
+        assert!(sql.contains("n0.name = 'NEWTAG'"), "{sql}");
     }
 
     #[test]
@@ -1754,13 +1783,15 @@ mod tests {
         let before = svc.stats();
         assert!(before.shard_result_cache_entries > 0, "{before:?}");
         assert!(before.prefix_cache_entries > 0, "{before:?}");
-        svc.append_ptb("( (S (NP (NN bird)) (VP (VBD flew))) )")
-            .unwrap();
+        let tree = "( (S (NP (NN bird)) (VP (VBD flew))) )";
+        svc.append_ptb(tree).unwrap();
+        let mut grown = parse_str(SRC).unwrap();
+        parse_into(tree, &mut grown).unwrap();
         // The tail shard was rebuilt; the head shard's promoted result
         // still serves — deep-paging the grown corpus re-evaluates
         // only the tail, and agrees with a from-scratch reference.
         let all = svc.eval_page("//NP", 0, 99).unwrap();
-        assert_eq!(all, svc.reference_eval("//NP").unwrap());
+        assert_eq!(all, walk(&grown, "//NP"));
         let s = svc.stats();
         assert!(
             s.result_hits > before.result_hits,

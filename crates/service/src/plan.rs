@@ -46,13 +46,14 @@ pub struct CompiledQuery {
     /// counts and histograms are then O(index) per shard, skipping
     /// caches, cursors and walkers alike.
     pub fast: Option<FastClass>,
-    /// The static analyzer proved the query empty against the master
-    /// corpus vocabulary at compile time: every request path returns
-    /// the empty answer without visiting a shard or writing a cache
-    /// entry. Sound because the plan cache is cleared on every corpus
-    /// mutation (append and swap both invalidate generation-scoped
-    /// state), so a cached verdict never outlives the vocabulary it
-    /// was proven against.
+    /// The static analyzer proved the query empty against the corpus
+    /// vocabulary (the tail shard's) at compile time: every request
+    /// path returns the empty answer without visiting a shard or
+    /// writing a cache entry. Sound because every corpus mutation
+    /// clears the plan cache under the state write lock, and a plan is
+    /// analysed and cached under one state read lock (see
+    /// [`crate::Service::compile`]), so a cached verdict never outlives
+    /// the vocabulary it was proven against.
     pub statically_empty: bool,
 }
 

@@ -9,14 +9,15 @@ use lpath_model::{label_tree, Corpus, Label, NodeId};
 use lpath_relstore::{wire, CursorCheckpoint};
 use lpath_syntax::Path;
 
-use crate::agg::AggTables;
+use crate::agg::{AggTables, FastClass};
 use crate::plan::{CompiledQuery, ExecStrategy};
 use crate::stats::ShardStats;
 
 /// A self-contained partition of the corpus.
 ///
-/// The shard owns a clone of its tree slice (sharing the master's
-/// symbol ids via a cloned interner) and a fully built
+/// The shard owns its tree slice — the service keeps no other copy of
+/// the trees — with every symbol known at its build in its interner
+/// (so ids agree across shards), and a fully built
 /// [`lpath_core::Engine`] over it. Match results are reported in
 /// *global* tree ids: the shard adds its `base` offset, so
 /// concatenating per-shard result sets in shard order reproduces the
@@ -267,12 +268,19 @@ impl ContentHash {
 }
 
 impl Shard {
-    /// Build a shard over `master.trees()[start..start + len]`, built
-    /// at corpus `generation` (stamped into the content-derived
-    /// [`Shard::build_id`]).
-    pub fn build(master: &Corpus, start: usize, len: usize, generation: u64) -> Shard {
+    /// [`Shard::from_slice`] over a copy of `corpus.trees()[start..start + len]`.
+    pub fn build(corpus: &Corpus, start: usize, len: usize, generation: u64) -> Shard {
+        Shard::from_slice(
+            corpus.subcorpus(start..start + len),
+            start as u32,
+            generation,
+        )
+    }
+
+    /// Build a shard owning `corpus`, whose first tree has global id
+    /// `base`, at corpus `generation` (see [`Shard::build_id`]).
+    pub fn from_slice(corpus: Corpus, base: u32, generation: u64) -> Shard {
         let t = Instant::now();
-        let corpus = master.subcorpus(start..start + len);
         let mut present = vec![0u64; corpus.interner().len().div_ceil(64)];
         let mut mark = |raw: u32| {
             let (word, bit) = (raw as usize / 64, raw as usize % 64);
@@ -282,7 +290,7 @@ impl Shard {
         };
         // One pass feeds the symbol-presence bitset, the content hash
         // behind the build id, and the aggregate count tables.
-        let mut hash = ContentHash::new(start as u32, generation);
+        let mut hash = ContentHash::new(base, generation);
         let mut agg = AggTables::default();
         for tree in corpus.trees() {
             hash.word(tree.len() as u32);
@@ -305,7 +313,7 @@ impl Shard {
             corpus,
             engine,
             labels: OnceLock::new(),
-            base: start as u32,
+            base,
             present,
             build_id: hash.finish(),
             build_time: t.elapsed(),
@@ -585,6 +593,11 @@ impl Shard {
         &self.agg
     }
 
+    /// Exact count of a table-answerable query, without evaluation.
+    pub fn tabulated(&self, fast: &FastClass) -> u64 {
+        self.agg.count(fast, self.corpus.interner(), &self.engine)
+    }
+
     /// Does the query match anywhere on this shard? Stops at the
     /// first witness on both execution strategies.
     pub fn exists(&self, compiled: &CompiledQuery) -> bool {
@@ -760,6 +773,29 @@ mod tests {
         assert_ne!(a.build_id(), Shard::build(&master, 0, 3, 0).build_id());
         assert_ne!(a.build_id(), Shard::build(&master, 1, 2, 0).build_id());
         assert_ne!(a.build_id(), Shard::build(&master, 0, 2, 1).build_id());
+    }
+
+    #[test]
+    fn a_grown_slice_builds_what_a_slice_of_the_grown_corpus_builds() {
+        // The service's append path: the tail's own slice plus the new
+        // trees must be the same shard — same build id, same symbol ids
+        // — as a slice of the whole grown corpus would be.
+        let extra = "( (S (NEWTAG (NN bird)) (VP (VBD flew))) )";
+        let mut corpus = parse_str(SRC).unwrap();
+        let mut grown = Shard::build(&corpus, 1, 2, 0).corpus().clone();
+        lpath_model::ptb::parse_into(extra, &mut grown).unwrap();
+        lpath_model::ptb::parse_into(extra, &mut corpus).unwrap();
+        let appended = Shard::from_slice(grown, 1, 1);
+        let sliced = Shard::build(&corpus, 1, 3, 1);
+        assert_eq!(appended.build_id(), sliced.build_id());
+        assert_eq!(
+            appended.corpus().interner().get("NEWTAG"),
+            corpus.interner().get("NEWTAG")
+        );
+        assert_eq!(
+            appended.corpus().to_ptb_string(),
+            sliced.corpus().to_ptb_string()
+        );
     }
 
     #[test]

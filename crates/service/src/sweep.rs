@@ -179,8 +179,7 @@ impl Service {
                 // A whole untouched shard is O(1) when the aggregate
                 // tables cover the query — take it regardless of budget.
                 if let (None, 0, Some(fast)) = (&ckpt, within, &compiled.fast) {
-                    let n = shard.agg().count(fast, shard.corpus().interner());
-                    return (n, None, Did::Tabulated);
+                    return (shard.tabulated(fast), None, Did::Tabulated);
                 }
                 let did = ckpt.as_ref().map_or(Did::Started, |_| Did::Resumed);
                 match shard.resume(compiled, ckpt, room) {

@@ -338,3 +338,132 @@ fn eval_multi_racing_appends_sees_one_consistent_snapshot() {
         engine.query("//VP").unwrap()
     );
 }
+
+/// Rounds of the two writer-race tests below: `rounds` at the default
+/// 256 property cases, scaled by `PROPTEST_CASES` as the property
+/// suites are (the nightly sweep's 4096 runs 16 times as many).
+fn race_rounds(rounds: u64) -> u64 {
+    let cases = u64::from(proptest::prelude::ProptestConfig::cases_or_env(256));
+    (cases * rounds / 256).max(1)
+}
+
+#[test]
+fn a_compile_racing_an_append_never_caches_a_stale_verdict() {
+    // Each round a compiler thread compiles `//NEWk` in a loop while
+    // another thread appends the first tree holding `NEWk`. A plan
+    // analysed while `NEWk` was still unknown (statically empty) must
+    // not survive the append in the plan cache: once both threads are
+    // done, the tag counts.
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let base = generate(&GenConfig::wsj(8));
+    for k in 0..race_rounds(128) {
+        let service = Service::with_config(
+            &base,
+            ServiceConfig {
+                shards: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let query = format!("//NEW{k}");
+        let appended = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !appended.load(Ordering::SeqCst) {
+                    service.compile(&query).unwrap();
+                }
+            });
+            scope.spawn(|| {
+                let tree = format!("( (S (NEW{k} (NN bird)) (VP (VBD flew))) )");
+                service.append_ptb(&tree).unwrap();
+                appended.store(true, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(service.count(&query).unwrap(), 1, "round {k}");
+    }
+}
+
+#[test]
+fn concurrent_writers_lose_nothing() {
+    // Two writers each append ten batches while a reader runs batches.
+    // Every batch ends in a marker tree whose tag is unique to it, so
+    // the settled service shows where each batch landed: appends are
+    // serialised, so none overwrites another's tail and each batch is
+    // contiguous.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const WRITERS: usize = 2;
+    const BATCHES: usize = 10;
+    const GENERATED: usize = 2; // generated trees before each marker
+    let base = generate(&GenConfig::wsj(12));
+    let extra = generate(&GenConfig::wsj(WRITERS * BATCHES * GENERATED).with_seed(11));
+    let batch = |w: usize, b: usize| {
+        let start = (w * BATCHES + b) * GENERATED;
+        let generated = extra.subcorpus(start..start + GENERATED).to_ptb_string();
+        format!("{generated}( (S (M{w}X{b} (NN bird)) (VP (VBD flew))) )\n")
+    };
+    for round in 0..race_rounds(2) {
+        let service = Service::with_config(
+            &base,
+            ServiceConfig {
+                shards: 3,
+                ..ServiceConfig::default()
+            },
+        );
+        let finished = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (service, finished, batch) = (&service, &finished, &batch);
+                scope.spawn(move || {
+                    for b in 0..BATCHES {
+                        assert_eq!(service.append_ptb(&batch(w, b)).unwrap(), GENERATED + 1);
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            let texts = ["//NP", "//NP[not(//ZZZQQ)]"];
+            while finished.load(Ordering::SeqCst) < WRITERS {
+                let rows = service.eval_multi(&texts);
+                assert_eq!(*rows[0].as_ref().unwrap(), *rows[1].as_ref().unwrap());
+            }
+        });
+
+        // Settled state: every marker counts once, nothing was lost,
+        // and the batches, replayed in the order they landed onto the
+        // base, give the same answers as a fresh engine.
+        let mut landed = Vec::new();
+        for w in 0..WRITERS {
+            for b in 0..BATCHES {
+                let marker = format!("//M{w}X{b}");
+                assert_eq!(
+                    service.count(&marker).unwrap(),
+                    1,
+                    "round {round}: {marker}"
+                );
+                landed.push((service.eval(&marker).unwrap()[0].0 as usize, w, b));
+            }
+        }
+        let appended = WRITERS * BATCHES * (GENERATED + 1);
+        assert_eq!(
+            service.trees(),
+            base.trees().len() + appended,
+            "round {round}"
+        );
+        landed.sort_unstable();
+        let mut grown = base.clone();
+        for (i, &(marker_tid, w, b)) in landed.iter().enumerate() {
+            let batch_end = base.trees().len() + (i + 1) * (GENERATED + 1);
+            assert_eq!(
+                marker_tid,
+                batch_end - 1,
+                "round {round}: batch {w}/{b} split"
+            );
+            parse_into(&batch(w, b), &mut grown).unwrap();
+        }
+        assert_eq!(
+            *service.eval("//NP").unwrap(),
+            Engine::build(&grown).query("//NP").unwrap(),
+            "round {round}"
+        );
+    }
+}
