@@ -213,10 +213,8 @@ impl Engine {
         let value_col = self.cols.col(NCol::Value);
         Ok(cq.to_sql_with(&self.db, &|r: ColRef, v: Value| {
             if (r.col == name_col || r.col == value_col) && v != NULL {
-                self.interner
-                    .iter()
-                    .find(|(s, _)| s.raw() == v)
-                    .map(|(_, text)| format!("'{text}'"))
+                let known = usize::try_from(v).is_ok_and(|i| i < self.interner.len());
+                known.then(|| format!("'{}'", self.interner.resolve(Sym(v))))
             } else {
                 None
             }

@@ -14,7 +14,7 @@
 //!   independently and exactly; concatenating per-shard results in
 //!   shard order reproduces single-engine document order byte for
 //!   byte.
-//! * **Plan cache** — each distinct query is parsed, SQL-translated
+//! * **Plan cache** — each distinct query is parsed, translated
 //!   and analyzed once per corpus generation ([`CompiledQuery`]),
 //!   mirroring [`lpath_core::Engine`]'s fallback contract: the
 //!   relational translation where it exists, the full-language tree
@@ -90,7 +90,7 @@ pub mod sweep;
 pub mod token;
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
@@ -100,7 +100,7 @@ use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
 pub use cache::ResultSet;
-use cache::{CountCache, GenCache, ShardRowCache, ShardRows};
+use cache::{CountCache, GenCache, PlanCache, ShardRowCache, ShardRows};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
 pub use plan::{required_symbols, CompiledQuery, ExecStrategy};
@@ -202,13 +202,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A plan-cache slot: the compiled query plus a recency stamp
-/// updatable under the map's read lock.
-struct PlanEntry {
-    compiled: Arc<CompiledQuery>,
-    stamp: AtomicU64,
-}
-
 /// The GROUP BY-style result shape of [`Service::hist`]: one query's
 /// match set aggregated two ways. Both breakdowns sum to `total`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -274,8 +267,7 @@ pub struct Service {
     cfg: ServiceConfig,
     threads: usize,
     state: RwLock<State>,
-    plans: RwLock<HashMap<String, PlanEntry>>,
-    plan_tick: AtomicU64,
+    plans: Mutex<PlanCache>,
     /// Per-shard counts, scoped to each shard's *build id* rather than
     /// the corpus generation: an append rebuilds only the tail shard,
     /// so every other shard's cached count stays valid across the
@@ -328,8 +320,7 @@ impl Service {
                 shards,
                 generation: 0,
             }),
-            plans: RwLock::new(HashMap::new()),
-            plan_tick: AtomicU64::new(0),
+            plans: Mutex::new(PlanCache::new(cfg.plan_cache_capacity)),
             shard_counts: Mutex::new(CountCache::new(cfg.result_cache_capacity)),
             shard_rows: Mutex::new(ShardRowCache::new(cfg.result_cache_capacity)),
             counters: Counters::default(),
@@ -356,7 +347,7 @@ impl Service {
     /// guard, so no plan outlives the vocabulary it was analysed against.
     pub fn compile(&self, query: &str) -> Result<Arc<CompiledQuery>, ServiceError> {
         let key = query.trim();
-        if let Some(hit) = self.plan_lookup(key) {
+        if let Some(hit) = self.plans.lock().unwrap().get(key) {
             self.counters.plan_hits.bump();
             return Ok(hit);
         }
@@ -364,10 +355,11 @@ impl Service {
         let normalized = ast.to_string();
         let st = self.state.read().unwrap();
         if normalized != key {
-            if let Some(hit) = self.plan_lookup(&normalized) {
+            let mut plans = self.plans.lock().unwrap();
+            if let Some(hit) = plans.get(&normalized) {
                 self.counters.plan_hits.bump();
                 // Alias the raw spelling for next time.
-                self.plan_insert(key.to_string(), Arc::clone(&hit));
+                plans.insert(key.to_string(), Arc::clone(&hit));
                 return Ok(hit);
             }
         }
@@ -377,69 +369,39 @@ impl Service {
         let vocabulary = st.vocabulary();
         let statically_empty =
             lpath_check::check_with(&ast, |sym| vocabulary.get(sym).is_some()).statically_empty;
-        // One translation, against the same vocabulary, decides both
-        // the strategy and the SQL.
-        let (strategy, sql) = match st.tail().engine().sql_ast(&ast) {
-            Ok(sql) => (ExecStrategy::Relational, Some(sql)),
-            Err(_) => (ExecStrategy::Walker, None),
+        // The relational translation, against the same vocabulary,
+        // decides the strategy; the SQL text is rendered only on demand
+        // (`Service::sql`).
+        let strategy = match st.tail().engine().translate(&ast) {
+            Ok(_) => ExecStrategy::Relational,
+            Err(_) => ExecStrategy::Walker,
         };
         let compiled = Arc::new(CompiledQuery {
             required: required_symbols(&ast),
             fast: agg::classify(&ast),
-            normalized: normalized.clone(),
+            normalized,
             ast,
             strategy,
-            sql,
             statically_empty,
         });
-        self.plan_insert(normalized, Arc::clone(&compiled));
+        let mut plans = self.plans.lock().unwrap();
+        plans.insert(compiled.normalized.clone(), Arc::clone(&compiled));
         if key != compiled.normalized {
-            self.plan_insert(key.to_string(), Arc::clone(&compiled));
+            plans.insert(key.to_string(), Arc::clone(&compiled));
         }
         Ok(compiled)
     }
 
-    /// Plan-cache lookup, refreshing the entry's recency stamp (the
-    /// stamp is atomic, so hits stay on the shared read lock).
-    fn plan_lookup(&self, key: &str) -> Option<Arc<CompiledQuery>> {
-        let plans = self.plans.read().unwrap();
-        let entry = plans.get(key)?;
-        let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.stamp.store(tick, Ordering::Relaxed);
-        Some(Arc::clone(&entry.compiled))
-    }
-
-    /// Bounded plan-cache insert: when full, the least recently used
-    /// entry is evicted. Capacity zero disables plan caching.
-    fn plan_insert(&self, key: String, compiled: Arc<CompiledQuery>) {
-        let cap = self.cfg.plan_cache_capacity;
-        if cap == 0 {
-            return;
-        }
-        let mut plans = self.plans.write().unwrap();
-        if plans.len() >= cap && !plans.contains_key(&key) {
-            let victim = plans
-                .iter()
-                .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            if let Some(v) = victim {
-                plans.remove(&v);
-            }
-        }
-        let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        plans.insert(
-            key,
-            PlanEntry {
-                compiled,
-                stamp: AtomicU64::new(tick),
-            },
-        );
-    }
-
-    /// The SQL the relational path executes for `query`, or `None`
-    /// when the query runs on the walker fallback.
+    /// The SQL the relational path executes for `query` — rendered on
+    /// the tail shard's engine, whose vocabulary holds every symbol —
+    /// or `None` when the query runs on the walker fallback.
     pub fn sql(&self, query: &str) -> Result<Option<String>, ServiceError> {
-        Ok(self.compile(query)?.sql.clone())
+        let compiled = self.compile(query)?;
+        if compiled.strategy == ExecStrategy::Walker {
+            return Ok(None);
+        }
+        let st = self.state.read().unwrap();
+        Ok(st.tail().engine().sql_ast(&compiled.ast).ok())
     }
 
     /// Statically analyze `query` against the current corpus
@@ -790,7 +752,12 @@ impl Service {
         for (&(si, shard), &(k, learned)) in shards.iter().zip(n.iter().flatten()) {
             if learned {
                 let store = store.get_or_insert_with(|| self.shard_counts.lock().unwrap());
-                store.insert((compiled.normalized.clone(), si), shard.build_id(), k);
+                self.admit(
+                    store,
+                    (compiled.normalized.clone(), si),
+                    shard.build_id(),
+                    &k,
+                );
             }
         }
         (n.iter().flatten().map(|&(k, _)| k).sum(), uncounted.len())
@@ -1071,7 +1038,7 @@ impl Service {
         // Only the plans read the vocabulary (cleared under the guard:
         // see `compile`). The stores are build-id scoped, so head
         // shards keep serving and stale tail entries drop on contact.
-        self.plans.write().unwrap().clear();
+        self.plans.lock().unwrap().clear();
         drop(st);
         self.counters.appends.bump();
         Ok(added)
@@ -1087,7 +1054,7 @@ impl Service {
         let mut st = self.state.write().unwrap();
         st.shards = shards;
         st.generation = generation;
-        self.plans.write().unwrap().clear();
+        self.plans.lock().unwrap().clear();
         drop(st);
         self.counters.swaps.bump();
         self.shard_counts.lock().unwrap().clear();
@@ -1128,7 +1095,7 @@ impl Service {
             threads: self.threads,
             trees: per_shard.iter().map(|s| s.trees).sum(),
             relation_rows: per_shard.iter().map(|s| s.relation_rows).sum(),
-            plan_cache_entries: self.plans.read().unwrap().len(),
+            plan_cache_entries: self.plans.lock().unwrap().len(),
             plan_hits: load(&c.plan_hits),
             plan_misses: load(&c.plan_misses),
             shard_result_cache_entries: complete,
@@ -1325,7 +1292,7 @@ mod tests {
         let q = "//VP/_[last()][self::NP]";
         let compiled = svc.compile(q).unwrap();
         assert_eq!(compiled.strategy, ExecStrategy::Walker);
-        assert!(compiled.sql.is_none());
+        assert_eq!(svc.sql(q).unwrap(), None);
         let got = svc.eval(q).unwrap();
         assert_eq!(*got, walk(&parse_str(SRC).unwrap(), q));
         assert!(!got.is_empty());
@@ -1371,6 +1338,97 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(svc.stats().plan_misses, 1);
         assert!(svc.stats().plan_hits >= 1);
+    }
+
+    fn plan_capped(capacity: usize) -> Service {
+        let corpus = parse_str(SRC).unwrap();
+        Service::with_config(
+            &corpus,
+            ServiceConfig {
+                shards: 1,
+                threads: 1,
+                plan_cache_capacity: capacity,
+                ..ServiceConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn plan_cache_evicts_the_least_recently_used_plan() {
+        let svc = plan_capped(3);
+        let compile = |q: &str| {
+            let misses = svc.stats().plan_misses;
+            svc.compile(q).unwrap();
+            let s = svc.stats();
+            assert!(s.plan_cache_entries <= 3, "{s:?}");
+            s.plan_misses > misses
+        };
+        assert!(compile("//NP") && compile("//VP") && compile("//DT"));
+        assert!(!compile("//NP"), "re-compiling the first is a hit");
+        assert!(compile("//NN"), "a fourth query misses");
+        // `//VP` was the least recently used: it alone was evicted.
+        assert!(!compile("//NP"));
+        assert!(compile("//VP"));
+        // A raw spelling that differs from its normalized form takes an
+        // alias entry beside the normalized one.
+        let svc = plan_capped(3);
+        svc.compile("// VP").unwrap();
+        assert_eq!(svc.stats().plan_cache_entries, 2);
+        let s = svc.stats();
+        assert!(Arc::ptr_eq(
+            &svc.compile("// VP").unwrap(),
+            &svc.compile("//VP").unwrap()
+        ));
+        let t = svc.stats();
+        assert_eq!(
+            (t.plan_misses, t.plan_hits),
+            (s.plan_misses, s.plan_hits + 2)
+        );
+    }
+
+    #[test]
+    fn concurrent_compiles_stay_within_the_plan_cache_capacity() {
+        let svc = plan_capped(3);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let svc = &svc;
+                scope.spawn(move || {
+                    for i in 0..64 {
+                        let distinct = format!("//_[@lex=w{t}x{i}]");
+                        let q = if i % 2 == 0 { "//NP" } else { &distinct };
+                        assert_eq!(svc.compile(q).unwrap().normalized, q);
+                    }
+                });
+            }
+        });
+        let s = svc.stats();
+        assert!(s.plan_cache_entries <= 3, "{s:?}");
+        assert_eq!(s.plan_hits + s.plan_misses, 4 * 64);
+        assert!(s.plan_misses >= 4 * 32, "every distinct query missed");
+    }
+
+    #[test]
+    fn count_store_rejections_are_counted() {
+        let corpus = parse_str(SRC).unwrap();
+        let svc = Service::with_config(
+            &corpus,
+            ServiceConfig {
+                shards: 1,
+                threads: 1,
+                result_cache_capacity: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        // Both untabulated counts re-read twice: the full store is
+        // all pinned.
+        for _ in 0..3 {
+            svc.count("//VP//NP").unwrap();
+            svc.count("//S//NP").unwrap();
+        }
+        assert_eq!(svc.stats().count_hits, 4);
+        assert_eq!(svc.stats().admission_rejects, 0);
+        assert_eq!(svc.count("//VP//NN").unwrap(), 3);
+        assert_eq!(svc.stats().admission_rejects, 1);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! A [`CompiledQuery`] is corpus-generation-scoped: the service's plan
 //! cache maps normalized query text to one of these, so each distinct
-//! query pays for parsing, SQL translation and requirement analysis a
+//! query pays for parsing, translation and requirement analysis a
 //! single time per corpus generation, however many times (and over
-//! however many shards) it is evaluated.
+//! however many shards) it is evaluated. No SQL text is rendered here:
+//! whether the relational translation exists decides the strategy, and
+//! [`crate::Service::sql`] renders the statement on demand.
 
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, Pred};
 
@@ -34,9 +36,6 @@ pub struct CompiledQuery {
     pub ast: Path,
     /// Chosen execution strategy.
     pub strategy: ExecStrategy,
-    /// The SQL the relational engine executes, when [`ExecStrategy::Relational`]
-    /// (with symbolic names resolved, as [`lpath_core::Engine::sql`] renders it).
-    pub sql: Option<String>,
     /// Symbols that must occur in a shard for it to contribute any
     /// match — the shard-pruning requirements (conservative, positive
     /// conjunctive context only).

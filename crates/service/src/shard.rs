@@ -639,7 +639,6 @@ mod tests {
             fast: crate::agg::classify(&ast),
             ast,
             strategy: ExecStrategy::Relational,
-            sql: None,
             statically_empty: false,
         }
     }
