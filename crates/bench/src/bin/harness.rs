@@ -337,7 +337,8 @@ fn sql(wsj: &Corpus) {
     let e = Engine::build(wsj);
     for q in QUERIES {
         println!("-- Q{}: {}", q.id, q.lpath);
-        match e.sql(q.lpath) {
+        let ast = lpath_syntax::parse(q.lpath).expect("evaluation query parses");
+        match e.sql_ast(&ast) {
             Ok(sql) => println!("   {sql}\n"),
             Err(err) => println!("   (unsupported: {err})\n"),
         }

@@ -16,7 +16,6 @@ use lpath_relstore::{
     Value, NULL,
 };
 use lpath_syntax::{parse, Axis, NodeTest, Path, SyntaxError};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::compile::NCol;
@@ -192,21 +191,8 @@ impl Engine {
         lpath_check::check_with(ast, |sym| self.interner.get(sym).is_some())
     }
 
-    /// [`Engine::check_ast`] from query text (spans index into it).
-    pub fn check(&self, query: &str) -> Result<CheckReport, EngineError> {
-        Ok(self.check_ast(&parse(query)?))
-    }
-
     /// The SQL statement the paper's engine would send to its RDBMS,
     /// with symbolic names resolved for readability.
-    pub fn sql(&self, query: &str) -> Result<String, EngineError> {
-        let ast = parse(query)?;
-        self.sql_ast(&ast)
-    }
-
-    /// Like [`Engine::sql`] for an already-parsed query (callers that
-    /// keep the AST — e.g. a plan cache — avoid re-parsing and
-    /// re-translating).
     pub fn sql_ast(&self, ast: &Path) -> Result<String, EngineError> {
         let cq = self.translate(ast)?;
         let name_col = self.cols.col(NCol::Name);
@@ -335,92 +321,6 @@ impl Engine {
         Ok(plan)
     }
 
-    /// Evaluate a batch of parsed queries with **common-subplan
-    /// sharing**: members whose plans anchor on the same table through
-    /// the same constant-keyed access path (see
-    /// [`lpath_relstore::anchor_key`]) ride one shared enumeration of
-    /// the anchor's candidate rows, each candidate fanning out to every
-    /// member's residual filter and join tail. Members with unique
-    /// anchors — and members whose plans cannot share (constant-empty,
-    /// binding-dependent anchors) — run exactly the solo
-    /// [`Engine::query_ast`] path.
-    ///
-    /// Per-member results are byte-identical to [`Engine::query_ast`]
-    /// on the same query: same rows, same document order. Errors stay
-    /// per-member — one unsupported query does not poison the batch.
-    pub fn eval_batch_shared(&self, asts: &[&Path]) -> (Vec<QueryResult>, BatchStats) {
-        let mut stats = BatchStats::default();
-        let planned: Vec<Result<rel::Plan, EngineError>> =
-            asts.iter().map(|ast| self.plan_ast(ast)).collect();
-        let mut out: Vec<Option<Vec<(u32, NodeId)>>> = Vec::new();
-        out.resize_with(asts.len(), || None);
-
-        // Shareable members, in input order, with their batch position.
-        let ok: Vec<(usize, &rel::Plan)> = planned
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().ok().map(|plan| (i, plan)))
-            .collect();
-        // Whole-plan dedup first: members whose plans are structurally
-        // identical (exact fingerprint — distinct surface queries
-        // routinely compile to one plan) execute once; the duplicates
-        // copy the canonical member's rows below.
-        let mut canon: HashMap<String, usize> = HashMap::new();
-        let mut dup_of: Vec<Option<usize>> = vec![None; ok.len()];
-        for (j, &(_, plan)) in ok.iter().enumerate() {
-            match canon.entry(rel::plan_fingerprint(plan)) {
-                Entry::Occupied(e) => dup_of[j] = Some(*e.get()),
-                Entry::Vacant(e) => {
-                    e.insert(j);
-                }
-            }
-        }
-        let uniq: Vec<usize> = (0..ok.len()).filter(|&j| dup_of[j].is_none()).collect();
-        let plans: Vec<&rel::Plan> = uniq.iter().map(|&j| ok[j].1).collect();
-        let mut grouped = vec![false; plans.len()];
-        for members in rel::group_by_anchor(&plans).values() {
-            if members.len() < 2 {
-                continue;
-            }
-            let group: Vec<&rel::Plan> = members.iter().map(|&j| plans[j]).collect();
-            let (rows, s) = rel::execute_shared(&group, &self.db);
-            stats.shared_scans += members.len() as u64;
-            stats.residual_evals += s.residual_evals;
-            for (&j, rows) in members.iter().zip(rows) {
-                grouped[j] = true;
-                let mut m = rows_to_matches(rows);
-                m.sort_unstable();
-                out[ok[uniq[j]].0] = Some(m);
-            }
-        }
-        // Everyone else — unique anchors, unshareable plans — solo.
-        for (j, &u) in uniq.iter().enumerate() {
-            if grouped[j] {
-                continue;
-            }
-            let (i, plan) = ok[u];
-            let mut m = rows_to_matches(rel::execute(plan, &self.db));
-            m.sort_unstable();
-            out[i] = Some(m);
-        }
-        // Duplicates share their canonical member's *entire* execution
-        // (anchor scan included), so they count as shared scans too.
-        for (j, d) in dup_of.iter().enumerate() {
-            if let Some(c) = d {
-                stats.shared_scans += 1;
-                let rows = out[ok[*c].0].clone().expect("canonical member executed");
-                out[ok[j].0] = Some(rows);
-            }
-        }
-
-        let results = planned
-            .into_iter()
-            .zip(out)
-            .map(|(p, o)| p.map(|_| o.expect("every planned member executed")))
-            .collect();
-        (results, stats)
-    }
-
     /// Result size — the measure reported in Figure 6(c). Counts
     /// through the streaming cursor: no match-set materialization, no
     /// sort.
@@ -475,12 +375,6 @@ impl Engine {
     /// Does the query match anywhere? Stops at the first witness —
     /// Boolean evaluation is far cheaper than enumeration
     /// (Gottlob–Koch–Schulz), and the cursor exploits exactly that gap.
-    pub fn exists(&self, query: &str) -> Result<bool, EngineError> {
-        let ast = parse(query)?;
-        self.exists_ast(&ast)
-    }
-
-    /// [`Engine::exists`] for an already-parsed query.
     pub fn exists_ast(&self, ast: &Path) -> Result<bool, EngineError> {
         let plan = self.plan_ast(ast)?;
         Ok(rel::exists(&plan, &self.db))
@@ -492,12 +386,6 @@ impl Engine {
     /// abandons the remaining enumeration; use [`Engine::query`] when
     /// the sorted full set is wanted, [`Engine::query_limit`] for
     /// document-ordered pages.
-    pub fn matches(&self, query: &str) -> Result<Matches<'_>, EngineError> {
-        let ast = parse(query)?;
-        self.matches_ast(&ast)
-    }
-
-    /// [`Engine::matches`] for an already-parsed query.
     pub fn matches_ast(&self, ast: &Path) -> Result<Matches<'_>, EngineError> {
         let plan = self.plan_ast(ast)?;
         Ok(Matches {
@@ -1062,21 +950,6 @@ fn next_span(found: usize, scanned: usize, need: usize, ntrees: usize) -> usize 
     predicted.saturating_add(1).saturating_mul(2).max(scanned)
 }
 
-/// One batch member's outcome: document-ordered matches, or the
-/// member's own planning error.
-pub type QueryResult = Result<Vec<(u32, NodeId)>, EngineError>;
-
-/// Work accounting for one [`Engine::eval_batch_shared`] call.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchStats {
-    /// Members whose anchor enumeration was shared with at least one
-    /// other batch member (i.e. the sum of sizes of groups of ≥ 2).
-    pub shared_scans: u64,
-    /// Per-member residual evaluations against shared anchor rows —
-    /// the work sharing could not remove.
-    pub residual_evals: u64,
-}
-
 /// Convert relational `(tid, id)` rows to `(tree index, node)` matches.
 /// Relational ids start at 2 (1 is the document node).
 fn rows_to_matches(rows: Vec<Vec<Value>>) -> Vec<(u32, NodeId)> {
@@ -1193,7 +1066,7 @@ enum ResumeState {
     Drained,
 }
 
-/// A streaming match iterator (see [`Engine::matches`]). Yields
+/// A streaming match iterator (see [`Engine::matches_ast`]). Yields
 /// `(tree index, node)` pairs in pipeline order as the underlying
 /// [`rel::Cursor`] produces them.
 pub struct Matches<'e> {
@@ -1268,37 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_solo_and_shares_anchors() {
-        let e = engine();
-        let texts = [
-            "//NP",             // same `name = NP` anchor …
-            "//NP[not(//Det)]", // … shared by all three (negated
-            "//NP[not(//Adj)]", //     checks keep the anchor)
-            "//Prep",           // unique anchor: runs solo
-            "//ZZZ",            // statically empty: constant plan, unshareable
-        ];
-        let asts: Vec<_> = texts
-            .iter()
-            .map(|t| lpath_syntax::parse(t).unwrap())
-            .collect();
-        let refs: Vec<&lpath_syntax::Path> = asts.iter().collect();
-        let (results, stats) = e.eval_batch_shared(&refs);
-        assert_eq!(results.len(), 5);
-        for (t, r) in texts.iter().zip(&results) {
-            assert_eq!(r.as_ref().unwrap(), &e.query(t).unwrap(), "{t}");
-        }
-        // The three //NP-anchored members rode one scan.
-        assert_eq!(stats.shared_scans, 3);
-        assert!(stats.residual_evals > 0);
-        // A batch of one shares nothing and still agrees.
-        let one = [&asts[0]];
-        let (solo, st) = e.eval_batch_shared(&one);
-        assert_eq!(solo[0].as_ref().unwrap(), &e.query("//NP").unwrap());
-        assert_eq!(st.shared_scans, 0);
-        assert_eq!(st.residual_evals, 0);
-    }
-
-    #[test]
     fn figure2_results_via_sql() {
         let e = engine();
         assert_eq!(e.count("//S[//_[@lex=saw]]").unwrap(), 1);
@@ -1359,7 +1201,7 @@ mod tests {
     #[test]
     fn sql_rendering_uses_symbolic_names() {
         let e = engine();
-        let sql = e.sql("//V->NP").unwrap();
+        let sql = e.sql_ast(&lpath_syntax::parse("//V->NP").unwrap()).unwrap();
         assert!(sql.contains("= 'V'"), "{sql}");
         assert!(sql.contains("= 'NP'"), "{sql}");
     }
@@ -1403,14 +1245,15 @@ mod tests {
     #[test]
     fn function_library_sql_uses_in_sets() {
         let e = engine();
-        let sql = e.sql("//_[contains(@lex,'og')]").unwrap();
+        let render = |q| e.sql_ast(&lpath_syntax::parse(q).unwrap()).unwrap();
+        let sql = render("//_[contains(@lex,'og')]");
         assert!(sql.contains(" IN ("), "{sql}");
         assert!(sql.contains("'dog'"), "{sql}");
         // Unsatisfiable set: falls back to the impossible condition.
-        let sql = e.sql("//_[contains(@lex,'zzz')]").unwrap();
+        let sql = render("//_[contains(@lex,'zzz')]");
         assert!(sql.contains("left < 0"), "{sql}");
         // Negation goes through NOT EXISTS.
-        let sql = e.sql("//_[not(contains(@lex,'og'))]").unwrap();
+        let sql = render("//_[not(contains(@lex,'og'))]");
         assert!(sql.contains("NOT EXISTS"), "{sql}");
     }
 
@@ -1444,27 +1287,28 @@ mod tests {
     #[test]
     fn exists_matches_nonempty_query() {
         let e = engine();
+        let exists = |q| e.exists_ast(&lpath_syntax::parse(q).unwrap()).unwrap();
         for q in ["//NP", "//V->NP", "//NP[not(//Det)]", "//_[@lex=saw]"] {
-            assert!(e.exists(q).unwrap(), "{q}");
+            assert!(exists(q), "{q}");
         }
         for q in ["//ZZZ", "//_[@lex=zzz]", "//NP/ZZZ"] {
-            assert!(!e.exists(q).unwrap(), "{q}");
+            assert!(!exists(q), "{q}");
         }
-        assert!(e.exists("//VP[").is_err());
     }
 
     #[test]
     fn matches_streams_the_full_set_in_some_order() {
         let corpus = parse_str(&format!("{FIG1}\n{FIG1}")).unwrap();
         let e = Engine::build(&corpus);
+        let matches = |q| e.matches_ast(&lpath_syntax::parse(q).unwrap()).unwrap();
         for q in ["//NP", "//V->NP", "//VP{//NP$}"] {
-            let mut streamed: Vec<(u32, NodeId)> = e.matches(q).unwrap().collect();
+            let mut streamed: Vec<(u32, NodeId)> = matches(q).collect();
             streamed.sort_unstable();
             assert_eq!(streamed, e.query(q).unwrap(), "{q}");
         }
         // Pulling one match does not require the rest.
-        assert!(e.matches("//NP").unwrap().next().is_some());
-        assert!(e.matches("//ZZZ").unwrap().next().is_none());
+        assert!(matches("//NP").next().is_some());
+        assert!(matches("//ZZZ").next().is_none());
     }
 
     #[test]
@@ -1633,31 +1477,31 @@ mod tests {
     #[test]
     fn check_uses_the_corpus_vocabulary() {
         let e = engine();
+        let check = |q| e.check_ast(&lpath_syntax::parse(q).unwrap());
         // Unknown tag: proven empty with a spanned diagnostic.
-        let r = e.check("//ZZZ").unwrap();
+        let r = check("//ZZZ");
         assert!(r.statically_empty);
         assert_eq!(r.errors().next().unwrap().code, "unknown-tag");
         // Known tags pass clean.
-        assert!(e.check("//NP/VP").unwrap().is_clean());
+        assert!(check("//NP/VP").is_clean());
         // Unknown lexeme under equality: proven empty.
-        assert!(e.check("//_[@lex=zzz]").unwrap().statically_empty);
+        assert!(check("//_[@lex=zzz]").statically_empty);
         // Structural contradiction needs no vocabulary (check works
         // even on queries the relational translator rejects).
-        assert!(e.check("//NP[position()=0]").unwrap().statically_empty);
-        // Syntax errors still surface.
-        assert!(e.check("//VP[").is_err());
+        assert!(check("//NP[position()=0]").statically_empty);
     }
 
     #[test]
     fn statically_empty_queries_run_the_constant_empty_plan() {
         let e = engine();
         for q in ["//ZZZ", "//_[@lex=zzz]", "//_[@lex=saw and @lex=the]"] {
-            let plan = e.plan_ast(&lpath_syntax::parse(q).unwrap()).unwrap();
+            let ast = lpath_syntax::parse(q).unwrap();
+            let plan = e.plan_ast(&ast).unwrap();
             assert!(plan.const_empty, "{q}");
             assert!(plan.steps.is_empty(), "{q}");
             assert_eq!(e.query(q).unwrap(), Vec::new(), "{q}");
             assert_eq!(e.count(q).unwrap(), 0, "{q}");
-            assert!(!e.exists(q).unwrap(), "{q}");
+            assert!(!e.exists_ast(&ast).unwrap(), "{q}");
             assert_eq!(e.query_limit(q, 0, 10).unwrap(), Vec::new(), "{q}");
         }
         // A satisfiable query still plans normally.

@@ -44,10 +44,7 @@ pub mod queryset;
 pub mod translate;
 pub mod walker;
 
-pub use engine::{
-    BatchStats, Engine, EngineError, ExplainAnalyze, Matches, QueryCheckpoint, QueryResult,
-    StepReport,
-};
+pub use engine::{Engine, EngineError, ExplainAnalyze, Matches, QueryCheckpoint, StepReport};
 pub use naive::NaiveEvaluator;
 pub use queryset::{benchmark_batch, BenchQuery, ExtQuery, EXTENDED_QUERIES, QUERIES};
 pub use translate::{Translator, Unsupported};

@@ -64,7 +64,6 @@ pub mod catalog;
 pub mod cursor;
 pub mod expr;
 pub mod index;
-pub mod multi;
 pub mod plan;
 pub mod planner;
 pub mod schema;
@@ -81,9 +80,8 @@ pub use cursor::{
 };
 pub use expr::{ColRef, Cond, InCond, Operand};
 pub use index::Index;
-pub use multi::{anchor_key, execute_shared, group_by_anchor, AnchorKey, SharedScanStats};
 pub use plan::{AccessPath, JoinStep, Plan, SubCheck};
-pub use planner::{plan, plan_fingerprint, plan_signature, JoinOrder, OptGoal, PlannerConfig};
+pub use planner::{plan, JoinOrder, OptGoal, PlannerConfig};
 pub use schema::{ColId, Schema};
 pub use sql::{ConjQuery, SubQuery};
 pub use stats::{ColumnStats, GroupSpread, TableStats};

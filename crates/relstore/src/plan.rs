@@ -159,9 +159,7 @@ pub(crate) fn resolve_bound(
 }
 
 /// Depth-first join enumeration for correlated existence checks.
-/// `emit` returns `false` to stop early (first witness). Also the
-/// per-member continuation of [`crate::multi::execute_shared`], which
-/// hand-binds a shared anchor row and resumes the pipeline at step 1.
+/// `emit` returns `false` to stop early (first witness).
 pub(crate) fn run(
     plan: &Plan,
     db: &Database,

@@ -497,34 +497,6 @@ fn plan_estimates(
     (startup, total, result)
 }
 
-/// A structural hash of `plan`'s shareable anchor — the batch
-/// scheduler's bucket key for common-subplan sharing. Two plans with
-/// equal signatures *probably* enumerate the same anchor candidate
-/// set; the full [`crate::multi::AnchorKey`] is the equality guard
-/// (use [`crate::multi::group_by_anchor`] when grouping). `None` when
-/// the plan has no shareable anchor: constant-empty or zero-step
-/// plans, or an anchor keyed by non-constant operands.
-pub fn plan_signature(plan: &Plan) -> Option<u64> {
-    use std::hash::{Hash, Hasher};
-    let key = crate::multi::anchor_key(plan)?;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    Some(h.finish())
-}
-
-/// An *exact* structural identity for the whole plan: two plans with
-/// equal fingerprints have equal steps, access paths, residuals,
-/// checks, projection and DISTINCT mode, so they produce identical
-/// output — the batch scheduler executes one and copies. Derived from
-/// the structure's canonical debug rendering (every field, recursively),
-/// so — unlike the 64-bit [`plan_signature`] bucket — equality here is
-/// never a false positive. Distinct surface queries routinely collapse
-/// to one fingerprint (e.g. a child-axis and a descendant-axis edge
-/// the planner keys through the same interval probe).
-pub fn plan_fingerprint(plan: &Plan) -> String {
-    format!("{plan:?}")
-}
-
 /// An available condition for a step: either an original query
 /// condition (with its index, for `consumed` bookkeeping) or one
 /// synthesized from the equality closure.
@@ -1062,24 +1034,6 @@ mod tests {
             );
             assert_eq!(p.steps[0].alias, b, "k = {k}: {p}");
         }
-    }
-
-    #[test]
-    fn plan_signatures_bucket_shared_anchors() {
-        let (db, tid) = setup();
-        let mk = |g: u32| {
-            let mut q = ConjQuery::default();
-            let a = q.add_alias(tid);
-            q.conds
-                .push(Cond::against_const(ColRef::new(a, GRP), Cmp::Eq, g));
-            q.projection.push(ColRef::new(a, VAL));
-            plan(&db, &q, &PlannerConfig::default())
-        };
-        let (p4, p4b, p5) = (mk(4), mk(4), mk(5));
-        assert!(plan_signature(&p4).is_some());
-        assert_eq!(plan_signature(&p4), plan_signature(&p4b));
-        assert_ne!(plan_signature(&p4), plan_signature(&p5));
-        assert_eq!(plan_signature(&Plan::constant_empty()), None);
     }
 
     #[test]

@@ -251,12 +251,15 @@ impl Client {
     }
 
     /// Run a whole token sweep: page until the server stops minting
-    /// tokens, concatenating the pages.
+    /// tokens, concatenating the pages. `page` is clamped to at least
+    /// 1: a zero-limit page keeps the sweep's place without advancing
+    /// it, so a sweep of them would never end.
     ///
     /// # Errors
     ///
     /// See [`Client::eval_page`].
     pub fn eval_sweep(&mut self, query: &str, page: usize) -> Result<Vec<(u32, u32)>, ClientError> {
+        let page = page.max(1);
         let mut all = Vec::new();
         let mut token: Option<String> = None;
         loop {

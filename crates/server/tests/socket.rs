@@ -139,6 +139,28 @@ fn zero_limit_pages_keep_the_place_and_validate_the_token() {
     }
 }
 
+/// `Client::eval_sweep` with a page size of 0 clamps it to 1 instead of
+/// echoing zero-limit pages, each of which keeps the place, forever.
+#[test]
+fn zero_page_sweep_terminates_and_matches_a_paged_sweep() {
+    let (handle, svc) = start(10, 8);
+    let (addr, q) = (handle.addr(), "//NP");
+    let before = svc.stats().pages;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        let _ = tx.send(client.eval_sweep(q, 0).unwrap());
+    });
+    let rows = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a zero-page sweep must end");
+    let pages = svc.stats().pages - before;
+    assert!(!rows.is_empty());
+    assert!(pages <= rows.len() as u64 + 1, "{pages} pages");
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(rows, client.eval_sweep(q, 7).unwrap());
+}
+
 /// The budgeted count sweep over the socket: only echoed count tokens,
 /// reconnecting mid-sweep, lands on the same total as a one-shot
 /// `count` — and `hist` agrees with both and with the in-process
@@ -207,7 +229,7 @@ fn full_method_surface_round_trips() {
 
 /// A batched eval over the socket equals independent reference
 /// evaluations member by member, keeps a failing member's error
-/// in-band, and advances the server's sharing counters.
+/// in-band, and counts as one batch on the server.
 #[test]
 fn eval_multi_round_trips_with_in_band_errors() {
     let (handle, svc) = start(30, 8);
@@ -235,10 +257,7 @@ fn eval_multi_round_trips_with_in_band_errors() {
         assert_eq!(*batch[i].as_ref().unwrap(), reference, "{q}");
     }
     let stats = svc.stats();
-    assert!(
-        stats.multi_shared_scans >= 2,
-        "the two NP-anchored members share a scan: {stats:?}"
-    );
+    assert_eq!(stats.batches, 1, "{stats:?}");
 }
 
 /// Request-level failures answer with typed codes and leave the

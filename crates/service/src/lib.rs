@@ -491,20 +491,20 @@ impl Service {
             .expect("one member")
     }
 
-    /// Evaluate a batch of queries with common-subplan sharing: within
-    /// each shard, members whose plans open the same anchor — the same
-    /// full-table scan or the same equality/range index probe — ride
-    /// one cursor, with only their residual filters evaluated per
-    /// candidate row. Per-query results are identical to calling
-    /// [`Service::eval`] one query at a time (same rows, same document
-    /// order); only the work is shared, never the answers.
+    /// Evaluate a batch of queries as one request: one compile pass,
+    /// one shard snapshot, one row-store round to probe and one to
+    /// write back. Members with the same normalized text are evaluated
+    /// once and share one `Arc` ([`ServiceStats::batch_dedup`]); each
+    /// shard with a miss runs one task that evaluates its missed
+    /// members in order, exactly as [`Service::eval`] would. Per-query
+    /// results are identical to calling [`Service::eval`] one query at
+    /// a time (same rows, same document order), and a failing member
+    /// is an in-band error that leaves its siblings alone.
     ///
     /// The whole batch sees one shard snapshot, so members can never
     /// observe a corpus append half-applied ([`Service::append_ptb`]
     /// swaps shards in under the lock; clones taken before the swap
-    /// stay consistent with each other). Sharing statistics land in
-    /// [`ServiceStats::multi_shared_scans`] and
-    /// [`ServiceStats::multi_residual_evals`].
+    /// stay consistent with each other).
     ///
     /// A batch of one *is* [`Service::eval`] — same caches, same
     /// counters, same latency class.
@@ -538,8 +538,8 @@ impl Service {
     /// set of compiled members (a solo request is a set of one). In-set
     /// duplicates collapse onto one answer; one lock round probes the
     /// row store for every (member, unpruned shard) pair; only shards
-    /// with a miss fan out, one task each carrying its misses, so
-    /// anchor sharing happens inside each shard's engine; per-shard
+    /// with a miss fan out, one task each evaluating its misses in
+    /// order with [`Shard::eval`], the call a solo miss makes; per-shard
     /// rows concatenate in shard order, which *is* document order. Each
     /// answer comes back beside its plan; compile errors pass through.
     fn resolve(
@@ -616,14 +616,11 @@ impl Service {
                 req.fanout = work.len();
                 let evaluated = fan_out(self.threads, work.len(), |t| {
                     let (si, members) = &work[t];
-                    let members: Vec<&CompiledQuery> =
-                        members.iter().map(|&w| wanted[w].1.as_ref()).collect();
-                    // Plans opening the same anchor share one enumeration.
-                    let (rows, stats) = shards[*si].eval_multi(&members);
                     self.counters.shard_evals.add(members.len() as u64);
-                    self.counters.multi_shared_scans.add(stats.shared_scans);
-                    self.counters.multi_residual_evals.add(stats.residual_evals);
-                    rows
+                    members
+                        .iter()
+                        .map(|&w| shards[*si].eval(&wanted[w].1))
+                        .collect::<Vec<_>>()
                 });
                 // Complete results go to the store, where later requests
                 // reuse them (across appends too, but for the tail).
@@ -1108,8 +1105,6 @@ impl Service {
             count_resumes: load(&c.count_resumes),
             hists: load(&c.hists),
             batch_dedup: load(&c.batch_dedup),
-            multi_shared_scans: load(&c.multi_shared_scans),
-            multi_residual_evals: load(&c.multi_residual_evals),
             admission_rejects: load(&c.admission_rejects),
             queries: load(&c.queries),
             batches: load(&c.batches),
@@ -1481,42 +1476,53 @@ mod tests {
     }
 
     #[test]
-    fn multi_matches_individual_evals_and_shares_scans() {
+    fn multi_matches_individual_evals_and_evaluates_each_miss_once() {
         let svc = service(2);
-        // Three members open the same NP anchor (negated subquery
-        // checks stay residual filters on the shared scan); the rest
-        // exercise unrelated anchors and the error path.
+        // Distinct members, one repeat, a shard-pruned member (`saw`
+        // occurs in one tree only) and the error path.
         let queries = [
             "//NP",
             "//NP[not(//DT)]",
-            "//NP[not(//NN)]",
             "//VBD->NP",
+            "//_[@lex=saw]",
+            " //NP ",
             "//VP[",
         ];
+        let mut seen = std::collections::HashSet::new();
+        let distinct: Vec<_> = queries
+            .iter()
+            .filter_map(|q| svc.compile(q).ok())
+            .filter(|c| seen.insert(c.normalized.clone()))
+            .collect();
+        let shards = svc.state.read().unwrap().shards.clone();
+        let misses: usize = distinct
+            .iter()
+            .map(|c| shards.iter().filter(|s| s.may_match(&c.required)).count())
+            .sum();
+        assert!(misses < 4 * 2, "one member is pruned somewhere");
+        let before = svc.stats();
         let multi = svc.eval_multi(&queries);
-        assert_eq!(multi.len(), 5);
-        assert!(multi[4].is_err());
-        for (i, q) in queries.iter().enumerate().take(4) {
+        assert_eq!(multi.len(), 6);
+        assert!(multi[5].is_err());
+        for (i, q) in queries.iter().enumerate().take(5) {
             assert_eq!(
                 *multi[i].as_ref().unwrap().clone(),
                 *service(2).eval(q).unwrap(),
                 "{q}"
             );
         }
-        let stats = svc.stats();
-        assert!(
-            stats.multi_shared_scans >= 3,
-            "NP-anchored members should share: {stats:?}"
-        );
-        assert!(stats.multi_residual_evals > 0, "{stats:?}");
-        // Served-from-batch results land in the caches like solo ones.
-        svc.eval_multi(&["//NP", "//NP[not(//DT)]"])
-            .into_iter()
-            .for_each(|r| {
-                r.unwrap();
-            });
-        let stats = svc.stats();
-        assert!(stats.result_hits >= 2, "{stats:?}");
+        // One shard eval per (distinct member, unpruned shard) miss.
+        let after = svc.stats();
+        assert_eq!(after.shard_evals - before.shard_evals, misses as u64);
+        assert_eq!(after.result_misses - before.result_misses, misses as u64);
+        // Served-from-batch results land in the store like solo ones:
+        // the re-run evaluates nothing and is all result hits.
+        let again = svc.eval_multi(&queries);
+        assert!(again[..5].iter().all(Result::is_ok));
+        let last = svc.stats();
+        assert_eq!(last.shard_evals, after.shard_evals, "{last:?}");
+        assert_eq!(last.result_misses, after.result_misses, "{last:?}");
+        assert_eq!(last.result_hits - after.result_hits, misses as u64);
     }
 
     #[test]
@@ -1528,10 +1534,9 @@ mod tests {
             *svc.eval("//NP").unwrap()
         );
         let stats = svc.stats();
-        // No batch accounting, no sharing machinery — and the second
-        // (solo) eval hit the store the first populated, once per shard.
+        // No batch accounting — and the second (solo) eval hit the
+        // store the first populated, once per shard.
         assert_eq!(stats.batches, 0, "{stats:?}");
-        assert_eq!(stats.multi_shared_scans, 0, "{stats:?}");
         assert_eq!(stats.result_hits, 2, "{stats:?}");
     }
 

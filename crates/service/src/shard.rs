@@ -404,45 +404,6 @@ impl Shard {
         walker(self.walker(), &compiled.ast)
     }
 
-    /// Evaluate a batch of compiled queries on this shard with
-    /// common-subplan sharing: relational members ride
-    /// [`lpath_core::Engine::eval_batch_shared`] (members whose plans
-    /// anchor identically share one enumeration of the anchor's
-    /// candidate rows), walker members run solo. Per-member output is
-    /// byte-identical to [`Shard::eval`] on that query — same rows,
-    /// same global tree ids, same document order.
-    pub fn eval_multi(
-        &self,
-        compiled: &[&CompiledQuery],
-    ) -> (Vec<Vec<(u32, NodeId)>>, lpath_core::BatchStats) {
-        // A set of one has nothing to share a scan with: skip the
-        // fingerprinting and anchor-grouping pass.
-        if let [only] = compiled {
-            return (vec![self.eval(only)], lpath_core::BatchStats::default());
-        }
-        let asts: Vec<&Path> = compiled
-            .iter()
-            .filter(|c| c.strategy == ExecStrategy::Relational)
-            .map(|c| &c.ast)
-            .collect();
-        let (results, stats) = self.engine.eval_batch_shared(&asts);
-        // Relational members take their results in batch order; the
-        // walker answers the rest — and, as in `fresh`, any member the
-        // engine unexpectedly refused.
-        let mut results = results.into_iter();
-        let rows = compiled
-            .iter()
-            .map(|c| {
-                let local = match c.strategy {
-                    ExecStrategy::Relational => results.next().expect("one per member").ok(),
-                    ExecStrategy::Walker => None,
-                };
-                self.global(local.unwrap_or_else(|| self.walker().eval(&c.ast)))
-            })
-            .collect();
-        (rows, stats)
-    }
-
     /// The first `limit` matches of the shard's document-ordered
     /// result — the page bound pushed *into* the shard, so a page-1
     /// request over a large shard pays for a bounded prefix instead of
@@ -677,26 +638,6 @@ mod tests {
         let engine = Engine::build(&master);
         for q in ["//NP", "//VBD->NP", "//S{/VP$}", "//_[@lex=the]"] {
             assert_eq!(shard.eval(&compiled(q)), engine.query(q).unwrap(), "{q}");
-        }
-    }
-
-    #[test]
-    fn eval_multi_matches_solo_eval_across_strategies() {
-        let master = parse_str(SRC).unwrap();
-        let shard = Shard::build(&master, 1, 2, 0);
-        let mut walker_q = compiled("//VP/_[last()]");
-        walker_q.strategy = ExecStrategy::Walker;
-        let queries = [
-            compiled("//NP"),
-            compiled("//NP[not(//DT)]"),
-            walker_q,
-            compiled("//VBD->NP"),
-        ];
-        let refs: Vec<&CompiledQuery> = queries.iter().collect();
-        let (rows, _) = shard.eval_multi(&refs);
-        assert_eq!(rows.len(), queries.len());
-        for (c, got) in queries.iter().zip(&rows) {
-            assert_eq!(got, &shard.eval(c), "{}", c.normalized);
         }
     }
 

@@ -25,8 +25,6 @@ pub(crate) struct Counters {
     pub count_resumes: Counter,
     pub hists: Counter,
     pub batch_dedup: Counter,
-    pub multi_shared_scans: Counter,
-    pub multi_residual_evals: Counter,
     pub admission_rejects: Counter,
     pub queries: Counter,
     pub batches: Counter,
@@ -360,13 +358,6 @@ pub struct ServiceStats {
     /// Duplicate queries within one batch served from a sibling
     /// occurrence's evaluation (neither a cache hit nor a miss).
     pub batch_dedup: u64,
-    /// Batch members (across [`crate::Service::eval_multi`] calls)
-    /// whose anchor enumeration was shared with at least one other
-    /// member of the same group — the subplan-sharing signal.
-    pub multi_shared_scans: u64,
-    /// Per-member residual evaluations against shared anchor rows —
-    /// the batched-execution work sharing could not remove.
-    pub multi_residual_evals: u64,
     /// Cache inserts rejected by the admission policy: the candidate
     /// lost to a fully hot-pinned resident set (see
     /// `crate::cache::GenCache::insert`). A sweep of distinct
@@ -485,8 +476,6 @@ mod tests {
             count_resumes: 0,
             hists: 0,
             batch_dedup: 0,
-            multi_shared_scans: 0,
-            multi_residual_evals: 0,
             admission_rejects: 0,
             queries: 0,
             batches: 0,

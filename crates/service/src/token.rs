@@ -246,8 +246,8 @@ impl Service {
         wire::b64_encode(w.bytes())
     }
 
-    /// Paged form of [`Service::eval_multi`]: evaluate the whole batch
-    /// with anchor sharing, then serve each member's first `limit`
+    /// Paged form of [`Service::eval_multi`]: evaluate the whole batch,
+    /// then serve each member's first `limit`
     /// rows plus — when more remain — an offset-only paging token.
     /// The tokens are byte-compatible with the solo paging protocol:
     /// echoing one into [`Service::eval_page_token`] (with the same

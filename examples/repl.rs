@@ -107,7 +107,10 @@ fn main() {
                     s.trees, s.total_nodes, s.total_tokens, s.unique_tags, s.max_depth
                 );
             }
-            (".sql", q) => match engine.sql(q) {
+            (".sql", q) => match parse(q)
+                .map_err(EngineError::from)
+                .and_then(|ast| engine.sql_ast(&ast))
+            {
                 Ok(sql) => println!("{sql}"),
                 Err(e) => println!("error: {e}"),
             },

@@ -21,9 +21,10 @@ fn main() {
         "//NP[->PP[//IN[@lex=of]]=>VP]",
     ];
 
+    let sql = |q| engine.sql_ast(&parse(q).expect("parses"));
     for q in queries {
         println!("LPath   {q}");
-        println!("SQL     {}", engine.sql(q).expect("translatable"));
+        println!("SQL     {}", sql(q).expect("translatable"));
         println!("plan    |");
         for line in engine.explain(q).expect("plannable").lines() {
             println!("        | {line}");
@@ -33,7 +34,7 @@ fn main() {
 
     // Features only the tree walker evaluates.
     for q in ["//VP/_[last()]", "//NP[//JJ or //DT]", "//VB->*_"] {
-        match engine.sql(q) {
+        match sql(q) {
             Err(e) => println!("not translatable: {q}\n  → {e}"),
             Ok(_) => unreachable!("{q} should be rejected"),
         }

@@ -39,7 +39,7 @@
 //! assert_eq!(engine.count("//VP{/NP$}").unwrap(), 1);
 //!
 //! // The SQL the paper's engine would emit.
-//! let sql = engine.sql("//VBD->NP").unwrap();
+//! let sql = engine.sql_ast(&parse("//VBD->NP").unwrap()).unwrap();
 //! assert!(sql.contains("n1.left = n0.right"));
 //!
 //! // Serving many queries? The service shards the corpus, caches

@@ -148,7 +148,7 @@ fn early_termination_matches_full_enumeration_on_all_23_queries() {
         let ast = parse(q.lpath).unwrap();
         let full = engine.query(q.lpath).unwrap();
         assert_eq!(
-            engine.exists(q.lpath).unwrap(),
+            engine.exists_ast(&ast).unwrap(),
             !full.is_empty(),
             "Q{}",
             q.id
@@ -162,7 +162,7 @@ fn early_termination_matches_full_enumeration_on_all_23_queries() {
         );
         assert_eq!(engine.count(q.lpath).unwrap(), full.len(), "Q{}", q.id);
         assert_eq!(service.count(q.lpath).unwrap(), full.len(), "Q{}", q.id);
-        let mut streamed: Vec<(u32, NodeId)> = engine.matches(q.lpath).unwrap().collect();
+        let mut streamed: Vec<(u32, NodeId)> = engine.matches_ast(&ast).unwrap().collect();
         streamed.sort_unstable();
         assert_eq!(streamed, full, "Q{} streamed", q.id);
         for (offset, limit) in [(0, 1), (0, 10), (5, 5), (full.len(), 4), (0, usize::MAX)] {
@@ -205,7 +205,7 @@ fn degenerate_inputs_agree_across_early_exit_paths() {
     let nothing: Vec<(u32, NodeId)> = Vec::new();
     for q in ["//NP", "//_", "//NP[not(//JJ)]"] {
         let ast = parse(q).unwrap();
-        assert!(!engine.exists(q).unwrap(), "{q}");
+        assert!(!engine.exists_ast(&ast).unwrap(), "{q}");
         assert!(!walker.exists(&ast), "{q}");
         assert!(!service.exists(q).unwrap(), "{q}");
         assert_eq!(engine.query(q).unwrap(), nothing, "{q}");

@@ -98,7 +98,7 @@ fn sql_and_explain_render_for_all_evaluation_queries() {
     let engine = Engine::build(&corpus);
     for q in QUERIES {
         let sql = engine
-            .sql(q.lpath)
+            .sql_ast(&parse(q.lpath).unwrap())
             .unwrap_or_else(|e| panic!("Q{}: {e}", q.id));
         assert!(sql.starts_with("SELECT DISTINCT"), "Q{}: {sql}", q.id);
         assert!(sql.contains("FROM node"), "Q{}: {sql}", q.id);
