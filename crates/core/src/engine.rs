@@ -1297,6 +1297,31 @@ mod tests {
     }
 
     #[test]
+    fn one_parse_serves_every_ast_entry_point() {
+        let e = engine();
+        for q in [
+            "//NP",
+            "//V->NP",
+            "//NP[not(//Det)]",
+            "//_[@lex=saw]",
+            "//ZZZ",
+        ] {
+            let ast = lpath_syntax::parse(q).unwrap();
+            let rows = e.query_ast(&ast).unwrap();
+            assert_eq!(rows, e.query(q).unwrap(), "{q}");
+            assert_eq!(e.count_ast(&ast).unwrap(), rows.len(), "{q}");
+            assert_eq!(e.exists_ast(&ast).unwrap(), !rows.is_empty(), "{q}");
+            let mut streamed: Vec<(u32, NodeId)> = e.matches_ast(&ast).unwrap().collect();
+            streamed.sort_unstable();
+            assert_eq!(streamed, rows, "{q}");
+            assert_eq!(e.check_ast(&ast).statically_empty, q == "//ZZZ", "{q}");
+            assert!(e.sql_ast(&ast).unwrap().starts_with("SELECT"), "{q}");
+        }
+        // Syntax errors surface from the parse, before any entry point.
+        assert!(lpath_syntax::parse("//VP[").is_err());
+    }
+
+    #[test]
     fn matches_streams_the_full_set_in_some_order() {
         let corpus = parse_str(&format!("{FIG1}\n{FIG1}")).unwrap();
         let e = Engine::build(&corpus);

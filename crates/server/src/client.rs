@@ -165,7 +165,7 @@ impl Client {
     }
 
     /// Evaluate a batch of queries in one round trip (the server
-    /// shares common plan anchors across members). Results come back
+    /// evaluates repeated members once). Results come back
     /// in request order; a failing member is an in-band
     /// [`ClientError::Remote`] that does not disturb its siblings.
     ///

@@ -260,6 +260,21 @@ fn eval_multi_round_trips_with_in_band_errors() {
     assert_eq!(stats.batches, 1, "{stats:?}");
 }
 
+/// Repeats in a batch over the socket, in any spelling, come back as
+/// equal rows from one evaluation, and each member equals its solo eval.
+#[test]
+fn eval_multi_over_the_socket_dedups_repeats() {
+    let (handle, svc) = start(20, 8);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let queries = ["//VP{/NP$}", "  //VP{/NP$} ", "//NN", "//VP{/NP$}"];
+    let batch = client.eval_multi(&queries).unwrap();
+    let stats = svc.stats();
+    assert_eq!(stats.batch_dedup, 2, "{stats:?}");
+    for (q, rows) in queries.iter().zip(&batch) {
+        assert_eq!(*rows.as_ref().unwrap(), client.eval(q).unwrap(), "{q}");
+    }
+}
+
 /// Request-level failures answer with typed codes and leave the
 /// connection serving; hostile garbage cannot take the server down.
 #[test]

@@ -1563,6 +1563,114 @@ mod tests {
     }
 
     #[test]
+    fn multi_matches_the_walker_across_strategies() {
+        let corpus = parse_str(SRC).unwrap();
+        let queries = ["//NP", "//NP[not(//DT)]", "//VP/_[last()]", "//VBD->NP"];
+        for shards in [1, 2] {
+            let svc = service(shards);
+            assert_eq!(
+                svc.compile(queries[2]).unwrap().strategy,
+                ExecStrategy::Walker
+            );
+            assert_eq!(
+                svc.compile(queries[3]).unwrap().strategy,
+                ExecStrategy::Relational
+            );
+            let multi = svc.eval_multi(&queries);
+            for (q, got) in queries.iter().zip(&multi) {
+                assert_eq!(**got.as_ref().unwrap(), walk(&corpus, q), "{q} at {shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_dedups_spellings_onto_one_evaluation() {
+        let svc = service(1);
+        let multi = svc.eval_multi(&["//VBD->NP", "  //VBD->NP ", "//VBD->NP", "//NN"]);
+        let first = multi[0].as_ref().unwrap();
+        for r in &multi[1..3] {
+            assert!(Arc::ptr_eq(first, r.as_ref().unwrap()));
+        }
+        assert_eq!(**first, walk(&parse_str(SRC).unwrap(), "//VBD->NP"));
+        let stats = svc.stats();
+        assert_eq!(stats.batch_dedup, 2, "{stats:?}");
+        // Two distinct members on one shard: two evaluations.
+        assert_eq!(
+            (stats.shard_evals, stats.result_misses),
+            (2, 2),
+            "{stats:?}"
+        );
+        assert_eq!(stats.batches, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn multi_failing_members_cost_no_shard_work() {
+        let svc = service(2);
+        let multi = svc.eval_multi(&["//VP[", "//VP[", "//NP"]);
+        assert!(multi[0].is_err() && multi[1].is_err());
+        assert_eq!(
+            *multi[2].as_ref().unwrap().clone(),
+            walk(&parse_str(SRC).unwrap(), "//NP")
+        );
+        let stats = svc.stats();
+        // Only `//NP` reached the shards; errors are never deduplicated.
+        assert_eq!(
+            (stats.shard_evals, stats.result_misses),
+            (2, 2),
+            "{stats:?}"
+        );
+        assert_eq!(stats.batch_dedup, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn multi_after_append_re_evaluates_only_the_tail_shard() {
+        let svc = service(2);
+        let queries = ["//NP", "//VP"];
+        svc.eval_multi(&queries);
+        assert_eq!(svc.stats().shard_evals, 4);
+        let bird = "( (S (NP (NN bird)) (VP (VBD flew))) )";
+        svc.append_ptb(bird).unwrap();
+        let before = svc.stats();
+        let multi = svc.eval_multi(&queries);
+        let after = svc.stats();
+        // The head shard's rows are still current; the tail's are not.
+        assert_eq!(after.shard_evals - before.shard_evals, 2, "{after:?}");
+        assert_eq!(after.result_hits - before.result_hits, 2, "{after:?}");
+        let grown = parse_str(&format!("{SRC}{bird}\n")).unwrap();
+        for (q, got) in queries.iter().zip(&multi) {
+            assert_eq!(**got.as_ref().unwrap(), walk(&grown, q), "{q}");
+        }
+    }
+
+    #[test]
+    fn multi_on_several_workers_matches_one_worker() {
+        let corpus = parse_str(SRC).unwrap();
+        let wide = Service::with_config(
+            &corpus,
+            ServiceConfig {
+                shards: 4,
+                threads: 3,
+                ..ServiceConfig::default()
+            },
+        );
+        let narrow = service(4);
+        let queries = [
+            "//NP",
+            "//_[@lex=nap]",
+            "//S{/VP$}",
+            "//VP/_[last()]",
+            "//NP",
+        ];
+        let (a, b) = (wide.eval_multi(&queries), narrow.eval_multi(&queries));
+        for ((q, x), y) in queries.iter().zip(&a).zip(&b) {
+            assert_eq!(**x.as_ref().unwrap(), **y.as_ref().unwrap(), "{q}");
+        }
+        let (s, t) = (wide.stats(), narrow.stats());
+        assert_eq!(s.shard_evals, t.shard_evals, "{s:?} vs {t:?}");
+        assert_eq!(s.shards_pruned, t.shards_pruned, "{s:?} vs {t:?}");
+    }
+
+    #[test]
     fn pruning_skips_shards_without_the_symbols() {
         let svc = service(4);
         svc.eval("//_[@lex=nap]").unwrap();

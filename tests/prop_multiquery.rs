@@ -186,3 +186,27 @@ proptest! {
         }
     }
 }
+
+/// Members that open the same anchor are still independent members:
+/// each distinct one costs exactly one shard evaluation, agrees with a
+/// fresh solo eval, and is served from the row store on a re-run.
+#[test]
+fn same_anchor_members_evaluate_once_each() {
+    let corpus =
+        parse_str("( (S (A (B u) (A (C v))) (A (C w)) ) )\n( (S (A (B u)) (B (A (B v)))) )\n")
+            .unwrap();
+    let svc = service_over(&corpus, 1, 1);
+    let texts = ["//A[not(//B)]", "//A[not(//C)]", "//A"];
+    let results = svc.eval_multi(&texts);
+    for (q, r) in texts.iter().zip(&results) {
+        let fresh = service_over(&corpus, 1, 1);
+        assert_eq!(**r.as_ref().unwrap(), *fresh.eval(q).unwrap(), "{q}");
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.shard_evals, 3, "{stats:?}");
+    assert_eq!(stats.batch_dedup, 0, "{stats:?}");
+    svc.eval_multi(&texts);
+    let again = svc.stats();
+    assert_eq!(again.shard_evals, 3, "{again:?}");
+    assert_eq!(again.result_hits - stats.result_hits, 3, "{again:?}");
+}
