@@ -12,8 +12,8 @@ use lpath_check::CheckReport;
 use lpath_model::{label_tree, Corpus, Interner, NodeId, Sym};
 use lpath_obs::{Recorder, Span};
 use lpath_relstore::{
-    self as rel, wire, Cmp, ColRef, Cond, Database, OptGoal, PlannerConfig, Schema, Table, TableId,
-    Value, NULL,
+    self as rel, wire, ColRef, Database, OptGoal, PlannerConfig, Schema, Table, TableId, Value,
+    NULL,
 };
 use lpath_syntax::{parse, Axis, NodeTest, Path, SyntaxError};
 use std::collections::HashMap;
@@ -60,12 +60,15 @@ pub struct Engine {
     cols: NodeCols,
     interner: Interner,
     planner: PlannerConfig,
-    ntrees: usize,
+    /// Node count of each tree, by tree id: a checkpoint row
+    /// `(tree, node)` names an element of this relation exactly when
+    /// `node < tree_lens[tree]`, which decoding checks.
+    tree_lens: Vec<u32>,
     /// Exact element-occurrence histogram per name symbol, gathered
     /// during the build pass: corpus total plus a sparse per-tree
     /// breakdown `(tid, count)` sorted by tree id (only trees that
     /// contain the symbol appear). Drives [`Engine::refine_estimate`]
-    /// and the density-aware chunk schedule.
+    /// and the service's per-tree tag tables.
     tag_density: HashMap<Sym, TagDensity>,
 }
 
@@ -150,8 +153,8 @@ impl Engine {
         db.add_index(node, "tid_id", vec![c(NCol::Tid), c(NCol::Id)]);
         db.analyze(node, &[c(NCol::Name), c(NCol::Value)]);
         // Per-tree spreads of the same columns: feeds the planner's
-        // chunked-anchor penalty (a tag confined to few trees starts
-        // streaming sooner than one smeared across the corpus).
+        // chunked-anchor penalty, which still prices a chunked
+        // executor `query_resume` no longer has.
         db.analyze_grouped(node, c(NCol::Tid), &[c(NCol::Name), c(NCol::Value)]);
 
         Engine {
@@ -160,7 +163,7 @@ impl Engine {
             cols,
             interner: corpus.interner().clone(),
             planner,
-            ntrees: corpus.trees().len(),
+            tree_lens: corpus.trees().iter().map(|t| t.len() as u32).collect(),
             tag_density,
         }
     }
@@ -394,19 +397,13 @@ impl Engine {
     }
 
     /// The `[offset, offset + limit)` slice of [`Engine::query`]'s
-    /// document-ordered result, computed with early termination:
-    /// the corpus is evaluated in tree-id ranges, each range's matches
-    /// sorted and appended — ranges partition the corpus, so
-    /// concatenation *is* document order — until the page is covered.
-    ///
-    /// The limit is pushed all the way down: the plan is re-planned
-    /// with [`OptGoal::FirstRows`] (startup-cost join order), the
-    /// initial range is sized from the planner's selectivity estimate
-    /// so the expected number of rounds is ~1 for dense *and* sparse
-    /// queries, and the range bounds become **index range bounds** on
-    /// the first join step whenever its access path's next key column
-    /// is `tid` — each round then touches only its slice of the
-    /// anchor's candidates instead of rescanning them all.
+    /// document-ordered result, computed with early termination: the
+    /// query is planned under [`OptGoal::FirstRows`] (startup-cost
+    /// join order) and the suspended pipeline of
+    /// [`Engine::query_resume`] is pulled tree by tree until the page
+    /// is covered — trees partition the corpus and no match crosses
+    /// one, so retiring each finished tree in sorted order *is*
+    /// document order.
     pub fn query_limit(
         &self,
         query: &str,
@@ -446,26 +443,23 @@ impl Engine {
     /// [`Engine::query_ast`], whatever the per-call limits; no tree is
     /// re-evaluated and no match re-enumerated across calls.
     ///
-    /// Two execution strategies, chosen at the first call and carried
-    /// in the checkpoint:
+    /// One [`lpath_relstore::Cursor`] serves every page. The
+    /// translator gives every main-query alias an equality on `name`
+    /// or `value`, so the anchor of any non-empty plan probes an index
+    /// keyed `(…, tid, …)` right after its equality prefix: candidate
+    /// rows — and hence matches, since every alias of a match shares
+    /// the anchor's tree — arrive in non-decreasing tree-id order.
+    /// Trees retire monotonically, each finished tree is sorted and
+    /// emitted, and suspension captures the cursor mid-probe via
+    /// [`lpath_relstore::Cursor::suspend`] together with the in-flight
+    /// tree's partial match buffer. Matches enumerated beyond `limit`
+    /// ride along in the checkpoint and are served first on the next
+    /// call.
     ///
-    /// * **suspended pipeline** — when the plan's anchor probes an
-    ///   index keyed `(…, tid, …)` right after its equality prefix,
-    ///   candidate rows (and hence matches — every alias of a match
-    ///   shares the anchor's tree) arrive in non-decreasing tree-id
-    ///   order. One [`lpath_relstore::Cursor`] then serves every page:
-    ///   trees retire monotonically, finished trees are sorted and
-    ///   emitted, and suspension captures the cursor mid-probe via
-    ///   [`lpath_relstore::Cursor::suspend`] together with the
-    ///   in-flight tree's partial match buffer.
-    /// * **chunked** — otherwise, the adaptive tree-id-range schedule
-    ///   of [`Engine::query_limit`], with the next unscanned tree id
-    ///   carried in the checkpoint so deeper pages continue where the
-    ///   last one stopped instead of rescanning from tree 0.
-    ///
-    /// Either way, rows enumerated beyond `limit` (the tail of a
-    /// sorted chunk or tree) ride along in the checkpoint and are
-    /// served first on the next call.
+    /// A plan whose anchor is not tree-ordered — today only the
+    /// constant-empty plan of a statically empty query — is evaluated
+    /// once in full at the first call and served from the checkpoint's
+    /// pending rows.
     ///
     /// A checkpoint is only meaningful against the engine (and query)
     /// it came from; callers that cache checkpoints must key them
@@ -481,29 +475,27 @@ impl Engine {
             None => {
                 let plan_k = limit.clamp(1, usize::MAX / 2);
                 let (plan, streams) = self.paging_plan(ast, plan_k)?;
-                let state = if streams {
-                    let cursor = rel::Cursor::new(&plan, &self.db).suspend();
+                if streams {
+                    let cursor = Box::new(rel::Cursor::new(&plan, &self.db).suspend());
                     let buf = Vec::new();
-                    ResumeState::Stream { plan, cursor, buf }
+                    (
+                        Vec::new(),
+                        plan_k,
+                        ResumeState::Stream { plan, cursor, buf },
+                    )
                 } else {
-                    ResumeState::Chunked { plan, next_tree: 0 }
-                };
-                (Vec::new(), plan_k, state)
+                    let mut all = rows_to_matches(rel::execute(&plan, &self.db));
+                    all.sort_unstable();
+                    (all, plan_k, ResumeState::Drained)
+                }
             }
         };
         // Rows already enumerated by an earlier call are served first;
-        // when they cover the whole page, no strategy work runs at
-        // all (no re-plan, no cursor resume).
+        // when they cover the whole page, the cursor is not resumed.
         if ready.len() < limit {
-            state = match state {
-                ResumeState::Drained => ResumeState::Drained,
-                ResumeState::Stream { plan, cursor, buf } => {
-                    self.advance_stream(plan, cursor, buf, &mut ready, limit)
-                }
-                ResumeState::Chunked { plan, next_tree } => {
-                    self.advance_chunked(ast, plan, next_tree, &mut ready, limit)
-                }
-            };
+            if let ResumeState::Stream { plan, cursor, buf } = state {
+                state = self.advance_stream(plan, *cursor, buf, &mut ready, limit);
+            }
         }
         let out: Vec<(u32, NodeId)> = ready.drain(..limit.min(ready.len())).collect();
         let done = ready.is_empty() && matches!(state, ResumeState::Drained);
@@ -560,56 +552,8 @@ impl Engine {
             }
             buf.push(m);
         }
-        let cursor = live.into_checkpoint();
+        let cursor = Box::new(live.into_checkpoint());
         ResumeState::Stream { plan, cursor, buf }
-    }
-
-    /// Evaluate adaptive tree-id chunks starting at `next_tree` until
-    /// `ready` covers `limit`. Re-entrant: the plan rides in the checkpoint
-    /// (like the stream strategy's, so resumed calls never re-plan)
-    /// and the returned state records the next unscanned tree —
-    /// [`ResumeState::Drained`] once none is left.
-    fn advance_chunked(
-        &self,
-        ast: &Path,
-        plan: Box<rel::Plan>,
-        next_tree: usize,
-        ready: &mut Vec<(u32, NodeId)>,
-        limit: usize,
-    ) -> ResumeState {
-        if plan.steps.is_empty() {
-            // No join step to push a range onto (the constant-empty
-            // plan of a statically empty query): evaluate fully, once.
-            if next_tree == 0 {
-                let mut all = rows_to_matches(rel::execute(&plan, &self.db));
-                all.sort_unstable();
-                ready.append(&mut all);
-            }
-            return ResumeState::Drained;
-        }
-        let carried = ready.len();
-        let mut lo = next_tree;
-        let mut span = self.density_span(ast, limit, next_tree, plan.estimated_result);
-        while lo < self.ntrees && ready.len() < limit {
-            let hi = lo.saturating_add(span).min(self.ntrees);
-            let mut ranged = plan.clone();
-            self.push_tid_range(&mut ranged, lo as Value, hi as Value);
-            let mut chunk = rows_to_matches(rel::execute(&ranged, &self.db));
-            chunk.sort_unstable();
-            ready.append(&mut chunk);
-            lo = hi;
-            span = next_span(
-                ready.len() - carried,
-                lo - next_tree,
-                limit.saturating_sub(carried),
-                self.ntrees,
-            );
-        }
-        if lo >= self.ntrees {
-            return ResumeState::Drained;
-        }
-        let next_tree = lo;
-        ResumeState::Chunked { plan, next_tree }
     }
 
     /// Does the streaming cursor emit this plan's matches in
@@ -634,16 +578,17 @@ impl Engine {
 
     /// Decode a [`QueryCheckpoint`] for `ast` from untrusted bytes.
     ///
-    /// The strategy's plan is rebuilt here — translate, then plan with
+    /// The pipeline's plan is rebuilt here — translate, then plan with
     /// the `FirstRows(k)` goal the token carries — exactly as the
     /// first [`Engine::query_resume`] call built it, so over the same
     /// engine content the resumed execution is byte-identical to one
     /// that never left the process. Every structural claim the token
     /// makes is validated against that rebuilt plan (see
-    /// [`lpath_relstore::CursorCheckpoint::decode`]); any mismatch —
-    /// truncation, corruption, a token from a different query or
-    /// different corpus content — is a [`wire::WireError`], never a
-    /// panic.
+    /// [`lpath_relstore::CursorCheckpoint::decode`]), and every
+    /// carried row must be an element of this relation; any mismatch —
+    /// truncation, corruption, a forged row, a token from a different
+    /// query or different corpus content — is a [`wire::WireError`],
+    /// never a panic.
     pub fn decode_checkpoint(
         &self,
         ast: &Path,
@@ -654,24 +599,23 @@ impl Engine {
         if plan_k == 0 || plan_k > usize::MAX / 2 {
             return Err(Malformed("plan goal out of range"));
         }
-        let pending = decode_rows(r)?;
+        let element = |tid: u32, node: NodeId| {
+            let len = self.tree_lens.get(tid as usize);
+            len.is_some_and(|&n| node.0 < n)
+        };
+        let pending = decode_rows(r, element)?;
         let state = match r.u8()? {
             0 => ResumeState::Drained,
-            tag @ (1 | 2) => {
+            1 => {
                 let (plan, streams) = self
                     .paging_plan(ast, plan_k)
                     .map_err(|_| Malformed("query has no relational translation"))?;
-                if streams != (tag == 1) {
+                if !streams {
                     return Err(Malformed("checkpoint strategy does not match the plan"));
                 }
-                if streams {
-                    let cursor = rel::CursorCheckpoint::decode(r, &plan, &self.db)?;
-                    let buf = decode_rows(r)?;
-                    ResumeState::Stream { plan, cursor, buf }
-                } else {
-                    let next_tree = r.usize()?.min(self.ntrees);
-                    ResumeState::Chunked { plan, next_tree }
-                }
+                let cursor = Box::new(rel::CursorCheckpoint::decode(r, &plan, &self.db)?);
+                let buf = decode_rows(r, element)?;
+                ResumeState::Stream { plan, cursor, buf }
             }
             _ => return Err(Malformed("resume strategy tag")),
         };
@@ -680,33 +624,6 @@ impl Engine {
             plan_k,
             state,
         })
-    }
-
-    /// Constrain the plan's first join step to anchor rows with
-    /// `lo <= tid < hi`. When the step probes an index whose key column
-    /// right after the equality prefix is `tid` (the clustered
-    /// `name`-led index, `value_tid_id`, …), the bounds become index
-    /// range bounds — the probe itself skips every other tree.
-    /// Otherwise (full scans, exhausted keys, pre-existing bounds) they
-    /// fall back to residual filters, which is always correct.
-    fn push_tid_range(&self, plan: &mut rel::Plan, lo: Value, hi: Value) {
-        let tid = self.cols.col(NCol::Tid);
-        let in_index = self.tid_ordered_anchor(plan);
-        let step = &mut plan.steps[0];
-        if let (
-            true,
-            rel::AccessPath::IndexRange {
-                lo: plo, hi: phi, ..
-            },
-        ) = (in_index, &mut step.access)
-        {
-            *plo = Some((true, rel::Operand::Const(lo)));
-            *phi = Some((false, rel::Operand::Const(hi)));
-            return;
-        }
-        let anchor = ColRef::new(step.alias, tid);
-        step.residual.push(Cond::against_const(anchor, Cmp::Ge, lo));
-        step.residual.push(Cond::against_const(anchor, Cmp::Lt, hi));
     }
 
     /// Sharpen the planner's result-cardinality estimate with the
@@ -769,36 +686,6 @@ impl Engine {
             path = p.scope.as_deref();
         }
         best
-    }
-
-    /// Density-aware first span of the adaptive chunk schedule: the
-    /// shortest tree prefix (counting from `start`) whose occurrence
-    /// count of the query's scarcest symbol reaches `need`, doubled
-    /// for slack. A tree without the symbol cannot hold a match, so
-    /// the histogram walk skips sparse regions that the uniform
-    /// extrapolation of [`initial_span`] would schedule round after
-    /// round; queries with no tag information fall back to it.
-    fn density_span(&self, ast: &Path, need: usize, start: usize, estimated: usize) -> usize {
-        let Some(&(total, ref per_tree)) = self.scarcest_density(ast) else {
-            return initial_span(need, estimated, self.ntrees);
-        };
-        if total == 0 {
-            // The symbol never occurs: prove emptiness in one round.
-            return self.ntrees.max(1);
-        }
-        let mut acc = 0u64;
-        for &(tid, n) in per_tree {
-            if (tid as usize) < start {
-                continue;
-            }
-            acc += u64::from(n);
-            if acc >= need as u64 {
-                let trees = (tid as usize + 1).saturating_sub(start);
-                return trees.saturating_mul(2).clamp(1, self.ntrees.max(1));
-            }
-        }
-        // Fewer occurrences remain than `need`: finish in one round.
-        self.ntrees.max(1)
     }
 }
 
@@ -917,39 +804,6 @@ impl std::fmt::Display for ExplainAnalyze {
     }
 }
 
-/// First tree-id span of the adaptive chunk schedule: the number of
-/// trees expected to hold `need` matches (from the planner's result
-/// estimate), doubled for slack. An estimate of zero means "probably
-/// nothing anywhere" — cover the whole corpus in one round instead of
-/// crawling through O(log n) empty rounds.
-fn initial_span(need: usize, estimated_result: usize, ntrees: usize) -> usize {
-    if estimated_result == 0 {
-        return ntrees.max(1);
-    }
-    let trees = need.saturating_mul(ntrees) / estimated_result;
-    trees
-        .saturating_add(1)
-        .saturating_mul(2)
-        .clamp(1, ntrees.max(1))
-}
-
-/// Span of the next round, re-estimated from the density observed so
-/// far: `found` matches over `scanned` trees leaves `need - found` to
-/// cover, again doubled for slack. A round that found nothing means the
-/// estimate was wrong — finish the corpus in one go. Growth is clamped
-/// below by the trees already scanned, so even an adversarial corpus
-/// sees O(log n) rounds.
-fn next_span(found: usize, scanned: usize, need: usize, ntrees: usize) -> usize {
-    let remaining = ntrees.saturating_sub(scanned);
-    if found == 0 {
-        return remaining.max(1);
-    }
-    let predicted = need.saturating_sub(found).saturating_mul(scanned) / found;
-    // The caller clamps `lo + span` to the corpus, so only the lower
-    // bound matters here.
-    predicted.saturating_add(1).saturating_mul(2).max(scanned)
-}
-
 /// Convert relational `(tid, id)` rows to `(tree index, node)` matches.
 /// Relational ids start at 2 (1 is the document node).
 fn rows_to_matches(rows: Vec<Vec<Value>>) -> Vec<(u32, NodeId)> {
@@ -968,11 +822,9 @@ pub type Resumed = (Vec<(u32, NodeId)>, Option<QueryCheckpoint>);
 
 /// A suspended document-order enumeration (see
 /// [`Engine::query_resume`]): rows already enumerated but not yet
-/// emitted, plus whatever the chosen execution strategy needs to
-/// continue — a suspended relational pipeline
-/// ([`lpath_relstore::CursorCheckpoint`] + the in-flight tree's
-/// partial buffer + the plan it belongs to) or the next unscanned
-/// tree id of the chunked schedule.
+/// emitted, plus — until the enumeration is drained — the suspended
+/// relational pipeline ([`lpath_relstore::CursorCheckpoint`] + the
+/// in-flight tree's partial buffer + the plan it belongs to).
 ///
 /// Checkpoints are plain owned data: they can be cached, cloned and
 /// resumed long after the call that produced them (the service keeps
@@ -982,7 +834,7 @@ pub type Resumed = (Vec<(u32, NodeId)>, Option<QueryCheckpoint>);
 pub struct QueryCheckpoint {
     /// Document-ordered rows enumerated past the last emitted page.
     pending: Vec<(u32, NodeId)>,
-    /// The `FirstRows(k)` goal the strategy's plan was built with at
+    /// The `FirstRows(k)` goal the pipeline's plan was built with at
     /// the first call. Carried so a checkpoint serialized to the wire
     /// does not need to carry the plan itself: decoding re-plans the
     /// same query with the same goal over the same engine content,
@@ -992,8 +844,8 @@ pub struct QueryCheckpoint {
 }
 
 impl QueryCheckpoint {
-    /// Is this checkpoint on the suspended-pipeline strategy (as
-    /// opposed to chunked re-planning or a fully drained state)?
+    /// Is the suspended pipeline still live (as opposed to a drained
+    /// enumeration whose remaining rows are all pending)?
     pub fn is_streaming(&self) -> bool {
         matches!(self.state, ResumeState::Stream { .. })
     }
@@ -1016,16 +868,12 @@ impl QueryCheckpoint {
                 cursor.encode_into(w);
                 encode_rows(w, buf);
             }
-            ResumeState::Chunked { next_tree, .. } => {
-                w.u8(2);
-                w.usize(*next_tree);
-            }
         }
     }
 }
 
 /// Write a `(tree id, node)` row list, length-prefixed.
-fn encode_rows(w: &mut wire::Writer, rows: &[(u32, NodeId)]) {
+pub(crate) fn encode_rows(w: &mut wire::Writer, rows: &[(u32, NodeId)]) {
     w.usize(rows.len());
     for &(tid, node) in rows {
         w.u32(tid);
@@ -1033,17 +881,29 @@ fn encode_rows(w: &mut wire::Writer, rows: &[(u32, NodeId)]) {
     }
 }
 
-/// Read a row list written by [`encode_rows`] from untrusted bytes.
-fn decode_rows(r: &mut wire::Reader<'_>) -> Result<Vec<(u32, NodeId)>, wire::WireError> {
+/// Read a row list written by [`encode_rows`] from untrusted bytes;
+/// a row failing `valid` — not a node of the corpus the checkpoint is
+/// decoded against — is malformed.
+pub(crate) fn decode_rows(
+    r: &mut wire::Reader<'_>,
+    valid: impl Fn(u32, NodeId) -> bool,
+) -> Result<Vec<(u32, NodeId)>, wire::WireError> {
     let n = r.seq_len(8)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        rows.push((r.u32()?, NodeId(r.u32()?)));
+        let row = (r.u32()?, NodeId(r.u32()?));
+        if !valid(row.0, row.1) {
+            return Err(wire::WireError::Malformed(
+                "checkpoint row is not an element",
+            ));
+        }
+        rows.push(row);
     }
     Ok(rows)
 }
 
-/// The strategy-specific half of a [`QueryCheckpoint`].
+/// The pipeline half of a [`QueryCheckpoint`]. Wire tags: `0` drained,
+/// `1` stream; any other tag is malformed.
 #[derive(Clone, Debug)]
 enum ResumeState {
     /// One suspended pipeline serves every page: the plan, the
@@ -1052,15 +912,8 @@ enum ResumeState {
     /// moves past it).
     Stream {
         plan: Box<rel::Plan>,
-        cursor: rel::CursorCheckpoint,
+        cursor: Box<rel::CursorCheckpoint>,
         buf: Vec<(u32, NodeId)>,
-    },
-    /// Chunked evaluation: the plan the chunks range over, plus the
-    /// watermark — everything below `next_tree` has been enumerated
-    /// (and sits in `pending` if not yet emitted).
-    Chunked {
-        plan: Box<rel::Plan>,
-        next_tree: usize,
     },
     /// The enumeration is complete; only `pending` rows remain.
     Drained,
@@ -1338,7 +1191,7 @@ mod tests {
 
     #[test]
     fn query_limit_is_a_prefix_slice() {
-        // 20 trees so the chunked evaluation crosses range boundaries.
+        // 20 trees so pages cross tree boundaries.
         let src: String = std::iter::repeat_n(FIG1, 20).collect::<Vec<_>>().join("\n");
         let corpus = parse_str(&src).unwrap();
         let e = Engine::build(&corpus);
@@ -1366,7 +1219,7 @@ mod tests {
     }
 
     #[test]
-    fn query_limit_goals_agree_and_push_ranges_into_the_index() {
+    fn query_limit_goals_agree() {
         let src: String = std::iter::repeat_n(FIG1, 30).collect::<Vec<_>>().join("\n");
         let corpus = parse_str(&src).unwrap();
         let e = Engine::build(&corpus);
@@ -1398,50 +1251,11 @@ mod tests {
     }
 
     #[test]
-    fn tid_bounds_become_index_bounds_on_name_anchored_plans() {
-        let e = engine();
-        let ast = lpath_syntax::parse("//NP").unwrap();
-        let cq = e.translate(&ast).unwrap();
-        let mut plan = rel::plan(
-            &e.db,
-            &cq,
-            &PlannerConfig {
-                goal: OptGoal::FirstRows(1),
-                ..Default::default()
-            },
-        );
-        e.push_tid_range(&mut plan, 0, 1);
-        // The clustered index is keyed (name, tid, …): the bounds must
-        // have landed on the index probe, not the residual.
-        let rel::AccessPath::IndexRange { lo, hi, .. } = &plan.steps[0].access else {
-            panic!("expected an index probe: {plan}");
-        };
-        assert!(lo.is_some() && hi.is_some(), "{plan}");
-        assert_eq!(plan.steps[0].residual.len(), 0, "{plan}");
-    }
-
-    #[test]
-    fn adaptive_spans_cover_dense_and_sparse_in_one_round() {
-        // Dense: plenty of matches per tree — the span stays small.
-        assert!(initial_span(10, 1_000, 100) <= 4);
-        // Sparse: few matches corpus-wide — the span covers most of
-        // the corpus at once.
-        assert!(initial_span(10, 2, 100) >= 100);
-        // Nothing expected at all: one round over everything.
-        assert_eq!(initial_span(10, 0, 100), 100);
-        assert_eq!(initial_span(5, 7, 0), 1);
-        // Next rounds extrapolate the observed density...
-        assert!(next_span(5, 10, 10, 1_000) >= 10);
-        // ...and a dry round finishes the corpus.
-        assert_eq!(next_span(0, 10, 10, 1_000), 990);
-    }
-
-    #[test]
     fn query_resume_concatenation_is_exact_at_every_boundary() {
         let src: String = std::iter::repeat_n(FIG1, 12).collect::<Vec<_>>().join("\n");
         let corpus = parse_str(&src).unwrap();
         let e = Engine::build(&corpus);
-        // Streamable anchors and chunked fallbacks alike.
+        // Streamed anchors and the constant-empty plan alike.
         for q in ["//NP", "//V->NP", "//NP[not(//Det)]", "//_", "//ZZZ"] {
             let ast = lpath_syntax::parse(q).unwrap();
             let full = e.query(q).unwrap();
@@ -1478,9 +1292,8 @@ mod tests {
         let src: String = std::iter::repeat_n(FIG1, 8).collect::<Vec<_>>().join("\n");
         let corpus = parse_str(&src).unwrap();
         let e = Engine::build(&corpus);
-        // `//NP` anchors on the clustered (name, tid, …) index: the
-        // stream strategy applies and pages come from one suspended
-        // cursor, not from re-planned chunks.
+        // `//NP` anchors on the clustered (name, tid, …) index: pages
+        // come from one suspended cursor.
         let ast = lpath_syntax::parse("//NP").unwrap();
         let (page, ckpt) = e.query_resume(&ast, None, 2).unwrap();
         assert_eq!(page.len(), 2);
@@ -1488,6 +1301,62 @@ mod tests {
         assert!(ckpt.is_streaming());
         let (more, _) = e.query_resume(&ast, Some(ckpt), 2).unwrap();
         assert_eq!(more, e.query("//NP").unwrap()[2..4]);
+    }
+
+    #[test]
+    fn decoding_rejects_forged_rows_and_the_retired_strategy_tag() {
+        let src: String = std::iter::repeat_n(FIG1, 3).collect::<Vec<_>>().join("\n");
+        let e = Engine::build(&parse_str(&src).unwrap());
+        let ast = lpath_syntax::parse("//NP").unwrap();
+        // Page one serves tree 0's first NP: its other three wait as
+        // pending rows, and tree 1's first is in flight.
+        let (_, ckpt) = e.query_resume(&ast, None, 1).unwrap();
+        let ckpt = ckpt.unwrap();
+        let ResumeState::Stream { buf, .. } = &ckpt.state else {
+            panic!("`//NP` streams");
+        };
+        let (pending, in_flight) = (ckpt.pending.len(), buf.len());
+        assert!(pending > 0 && in_flight > 0);
+        let mut w = wire::Writer::new();
+        ckpt.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let decode = |bytes: &[u8]| e.decode_checkpoint(&ast, &mut wire::Reader::new(bytes));
+        assert!(decode(&bytes).is_ok());
+
+        // Overwrite the first pending row (after `plan_k` and the
+        // count) or the first in-flight row (the list that ends the
+        // checkpoint) with a forged `(tree, node)`.
+        let forge = |at: usize, tree: u32, node: u32| {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&tree.to_le_bytes());
+            b[at + 4..at + 8].copy_from_slice(&node.to_le_bytes());
+            b
+        };
+        let first_in_flight = bytes.len() - 8 * in_flight;
+        for at in [16, first_in_flight] {
+            // A genuine element of another tree still decodes…
+            assert!(decode(&forge(at, 2, 0)).is_ok(), "row at {at}");
+            // …but no node past its tree and no tree past the corpus.
+            for (tree, node) in [(0, 9999), (3, 0), (u32::MAX, 0), (0, u32::MAX)] {
+                assert!(
+                    matches!(
+                        decode(&forge(at, tree, node)),
+                        Err(wire::WireError::Malformed(_))
+                    ),
+                    "({tree}, {node}) at {at}"
+                );
+            }
+        }
+
+        // The strategy tag follows the pending rows; only 0 and 1 exist.
+        let tag = 16 + 8 * pending;
+        assert_eq!(bytes[tag], 1);
+        let mut retired = bytes.clone();
+        retired[tag] = 2;
+        assert!(matches!(
+            decode(&retired),
+            Err(wire::WireError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -1609,7 +1478,7 @@ mod tests {
             .unwrap();
         assert!(plan.estimated_result <= 1, "{}", plan.estimated_result);
         // Paging still returns the correct full result under the
-        // density-driven schedule.
+        // refined estimate.
         assert_eq!(
             e.query_limit("//VP//NP", 0, 100).unwrap(),
             e.query("//VP//NP").unwrap()

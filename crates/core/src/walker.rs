@@ -12,6 +12,7 @@ use lpath_relstore::wire;
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, PosRhs, Pred, Step};
 
 use crate::compile::{axis_rel, is_reverse_axis};
+use crate::engine::{decode_rows, encode_rows};
 
 /// A point of evaluation inside one tree.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -47,26 +48,24 @@ impl WalkerCheckpoint {
     /// a wire token; see [`crate::QueryCheckpoint::encode_into`]).
     pub fn encode_into(&self, w: &mut wire::Writer) {
         w.usize(self.next_tree);
-        w.usize(self.pending.len());
-        for &(tid, node) in &self.pending {
-            w.u32(tid);
-            w.u32(node.0);
-        }
+        encode_rows(w, &self.pending);
     }
 
-    /// Decode a checkpoint from untrusted bytes. `ntrees` bounds the
-    /// scan position: a resume point past the corpus is clamped to
-    /// "exhausted" rather than trusted.
+    /// Decode a checkpoint over `corpus` from untrusted bytes. A resume
+    /// point past the corpus is clamped to "exhausted" rather than
+    /// trusted; a pending row that is not a node of `corpus` is
+    /// malformed.
     pub fn decode(
         r: &mut wire::Reader<'_>,
-        ntrees: usize,
+        corpus: &Corpus,
     ) -> Result<WalkerCheckpoint, wire::WireError> {
-        let next_tree = r.usize()?.min(ntrees);
-        let n = r.seq_len(8)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push((r.u32()?, NodeId(r.u32()?)));
-        }
+        let trees = corpus.trees();
+        let next_tree = r.usize()?.min(trees.len());
+        let pending = decode_rows(r, |tid, node| {
+            trees
+                .get(tid as usize)
+                .is_some_and(|t| node.index() < t.len())
+        })?;
         Ok(WalkerCheckpoint { next_tree, pending })
     }
 }
@@ -211,110 +210,6 @@ impl<'c> Walker<'c> {
             })
         };
         (out, next)
-    }
-
-    /// Evaluate in parallel over `threads` worker threads, partitioning
-    /// the corpus by tree — trees are independent, so this is an
-    /// embarrassingly parallel scan. Results are identical to
-    /// [`Walker::eval`] (same order).
-    ///
-    /// This is a beyond-paper extension: the paper's engines are
-    /// single-threaded (2005 hardware); the per-tree independence that
-    /// makes this trivial is a property of the data model worth
-    /// demonstrating. The ablation bench `ablation_parallel` measures
-    /// the speedup.
-    pub fn eval_parallel(&self, query: &Path, threads: usize) -> Vec<(u32, NodeId)> {
-        let n = self.corpus.trees().len();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n == 0 {
-            return self.eval(query);
-        }
-        let chunk = n.div_ceil(threads);
-        let mut partials: Vec<Vec<(u32, NodeId)>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for tid in lo..hi {
-                            for node in self.eval_tree(tid, query) {
-                                out.push((tid as u32, node));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("worker panicked"));
-            }
-        });
-        // Chunks are tid-ordered, so concatenation preserves the
-        // sequential order.
-        partials.concat()
-    }
-
-    /// Parallel result count.
-    pub fn count_parallel(&self, query: &Path, threads: usize) -> usize {
-        self.eval_parallel(query, threads).len()
-    }
-
-    /// Evaluate a whole query batch in parallel, amortizing thread
-    /// startup across the batch: each worker takes a contiguous tree
-    /// partition and runs *every* query over it. Returns one result
-    /// vector per query, identical to sequential evaluation.
-    ///
-    /// Per-query spawning ([`Walker::eval_parallel`]) only pays off
-    /// when a single query's work dominates thread startup; a corpus
-    /// session running a query set (like the paper's 23) amortizes the
-    /// startup once.
-    pub fn eval_batch_parallel(
-        &self,
-        queries: &[&Path],
-        threads: usize,
-    ) -> Vec<Vec<(u32, NodeId)>> {
-        let n = self.corpus.trees().len();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n == 0 {
-            return queries.iter().map(|q| self.eval(q)).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let mut partials: Vec<Vec<Vec<(u32, NodeId)>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
-                    scope.spawn(move || {
-                        queries
-                            .iter()
-                            .map(|q| {
-                                let mut out = Vec::new();
-                                for tid in lo..hi {
-                                    for node in self.eval_tree(tid, q) {
-                                        out.push((tid as u32, node));
-                                    }
-                                }
-                                out
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("worker panicked"));
-            }
-        });
-        (0..queries.len())
-            .map(|qi| {
-                partials
-                    .iter()
-                    .flat_map(|p| p[qi].iter().copied())
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -750,32 +645,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let src: String = std::iter::repeat_n(FIG1, 13).collect::<Vec<_>>().join("\n");
+    fn decoding_rejects_rows_that_are_not_nodes_of_the_corpus() {
+        let src = format!("{FIG1}\n{FIG1}");
         let c = parse_str(&src).unwrap();
         let w = Walker::new(&c);
-        for q in ["//V->NP", "//VP{//NP$}", "//NP[not(//Det)]", "//ZZZ"] {
-            let query = parse(q).unwrap();
-            let seq = w.eval(&query);
-            for threads in [1, 2, 3, 8, 64] {
-                assert_eq!(w.eval_parallel(&query, threads), seq, "{q} x{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_parallel_matches_sequential() {
-        let src: String = std::iter::repeat_n(FIG1, 7).collect::<Vec<_>>().join("\n");
-        let c = parse_str(&src).unwrap();
-        let w = Walker::new(&c);
-        let queries: Vec<lpath_syntax::Path> = ["//V->NP", "//VP{//NP$}", "//ZZZ", "//_"]
-            .iter()
-            .map(|q| parse(q).unwrap())
-            .collect();
-        let refs: Vec<&lpath_syntax::Path> = queries.iter().collect();
-        let seq: Vec<_> = queries.iter().map(|q| w.eval(q)).collect();
-        for threads in [1, 2, 5, 16] {
-            assert_eq!(w.eval_batch_parallel(&refs, threads), seq, "x{threads}");
+        let q = parse("//NP").unwrap();
+        let (_, ckpt) = w.eval_resume(&q, None, 1);
+        let mut out = wire::Writer::new();
+        ckpt.unwrap().encode_into(&mut out);
+        let bytes = out.into_bytes();
+        let decode = |bytes: &[u8]| WalkerCheckpoint::decode(&mut wire::Reader::new(bytes), &c);
+        assert!(decode(&bytes).is_ok());
+        // The first pending row follows `next_tree` and the row count.
+        let forge = |tree: u32, node: u32| {
+            let mut b = bytes.clone();
+            b[16..20].copy_from_slice(&tree.to_le_bytes());
+            b[20..24].copy_from_slice(&node.to_le_bytes());
+            b
+        };
+        assert!(decode(&forge(1, 0)).is_ok());
+        for (tree, node) in [(0, 9999), (2, 0), (u32::MAX, 0)] {
+            assert!(decode(&forge(tree, node)).is_err(), "({tree}, {node})");
         }
     }
 

@@ -161,7 +161,7 @@ enum LevelPos {
 /// A suspended [`Cursor`]: the complete join state as plain owned data.
 ///
 /// Produced by [`Cursor::suspend`]; turned back into a live cursor by
-/// [`Cursor::resume`] / [`Cursor::resume_owning`]. A checkpoint holds
+/// [`Cursor::resume`]. A checkpoint holds
 ///
 /// * the current binding of **every** alias (the join `Frame` the
 ///   recursive checker and the cursor share),
@@ -487,16 +487,7 @@ impl<'a> Cursor<'a> {
     /// If the checkpoint's shape does not match `plan` (different alias
     /// count, more open stages than steps, or a stage whose recorded
     /// position kind disagrees with the plan's access path).
-    pub fn resume(plan: &'a Plan, db: &'a Database, checkpoint: CursorCheckpoint) -> Self {
-        Self::restore(Cow::Borrowed(plan), db, checkpoint)
-    }
-
-    /// [`Cursor::resume`] with an owned plan (see [`Cursor::owning`]).
-    pub fn resume_owning(plan: Plan, db: &'a Database, checkpoint: CursorCheckpoint) -> Self {
-        Self::restore(Cow::Owned(plan), db, checkpoint)
-    }
-
-    fn restore(plan: Cow<'a, Plan>, db: &'a Database, ckpt: CursorCheckpoint) -> Self {
+    pub fn resume(plan: &'a Plan, db: &'a Database, ckpt: CursorCheckpoint) -> Self {
         assert_eq!(
             ckpt.bindings.len(),
             plan.alias_tables.len(),
@@ -510,7 +501,7 @@ impl<'a> Cursor<'a> {
         debug_assert_eq!(ckpt.obs.len(), plan.steps.len());
         let done = ckpt.done || plan.const_empty;
         let mut cursor = Cursor {
-            plan,
+            plan: Cow::Borrowed(plan),
             db,
             bindings: ckpt.bindings,
             levels: Vec::with_capacity(ckpt.levels.len()),

@@ -87,10 +87,10 @@ pub struct Plan {
     /// distinct watermark sets. Never set on hand-built plans.
     pub dedup_free: bool,
     /// Planner estimate of the cost (candidate rows × probes) to
-    /// produce the *first* output tuple; includes a constant penalty
-    /// for plans whose anchor is not the output alias, whose pages must
-    /// be materialized and sorted chunk-wise. Zero for hand-built
-    /// plans.
+    /// produce the *first* output tuple; includes a penalty for plans
+    /// whose anchor is not the output alias, priced for a chunked
+    /// (sort-and-rescan) paging executor that no longer exists (see
+    /// the planner's `CHUNK_PENALTY`). Zero for hand-built plans.
     pub estimated_startup: usize,
     /// Planner estimate of the total enumeration cost (intermediate
     /// tuples summed over the pipeline). Zero for hand-built plans.

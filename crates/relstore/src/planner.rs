@@ -370,6 +370,12 @@ fn greedy_order(
 /// executor must evaluate and sort whole corpus chunks (and rescan the
 /// anchor's candidates once per chunk round) instead of streaming a
 /// document-ordered prefix.
+///
+/// This models an executor that is gone: `lpath-core`'s paging now
+/// streams every tid-ordered anchor from one suspended cursor,
+/// sorting only within each tree. The penalty stays because it still
+/// shapes plans — removing it changes which anchor first-rows plans
+/// pick — until a measured change replaces it.
 const CHUNK_PENALTY: usize = 2;
 
 /// The chunked-emission penalty for anchoring the pipeline on alias
@@ -382,7 +388,8 @@ const CHUNK_PENALTY: usize = 2;
 /// to double the flat penalty. The spread of the alias's **tightest**
 /// constant equality governs (that is the probe the access path will
 /// key on); without grouped statistics the flat [`CHUNK_PENALTY`]
-/// keeps the historical model.
+/// keeps the historical model. Like [`CHUNK_PENALTY`], it prices the
+/// chunked executor that paging no longer has.
 fn chunk_penalty(db: &Database, q: &ConjQuery, a: usize) -> usize {
     let table = q.aliases[a];
     let Some(stats) = db.stats(table) else {

@@ -64,6 +64,10 @@ impl ColumnStats {
 /// this value" — the chunk count a chunked (sort-and-rescan) executor
 /// pays when it anchors on that value, and the per-tree match-density
 /// statistic the aggregation layer tabulates.
+///
+/// Its one consumer is the planner's chunk penalty, which models a
+/// chunked paging executor `lpath-core` no longer has; it stays until a
+/// measured change retires that penalty.
 #[derive(Clone, Debug, Default)]
 pub struct GroupSpread {
     groups_with: HashMap<Value, u32>,
@@ -145,7 +149,8 @@ impl TableStats {
 
     /// Collect per-group spreads for the listed columns, grouped by
     /// `group_col` (in practice the tree id). Feeds the planner's
-    /// first-rows chunk model; see [`TableStats::group_spread`].
+    /// first-rows chunk model — a model of a chunked executor that is
+    /// gone; see [`TableStats::group_spread`].
     pub fn analyze_grouped(&mut self, table: &Table, group_col: ColId, cols: &[ColId]) {
         for &c in cols {
             self.spreads

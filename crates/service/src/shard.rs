@@ -430,10 +430,9 @@ impl Shard {
     /// to [`Shard::eval`]; already-returned matches are never
     /// re-enumerated. This is [`Shard::resume`] keeping rows: on the
     /// relational strategy it rides
-    /// [`lpath_core::Engine::query_resume`] (a suspended pipeline for
-    /// tree-id-ordered anchors, resumable adaptive chunks otherwise);
-    /// the walker strategy resumes its tree scan at the next
-    /// unvisited tree.
+    /// [`lpath_core::Engine::query_resume`] (one suspended pipeline,
+    /// retiring trees in tree-id order); the walker strategy resumes
+    /// its tree scan at the next unvisited tree.
     ///
     /// # Errors
     ///
@@ -533,7 +532,7 @@ impl Shard {
             .map_err(CheckpointDecodeError::Stale)?;
         let inner = match r.u8()? {
             0 => Resume::Engine(Box::new(P::decode(&self.engine, &compiled.ast, r)?)),
-            1 => Resume::Walker(WalkerCheckpoint::decode(r, self.corpus.trees().len())?),
+            1 => Resume::Walker(WalkerCheckpoint::decode(r, &self.corpus)?),
             _ => {
                 return Err(CheckpointDecodeError::Wire(wire::WireError::Malformed(
                     "shard resume strategy tag",

@@ -214,11 +214,9 @@ fn degenerate_inputs_agree_across_early_exit_paths() {
         assert_eq!(service.eval_page(q, 0, 10).unwrap(), nothing, "{q}");
         assert_eq!(engine.count(q).unwrap(), 0, "{q}");
         assert_eq!(service.count(q).unwrap(), 0, "{q}");
-        // More worker threads than trees (zero trees!) must clamp.
-        assert_eq!(walker.eval_parallel(&ast, 64), nothing, "{q}");
     }
 
-    // A tiny corpus: threads far beyond the tree count, limit 0, and
+    // A tiny corpus: more shards than trees, limit 0, and
     // offsets past the end, asserted equal across all three layers.
     let tiny = generate(&GenConfig::wsj(3));
     let engine = Engine::build(&tiny);
@@ -233,8 +231,6 @@ fn degenerate_inputs_agree_across_early_exit_paths() {
     for q in ["//NP", "//DT", "//ZZZ-UNSEEN"] {
         let ast = parse(q).unwrap();
         let full = engine.query(q).unwrap();
-        assert_eq!(walker.eval_parallel(&ast, 1024), full, "{q} threads>trees");
-        assert_eq!(walker.count_parallel(&ast, 1024), full.len(), "{q}");
         // limit = 0 is the empty page everywhere.
         assert_eq!(engine.query_limit(q, 0, 0).unwrap(), nothing, "{q}");
         assert_eq!(walker.eval_limit(&ast, 0, 0), nothing, "{q}");

@@ -56,9 +56,9 @@ fn arb_treebank() -> impl Strategy<Value = Vec<String>> {
         .prop_map(|trees| trees.iter().map(|t| format!("( (S {t}) )")).collect())
 }
 
-/// Queries spanning the resumable paths: streamable name anchors,
-/// chunked fallbacks (joins, negation), attribute filters, the walker
-/// fallback, and queries matching nothing.
+/// Queries spanning the resumable paths: name anchors, joins and
+/// negation, attribute filters, the walker fallback, and queries
+/// matching nothing.
 const POOL: [&str; 9] = [
     "//A",
     "//_",
@@ -221,9 +221,82 @@ proptest! {
     }
 }
 
+/// Does `query_resume` keep `ast` on the suspended pipeline? Every
+/// translatable query that is not statically empty and whose matches
+/// span at least two trees must come back from a one-row first page
+/// with a live (streaming) checkpoint: its anchor is tree-ordered, so
+/// the cursor suspends inside the second tree. The engine's
+/// full-evaluation fallback — meant only for the constant-empty plan —
+/// would return a drained checkpoint instead.
+fn streams_if_it_spans_trees(engine: &Engine, ast: &Path) -> Result<(), String> {
+    let Ok(full) = engine.query_ast(ast) else {
+        return Ok(()); // no relational translation: the walker pages it
+    };
+    if engine.check_ast(ast).statically_empty || full.iter().all(|m| m.0 == full[0].0) {
+        return Ok(());
+    }
+    match engine.query_resume(ast, None, 1) {
+        Ok((_, Some(ckpt))) if ckpt.is_streaming() => Ok(()),
+        Ok((_, Some(_))) => Err("first page drained the enumeration".into()),
+        Ok((_, None)) => Err("first page returned no checkpoint".into()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// The engine under each join order the planner offers.
+fn engines_under_every_order(corpus: &Corpus) -> [Engine; 2] {
+    [JoinOrder::GreedyStats, JoinOrder::Syntactic].map(|order| {
+        Engine::with_config(
+            corpus,
+            PlannerConfig {
+                order,
+                ..PlannerConfig::default()
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::cases_or_env(256),
+        ..ProptestConfig::default()
+    })]
+
+    /// Every real query pages from the suspended pipeline, under both
+    /// join orders: no translatable, satisfiable query whose matches
+    /// span trees reaches the full-evaluation fallback.
+    #[test]
+    fn real_queries_page_from_the_suspended_pipeline(
+        trees in arb_treebank(),
+        qi in 0usize..POOL.len(),
+    ) {
+        let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
+        let q = POOL[qi];
+        let ast = parse(q).unwrap();
+        for engine in engines_under_every_order(&corpus) {
+            if let Err(why) = streams_if_it_spans_trees(&engine, &ast) {
+                return Err(TestCaseError::fail(format!("{q}: {why}")));
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // The 23 evaluation queries, deterministically
 // ---------------------------------------------------------------
+
+#[test]
+fn evaluation_queries_page_from_the_suspended_pipeline() {
+    let corpus = generate(&GenConfig::wsj(40).with_seed(7));
+    for engine in engines_under_every_order(&corpus) {
+        for case in fixtures::eval_cases() {
+            let ast = parse(case.lpath).unwrap();
+            if let Err(why) = streams_if_it_spans_trees(&engine, &ast) {
+                panic!("Q{}: {why}", case.id);
+            }
+        }
+    }
+}
 
 #[test]
 fn evaluation_queries_resume_identically_at_every_layer() {

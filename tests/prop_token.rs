@@ -61,9 +61,9 @@ fn arb_treebank() -> impl Strategy<Value = Vec<String>> {
         .prop_map(|trees| trees.iter().map(|t| format!("( (S {t}) )")).collect())
 }
 
-/// Queries spanning the serializable checkpoint variants: streamable
-/// name anchors (cursor state), chunked fallbacks (tree watermark),
-/// attribute filters, the walker fallback, and empty results.
+/// Queries spanning the serializable checkpoint variants: name
+/// anchors, joins and negation (cursor state), attribute filters, the
+/// walker fallback (tree watermark), and empty results.
 const POOL: [&str; 8] = [
     "//A",
     "//_",
@@ -215,7 +215,7 @@ proptest! {
             ckpt.encode_into(&mut w);
             let bytes = w.into_bytes();
             let mut r = wire::Reader::new(&bytes);
-            let decoded = lpath_core::WalkerCheckpoint::decode(&mut r, corpus.trees().len())
+            let decoded = lpath_core::WalkerCheckpoint::decode(&mut r, &corpus)
                 .expect("genuine walker checkpoint decodes");
             prop_assert!(r.finished(), "walker checkpoint fully consumed on {}", q);
             let mut w2 = wire::Writer::new();
@@ -546,6 +546,76 @@ proptest! {
             }
             prop_assert_eq!(&via_batch, &via_solo, "sweeps diverged on {}", q);
             prop_assert_eq!(&via_batch, &*svc.eval(q).unwrap(), "sweep vs eval on {}", q);
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// Forged checkpoint rows, deterministically
+// ---------------------------------------------------------------
+
+/// Byte offsets into a positioned page token with a checkpoint: the
+/// shard index precedes `within`; `has_ckpt` follows it; then the
+/// checkpoint's build id (u64), strategy tag (u8) and first u64 field
+/// (`plan_k` on the relational strategy, `next_tree` on the walker)
+/// precede the count of its pending rows.
+const PAGE_SHARD: usize = PAGE_WITHIN - 2;
+const HAS_CKPT: usize = PAGE_WITHIN + 8;
+const STRATEGY: usize = HAS_CKPT + 1 + 8;
+const PENDING_LEN: usize = STRATEGY + 1 + 8;
+
+/// Splice `(tree, node)` in front of a token's pending checkpoint rows
+/// and re-seal it.
+fn splice_pending_row(token: &str, (tree, node): (u32, u32)) -> String {
+    let mut bytes = wire::b64_decode(token).unwrap();
+    let len = &mut bytes[PENDING_LEN..PENDING_LEN + 8];
+    let n = u64::from_le_bytes((&*len).try_into().unwrap());
+    len.copy_from_slice(&(n + 1).to_le_bytes());
+    let at = PENDING_LEN + 8;
+    let row = tree.to_le_bytes().into_iter().chain(node.to_le_bytes());
+    bytes.splice(at..at, row);
+    bytes.truncate(bytes.len() - 8);
+    bytes.extend(wire::fnv1a(&bytes).to_le_bytes());
+    wire::b64_encode(&bytes)
+}
+
+/// A re-sealed token whose checkpoint carries a row that is not a node
+/// of its shard — a node id past its tree, or a tree id past the
+/// shard — is a counted [`ServiceError::BadToken`] on both execution
+/// strategies: never served as a match, never an arithmetic panic.
+#[test]
+fn forged_checkpoint_rows_are_rejected_not_served() {
+    let corpus = generate(&GenConfig::wsj(10).with_seed(3));
+    let svc = service_over(&corpus, 2);
+    // `//NP` pages on the relational strategy (tag 0), `//VP/_[last()]`
+    // has no SQL translation and pages on the walker (tag 1).
+    for (q, strategy) in [("//NP", 0u8), ("//VP/_[last()]", 1)] {
+        // Step one row at a time until the sweep parks inside shard 1.
+        let mut token = svc.eval_page_token(q, None, 1).unwrap().token;
+        let token = loop {
+            let t = token.unwrap_or_else(|| panic!("{q} never parks inside shard 1"));
+            let bytes = wire::b64_decode(&t).unwrap();
+            if bytes[PAGE_SHARD] == 1 && bytes[HAS_CKPT] == 1 {
+                assert_eq!(bytes[STRATEGY], strategy, "{q}");
+                break t;
+            }
+            token = svc.eval_page_token(q, Some(&t), 1).unwrap().token;
+        };
+        // The splice itself is sound: a genuine element (the root of
+        // the shard's first tree) is accepted and served first.
+        let honest = svc
+            .eval_page_token(q, Some(&splice_pending_row(&token, (0, 0))), 1)
+            .unwrap();
+        let first_tree = (corpus.trees().len() / 2) as u32;
+        assert_eq!(honest.rows, [(first_tree, NodeId(0))], "{q}");
+
+        for row in [(0, 9999), (u32::MAX, 0)] {
+            let before = svc.stats().tokens_rejected;
+            match svc.eval_page_token(q, Some(&splice_pending_row(&token, row)), 3) {
+                Err(ServiceError::BadToken(_)) => {}
+                other => panic!("{q}: forged row {row:?} not rejected: {other:?}"),
+            }
+            assert_eq!(svc.stats().tokens_rejected, before + 1, "{q} {row:?}");
         }
     }
 }
