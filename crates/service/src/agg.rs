@@ -32,6 +32,13 @@
 //! ([`Engine::tag_totals`], [`Engine::tag_per_tree`]) already holds
 //! it, and [`AggTables::count`] reads it from there.
 //!
+//! Four of the pair tables also prove shards empty. A query's steps
+//! require tag pairs ([`crate::plan::requirements`]); a pair the
+//! child-edge, descendant-presence, sibling-adjacency or
+//! following-span table lacks has no witness in the shard, so
+//! [`crate::Shard::may_match`] skips the shard for every query shape,
+//! tabulated or not ([`AggTables::witnesses`]).
+//!
 //! Soundness comes in two flavors. The edge tables lean on functional
 //! dependencies of the tree shape: a node has exactly one parent, at
 //! most one immediate preceding sibling and at most one immediate
@@ -52,6 +59,8 @@ use std::collections::{HashMap, HashSet};
 use lpath_core::Engine;
 use lpath_model::{label_tree, Interner, Sym, Tree};
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, Pred, Step};
+
+use crate::plan::{Edge, EdgeKind};
 
 /// A query shape the aggregate tables answer exactly, extracted from
 /// the AST once at compile time ([`classify`]) and carried on the
@@ -422,6 +431,23 @@ impl AggTables {
                     .map_or(self.nodes_total, |t| engine.tag_total(t));
                 pool - with
             }
+        }
+    }
+
+    /// Does some pair of nodes in this shard's slice witness `edge`?
+    /// Spellings resolve through the shard's `interner`; an unknown
+    /// one witnesses nothing. `false` proves every query requiring the
+    /// edge empty on this shard ([`crate::Shard::may_match`]).
+    pub fn witnesses(&self, edge: &Edge, interner: &Interner) -> bool {
+        let table = match edge.kind {
+            EdgeKind::Child => &self.child_pair,
+            EdgeKind::Descendant => &self.with_desc,
+            EdgeKind::Sibling => &self.sibling_pair,
+            EdgeKind::Following => &self.following_pair,
+        };
+        match (interner.get(&edge.from), interner.get(&edge.to)) {
+            (Some(a), Some(b)) => table.contains_key(&(a, b)),
+            _ => false,
         }
     }
 

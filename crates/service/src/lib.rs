@@ -39,11 +39,15 @@
 //!   (Gottlob, Koch & Schulz's join state, suspended between requests;
 //!   pages and counts served from incremental state, as *On the Count
 //!   of Trees* prescribes).
-//! * **Shard pruning** — each shard records which symbols occur in it;
-//!   a query whose required symbols (conservatively extracted) are
-//!   absent from a shard skips that shard outright. Rare-construct
-//!   queries (`//_[@lex=rapprochement]`, `//WHPP`, …) touch only the
-//!   shards that can answer them.
+//! * **Shard pruning** — each shard records which symbols occur in it
+//!   and, in its aggregate tables, which tag pairs stand in the
+//!   parent/child, ancestor/descendant, `=>` and `->` relations; a
+//!   query whose required symbols or tag pairs (conservatively
+//!   extracted, [`plan::requirements`]) are absent from a shard skips
+//!   that shard outright. Rare-construct queries
+//!   (`//_[@lex=rapprochement]`, `//WHPP`, …) and pairings the corpus
+//!   never shows (`//VP//PRP` where every `PRP` is a subject) touch
+//!   only the shards that can answer them.
 //! * **Incremental ingest** — [`Service::append_ptb`] rebuilds only
 //!   the tail shard, so keeping a growing corpus queryable costs
 //!   `O(corpus / shards)` per batch instead of a full engine rebuild.
@@ -103,7 +107,7 @@ pub use cache::ResultSet;
 use cache::{CountCache, GenCache, PlanCache, ShardRowCache, ShardRows};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
-pub use plan::{required_symbols, CompiledQuery, ExecStrategy};
+pub use plan::{requirements, CompiledQuery, ExecStrategy, Requirements};
 pub use shard::{Checkpoint, Shard, ShardCheckpoint, ShardCountCheckpoint, StaleCheckpoint};
 use stats::{Class, Counters, Instruments};
 pub use stats::{ClassMetrics, Metrics, ServiceStats, ShardStats, SlowQuery};
@@ -377,7 +381,7 @@ impl Service {
             Err(_) => ExecStrategy::Walker,
         };
         let compiled = Arc::new(CompiledQuery {
-            required: required_symbols(&ast),
+            required: requirements(&ast),
             fast: agg::classify(&ast),
             normalized,
             ast,
@@ -430,16 +434,15 @@ impl Service {
     /// members and pages never see an append half-applied, and
     /// evaluation never blocks writers). `body` is the mode.
     /// **Epilogue**: one latency sample under `class`, whether the
-    /// request succeeded or not — `None` leaves the request
-    /// unclassified and never reads the clock.
+    /// request succeeded or not.
     fn request<T>(
         &self,
-        class: Option<Class>,
+        class: Class,
         queries: &[&str],
         body: impl FnOnce(&mut Request, Vec<Result<Arc<CompiledQuery>, ServiceError>>) -> T,
     ) -> T {
         self.counters.queries.add(queries.len() as u64);
-        let mut timer = class.and_then(|_| self.instr.begin());
+        let mut timer = self.instr.begin();
         let compiled = queries.iter().map(|q| self.compile(q)).collect();
         if let Some(t) = timer.as_mut() {
             t.mark_compiled();
@@ -454,10 +457,8 @@ impl Service {
             }
         };
         let out = body(&mut req, compiled);
-        if let Some(class) = class {
-            self.instr
-                .finish(timer, class, req.hit, queries, req.fanout, req.resumes);
-        }
+        self.instr
+            .finish(timer, class, req.hit, queries, req.fanout, req.resumes);
         out
     }
 
@@ -467,7 +468,7 @@ impl Service {
     /// cache.
     fn solo<T>(
         &self,
-        class: Option<Class>,
+        class: Class,
         query: &str,
         empty: T,
         body: impl FnOnce(&mut Request, &Arc<CompiledQuery>) -> Result<T, ServiceError>,
@@ -526,7 +527,7 @@ impl Service {
             self.counters.batches.bump();
             Class::EvalMulti
         };
-        self.request(Some(class), queries, |req, compiled| {
+        self.request(class, queries, |req, compiled| {
             self.resolve(req, compiled)
                 .into_iter()
                 .map(|member| member.map(|(plan, rows)| each(req, &plan, rows)))
@@ -704,7 +705,7 @@ impl Service {
     /// et al., *On the Count of Trees*); this path exploits exactly
     /// that gap.
     pub fn count(&self, query: &str) -> Result<usize, ServiceError> {
-        self.solo(Some(Class::Count), query, 0, |req, compiled| {
+        self.solo(Class::Count, query, 0, |req, compiled| {
             Ok(self.count_whole(req, compiled))
         })
     }
@@ -791,8 +792,9 @@ impl Service {
         shards.iter().map(read).collect()
     }
 
-    /// `shards` less those symbol-presence pruning rules out for
-    /// `compiled` (counted in `shards_pruned`), each beside its id.
+    /// `shards` less those [`Shard::may_match`] rules out for
+    /// `compiled` — a required symbol or tag pair absent (counted in
+    /// `shards_pruned`) — each beside its id.
     fn unpruned<'s>(
         &self,
         compiled: &CompiledQuery,
@@ -834,7 +836,7 @@ impl Service {
         budget: usize,
     ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
         self.counters.count_resumes.bump();
-        self.solo(Some(Class::Count), query, (0, None), |req, compiled| {
+        self.solo(Class::Count, query, (0, None), |req, compiled| {
             self.count_advance(req, compiled, checkpoint.unwrap_or_default(), budget)
         })
     }
@@ -854,7 +856,7 @@ impl Service {
     pub fn hist(&self, query: &str) -> Result<QueryHistogram, ServiceError> {
         self.counters.hists.bump();
         let empty = QueryHistogram::default();
-        self.solo(Some(Class::Hist), query, empty, |req, compiled| {
+        self.solo(Class::Hist, query, empty, |req, compiled| {
             if let Some(h) = self.hist_fast(compiled, &req.shards) {
                 return Ok(h);
             }
@@ -950,24 +952,34 @@ impl Service {
     /// answer for a shard, else its evaluation stops at the first
     /// match. On selective queries over large corpora this is orders of
     /// magnitude cheaper than any enumeration.
+    ///
+    /// Latency class `exists`: a hit when cached counts or rows
+    /// answered every shard visited, as for [`Service::count`].
     pub fn exists(&self, query: &str) -> Result<bool, ServiceError> {
-        // Deliberately unclassified: no latency class, no clock reads.
-        self.solo(None, query, false, |req, compiled| {
+        self.solo(Class::Exists, query, false, |req, compiled| {
             // A prefix with rows holds a witness; an empty one knows
             // nothing yet.
             let rows =
                 |e: ShardRows| (e.ckpt.is_none() || !e.rows.is_empty()).then(|| !e.rows.is_empty());
+            let mut computed = 0;
             let witness = |&(si, shard): &(u16, &Shard)| match &compiled.fast {
-                Some(fast) => shard.tabulated(fast) > 0,
+                Some(fast) => {
+                    computed += 1;
+                    shard.tabulated(fast) > 0
+                }
                 None => {
                     self.known(compiled, &[(si, shard)], |n| n > 0, rows)[0].unwrap_or_else(|| {
+                        computed += 1;
                         self.counters.shard_evals.bump();
                         shard.exists(compiled)
                     })
                 }
             };
             let shards = self.unpruned(compiled, ids(&req.shards));
-            Ok(shards.iter().any(witness))
+            let found = shards.iter().any(witness);
+            req.hit &= computed == 0;
+            req.fanout += computed;
+            Ok(found)
         })
     }
 
@@ -999,7 +1011,7 @@ impl Service {
         limit: usize,
     ) -> Result<ResultSet, ServiceError> {
         self.counters.pages.bump();
-        self.solo(Some(Class::EvalPage), query, Vec::new(), |req, compiled| {
+        self.solo(Class::EvalPage, query, Vec::new(), |req, compiled| {
             self.page_by_offset(req, compiled, offset, limit)
         })
     }
@@ -1679,6 +1691,36 @@ mod tests {
         // have been pruned outright.
         assert!(stats.shards_pruned > 0, "{stats:?}");
         assert!(stats.shard_evals < 4);
+    }
+
+    #[test]
+    fn pruning_skips_shards_without_the_tag_pair() {
+        // S, VP and PRP all occur, but no PRP sits under a VP: the
+        // (VP, PRP) descendant pair is absent from every shard.
+        let (q, sibling) = ("//S/VP//PRP", "//VP/PRP");
+        let want = walk(&parse_str(SRC).unwrap(), q);
+        assert_eq!(want, []);
+        let svc = service(2);
+        let compiled = svc.compile(q).unwrap();
+        assert!(!compiled.statically_empty && compiled.fast.is_none());
+        let shards = svc.state.read().unwrap().shards.clone();
+        let symbols_only = Requirements {
+            edges: Vec::new(),
+            ..compiled.required.clone()
+        };
+        assert!(shards.iter().any(|s| s.may_match(&symbols_only)));
+        assert!(!shards.iter().any(|s| s.may_match(&compiled.required)));
+        let before = svc.stats();
+        assert_eq!(*svc.eval(q).unwrap(), want);
+        assert_eq!(svc.eval_page(q, 0, 5).unwrap(), want);
+        assert_eq!(svc.count(q).unwrap(), 0);
+        assert!(!svc.exists(q).unwrap());
+        for r in svc.eval_multi(&[q, sibling]) {
+            assert_eq!(*r.unwrap(), want);
+        }
+        let after = svc.stats();
+        assert_eq!(after.shard_evals, before.shard_evals, "{after:?}");
+        assert!(after.shards_pruned > before.shards_pruned);
     }
 
     #[test]

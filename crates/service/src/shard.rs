@@ -10,7 +10,7 @@ use lpath_relstore::{wire, CursorCheckpoint};
 use lpath_syntax::Path;
 
 use crate::agg::{AggTables, FastClass};
-use crate::plan::{CompiledQuery, ExecStrategy};
+use crate::plan::{CompiledQuery, ExecStrategy, Requirements};
 use crate::stats::ShardStats;
 
 /// A self-contained partition of the corpus.
@@ -347,14 +347,22 @@ impl Shard {
     }
 
     /// Can this shard possibly contribute a match, given the query's
-    /// required symbols? `false` guarantees the empty answer.
-    pub fn may_match(&self, required: &[String]) -> bool {
-        required.iter().all(|sym| {
-            self.corpus
-                .interner()
+    /// requirements? Every required symbol must occur in the shard and
+    /// every required tag pair in its pair tables, both resolved
+    /// through the shard's own interner. `false` guarantees the empty
+    /// answer.
+    pub fn may_match(&self, required: &Requirements) -> bool {
+        let interner = self.corpus.interner();
+        let present = |sym: &String| {
+            interner
                 .get(sym)
                 .is_some_and(|s| self.contains_sym(s.raw()))
-        })
+        };
+        required.symbols.iter().all(present)
+            && required
+                .edges
+                .iter()
+                .all(|e| self.agg.witnesses(e, interner))
     }
 
     /// The shard's interval labels, computed on first use.
@@ -582,7 +590,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::required_symbols;
+    use crate::plan::requirements;
     use lpath_model::ptb::parse_str;
 
     const SRC: &str = "\
@@ -595,7 +603,7 @@ mod tests {
         let ast = lpath_syntax::parse(q).unwrap();
         CompiledQuery {
             normalized: ast.to_string(),
-            required: required_symbols(&ast),
+            required: requirements(&ast),
             fast: crate::agg::classify(&ast),
             ast,
             strategy: ExecStrategy::Relational,

@@ -4,7 +4,7 @@
 //! The primitives come from `lpath-obs` ([`Counter`], [`Histogram`],
 //! [`Ring`]); this module owns which events the service counts, how
 //! requests are classified (eval / eval_page / count / eval_multi /
-//! hist, each split cache-hit vs miss), and the [`Metrics`] JSON
+//! hist / exists, each split cache-hit vs miss), and the [`Metrics`] JSON
 //! rendering.
 //! [`ServiceStats`] is the plain-data snapshot of the counters.
 
@@ -51,6 +51,7 @@ pub(crate) enum Class {
     Count,
     EvalMulti,
     Hist,
+    Exists,
 }
 
 impl Class {
@@ -61,15 +62,17 @@ impl Class {
             Class::Count => "count",
             Class::EvalMulti => "eval_multi",
             Class::Hist => "hist",
+            Class::Exists => "exists",
         }
     }
 
-    const ALL: [Class; 5] = [
+    const ALL: [Class; 6] = [
         Class::Eval,
         Class::EvalPage,
         Class::Count,
         Class::EvalMulti,
         Class::Hist,
+        Class::Exists,
     ];
 }
 
@@ -94,7 +97,7 @@ pub(crate) struct Instruments {
     enabled: bool,
     threshold: Duration,
     /// `[class][hit]` latency histograms, nanoseconds.
-    lat: [[Histogram; 2]; 5],
+    lat: [[Histogram; 2]; Class::ALL.len()],
     slow: Ring<SlowQuery>,
 }
 
@@ -193,7 +196,7 @@ pub struct SlowQuery {
     /// The query text (batches: the joined texts, clipped).
     pub query: String,
     /// Request class (`eval` / `eval_page` / `count` / `eval_multi` /
-    /// `hist`).
+    /// `hist` / `exists`).
     pub class: &'static str,
     /// End-to-end latency, nanoseconds.
     pub total_ns: u64,
@@ -212,7 +215,7 @@ pub struct SlowQuery {
 #[derive(Clone, Copy, Debug)]
 pub struct ClassMetrics {
     /// Class name (`eval` / `eval_page` / `count` / `eval_multi` /
-    /// `hist`).
+    /// `hist` / `exists`).
     pub class: &'static str,
     /// Requests answered from a cache (or batch-deduplicated).
     pub hits: HistogramSnapshot,
@@ -233,7 +236,7 @@ pub struct Metrics {
     /// histograms are structurally present but empty).
     pub enabled: bool,
     /// Per-class latency snapshots, fixed order: eval, eval_page,
-    /// count, eval_multi, hist.
+    /// count, eval_multi, hist, exists.
     pub classes: Vec<ClassMetrics>,
     /// Counts (and fast histograms) answered straight from the
     /// aggregate tables — the O(index) fast path. Surfaced here (not
@@ -389,7 +392,9 @@ pub struct ServiceStats {
     pub page_resumes: u64,
     /// Per-shard evaluations actually executed.
     pub shard_evals: u64,
-    /// Per-shard evaluations skipped by symbol-presence pruning.
+    /// Per-shard evaluations skipped by shard pruning: a required
+    /// symbol or a required tag pair absent from the shard
+    /// ([`crate::Shard::may_match`]).
     pub shards_pruned: u64,
     /// Requests answered by the static analyzer's constant-empty fast
     /// path: the query was proven empty at compile time, so no shard
@@ -432,8 +437,8 @@ impl ServiceStats {
         rate(self.count_hits, self.count_misses)
     }
 
-    /// Fraction of per-shard evaluations avoided by symbol-presence
-    /// pruning.
+    /// Fraction of per-shard evaluations avoided by shard pruning
+    /// (symbol presence and tag pairs alike).
     pub fn prune_rate(&self) -> f64 {
         rate(self.shards_pruned, self.shard_evals)
     }

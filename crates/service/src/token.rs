@@ -174,8 +174,7 @@ impl Service {
         limit: usize,
     ) -> Result<Page, ServiceError> {
         self.counters.pages.bump();
-        let class = Some(Class::EvalPage);
-        self.solo(class, query, Page::default(), |req, compiled| {
+        self.solo(Class::EvalPage, query, Page::default(), |req, compiled| {
             let (emitted, pos) = match token {
                 None => (0, Some(SweepPos::default())),
                 Some(t) => self.open_token(TOKEN_VERSION, t, compiled, &req.shards)?,
@@ -300,7 +299,7 @@ impl Service {
             total: token.is_none().then_some(so_far),
             token,
         };
-        self.solo(Some(Class::Count), query, page(0, None), |req, compiled| {
+        self.solo(Class::Count, query, page(0, None), |req, compiled| {
             let (prior, pos) = match token {
                 None => (0, Some(SweepPos::default())),
                 Some(t) => self.open_token(COUNT_TOKEN_VERSION, t, compiled, &req.shards)?,

@@ -194,6 +194,96 @@ fn arb_query() -> impl Strategy<Value = Path> {
         })
 }
 
+// ---------------------------------------------------------------
+// Random queries over the whole language (walker only): all nineteen
+// navigation axes, `or`, double negation, `position()`, nested
+// predicates and two-step predicate paths — what the SQL-translatable
+// generator above leaves out.
+// ---------------------------------------------------------------
+
+/// Any navigation axis: [`Axis::ALL`] less its last entry, `@`.
+fn arb_any_axis() -> impl Strategy<Value = Axis> {
+    (0usize..19).prop_map(|i| Axis::ALL[i])
+}
+
+/// A step on any axis whose predicates nest at most `depth` deep.
+fn arb_any_step(depth: u32) -> BoxedStrategy<Step> {
+    let predicates = if depth == 0 {
+        Just(Vec::new()).boxed()
+    } else {
+        prop::collection::vec(arb_any_pred(depth - 1), 0..2).boxed()
+    };
+    (arb_any_axis(), arb_test(), predicates)
+        .prop_map(|(axis, test, predicates)| {
+            let mut step = Step::new(axis, test);
+            step.predicates = predicates;
+            step
+        })
+        .boxed()
+}
+
+fn arb_any_path(depth: u32) -> BoxedStrategy<Path> {
+    prop::collection::vec(arb_any_step(depth), 1..3)
+        .prop_map(Path::relative)
+        .boxed()
+}
+
+fn arb_any_pred(depth: u32) -> BoxedStrategy<Pred> {
+    use lpath_syntax::{CmpOp, PosRhs};
+    let op = prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Gt),
+    ];
+    let exists = arb_any_path(depth).prop_map(Pred::Exists);
+    let both = (exists.clone(), exists.clone());
+    let count = (arb_any_path(depth), op.clone(), 0u32..3)
+        .prop_map(|(path, op, value)| Pred::Count { path, op, value });
+    let position = (op.clone(), 0u32..3).prop_map(|(op, n)| Pred::Position(op, PosRhs::Const(n)));
+    // `[@lex=w]`, or `[X/@lex=w]` through a step on any axis.
+    let cmp = (
+        prop::option::of(arb_any_step(0)),
+        op,
+        prop_oneof![Just("u"), Just("v")],
+    )
+        .prop_map(|(via, op, w)| {
+            let mut steps: Vec<Step> = via.into_iter().collect();
+            steps.push(Step::new(Axis::Attribute, NodeTest::tag("lex")));
+            Pred::Cmp {
+                path: Path::relative(steps),
+                op,
+                value: w.to_string(),
+            }
+        });
+    prop_oneof![
+        3 => exists.clone(),
+        1 => exists.clone().prop_map(Pred::not),
+        1 => exists.prop_map(|p| Pred::not(Pred::not(p))),
+        1 => both.clone().prop_map(|(a, b)| Pred::and(a, b)),
+        1 => both.prop_map(|(a, b)| Pred::or(a, b)),
+        1 => count,
+        1 => position,
+        1 => cmp,
+    ]
+    .boxed()
+}
+
+fn arb_any_query() -> impl Strategy<Value = Path> {
+    (
+        arb_any_step(2),
+        prop::collection::vec(arb_any_step(1), 0..3),
+        prop::option::weighted(0.3, arb_any_path(1)),
+    )
+        .prop_map(|(mut head, rest, scope)| {
+            head.axis = Axis::Descendant;
+            let mut p = Path::absolute(vec![head]);
+            p.steps.extend(rest);
+            p.scope = scope.map(Box::new);
+            p
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: ProptestConfig::cases_or_env(64),
@@ -219,6 +309,29 @@ proptest! {
             &via_walker, &via_naive,
             "walker vs naive on {}", query
         );
+    }
+
+    #[test]
+    fn pruned_shards_hold_no_match(
+        corpus in arb_corpus(),
+        query in prop_oneof![arb_query(), arb_any_query()],
+        shards in 1usize..4,
+    ) {
+        // Shard pruning may only skip shards whose answer is empty: a
+        // shard `may_match` rejects, for a missing symbol or a missing
+        // tag pair, has no match over its slice.
+        use lpath_service::{requirements, Shard};
+        let required = requirements(&query);
+        let trees = corpus.trees().len();
+        let k = shards.min(trees);
+        for i in 0..k {
+            let (start, end) = (i * trees / k, (i + 1) * trees / k);
+            let shard = Shard::build(&corpus, start, end - start, 0);
+            if !shard.may_match(&required) {
+                let rows = Walker::new(shard.corpus()).eval(&query);
+                prop_assert!(rows.is_empty(), "pruned shard {} matches {}: {:?}", i, query, rows);
+            }
+        }
     }
 
     #[test]

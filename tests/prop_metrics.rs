@@ -164,8 +164,7 @@ proptest! {
 
         let m = svc.metrics();
         prop_assert_eq!(m.queries, s.queries);
-        // Histogram totals equal the requests recorded, class by class
-        // (exists is deliberately not latency-classified).
+        // Histogram totals equal the requests recorded, class by class.
         let total = |name: &str| {
             let c = class(&m, name);
             c.hits.count + c.misses.count
@@ -174,8 +173,12 @@ proptest! {
         prop_assert_eq!(total("count"), counts);
         prop_assert_eq!(total("eval_page"), pages);
         prop_assert_eq!(total("eval_multi"), batches);
+        prop_assert_eq!(total("exists"), exists);
         // Zero threshold, oversized ring: the slow log missed nothing.
-        prop_assert_eq!(m.slow_queries.len() as u64, evals + counts + pages + batches);
+        prop_assert_eq!(
+            m.slow_queries.len() as u64,
+            evals + counts + pages + batches + exists
+        );
         // Every resumed checkpoint — a cached prefix or one a token
         // carried — is on some request's trace.
         let resumed: u64 = m.slow_queries.iter().map(|e| e.resumes).sum();
