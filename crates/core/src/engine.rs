@@ -15,8 +15,7 @@ use lpath_relstore::{
     self as rel, wire, ColRef, Database, OptGoal, PlannerConfig, Schema, Table, TableId, Value,
     NULL,
 };
-use lpath_syntax::{parse, Axis, NodeTest, Path, SyntaxError};
-use std::collections::HashMap;
+use lpath_syntax::{parse, Path, SyntaxError};
 
 use crate::compile::NCol;
 use crate::translate::{NodeCols, Translator, Unsupported};
@@ -64,17 +63,7 @@ pub struct Engine {
     /// `(tree, node)` names an element of this relation exactly when
     /// `node < tree_lens[tree]`, which decoding checks.
     tree_lens: Vec<u32>,
-    /// Exact element-occurrence histogram per name symbol, gathered
-    /// during the build pass: corpus total plus a sparse per-tree
-    /// breakdown `(tid, count)` sorted by tree id (only trees that
-    /// contain the symbol appear). Drives [`Engine::refine_estimate`]
-    /// and the service's per-tree tag tables.
-    tag_density: HashMap<Sym, TagDensity>,
 }
-
-/// Occurrence histogram of one element name: `(corpus total,
-/// per-tree counts sorted by tree id)`.
-type TagDensity = (u64, Vec<(u32, u32)>);
 
 impl Engine {
     /// Label, load, cluster, index and analyze `corpus`.
@@ -94,18 +83,11 @@ impl Engine {
             row_count += t.len();
         }
         table.reserve(row_count);
-        let mut tag_density: HashMap<Sym, TagDensity> = HashMap::new();
         for (tid, tree) in corpus.trees().iter().enumerate() {
             let labels = label_tree(tree);
             for id in tree.preorder() {
                 let l = &labels[id.index()];
                 let node = tree.node(id);
-                let d = tag_density.entry(node.name).or_default();
-                d.0 += 1;
-                match d.1.last_mut() {
-                    Some(e) if e.0 == tid as u32 => e.1 += 1,
-                    _ => d.1.push((tid as u32, 1)),
-                }
                 let base = [
                     tid as Value,
                     l.left,
@@ -152,10 +134,6 @@ impl Engine {
         );
         db.add_index(node, "tid_id", vec![c(NCol::Tid), c(NCol::Id)]);
         db.analyze(node, &[c(NCol::Name), c(NCol::Value)]);
-        // Per-tree spreads of the same columns: feeds the planner's
-        // chunked-anchor penalty, which still prices a chunked
-        // executor `query_resume` no longer has.
-        db.analyze_grouped(node, c(NCol::Tid), &[c(NCol::Name), c(NCol::Value)]);
 
         Engine {
             db,
@@ -164,7 +142,6 @@ impl Engine {
             interner: corpus.interner().clone(),
             planner,
             tree_lens: corpus.trees().iter().map(|t| t.len() as u32).collect(),
-            tag_density,
         }
     }
 
@@ -319,9 +296,7 @@ impl Engine {
             return Ok(rel::Plan::constant_empty());
         }
         let order = self.planner.order;
-        let mut plan = rel::plan(&self.db, &cq, &PlannerConfig { order, goal });
-        self.refine_estimate(ast, &mut plan);
-        Ok(plan)
+        Ok(rel::plan(&self.db, &cq, &PlannerConfig { order, goal }))
     }
 
     /// Result size — the measure reported in Figure 6(c). Counts
@@ -508,10 +483,10 @@ impl Engine {
     }
 
     /// The plan a resumable enumeration runs on, and whether it streams
-    /// (see [`Engine::tid_ordered_anchor`]): translate, plan under the
-    /// `FirstRows(plan_k)` goal, sharpen the estimate. Deterministic
-    /// over the same engine content, which is what lets a serialized
-    /// checkpoint carry `plan_k` instead of the plan.
+    /// (see [`Engine::tid_ordered_anchor`]): translate, then plan under
+    /// the `FirstRows(plan_k)` goal. Deterministic over the same engine
+    /// content, which is what lets a serialized checkpoint carry
+    /// `plan_k` instead of the plan.
     fn paging_plan(
         &self,
         ast: &Path,
@@ -624,68 +599,6 @@ impl Engine {
             plan_k,
             state,
         })
-    }
-
-    /// Sharpen the planner's result-cardinality estimate with the
-    /// build-time occurrence histogram: every match binds each step of
-    /// the main path (and its scope continuation) inside one tree, so
-    /// the scarcest step symbol's **exact** corpus total caps how many
-    /// matches can exist — often far below the planner's per-column
-    /// frequency extrapolation for multi-step queries.
-    pub fn refine_estimate(&self, ast: &Path, plan: &mut rel::Plan) {
-        if let Some(&(total, _)) = self.scarcest_density(ast) {
-            plan.estimated_result = plan.estimated_result.min(total as usize);
-        }
-    }
-
-    /// Exact number of elements named `tag` in the corpus, from the
-    /// build-time histogram (0 for symbols that never occur).
-    pub fn tag_total(&self, tag: &str) -> u64 {
-        self.interner
-            .get(tag)
-            .and_then(|s| self.tag_density.get(&s))
-            .map_or(0, |d| d.0)
-    }
-
-    /// Every element name with its corpus total, unordered.
-    pub fn tag_totals(&self) -> impl Iterator<Item = (Sym, u64)> + '_ {
-        self.tag_density.iter().map(|(&s, d)| (s, d.0))
-    }
-
-    /// Sparse per-tree counts of one element name: `(tid, count)`,
-    /// tid-ascending; empty when the name does not occur.
-    pub fn tag_per_tree(&self, tag: Sym) -> &[(u32, u32)] {
-        self.tag_density.get(&tag).map_or(&[], |d| d.1.as_slice())
-    }
-
-    /// The occurrence histogram of the query's scarcest element-name
-    /// symbol, or `None` when the query names no concrete element tag
-    /// (wildcards and attribute tests say nothing about element
-    /// density).
-    fn scarcest_density(&self, ast: &Path) -> Option<&TagDensity> {
-        static EMPTY: TagDensity = (0, Vec::new());
-        let mut best: Option<&TagDensity> = None;
-        let mut path = Some(ast);
-        while let Some(p) = path {
-            for step in &p.steps {
-                if step.axis == Axis::Attribute {
-                    continue;
-                }
-                let NodeTest::Tag(tag) = &step.test else {
-                    continue;
-                };
-                let d = self
-                    .interner
-                    .get(tag)
-                    .and_then(|s| self.tag_density.get(&s))
-                    .unwrap_or(&EMPTY);
-                if best.is_none_or(|b| d.0 < b.0) {
-                    best = Some(d);
-                }
-            }
-            path = p.scope.as_deref();
-        }
-        best
     }
 }
 
@@ -1428,61 +1341,43 @@ mod tests {
     }
 
     #[test]
-    fn build_histogram_has_exact_tag_totals() {
+    fn planner_caps_the_estimate_by_the_scarcest_symbol() {
         let e = engine();
-        // Figure 1: four NPs, three Ns, a single VP.
-        assert_eq!(e.tag_total("NP"), 4);
-        assert_eq!(e.tag_total("N"), 3);
-        assert_eq!(e.tag_total("VP"), 1);
-        assert_eq!(e.tag_total("ZZZ"), 0);
-        // Attribute names are not element occurrences.
-        assert_eq!(e.tag_total("@lex"), 0);
-    }
-
-    #[test]
-    fn per_tree_tables_sum_to_totals() {
-        let corpus = parse_str(
-            "( (S (NP (PRP I)) (VP (VBD saw) (NP (DT the) (NN man))) (. .)) )\n\
-             ( (S (NP (DT the) (NN man)) (VP (VBD left))) )\n\
-             ( (FRAG (NP (NN rain)) (NP (NN snow))) )",
-        )
-        .unwrap();
-        let e = Engine::build(&corpus);
-        let it = corpus.interner();
-        let mut nodes = 0;
-        for (sym, total) in e.tag_totals() {
-            let per_tree = e.tag_per_tree(sym);
-            assert!(
-                per_tree.windows(2).all(|w| w[0].0 < w[1].0),
-                "tid-ascending"
-            );
-            let spread: u64 = per_tree.iter().map(|&(_, n)| u64::from(n)).sum();
-            assert_eq!(spread, total, "{}", it.resolve(sym));
-            assert_eq!(total, e.tag_total(it.resolve(sym)));
-            nodes += total;
+        // //VP//NP: at most one VP exists, and the planner's estimate
+        // (the smallest alias input) cannot exceed the scarcest step
+        // symbol's exact frequency.
+        let ast = lpath_syntax::parse("//VP//NP").unwrap();
+        for goal in [OptGoal::AllRows, OptGoal::FirstRows(1)] {
+            let plan = e.plan_for(&ast, goal).unwrap();
+            assert!(plan.estimated_result <= 1, "{}", plan.estimated_result);
         }
-        assert_eq!(nodes, 20, "every element counted once");
-        assert_eq!(
-            e.tag_per_tree(it.get("NP").unwrap()),
-            [(0, 2), (1, 1), (2, 2)]
-        );
-    }
-
-    #[test]
-    fn refined_estimate_is_capped_by_the_scarcest_symbol() {
-        let e = engine();
-        // //VP//NP: at most one VP exists, so the refined estimate
-        // cannot exceed the scarcest symbol's total.
-        let plan = e
-            .plan_ast(&lpath_syntax::parse("//VP//NP").unwrap())
-            .unwrap();
-        assert!(plan.estimated_result <= 1, "{}", plan.estimated_result);
-        // Paging still returns the correct full result under the
-        // refined estimate.
+        // Paging still returns the correct full result.
         assert_eq!(
             e.query_limit("//VP//NP", 0, 100).unwrap(),
             e.query("//VP//NP").unwrap()
         );
+    }
+
+    #[test]
+    fn every_page_plan_streams() {
+        use lpath_model::{generate, GenConfig};
+        // Every paper query's paging plan is either the constant-empty
+        // plan or anchored tid-ordered, so paging never falls back to
+        // full evaluation.
+        for cfg in [GenConfig::wsj(400), GenConfig::swb(900)] {
+            let e = Engine::build(&generate(&cfg));
+            for q in crate::QUERIES {
+                let ast = lpath_syntax::parse(q.lpath).unwrap();
+                for k in [1, 25] {
+                    let (plan, streams) = e.paging_plan(&ast, k).unwrap();
+                    assert!(
+                        plan.const_empty || streams,
+                        "Q{} at k = {k} does not stream:\n{plan}",
+                        q.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

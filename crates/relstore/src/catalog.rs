@@ -99,16 +99,6 @@ impl Database {
         self.stats[table.0] = Some(stats);
     }
 
-    /// Augment `table`'s statistics with per-group value spreads of
-    /// `cols`, grouped by `group_col` (in the node relation: per-tree
-    /// spreads, grouped by `tid`). Collects base statistics first if
-    /// [`Database::analyze`] has not run.
-    pub fn analyze_grouped(&mut self, table: TableId, group_col: ColId, cols: &[ColId]) {
-        let t = &self.tables[table.0].1;
-        let stats = self.stats[table.0].get_or_insert_with(|| TableStats::analyze(t, &[]));
-        stats.analyze_grouped(t, group_col, cols);
-    }
-
     /// Statistics, if [`Database::analyze`] ran for this table.
     pub fn stats(&self, table: TableId) -> Option<&TableStats> {
         self.stats[table.0].as_ref()

@@ -84,7 +84,7 @@ pub use plan::{AccessPath, JoinStep, Plan, SubCheck};
 pub use planner::{plan, JoinOrder, OptGoal, PlannerConfig};
 pub use schema::{ColId, Schema};
 pub use sql::{ConjQuery, SubQuery};
-pub use stats::{ColumnStats, GroupSpread, TableStats};
+pub use stats::{ColumnStats, TableStats};
 pub use table::{RowId, Table};
 pub use value::{Cmp, Value, NULL};
 pub use wire::WireError;

@@ -87,16 +87,17 @@ pub struct Plan {
     /// distinct watermark sets. Never set on hand-built plans.
     pub dedup_free: bool,
     /// Planner estimate of the cost (candidate rows × probes) to
-    /// produce the *first* output tuple; includes a penalty for plans
-    /// whose anchor is not the output alias, priced for a chunked
-    /// (sort-and-rescan) paging executor that no longer exists (see
-    /// the planner's `CHUNK_PENALTY`). Zero for hand-built plans.
+    /// produce the *first* output tuple: the anchor's share of
+    /// candidate rows before the first match, times the pipeline
+    /// length. Zero for hand-built plans.
     pub estimated_startup: usize,
     /// Planner estimate of the total enumeration cost (intermediate
     /// tuples summed over the pipeline). Zero for hand-built plans.
     pub estimated_total: usize,
     /// Planner estimate of the result cardinality (the smallest alias
-    /// input — joins only filter). Zero for hand-built plans.
+    /// input — joins only filter), hence at most the exact frequency of
+    /// every `col = const` condition of its aliases. Zero for hand-built
+    /// plans.
     pub estimated_result: usize,
     /// The query was proven empty before planning (static analysis):
     /// every cursor built from this plan is born exhausted and yields

@@ -48,13 +48,10 @@ pub enum JoinOrder {
 /// enumeration, which the greedy order approximates by binding the
 /// smallest estimated input first. `FirstRows(k)` instead minimizes the
 /// estimated cost of the first `k` output tuples — the objective of an
-/// interactive, page-1-dominated workload. A first-rows plan prefers to
-/// anchor the pipeline on the **output alias** when that is
-/// competitive: scanning the output alias in index (document) order
-/// means tuples emerge roughly in document order, so a paged executor
-/// can stop after a bounded prefix instead of enumerating and sorting
-/// everything. Both goals produce plans with identical result sets —
-/// only cost (and emission order) may differ.
+/// interactive, page-1-dominated workload — and breaks cost ties toward
+/// the **output alias**, whose index scan emits tuples in document
+/// order. Both goals produce plans with identical result sets — only
+/// cost (and emission order) may differ.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum OptGoal {
     /// Minimize estimated total enumeration cost (the default).
@@ -165,21 +162,18 @@ impl EqClasses {
 pub fn plan(db: &Database, q: &ConjQuery, cfg: &PlannerConfig) -> Plan {
     let classes = EqClasses::build(q);
     let est: Vec<usize> = (0..q.aliases.len()).map(|a| estimate(db, q, a)).collect();
-    let pen: Vec<usize> = (0..q.aliases.len())
-        .map(|a| chunk_penalty(db, q, a))
-        .collect();
     let order = match cfg.order {
         JoinOrder::Syntactic => (0..q.aliases.len()).collect::<Vec<_>>(),
         JoinOrder::GreedyStats => {
             let seed = match cfg.goal {
                 OptGoal::AllRows => None,
-                OptGoal::FirstRows(k) => first_rows_anchor(q, &est, k, &pen),
+                OptGoal::FirstRows(k) => first_rows_anchor(q, &est, k),
             };
             greedy_order(q, &classes, &est, seed)
         }
     };
     let (estimated_startup, estimated_total, estimated_result) =
-        plan_estimates(q, &classes, &est, &order, &pen);
+        plan_estimates(q, &classes, &est, &order);
 
     let mut bound: Vec<bool> = vec![false; q.aliases.len()];
     let mut consumed: Vec<bool> = vec![false; q.conds.len()];
@@ -365,66 +359,6 @@ fn greedy_order(
     order
 }
 
-/// Penalty factor for first-rows anchors that are *not* the output
-/// alias: their tuples emerge out of document order, so a paged
-/// executor must evaluate and sort whole corpus chunks (and rescan the
-/// anchor's candidates once per chunk round) instead of streaming a
-/// document-ordered prefix.
-///
-/// This models an executor that is gone: `lpath-core`'s paging now
-/// streams every tid-ordered anchor from one suspended cursor,
-/// sorting only within each tree. The penalty stays because it still
-/// shapes plans — removing it changes which anchor first-rows plans
-/// pick — until a measured change replaces it.
-const CHUNK_PENALTY: usize = 2;
-
-/// The chunked-emission penalty for anchoring the pipeline on alias
-/// `a`, refined by per-tree match-density statistics when the catalog
-/// carries them ([`crate::stats::TableStats::group_spread`], fed by
-/// the aggregation layer's per-tree tables): a chunked executor pays
-/// one sort-and-rescan round per *tree chunk* the anchor's candidates
-/// span, so an anchor value confined to a few trees is barely worse
-/// than document-ordered emission, while a corpus-wide value pays up
-/// to double the flat penalty. The spread of the alias's **tightest**
-/// constant equality governs (that is the probe the access path will
-/// key on); without grouped statistics the flat [`CHUNK_PENALTY`]
-/// keeps the historical model. Like [`CHUNK_PENALTY`], it prices the
-/// chunked executor that paging no longer has.
-fn chunk_penalty(db: &Database, q: &ConjQuery, a: usize) -> usize {
-    let table = q.aliases[a];
-    let Some(stats) = db.stats(table) else {
-        return CHUNK_PENALTY;
-    };
-    let mut tightest: Option<(usize, u32, u32)> = None;
-    for c in &q.conds {
-        if c.left.alias != a || c.cmp != Cmp::Eq {
-            continue;
-        }
-        let Operand::Const(v) = c.right else { continue };
-        let Some((gw, gt)) = stats.group_spread(c.left.col, v) else {
-            continue;
-        };
-        let e = stats.est_eq(c.left.col, v);
-        let tighter = match tightest {
-            None => true,
-            Some((be, _, _)) => e < be,
-        };
-        if tighter {
-            tightest = Some((e, gw, gt));
-        }
-    }
-    match tightest {
-        Some((_, gw, gt)) if gt > 0 => {
-            // Map the spanned-tree fraction onto [1, 2 · CHUNK_PENALTY],
-            // rounding to nearest; a third of the corpus lands on the
-            // flat penalty.
-            let span = (2 * CHUNK_PENALTY - 1) * gw as usize;
-            1 + (span + gt as usize / 2) / gt as usize
-        }
-        _ => CHUNK_PENALTY,
-    }
-}
-
 /// Estimated cost of the first `k` output tuples when the pipeline is
 /// anchored on alias `a`.
 ///
@@ -432,29 +366,24 @@ fn chunk_penalty(db: &Database, q: &ConjQuery, a: usize) -> usize {
 /// `m = min_a est[a]`. Scanning anchor `a` in index order, matches are
 /// spread across its `est[a]` rows, so the first `min(k, m)` tuples
 /// cost about `est[a] · min(k, m) / m` candidate rows, each paying one
-/// index probe per remaining alias. Non-output anchors additionally pay
-/// their [`chunk_penalty`] for chunked (sort-and-rescan) emission.
-fn startup_cost(est: &[usize], k: usize, a: usize, out: Option<usize>, pen: &[usize]) -> usize {
+/// index probe per remaining alias. Emission order is not priced:
+/// `lpath-core` pages by streaming from any tree-ordered anchor.
+fn startup_cost(est: &[usize], k: usize, a: usize) -> usize {
     let n = est.len().max(1);
     let m = est.iter().copied().min().unwrap_or(0).max(1);
     let k = k.max(1);
     let rows = est[a].saturating_mul(k.min(m)) / m;
-    let cost = rows.saturating_mul(n).max(1);
-    if Some(a) == out {
-        cost
-    } else {
-        cost.saturating_mul(pen.get(a).copied().unwrap_or(CHUNK_PENALTY))
-    }
+    rows.saturating_mul(n).max(1)
 }
 
 /// The anchor (first bound alias) minimizing [`startup_cost`], ties
-/// broken toward the output alias (document-order emission), then the
-/// smaller estimate, then the alias id.
-fn first_rows_anchor(q: &ConjQuery, est: &[usize], k: usize, pen: &[usize]) -> Option<usize> {
+/// broken toward the output alias (its scan order is document order),
+/// then the smaller estimate, then the alias id.
+fn first_rows_anchor(q: &ConjQuery, est: &[usize], k: usize) -> Option<usize> {
     let out = q.projection.first().map(|c| c.alias);
     (0..q.aliases.len()).min_by_key(|&a| {
         (
-            startup_cost(est, k, a, out, pen),
+            startup_cost(est, k, a),
             usize::from(Some(a) != out),
             est[a],
             a,
@@ -466,27 +395,26 @@ fn first_rows_anchor(q: &ConjQuery, est: &[usize], k: usize, pen: &[usize]) -> O
 /// `(startup, total, result)`.
 ///
 /// * `startup` — [`startup_cost`] of the chosen anchor for `k = 1`
-///   (comparable across goals: it includes the chunked-emission
-///   penalty for plans not anchored on the output alias);
+///   (comparable across goals);
 /// * `total` — a crude left-deep enumeration estimate: the anchor
 ///   contributes its full input, each later alias multiplies the
 ///   intermediate size by its fan-out (1 when it joins the bound set
 ///   through an equality — near-point probes — else its own input);
 /// * `result` — the smallest alias estimate, the "joins only filter"
-///   proxy for the output cardinality.
+///   proxy for the output cardinality. An alias estimate never exceeds
+///   the exact frequency of any of its `col = const` conditions, so
+///   neither does `result`.
 fn plan_estimates(
     q: &ConjQuery,
     classes: &EqClasses,
     est: &[usize],
     order: &[usize],
-    pen: &[usize],
 ) -> (usize, usize, usize) {
     if order.is_empty() {
         // A stepless plan emits exactly one (empty) tuple.
         return (1, 1, 1);
     }
-    let out = q.projection.first().map(|c| c.alias);
-    let startup = startup_cost(est, 1, order[0], out, pen);
+    let startup = startup_cost(est, 1, order[0]);
     let mut bound = vec![false; q.aliases.len()];
     let mut inter = 1usize;
     let mut total = 0usize;
@@ -974,42 +902,62 @@ mod tests {
 
     #[test]
     fn first_rows_flips_the_anchor_to_the_output_alias() {
-        // Skew: the output alias (grp = 5, 6 rows) is slightly less
-        // selective than its join partner (grp = 4, 5 rows). AllRows
-        // anchors the smaller input; FirstRows pays the small input
-        // premium to anchor the output alias and emit in scan order.
+        // Two aliases with equal estimates (grp = 5: 6 rows each), the
+        // output alias second. AllRows breaks the tie by alias id;
+        // FirstRows breaks it toward the output alias, whose scan order
+        // is emission order.
         let (db, tid) = setup();
-        let mut q = ConjQuery::default();
-        let a = q.add_alias(tid);
-        let b = q.add_alias(tid);
-        q.conds
-            .push(Cond::against_const(ColRef::new(a, GRP), Cmp::Eq, 5));
-        q.conds
-            .push(Cond::against_const(ColRef::new(b, GRP), Cmp::Eq, 4));
-        q.conds.push(Cond::between(
-            ColRef::new(a, VAL),
-            Cmp::Eq,
-            ColRef::new(b, VAL),
-        ));
-        q.projection.push(ColRef::new(a, VAL));
+        let mk = |other_grp| {
+            let mut q = ConjQuery::default();
+            let a = q.add_alias(tid);
+            let b = q.add_alias(tid);
+            q.conds
+                .push(Cond::against_const(ColRef::new(a, GRP), Cmp::Eq, other_grp));
+            q.conds
+                .push(Cond::against_const(ColRef::new(b, GRP), Cmp::Eq, 5));
+            q.conds.push(Cond::between(
+                ColRef::new(a, VAL),
+                Cmp::Eq,
+                ColRef::new(b, VAL),
+            ));
+            q.projection.push(ColRef::new(b, VAL));
+            q
+        };
+        let first_rows = PlannerConfig {
+            goal: OptGoal::FirstRows(10),
+            ..Default::default()
+        };
+        let q = mk(5);
         let all = plan(&db, &q, &PlannerConfig::default());
-        assert_eq!(all.steps[0].alias, b, "{all}");
-        let first = plan(
-            &db,
-            &q,
-            &PlannerConfig {
-                goal: OptGoal::FirstRows(10),
-                ..Default::default()
-            },
-        );
-        assert_eq!(first.steps[0].alias, a, "{first}");
+        assert_eq!(all.steps[0].alias, 0, "{all}");
+        let first = plan(&db, &q, &first_rows);
+        assert_eq!(first.steps[0].alias, 1, "{first}");
         // The goal may change the order, never the answers.
         let (mut x, mut y) = (execute(&all, &db), execute(&first, &db));
         x.sort();
         y.sort();
         assert_eq!(x, y);
-        // FirstRows minimizes the surfaced startup estimate.
-        assert!(first.estimated_startup <= all.estimated_startup);
+        assert_eq!(first.estimated_startup, all.estimated_startup);
+        // A strictly smaller partner (grp = 4: 5 rows) keeps the anchor:
+        // the output alias is a tie-break, not a premium.
+        let skewed = plan(&db, &mk(4), &first_rows);
+        assert_eq!(skewed.steps[0].alias, 0, "{skewed}");
+    }
+
+    #[test]
+    fn startup_cost_scales_the_anchor_by_the_rows_it_must_read() {
+        // m = 5, n = 3: the first k tuples cost est[a]·min(k, m)/m
+        // candidate rows, each probing all three aliases.
+        let est = [10, 5, 20];
+        assert_eq!(startup_cost(&est, 1, 0), 6);
+        assert_eq!(startup_cost(&est, 1, 1), 3);
+        assert_eq!(startup_cost(&est, 1, 2), 12);
+        // k beyond the result size reads the whole anchor input.
+        assert_eq!(startup_cost(&est, 100, 0), 30);
+        assert_eq!(startup_cost(&est, 5, 2), 60);
+        // k = 0 counts as one row; an empty anchor still costs one.
+        assert_eq!(startup_cost(&est, 0, 1), 3);
+        assert_eq!(startup_cost(&[0, 4], 1, 0), 1);
     }
 
     #[test]
@@ -1041,43 +989,6 @@ mod tests {
             );
             assert_eq!(p.steps[0].alias, b, "k = {k}: {p}");
         }
-    }
-
-    #[test]
-    fn grouped_stats_scale_the_chunked_anchor_penalty() {
-        // Two-alias query anchored (greedy) on the selective non-output
-        // alias b: its startup estimate carries the chunk penalty.
-        // val = 0 occurs in every grp (10/10 trees); val = 9 in one.
-        let mk = |tid, v| {
-            let mut q = ConjQuery::default();
-            let a = q.add_alias(tid);
-            let b = q.add_alias(tid);
-            q.conds
-                .push(Cond::against_const(ColRef::new(b, VAL), Cmp::Eq, v));
-            q.conds.push(Cond::between(
-                ColRef::new(a, GRP),
-                Cmp::Eq,
-                ColRef::new(b, GRP),
-            ));
-            q.projection.push(ColRef::new(a, VAL));
-            q
-        };
-        let (mut db, tid) = setup();
-        let cfg = PlannerConfig::default();
-        let flat_wide = plan(&db, &mk(tid, 0), &cfg).estimated_startup;
-        let flat_point = plan(&db, &mk(tid, 9), &cfg).estimated_startup;
-        db.analyze_grouped(tid, GRP, &[VAL]);
-        let wide = plan(&db, &mk(tid, 0), &cfg);
-        let point = plan(&db, &mk(tid, 9), &cfg);
-        assert_eq!(wide.steps[0].alias, 1, "{wide}");
-        assert!(
-            wide.estimated_startup > flat_wide,
-            "corpus-wide anchor values pay more than the flat penalty"
-        );
-        assert!(
-            point.estimated_startup < flat_point,
-            "single-tree anchor values pay less than the flat penalty"
-        );
     }
 
     #[test]

@@ -201,6 +201,31 @@ proptest! {
     }
 
     #[test]
+    fn result_estimate_never_exceeds_an_equality_frequency(
+        rows in arb_table(),
+        spec in arb_spec(),
+    ) {
+        // The planner's result estimate is the smallest alias input, so
+        // every `col = const` condition's exact frequency bounds it — the
+        // cap an engine would otherwise apply from its own tag counts.
+        let (db, tid) = build_db(&rows);
+        let q = build_query(&spec, tid);
+        let stats = db.stats(tid).expect("analyzed");
+        for goal in [OptGoal::AllRows, OptGoal::FirstRows(1), OptGoal::FirstRows(7)] {
+            let p = plan(&db, &q, &PlannerConfig { goal, ..Default::default() });
+            for c in q.conds.iter().filter(|c| c.cmp == Cmp::Eq) {
+                let Operand::Const(v) = c.right else { continue };
+                let cap = stats.est_eq(c.left.col, v);
+                prop_assert!(
+                    p.estimated_result <= cap,
+                    "goal {:?}: estimate {} above {:?}'s frequency {} on {:?}",
+                    goal, p.estimated_result, c, cap, spec
+                );
+            }
+        }
+    }
+
+    #[test]
     fn distinct_projection_never_duplicates(rows in arb_table(), spec in arb_spec()) {
         let (db, tid) = build_db(&rows);
         let q = build_query(&spec, tid);

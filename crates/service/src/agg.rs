@@ -4,9 +4,9 @@
 //! the match set) are answered in O(index lookup) — no walker pass, no
 //! cursor, no materialization.
 //!
-//! The edge and attribute tables ride the shard's existing build pass
-//! (the one that already feeds the symbol-presence bitset and the
-//! content hash) at one extra hash-map update per node; the span-
+//! The tag, edge and attribute tables ride the shard's existing build
+//! pass (the one that already feeds the symbol-presence bitset and the
+//! content hash) at a few hash-map updates per node; the span-
 //! adjacency and descendant-presence tables each add one linear pass
 //! per tree (a labeling and a bottom-up tag-set fold). Stored per
 //! shard, they survive [`crate::Service::append_ptb`]
@@ -19,7 +19,7 @@
 //! | table                | query shape        | example        |
 //! |----------------------|--------------------|----------------|
 //! | node total/per-tree  | `//_`              | corpus size    |
-//! | tag totals/per-tree¹ | `//TAG`            | `//NP`         |
+//! | tag totals/per-tree  | `//TAG`            | `//NP`         |
 //! | root tags            | `/TAG`, `/_`       | `/S`           |
 //! | attr (name,value)    | `//_[@a=v]`        | `//_[@lex=saw]`|
 //! | attr (tag,name,value)| `//TAG[@a=v]`      | `//NN[@lex=man]`|
@@ -27,10 +27,6 @@
 //! | sibling-adjacency    | `//A=>B`, `//A<=B` | `//PP=>S`      |
 //! | span-adjacency       | `//A->B`, `//A<-B` | `//VB->NP`     |
 //! | descendant presence  | `//A[//B]`, `//A[not(//B)]` | `//NP[not(//JJ)]` |
-//!
-//! ¹ Not stored here: the shard engine's build-time histogram
-//! ([`Engine::tag_totals`], [`Engine::tag_per_tree`]) already holds
-//! it, and [`AggTables::count`] reads it from there.
 //!
 //! Four of the pair tables also prove shards empty. A query's steps
 //! require tag pairs ([`crate::plan::requirements`]); a pair the
@@ -56,7 +52,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use lpath_core::Engine;
 use lpath_model::{label_tree, Interner, Sym, Tree};
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, Pred, Step};
 
@@ -245,6 +240,9 @@ pub struct AggTables {
     nodes_total: u64,
     /// Element count per local tree id (dense — every tree has one).
     nodes_per_tree: Vec<u32>,
+    /// Per element tag: its total, and its `(local tid, count)` runs
+    /// in tree order (sparse — only trees holding the tag appear).
+    tags: HashMap<Sym, (u64, Vec<(u32, u32)>)>,
     /// Root tag per local tree id.
     roots: Vec<Sym>,
     /// Elements carrying `(@name, value)`, deduplicated per element.
@@ -272,11 +270,18 @@ impl AggTables {
     /// Record one tree; called once per tree by the shard build pass,
     /// in local tree order.
     pub(crate) fn observe_tree(&mut self, tree: &Tree) {
+        let ltid = self.nodes_per_tree.len() as u32;
         self.nodes_per_tree.push(tree.len() as u32);
         self.roots.push(tree.node(tree.root()).name);
         for id in tree.preorder() {
             let node = tree.node(id);
             self.nodes_total += 1;
+            let (total, runs) = self.tags.entry(node.name).or_default();
+            *total += 1;
+            match runs.last_mut() {
+                Some(run) if run.0 == ltid => run.1 += 1,
+                _ => runs.push((ltid, 1)),
+            }
             // Deduplicate attribute pairs per element: the predicate
             // `[@a=v]` is existential, so a (hypothetical) repeated
             // pair still yields one match.
@@ -375,10 +380,9 @@ impl AggTables {
 
     /// Exact match count of a classified query on this shard's slice,
     /// resolving the class's symbol spellings through the shard's
-    /// `interner` (an unknown spelling means zero matches) and reading
-    /// tag totals from the shard's `engine`. O(hash lookups); equals
-    /// `eval().len()` by construction.
-    pub fn count(&self, class: &FastClass, interner: &Interner, engine: &Engine) -> u64 {
+    /// `interner` (an unknown spelling means zero matches).
+    /// O(hash lookups); equals `eval().len()` by construction.
+    pub fn count(&self, class: &FastClass, interner: &Interner) -> u64 {
         let lookup2 = |m: &HashMap<(Sym, Sym), u64>, a: &str, b: &str| match (
             interner.get(a),
             interner.get(b),
@@ -386,10 +390,11 @@ impl AggTables {
             (Some(a), Some(b)) => m.get(&(a, b)).copied().unwrap_or(0),
             _ => 0,
         };
+        let tagged = |t: &str| interner.get(t).map_or(0, |s| self.tag_count(s));
         match class {
             FastClass::AllNodes => self.nodes_total,
             FastClass::RootAny => self.roots.len() as u64,
-            FastClass::Tag(t) => engine.tag_total(t),
+            FastClass::Tag(t) => tagged(t),
             FastClass::RootTag(t) => match interner.get(t) {
                 Some(s) => self.roots.iter().filter(|&&r| r == s).count() as u64,
                 None => 0,
@@ -424,11 +429,8 @@ impl AggTables {
                         desc: desc.clone(),
                     },
                     interner,
-                    engine,
                 );
-                let pool = tag
-                    .as_ref()
-                    .map_or(self.nodes_total, |t| engine.tag_total(t));
+                let pool = tag.as_deref().map_or(self.nodes_total, tagged);
                 pool - with
             }
         }
@@ -456,6 +458,22 @@ impl AggTables {
         &self.nodes_per_tree
     }
 
+    /// Elements tagged `tag` (0 for a tag that never occurs).
+    pub fn tag_count(&self, tag: Sym) -> u64 {
+        self.tags.get(&tag).map_or(0, |t| t.0)
+    }
+
+    /// Every element tag with its total, unordered.
+    pub fn tag_counts(&self) -> impl Iterator<Item = (Sym, u64)> + '_ {
+        self.tags.iter().map(|(&s, t)| (s, t.0))
+    }
+
+    /// `(local tid, count)` runs of the elements tagged `tag`,
+    /// tid-ascending; empty when the tag does not occur.
+    pub fn tag_runs(&self, tag: Sym) -> &[(u32, u32)] {
+        self.tags.get(&tag).map_or(&[], |t| t.1.as_slice())
+    }
+
     /// Root tag per local tree id.
     pub fn roots(&self) -> &[Sym] {
         &self.roots
@@ -474,14 +492,13 @@ mod tests {
 ( (FRAG (NP (NN rain)) (NP (NN snow))) )
 ";
 
-    fn tables() -> (AggTables, lpath_model::Corpus, Engine) {
-        let corpus = parse_str(SRC).unwrap();
+    fn tables(src: &str) -> (AggTables, lpath_model::Corpus) {
+        let corpus = parse_str(src).unwrap();
         let mut agg = AggTables::default();
         for tree in corpus.trees() {
             agg.observe_tree(tree);
         }
-        let engine = Engine::build(&corpus);
-        (agg, corpus, engine)
+        (agg, corpus)
     }
 
     fn class(q: &str) -> FastClass {
@@ -572,9 +589,9 @@ mod tests {
 
     #[test]
     fn table_counts_match_hand_counts() {
-        let (agg, corpus, engine) = tables();
+        let (agg, corpus) = tables(SRC);
         let it = corpus.interner();
-        let n = |q: &str| agg.count(&class(q), it, &engine);
+        let n = |q: &str| agg.count(&class(q), it);
         assert_eq!(n("//_"), 20);
         assert_eq!(n("//NP"), 5);
         assert_eq!(n("/S"), 2);
@@ -604,5 +621,43 @@ mod tests {
         let spread: u64 = agg.nodes_per_tree().iter().map(|&n| u64::from(n)).sum();
         assert_eq!(spread, agg.nodes_total);
         assert_eq!(agg.roots().len(), 3);
+    }
+
+    #[test]
+    fn tag_counts_are_exact() {
+        // Figure 1: four NPs, three Ns, a single VP.
+        let (agg, corpus) = tables(
+            "( (S (NP I) (VP (V saw) (NP (NP (Det the) (Adj old) (N man)) \
+             (PP (Prep with) (NP (Det a) (N dog))))) (N today)) )",
+        );
+        let it = corpus.interner();
+        let total = |t: &str| it.get(t).map_or(0, |s| agg.tag_count(s));
+        assert_eq!(total("NP"), 4);
+        assert_eq!(total("N"), 3);
+        assert_eq!(total("VP"), 1);
+        assert_eq!(total("ZZZ"), 0);
+        // Attribute names are not element occurrences.
+        assert!(it.get("@lex").is_some());
+        assert_eq!(total("@lex"), 0);
+    }
+
+    #[test]
+    fn per_tree_tables_sum_to_totals() {
+        let (agg, corpus) = tables(SRC);
+        let it = corpus.interner();
+        let mut nodes = 0;
+        for (sym, total) in agg.tag_counts() {
+            let runs = agg.tag_runs(sym);
+            assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "tid-ascending");
+            let spread: u64 = runs.iter().map(|&(_, n)| u64::from(n)).sum();
+            assert_eq!(spread, total, "{}", it.resolve(sym));
+            assert_eq!(total, agg.tag_count(sym));
+            nodes += total;
+        }
+        assert_eq!(nodes, 20, "every element counted once");
+        assert_eq!(
+            agg.tag_runs(it.get("NP").unwrap()),
+            [(0, 2), (1, 1), (2, 2)]
+        );
     }
 }

@@ -894,8 +894,7 @@ impl Service {
     }
 
     /// Aggregate-table histogram: the classes whose *per-tree*
-    /// distribution the tables (for tags, the engine's histogram)
-    /// carry. Returns `None` for everything else (including tabulated
+    /// distribution the tables carry. Returns `None` for everything else (including tabulated
     /// count-only classes like `//A/B`, whose per-tree spread is not
     /// stored).
     fn hist_fast(&self, compiled: &CompiledQuery, shards: &[Arc<Shard>]) -> Option<QueryHistogram> {
@@ -909,7 +908,7 @@ impl Service {
         let mut labels: HashMap<String, u64> = HashMap::new();
         for shard in shards {
             self.counters.count_fast.bump();
-            let (agg, engine) = (shard.agg(), shard.engine());
+            let agg = shard.agg();
             let interner = shard.corpus().interner();
             let tag = match fast {
                 FastClass::Tag(t) | FastClass::RootTag(t) => match interner.get(t) {
@@ -925,13 +924,12 @@ impl Service {
                 hits.map(|(ltid, root)| ((ltid, 1u64), (root, 1u64)))
                     .unzip()
             } else if let Some(sym) = tag {
-                let per_tree = engine.tag_per_tree(sym).iter();
-                let runs: Vec<_> = per_tree.map(|&(ltid, n)| (ltid, u64::from(n))).collect();
-                let total = runs.iter().map(|r| r.1).sum();
-                (runs, vec![(sym, total)])
+                let runs = agg.tag_runs(sym).iter();
+                let runs = runs.map(|&(ltid, n)| (ltid, u64::from(n))).collect();
+                (runs, vec![(sym, agg.tag_count(sym))])
             } else {
                 let sizes = agg.nodes_per_tree().iter().map(|&n| u64::from(n));
-                ((0u32..).zip(sizes).collect(), engine.tag_totals().collect())
+                ((0u32..).zip(sizes).collect(), agg.tag_counts().collect())
             };
             h.total += runs.iter().map(|r| r.1).sum::<u64>();
             h.per_tree

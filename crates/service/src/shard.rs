@@ -563,7 +563,7 @@ impl Shard {
 
     /// Exact count of a table-answerable query, without evaluation.
     pub fn tabulated(&self, fast: &FastClass) -> u64 {
-        self.agg.count(fast, self.corpus.interner(), &self.engine)
+        self.agg.count(fast, self.corpus.interner())
     }
 
     /// Does the query match anywhere on this shard? Stops at the

@@ -551,35 +551,23 @@ proptest! {
 }
 
 #[test]
-fn first_rows_flips_the_join_order_on_a_skewed_corpus() {
+fn first_rows_flips_the_join_order_only_on_a_tie() {
     use lpath_relstore::{OptGoal, PlannerConfig};
-    // Skew the tag frequencies: A occurs 100 times, its B children 150
-    // times. AllRows anchors the smaller input (A); FirstRows pays the
-    // 1.5× input premium to anchor the *output* alias (B) and emit in
-    // scan order.
-    let src: String = (0..100)
-        .map(|i| {
-            if i % 2 == 0 {
-                "( (S (A (B u) (B v))) )\n"
-            } else {
-                "( (S (A (B u))) )\n"
-            }
-        })
-        .collect();
-    let corpus = parse_str(&src).unwrap();
+    // Equal tag frequencies: 100 As, each with one B child. AllRows
+    // breaks the estimate tie by alias id (A binds first); FirstRows
+    // breaks it toward the *output* alias (B), whose scan emits in
+    // document order.
+    let corpus = parse_str(&"( (S (A (B u))) )\n".repeat(100)).unwrap();
     let engine = Engine::build(&corpus);
     let query = parse("//A/B").unwrap();
     let cq = engine.translate(&query).unwrap();
     let out = cq.projection[0].alias;
     let all = lpath_relstore::plan(engine.database(), &cq, &PlannerConfig::default());
-    let first = lpath_relstore::plan(
-        engine.database(),
-        &cq,
-        &PlannerConfig {
-            goal: OptGoal::FirstRows(10),
-            ..Default::default()
-        },
-    );
+    let first_rows = PlannerConfig {
+        goal: OptGoal::FirstRows(10),
+        ..Default::default()
+    };
+    let first = lpath_relstore::plan(engine.database(), &cq, &first_rows);
     assert_ne!(
         all.steps[0].alias, first.steps[0].alias,
         "goal did not flip the anchor:\n{all}\n{first}"
@@ -588,15 +576,21 @@ fn first_rows_flips_the_join_order_on_a_skewed_corpus() {
         first.steps[0].alias, out,
         "FirstRows must anchor the output alias:\n{first}"
     );
-    assert!(first.estimated_startup <= all.estimated_startup);
+    assert_eq!(first.estimated_startup, all.estimated_startup);
+    // Skewed frequencies (150 Bs under 100 As) keep the smaller anchor:
+    // the output alias wins ties, it is not paid a premium.
+    let src: String = (0..100)
+        .map(|i| match i % 2 {
+            0 => "( (S (A (B u) (B v))) )\n",
+            _ => "( (S (A (B u))) )\n",
+        })
+        .collect();
+    let skewed = Engine::build(&parse_str(&src).unwrap());
+    let cq = skewed.translate(&query).unwrap();
+    let plan = lpath_relstore::plan(skewed.database(), &cq, &first_rows);
+    assert_ne!(plan.steps[0].alias, out, "{plan}");
     // Different orders, identical answers.
-    let first_engine = Engine::with_config(
-        &corpus,
-        PlannerConfig {
-            goal: OptGoal::FirstRows(10),
-            ..Default::default()
-        },
-    );
+    let first_engine = Engine::with_config(&corpus, first_rows);
     assert_eq!(
         engine.query_ast(&query).unwrap(),
         first_engine.query_ast(&query).unwrap()

@@ -583,10 +583,29 @@ fn splice_pending_row(token: &str, (tree, node): (u32, u32)) -> String {
 /// of its shard — a node id past its tree, or a tree id past the
 /// shard — is a counted [`ServiceError::BadToken`] on both execution
 /// strategies: never served as a match, never an arithmetic panic.
+/// Nor does a spliced row, honest or forged, reach the shared result
+/// or checkpoint stores: afterwards a full `eval` and a fresh token
+/// sweep still equal the tree walker's answer.
 #[test]
 fn forged_checkpoint_rows_are_rejected_not_served() {
     let corpus = generate(&GenConfig::wsj(10).with_seed(3));
     let svc = service_over(&corpus, 2);
+    let walker = Walker::new(&corpus);
+    let stores_are_clean = |q: &str| {
+        let want = walker.eval(&parse(q).unwrap());
+        assert_eq!(*svc.eval(q).unwrap(), want, "eval of {q}");
+        let mut swept = Vec::new();
+        let mut token = None;
+        loop {
+            let page = svc.eval_page_token(q, token.as_deref(), 4).unwrap();
+            swept.extend_from_slice(&page.rows);
+            match page.token {
+                Some(t) => token = Some(t),
+                None => break,
+            }
+        }
+        assert_eq!(swept, want, "token sweep of {q}");
+    };
     // `//NP` pages on the relational strategy (tag 0), `//VP/_[last()]`
     // has no SQL translation and pages on the walker (tag 1).
     for (q, strategy) in [("//NP", 0u8), ("//VP/_[last()]", 1)] {
@@ -608,6 +627,7 @@ fn forged_checkpoint_rows_are_rejected_not_served() {
             .unwrap();
         let first_tree = (corpus.trees().len() / 2) as u32;
         assert_eq!(honest.rows, [(first_tree, NodeId(0))], "{q}");
+        stores_are_clean(q);
 
         for row in [(0, 9999), (u32::MAX, 0)] {
             let before = svc.stats().tokens_rejected;
@@ -617,5 +637,6 @@ fn forged_checkpoint_rows_are_rejected_not_served() {
             }
             assert_eq!(svc.stats().tokens_rejected, before + 1, "{q} {row:?}");
         }
+        stores_are_clean(q);
     }
 }
