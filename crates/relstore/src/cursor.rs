@@ -61,7 +61,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::catalog::Database;
-use crate::plan::{resolve_bound, run_check, Frame, JoinStep, Plan};
+use crate::plan::{run_check, CheckScratch, Frame, JoinStep, Plan};
 use crate::table::RowId;
 use crate::value::Value;
 use crate::wire;
@@ -172,6 +172,12 @@ enum LevelPos {
 /// * the emitted-tuple `DISTINCT` watermark (packed for narrow
 ///   projections, materialized for wide ones), so duplicates spanning
 ///   a suspension are still suppressed.
+///
+/// The cursor's search fingers (see [`Cursor`]) are deliberately *not*
+/// part of a checkpoint: they only speed up index probes, never change
+/// their results, so a resumed cursor starts with cold fingers and the
+/// encoded bytes (hence service page tokens) are the same as they
+/// would be without fingers.
 ///
 /// A checkpoint is only meaningful against the **same plan over the
 /// same database contents** it was suspended from. Callers that cache
@@ -366,11 +372,26 @@ enum Mode {
 /// A streaming executor over one plan. Yields projected tuples (with
 /// the plan's `DISTINCT` applied) on demand; dropping it abandons the
 /// remaining enumeration at zero cost.
+///
+/// Every index probe is a finger search ([`crate::Index::range_from`]):
+/// the cursor keeps one finger per plan step — and one per step of
+/// each existence check, beside that check's reusable binding buffer —
+/// and each probe searches from where the same step's previous probe
+/// landed. Fingers are search hints only, and are not saved by
+/// [`Cursor::suspend`]: a resumed cursor searches cold until its
+/// first probe of each step.
 pub struct Cursor<'a> {
     plan: Cow<'a, Plan>,
     db: &'a Database,
     bindings: Vec<RowId>,
     levels: Vec<Cands<'a>>,
+    /// One search finger per step: where the step's last index probe
+    /// landed in its index's permutation (`usize::MAX` before the
+    /// first), handed to the next probe as its search hint.
+    fingers: Vec<usize>,
+    /// The reusable state of each of the plan's existence checks
+    /// (bindings, fingers, nested checks), in `plan.checks` order.
+    checks: Vec<CheckScratch>,
     primed: bool,
     done: bool,
     /// Narrow projections (≤ 2 columns, the common `(tid, id)`) dedup
@@ -409,6 +430,8 @@ impl<'a> Cursor<'a> {
         // through `advance_match`, whose first check is `done`.
         let done = plan.const_empty;
         Cursor {
+            fingers: vec![usize::MAX; plan.steps.len()],
+            checks: CheckScratch::for_checks(&plan),
             plan,
             db,
             bindings,
@@ -505,6 +528,8 @@ impl<'a> Cursor<'a> {
             db,
             bindings: ckpt.bindings,
             levels: Vec::with_capacity(ckpt.levels.len()),
+            fingers: vec![usize::MAX; plan.steps.len()],
+            checks: CheckScratch::for_checks(plan),
             primed: ckpt.primed,
             done,
             narrow,
@@ -549,41 +574,37 @@ impl<'a> Cursor<'a> {
     }
 
     /// Run the checks scheduled for pipeline position `depth`.
-    fn checks_pass(&self, depth: usize) -> bool {
+    fn checks_pass(&mut self, depth: usize) -> bool {
+        let frame = Frame {
+            plan: &self.plan,
+            bindings: &self.bindings,
+            outer: None,
+        };
         self.plan
             .checks
             .iter()
-            .filter(|c| c.due_at(depth))
-            .all(|c| run_check(c, self.db, &self.frame()))
+            .zip(&mut self.checks)
+            .filter(|(c, _)| c.due_at(depth))
+            .all(|(c, scratch)| run_check(c, self.db, &frame, scratch))
     }
 
     /// Open stage `d`: resolve its access path against the current
-    /// bindings and return its candidate rows.
-    fn open(&self, d: usize) -> Cands<'a> {
-        let db = self.db;
+    /// bindings and return its candidate rows, searching the index
+    /// from the stage's finger and moving the finger to where the
+    /// probe landed.
+    fn open(&mut self, d: usize) -> Cands<'a> {
         let step = &self.plan.steps[d];
-        let table = db.table(step.table);
-        match &step.access {
-            crate::plan::AccessPath::FullScan => Cands::Scan {
+        let frame = Frame {
+            plan: &self.plan,
+            bindings: &self.bindings,
+            outer: None,
+        };
+        match step.probe(self.db, &frame, &mut self.fingers[d]) {
+            None => Cands::Scan {
                 next: 0,
-                end: table.num_rows() as u32,
+                end: self.db.table(step.table).num_rows() as u32,
             },
-            crate::plan::AccessPath::IndexRange { index, eq, lo, hi } => {
-                let frame = self.frame();
-                let mut key_buf = [0 as Value; 8];
-                debug_assert!(eq.len() <= key_buf.len());
-                for (slot, &op) in key_buf.iter_mut().zip(eq.iter()) {
-                    *slot = frame.resolve(db, op);
-                }
-                let lo_b = resolve_bound(&frame, db, lo);
-                let hi_b = resolve_bound(&frame, db, hi);
-                Cands::Rows {
-                    rows: db
-                        .index(*index)
-                        .range(table, &key_buf[..eq.len()], lo_b, hi_b),
-                    pos: 0,
-                }
-            }
+            Some(rows) => Cands::Rows { rows, pos: 0 },
         }
     }
 
@@ -1267,6 +1288,168 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The recursive nested-loop executor's output for `plan` (the
+    /// reference the cursor must reproduce), `DISTINCT` applied in
+    /// first-encounter order.
+    fn nested_loop(plan: &Plan, db: &Database) -> Vec<Vec<Value>> {
+        let mut out: Vec<Vec<Value>> = Vec::new();
+        let mut scratch = CheckScratch::for_plan(plan);
+        crate::plan::run(plan, db, &mut scratch, None, 0, &mut |frame| {
+            let tuple: Vec<Value> = plan
+                .projection
+                .iter()
+                .map(|&c| frame.value(db, c))
+                .collect();
+            if !plan.distinct || !out.contains(&tuple) {
+                out.push(tuple);
+            }
+            true
+        });
+        out
+    }
+
+    /// Suspend `plan`'s enumeration after every row, resume it on a
+    /// fresh cursor and drain: each split yields exactly the
+    /// uninterrupted rows and per-step candidate counts, and every
+    /// resumed cursor starts with cold fingers (they are not part of
+    /// the checkpoint).
+    fn assert_resumes_exactly(plan: &Plan, db: &Database) {
+        let (full, straight, _) = execute_analyzed(plan, db);
+        assert_eq!(full, nested_loop(plan, db));
+        for split in 0..=full.len() {
+            let mut head = Cursor::new(plan, db);
+            let mut rows: Vec<Vec<Value>> = head.by_ref().take(split).collect();
+            let ckpt = head.suspend();
+            let mut tail = Cursor::resume(plan, db, ckpt);
+            // Only the stages the resume re-opened have probed.
+            for (d, &f) in tail.fingers.iter().enumerate() {
+                assert!(
+                    d < tail.levels.len() || f == usize::MAX,
+                    "split {split} step {d}"
+                );
+            }
+            assert!(tail
+                .checks
+                .iter()
+                .all(|c| c.fingers().iter().all(|&f| f == usize::MAX)));
+            rows.extend(tail.by_ref());
+            assert_eq!(rows, full, "split {split}");
+            let candidates = |obs: &[StepObs]| obs.iter().map(|o| o.candidates).collect::<Vec<_>>();
+            assert_eq!(
+                candidates(tail.step_observations()),
+                candidates(&straight),
+                "split {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn decreasing_probe_keys_search_backwards() {
+        // The outer stage scans a table in physical order whose join
+        // column runs 3, 2, 1, 2, 1: the inner probe's key falls
+        // between consecutive probes, so its finger must move back.
+        let (mut db, tid, idx) = setup();
+        let mut keys = Table::new(Schema::new(&["k"]));
+        for k in [3, 2, 1, 2, 1] {
+            keys.push_row(&[k]);
+        }
+        let kid = db.add_table("keys", keys);
+        let plan = Plan {
+            alias_tables: vec![kid, tid],
+            steps: vec![
+                JoinStep {
+                    alias: 0,
+                    table: kid,
+                    access: AccessPath::FullScan,
+                    residual: vec![],
+                    sets: vec![],
+                },
+                JoinStep {
+                    alias: 1,
+                    table: tid,
+                    access: AccessPath::IndexRange {
+                        index: idx,
+                        eq: vec![Operand::Col(ColRef::new(0, ColId(0)))],
+                        lo: None,
+                        hi: None,
+                    },
+                    residual: vec![],
+                    sets: vec![],
+                },
+            ],
+            projection: vec![ColRef::new(0, ColId(0)), ColRef::new(1, VAL)],
+            ..Plan::default()
+        };
+        let mut cursor = Cursor::new(&plan, &db);
+        let mut rows = Vec::new();
+        let mut fingers = Vec::new();
+        while let Some(row) = cursor.next() {
+            rows.push(row);
+            fingers.push(cursor.fingers[1]);
+        }
+        assert_eq!(rows, nested_loop(&plan, &db));
+        assert_eq!(rows.len(), 1 + 2 + 3 + 2 + 3);
+        // Group 3 starts at permutation offset 5, group 2 at 3, group
+        // 1 at 0: the finger follows the key down and up again.
+        assert_eq!(fingers, [5, 3, 3, 0, 0, 0, 3, 3, 0, 0, 0]);
+        assert_resumes_exactly(&plan, &db);
+    }
+
+    #[test]
+    fn correlated_not_exists_searches_from_check_fingers() {
+        // Rows with no larger value in their group: the group maxima.
+        let (db, tid, idx) = setup();
+        let sub = Plan {
+            alias_tables: vec![tid],
+            steps: vec![JoinStep {
+                alias: 0,
+                table: tid,
+                access: AccessPath::IndexRange {
+                    index: idx,
+                    eq: vec![Operand::Outer(ColRef::new(0, GRP))],
+                    lo: Some((false, Operand::Outer(ColRef::new(0, VAL)))),
+                    hi: None,
+                },
+                residual: vec![],
+                sets: vec![],
+            }],
+            ..Plan::default()
+        };
+        let mut plan = scan_plan(tid, vec![ColRef::new(0, GRP), ColRef::new(0, VAL)], false);
+        plan.checks.push(SubCheck {
+            after_step: 0,
+            negated: true,
+            plan: sub,
+        });
+        let mut cursor = Cursor::new(&plan, &db);
+        let rows: Vec<Vec<Value>> = cursor.by_ref().collect();
+        assert_eq!(rows, [[1, 12], [2, 21], [3, 30]]);
+        assert_eq!(rows, nested_loop(&plan, &db));
+        // The check probed through its own finger, which is now warm:
+        // the last probe (group 3 above 30) lands at the end.
+        assert_eq!(cursor.checks[0].fingers(), [6]);
+        assert_resumes_exactly(&plan, &db);
+    }
+
+    #[test]
+    fn resume_mid_stage_restarts_fingers_cold() {
+        let (db, tid, idx) = setup();
+        // scan ⋈ probe: the split points fall inside stage 1's slices.
+        let join = &checkpoint_plans(&db, tid, idx)[3];
+        let mut cursor = Cursor::new(join, &db);
+        cursor.next();
+        cursor.next();
+        assert_eq!(cursor.levels.len(), 2);
+        assert_ne!(cursor.fingers[1], usize::MAX);
+        // The resume re-runs each open stage's probe from a cold
+        // finger, and it lands exactly where the warm finger was.
+        let resumed = Cursor::resume(join, &db, cursor.suspend());
+        assert_eq!(resumed.fingers, cursor.fingers);
+        for plan in &checkpoint_plans(&db, tid, idx) {
+            assert_resumes_exactly(plan, &db);
         }
     }
 

@@ -1,15 +1,23 @@
 //! Ordered secondary indexes.
 //!
 //! An index is a permutation of the table's rows sorted by a key column
-//! list. Lookups are binary searches: an *equality prefix* over the
-//! leading key columns, optionally refined by a *range* on the next key
-//! column. This supports exactly the access patterns the paper's axis
-//! joins need, e.g. on the clustered key `{name, tid, left, …}`:
+//! list. A lookup selects an *equality prefix* over the leading key
+//! columns, optionally refined by a *range* on the next key column.
+//! Lookups are finger searches ([`Index::range_from`]): the caller
+//! passes where its previous probe landed, and the search gallops
+//! forward from there, or binary-searches the rows before it when the
+//! window lies behind. A join stage's successive probes land close
+//! together (the outer stage emits in `(tid, left)` order), so each
+//! costs `O(log distance)` instead of `O(log rows)`; [`Index::range`]
+//! is the cold form, a plain binary search. This supports exactly the
+//! access patterns the paper's axis joins need, e.g. on the clustered
+//! key `{name, tid, left, …}`:
 //!
 //! * `name = 'NP' ∧ tid = t ∧ left = c.right` — immediate-following;
 //! * `name = 'NP' ∧ tid = t ∧ left ≥ c.right` — following;
 //! * `name = 'NP' ∧ tid = t ∧ c.left ≤ left ≤ c.right` — containment.
 
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 use crate::schema::ColId;
@@ -53,7 +61,8 @@ impl Index {
     }
 
     /// Rows whose leading key columns equal `prefix` and whose *next*
-    /// key column lies within `(lo, hi)`.
+    /// key column lies within `(lo, hi)`: [`Index::range_from`] with a
+    /// cold hint.
     ///
     /// # Panics
     /// Panics if `prefix` is as long as the whole key but a bound is
@@ -65,6 +74,33 @@ impl Index {
         lo: Bound<Value>,
         hi: Bound<Value>,
     ) -> &[RowId] {
+        self.range_from(table, prefix, lo, hi, usize::MAX).1
+    }
+
+    /// [`Index::range`] searched from a finger: `hint` is a position in
+    /// the sorted permutation near where the window is expected to
+    /// start — typically the `start` this call returned for the
+    /// previous probe of the same join stage. Returns the window's
+    /// offset in the permutation (the next probe's hint) and its rows.
+    ///
+    /// The hint only steers the search; the result is the same for
+    /// every `hint` (`usize::MAX` means "no idea": a plain binary
+    /// search). When the row at `hint` sorts before the window, the
+    /// start is found by galloping forward from it, in `O(log d)` for
+    /// a window `d` rows further on; otherwise by binary search of
+    /// the rows before `hint`. The end is always galloped forward from
+    /// the start, in `O(log` *window length*`)`.
+    ///
+    /// # Panics
+    /// As [`Index::range`].
+    pub fn range_from(
+        &self,
+        table: &Table,
+        prefix: &[Value],
+        lo: Bound<Value>,
+        hi: Bound<Value>,
+        hint: usize,
+    ) -> (usize, &[RowId]) {
         assert!(
             prefix.len() <= self.key.len(),
             "prefix {} longer than key {}",
@@ -79,46 +115,68 @@ impl Index {
 
         // Row `r` is *before* the window iff its prefix is less than
         // `prefix`, or prefixes tie and the next column is below `lo`.
-        let start = self
-            .perm
-            .partition_point(|&r| match self.cmp_prefix(table, r, prefix) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => match lo {
-                    Bound::Unbounded => false,
-                    Bound::Included(v) => self.next_col(table, r, prefix.len()) < v,
-                    Bound::Excluded(v) => self.next_col(table, r, prefix.len()) <= v,
-                },
-            });
-        let end = self
-            .perm
-            .partition_point(|&r| match self.cmp_prefix(table, r, prefix) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => match hi {
-                    Bound::Unbounded => true,
-                    Bound::Included(v) => self.next_col(table, r, prefix.len()) <= v,
-                    Bound::Excluded(v) => self.next_col(table, r, prefix.len()) < v,
-                },
-            });
-        &self.perm[start..end.max(start)]
+        let before_start = |r: RowId| match self.cmp_prefix(table, r, prefix) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => match lo {
+                Bound::Unbounded => false,
+                Bound::Included(v) => self.next_col(table, r, prefix.len()) < v,
+                Bound::Excluded(v) => self.next_col(table, r, prefix.len()) <= v,
+            },
+        };
+        // Row `r` is *not after* the window's end, likewise with `hi`.
+        let before_end = |r: RowId| match self.cmp_prefix(table, r, prefix) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => match hi {
+                Bound::Unbounded => true,
+                Bound::Included(v) => self.next_col(table, r, prefix.len()) <= v,
+                Bound::Excluded(v) => self.next_col(table, r, prefix.len()) < v,
+            },
+        };
+        let start = match self.perm.get(hint) {
+            Some(&r) if before_start(r) => hint + 1 + gallop(&self.perm[hint + 1..], before_start),
+            _ => self.perm[..hint.min(self.perm.len())].partition_point(|&r| before_start(r)),
+        };
+        // An empty window (`lo` above `hi`) may have its end partition
+        // point before `start`; galloping from `start` clamps it there.
+        let end = start + gallop(&self.perm[start..], before_end);
+        (start, &self.perm[start..end])
     }
 
     #[inline]
-    fn cmp_prefix(&self, table: &Table, row: RowId, prefix: &[Value]) -> std::cmp::Ordering {
+    fn cmp_prefix(&self, table: &Table, row: RowId, prefix: &[Value]) -> Ordering {
         for (&k, &want) in self.key.iter().zip(prefix) {
             let ord = table.value(row, k).cmp(&want);
-            if ord != std::cmp::Ordering::Equal {
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     }
 
     #[inline]
     fn next_col(&self, table: &Table, row: RowId, prefix_len: usize) -> Value {
         table.value(row, self.key[prefix_len])
     }
+}
+
+/// The partition point of `rows` under the monotone predicate `before`
+/// (true on a prefix, false after), found by exponential search from
+/// the front: probes positions 0, 1, 3, 7, … until `before` fails, then
+/// binary-searches the last doubling. `O(log p)` for a partition point
+/// `p`, however long `rows` is.
+fn gallop(rows: &[RowId], mut before: impl FnMut(RowId) -> bool) -> usize {
+    // Invariant: every row of `rows[..lo]` is before the point.
+    let mut lo = 0;
+    let mut bound = 1;
+    while bound <= rows.len() && before(rows[bound - 1]) {
+        lo = bound;
+        bound *= 2;
+    }
+    // Either `rows[bound - 1]` failed or `bound` ran off the end.
+    let hi = (bound - 1).min(rows.len());
+    lo + rows[lo..hi].partition_point(|&r| before(r))
 }
 
 #[cfg(test)]
@@ -218,6 +276,47 @@ mod tests {
     fn bound_without_next_column_panics() {
         let (t, idx) = sample();
         idx.range(&t, &[1, 1, 5], Bound::Included(1), Bound::Unbounded);
+    }
+
+    /// `gallop` over `len` rows whose first `point` satisfy the
+    /// predicate, with the number of predicate calls it made.
+    fn gallop_at(len: usize, point: usize) -> (usize, usize) {
+        let rows: Vec<RowId> = (0..len as u32).map(RowId).collect();
+        let mut calls = 0;
+        let got = gallop(&rows, |r| {
+            calls += 1;
+            r.index() < point
+        });
+        (got, calls)
+    }
+
+    #[test]
+    fn gallop_edge_cases() {
+        // Empty slice: nothing to probe.
+        assert_eq!(gallop_at(0, 0), (0, 0));
+        // One element, before or not.
+        assert_eq!(gallop_at(1, 0).0, 0);
+        assert_eq!(gallop_at(1, 1).0, 1);
+        // All-false: one probe of the front settles it.
+        assert_eq!(gallop_at(1000, 0), (0, 1));
+        // All-true: the point is the end.
+        assert_eq!(gallop_at(1000, 1000).0, 1000);
+    }
+
+    #[test]
+    fn gallop_finds_every_point_in_logarithmic_probes() {
+        for len in 0..70 {
+            for point in 0..=len {
+                let (got, calls) = gallop_at(len, point);
+                assert_eq!(got, point, "len {len} point {point}");
+                // ≤ 2·⌈log2(point + 1)⌉ + 1 probes, independent of len.
+                let log = (usize::BITS - point.leading_zeros()) as usize;
+                assert!(
+                    calls <= 2 * log + 1,
+                    "len {len} point {point}: {calls} calls"
+                );
+            }
+        }
     }
 
     #[test]

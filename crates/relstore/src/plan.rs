@@ -56,6 +56,39 @@ pub struct JoinStep {
     pub sets: Vec<InCond>,
 }
 
+impl JoinStep {
+    /// The candidate rows of an index-range step under the bindings of
+    /// `frame`, in key order; `None` for a full scan. The index is
+    /// searched from `*finger` (see [`crate::Index::range_from`]), and
+    /// the finger is moved to where this probe landed.
+    pub(crate) fn probe<'d>(
+        &self,
+        db: &'d Database,
+        frame: &Frame<'_>,
+        finger: &mut usize,
+    ) -> Option<&'d [RowId]> {
+        let AccessPath::IndexRange { index, eq, lo, hi } = &self.access else {
+            return None;
+        };
+        // Index keys are at most the widest key (8 columns for the
+        // node relation) — resolve into a stack buffer.
+        let mut key_buf = [0 as Value; 8];
+        debug_assert!(eq.len() <= key_buf.len());
+        for (slot, &op) in key_buf.iter_mut().zip(eq.iter()) {
+            *slot = frame.resolve(db, op);
+        }
+        let (start, rows) = db.index(*index).range_from(
+            db.table(self.table),
+            &key_buf[..eq.len()],
+            resolve_bound(frame, db, lo),
+            resolve_bound(frame, db, hi),
+            *finger,
+        );
+        *finger = start;
+        Some(rows)
+    }
+}
+
 /// A correlated existence check compiled from an `EXISTS`/`NOT EXISTS`
 /// subquery, scheduled to run once `after_step + 1` steps are bound.
 #[derive(Clone, Debug)]
@@ -147,11 +180,7 @@ impl Frame<'_> {
 }
 
 /// Resolve a range bound's operand, if any.
-pub(crate) fn resolve_bound(
-    frame: &Frame<'_>,
-    db: &Database,
-    b: &Option<(bool, Operand)>,
-) -> Bound<Value> {
+fn resolve_bound(frame: &Frame<'_>, db: &Database, b: &Option<(bool, Operand)>) -> Bound<Value> {
     match b {
         None => Bound::Unbounded,
         Some((true, op)) => Bound::Included(frame.resolve(db, *op)),
@@ -159,91 +188,86 @@ pub(crate) fn resolve_bound(
     }
 }
 
-/// Depth-first join enumeration for correlated existence checks.
+/// The reusable working state of one [`SubCheck`]: its plan's binding
+/// vector, one search finger per step (see [`crate::Index::range_from`])
+/// and, recursively, the state of its own nested checks. Owned by the
+/// enclosing cursor and reused for every outer binding, so running a
+/// check allocates nothing and each of its probes searches from where
+/// the same step's previous probe landed.
+#[derive(Debug)]
+pub(crate) struct CheckScratch {
+    bindings: Vec<RowId>,
+    fingers: Vec<usize>,
+    checks: Vec<CheckScratch>,
+}
+
+impl CheckScratch {
+    /// Fresh (cold) state for every check of `plan`, in `plan.checks`
+    /// order.
+    pub(crate) fn for_checks(plan: &Plan) -> Vec<CheckScratch> {
+        plan.checks
+            .iter()
+            .map(|c| CheckScratch::for_plan(&c.plan))
+            .collect()
+    }
+
+    /// Fresh state for running `plan` with [`run`].
+    pub(crate) fn for_plan(plan: &Plan) -> CheckScratch {
+        CheckScratch {
+            bindings: vec![RowId(0); plan.alias_tables.len()],
+            fingers: vec![usize::MAX; plan.steps.len()],
+            checks: CheckScratch::for_checks(plan),
+        }
+    }
+
+    /// The search fingers, one per step.
+    #[cfg(test)]
+    pub(crate) fn fingers(&self) -> &[usize] {
+        &self.fingers
+    }
+}
+
+/// Depth-first join enumeration for correlated existence checks, over
+/// the bindings, fingers and nested-check state of `scratch` (built by
+/// [`CheckScratch::for_plan`] for this `plan`).
 /// `emit` returns `false` to stop early (first witness).
 pub(crate) fn run(
     plan: &Plan,
     db: &Database,
-    bindings: &mut Vec<RowId>,
+    scratch: &mut CheckScratch,
     outer: Option<&Frame<'_>>,
     step_idx: usize,
     emit: &mut dyn FnMut(&Frame<'_>) -> bool,
 ) -> bool {
+    let frame = Frame {
+        plan,
+        bindings: &scratch.bindings,
+        outer,
+    };
     // Pending subquery checks at this point in the pipeline.
-    for check in &plan.checks {
-        if check.due_at(step_idx) {
-            let frame = Frame {
-                plan,
-                bindings,
-                outer,
-            };
-            if !run_check(check, db, &frame) {
-                return true; // prune this binding, keep enumerating
-            }
+    for (check, state) in plan.checks.iter().zip(&mut scratch.checks) {
+        if check.due_at(step_idx) && !run_check(check, db, &frame, state) {
+            return true; // prune this binding, keep enumerating
         }
     }
     if step_idx == plan.steps.len() {
-        let frame = Frame {
-            plan,
-            bindings,
-            outer,
-        };
         return emit(&frame);
     }
     let step = &plan.steps[step_idx];
-    let table = db.table(step.table);
-    match &step.access {
-        AccessPath::FullScan => {
-            for row in table.scan() {
-                bindings[step.alias] = row;
-                let ok = {
-                    let frame = Frame {
-                        plan,
-                        bindings,
-                        outer,
-                    };
-                    satisfies(step, db, &frame)
-                };
-                if ok && !run(plan, db, bindings, outer, step_idx + 1, emit) {
-                    return false;
-                }
-            }
-        }
-        AccessPath::IndexRange { index, eq, lo, hi } => {
-            // Index keys are at most the widest key (8 columns for the
-            // node relation) — resolve into a stack buffer.
-            let mut key_buf = [0 as Value; 8];
-            debug_assert!(eq.len() <= key_buf.len());
-            let (lo_b, hi_b) = {
-                let frame = Frame {
-                    plan,
-                    bindings,
-                    outer,
-                };
-                for (slot, &op) in key_buf.iter_mut().zip(eq.iter()) {
-                    *slot = frame.resolve(db, op);
-                }
-                (resolve_bound(&frame, db, lo), resolve_bound(&frame, db, hi))
-            };
-            let keys = &key_buf[..eq.len()];
-            let rows: &[RowId] = db.index(*index).range(table, keys, lo_b, hi_b);
-            for &row in rows {
-                bindings[step.alias] = row;
-                let ok = {
-                    let frame = Frame {
-                        plan,
-                        bindings,
-                        outer,
-                    };
-                    satisfies(step, db, &frame)
-                };
-                if ok && !run(plan, db, bindings, outer, step_idx + 1, emit) {
-                    return false;
-                }
-            }
-        }
+    let rows = step.probe(db, &frame, &mut scratch.fingers[step_idx]);
+    let mut visit = |row: RowId, scratch: &mut CheckScratch| {
+        scratch.bindings[step.alias] = row;
+        let frame = Frame {
+            plan,
+            bindings: &scratch.bindings,
+            outer,
+        };
+        !satisfies(step, db, &frame) || run(plan, db, scratch, outer, step_idx + 1, emit)
+    };
+    match rows {
+        None => db.table(step.table).scan().all(|row| visit(row, scratch)),
+        Some(rows) => rows.iter().all(|&row| visit(row, scratch)),
     }
-    true
 }
 
 impl SubCheck {
@@ -266,10 +290,16 @@ pub(crate) fn satisfies(step: &JoinStep, db: &Database, frame: &Frame<'_>) -> bo
         .all(|ic| ic.matches(frame.value(db, ic.col)))
 }
 
-pub(crate) fn run_check(check: &SubCheck, db: &Database, outer: &Frame<'_>) -> bool {
-    let mut bindings = vec![RowId(0); check.plan.alias_tables.len()];
+/// Run one existence check against the outer binding `outer`, in the
+/// check's own reusable `scratch`.
+pub(crate) fn run_check(
+    check: &SubCheck,
+    db: &Database,
+    outer: &Frame<'_>,
+    scratch: &mut CheckScratch,
+) -> bool {
     let mut found = false;
-    run(&check.plan, db, &mut bindings, Some(outer), 0, &mut |_| {
+    run(&check.plan, db, scratch, Some(outer), 0, &mut |_| {
         found = true;
         false // stop at first witness
     });
