@@ -1,14 +1,16 @@
-//! Bounded LRU maps, all on one structure: a slab of entries threaded
-//! on index-linked recency lists (`Lru`), so a lookup, an insert and
-//! an eviction each relink a constant number of entries and no
-//! operation walks the map. Two policies sit on it:
+//! Bounded LRU maps, all one structure (`LruMap`): a slab of entries
+//! threaded on one index-linked recency list, so a lookup, an insert
+//! and an eviction each relink a constant number of entries and no
+//! operation walks the map. The caches hold answers plus a build stamp
+//! and nothing else:
 //!
-//! * the plan cache (`LruMap`): plain recency over one list;
+//! * the plan cache: query text → its compilation, which depends on
+//!   the text alone;
 //! * the row and count stores (`GenCache`): `(normalized query,
 //!   shard id)` → the shard's rows so far plus the checkpoint that
 //!   continues them, and — kept separate so counting never forces (or
 //!   evicts) materialized rows — the same key → the shard's *count*.
-//!   Entries are build-id scoped and hot ones are pinned.
+//!   Each value is stamped with the shard build id it was computed on.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -39,145 +41,28 @@ pub(crate) struct ShardRows {
     pub ckpt: Option<Arc<ShardCheckpoint>>,
 }
 
-/// "Identical re-insert" for the LRU's no-restamp rule: the same rows
-/// (racing evaluators produce equal rows in distinct allocations) in
-/// the same state of completion.
-impl PartialEq for ShardRows {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows && self.ckpt.is_some() == other.ckpt.is_some()
-    }
-}
-
 /// Cache key: the normalized query text plus the shard it was
 /// evaluated on.
 pub(crate) type Key = (String, u16);
 
-/// The end of a list, and an unlinked slot's neighbours.
+/// The end of the list, and an unlinked slot's neighbours.
 const NIL: usize = usize::MAX;
 
-/// One recency list threaded through an [`Lru`]'s slab: `head` is the
-/// most recently used entry, `tail` the least.
-#[derive(Clone, Copy)]
-pub(crate) struct List {
-    head: usize,
-    tail: usize,
-}
-
-impl List {
-    const EMPTY: List = List {
-        head: NIL,
-        tail: NIL,
-    };
-
-    fn tail(self) -> Option<usize> {
-        (self.tail != NIL).then_some(self.tail)
-    }
-}
-
-/// A slab of keyed entries plus a key → slot index. Each live entry is
-/// linked on exactly one [`List`]; the lists belong to the policy on
-/// top, which alone knows which list an entry is on.
-pub(crate) struct Lru<K, V> {
+/// A bounded map that evicts its least recently used entry. Capacity
+/// zero disables it.
+///
+/// Entries live in a slab indexed by key; each live slot is linked on
+/// one recency list, `head` the most recently used, `tail` the least.
+pub(crate) struct LruMap<K, V> {
+    capacity: usize,
     index: HashMap<K, usize>,
     slots: Vec<Option<(K, V)>>,
     /// `(prev, next)` per slot: the neighbours toward the head and
     /// toward the tail.
     links: Vec<(usize, usize)>,
     free: Vec<usize>,
-}
-
-impl<K: Hash + Eq + Clone, V> Lru<K, V> {
-    fn new() -> Self {
-        Lru {
-            index: HashMap::new(),
-            slots: Vec::new(),
-            links: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    fn find<Q>(&self, key: &Q) -> Option<usize>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.index.get(key).copied()
-    }
-
-    fn entry(&self, i: usize) -> &(K, V) {
-        self.slots[i].as_ref().expect("a live slot")
-    }
-
-    fn value_mut(&mut self, i: usize) -> &mut V {
-        &mut self.slots[i].as_mut().expect("a live slot").1
-    }
-
-    fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten().map(|(_, v)| v)
-    }
-
-    /// Store an entry whose key is absent, not yet on any list.
-    fn alloc(&mut self, key: K, value: V) -> usize {
-        let i = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(None);
-                self.links.push((NIL, NIL));
-                self.slots.len() - 1
-            }
-        };
-        self.index.insert(key.clone(), i);
-        self.slots[i] = Some((key, value));
-        i
-    }
-
-    /// Drop entry `i`, which must already be off its list.
-    fn free(&mut self, i: usize) {
-        let (key, _) = self.slots[i].take().expect("a live slot");
-        self.index.remove(&key);
-        self.free.push(i);
-    }
-
-    fn link_front(&mut self, list: &mut List, i: usize) {
-        self.links[i] = (NIL, list.head);
-        match list.head {
-            NIL => list.tail = i,
-            head => self.links[head].0 = i,
-        }
-        list.head = i;
-    }
-
-    fn unlink(&mut self, list: &mut List, i: usize) {
-        let (prev, next) = self.links[i];
-        match prev {
-            NIL => list.head = next,
-            p => self.links[p].1 = next,
-        }
-        match next {
-            NIL => list.tail = prev,
-            n => self.links[n].0 = prev,
-        }
-        self.links[i] = (NIL, NIL);
-    }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.links.clear();
-        self.free.clear();
-    }
-}
-
-/// A bounded map that evicts its least recently used entry: the plan
-/// cache's policy. Capacity zero disables it.
-pub(crate) struct LruMap<K, V> {
-    capacity: usize,
-    lru: Lru<K, V>,
-    order: List,
+    head: usize,
+    tail: usize,
 }
 
 /// The plan cache: query text (normalized, or a raw-spelling alias) →
@@ -188,13 +73,17 @@ impl<K: Hash + Eq + Clone, V: Clone> LruMap<K, V> {
     pub fn new(capacity: usize) -> Self {
         LruMap {
             capacity,
-            lru: Lru::new(),
-            order: List::EMPTY,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            links: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.index.len()
     }
 
     /// Look up `key`, making it the most recently used entry.
@@ -203,10 +92,8 @@ impl<K: Hash + Eq + Clone, V: Clone> LruMap<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let i = self.lru.find(key)?;
-        self.lru.unlink(&mut self.order, i);
-        self.lru.link_front(&mut self.order, i);
-        Some(self.lru.entry(i).1.clone())
+        let i = *self.index.get(key)?;
+        Some(self.touch(i).clone())
     }
 
     /// Insert or replace `key` as the most recently used entry,
@@ -215,66 +102,83 @@ impl<K: Hash + Eq + Clone, V: Clone> LruMap<K, V> {
         if self.capacity == 0 {
             return;
         }
-        let i = match self.lru.find(&key) {
-            Some(i) => {
-                self.lru.unlink(&mut self.order, i);
-                *self.lru.value_mut(i) = value;
-                i
-            }
-            None => {
-                if self.lru.len() >= self.capacity {
-                    if let Some(oldest) = self.order.tail() {
-                        self.lru.unlink(&mut self.order, oldest);
-                        self.lru.free(oldest);
-                    }
-                }
-                self.lru.alloc(key, value)
-            }
-        };
-        self.lru.link_front(&mut self.order, i);
+        if let Some(&i) = self.index.get(&key) {
+            self.slots[i].as_mut().expect("a live slot").1 = value;
+            self.touch(i);
+            return;
+        }
+        if self.len() >= self.capacity {
+            self.remove_slot(self.tail);
+        }
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.links.push((NIL, NIL));
+            self.slots.len() - 1
+        });
+        self.index.insert(key.clone(), i);
+        self.slots[i] = Some((key, value));
+        self.link_front(i);
     }
 
     pub fn clear(&mut self) {
-        self.lru.clear();
-        self.order = List::EMPTY;
+        *self = LruMap::new(self.capacity);
+    }
+
+    fn value(&self, i: usize) -> &V {
+        &self.slots[i].as_ref().expect("a live slot").1
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().flatten().map(|(_, v)| v)
+    }
+
+    /// Move slot `i` to the head of the list and return its value.
+    fn touch(&mut self, i: usize) -> &V {
+        if self.head != i {
+            self.unlink(i);
+            self.link_front(i);
+        }
+        self.value(i)
+    }
+
+    fn remove_slot(&mut self, i: usize) {
+        self.unlink(i);
+        let (key, _) = self.slots[i].take().expect("a live slot");
+        self.index.remove(&key);
+        self.free.push(i);
+    }
+
+    fn link_front(&mut self, i: usize) {
+        self.links[i] = (NIL, self.head);
+        match self.head {
+            NIL => self.tail = i,
+            head => self.links[head].0 = i,
+        }
+        self.head = i;
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = self.links[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.links[p].1 = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.links[n].0 = prev,
+        }
+        self.links[i] = (NIL, NIL);
     }
 }
 
-struct Entry<V> {
-    build: u64,
-    stamp: u64,
-    /// Lookup hits since insertion — the admission policy's heat
-    /// signal. Never decays: a hot entry stays pinned until its
-    /// shard's build goes stale.
-    hits: u32,
-    value: V,
-}
-
-/// Hits at which an entry counts as *hot*: protected from eviction by
-/// colder newcomers while its shard's build is current. Two hits is
-/// the classic scan-resistance bar — a one-shot query sweep re-reads
-/// nothing, so sweep entries never reach it.
-const HOT: u32 = 2;
-
-/// A bounded least-recently-used map. Entries whose stamp — a shard
-/// build id — differs from the one presented are treated as absent
-/// and dropped on contact. Eviction is by recency alone: entries of
-/// different shards legitimately hold different stamps side by side.
-///
-/// Entries below [`HOT`] hits sit on one *cold* recency list; hot ones
-/// on one list per `(shard, build)`. Every eviction candidate is then
-/// the tail of a list, so choosing the victim compares the cold tail
-/// with one tail per *other* build of the newcomer's shard that has hot
-/// entries (none or one in steady state) and walks no entries.
-pub(crate) struct GenCache<V> {
-    capacity: usize,
-    tick: u64,
-    lru: Lru<Key, Entry<V>>,
-    cold: List,
-    /// Indexed by shard id: that shard's hot lists, one per build id
-    /// holding hot entries (an emptied list is dropped).
-    hot: Vec<Vec<(u64, List)>>,
-}
+/// A row or count store: an [`LruMap`] whose values are stamped with
+/// the shard build id they were computed on. A probe presents the
+/// build id of the shard it reads; an entry under another stamp is a
+/// miss, left in place (it may belong to a newer build than the
+/// prober's snapshot) until the next insert of its key replaces it or
+/// recency evicts it. Entries of different shards legitimately hold
+/// different stamps side by side.
+pub(crate) struct GenCache<V>(LruMap<Key, (u64, V)>);
 
 /// The count store: values are plain result sizes, orders of magnitude
 /// smaller than the match sets they summarize.
@@ -283,6 +187,29 @@ pub(crate) type CountCache = GenCache<usize>;
 /// The row store: complete results and checkpointed prefixes alike.
 pub(crate) type ShardRowCache = GenCache<ShardRows>;
 
+impl<V: Clone> GenCache<V> {
+    pub fn new(capacity: usize) -> Self {
+        GenCache(LruMap::new(capacity))
+    }
+
+    /// Look up `key` at shard build `build`, refreshing its recency on
+    /// a hit.
+    pub fn get(&mut self, key: &Key, build: u64) -> Option<V> {
+        let i = *self.0.index.get(key)?;
+        (self.0.value(i).0 == build).then(|| self.0.touch(i).1.clone())
+    }
+
+    /// Insert or replace `key`'s entry as the most recently used,
+    /// evicting the least recently used entry when full.
+    pub fn insert(&mut self, key: Key, build: u64, value: V) {
+        self.0.insert(key, (build, value));
+    }
+
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 impl ShardRowCache {
     /// The shard's full result, when the cached entry is complete.
     pub fn complete(&mut self, key: &Key, build: u64) -> Option<Arc<ResultSet>> {
@@ -290,170 +217,23 @@ impl ShardRowCache {
         entry.ckpt.is_none().then_some(entry.rows)
     }
 
+    /// Drop `key`'s entry only if it is still `observed` — the very
+    /// entry (by `Arc` identity: every insert allocates its rows) a
+    /// caller read earlier. Takes an observed entry back out of the
+    /// store without discarding a replacement a concurrent caller
+    /// installed in the meantime.
+    pub fn remove_match(&mut self, key: &Key, observed: &ShardRows) {
+        if let Some(&i) = self.0.index.get(key) {
+            if Arc::ptr_eq(&self.0.value(i).1.rows, &observed.rows) {
+                self.0.remove_slot(i);
+            }
+        }
+    }
+
     /// `(complete, checkpointed)` entry counts.
     pub fn census(&self) -> (usize, usize) {
-        let complete = self.lru.values().filter(|e| e.value.ckpt.is_none()).count();
-        (complete, self.lru.len() - complete)
-    }
-}
-
-impl<V: Clone + PartialEq> GenCache<V> {
-    pub fn new(capacity: usize) -> Self {
-        GenCache {
-            capacity,
-            tick: 0,
-            lru: Lru::new(),
-            cold: List::EMPTY,
-            hot: Vec::new(),
-        }
-    }
-
-    /// Look up `key` at shard build `build`, refreshing its recency and
-    /// bumping its heat.
-    pub fn get(&mut self, key: &Key, build: u64) -> Option<V> {
-        let i = self.lru.find(key)?;
-        if self.lru.entry(i).1.build != build {
-            // Stale build: drop eagerly.
-            self.remove(i);
-            return None;
-        }
-        self.unlink(i);
-        self.tick += 1;
-        let e = self.lru.value_mut(i);
-        e.stamp = self.tick;
-        e.hits = e.hits.saturating_add(1);
-        let value = e.value.clone();
-        self.link(i);
-        Some(value)
-    }
-
-    /// Insert, evicting the least recently used *evictable* entry when
-    /// full. Capacity zero disables the cache entirely. Re-inserting a
-    /// value identical to the cached one is a no-op — no recency
-    /// re-stamp, no eviction churn (racing evaluators of the same
-    /// query would otherwise keep promoting each other's entry and
-    /// evicting innocent neighbours).
-    ///
-    /// **Admission policy**: entries re-read [`HOT`]+ times are pinned
-    /// — a sweep of distinct one-shot queries cannot push them out.
-    /// When every resident entry is pinned the newcomer is *rejected*
-    /// instead (returns `false`): the sweep pays the miss, the working
-    /// set stays. An entry of the newcomer's own shard under another
-    /// stamp is never pinned, however hot it once was: one of the two
-    /// belongs to a build that is gone.
-    pub fn insert(&mut self, key: Key, build: u64, value: V) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let found = self.lru.find(&key);
-        if let Some(i) = found {
-            let e = &self.lru.entry(i).1;
-            if e.build == build && e.value == value {
-                return true;
-            }
-        }
-        self.tick += 1;
-        let entry = Entry {
-            build,
-            stamp: self.tick,
-            hits: 0,
-            value,
-        };
-        let i = match found {
-            Some(i) => {
-                self.unlink(i);
-                *self.lru.value_mut(i) = entry;
-                i
-            }
-            None => {
-                if self.lru.len() >= self.capacity {
-                    // Evict the oldest stamp — but never a pinned entry.
-                    match self.victim(key.1, build) {
-                        Some(v) => self.remove(v),
-                        None => return false,
-                    }
-                }
-                self.lru.alloc(key, entry)
-            }
-        };
-        self.link(i);
-        true
-    }
-
-    /// Compare-and-remove: drop `key`'s entry only if the cached value
-    /// is still `value`. Used to take an *observed* entry back out of
-    /// the cache without discarding a replacement a concurrent caller
-    /// installed in the meantime.
-    pub fn remove_match(&mut self, key: &Key, value: &V) {
-        if let Some(i) = self.lru.find(key) {
-            if self.lru.entry(i).1.value == *value {
-                self.remove(i);
-            }
-        }
-    }
-
-    pub fn clear(&mut self) {
-        self.lru.clear();
-        self.cold = List::EMPTY;
-        self.hot.clear();
-    }
-
-    /// The least recently used entry a newcomer of `shard` at `build`
-    /// may evict: the oldest of the cold tail and the tails of `shard`'s
-    /// hot lists under other builds. `None` when every entry is pinned.
-    fn victim(&self, shard: u16, build: u64) -> Option<usize> {
-        let hot = self.hot.get(usize::from(shard)).into_iter().flatten();
-        let stale = hot.filter(|(b, _)| *b != build).map(|&(_, list)| list);
-        stale
-            .chain([self.cold])
-            .filter_map(List::tail)
-            .min_by_key(|&i| self.lru.entry(i).1.stamp)
-    }
-
-    fn remove(&mut self, i: usize) {
-        self.unlink(i);
-        self.lru.free(i);
-    }
-
-    /// Where entry `i` is listed: `(shard, build)` when hot, `None`
-    /// when cold.
-    fn hot_place(&self, i: usize) -> Option<(usize, u64)> {
-        let (key, e) = self.lru.entry(i);
-        (e.hits >= HOT).then_some((usize::from(key.1), e.build))
-    }
-
-    /// Take entry `i` off its list.
-    fn unlink(&mut self, i: usize) {
-        let Some((shard, build)) = self.hot_place(i) else {
-            self.lru.unlink(&mut self.cold, i);
-            return;
-        };
-        let lists = &mut self.hot[shard];
-        let at = lists.iter().position(|l| l.0 == build).expect("listed");
-        self.lru.unlink(&mut lists[at].1, i);
-        if lists[at].1.tail().is_none() {
-            lists.swap_remove(at);
-        }
-    }
-
-    /// Put entry `i` at the head of the list its heat and build select.
-    fn link(&mut self, i: usize) {
-        let Some((shard, build)) = self.hot_place(i) else {
-            self.lru.link_front(&mut self.cold, i);
-            return;
-        };
-        if self.hot.len() <= shard {
-            self.hot.resize_with(shard + 1, Vec::new);
-        }
-        let lists = &mut self.hot[shard];
-        let at = match lists.iter().position(|l| l.0 == build) {
-            Some(at) => at,
-            None => {
-                lists.push((build, List::EMPTY));
-                lists.len() - 1
-            }
-        };
-        self.lru.link_front(&mut lists[at].1, i);
+        let complete = self.0.values().filter(|e| e.1.ckpt.is_none()).count();
+        (complete, self.0.len() - complete)
     }
 }
 
@@ -470,14 +250,36 @@ mod tests {
         Arc::new(vec![(n, NodeId(0))])
     }
 
+    fn rows(rows: &Arc<ResultSet>) -> ShardRows {
+        ShardRows {
+            rows: Arc::clone(rows),
+            ckpt: None,
+        }
+    }
+
     #[test]
     fn hit_and_generation_invalidation() {
         let mut c = GenCache::new(4);
         c.insert(key("//NP"), 1, set(1));
         assert!(c.get(&key("//NP"), 1).is_some());
-        // A newer build sees nothing and purges the entry.
+        // A newer build sees nothing; its insert replaces the entry.
         assert!(c.get(&key("//NP"), 2).is_none());
-        assert_eq!(c.lru.len(), 0);
+        c.insert(key("//NP"), 2, set(2));
+        assert_eq!(c.get(&key("//NP"), 2).unwrap()[0].0, 2);
+        assert!(c.get(&key("//NP"), 1).is_none());
+        assert_eq!(c.0.len(), 1);
+    }
+
+    #[test]
+    fn a_probe_at_another_build_misses_and_leaves_the_entry() {
+        // A request still on an older snapshot probes the current
+        // build's entry: a miss, and the entry stays to serve the
+        // requests on the current build.
+        let mut c = CountCache::new(2);
+        c.insert(key("q"), 2, 7);
+        assert_eq!(c.get(&key("q"), 1), None);
+        assert_eq!(c.0.len(), 1);
+        assert_eq!(c.get(&key("q"), 2), Some(7));
     }
 
     #[test]
@@ -498,7 +300,7 @@ mod tests {
         let mut c = GenCache::new(0);
         c.insert(key("a"), 1, set(1));
         assert!(c.get(&key("a"), 1).is_none());
-        assert_eq!(c.lru.len(), 0);
+        assert_eq!(c.0.len(), 0);
     }
 
     #[test]
@@ -511,20 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn identical_reinsert_does_not_restamp() {
-        let mut c = GenCache::new(2);
-        c.insert(key("a"), 1, set(1));
-        c.insert(key("b"), 1, set(2));
-        // Re-inserting "a"'s identical value must NOT refresh its
-        // recency: "a" (stamped first) stays the LRU victim.
-        c.insert(key("a"), 1, set(1));
-        c.insert(key("c"), 1, set(3));
-        assert!(
-            c.get(&key("a"), 1).is_none(),
-            "identical re-insert restamped"
-        );
-        assert!(c.get(&key("b"), 1).is_some());
-        assert!(c.get(&key("c"), 1).is_some());
+    fn a_reinsert_refreshes_recency() {
+        let mut c = CountCache::new(2);
+        c.insert(key("a"), 1, 1);
+        c.insert(key("b"), 1, 2);
+        // Re-inserting "a", even with its very value, makes it the
+        // most recently used: "b" is the victim.
+        c.insert(key("a"), 1, 1);
+        c.insert(key("c"), 1, 3);
+        assert_eq!(c.get(&key("a"), 1), Some(1));
+        assert_eq!(c.get(&key("b"), 1), None);
+        assert_eq!(c.get(&key("c"), 1), Some(3));
     }
 
     #[test]
@@ -555,79 +354,33 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_that_raced_a_clear_is_never_served_or_pinned() {
+    fn an_entry_that_raced_a_clear_is_never_served() {
         // A reader that snapshotted build 1 finishes after the
-        // writer's `clear()` and inserts under the old stamp.
+        // writer's `clear()` and inserts under the old stamp: readers
+        // at the newer stamp miss it, and their insert replaces it.
         let mut c = CountCache::new(2);
         c.clear();
         c.insert(key("raced"), 1, 10);
-        c.insert(key("hot"), 1, 11);
-        for _ in 0..4 {
-            c.get(&key("hot"), 1);
-        }
-        // However hot at its own stamp, an old-stamp entry is never
-        // pinned against inserts at the newer one: plain LRU evicts
-        // "raced" (the older stamp) first, then "hot".
-        assert!(c.insert(key("a"), 2, 20));
-        assert!(c.insert(key("b"), 2, 30));
-        assert_eq!(c.lru.len(), 2);
-        assert_eq!(c.get(&key("a"), 2), Some(20));
-        assert_eq!(c.get(&key("b"), 2), Some(30));
-        // And one that is still resident is dropped on contact, never
-        // served at the newer stamp.
-        let mut c = CountCache::new(2);
-        c.insert(key("raced"), 1, 10);
         assert_eq!(c.get(&key("raced"), 2), None);
-        assert_eq!(c.lru.len(), 0);
+        c.insert(key("raced"), 2, 20);
+        assert_eq!(c.get(&key("raced"), 2), Some(20));
+        assert_eq!(c.get(&key("raced"), 1), None);
     }
 
     #[test]
-    fn sweep_cannot_evict_hot_entries() {
-        let mut c = CountCache::new(2);
-        c.insert(key("hot1"), 1, 1);
-        c.insert(key("hot2"), 1, 2);
-        for _ in 0..2 {
-            c.get(&key("hot1"), 1);
-            c.get(&key("hot2"), 1);
-        }
-        // A sweep of distinct one-shot inserts: every one rejected,
-        // the hot working set intact.
-        for i in 0..16 {
-            assert!(!c.insert((format!("sweep{i}"), 0), 1, 99));
-        }
-        assert_eq!(c.get(&key("hot1"), 1), Some(1));
-        assert_eq!(c.get(&key("hot2"), 1), Some(2));
-    }
-
-    #[test]
-    fn cold_entries_still_evict_under_hot_protection() {
-        let mut c = CountCache::new(2);
-        c.insert(key("hot"), 1, 1);
-        c.get(&key("hot"), 1);
-        c.get(&key("hot"), 1);
-        c.insert(key("cold"), 1, 2);
-        // The cold neighbour is the victim; the hot entry survives.
-        assert!(c.insert(key("new"), 1, 3));
-        assert_eq!(c.get(&key("hot"), 1), Some(1));
-        assert!(c.get(&key("cold"), 1).is_none());
-        assert_eq!(c.get(&key("new"), 1), Some(3));
-    }
-
-    #[test]
-    fn stale_hot_entries_are_not_protected() {
-        let mut c = CountCache::new(1);
-        c.insert(key("old"), 1, 1);
-        c.get(&key("old"), 1);
-        c.get(&key("old"), 1);
-        // The shard was rebuilt: yesterday's heat buys no protection.
-        assert!(c.insert(key("new"), 2, 2));
-        assert_eq!(c.get(&key("new"), 2), Some(2));
-        // Another shard's stamp says nothing about this one's build:
-        // its hot entry stays pinned against the newcomer.
-        c.get(&key("new"), 2);
-        c.get(&key("new"), 2);
-        assert!(!c.insert(("other".into(), 1), 3, 3));
-        assert_eq!(c.get(&key("new"), 2), Some(2));
+    fn removal_by_identity_leaves_a_concurrent_replacement() {
+        let mut c = ShardRowCache::new(2);
+        let observed = rows(&set(1));
+        c.insert(key("q"), 1, observed.clone());
+        // A concurrent sweep installs equal rows in a new allocation
+        // before the observer takes its entry back out.
+        c.insert(key("q"), 1, rows(&set(1)));
+        c.remove_match(&key("q"), &observed);
+        let kept = c.get(&key("q"), 1).expect("the replacement survives");
+        assert!(!Arc::ptr_eq(&kept.rows, &observed.rows));
+        // The observed entry itself is removed.
+        c.remove_match(&key("q"), &kept);
+        assert!(c.get(&key("q"), 1).is_none());
     }
 
     #[test]
@@ -661,103 +414,65 @@ mod tests {
         assert_eq!(off.get("a"), None);
     }
 
-    /// The reference model of [`GenCache`]: one map, the victim found
-    /// by scanning every entry for the oldest evictable stamp.
+    /// The reference model of the row store: one map of
+    /// `key → (build, stamp, rows)`, the victim found by scanning every
+    /// entry for the oldest stamp.
     struct ScanCache {
         capacity: usize,
         tick: u64,
-        map: HashMap<Key, (u64, u64, u32, usize)>, // build, stamp, hits, value
+        map: HashMap<Key, (u64, u64, Arc<ResultSet>)>,
     }
 
     impl ScanCache {
-        fn get(&mut self, key: &Key, build: u64) -> Option<usize> {
-            match self.map.get_mut(key) {
-                Some(e) if e.0 == build => {
-                    self.tick += 1;
-                    e.1 = self.tick;
-                    e.2 = e.2.saturating_add(1);
-                    Some(e.3)
-                }
-                Some(_) => {
-                    self.map.remove(key);
-                    None
-                }
-                None => None,
-            }
+        fn get(&mut self, key: &Key, build: u64) -> Option<Arc<ResultSet>> {
+            let e = self.map.get_mut(key).filter(|e| e.0 == build)?;
+            self.tick += 1;
+            e.1 = self.tick;
+            Some(Arc::clone(&e.2))
         }
 
-        fn insert(&mut self, key: Key, build: u64, value: usize) -> bool {
+        fn insert(&mut self, key: Key, build: u64, rows: Arc<ResultSet>) {
             if self.capacity == 0 {
-                return false;
-            }
-            if let Some(e) = self.map.get(&key) {
-                if e.0 == build && e.3 == value {
-                    return true;
-                }
+                return;
             }
             self.tick += 1;
             if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-                let victim = self
-                    .map
-                    .iter()
-                    .filter(|(k, e)| e.2 < HOT || (k.1 == key.1 && e.0 != build))
-                    .min_by_key(|(_, e)| e.1)
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(v) => {
-                        self.map.remove(&v);
-                    }
-                    None => return false,
-                }
+                let victim = self.map.iter().min_by_key(|(_, e)| e.1);
+                let victim = victim.map(|(k, _)| k.clone()).expect("full");
+                self.map.remove(&victim);
             }
-            self.map.insert(key, (build, self.tick, 0, value));
-            true
+            self.map.insert(key, (build, self.tick, rows));
         }
 
-        fn remove_match(&mut self, key: &Key, value: usize) {
-            if self.map.get(key).is_some_and(|e| e.3 == value) {
+        fn remove_match(&mut self, key: &Key, rows: &Arc<ResultSet>) {
+            if self.map.get(key).is_some_and(|e| Arc::ptr_eq(&e.2, rows)) {
                 self.map.remove(key);
             }
         }
     }
 
-    /// Every list is well linked, and together they hold each resident
-    /// entry exactly once, on the list its heat and build select.
-    fn assert_lists_consistent(c: &CountCache) {
-        let walk = |list: List| {
-            let (mut seen, mut prev, mut i) = (Vec::new(), NIL, list.head);
-            while i != NIL {
-                assert_eq!(c.lru.links[i].0, prev, "back link");
-                seen.push(i);
-                (prev, i) = (i, c.lru.links[i].1);
-            }
-            assert_eq!(list.tail, prev, "tail");
-            seen
-        };
-        let mut listed = 0;
-        for i in walk(c.cold) {
-            assert!(c.hot_place(i).is_none(), "hot entry on the cold list");
+    /// The recency list is well linked and holds each resident entry
+    /// exactly once.
+    fn assert_list_consistent<K, V>(m: &LruMap<K, V>) {
+        let (mut listed, mut prev, mut i) = (0, NIL, m.head);
+        while i != NIL {
+            assert_eq!(m.links[i].0, prev, "back link");
+            assert!(m.slots[i].is_some(), "a freed slot is listed");
             listed += 1;
+            (prev, i) = (i, m.links[i].1);
         }
-        for (shard, lists) in c.hot.iter().enumerate() {
-            for &(build, list) in lists {
-                let on = walk(list);
-                assert!(!on.is_empty(), "empty hot list kept");
-                for i in on {
-                    assert_eq!(c.hot_place(i), Some((shard, build)));
-                    listed += 1;
-                }
-            }
-        }
-        assert_eq!(listed, c.lru.len());
+        assert_eq!(m.tail, prev, "tail");
+        assert_eq!(listed, m.index.len());
     }
 
-    /// Seeded random `get` / `insert` / `remove_match` / `clear`
-    /// sequences over up to 3 shards, 3 builds and 8 query texts, at
-    /// capacities 0–6: after every operation the recency lists and the
-    /// reference scan agree on the verdict, the value served and the
-    /// resident `(key, build)` set. `PROPTEST_CASES` sets the number of
-    /// sequences (default 256).
+    /// Seeded random `get` / `insert` / identity `remove_match` /
+    /// `clear` sequences over up to 3 shards, 3 builds and 8 query
+    /// texts, at capacities 0–6: after every operation the row store
+    /// and the plain-LRU scan agree on the rows served (by identity)
+    /// and on the resident `(key, build)` set. Identity removals
+    /// present a `(key, rows)` pair drawn from every insert so far, so
+    /// equal rows in a replaced allocation are exercised too.
+    /// `PROPTEST_CASES` sets the number of sequences (default 256).
     #[test]
     fn recency_lists_pick_the_victim_the_scan_picks() {
         let cases: u64 = std::env::var("PROPTEST_CASES")
@@ -773,50 +488,58 @@ mod tests {
             state % n
         };
         for case in 0..cases {
-            // Few keys or builds make re-reads, and so pinning, common.
             let (shards, builds, keys) = (1 + next(3), 1 + next(3), 1 + next(8));
             let capacity = usize::try_from(next(7)).unwrap();
-            let mut lists = CountCache::new(capacity);
+            let mut store = ShardRowCache::new(capacity);
             let mut scan = ScanCache {
                 capacity,
                 tick: 0,
                 map: HashMap::new(),
             };
+            let mut inserted: Vec<(Key, Arc<ResultSet>)> = Vec::new();
             for op in 0..200 {
                 let k: Key = (
                     format!("q{}", next(keys)),
                     u16::try_from(next(shards)).unwrap(),
                 );
                 let build = 1 + next(builds);
-                let value = usize::try_from(next(3)).unwrap();
                 let at = format!("case {case} op {op}");
                 match next(16) {
-                    0..=6 => assert_eq!(lists.get(&k, build), scan.get(&k, build), "{at}"),
-                    7..=13 => assert_eq!(
-                        lists.insert(k.clone(), build, value),
-                        scan.insert(k, build, value),
-                        "{at}"
-                    ),
-                    14 => {
-                        lists.remove_match(&k, &value);
-                        scan.remove_match(&k, value);
+                    0..=6 => {
+                        let got = store.get(&k, build).map(|e| Arc::as_ptr(&e.rows));
+                        let want = scan.get(&k, build).map(|r| Arc::as_ptr(&r));
+                        assert_eq!(got, want, "{at}");
+                    }
+                    7..=13 => {
+                        // Few distinct values: equal rows recur in
+                        // distinct allocations.
+                        let value = set(u32::try_from(next(3)).unwrap());
+                        inserted.push((k.clone(), Arc::clone(&value)));
+                        store.insert(k.clone(), build, rows(&value));
+                        scan.insert(k, build, value);
+                    }
+                    14 if !inserted.is_empty() => {
+                        let len = u64::try_from(inserted.len()).unwrap();
+                        let (k, pick) = &inserted[usize::try_from(next(len)).unwrap()];
+                        store.remove_match(k, &rows(pick));
+                        scan.remove_match(k, pick);
                     }
                     _ => {
-                        lists.clear();
+                        store.clear();
                         scan.map.clear();
                     }
                 }
-                let resident: BTreeSet<(Key, u64)> = lists
-                    .lru
+                let resident: BTreeSet<(Key, u64)> = store
+                    .0
                     .slots
                     .iter()
                     .flatten()
-                    .map(|(k, e)| (k.clone(), e.build))
+                    .map(|(k, e)| (k.clone(), e.0))
                     .collect();
                 let want: BTreeSet<(Key, u64)> =
                     scan.map.iter().map(|(k, e)| (k.clone(), e.0)).collect();
                 assert_eq!(resident, want, "{at}");
-                assert_lists_consistent(&lists);
+                assert_list_consistent(&store.0);
             }
         }
     }

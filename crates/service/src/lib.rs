@@ -14,11 +14,12 @@
 //!   independently and exactly; concatenating per-shard results in
 //!   shard order reproduces single-engine document order byte for
 //!   byte.
-//! * **Plan cache** — each distinct query is parsed, translated
-//!   and analyzed once per corpus generation ([`CompiledQuery`]),
-//!   mirroring [`lpath_core::Engine`]'s fallback contract: the
-//!   relational translation where it exists, the full-language tree
-//!   walker otherwise.
+//! * **Plan cache** — each distinct query is parsed and analyzed once
+//!   ([`CompiledQuery`], a pure function of the query text, so appends
+//!   never invalidate it); each shard runs it as
+//!   [`lpath_core::Engine`]'s fallback contract says: the relational
+//!   translation where it exists, the full-language tree walker
+//!   otherwise.
 //! * **Row and count stores** — bounded LRUs from `(query, shard)` to
 //!   the shard's match set (or a prefix of it) and to its count, scoped
 //!   to each shard's *build id*, so entries survive appends that did not
@@ -104,10 +105,10 @@ use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
 pub use cache::ResultSet;
-use cache::{CountCache, GenCache, PlanCache, ShardRowCache, ShardRows};
+use cache::{CountCache, PlanCache, ShardRowCache, ShardRows};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
-pub use plan::{requirements, CompiledQuery, ExecStrategy, Requirements};
+pub use plan::{requirements, CompiledQuery, Requirements};
 pub use shard::{Checkpoint, Shard, ShardCheckpoint, ShardCountCheckpoint, StaleCheckpoint};
 use stats::{Class, Counters, Instruments};
 pub use stats::{ClassMetrics, Metrics, ServiceStats, ShardStats, SlowQuery};
@@ -171,6 +172,8 @@ pub struct ServiceConfig {
     /// available CPU (capped by the work at hand).
     pub threads: usize,
     /// Row- and count-store capacity, each in `(query, shard)` entries.
+    /// Both are plain LRUs: every insert is admitted, evicting the
+    /// least recently used entry when full; `0` disables both.
     pub result_cache_capacity: usize,
     /// Plan-cache capacity in entries (each query may occupy two:
     /// normalized form plus a raw-spelling alias); `0` disables plan
@@ -236,9 +239,9 @@ pub(crate) struct Request {
     resumes: u64,
 }
 
-/// What the batch core gives back per member: the whole-corpus rows
-/// beside the plan they answer, or the member's in-band error.
-type Answer = Result<(Arc<CompiledQuery>, Arc<ResultSet>), ServiceError>;
+/// What the batch core gives back per member: the whole-corpus rows,
+/// or the member's in-band error.
+type Answer = Result<Arc<ResultSet>, ServiceError>;
 
 /// Corpus-dependent state: the shards, the only copy of the trees the
 /// service holds. Readers snapshot `Arc<Shard>`s under a short read
@@ -344,11 +347,9 @@ impl Service {
 
     /// Compile `query` or fetch its cached compilation. Distinct
     /// spellings of the same query (whitespace, display form) share
-    /// one entry via the normalized text.
-    ///
-    /// Lock order is state → plans: a plan is analysed and cached under
-    /// one state read guard and writers clear the plans under the write
-    /// guard, so no plan outlives the vocabulary it was analysed against.
+    /// one entry via the normalized text. A compilation depends on the
+    /// query text alone, so compiling reads no corpus state and no
+    /// append or swap invalidates a cached plan.
     pub fn compile(&self, query: &str) -> Result<Arc<CompiledQuery>, ServiceError> {
         let key = query.trim();
         if let Some(hit) = self.plans.lock().unwrap().get(key) {
@@ -357,7 +358,6 @@ impl Service {
         }
         let ast = parse(key)?;
         let normalized = ast.to_string();
-        let st = self.state.read().unwrap();
         if normalized != key {
             let mut plans = self.plans.lock().unwrap();
             if let Some(hit) = plans.get(&normalized) {
@@ -368,25 +368,12 @@ impl Service {
             }
         }
         self.counters.plan_misses.bump();
-        // Static analysis against the current vocabulary: a proven
-        // verdict lets every request path skip execution outright.
-        let vocabulary = st.vocabulary();
-        let statically_empty =
-            lpath_check::check_with(&ast, |sym| vocabulary.get(sym).is_some()).statically_empty;
-        // The relational translation, against the same vocabulary,
-        // decides the strategy; the SQL text is rendered only on demand
-        // (`Service::sql`).
-        let strategy = match st.tail().engine().translate(&ast) {
-            Ok(_) => ExecStrategy::Relational,
-            Err(_) => ExecStrategy::Walker,
-        };
         let compiled = Arc::new(CompiledQuery {
             required: requirements(&ast),
             fast: agg::classify(&ast),
+            statically_empty: lpath_check::check(&ast).statically_empty,
             normalized,
             ast,
-            strategy,
-            statically_empty,
         });
         let mut plans = self.plans.lock().unwrap();
         plans.insert(compiled.normalized.clone(), Arc::clone(&compiled));
@@ -398,12 +385,10 @@ impl Service {
 
     /// The SQL the relational path executes for `query` — rendered on
     /// the tail shard's engine, whose vocabulary holds every symbol —
-    /// or `None` when the query runs on the walker fallback.
+    /// or `None` when the translation does not cover the query, which
+    /// then runs on the walker fallback.
     pub fn sql(&self, query: &str) -> Result<Option<String>, ServiceError> {
         let compiled = self.compile(query)?;
-        if compiled.strategy == ExecStrategy::Walker {
-            return Ok(None);
-        }
         let st = self.state.read().unwrap();
         Ok(st.tail().engine().sql_ast(&compiled.ast).ok())
     }
@@ -411,10 +396,15 @@ impl Service {
     /// Statically analyze `query` against the current corpus
     /// vocabulary (the tail shard's): spanned diagnostics (render with
     /// [`CheckReport::render`] over the same `query` text, or
-    /// [`CheckReport::to_json`]) plus the emptiness verdict the
-    /// request paths act on. Parses fresh rather than going through
-    /// the plan cache so the diagnostic spans index into *this*
-    /// spelling of the query, not the normalized one.
+    /// [`CheckReport::to_json`]) plus the emptiness verdict. The
+    /// request paths act on the *structural* part of that verdict
+    /// alone ([`CompiledQuery::statically_empty`]); a query proven
+    /// empty only by the vocabulary is answered empty by the data —
+    /// shards lacking a required symbol are pruned, and each shard's
+    /// engine plans a query its vocabulary rules out as constant-empty.
+    /// Parses fresh rather than going through the plan cache so the
+    /// diagnostic spans index into *this* spelling of the query, not
+    /// the normalized one.
     pub fn check(&self, query: &str) -> Result<CheckReport, ServiceError> {
         let ast = parse(query)?;
         let st = self.state.read().unwrap();
@@ -487,9 +477,7 @@ impl Service {
     /// `(global tree id, node)` in document order — byte-identical to
     /// a single [`lpath_core::Engine`] over the same corpus.
     pub fn eval(&self, query: &str) -> Result<Arc<ResultSet>, ServiceError> {
-        self.eval_members(&[query], |_, _, rows| rows)
-            .pop()
-            .expect("one member")
+        self.eval_multi(&[query]).pop().expect("one member")
     }
 
     /// Evaluate a batch of queries as one request: one compile pass,
@@ -510,29 +498,13 @@ impl Service {
     /// A batch of one *is* [`Service::eval`] — same caches, same
     /// counters, same latency class.
     pub fn eval_multi(&self, queries: &[&str]) -> Vec<Result<Arc<ResultSet>, ServiceError>> {
-        self.eval_members(queries, |_, _, rows| rows)
-    }
-
-    /// The body of every row-returning request: resolve the members
-    /// through the batch core, then let `each` shape a member's full
-    /// result (as is, or into a page plus token).
-    pub(crate) fn eval_members<T>(
-        &self,
-        queries: &[&str],
-        each: impl Fn(&Request, &CompiledQuery, Arc<ResultSet>) -> T,
-    ) -> Vec<Result<T, ServiceError>> {
         let class = if queries.len() == 1 {
             Class::Eval
         } else {
             self.counters.batches.bump();
             Class::EvalMulti
         };
-        self.request(class, queries, |req, compiled| {
-            self.resolve(req, compiled)
-                .into_iter()
-                .map(|member| member.map(|(plan, rows)| each(req, &plan, rows)))
-                .collect()
-        })
+        self.request(class, queries, |req, compiled| self.resolve(req, compiled))
     }
 
     /// The one miss-resolution core: whole-corpus result sets for a
@@ -541,8 +513,8 @@ impl Service {
     /// row store for every (member, unpruned shard) pair; only shards
     /// with a miss fan out, one task each evaluating its misses in
     /// order with [`Shard::eval`], the call a solo miss makes; per-shard
-    /// rows concatenate in shard order, which *is* document order. Each
-    /// answer comes back beside its plan; compile errors pass through.
+    /// rows concatenate in shard order, which *is* document order.
+    /// Compile errors pass through.
     fn resolve(
         &self,
         req: &mut Request,
@@ -558,7 +530,7 @@ impl Service {
                 Err(e) => out[i] = Some(Err(e)),
                 Ok(c) if c.statically_empty => {
                     statically_empty += 1;
-                    out[i] = Some(Ok((c, Arc::new(Vec::new()))));
+                    out[i] = Some(Ok(Arc::new(Vec::new())));
                 }
                 // A repeat is served from its sibling occurrence's
                 // answer: it probes nothing.
@@ -633,13 +605,13 @@ impl Service {
                             ckpt: None,
                         };
                         let key = (wanted[w].1.normalized.clone(), *si as u16);
-                        self.admit(&mut store, key, shards[*si].build_id(), &entry);
-                        parts[w][*si] = Some(entry.rows);
+                        parts[w][*si] = Some(Arc::clone(&entry.rows));
+                        store.insert(key, shards[*si].build_id(), entry);
                     }
                 }
             }
         }
-        for ((slots, c), parts) in wanted.iter().zip(&parts) {
+        for ((slots, _), parts) in wanted.iter().zip(&parts) {
             if out[slots[0]].is_some() {
                 continue; // aborted
             }
@@ -653,7 +625,7 @@ impl Service {
                 }
             };
             for &qi in slots {
-                out[qi] = Some(Ok((Arc::clone(c), Arc::clone(&rows))));
+                out[qi] = Some(Ok(Arc::clone(&rows)));
             }
         }
         out.into_iter()
@@ -670,23 +642,6 @@ impl Service {
     #[doc(hidden)]
     pub fn inject_multi_abort(&self) {
         self.multi_abort.store(true, Ordering::SeqCst);
-    }
-
-    /// Offer `value` to a store and record the verdict: an
-    /// insert the size/heat-aware policy rejected (full cache, every
-    /// victim pinned-hot) bumps `admission_rejects`. A capacity of
-    /// zero means the cache is deliberately disabled — not an
-    /// admission decision.
-    fn admit<V: Clone + PartialEq>(
-        &self,
-        cache: &mut GenCache<V>,
-        key: cache::Key,
-        stamp: u64,
-        value: &V,
-    ) {
-        if !cache.insert(key, stamp, value.clone()) && self.cfg.result_cache_capacity > 0 {
-            self.counters.admission_rejects.bump();
-        }
     }
 
     // -----------------------------------------------------------------
@@ -750,12 +705,7 @@ impl Service {
         for (&(si, shard), &(k, learned)) in shards.iter().zip(n.iter().flatten()) {
             if learned {
                 let store = store.get_or_insert_with(|| self.shard_counts.lock().unwrap());
-                self.admit(
-                    store,
-                    (compiled.normalized.clone(), si),
-                    shard.build_id(),
-                    &k,
-                );
+                store.insert((compiled.normalized.clone(), si), shard.build_id(), k);
             }
         }
         (n.iter().flatten().map(|&(k, _)| k).sum(), uncounted.len())
@@ -860,7 +810,7 @@ impl Service {
             if let Some(h) = self.hist_fast(compiled, &req.shards) {
                 return Ok(h);
             }
-            let (_, rows) = self
+            let rows = self
                 .resolve(req, vec![Ok(Arc::clone(compiled))])
                 .pop()
                 .expect("one member")?;
@@ -1042,18 +992,18 @@ impl Service {
         let mut st = self.state.write().unwrap();
         *st.shards.last_mut().expect("at least one shard") = shard;
         st.generation = generation;
-        // Only the plans read the vocabulary (cleared under the guard:
-        // see `compile`). The stores are build-id scoped, so head
-        // shards keep serving and stale tail entries drop on contact.
-        self.plans.lock().unwrap().clear();
         drop(st);
+        // Plans depend on the query text alone and the stores are
+        // build-id scoped: head shards keep serving, and a stale tail
+        // entry misses until the rebuilt tail's answer replaces it.
         self.counters.appends.bump();
         Ok(added)
     }
 
     /// Replace the whole corpus, rebuilding every shard (in parallel
     /// when worker threads allow) outside the state lock, then swapping
-    /// them in and clearing the plans and both stores.
+    /// them in and clearing both stores (the plans stay: they depend on
+    /// the query text alone).
     pub fn swap_corpus(&self, corpus: &Corpus) {
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let generation = self.state.read().unwrap().generation + 1;
@@ -1061,7 +1011,6 @@ impl Service {
         let mut st = self.state.write().unwrap();
         st.shards = shards;
         st.generation = generation;
-        self.plans.lock().unwrap().clear();
         drop(st);
         self.counters.swaps.bump();
         self.shard_counts.lock().unwrap().clear();
@@ -1115,7 +1064,7 @@ impl Service {
             count_resumes: load(&c.count_resumes),
             hists: load(&c.hists),
             batch_dedup: load(&c.batch_dedup),
-            admission_rejects: load(&c.admission_rejects),
+            admission_rejects: 0,
             queries: load(&c.queries),
             batches: load(&c.batches),
             pages: load(&c.pages),
@@ -1295,8 +1244,6 @@ mod tests {
         let svc = service(2);
         // position()/last() has no relational translation.
         let q = "//VP/_[last()][self::NP]";
-        let compiled = svc.compile(q).unwrap();
-        assert_eq!(compiled.strategy, ExecStrategy::Walker);
         assert_eq!(svc.sql(q).unwrap(), None);
         let got = svc.eval(q).unwrap();
         assert_eq!(*got, walk(&parse_str(SRC).unwrap(), q));
@@ -1413,30 +1360,6 @@ mod tests {
     }
 
     #[test]
-    fn count_store_rejections_are_counted() {
-        let corpus = parse_str(SRC).unwrap();
-        let svc = Service::with_config(
-            &corpus,
-            ServiceConfig {
-                shards: 1,
-                threads: 1,
-                result_cache_capacity: 2,
-                ..ServiceConfig::default()
-            },
-        );
-        // Both untabulated counts re-read twice: the full store is
-        // all pinned.
-        for _ in 0..3 {
-            svc.count("//VP//NP").unwrap();
-            svc.count("//S//NP").unwrap();
-        }
-        assert_eq!(svc.stats().count_hits, 4);
-        assert_eq!(svc.stats().admission_rejects, 0);
-        assert_eq!(svc.count("//VP//NN").unwrap(), 3);
-        assert_eq!(svc.stats().admission_rejects, 1);
-    }
-
-    #[test]
     fn append_rebuilds_only_the_tail_shard() {
         let svc = service(2);
         let before = svc.stats();
@@ -1483,6 +1406,23 @@ mod tests {
         assert_eq!(svc.count("//VBD").unwrap(), 0);
         assert_eq!(svc.count("//Y").unwrap(), 1);
         assert_eq!(svc.generation(), 1);
+    }
+
+    #[test]
+    fn plans_survive_a_swap_and_answer_the_new_corpus() {
+        let svc = service(2);
+        let queries = ["//S//Y", "//X/_[last()]", "//S//NP"];
+        for q in queries {
+            svc.count(q).unwrap();
+        }
+        let misses = svc.stats().plan_misses;
+        let other = parse_str("( (S (X (Y z)) (W w)) )\n( (S (NP (Y y))) )").unwrap();
+        svc.swap_corpus(&other);
+        for q in queries {
+            assert_eq!(*svc.eval(q).unwrap(), walk(&other, q), "{q}");
+            assert_eq!(svc.count(q).unwrap(), walk(&other, q).len(), "{q}");
+        }
+        assert_eq!(svc.stats().plan_misses, misses, "the swap kept every plan");
     }
 
     #[test]
@@ -1578,14 +1518,8 @@ mod tests {
         let queries = ["//NP", "//NP[not(//DT)]", "//VP/_[last()]", "//VBD->NP"];
         for shards in [1, 2] {
             let svc = service(shards);
-            assert_eq!(
-                svc.compile(queries[2]).unwrap().strategy,
-                ExecStrategy::Walker
-            );
-            assert_eq!(
-                svc.compile(queries[3]).unwrap().strategy,
-                ExecStrategy::Relational
-            );
+            assert_eq!(svc.sql(queries[2]).unwrap(), None);
+            assert!(svc.sql(queries[3]).unwrap().is_some());
             let multi = svc.eval_multi(&queries);
             for (q, got) in queries.iter().zip(&multi) {
                 assert_eq!(**got.as_ref().unwrap(), walk(&corpus, q), "{q} at {shards}");
@@ -1821,8 +1755,10 @@ mod tests {
         assert_eq!(stats.shard_result_cache_entries, 0, "{stats:?}");
         assert_eq!(stats.prefix_cache_entries, 0, "{stats:?}");
         assert_eq!(stats.result_misses, 0, "{stats:?}");
-        // 6 requests per query (batch members count individually).
-        assert_eq!(stats.statically_empty, 4 * 6, "{stats:?}");
+        // 6 requests per structurally empty query (batch members count
+        // individually); the two the vocabulary rules out are pruned
+        // on every shard instead.
+        assert_eq!(stats.statically_empty, 2 * 6, "{stats:?}");
         // The verdicts agree with the walker reference on every query.
         let corpus = parse_str(SRC).unwrap();
         for q in ["//ZZZ", "//NP[position()=0]"] {
@@ -1859,6 +1795,24 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_compiled_before_an_append_still_answers_after_it() {
+        let svc = service(2);
+        assert_eq!(svc.count("//S//NEWTAG").unwrap(), 0);
+        let misses = svc.stats().plan_misses;
+        svc.append_ptb("( (S (NEWTAG (NN bird)) (VP (VBD flew))) )")
+            .unwrap();
+        // The plan survives the append and counts the new tag.
+        assert_eq!(svc.count("//S//NEWTAG").unwrap(), 1);
+        assert_eq!(svc.stats().plan_misses, misses);
+        let mut grown = parse_str(SRC).unwrap();
+        parse_into("( (S (NEWTAG (NN bird)) (VP (VBD flew))) )", &mut grown).unwrap();
+        assert_eq!(
+            *svc.eval("//S//NEWTAG").unwrap(),
+            walk(&grown, "//S//NEWTAG")
+        );
+    }
+
+    #[test]
     fn check_reports_spanned_diagnostics() {
         let svc = service(2);
         let src = "//NP[@lex=zzzz]";
@@ -1873,8 +1827,8 @@ mod tests {
         assert!(svc.check("//NP").unwrap().is_clean());
         assert!(!svc.eval("//NP").unwrap().is_empty());
         // The verdict stays sound across appends: "ZZZ" enters the
-        // vocabulary, the stale plan-cache entry is invalidated, and
-        // the query executes for real.
+        // vocabulary, and the cached plan executes for real on the
+        // rebuilt tail shard.
         assert!(svc.eval("//ZZZ").unwrap().is_empty());
         svc.append_ptb("( (S (ZZZ (NN pop))) )").unwrap();
         assert!(!svc.check("//ZZZ").unwrap().statically_empty);

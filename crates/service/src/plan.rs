@@ -1,31 +1,21 @@
-//! Query compilation: parse once, decide the execution strategy once,
-//! extract the shard-pruning requirements once.
+//! Query compilation: parse once, extract the shard-pruning
+//! requirements and the aggregate-table class once.
 //!
-//! A [`CompiledQuery`] is corpus-generation-scoped: the service's plan
-//! cache maps normalized query text to one of these, so each distinct
-//! query pays for parsing, translation and requirement analysis a
-//! single time per corpus generation, however many times (and over
-//! however many shards) it is evaluated. No SQL text is rendered here:
-//! whether the relational translation exists decides the strategy, and
-//! [`crate::Service::sql`] renders the statement on demand.
+//! A [`CompiledQuery`] is a pure function of the query text: the
+//! service's plan cache maps normalized query text to one of these, so
+//! each distinct query pays for parsing and analysis a single time,
+//! however many times (and over however many shards, corpus
+//! generations and appends) it is evaluated. Nothing here reads the
+//! corpus. What the data decides stays with the data: each shard
+//! prunes a query whose required symbols or tag pairs it lacks
+//! ([`crate::Shard::may_match`]), its engine plans a query its
+//! vocabulary proves empty as constant-empty, and a query the
+//! relational translation does not cover runs on the walker
+//! ([`crate::Service::sql`] renders the statement on demand).
 
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, Pred};
 
 use crate::agg::FastClass;
-
-/// How a compiled query executes on each shard — mirroring
-/// [`lpath_core::Engine`]'s fallback contract: everything the
-/// relational translation accepts runs as indexed joins; the rest
-/// (e.g. `position()`, `-or-self` closures, count thresholds) falls
-/// back to the tree walker, which covers the full language.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum ExecStrategy {
-    /// Translate to conjunctive SQL and run on the shard's relational
-    /// engine.
-    Relational,
-    /// Evaluate with the tree walker over the shard's labels.
-    Walker,
-}
 
 /// A query compiled once and shared across shards and requests.
 #[derive(Clone, Debug)]
@@ -34,8 +24,6 @@ pub struct CompiledQuery {
     pub normalized: String,
     /// The parsed query.
     pub ast: Path,
-    /// Chosen execution strategy.
-    pub strategy: ExecStrategy,
     /// Symbols and tag pairs that must occur in a shard for it to
     /// contribute any match — the shard-pruning requirements
     /// (conservative, positive conjunctive context only).
@@ -45,14 +33,12 @@ pub struct CompiledQuery {
     /// counts and histograms are then O(index) per shard, skipping
     /// caches, cursors and walkers alike.
     pub fast: Option<FastClass>,
-    /// The static analyzer proved the query empty against the corpus
-    /// vocabulary (the tail shard's) at compile time: every request
+    /// The static analyzer's *structural* verdict
+    /// ([`lpath_check::check`]: contradictions, impossible positions,
+    /// unsatisfiable axes), which holds on every corpus: every request
     /// path returns the empty answer without visiting a shard or
-    /// writing a cache entry. Sound because every corpus mutation
-    /// clears the plan cache under the state write lock, and a plan is
-    /// analysed and cached under one state read lock (see
-    /// [`crate::Service::compile`]), so a cached verdict never outlives
-    /// the vocabulary it was proven against.
+    /// writing a cache entry. Vocabulary emptiness is not part of it,
+    /// so no append or swap can invalidate the plan.
     pub statically_empty: bool,
 }
 

@@ -10,7 +10,7 @@ use lpath_relstore::{wire, CursorCheckpoint};
 use lpath_syntax::Path;
 
 use crate::agg::{AggTables, FastClass};
-use crate::plan::{CompiledQuery, ExecStrategy, Requirements};
+use crate::plan::{CompiledQuery, Requirements};
 use crate::stats::ShardStats;
 
 /// A self-contained partition of the corpus.
@@ -393,23 +393,17 @@ impl Shard {
         rows
     }
 
-    /// The dispatch of every evaluation that starts fresh: the compiled
-    /// strategy decides, the walker — which answers the full language —
-    /// is the fallback. (The strategy was decided against an engine of
-    /// the same dialect, so a relational error should be unreachable;
-    /// fall back rather than fail the query.)
+    /// The dispatch of every evaluation that starts fresh, mirroring
+    /// [`lpath_core::Engine`]'s fallback contract: the shard's engine
+    /// where the relational translation covers the query, the walker —
+    /// which answers the full language — where it does not.
     fn fresh<T>(
         &self,
         compiled: &CompiledQuery,
         engine: impl FnOnce(&Engine, &Path) -> Result<T, EngineError>,
         walker: impl FnOnce(Walker<'_>, &Path) -> T,
     ) -> T {
-        if compiled.strategy == ExecStrategy::Relational {
-            if let Ok(out) = engine(&self.engine, &compiled.ast) {
-                return out;
-            }
-        }
-        walker(self.walker(), &compiled.ast)
+        engine(&self.engine, &compiled.ast).unwrap_or_else(|_| walker(self.walker(), &compiled.ast))
     }
 
     /// The first `limit` matches of the shard's document-ordered
@@ -489,9 +483,9 @@ impl Shard {
             let (chunk, next) = P::resume(e, ast, ck, budget)?;
             Ok((chunk, next.map(|c| Resume::Engine(Box::new(c)))))
         };
-        // Dispatch on the checkpoint's own strategy when resuming (a
+        // Dispatch on the checkpoint's own executor when resuming (a
         // first call that fell back to the walker must *stay* on the
-        // walker), on the compiled strategy when starting fresh. The
+        // walker), through `fresh` when starting fresh. The
         // checkpoint is consumed, not cloned: its pending rows and
         // dedup watermark move straight back into the executor.
         let (chunk, inner) = match checkpoint.map(|c| c.inner) {
@@ -606,7 +600,6 @@ mod tests {
             required: requirements(&ast),
             fast: crate::agg::classify(&ast),
             ast,
-            strategy: ExecStrategy::Relational,
             statically_empty: false,
         }
     }
@@ -664,9 +657,8 @@ mod tests {
                 }
             }
         }
-        // The walker strategy pushes the bound too.
-        let mut c = compiled("//VP/_[last()]");
-        c.strategy = ExecStrategy::Walker;
+        // The walker fallback pushes the bound too.
+        let c = compiled("//VP/_[last()]");
         let full = shard.eval(&c);
         assert_eq!(shard.eval_limit(&c, 1).0, full[..1.min(full.len())]);
     }
@@ -675,8 +667,7 @@ mod tests {
     fn eval_resume_extends_without_replay_on_both_strategies() {
         let master = parse_str(SRC).unwrap();
         let shard = Shard::build(&master, 1, 2, 0);
-        let mut walker_q = compiled("//VP/_[last()]");
-        walker_q.strategy = ExecStrategy::Walker;
+        let walker_q = compiled("//VP/_[last()]");
         for c in [compiled("//NP"), compiled("//VBD->NP"), walker_q] {
             let full = shard.eval(&c);
             for split in 1..=full.len().max(1) {
@@ -749,8 +740,7 @@ mod tests {
     fn checkpoints_round_trip_through_the_wire() {
         let master = parse_str(SRC).unwrap();
         let shard = Shard::build(&master, 0, 3, 0);
-        let mut walker_q = compiled("//VP/_[last()]");
-        walker_q.strategy = ExecStrategy::Walker;
+        let walker_q = compiled("//VP/_[last()]");
         for c in [compiled("//NP"), walker_q] {
             let full = shard.eval(&c);
             let (head, ckpt) = shard.eval_resume(&c, None, 1).unwrap();
@@ -837,9 +827,8 @@ mod tests {
             assert_eq!(shard.count(&c), full.len(), "{q}");
             assert_eq!(shard.exists(&c), !full.is_empty(), "{q}");
         }
-        // Walker strategy too.
-        let mut c = compiled("//VP/_[last()]");
-        c.strategy = ExecStrategy::Walker;
+        // The walker fallback too.
+        let c = compiled("//VP/_[last()]");
         assert_eq!(shard.count(&c), shard.eval(&c).len());
         assert_eq!(shard.exists(&c), !shard.eval(&c).is_empty());
     }

@@ -25,7 +25,6 @@ pub(crate) struct Counters {
     pub count_resumes: Counter,
     pub hists: Counter,
     pub batch_dedup: Counter,
-    pub admission_rejects: Counter,
     pub queries: Counter,
     pub batches: Counter,
     pub pages: Counter,
@@ -361,10 +360,9 @@ pub struct ServiceStats {
     /// Duplicate queries within one batch served from a sibling
     /// occurrence's evaluation (neither a cache hit nor a miss).
     pub batch_dedup: u64,
-    /// Cache inserts rejected by the admission policy: the candidate
-    /// lost to a fully hot-pinned resident set (see
-    /// `crate::cache::GenCache::insert`). A sweep of distinct
-    /// one-shot queries shows up here instead of as evictions.
+    /// Always 0: the stores are plain LRUs that admit every insert.
+    /// Kept because existing readers of the field, the benchmark's
+    /// per-layer report among them, still read it.
     pub admission_rejects: u64,
     /// Queries answered (batch members count individually).
     pub queries: u64,

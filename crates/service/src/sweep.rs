@@ -303,7 +303,7 @@ impl Service {
                 .get(&key, build)
                 .is_some_and(|e| e.ckpt.is_none() || e.rows.len() >= entry.rows.len());
         if !deeper_cached {
-            self.admit(&mut store, key, build, &entry);
+            store.insert(key, build, entry.clone());
         }
         (entry, did)
     }

@@ -56,7 +56,6 @@
 
 use std::sync::Arc;
 
-use lpath_core::QueryCheckpoint;
 use lpath_relstore::wire;
 use lpath_relstore::wire::WireError::Malformed;
 
@@ -148,11 +147,10 @@ impl Service {
     /// carries the suspended execution state of the shard it is parked
     /// in, so its next page re-enumerates no prefix, even with every
     /// cache cold: it is O(new rows) on *any* server process holding
-    /// the same corpus. An offset-only token — minted by
-    /// [`Service::eval_multi_tokens`], by stale recovery, and by every
-    /// page that continues one — pages by global offset through the row
-    /// store, as [`Service::eval_page`] does: without re-enumeration
-    /// only where the store holds the prefix.
+    /// the same corpus. An offset-only token — minted by stale
+    /// recovery, and by every page that continues one — pages by global
+    /// offset through the row store, as [`Service::eval_page`] does:
+    /// without re-enumeration only where the store holds the prefix.
     ///
     /// A stale token (minted before an [`Service::append_ptb`] or
     /// against a different build of the corpus) is not an error: the
@@ -243,28 +241,6 @@ impl Service {
         let sum = wire::fnv1a(w.bytes());
         w.u64(sum);
         wire::b64_encode(w.bytes())
-    }
-
-    /// Paged form of [`Service::eval_multi`]: evaluate the whole batch,
-    /// then serve each member's first `limit`
-    /// rows plus — when more remain — an offset-only paging token.
-    /// The tokens are byte-compatible with the solo paging protocol:
-    /// echoing one into [`Service::eval_page_token`] (with the same
-    /// member query) resumes that member's sweep exactly as if its
-    /// first page had been minted by a solo call.
-    pub fn eval_multi_tokens(
-        &self,
-        queries: &[&str],
-        limit: usize,
-    ) -> Vec<Result<Page, ServiceError>> {
-        self.eval_members(queries, |req, compiled, full| {
-            let rows: ResultSet = full.iter().take(limit).copied().collect();
-            let token = (full.len() > rows.len()).then(|| {
-                let emitted = rows.len() as u64;
-                self.mint::<QueryCheckpoint>(TOKEN_VERSION, compiled, &req.shards, emitted, None)
-            });
-            Page { rows, token }
-        })
     }
 
     /// One budgeted step of a token-driven count: the stateless form

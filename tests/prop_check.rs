@@ -231,7 +231,7 @@ proptest! {
         // When the analyzer proved the query empty, the service must
         // actually have served it from the constant-empty fast path —
         // and that had better not have dropped any answers.
-        if svc.check(&printed).unwrap().statically_empty {
+        if svc.compile(&printed).unwrap().statically_empty {
             prop_assert!(expected.is_empty(), "fast path dropped answers on {}", printed);
             prop_assert!(
                 svc.stats().statically_empty >= 1,

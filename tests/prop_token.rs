@@ -496,7 +496,7 @@ fn version_bumped_tokens_are_rejected_with_the_version() {
 }
 
 // ---------------------------------------------------------------
-// Batch-minted tokens
+// Offset-only tokens, across an append
 // ---------------------------------------------------------------
 
 proptest! {
@@ -505,48 +505,48 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// A token minted mid-batch by [`Service::eval_multi_tokens`] is
-    /// interchangeable with a solo-minted one: the member's first page
-    /// equals the solo first page, the batch token resumes through
-    /// [`Service::eval_page_token`] exactly as the solo token does,
-    /// and a full sweep from either mint reproduces the member's
-    /// complete [`Service::eval`] result.
+    /// A page token held across an `append_ptb` is stale: the sweep
+    /// re-enters at the token's global offset against current content
+    /// and continues on offset-only tokens to exhaustion. The rows
+    /// served before the append, followed by those served after it,
+    /// are the served rows followed by the current
+    /// [`Service::eval`] from that offset on — and the
+    /// `stale_checkpoints` counter advances.
     #[test]
-    fn batch_minted_tokens_resume_like_solo_minted_ones(
+    fn page_tokens_held_across_an_append_continue_by_offset(
         trees in arb_treebank(),
-        members in prop::collection::vec(0usize..POOL.len(), 1..4),
+        extra in arb_treebank(),
+        qi in 0usize..POOL.len(),
+        shards in 1usize..4,
         limit in 1usize..6,
+        pages_before in 1usize..4,
     ) {
         let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
-        let svc = service_over(&corpus, 2);
-        let texts: Vec<&str> = members.iter().map(|&i| POOL[i]).collect();
-
-        let pages = svc.eval_multi_tokens(&texts, limit);
-        prop_assert_eq!(pages.len(), texts.len());
-        for (q, page) in texts.iter().zip(pages) {
-            let page = page.expect("pool members evaluate");
-            let solo = svc.eval_page_token(q, None, limit).unwrap();
-            prop_assert_eq!(&page.rows, &solo.rows, "first page on {}", q);
-
-            // Sweep both mints to exhaustion; the concatenations must
-            // agree with each other and with the unpaged eval.
-            let mut via_batch = page.rows.clone();
-            let mut token = page.token.clone();
-            while let Some(t) = token {
-                let next = svc.eval_page_token(q, Some(&t), limit).unwrap();
-                via_batch.extend_from_slice(&next.rows);
-                token = next.token;
+        let q = POOL[qi];
+        let svc = service_over(&corpus, shards);
+        let (mut served, mut token) = (Vec::new(), None);
+        for _ in 0..pages_before {
+            let page = svc.eval_page_token(q, token.as_deref(), limit).unwrap();
+            served.extend_from_slice(&page.rows);
+            token = page.token;
+            if token.is_none() {
+                return Ok(()); // swept out before the append
             }
-            let mut via_solo = solo.rows.clone();
-            let mut token = solo.token.clone();
-            while let Some(t) = token {
-                let next = svc.eval_page_token(q, Some(&t), limit).unwrap();
-                via_solo.extend_from_slice(&next.rows);
-                token = next.token;
-            }
-            prop_assert_eq!(&via_batch, &via_solo, "sweeps diverged on {}", q);
-            prop_assert_eq!(&via_batch, &*svc.eval(q).unwrap(), "sweep vs eval on {}", q);
         }
+        let before = svc.stats().stale_checkpoints;
+        svc.append_ptb(&extra.join("\n")).unwrap();
+        let mut after = Vec::new();
+        while let Some(t) = token {
+            let page = svc.eval_page_token(q, Some(&t), limit).unwrap();
+            after.extend_from_slice(&page.rows);
+            token = page.token;
+        }
+        let now = svc.eval(q).unwrap();
+        prop_assert_eq!(
+            &after[..], now.get(served.len()..).unwrap_or(&[]),
+            "the sweep continues at its offset on {}", q
+        );
+        prop_assert!(svc.stats().stale_checkpoints > before, "recovery counted on {}", q);
     }
 }
 

@@ -7,7 +7,6 @@
 use std::sync::Arc;
 
 use lpath::prelude::*;
-use lpath::service::ExecStrategy;
 use lpath_core::EXTENDED_QUERIES;
 
 fn check_parity(corpus: &Corpus, shards: usize, label: &str) {
@@ -63,7 +62,7 @@ fn check_parity(corpus: &Corpus, shards: usize, label: &str) {
         let pruned = service.stats().shards_pruned;
         let again = service.eval(q).unwrap();
         assert_eq!(again, *first_run, "{label}: rerun differs on {q}");
-        if service.check(q).unwrap().statically_empty {
+        if service.compile(q).unwrap().statically_empty {
             assert!(again.is_empty(), "{label}: fast path not empty on {q}");
             fast += 1;
         } else {
@@ -169,9 +168,8 @@ fn walker_fallback_queries_agree_with_the_walker() {
     );
     let mut fallback_seen = 0;
     for q in EXTENDED_QUERIES {
-        let compiled = service.compile(q.lpath).unwrap();
         if !q.sql_supported {
-            assert_eq!(compiled.strategy, ExecStrategy::Walker, "E{}", q.id);
+            assert_eq!(service.sql(q.lpath).unwrap(), None, "E{}", q.id);
             fallback_seen += 1;
         }
         let got = service.eval(q.lpath).unwrap();
