@@ -18,6 +18,7 @@ use lpath_relstore::{
 use lpath_syntax::{parse, Path, SyntaxError};
 
 use crate::compile::NCol;
+use crate::semijoin::{Access, Program};
 use crate::translate::{NodeCols, Translator, Unsupported};
 
 /// Everything that can go wrong answering a query.
@@ -59,10 +60,15 @@ pub struct Engine {
     cols: NodeCols,
     interner: Interner,
     planner: PlannerConfig,
-    /// Node count of each tree, by tree id: a checkpoint row
-    /// `(tree, node)` names an element of this relation exactly when
-    /// `node < tree_lens[tree]`, which decoding checks.
-    tree_lens: Vec<u32>,
+    /// The indexes semijoin programs read.
+    access: Access,
+    /// Running node counts: tree `t`'s elements are positions
+    /// `tree_starts[t]..tree_starts[t + 1]` of the relation's elements
+    /// in `(tid, id)` order (semijoin programs find element rows by
+    /// position), and a checkpoint row `(t, node)` names an element
+    /// exactly when `node` is below that span's length, which decoding
+    /// checks.
+    tree_starts: Vec<u32>,
 }
 
 impl Engine {
@@ -119,7 +125,7 @@ impl Engine {
         let cols = NodeCols::resolve(&db, node);
 
         // The clustered key doubles as the primary access path.
-        db.add_index(node, "clustered", cluster);
+        let by_name = db.add_index(node, "clustered", cluster);
         // Secondary indexes of §5.
         let c = |n: NCol| cols.col(n);
         db.add_index(
@@ -127,13 +133,19 @@ impl Engine {
             "tid_value_id",
             vec![c(NCol::Tid), c(NCol::Value), c(NCol::Id)],
         );
-        db.add_index(
+        let by_value = db.add_index(
             node,
             "value_tid_id",
             vec![c(NCol::Value), c(NCol::Tid), c(NCol::Id)],
         );
         db.add_index(node, "tid_id", vec![c(NCol::Tid), c(NCol::Id)]);
         db.analyze(node, &[c(NCol::Name), c(NCol::Value)]);
+        let tree_starts: Vec<u32> = std::iter::once(0)
+            .chain(corpus.trees().iter().scan(0, |n, t| {
+                *n += t.len() as u32;
+                Some(*n)
+            }))
+            .collect();
 
         Engine {
             db,
@@ -141,7 +153,8 @@ impl Engine {
             cols,
             interner: corpus.interner().clone(),
             planner,
-            tree_lens: corpus.trees().iter().map(|t| t.len() as u32).collect(),
+            access: Access { by_name, by_value },
+            tree_starts,
         }
     }
 
@@ -187,19 +200,27 @@ impl Engine {
         }))
     }
 
-    /// An EXPLAIN-style rendering of the physical plan, followed by a
+    /// An EXPLAIN-style rendering: the `semijoin program:` that
+    /// answers [`Engine::query_ast`], [`Engine::count_ast`] and
+    /// [`Engine::exists_ast`] when the query has one (see
+    /// [`crate::semijoin`]), then the cursor's physical plan — which
+    /// pages, resumes and every other query run — followed by a
     /// `LINT:` section when the static analyzer has findings (a
     /// proven-empty query shows the constant-empty plan it will run).
     pub fn explain(&self, query: &str) -> Result<String, EngineError> {
         let ast = parse(query)?;
         let cq = self.translate(&ast)?;
         let report = self.check_ast(&ast);
+        let mut out = String::new();
         let plan = if report.statically_empty {
             rel::Plan::constant_empty()
         } else {
+            if let Some(program) = self.program(&cq) {
+                out = format!("{program}cursor plan (pages and resumes):\n");
+            }
             rel::plan(&self.db, &cq, &self.planner)
         };
-        let mut out = plan.to_string();
+        out.push_str(&plan.to_string());
         if !report.is_clean() {
             out.push_str("LINT:\n");
             out.push_str(&report.render(query));
@@ -207,17 +228,20 @@ impl Engine {
         Ok(out)
     }
 
-    /// EXPLAIN ANALYZE: execute `query` under full instrumentation and
-    /// report the plan annotated with *observed* behavior — per-step
-    /// actual rows, index probes, residual evaluations and attributed
-    /// wall-clock time — alongside the planner's estimates, plus stage
-    /// spans for parse / plan / execute and the plan-level
-    /// [`ExplainAnalyze::estimate_error`] ratio.
+    /// EXPLAIN ANALYZE: execute `query` on the cursor under full
+    /// instrumentation and report the plan annotated with *observed*
+    /// behavior — per-step actual rows, index probes, residual
+    /// evaluations and attributed wall-clock time — alongside the
+    /// planner's estimates, plus stage spans for parse / plan / execute
+    /// and the plan-level [`ExplainAnalyze::estimate_error`] ratio. The
+    /// actuals are the cursor's even when a semijoin program answers
+    /// [`Engine::query_ast`] ([`ExplainAnalyze::semijoin`] says so).
     pub fn explain_analyze(&self, query: &str) -> Result<ExplainAnalyze, EngineError> {
         let stages = StageLog::default();
         let span = Span::enter("parse", &stages);
         let ast = parse(query)?;
         span.finish();
+        let semijoin = matches!(self.executor(&ast)?, Executor::Semijoin(_));
         let span = Span::enter("plan", &stages);
         let plan = self.plan_ast(&ast)?;
         span.finish();
@@ -263,6 +287,7 @@ impl Engine {
             estimated_rows,
             actual_rows,
             estimate_error,
+            semijoin,
         })
     }
 
@@ -273,35 +298,75 @@ impl Engine {
         self.query_ast(&ast)
     }
 
-    /// Evaluate a parsed query.
+    /// Evaluate a parsed query: by its semijoin program when it has
+    /// one, else on the cursor.
     pub fn query_ast(&self, ast: &Path) -> Result<Vec<(u32, NodeId)>, EngineError> {
-        let plan = self.plan_ast(ast)?;
-        let mut out = rows_to_matches(rel::execute(&plan, &self.db));
-        out.sort_unstable();
-        Ok(out)
+        Ok(match self.executor(ast)? {
+            Executor::Semijoin(program) => program.query(),
+            Executor::Cursor(plan) => {
+                let mut out = rows_to_matches(rel::execute(&plan, &self.db));
+                out.sort_unstable();
+                out
+            }
+        })
     }
 
-    /// Translate and plan a parsed query. Runs the static analyzer
-    /// *after* translation (so unsupported queries keep their error)
-    /// and replaces proven-empty queries with the constant-empty plan:
-    /// no index probes, no scans, a cursor born exhausted.
+    /// The semijoin program of `ast`'s translation, or `None` when the
+    /// translation is not covered (see [`crate::semijoin`]) — a pure
+    /// function of the translated query. [`Engine::query_ast`],
+    /// [`Engine::count_ast`] and [`Engine::exists_ast`] run it unless
+    /// the static analyzer proves the query empty (the constant-empty
+    /// plan answers those).
+    pub fn semijoin_ast(&self, ast: &Path) -> Result<Option<Program<'_>>, EngineError> {
+        Ok(self.program(&self.translate(ast)?))
+    }
+
+    /// What answers `ast` whole: its semijoin program when the
+    /// translation has one, else the cursor over the planner's plan.
+    fn executor(&self, ast: &Path) -> Result<Executor<'_>, Unsupported> {
+        let Some(cq) = self.translated(ast)? else {
+            return Ok(Executor::Cursor(rel::Plan::constant_empty()));
+        };
+        Ok(match self.program(&cq) {
+            Some(program) => Executor::Semijoin(program),
+            None => Executor::Cursor(rel::plan(&self.db, &cq, &self.planner)),
+        })
+    }
+
+    fn program(&self, cq: &rel::ConjQuery) -> Option<Program<'_>> {
+        let (db, node, cols) = (&self.db, self.node, self.cols);
+        Program::compile(cq, db, node, cols, self.access, &self.tree_starts)
+    }
+
+    /// Translate a parsed query, then run the static analyzer (*after*
+    /// translation, so unsupported queries keep their error): `None`
+    /// when it proves the query empty.
+    fn translated(&self, ast: &Path) -> Result<Option<rel::ConjQuery>, Unsupported> {
+        let cq = self.translate(ast)?;
+        Ok((!self.check_ast(ast).statically_empty).then_some(cq))
+    }
+
+    /// The cursor's plan for a parsed query. Proven-empty queries get
+    /// the constant-empty plan: no index probes, no scans, a cursor
+    /// born exhausted.
     fn plan_ast(&self, ast: &Path) -> Result<rel::Plan, EngineError> {
         Ok(self.plan_for(ast, self.planner.goal)?)
     }
 
     /// [`Engine::plan_ast`] under an explicit optimization `goal`.
     fn plan_for(&self, ast: &Path, goal: OptGoal) -> Result<rel::Plan, Unsupported> {
-        let cq = self.translate(ast)?;
-        if self.check_ast(ast).statically_empty {
-            return Ok(rel::Plan::constant_empty());
-        }
-        let order = self.planner.order;
-        Ok(rel::plan(&self.db, &cq, &PlannerConfig { order, goal }))
+        Ok(match self.translated(ast)? {
+            Some(cq) => {
+                let order = self.planner.order;
+                rel::plan(&self.db, &cq, &PlannerConfig { order, goal })
+            }
+            None => rel::Plan::constant_empty(),
+        })
     }
 
     /// Result size — the measure reported in Figure 6(c). Counts
-    /// through the streaming cursor: no match-set materialization, no
-    /// sort.
+    /// without materializing the match set: by the semijoin program
+    /// when the query has one, else through the streaming cursor.
     pub fn count(&self, query: &str) -> Result<usize, EngineError> {
         let ast = parse(query)?;
         self.count_ast(&ast)
@@ -309,8 +374,10 @@ impl Engine {
 
     /// Result size of an already-parsed query.
     pub fn count_ast(&self, ast: &Path) -> Result<usize, EngineError> {
-        let plan = self.plan_ast(ast)?;
-        Ok(rel::count(&plan, &self.db))
+        Ok(match self.executor(ast)? {
+            Executor::Semijoin(program) => program.count(),
+            Executor::Cursor(plan) => rel::count(&plan, &self.db),
+        })
     }
 
     /// Resume (or begin) a **count** of the query's matches: tally up
@@ -352,16 +419,20 @@ impl Engine {
 
     /// Does the query match anywhere? Stops at the first witness —
     /// Boolean evaluation is far cheaper than enumeration
-    /// (Gottlob–Koch–Schulz), and the cursor exploits exactly that gap.
+    /// (Gottlob–Koch–Schulz): the semijoin program stops after the
+    /// first tree with a match, the cursor after the first row.
     pub fn exists_ast(&self, ast: &Path) -> Result<bool, EngineError> {
-        let plan = self.plan_ast(ast)?;
-        Ok(rel::exists(&plan, &self.db))
+        Ok(match self.executor(ast)? {
+            Executor::Semijoin(program) => program.exists(),
+            Executor::Cursor(plan) => rel::exists(&plan, &self.db),
+        })
     }
 
     /// A streaming iterator over the query's matches, yielded in
     /// **pipeline order** (the order the index-nested-loop join
-    /// produces them) — *not* document order. Dropping the iterator
-    /// abandons the remaining enumeration; use [`Engine::query`] when
+    /// produces them) — *not* document order. Always the cursor, even
+    /// for queries [`Engine::query_ast`] answers by a semijoin program.
+    /// Dropping the iterator abandons the remaining enumeration; use [`Engine::query`] when
     /// the sorted full set is wanted, [`Engine::query_limit`] for
     /// document-ordered pages.
     pub fn matches_ast(&self, ast: &Path) -> Result<Matches<'_>, EngineError> {
@@ -575,8 +646,8 @@ impl Engine {
             return Err(Malformed("plan goal out of range"));
         }
         let element = |tid: u32, node: NodeId| {
-            let len = self.tree_lens.get(tid as usize);
-            len.is_some_and(|&n| node.0 < n)
+            let span = self.tree_starts.get(tid as usize..=tid as usize + 1);
+            span.is_some_and(|s| node.0 < s[1] - s[0])
         };
         let pending = decode_rows(r, element)?;
         let state = match r.u8()? {
@@ -670,6 +741,9 @@ pub struct ExplainAnalyze {
     /// `max((est+1)/(act+1), (act+1)/(est+1))`. Always finite, ≥ 1,
     /// and 1.0 exactly when the estimate was spot-on.
     pub estimate_error: f64,
+    /// Does a semijoin program answer [`Engine::query_ast`] for this
+    /// query? The actuals above are the cursor's either way.
+    pub semijoin: bool,
 }
 
 /// Render nanoseconds at a human scale (`ns`/`µs`/`ms`/`s`).
@@ -713,8 +787,22 @@ impl std::fmt::Display for ExplainAnalyze {
             f,
             "rows: estimated {}, actual {}, estimate error {:.2}x",
             self.estimated_rows, self.actual_rows, self.estimate_error
-        )
+        )?;
+        if self.semijoin {
+            writeln!(
+                f,
+                "executor: cursor (query, count and exists run the semijoin program)"
+            )
+        } else {
+            writeln!(f, "executor: cursor")
+        }
     }
+}
+
+/// What answers a whole query (see [`Engine::executor`]).
+enum Executor<'e> {
+    Semijoin(Program<'e>),
+    Cursor(rel::Plan),
 }
 
 /// Convert relational `(tid, id)` rows to `(tree index, node)` matches.
@@ -970,6 +1058,30 @@ mod tests {
         let sql = e.sql_ast(&lpath_syntax::parse("//V->NP").unwrap()).unwrap();
         assert!(sql.contains("= 'V'"), "{sql}");
         assert!(sql.contains("= 'NP'"), "{sql}");
+    }
+
+    #[test]
+    fn explain_names_the_executor() {
+        let e = engine();
+        // Acyclic: the semijoin program, then the cursor's plan.
+        let text = e.explain("//VP{//NP$}").unwrap();
+        assert!(text.starts_with("semijoin program:"), "{text}");
+        assert!(text.contains("semi n0 (search n0.right)"), "{text}");
+        assert!(text.contains("driver: n"), "{text}");
+        assert!(
+            text.contains("cursor plan (pages and resumes):\nstep 0"),
+            "{text}"
+        );
+        let text = e.explain("//NP[not(//Det)]").unwrap();
+        assert!(text.contains("anti n1 (search n1.left)"), "{text}");
+        // A multi-step scope is cyclic: the plan alone.
+        let text = e.explain("//VP{/V-->N}").unwrap();
+        assert!(text.starts_with("step 0"), "{text}");
+        // EXPLAIN ANALYZE's actuals are the cursor's either way.
+        let analyzed = |q| e.explain_analyze(q).unwrap().to_string();
+        assert!(analyzed("//NP[not(//Det)]")
+            .ends_with("executor: cursor (query, count and exists run the semijoin program)\n"));
+        assert!(analyzed("//VP{/V-->N}").ends_with("executor: cursor\n"));
     }
 
     #[test]

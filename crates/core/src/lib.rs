@@ -41,6 +41,7 @@ pub mod compile;
 pub mod engine;
 pub mod naive;
 pub mod queryset;
+pub mod semijoin;
 pub mod translate;
 pub mod walker;
 

@@ -1,0 +1,920 @@
+//! Semijoin programs: acyclic LPath queries answered tree by tree.
+//!
+//! Every answer of an LPath query is one node set, and every join the
+//! §4 translation emits carries `tid` equality. When the translated
+//! query is *acyclic* it evaluates by semijoins alone (Gottlob, Koch
+//! and Schulz, *Conjunctive Queries over Trees*): no join tuple is
+//! enumerated, so no `DISTINCT` is needed either. A [`Program`] is that
+//! evaluation compiled against the engine's existing indexes. It covers
+//! a [`ConjQuery`] when
+//!
+//! * after dropping the `tid = tid` equalities, each query level's join
+//!   graph is a tree — rooted at the output alias for the top level,
+//!   at the alias that carries the correlation for a subquery;
+//! * each `EXISTS` / `NOT EXISTS` subquery correlates with exactly one
+//!   outer alias, through exactly one of its own aliases;
+//! * the `tid` equalities tie every alias to one tree;
+//! * every alias has a candidate source: an equality on `name` or on a
+//!   `value` literal (its posting list — the clustered `(name, tid, …)`
+//!   or the `(value, tid, id)` range), a condition no row satisfies, or
+//!   — for an element alias without either, such as `_` — an `id = id`
+//!   link to an alias with a posting list (the same tree node, as in
+//!   `_[@lex=w]`), else `depth = 1` (the tree's root), else every
+//!   element of the tree.
+//!
+//! Multi-step scopes (`//VP{/VB-->NN}`) tie a later step to both its
+//! context and the scope: a cycle, so they stay on the cursor.
+//!
+//! Execution visits the trees of the *driver* — the required alias
+//! with the smallest posting list — in `tid` order. Per tree, each
+//! posting list gallops a finger forward to the tree's window; element
+//! rows are found by position, since the `value = NULL` range lists
+//! every element in `(tid, id)` order and ids number each tree's
+//! elements from 2. The alias tree is then reduced bottom-up, one
+//! filter per edge. A child whose posting list is no longer than its
+//! parent's is reduced first: when it keeps no rows, the parent's
+//! candidates are never read. A dearer child is reduced after them,
+//! its own candidates first cut to those with a partner among the
+//! parent's. Either way a parent row is kept when it has a witness
+//! among the child's survivors — found by sorting the child rows on the
+//! edge's `=` column (else on a bounded column), binary-searching, and
+//! scanning the remaining conditions up to the first hit. A
+//! `NOT EXISTS` edge keeps the rows *without* a witness. The root's
+//! survivors are the tree's answers.
+
+use std::fmt;
+use std::ops::ControlFlow;
+
+use lpath_model::NodeId;
+use lpath_relstore::{
+    index::gallop, Cmp, ColId, ConjQuery, Database, IndexId, Operand, RowId, Table, TableId, Value,
+    NULL,
+};
+
+use crate::compile::NCol;
+use crate::translate::NodeCols;
+
+/// The engine indexes a program reads its candidates from.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Access {
+    /// Keyed `(name, tid, …)`: name postings.
+    pub(crate) by_name: IndexId,
+    /// Keyed `(value, tid, id)`: value postings, and every element in
+    /// `(tid, id)` order.
+    pub(crate) by_value: IndexId,
+}
+
+/// A compiled semijoin program (see the [module docs](self)).
+pub struct Program<'e> {
+    table: &'e Table,
+    cols: NodeCols,
+    nodes: Vec<Node>,
+    /// The output alias.
+    root: usize,
+    driver: Driver,
+    /// The posting lists aliases read, each galloped once per tree
+    /// however many aliases read it.
+    lists: Vec<&'e [RowId]>,
+    /// Every element row, in `(tid, id)` order.
+    elements: &'e [RowId],
+    /// Where each tree's elements start in `elements`, then the total.
+    tree_starts: &'e [u32],
+}
+
+/// Which trees a run visits.
+#[derive(Copy, Clone)]
+enum Driver {
+    /// The trees of this required alias's posting list.
+    Alias(usize),
+    /// Every tree: no required alias reads a posting list.
+    Every,
+    /// None: a required alias can match no row.
+    Nothing,
+}
+
+/// One alias of the query (any level), numbered as the SQL rendering
+/// numbers it.
+struct Node {
+    source: Source,
+    /// Conditions on the alias's own row.
+    filters: Vec<Filter>,
+    /// Edges to the aliases below it: early ones first, then the other
+    /// semijoins, then the anti-semijoins; cheapest first within each.
+    children: Vec<Edge>,
+}
+
+/// Where an alias's candidates in one tree come from.
+#[derive(Copy, Clone)]
+enum Source {
+    /// A posting list (in [`Program::lists`]) sorted by `tid` first:
+    /// the rows equal to one constant on `name` or `value`.
+    Posting { list: usize, on: NCol },
+    /// The element rows of the nodes the candidates of `from` (a
+    /// [`Source::Posting`] alias) name — they share `id`.
+    SameNode { from: usize },
+    /// The tree's root element.
+    Root,
+    /// Every element of the tree.
+    Elements,
+    /// A condition no row satisfies (an unknown tag or literal).
+    Empty,
+}
+
+/// A condition on one row.
+enum Filter {
+    Const(ColId, Cmp, Value),
+    Cols(ColId, Cmp, ColId),
+    In(ColId, Vec<Value>),
+}
+
+/// `x.x cmp y.y` between the rows of two aliases.
+#[derive(Copy, Clone, Debug)]
+struct Link {
+    x: ColId,
+    cmp: Cmp,
+    y: ColId,
+}
+
+impl Link {
+    fn flipped(self) -> Link {
+        Link {
+            x: self.y,
+            cmp: self.cmp.flip(),
+            y: self.x,
+        }
+    }
+}
+
+/// A parent → child edge of the alias tree.
+struct Edge {
+    child: usize,
+    /// A `NOT EXISTS` edge: keep the parents without a witness.
+    anti: bool,
+    /// A semijoin edge to a child whose posting list is no longer than
+    /// its parent's: evaluated before the parent's candidates are read.
+    early: bool,
+    /// Witnesses among the child's rows, for a parent row.
+    up: Search,
+    /// Partners among the parent's rows, for a child row.
+    down: Search,
+}
+
+/// How to find, for one `x` row, a `y` row satisfying every link: sort
+/// the `y` rows on `key`, binary-search the bound the links put on it,
+/// and test the links on each row up to the first hit.
+struct Search {
+    links: Vec<Link>,
+    key: Option<ColId>,
+    /// `y.key >= x.col + d`.
+    lo: Vec<(ColId, u32)>,
+    /// `y.key <= x.col - d`.
+    hi: Vec<(ColId, u32)>,
+}
+
+impl Search {
+    /// Choose the key: a column under an `=` link, else one bounded on
+    /// both sides, else one bounded on either. Intervals are never
+    /// empty (`left < right` on every row), so a bound on `right`
+    /// bounds `left` too, and vice versa.
+    fn plan(links: Vec<Link>, cols: NodeCols) -> Search {
+        let (left, right) = (cols.col(NCol::Left), cols.col(NCol::Right));
+        let bounds = |key: ColId| {
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for l in &links {
+                // `y.(l.y) flip x.(l.x)`.
+                let c = l.cmp.flip();
+                if l.y == key {
+                    match c {
+                        Cmp::Eq => {
+                            lo.push((l.x, 0));
+                            hi.push((l.x, 0));
+                        }
+                        Cmp::Ge => lo.push((l.x, 0)),
+                        Cmp::Gt => lo.push((l.x, 1)),
+                        Cmp::Le => hi.push((l.x, 0)),
+                        Cmp::Lt => hi.push((l.x, 1)),
+                        Cmp::Ne => {}
+                    }
+                } else if key == left && l.y == right {
+                    match c {
+                        Cmp::Eq | Cmp::Le => hi.push((l.x, 1)),
+                        Cmp::Lt => hi.push((l.x, 2)),
+                        _ => {}
+                    }
+                } else if key == right && l.y == left {
+                    match c {
+                        Cmp::Eq | Cmp::Ge => lo.push((l.x, 1)),
+                        Cmp::Gt => lo.push((l.x, 2)),
+                        _ => {}
+                    }
+                }
+            }
+            (lo, hi)
+        };
+        let score = |key: ColId| {
+            if links.iter().any(|l| l.y == key && l.cmp == Cmp::Eq) {
+                return 3;
+            }
+            let (lo, hi) = bounds(key);
+            usize::from(!lo.is_empty()) + usize::from(!hi.is_empty())
+        };
+        let mut key = None;
+        let mut best = 0;
+        for l in &links {
+            let s = score(l.y);
+            if s > best {
+                (key, best) = (Some(l.y), s);
+            }
+        }
+        let (lo, hi) = key.map(bounds).unwrap_or_default();
+        Search { links, key, lo, hi }
+    }
+}
+
+/// Per-run state: each list's window in the current tree, and reusable
+/// buffers.
+struct State {
+    /// Per posting list, `(tid, start, end)`: the start is the finger
+    /// the next tree's search gallops forward from.
+    windows: Vec<(Option<u32>, usize, usize)>,
+    bufs: Vec<Vec<RowId>>,
+    /// The rows of early-evaluated children, until their parent's
+    /// candidates are read.
+    early: Vec<Vec<RowId>>,
+    sorted: Vec<(Value, RowId)>,
+}
+
+impl State {
+    fn take(&mut self) -> Vec<RowId> {
+        self.bufs.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut buf: Vec<RowId>) {
+        buf.clear();
+        self.bufs.push(buf);
+    }
+}
+
+impl<'e> Program<'e> {
+    /// Compile `cq` (translated over the node relation `table`), or
+    /// `None` when it is not covered (see the [module docs](self)).
+    pub(crate) fn compile(
+        cq: &ConjQuery,
+        db: &'e Database,
+        table: TableId,
+        cols: NodeCols,
+        access: Access,
+        tree_starts: &'e [u32],
+    ) -> Option<Self> {
+        let (tid, id) = (cols.col(NCol::Tid), cols.col(NCol::Id));
+        let [out_tid, out_id] = cq.projection[..] else {
+            return None;
+        };
+        if !cq.distinct || out_tid.alias != out_id.alias || out_tid.col != tid || out_id.col != id {
+            return None;
+        }
+        let mut levels = Vec::new();
+        let total = flatten(cq, None, false, 0, &mut levels);
+        let mut drafts: Vec<Draft> = (0..total).map(|_| Draft::default()).collect();
+        // Trees: `tid = tid`. Nodes: `id = id`.
+        let mut same_tree = UnionFind::new(total);
+        let mut same_node = UnionFind::new(total);
+        // `(parent, child, links, anti)`, oriented.
+        let mut edges: Vec<(usize, usize, Vec<Link>, bool)> = Vec::new();
+
+        for lvl in &levels {
+            let q = lvl.query;
+            let g = |a: usize| lvl.offset + a;
+            // Unordered local pairs with their links, `first.x cmp second.y`.
+            let mut pairs: Vec<(usize, usize, Vec<Link>)> = Vec::new();
+            let mut outer = None;
+            let mut correlated = None;
+            let mut corr_links = Vec::new();
+            for c in &q.conds {
+                let l = g(c.left.alias);
+                let tid_eq = |col: ColId| c.cmp == Cmp::Eq && c.left.col == tid && col == tid;
+                let id_eq = |col: ColId| c.cmp == Cmp::Eq && c.left.col == id && col == id;
+                match c.right {
+                    Operand::Const(v) => drafts[l].consts.push((c.left.col, c.cmp, v)),
+                    Operand::Col(r) if r.alias == c.left.alias => {
+                        drafts[l]
+                            .filters
+                            .push(Filter::Cols(c.left.col, c.cmp, r.col));
+                    }
+                    Operand::Col(r) => {
+                        let other = g(r.alias);
+                        if tid_eq(r.col) {
+                            same_tree.union(l, other);
+                            continue;
+                        }
+                        if id_eq(r.col) {
+                            same_node.union(l, other);
+                        }
+                        let link = Link {
+                            x: c.left.col,
+                            cmp: c.cmp,
+                            y: r.col,
+                        };
+                        match pairs
+                            .iter_mut()
+                            .find(|(a, b, _)| (*a, *b) == (l, other) || (*a, *b) == (other, l))
+                        {
+                            Some((a, _, links)) => {
+                                links.push(if *a == l { link } else { link.flipped() });
+                            }
+                            None => pairs.push((l, other, vec![link])),
+                        }
+                    }
+                    Operand::Outer(r) => {
+                        let p = levels[lvl.outer?].offset + r.alias;
+                        if *outer.get_or_insert(p) != p || *correlated.get_or_insert(l) != l {
+                            return None;
+                        }
+                        if tid_eq(r.col) {
+                            same_tree.union(l, p);
+                            continue;
+                        }
+                        if id_eq(r.col) {
+                            same_node.union(l, p);
+                        }
+                        corr_links.push(Link {
+                            x: c.left.col,
+                            cmp: c.cmp,
+                            y: r.col,
+                        });
+                    }
+                }
+            }
+            for ic in &q.in_conds {
+                drafts[g(ic.col.alias)]
+                    .filters
+                    .push(Filter::In(ic.col.col, ic.values().to_vec()));
+            }
+
+            // The level's root, then its join graph as a tree below it.
+            let root = match lvl.outer {
+                None => out_id.alias,
+                Some(_) => {
+                    let (p, a) = (outer?, correlated?);
+                    edges.push((p, a, corr_links, lvl.negated));
+                    a
+                }
+            };
+            let n = q.aliases.len();
+            if pairs.len() + 1 != n {
+                return None;
+            }
+            let mut reached = vec![false; n];
+            reached[root - lvl.offset] = true;
+            let mut frontier = vec![root];
+            while let Some(u) = frontier.pop() {
+                for (a, b, links) in &pairs {
+                    let child = match (*a == u, *b == u) {
+                        (true, _) => *b,
+                        (_, true) => *a,
+                        _ => continue,
+                    };
+                    if reached[child - lvl.offset] {
+                        continue;
+                    }
+                    reached[child - lvl.offset] = true;
+                    // Child first: `child.x cmp parent.y`.
+                    let links = links.iter().map(|&l| if *a == u { l.flipped() } else { l });
+                    edges.push((u, child, links.collect(), false));
+                    frontier.push(child);
+                }
+            }
+            if reached.contains(&false) {
+                return None;
+            }
+        }
+        if (1..total).any(|a| !same_tree.same(0, a)) {
+            return None;
+        }
+
+        // Candidate sources (see the module docs).
+        let table_ref = db.table(table);
+        let by_name = db.index(access.by_name);
+        let by_value = db.index(access.by_value);
+        let mut lists: Vec<&'e [RowId]> = Vec::new();
+        let mut own: Vec<Option<(usize, NCol)>> = Vec::with_capacity(total);
+        let (name, value, depth) = (
+            cols.col(NCol::Name),
+            cols.col(NCol::Value),
+            cols.col(NCol::Depth),
+        );
+        for d in &mut drafts {
+            let mut best: Option<(&'e [RowId], NCol, usize)> = None;
+            for (i, &(col, cmp, v)) in d.consts.iter().enumerate() {
+                d.empty |= cmp == Cmp::Lt && v == 0;
+                d.element |= (col, cmp, v) == (value, Cmp::Eq, NULL);
+                d.root |= (col, cmp, v) == (depth, Cmp::Eq, 1);
+                let rows = match (col, cmp) {
+                    (c, Cmp::Eq) if c == name => (by_name.equal_range(table_ref, &[v]), NCol::Name),
+                    (c, Cmp::Eq) if c == value && v != NULL => {
+                        (by_value.equal_range(table_ref, &[v]), NCol::Value)
+                    }
+                    _ => continue,
+                };
+                if best.is_none_or(|(b, ..)| rows.0.len() < b.len()) {
+                    best = Some((rows.0, rows.1, i));
+                }
+            }
+            // A posting implies its own equality.
+            if let Some((_, _, i)) = best {
+                d.consts.remove(i);
+            }
+            // An alias that matches nothing lends no rows to its node.
+            own.push(best.filter(|_| !d.empty).map(|(rows, on, _)| {
+                let same = |l: &&[RowId]| std::ptr::eq(*l, rows);
+                let list = lists.iter().position(same).unwrap_or_else(|| {
+                    lists.push(rows);
+                    lists.len() - 1
+                });
+                (list, on)
+            }));
+        }
+        let level_of: Vec<usize> = (0..levels.len())
+            .flat_map(|l| std::iter::repeat_n(l, levels[l].query.aliases.len()))
+            .collect();
+        let mut nodes = Vec::with_capacity(total);
+        for (a, d) in drafts.into_iter().enumerate() {
+            // Only an alias every match of `a` needs can lend it rows:
+            // one of `a`'s level or an enclosing one.
+            let cheapest = (0..total)
+                .filter(|&b| same_node.same(a, b) && within(&levels, level_of[a], level_of[b]))
+                .filter_map(|b| own[b].map(|(list, _)| (lists[list].len(), b)))
+                .min();
+            let source = match (own[a], cheapest) {
+                _ if d.empty => Source::Empty,
+                (Some((list, on)), _) => Source::Posting { list, on },
+                _ if !d.element => return None,
+                _ if d.root => Source::Root,
+                (None, Some((_, from))) => Source::SameNode { from },
+                (None, None) => Source::Elements,
+            };
+            // Element sources imply `value = NULL`, the root `depth = 1`.
+            let implied = |&(col, cmp, v): &(ColId, Cmp, Value)| match source {
+                Source::Root => {
+                    (col, cmp, v) == (value, Cmp::Eq, NULL) || (col, cmp, v) == (depth, Cmp::Eq, 1)
+                }
+                Source::SameNode { .. } | Source::Elements => {
+                    (col, cmp, v) == (value, Cmp::Eq, NULL)
+                }
+                Source::Posting { .. } | Source::Empty => false,
+            };
+            let mut filters: Vec<Filter> = d
+                .consts
+                .iter()
+                .filter(|c| !implied(c))
+                .map(|&(col, cmp, v)| Filter::Const(col, cmp, v))
+                .collect();
+            filters.extend(d.filters);
+            nodes.push(Node {
+                source,
+                filters,
+                children: Vec::new(),
+            });
+        }
+        let elements = by_value.equal_range(table_ref, &[NULL]);
+
+        // Rows read per run: the planning currency.
+        let cost = |nodes: &[Node], a: usize| match nodes[a].source {
+            Source::Posting { list, .. } => lists[list].len(),
+            Source::SameNode { from } => own[from].map_or(0, |(list, _)| lists[list].len()),
+            Source::Root => tree_starts.len() - 1,
+            Source::Elements => elements.len(),
+            Source::Empty => 0,
+        };
+        let early = |nodes: &[Node], parent: usize, child: usize, anti: bool| {
+            !anti && cost(nodes, child) <= cost(nodes, parent)
+        };
+        edges.sort_by_key(|&(parent, child, _, anti)| {
+            (
+                !early(&nodes, parent, child, anti),
+                anti,
+                cost(&nodes, child),
+            )
+        });
+        let mut has_children = vec![false; total];
+        for &(parent, ..) in &edges {
+            has_children[parent] = true;
+        }
+        for (parent, child, links, anti) in edges {
+            // A parent read off its child's nodes has, in every row, a
+            // witness for a bare `id = id` edge to a childless child.
+            let implied = matches!(nodes[parent].source, Source::SameNode { from } if from == child)
+                && !anti
+                && links
+                    .iter()
+                    .all(|l| l.x == id && l.y == id && l.cmp == Cmp::Eq)
+                && !has_children[child];
+            if implied {
+                continue;
+            }
+            let up = Search::plan(links.iter().map(|l| l.flipped()).collect(), cols);
+            let down = Search::plan(links, cols);
+            let early = early(&nodes, parent, child, anti);
+            nodes[parent].children.push(Edge {
+                child,
+                anti,
+                early,
+                up,
+                down,
+            });
+        }
+
+        // The driver: the top level's smallest posting. A top-level
+        // alias with no rows at all leaves nothing to visit.
+        let top = 0..levels[0].query.aliases.len();
+        let driver = if top
+            .clone()
+            .any(|a| matches!(nodes[a].source, Source::Empty))
+        {
+            Driver::Nothing
+        } else {
+            top.filter(|&a| matches!(nodes[a].source, Source::Posting { .. }))
+                .min_by_key(|&a| cost(&nodes, a))
+                .map_or(Driver::Every, Driver::Alias)
+        };
+        Some(Program {
+            table: table_ref,
+            cols,
+            nodes,
+            root: out_id.alias,
+            driver,
+            lists,
+            elements,
+            tree_starts,
+        })
+    }
+
+    /// Every match, sorted in document order.
+    pub fn query(&self) -> Vec<(u32, NodeId)> {
+        let mut out = Vec::new();
+        self.for_each_tree(|tid, ids| {
+            out.extend(ids.iter().map(|&id| (tid, NodeId(id - 2))));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// The number of matches.
+    pub fn count(&self) -> usize {
+        let mut n = 0;
+        self.for_each_tree(|_, ids| {
+            n += ids.len();
+            ControlFlow::Continue(())
+        });
+        n
+    }
+
+    /// Is there any match? Stops at the first tree that has one.
+    pub fn exists(&self) -> bool {
+        let mut found = false;
+        self.for_each_tree(|_, _| {
+            found = true;
+            ControlFlow::Break(())
+        });
+        found
+    }
+
+    /// Run the program: `f` receives each tree with matches, in `tid`
+    /// order, with the sorted `id`s of its matches.
+    fn for_each_tree(&self, mut f: impl FnMut(u32, &[Value]) -> ControlFlow<()>) {
+        let tids = self.table.column(self.cols.col(NCol::Tid));
+        let ids = self.table.column(self.cols.col(NCol::Id));
+        let mut st = State {
+            windows: vec![(None, 0, 0); self.lists.len()],
+            bufs: Vec::new(),
+            early: Vec::new(),
+            sorted: Vec::new(),
+        };
+        let mut out = Vec::new();
+        let mut visit = |t: u32, st: &mut State| {
+            let mut matches = st.take();
+            self.eval(self.root, t, &mut matches, st, None);
+            let flow = if matches.is_empty() {
+                ControlFlow::Continue(())
+            } else {
+                out.clear();
+                out.extend(matches.iter().map(|r| ids[r.index()]));
+                out.sort_unstable();
+                out.dedup();
+                f(t, &out)
+            };
+            st.give(matches);
+            flow
+        };
+        match self.driver {
+            Driver::Nothing => {}
+            Driver::Every => {
+                for t in 0..self.tree_starts.len() - 1 {
+                    if visit(t as u32, &mut st).is_break() {
+                        return;
+                    }
+                }
+            }
+            Driver::Alias(a) => {
+                let Source::Posting { list, .. } = self.nodes[a].source else {
+                    unreachable!("the driver reads a posting list");
+                };
+                let rows = self.lists[list];
+                let mut i = 0;
+                while let Some(&first) = rows.get(i) {
+                    let t = tids[first.index()];
+                    let start = i;
+                    i += gallop(&rows[i..], |r| tids[r.index()] <= t);
+                    st.windows[list] = (Some(t), start, i);
+                    if visit(t, &mut st).is_break() {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rows of list `l` in tree `t`, found by galloping the list's
+    /// finger forward from the last tree's window.
+    fn window(&self, l: usize, t: u32, st: &mut State) -> &'e [RowId] {
+        let list = self.lists[l];
+        let (at, mut start, mut end) = st.windows[l];
+        if at != Some(t) {
+            let tids = self.table.column(self.cols.col(NCol::Tid));
+            start += gallop(&list[start..], |r| tids[r.index()] < t);
+            end = start + gallop(&list[start..], |r| tids[r.index()] <= t);
+            st.windows[l] = (Some(t), start, end);
+        }
+        &list[start..end]
+    }
+
+    /// Alias `a`'s candidates in tree `t`: its source's rows there that
+    /// pass its own filters.
+    fn candidates(&self, a: usize, t: u32, out: &mut Vec<RowId>, st: &mut State) {
+        let tree = self.tree_starts[t as usize] as usize..self.tree_starts[t as usize + 1] as usize;
+        let keep = |&r: &RowId| self.passes(a, r);
+        match self.nodes[a].source {
+            Source::Empty => {}
+            Source::Posting { list, .. } => {
+                out.extend(self.window(list, t, st).iter().filter(|r| keep(r)));
+            }
+            Source::Elements => out.extend(self.elements[tree].iter().filter(|r| keep(r))),
+            Source::Root => out.extend(self.elements[tree].first().filter(|r| keep(r))),
+            Source::SameNode { from } => {
+                let Source::Posting { list, .. } = self.nodes[from].source else {
+                    unreachable!("same-node sources read a posting list");
+                };
+                let ids = self.table.column(self.cols.col(NCol::Id));
+                let nodes = self
+                    .window(list, t, st)
+                    .iter()
+                    .filter(|&&s| self.passes(from, s));
+                let rows = nodes.map(|s| self.elements[tree.start + ids[s.index()] as usize - 2]);
+                out.extend(rows.filter(keep));
+            }
+        }
+    }
+
+    fn passes(&self, a: usize, r: RowId) -> bool {
+        let v = |c: ColId| self.table.value(r, c);
+        self.nodes[a].filters.iter().all(|f| match f {
+            Filter::Const(c, cmp, k) => cmp.eval(v(*c), *k),
+            Filter::Cols(c, cmp, d) => cmp.eval(v(*c), v(*d)),
+            Filter::In(c, set) => set.binary_search(&v(*c)).is_ok(),
+        })
+    }
+
+    /// Alias `a`'s rows in tree `t` that have a match of its subtree,
+    /// into the empty `rows`, one filter per edge. A child no dearer
+    /// than `a` is evaluated first and whole: when it has no rows, `a`'s
+    /// candidates are never read. The others are evaluated after `a`'s
+    /// candidates, each cut first to the rows with a partner among `a`'s
+    /// (`cut`, which `a`'s parent passes down the same way).
+    fn eval(
+        &self,
+        a: usize,
+        t: u32,
+        rows: &mut Vec<RowId>,
+        st: &mut State,
+        cut: Option<(&[RowId], &Search)>,
+    ) {
+        let edges = &self.nodes[a].children;
+        let split = edges.partition_point(|e| e.early);
+        let base = st.early.len();
+        for e in &edges[..split] {
+            let mut kid = st.take();
+            self.eval(e.child, t, &mut kid, st, None);
+            let none = kid.is_empty();
+            st.early.push(kid);
+            if none {
+                while st.early.len() > base {
+                    let kid = st.early.pop().expect("pushed above");
+                    st.give(kid);
+                }
+                return;
+            }
+        }
+        self.candidates(a, t, rows, st);
+        for e in edges[..split].iter().rev() {
+            let kid = st.early.pop().expect("pushed above");
+            if !rows.is_empty() {
+                self.filter(rows, &kid, &e.up, true, st);
+            }
+            st.give(kid);
+        }
+        if let Some((parents, down)) = cut.filter(|_| split < edges.len()) {
+            if !rows.is_empty() {
+                self.filter(rows, parents, down, true, st);
+            }
+        }
+        for e in &edges[split..] {
+            if rows.is_empty() {
+                return;
+            }
+            let mut kid = st.take();
+            self.eval(e.child, t, &mut kid, st, Some((rows, &e.down)));
+            if kid.is_empty() {
+                if !e.anti {
+                    rows.clear();
+                }
+            } else {
+                self.filter(rows, &kid, &e.up, !e.anti, st);
+            }
+            st.give(kid);
+        }
+    }
+
+    /// Keep the `xs` that have (`keep_found`) or lack a witness among
+    /// `ys` under `s`.
+    fn filter(
+        &self,
+        xs: &mut Vec<RowId>,
+        ys: &[RowId],
+        s: &Search,
+        keep_found: bool,
+        st: &mut State,
+    ) {
+        let v = |r: RowId, c: ColId| self.table.value(r, c);
+        let holds = |x: RowId, y: RowId| s.links.iter().all(|l| l.cmp.eval(v(x, l.x), v(y, l.y)));
+        // A handful of rows is searched faster than sorted.
+        let Some(key) = s.key.filter(|_| ys.len() > 4) else {
+            xs.retain(|&x| ys.iter().any(|&y| holds(x, y)) == keep_found);
+            return;
+        };
+        let sorted = &mut st.sorted;
+        sorted.clear();
+        sorted.extend(ys.iter().map(|&y| (v(y, key), y)));
+        sorted.sort_unstable();
+        xs.retain(|&x| {
+            let lo = s.lo.iter().map(|&(c, d)| i64::from(v(x, c)) + i64::from(d));
+            let hi = s.hi.iter().map(|&(c, d)| i64::from(v(x, c)) - i64::from(d));
+            let (lo, hi) = (lo.max().unwrap_or(0), hi.min().unwrap_or(i64::MAX));
+            let at = sorted.partition_point(|&(k, _)| i64::from(k) < lo);
+            let found = sorted[at..]
+                .iter()
+                .take_while(|&&(k, _)| i64::from(k) <= hi)
+                .any(|&(_, y)| holds(x, y));
+            found == keep_found
+        });
+    }
+}
+
+/// What compilation learns about one alias before choosing its source.
+#[derive(Default)]
+struct Draft {
+    consts: Vec<(ColId, Cmp, Value)>,
+    filters: Vec<Filter>,
+    /// A condition no row satisfies.
+    empty: bool,
+    /// `value = NULL`: an element row.
+    element: bool,
+    /// `depth = 1`.
+    root: bool,
+}
+
+/// One query level, its aliases numbered from `offset`.
+struct Level<'q> {
+    query: &'q ConjQuery,
+    offset: usize,
+    /// The enclosing level's index (`None` at the top).
+    outer: Option<usize>,
+    negated: bool,
+}
+
+/// Is level `inner` level `outer` or nested inside it?
+fn within(levels: &[Level<'_>], mut inner: usize, outer: usize) -> bool {
+    loop {
+        if inner == outer {
+            return true;
+        }
+        match levels[inner].outer {
+            Some(up) => inner = up,
+            None => return false,
+        }
+    }
+}
+
+/// List `q` and its subqueries in the SQL rendering's (pre-)order.
+/// Returns the next free alias number.
+fn flatten<'q>(
+    q: &'q ConjQuery,
+    outer: Option<usize>,
+    negated: bool,
+    offset: usize,
+    out: &mut Vec<Level<'q>>,
+) -> usize {
+    let index = out.len();
+    out.push(Level {
+        query: q,
+        offset,
+        outer,
+        negated,
+    });
+    let mut next = offset + q.aliases.len();
+    for s in &q.subqueries {
+        next = flatten(&s.query, Some(index), s.negated, next, out);
+    }
+    next
+}
+
+/// Disjoint sets over alias numbers.
+struct UnionFind(Vec<usize>);
+
+impl UnionFind {
+    fn new(n: usize) -> Self {
+        UnionFind((0..n).collect())
+    }
+
+    fn find(&self, mut a: usize) -> usize {
+        while self.0[a] != a {
+            a = self.0[a];
+        }
+        a
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        self.0[a] = b;
+    }
+
+    fn same(&self, a: usize, b: usize) -> bool {
+        self.find(a) == self.find(b)
+    }
+}
+
+/// The EXPLAIN section: the alias tree, each edge's kind and search
+/// column, each alias's source, and the driver.
+impl fmt::Display for Program<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "semijoin program:")?;
+        writeln!(
+            f,
+            "  n{} (output): {}",
+            self.root,
+            self.source_text(self.root)
+        )?;
+        self.fmt_edges(f, self.root, 2)?;
+        match self.driver {
+            Driver::Alias(a) => writeln!(f, "  driver: n{a}"),
+            Driver::Every => writeln!(f, "  driver: every tree"),
+            Driver::Nothing => writeln!(f, "  driver: none (a required alias has no rows)"),
+        }
+    }
+}
+
+impl Program<'_> {
+    fn source_text(&self, a: usize) -> String {
+        match self.nodes[a].source {
+            Source::Posting { list, on } => {
+                format!("{} range, {} rows", on.name(), self.lists[list].len())
+            }
+            Source::SameNode { from } => format!("elements of n{from}'s nodes"),
+            Source::Root => "the root element".to_string(),
+            Source::Elements => "every element".to_string(),
+            Source::Empty => "no rows".to_string(),
+        }
+    }
+
+    fn fmt_edges(&self, f: &mut fmt::Formatter<'_>, a: usize, depth: usize) -> fmt::Result {
+        for e in &self.nodes[a].children {
+            let search = e.up.key.map_or_else(
+                || "scan".to_string(),
+                |k| {
+                    let col = NCol::ALL.iter().find(|&&n| self.cols.col(n) == k);
+                    format!("search n{}.{}", e.child, col.map_or("?", |n| n.name()))
+                },
+            );
+            writeln!(
+                f,
+                "{:indent$}{} n{} ({search}): {}",
+                "",
+                if e.anti { "anti" } else { "semi" },
+                e.child,
+                self.source_text(e.child),
+                indent = 2 * depth,
+            )?;
+            self.fmt_edges(f, e.child, depth + 1)?;
+        }
+        Ok(())
+    }
+}

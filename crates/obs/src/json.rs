@@ -328,18 +328,31 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
+        let negative = self.b.get(self.i) == Some(&b'-');
+        if negative {
             self.i += 1;
         }
-        // Integer part: a lone 0, or a nonzero digit run.
+        // Integer part: a lone 0, or a nonzero digit run, accumulated
+        // while it stays exact.
+        let mut int = Some(0u64);
         match self.b.get(self.i) {
             Some(b'0') => self.i += 1,
             Some(b'1'..=b'9') => {
-                while matches!(self.b.get(self.i), Some(b'0'..=b'9')) {
+                while let Some(&d @ b'0'..=b'9') = self.b.get(self.i) {
+                    int = int
+                        .and_then(|n| n.checked_mul(10))
+                        .and_then(|n| n.checked_add(u64::from(d - b'0')));
                     self.i += 1;
                 }
             }
             _ => return Err(self.err("expected digit")),
+        }
+        // Fast path: an integer below 2^53 is exactly an `f64`, the one
+        // `str::parse` would round to.
+        let fraction_or_exponent = matches!(self.b.get(self.i), Some(b'.' | b'e' | b'E'));
+        if let Some(n) = int.filter(|&n| n < 1 << 53 && !fraction_or_exponent) {
+            let n = n as f64;
+            return Ok(Value::Num(if negative { -n } else { n }));
         }
         if self.b.get(self.i) == Some(&b'.') {
             self.i += 1;
@@ -374,6 +387,47 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: ProptestConfig::cases_or_env(1024),
+            ..ProptestConfig::default()
+        })]
+
+        /// Integers (fast path or not), `-0`, fractions and exponents
+        /// parse to the bits `str::parse::<f64>` gives.
+        #[test]
+        fn numbers_parse_as_std_does(
+            negative in any::<bool>(),
+            int in prop_oneof![
+                Just(0u64),
+                0u64..10,
+                any::<u64>(),
+                (1u64 << 53) - 2..(1u64 << 53) + 2,
+            ],
+            wide in any::<bool>(),
+            fraction in prop::option::of(0u32..1000),
+            exponent in prop::option::of(-30i32..30),
+        ) {
+            let mut text = format!("{}{int}", if negative { "-" } else { "" });
+            if wide && int != 0 {
+                // Past u64: the digit run overflows the accumulator.
+                text.push_str("123456789");
+            }
+            if let Some(f) = fraction {
+                text.push_str(&format!(".{f}"));
+            }
+            if let Some(e) = exponent {
+                text.push_str(&format!("e{e}"));
+            }
+            let want: f64 = text.parse().unwrap();
+            let Ok(Value::Num(got)) = parse(&text) else {
+                return Err(TestCaseError::fail(format!("{text} did not parse")));
+            };
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", text);
+        }
+    }
 
     #[test]
     fn plain_text_passes_through() {

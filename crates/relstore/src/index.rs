@@ -166,7 +166,7 @@ impl Index {
 /// the front: probes positions 0, 1, 3, 7, … until `before` fails, then
 /// binary-searches the last doubling. `O(log p)` for a partition point
 /// `p`, however long `rows` is.
-fn gallop(rows: &[RowId], mut before: impl FnMut(RowId) -> bool) -> usize {
+pub fn gallop(rows: &[RowId], mut before: impl FnMut(RowId) -> bool) -> usize {
     // Invariant: every row of `rows[..lo]` is before the point.
     let mut lo = 0;
     let mut bound = 1;

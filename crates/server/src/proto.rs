@@ -263,15 +263,49 @@ fn error_code(e: &ServiceError) -> &'static str {
 
 /// `[[tid, node], …]` — the match list in document order.
 fn push_rows(out: &mut String, rows: &[(u32, NodeId)]) {
-    out.reserve(rows.len() * 8 + 2);
+    out.reserve(rows_width(rows));
     out.push('[');
-    for (i, (tid, node)) in rows.iter().enumerate() {
+    for (i, &(tid, node)) in rows.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "[{tid}, {}]", node.index());
+        out.push('[');
+        push_u32(out, tid);
+        out.push_str(", ");
+        push_u32(out, node.0);
+        out.push(']');
     }
     out.push(']');
+}
+
+/// A bound on the rendered length of `rows`: `[t, n], ` per row is six
+/// bytes of punctuation around the digits of at most the last (largest)
+/// tree id and the largest node.
+fn rows_width(rows: &[(u32, NodeId)]) -> usize {
+    let widest_node = rows.iter().map(|(_, node)| node.0).max().unwrap_or(0);
+    let tid = rows.last().map_or(0, |&(tid, _)| tid);
+    rows.len() * (6 + digits(tid) + digits(widest_node)) + 2
+}
+
+/// The decimal digit count of `n`.
+fn digits(n: u32) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Append `n` in decimal, without going through `fmt`: rows are the
+/// bulk of every `eval` response.
+fn push_u32(out: &mut String, mut n: u32) {
+    let mut buf = [0u8; 10];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Collapse a multi-line JSON rendering (the house `to_json` style is
@@ -280,4 +314,35 @@ fn push_rows(out: &mut String, rows: &[(u32, NodeId)]) {
 /// the rendering is structural whitespace.
 fn one_line(s: &str) -> String {
     s.replace('\n', " ")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_render_as_the_formatter_would() {
+        let rows = [
+            (0, NodeId(0)),
+            (0, NodeId(9)),
+            (7, NodeId(10)),
+            (99, NodeId(1_234_567)),
+            (4_000_000_000, NodeId(u32::MAX)),
+            (u32::MAX, NodeId(0)),
+            (u32::MAX, NodeId(u32::MAX)),
+        ];
+        for n in 0..=rows.len() {
+            let mut out = String::new();
+            push_rows(&mut out, &rows[..n]);
+            let want: Vec<String> = rows[..n]
+                .iter()
+                .map(|(t, node)| format!("[{t}, {}]", node.index()))
+                .collect();
+            assert_eq!(out, format!("[{}]", want.join(", ")));
+            assert!(rows_width(&rows[..n]) >= out.len());
+        }
+        for n in [0, 1, 9, 10, 99, 100, 4_294_967_295] {
+            assert_eq!(digits(n), n.to_string().len(), "{n}");
+        }
+    }
 }
