@@ -8,12 +8,13 @@
 //! parsed, translated to conjunctive SQL, planned and executed
 //! in-process.
 
+use std::ops::ControlFlow;
+
 use lpath_check::CheckReport;
 use lpath_model::{label_tree, Corpus, Interner, NodeId, Sym};
 use lpath_obs::{Recorder, Span};
 use lpath_relstore::{
-    self as rel, wire, ColRef, Database, OptGoal, PlannerConfig, Schema, Table, TableId, Value,
-    NULL,
+    self as rel, ColRef, Database, OptGoal, PlannerConfig, Schema, Table, TableId, Value, NULL,
 };
 use lpath_syntax::{parse, Path, SyntaxError};
 
@@ -65,9 +66,7 @@ pub struct Engine {
     /// Running node counts: tree `t`'s elements are positions
     /// `tree_starts[t]..tree_starts[t + 1]` of the relation's elements
     /// in `(tid, id)` order (semijoin programs find element rows by
-    /// position), and a checkpoint row `(t, node)` names an element
-    /// exactly when `node` is below that span's length, which decoding
-    /// checks.
+    /// position).
     tree_starts: Vec<u32>,
 }
 
@@ -201,10 +200,10 @@ impl Engine {
     }
 
     /// An EXPLAIN-style rendering: the `semijoin program:` that
-    /// answers [`Engine::query_ast`], [`Engine::count_ast`] and
-    /// [`Engine::exists_ast`] when the query has one (see
-    /// [`crate::semijoin`]), then the cursor's physical plan — which
-    /// pages, resumes and every other query run — followed by a
+    /// answers [`Engine::query_ast`], [`Engine::page_ast`],
+    /// [`Engine::count_ast`] and [`Engine::exists_ast`] when the query
+    /// has one (see [`crate::semijoin`]), then the cursor's physical
+    /// plan — which every other query runs — followed by a
     /// `LINT:` section when the static analyzer has findings (a
     /// proven-empty query shows the constant-empty plan it will run).
     pub fn explain(&self, query: &str) -> Result<String, EngineError> {
@@ -216,7 +215,7 @@ impl Engine {
             rel::Plan::constant_empty()
         } else {
             if let Some(program) = self.program(&cq) {
-                out = format!("{program}cursor plan (pages and resumes):\n");
+                out = format!("{program}cursor plan (streamed matches and EXPLAIN ANALYZE):\n");
             }
             rel::plan(&self.db, &cq, &self.planner)
         };
@@ -241,7 +240,8 @@ impl Engine {
         let span = Span::enter("parse", &stages);
         let ast = parse(query)?;
         span.finish();
-        let semijoin = matches!(self.executor(&ast)?, Executor::Semijoin(_));
+        let goal = self.planner.goal;
+        let semijoin = matches!(self.executor(&ast, goal)?, Executor::Semijoin(_));
         let span = Span::enter("plan", &stages);
         let plan = self.plan_ast(&ast)?;
         span.finish();
@@ -301,7 +301,7 @@ impl Engine {
     /// Evaluate a parsed query: by its semijoin program when it has
     /// one, else on the cursor.
     pub fn query_ast(&self, ast: &Path) -> Result<Vec<(u32, NodeId)>, EngineError> {
-        Ok(match self.executor(ast)? {
+        Ok(match self.executor(ast, self.planner.goal)? {
             Executor::Semijoin(program) => program.query(),
             Executor::Cursor(plan) => {
                 let mut out = rows_to_matches(rel::execute(&plan, &self.db));
@@ -321,15 +321,18 @@ impl Engine {
         Ok(self.program(&self.translate(ast)?))
     }
 
-    /// What answers `ast` whole: its semijoin program when the
-    /// translation has one, else the cursor over the planner's plan.
-    fn executor(&self, ast: &Path) -> Result<Executor<'_>, Unsupported> {
+    /// What answers `ast`: its semijoin program when the translation
+    /// has one, else the cursor over the plan for `goal`.
+    fn executor(&self, ast: &Path, goal: OptGoal) -> Result<Executor<'_>, Unsupported> {
         let Some(cq) = self.translated(ast)? else {
             return Ok(Executor::Cursor(rel::Plan::constant_empty()));
         };
         Ok(match self.program(&cq) {
             Some(program) => Executor::Semijoin(program),
-            None => Executor::Cursor(rel::plan(&self.db, &cq, &self.planner)),
+            None => {
+                let order = self.planner.order;
+                Executor::Cursor(rel::plan(&self.db, &cq, &PlannerConfig { order, goal }))
+            }
         })
     }
 
@@ -374,47 +377,40 @@ impl Engine {
 
     /// Result size of an already-parsed query.
     pub fn count_ast(&self, ast: &Path) -> Result<usize, EngineError> {
-        Ok(match self.executor(ast)? {
+        Ok(match self.executor(ast, self.planner.goal)? {
             Executor::Semijoin(program) => program.count(),
             Executor::Cursor(plan) => rel::count(&plan, &self.db),
         })
     }
 
-    /// Resume (or begin) a **count** of the query's matches: tally up
-    /// to `budget` further matches and return the count found this
-    /// call plus the checkpoint to continue from, or `None` once the
-    /// count is known complete. Counting pulls the same streaming
-    /// cursor as enumeration but materializes no output rows —
-    /// dedup-free plans (see [`lpath_relstore::ConjQuery::dedup_free`])
-    /// skip the distinct watermark sets entirely, and others carry
-    /// only the watermarks in the checkpoint. Summing the counts of
-    /// successive calls equals [`Engine::count_ast`], whatever the
-    /// per-call budgets.
+    /// A budgeted count from tree `from` on: count whole trees, in
+    /// order, until at least `budget` matches are counted, and return
+    /// the count plus the tree to continue from — `None` once the
+    /// trees ran out. A count parks only at a tree boundary, so the
+    /// budget bounds work, not the count: one tree may overshoot it.
+    /// Summing the counts of successive calls equals
+    /// [`Engine::count_ast`], whatever the budgets. Runs what
+    /// [`Engine::page_ast`] runs, under the configured planner goal.
     pub fn count_resume(
         &self,
         ast: &Path,
-        checkpoint: Option<rel::CursorCheckpoint>,
+        from: u32,
         budget: usize,
-    ) -> Result<(u64, Option<rel::CursorCheckpoint>), EngineError> {
-        let plan = self.plan_ast(ast)?;
-        Ok(rel::count_resume(&plan, &self.db, checkpoint, budget))
-    }
-
-    /// Decode a count checkpoint (a bare
-    /// [`lpath_relstore::CursorCheckpoint`]) for `ast` from untrusted
-    /// bytes. The plan is rebuilt deterministically — exactly as
-    /// [`Engine::count_resume`] builds it — and every structural claim
-    /// the bytes make is validated against it; any mismatch is a
-    /// [`wire::WireError`], never a panic.
-    pub fn decode_count_checkpoint(
-        &self,
-        ast: &Path,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<rel::CursorCheckpoint, wire::WireError> {
-        let plan = self
-            .plan_ast(ast)
-            .map_err(|_| wire::WireError::Malformed("query has no relational translation"))?;
-        rel::CursorCheckpoint::decode(r, &plan, &self.db)
+    ) -> Result<(u64, Option<u32>), EngineError> {
+        let exec = self.executor(ast, self.planner.goal)?;
+        if budget == 0 {
+            return Ok((0, Some(from)));
+        }
+        let (mut n, mut next) = (0u64, None);
+        self.for_each_tree(exec, from, |t, ids| {
+            n += ids.len() as u64;
+            if n < budget as u64 {
+                return ControlFlow::Continue(());
+            }
+            next = Some(t.saturating_add(1));
+            ControlFlow::Break(())
+        });
+        Ok((n, next))
     }
 
     /// Does the query match anywhere? Stops at the first witness —
@@ -422,7 +418,7 @@ impl Engine {
     /// (Gottlob–Koch–Schulz): the semijoin program stops after the
     /// first tree with a match, the cursor after the first row.
     pub fn exists_ast(&self, ast: &Path) -> Result<bool, EngineError> {
-        Ok(match self.executor(ast)? {
+        Ok(match self.executor(ast, self.planner.goal)? {
             Executor::Semijoin(program) => program.exists(),
             Executor::Cursor(plan) => rel::exists(&plan, &self.db),
         })
@@ -444,12 +440,8 @@ impl Engine {
 
     /// The `[offset, offset + limit)` slice of [`Engine::query`]'s
     /// document-ordered result, computed with early termination: the
-    /// query is planned under [`OptGoal::FirstRows`] (startup-cost
-    /// join order) and the suspended pipeline of
-    /// [`Engine::query_resume`] is pulled tree by tree until the page
-    /// is covered — trees partition the corpus and no match crosses
-    /// one, so retiring each finished tree in sorted order *is*
-    /// document order.
+    /// first page of [`Engine::page_ast`], `offset + limit` rows long,
+    /// less its first `offset` rows.
     pub fn query_limit(
         &self,
         query: &str,
@@ -460,216 +452,115 @@ impl Engine {
         self.query_limit_ast(&ast, offset, limit)
     }
 
-    /// [`Engine::query_limit`] for an already-parsed query. Runs on
-    /// the resumable executor ([`Engine::query_resume`]) — a one-shot
-    /// page is simply a resumable enumeration whose checkpoint is
-    /// dropped.
+    /// [`Engine::query_limit`] for an already-parsed query.
     pub fn query_limit_ast(
         &self,
         ast: &Path,
         offset: usize,
         limit: usize,
     ) -> Result<Vec<(u32, NodeId)>, EngineError> {
-        if limit == 0 {
-            // Untranslatable queries still error; translatable ones
-            // skip all evaluation for the empty page.
-            self.translate(ast)?;
-            return Ok(Vec::new());
-        }
-        let need = offset.saturating_add(limit);
-        let (mut rows, _) = self.query_resume(ast, None, need)?;
+        let need = if limit == 0 {
+            0
+        } else {
+            offset.saturating_add(limit)
+        };
+        let (mut rows, _) = self.page_ast(ast, Position::START, need)?;
         Ok(rows.split_off(offset.min(rows.len())))
     }
 
-    /// Resume (or begin) a **document-ordered** enumeration: return up
-    /// to `limit` further matches after `checkpoint` — from the start
-    /// when `None` — plus the checkpoint to continue from, or `None`
-    /// once the enumeration is known complete. Concatenating the
-    /// chunks of successive calls is byte-identical to
-    /// [`Engine::query_ast`], whatever the per-call limits; no tree is
-    /// re-evaluated and no match re-enumerated across calls.
+    /// One page of the document-ordered result, from position `at`:
+    /// up to `limit` matches, plus the position after the last of them
+    /// — `None` once the result is known exhausted. (A page that fills
+    /// exactly at the end still returns a position; the page after it
+    /// is empty.) Concatenating the pages of a sweep is
+    /// [`Engine::query_ast`], whatever the limits, and a `limit` of
+    /// zero returns `at` itself.
     ///
-    /// One [`lpath_relstore::Cursor`] serves every page. The
-    /// translator gives every main-query alias an equality on `name`
-    /// or `value`, so the anchor of any non-empty plan probes an index
-    /// keyed `(…, tid, …)` right after its equality prefix: candidate
-    /// rows — and hence matches, since every alias of a match shares
-    /// the anchor's tree — arrive in non-decreasing tree-id order.
-    /// Trees retire monotonically, each finished tree is sorted and
-    /// emitted, and suspension captures the cursor mid-probe via
-    /// [`lpath_relstore::Cursor::suspend`] together with the in-flight
-    /// tree's partial match buffer. Matches enumerated beyond `limit`
-    /// ride along in the checkpoint and are served first on the next
-    /// call.
-    ///
-    /// A plan whose anchor is not tree-ordered — today only the
-    /// constant-empty plan of a statically empty query — is evaluated
-    /// once in full at the first call and served from the checkpoint's
-    /// pending rows.
-    ///
-    /// A checkpoint is only meaningful against the engine (and query)
-    /// it came from; callers that cache checkpoints must key them
-    /// accordingly.
-    pub fn query_resume(
-        &self,
-        ast: &Path,
-        checkpoint: Option<QueryCheckpoint>,
-        limit: usize,
-    ) -> Result<Resumed, EngineError> {
-        let (mut ready, plan_k, mut state) = match checkpoint {
-            Some(c) => (c.pending, c.plan_k, c.state),
-            None => {
-                let plan_k = limit.clamp(1, usize::MAX / 2);
-                let (plan, streams) = self.paging_plan(ast, plan_k)?;
-                if streams {
-                    let cursor = Box::new(rel::Cursor::new(&plan, &self.db).suspend());
-                    let buf = Vec::new();
-                    (
-                        Vec::new(),
-                        plan_k,
-                        ResumeState::Stream { plan, cursor, buf },
-                    )
-                } else {
-                    let mut all = rows_to_matches(rel::execute(&plan, &self.db));
-                    all.sort_unstable();
-                    (all, plan_k, ResumeState::Drained)
-                }
-            }
-        };
-        // Rows already enumerated by an earlier call are served first;
-        // when they cover the whole page, the cursor is not resumed.
-        if ready.len() < limit {
-            if let ResumeState::Stream { plan, cursor, buf } = state {
-                state = self.advance_stream(plan, *cursor, buf, &mut ready, limit);
-            }
+    /// Trees partition the corpus and no match crosses one, so a page
+    /// visits trees `at.tree..` in order and drops the first `at.skip`
+    /// matches of `at.tree`. The semijoin program starts at that tree;
+    /// the cursor — planned under [`OptGoal::FirstRows`] — gets a
+    /// `tid >= at.tree` lower bound on its tree-ordered anchor, and
+    /// each tree's matches are buffered and sorted as the anchor moves
+    /// past it. Nothing is kept between pages.
+    pub fn page_ast(&self, ast: &Path, at: Position, limit: usize) -> Result<Paged, EngineError> {
+        let goal = OptGoal::FirstRows(limit.clamp(1, usize::MAX / 2));
+        let exec = self.executor(ast, goal)?;
+        if limit == 0 {
+            return Ok((Vec::new(), Some(at)));
         }
-        let out: Vec<(u32, NodeId)> = ready.drain(..limit.min(ready.len())).collect();
-        let done = ready.is_empty() && matches!(state, ResumeState::Drained);
-        let next = (!done).then_some(QueryCheckpoint {
-            pending: ready,
-            plan_k,
-            state,
+        let mut page = PageSink::new(at, limit);
+        self.for_each_tree(exec, at.tree, |t, ids| {
+            page.tree(t, ids.iter().map(|&id| NodeId(id - 2)))
         });
-        Ok((out, next))
+        Ok(page.finish())
     }
 
-    /// The plan a resumable enumeration runs on, and whether it streams
-    /// (see [`Engine::tid_ordered_anchor`]): translate, then plan under
-    /// the `FirstRows(plan_k)` goal. Deterministic over the same engine
-    /// content, which is what lets a serialized checkpoint carry
-    /// `plan_k` instead of the plan.
-    fn paging_plan(
+    /// Run `exec` over trees `from..` in order: `f` receives each tree
+    /// with matches and the sorted relational ids of its matches, until
+    /// it breaks.
+    fn for_each_tree(
         &self,
-        ast: &Path,
-        plan_k: usize,
-    ) -> Result<(Box<rel::Plan>, bool), Unsupported> {
-        let plan = self.plan_for(ast, OptGoal::FirstRows(plan_k))?;
-        let streams = self.tid_ordered_anchor(&plan);
-        Ok((Box::new(plan), streams))
-    }
-
-    /// Pull the suspended pipeline until `ready` covers `limit`,
-    /// retiring (sorting and appending) each tree as the cursor's
-    /// anchor moves past it. Returns the successor state —
-    /// [`ResumeState::Drained`] once the enumeration completed.
-    fn advance_stream(
-        &self,
-        plan: Box<rel::Plan>,
-        cursor: rel::CursorCheckpoint,
-        mut buf: Vec<(u32, NodeId)>,
-        ready: &mut Vec<(u32, NodeId)>,
-        limit: usize,
-    ) -> ResumeState {
-        let mut live = rel::Cursor::resume(&plan, &self.db, cursor);
-        while ready.len() < limit {
-            let Some(row) = live.next() else {
-                buf.sort_unstable();
-                ready.append(&mut buf);
-                return ResumeState::Drained;
-            };
-            debug_assert_eq!(row.len(), 2);
-            let m = (row[0], NodeId(row[1] - 2));
-            if let Some(&(tree, _)) = buf.first() {
-                debug_assert!(m.0 >= tree, "anchor emitted trees out of order");
-                if m.0 != tree {
-                    buf.sort_unstable();
-                    ready.append(&mut buf);
+        exec: Executor<'_>,
+        from: u32,
+        mut f: impl FnMut(u32, &[Value]) -> ControlFlow<()>,
+    ) {
+        let mut plan = match exec {
+            Executor::Semijoin(program) => return program.for_each_tree(from, f),
+            Executor::Cursor(plan) => plan,
+        };
+        let bounded = self.bound_anchor(&mut plan, from);
+        let mut cursor = rel::Cursor::new(&plan, &self.db);
+        // A plan whose anchor is not tree-ordered — today only the
+        // constant-empty plan — is evaluated whole and sorted.
+        let mut sorted;
+        let rows: &mut dyn Iterator<Item = Vec<Value>> = if bounded {
+            &mut cursor
+        } else {
+            let mut all: Vec<Vec<Value>> = cursor.by_ref().filter(|row| row[0] >= from).collect();
+            all.sort_unstable();
+            sorted = all.into_iter();
+            &mut sorted
+        };
+        let (mut tree, mut ids) = (None, Vec::new());
+        for row in rows {
+            debug_assert!(tree.is_none_or(|t| row[0] >= t), "trees out of order");
+            if tree != Some(row[0]) {
+                if let Some(t) = tree {
+                    ids.sort_unstable();
+                    if f(t, &ids).is_break() {
+                        return;
+                    }
+                    ids.clear();
                 }
+                tree = Some(row[0]);
             }
-            buf.push(m);
+            ids.push(row[1]);
         }
-        let cursor = Box::new(live.into_checkpoint());
-        ResumeState::Stream { plan, cursor, buf }
+        if let Some(t) = tree {
+            ids.sort_unstable();
+            let _ = f(t, &ids);
+        }
     }
 
-    /// Does the streaming cursor emit this plan's matches in
-    /// non-decreasing tree-id order? True when the anchor step probes
-    /// an index whose key column right after the equality prefix is
-    /// `tid` with no pre-existing range bounds: its candidates arrive
-    /// in `(tid, …)` clustered order, and the translation's implicit
-    /// same-tree equalities give every later alias the anchor's tid.
-    fn tid_ordered_anchor(&self, plan: &rel::Plan) -> bool {
-        let Some(step) = plan.steps.first() else {
+    /// Bound `plan`'s anchor to trees `from..` when the anchor is
+    /// tree-ordered — it probes an index whose key column right after
+    /// the equality prefix is `tid`, with no range bounds of its own:
+    /// its candidates arrive in `(tid, …)` order, and the
+    /// translation's same-tree equalities give every later alias the
+    /// anchor's tree. Returns whether it is.
+    fn bound_anchor(&self, plan: &mut rel::Plan, from: u32) -> bool {
+        let Some(rel::AccessPath::IndexRange { index, eq, lo, hi }) =
+            plan.steps.first_mut().map(|s| &mut s.access)
+        else {
             return false;
         };
-        match &step.access {
-            rel::AccessPath::IndexRange { index, eq, lo, hi } => {
-                lo.is_none()
-                    && hi.is_none()
-                    && self.db.index(*index).key().get(eq.len()) == Some(&self.cols.col(NCol::Tid))
-            }
-            rel::AccessPath::FullScan => false,
+        let tid = self.cols.col(NCol::Tid);
+        if lo.is_some() || hi.is_some() || self.db.index(*index).key().get(eq.len()) != Some(&tid) {
+            return false;
         }
-    }
-
-    /// Decode a [`QueryCheckpoint`] for `ast` from untrusted bytes.
-    ///
-    /// The pipeline's plan is rebuilt here — translate, then plan with
-    /// the `FirstRows(k)` goal the token carries — exactly as the
-    /// first [`Engine::query_resume`] call built it, so over the same
-    /// engine content the resumed execution is byte-identical to one
-    /// that never left the process. Every structural claim the token
-    /// makes is validated against that rebuilt plan (see
-    /// [`lpath_relstore::CursorCheckpoint::decode`]), and every
-    /// carried row must be an element of this relation; any mismatch —
-    /// truncation, corruption, a forged row, a token from a different
-    /// query or different corpus content — is a [`wire::WireError`],
-    /// never a panic.
-    pub fn decode_checkpoint(
-        &self,
-        ast: &Path,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<QueryCheckpoint, wire::WireError> {
-        use wire::WireError::Malformed;
-        let plan_k = r.usize()?;
-        if plan_k == 0 || plan_k > usize::MAX / 2 {
-            return Err(Malformed("plan goal out of range"));
-        }
-        let element = |tid: u32, node: NodeId| {
-            let span = self.tree_starts.get(tid as usize..=tid as usize + 1);
-            span.is_some_and(|s| node.0 < s[1] - s[0])
-        };
-        let pending = decode_rows(r, element)?;
-        let state = match r.u8()? {
-            0 => ResumeState::Drained,
-            1 => {
-                let (plan, streams) = self
-                    .paging_plan(ast, plan_k)
-                    .map_err(|_| Malformed("query has no relational translation"))?;
-                if !streams {
-                    return Err(Malformed("checkpoint strategy does not match the plan"));
-                }
-                let cursor = Box::new(rel::CursorCheckpoint::decode(r, &plan, &self.db)?);
-                let buf = decode_rows(r, element)?;
-                ResumeState::Stream { plan, cursor, buf }
-            }
-            _ => return Err(Malformed("resume strategy tag")),
-        };
-        Ok(QueryCheckpoint {
-            pending,
-            plan_k,
-            state,
-        })
+        *lo = Some((true, rel::Operand::Const(from)));
+        true
     }
 }
 
@@ -791,7 +682,7 @@ impl std::fmt::Display for ExplainAnalyze {
         if self.semijoin {
             writeln!(
                 f,
-                "executor: cursor (query, count and exists run the semijoin program)"
+                "executor: cursor (queries, pages, counts and exists run the semijoin program)"
             )
         } else {
             writeln!(f, "executor: cursor")
@@ -816,108 +707,75 @@ fn rows_to_matches(rows: Vec<Vec<Value>>) -> Vec<(u32, NodeId)> {
         .collect()
 }
 
-/// One [`Engine::query_resume`] step: the document-ordered rows this
-/// call produced, plus the checkpoint to continue from (`None` once
-/// the enumeration is known complete).
-pub type Resumed = (Vec<(u32, NodeId)>, Option<QueryCheckpoint>);
-
-/// A suspended document-order enumeration (see
-/// [`Engine::query_resume`]): rows already enumerated but not yet
-/// emitted, plus — until the enumeration is drained — the suspended
-/// relational pipeline ([`lpath_relstore::CursorCheckpoint`] + the
-/// in-flight tree's partial buffer + the plan it belongs to).
-///
-/// Checkpoints are plain owned data: they can be cached, cloned and
-/// resumed long after the call that produced them (the service keeps
-/// one per cached result prefix). They are only meaningful against
-/// the same engine and query they were suspended from.
-#[derive(Clone, Debug)]
-pub struct QueryCheckpoint {
-    /// Document-ordered rows enumerated past the last emitted page.
-    pending: Vec<(u32, NodeId)>,
-    /// The `FirstRows(k)` goal the pipeline's plan was built with at
-    /// the first call. Carried so a checkpoint serialized to the wire
-    /// does not need to carry the plan itself: decoding re-plans the
-    /// same query with the same goal over the same engine content,
-    /// which is deterministic and lands on the identical plan.
-    plan_k: usize,
-    state: ResumeState,
+/// Where a document-ordered sweep stands: the tree it continues from
+/// and how many of that tree's matches were already served. Every
+/// join of the §4 translation carries `tid` equality, so an answer is
+/// a union of per-tree node sets and this pair is all there is to say
+/// about where a sweep stopped — a position, never an execution
+/// state. Trees are numbered from 0 within the corpus (or shard) the
+/// sweep runs over.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Position {
+    /// The tree to continue from.
+    pub tree: u32,
+    /// Matches of `tree` already served.
+    pub skip: u32,
 }
 
-impl QueryCheckpoint {
-    /// Is the suspended pipeline still live (as opposed to a drained
-    /// enumeration whose remaining rows are all pending)?
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.state, ResumeState::Stream { .. })
-    }
+impl Position {
+    /// The start of the corpus.
+    pub const START: Position = Position { tree: 0, skip: 0 };
+}
 
-    /// Serialize this checkpoint into `w`.
-    ///
-    /// The plan is **not** written: tokens carry the `FirstRows(k)`
-    /// goal it was built with instead, and
-    /// [`Engine::decode_checkpoint`] re-plans deterministically. That
-    /// keeps tokens small and — more importantly — means a decoded
-    /// token can never inject a forged plan: the plan that executes is
-    /// always the server's own.
-    pub fn encode_into(&self, w: &mut wire::Writer) {
-        w.usize(self.plan_k);
-        encode_rows(w, &self.pending);
-        match &self.state {
-            ResumeState::Drained => w.u8(0),
-            ResumeState::Stream { cursor, buf, .. } => {
-                w.u8(1);
-                cursor.encode_into(w);
-                encode_rows(w, buf);
-            }
+/// One page of a sweep: document-ordered rows, and the position after
+/// them (`None` once the result is exhausted).
+pub type Paged = (Vec<(u32, NodeId)>, Option<Position>);
+
+/// A page being filled from each tree's sorted matches, fed in tree
+/// order from the tree of the position it starts at.
+pub(crate) struct PageSink {
+    at: Position,
+    limit: usize,
+    rows: Vec<(u32, NodeId)>,
+    next: Option<Position>,
+}
+
+impl PageSink {
+    pub(crate) fn new(at: Position, limit: usize) -> Self {
+        PageSink {
+            at,
+            limit,
+            rows: Vec::new(),
+            next: None,
         }
     }
-}
 
-/// Write a `(tree id, node)` row list, length-prefixed.
-pub(crate) fn encode_rows(w: &mut wire::Writer, rows: &[(u32, NodeId)]) {
-    w.usize(rows.len());
-    for &(tid, node) in rows {
-        w.u32(tid);
-        w.u32(node.0);
-    }
-}
-
-/// Read a row list written by [`encode_rows`] from untrusted bytes;
-/// a row failing `valid` — not a node of the corpus the checkpoint is
-/// decoded against — is malformed.
-pub(crate) fn decode_rows(
-    r: &mut wire::Reader<'_>,
-    valid: impl Fn(u32, NodeId) -> bool,
-) -> Result<Vec<(u32, NodeId)>, wire::WireError> {
-    let n = r.seq_len(8)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row = (r.u32()?, NodeId(r.u32()?));
-        if !valid(row.0, row.1) {
-            return Err(wire::WireError::Malformed(
-                "checkpoint row is not an element",
-            ));
+    /// Serve tree `t`'s matches, less those already served; breaks
+    /// once the page is full, parked after its last row.
+    pub(crate) fn tree(&mut self, t: u32, nodes: impl Iterator<Item = NodeId>) -> ControlFlow<()> {
+        let skip = if t == self.at.tree {
+            self.at.skip as usize
+        } else {
+            0
+        };
+        let before = self.rows.len();
+        let room = self.limit - before;
+        self.rows
+            .extend(nodes.skip(skip).take(room).map(|n| (t, n)));
+        if self.rows.len() < self.limit {
+            return ControlFlow::Continue(());
         }
-        rows.push(row);
+        let served = skip + self.rows.len() - before;
+        self.next = Some(Position {
+            tree: t,
+            skip: u32::try_from(served).unwrap_or(u32::MAX),
+        });
+        ControlFlow::Break(())
     }
-    Ok(rows)
-}
 
-/// The pipeline half of a [`QueryCheckpoint`]. Wire tags: `0` drained,
-/// `1` stream; any other tag is malformed.
-#[derive(Clone, Debug)]
-enum ResumeState {
-    /// One suspended pipeline serves every page: the plan, the
-    /// suspended cursor over it, and the matches of the tree the
-    /// cursor is currently inside (complete only once the anchor
-    /// moves past it).
-    Stream {
-        plan: Box<rel::Plan>,
-        cursor: Box<rel::CursorCheckpoint>,
-        buf: Vec<(u32, NodeId)>,
-    },
-    /// The enumeration is complete; only `pending` rows remain.
-    Drained,
+    pub(crate) fn finish(self) -> Paged {
+        (self.rows, self.next)
+    }
 }
 
 /// A streaming match iterator (see [`Engine::matches_ast`]). Yields
@@ -1069,7 +927,7 @@ mod tests {
         assert!(text.contains("semi n0 (search n0.right)"), "{text}");
         assert!(text.contains("driver: n"), "{text}");
         assert!(
-            text.contains("cursor plan (pages and resumes):\nstep 0"),
+            text.contains("cursor plan (streamed matches and EXPLAIN ANALYZE):\nstep 0"),
             "{text}"
         );
         let text = e.explain("//NP[not(//Det)]").unwrap();
@@ -1079,8 +937,9 @@ mod tests {
         assert!(text.starts_with("step 0"), "{text}");
         // EXPLAIN ANALYZE's actuals are the cursor's either way.
         let analyzed = |q| e.explain_analyze(q).unwrap().to_string();
-        assert!(analyzed("//NP[not(//Det)]")
-            .ends_with("executor: cursor (query, count and exists run the semijoin program)\n"));
+        assert!(analyzed("//NP[not(//Det)]").ends_with(
+            "executor: cursor (queries, pages, counts and exists run the semijoin program)\n"
+        ));
         assert!(analyzed("//VP{/V-->N}").ends_with("executor: cursor\n"));
     }
 
@@ -1275,120 +1134,104 @@ mod tests {
         }
     }
 
+    /// Page `ast` to exhaustion from `at`, `limit` rows at a time.
+    fn sweep(e: &Engine, ast: &Path, mut at: Position, limit: usize) -> Vec<(u32, NodeId)> {
+        let mut got = Vec::new();
+        loop {
+            let (rows, next) = e.page_ast(ast, at, limit).unwrap();
+            got.extend(rows);
+            match next {
+                Some(p) => at = p,
+                None => return got,
+            }
+        }
+    }
+
     #[test]
-    fn query_resume_concatenation_is_exact_at_every_boundary() {
+    fn page_concatenation_is_exact_at_every_boundary() {
         let src: String = std::iter::repeat_n(FIG1, 12).collect::<Vec<_>>().join("\n");
         let corpus = parse_str(&src).unwrap();
         let e = Engine::build(&corpus);
-        // Streamed anchors and the constant-empty plan alike.
-        for q in ["//NP", "//V->NP", "//NP[not(//Det)]", "//_", "//ZZZ"] {
+        // Semijoin programs, the cursor (`//VP{/V-->N}` is cyclic) and
+        // the constant-empty plan alike.
+        for q in [
+            "//NP",
+            "//V->NP",
+            "//NP[not(//Det)]",
+            "//_",
+            "//VP{/V-->N}",
+            "//ZZZ",
+        ] {
             let ast = lpath_syntax::parse(q).unwrap();
             let full = e.query(q).unwrap();
-            // Two-call split at every row boundary.
-            for split in 0..=full.len() {
-                let (head, ckpt) = e.query_resume(&ast, None, split.max(1)).unwrap();
-                let cut = split.max(1).min(full.len());
-                assert_eq!(head, full[..cut], "{q} split {split}");
-                let Some(ckpt) = ckpt else {
-                    assert_eq!(cut, full.len(), "{q} split {split}");
-                    continue;
-                };
-                let (tail, end) = e.query_resume(&ast, Some(ckpt), usize::MAX).unwrap();
-                assert_eq!(tail, full[cut..], "{q} split {split}");
+            // Two pages, split at every row boundary.
+            for split in 1..=full.len() {
+                let (head, next) = e.page_ast(&ast, Position::START, split).unwrap();
+                assert_eq!(head, full[..split], "{q} split {split}");
+                let at = next.expect("a full page parks");
+                // The position names the last row's tree and how many
+                // of its rows were served.
+                let (tree, _) = head[split - 1];
+                let served = head.iter().filter(|m| m.0 == tree).count();
+                assert_eq!(
+                    at,
+                    Position {
+                        tree,
+                        skip: served as u32
+                    },
+                    "{q} split {split}"
+                );
+                let (tail, end) = e.page_ast(&ast, at, usize::MAX).unwrap();
+                assert_eq!(tail, full[split..], "{q} split {split}");
                 assert!(end.is_none(), "{q} split {split}");
             }
-            // Page-at-a-time sweep, page size 3.
-            let mut got = Vec::new();
-            let mut ckpt = None;
-            loop {
-                let (rows, next) = e.query_resume(&ast, ckpt, 3).unwrap();
-                got.extend(rows);
-                match next {
-                    Some(c) => ckpt = Some(c),
-                    None => break,
-                }
-            }
-            assert_eq!(got, full, "{q} sweep");
-        }
-    }
-
-    #[test]
-    fn name_anchored_queries_resume_on_the_suspended_pipeline() {
-        let src: String = std::iter::repeat_n(FIG1, 8).collect::<Vec<_>>().join("\n");
-        let corpus = parse_str(&src).unwrap();
-        let e = Engine::build(&corpus);
-        // `//NP` anchors on the clustered (name, tid, …) index: pages
-        // come from one suspended cursor.
-        let ast = lpath_syntax::parse("//NP").unwrap();
-        let (page, ckpt) = e.query_resume(&ast, None, 2).unwrap();
-        assert_eq!(page.len(), 2);
-        let ckpt = ckpt.expect("more NPs remain");
-        assert!(ckpt.is_streaming());
-        let (more, _) = e.query_resume(&ast, Some(ckpt), 2).unwrap();
-        assert_eq!(more, e.query("//NP").unwrap()[2..4]);
-    }
-
-    #[test]
-    fn decoding_rejects_forged_rows_and_the_retired_strategy_tag() {
-        let src: String = std::iter::repeat_n(FIG1, 3).collect::<Vec<_>>().join("\n");
-        let e = Engine::build(&parse_str(&src).unwrap());
-        let ast = lpath_syntax::parse("//NP").unwrap();
-        // Page one serves tree 0's first NP: its other three wait as
-        // pending rows, and tree 1's first is in flight.
-        let (_, ckpt) = e.query_resume(&ast, None, 1).unwrap();
-        let ckpt = ckpt.unwrap();
-        let ResumeState::Stream { buf, .. } = &ckpt.state else {
-            panic!("`//NP` streams");
-        };
-        let (pending, in_flight) = (ckpt.pending.len(), buf.len());
-        assert!(pending > 0 && in_flight > 0);
-        let mut w = wire::Writer::new();
-        ckpt.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let decode = |bytes: &[u8]| e.decode_checkpoint(&ast, &mut wire::Reader::new(bytes));
-        assert!(decode(&bytes).is_ok());
-
-        // Overwrite the first pending row (after `plan_k` and the
-        // count) or the first in-flight row (the list that ends the
-        // checkpoint) with a forged `(tree, node)`.
-        let forge = |at: usize, tree: u32, node: u32| {
-            let mut b = bytes.clone();
-            b[at..at + 4].copy_from_slice(&tree.to_le_bytes());
-            b[at + 4..at + 8].copy_from_slice(&node.to_le_bytes());
-            b
-        };
-        let first_in_flight = bytes.len() - 8 * in_flight;
-        for at in [16, first_in_flight] {
-            // A genuine element of another tree still decodes…
-            assert!(decode(&forge(at, 2, 0)).is_ok(), "row at {at}");
-            // …but no node past its tree and no tree past the corpus.
-            for (tree, node) in [(0, 9999), (3, 0), (u32::MAX, 0), (0, u32::MAX)] {
-                assert!(
-                    matches!(
-                        decode(&forge(at, tree, node)),
-                        Err(wire::WireError::Malformed(_))
-                    ),
-                    "({tree}, {node}) at {at}"
+            for limit in [1, 3, 7] {
+                assert_eq!(
+                    sweep(&e, &ast, Position::START, limit),
+                    full,
+                    "{q} by {limit}"
                 );
             }
+            // A zero limit keeps the place.
+            let at = Position { tree: 3, skip: 1 };
+            assert_eq!(e.page_ast(&ast, at, 0).unwrap(), (Vec::new(), Some(at)));
         }
-
-        // The strategy tag follows the pending rows; only 0 and 1 exist.
-        let tag = 16 + 8 * pending;
-        assert_eq!(bytes[tag], 1);
-        let mut retired = bytes.clone();
-        retired[tag] = 2;
-        assert!(matches!(
-            decode(&retired),
-            Err(wire::WireError::Malformed(_))
-        ));
     }
 
     #[test]
-    fn query_resume_errors_on_unsupported_queries() {
+    fn every_position_pages_a_contiguous_run() {
+        // Any position — past a tree's matches, past the corpus — names
+        // a suffix of the document-ordered result: the trees from
+        // `tree` on, less the first `skip` matches of `tree`.
+        let src: String = std::iter::repeat_n(FIG1, 4).collect::<Vec<_>>().join("\n");
+        let e = Engine::build(&parse_str(&src).unwrap());
+        for q in ["//NP", "//V->NP", "//VP{/V-->N}", "//ZZZ"] {
+            let ast = lpath_syntax::parse(q).unwrap();
+            let full = e.query(q).unwrap();
+            for tree in 0..6 {
+                for skip in [0, 1, 2, 9, u32::MAX] {
+                    let first = full.iter().position(|m| m.0 >= tree).unwrap_or(full.len());
+                    let in_tree = full.iter().filter(|m| m.0 == tree).count();
+                    let from = first + (skip as usize).min(in_tree);
+                    let at = Position { tree, skip };
+                    assert_eq!(sweep(&e, &ast, at, 2), full[from..], "{q} at {at:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pages_and_counts_error_on_unsupported_queries() {
         let e = engine();
+        let ast = lpath_syntax::parse("//VP/_[last()]").unwrap();
+        for limit in [0, 5] {
+            assert!(matches!(
+                e.page_ast(&ast, Position::START, limit),
+                Err(EngineError::Unsupported(_))
+            ));
+        }
         assert!(matches!(
-            e.query_resume(&lpath_syntax::parse("//VP/_[last()]").unwrap(), None, 5),
+            e.count_resume(&ast, 0, 5),
             Err(EngineError::Unsupported(_))
         ));
     }
@@ -1474,16 +1317,16 @@ mod tests {
     fn every_page_plan_streams() {
         use lpath_model::{generate, GenConfig};
         // Every paper query's paging plan is either the constant-empty
-        // plan or anchored tid-ordered, so paging never falls back to
-        // full evaluation.
+        // plan or anchored tree-ordered, so a page never evaluates a
+        // tree before its position.
         for cfg in [GenConfig::wsj(400), GenConfig::swb(900)] {
             let e = Engine::build(&generate(&cfg));
             for q in crate::QUERIES {
                 let ast = lpath_syntax::parse(q.lpath).unwrap();
                 for k in [1, 25] {
-                    let (plan, streams) = e.paging_plan(&ast, k).unwrap();
+                    let mut plan = e.plan_for(&ast, OptGoal::FirstRows(k)).unwrap();
                     assert!(
-                        plan.const_empty || streams,
+                        plan.const_empty || e.bound_anchor(&mut plan, 1),
                         "Q{} at k = {k} does not stream:\n{plan}",
                         q.id
                     );
@@ -1493,29 +1336,57 @@ mod tests {
     }
 
     #[test]
-    fn count_resume_sums_to_one_shot_count() {
+    fn only_tree_ordered_anchors_take_a_tree_bound() {
         let e = engine();
-        // `//V->NP` exercises the dedup path (2 distinct matches from
-        // 2 pipeline rows), `//NP/_` the dedup-free fast path.
-        for q in ["//NP", "//V->NP", "//VP{//NP$}", "//NP/_", "//ZZZ"] {
+        let ast = lpath_syntax::parse("//NP").unwrap();
+        let mut plan = e.plan_for(&ast, OptGoal::FirstRows(1)).unwrap();
+        assert!(e.bound_anchor(&mut plan, 3));
+        let rel::AccessPath::IndexRange { lo, .. } = &plan.steps[0].access else {
+            panic!("`//NP` anchors on an index");
+        };
+        assert!(matches!(lo, Some((true, rel::Operand::Const(3)))));
+        // A bound anchor is bounded already; the constant-empty plan
+        // has no anchor.
+        assert!(!e.bound_anchor(&mut plan, 4));
+        assert!(!e.bound_anchor(&mut rel::Plan::constant_empty(), 3));
+    }
+
+    #[test]
+    fn budgeted_counts_sum_to_the_one_shot_count() {
+        let src: String = std::iter::repeat_n(FIG1, 5).collect::<Vec<_>>().join("\n");
+        let e = Engine::build(&parse_str(&src).unwrap());
+        // `//V->NP` exercises the dedup path, `//NP/_` the dedup-free
+        // one, `//VP{/V-->N}` the cursor.
+        for q in [
+            "//NP",
+            "//V->NP",
+            "//VP{//NP$}",
+            "//NP/_",
+            "//VP{/V-->N}",
+            "//ZZZ",
+        ] {
             let ast = lpath_syntax::parse(q).unwrap();
             let total = e.count(q).unwrap() as u64;
             for budget in 1..4 {
-                let mut sum = 0;
-                let mut ckpt = None;
-                let mut rounds = 0;
+                let (mut sum, mut tree, mut rounds) = (0, 0, 0);
                 loop {
-                    let (n, next) = e.count_resume(&ast, ckpt, budget).unwrap();
+                    let (n, next) = e.count_resume(&ast, tree, budget).unwrap();
                     sum += n;
                     rounds += 1;
                     assert!(rounds < 100, "count_resume failed to converge");
                     match next {
-                        Some(c) => ckpt = Some(c),
+                        // A count parks only at a tree boundary, once
+                        // its budget is spent.
+                        Some(t) => {
+                            assert!(t > tree && n >= budget as u64, "{q}");
+                            tree = t;
+                        }
                         None => break,
                     }
                 }
                 assert_eq!(sum, total, "{q} with budget {budget}");
             }
+            assert_eq!(e.count_resume(&ast, 2, 0).unwrap(), (0, Some(2)), "{q}");
         }
     }
 

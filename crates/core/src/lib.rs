@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use lpath_model::ptb::parse_str;
-//! use lpath_core::Engine;
+//! use lpath_core::{Engine, Position};
 //!
 //! let corpus = parse_str(
 //!     "( (S (NP-SBJ (PRP I)) (VP (VBD saw) (NP (DT the) (NN man)))) )",
@@ -24,11 +24,12 @@
 //! let engine = Engine::build(&corpus);
 //! assert_eq!(engine.count("//VP{/NP$}").unwrap(), 1);
 //!
-//! // Document-ordered enumeration is resumable: stop after a page,
-//! // keep the checkpoint, continue later with nothing replayed.
+//! // Document-ordered enumeration pages from a position: the tree to
+//! // continue from and how many of its matches were already served.
 //! let ast = lpath_syntax::parse("//_").unwrap();
-//! let (page1, ckpt) = engine.query_resume(&ast, None, 3).unwrap();
-//! let (rest, done) = engine.query_resume(&ast, ckpt, usize::MAX).unwrap();
+//! let (page1, at) = engine.page_ast(&ast, Position::START, 3).unwrap();
+//! assert_eq!(at, Some(Position { tree: 0, skip: 3 }));
+//! let (rest, done) = engine.page_ast(&ast, at.unwrap(), usize::MAX).unwrap();
 //! assert!(done.is_none());
 //! let mut all = page1; all.extend(rest);
 //! assert_eq!(all, engine.query("//_").unwrap());
@@ -45,8 +46,8 @@ pub mod semijoin;
 pub mod translate;
 pub mod walker;
 
-pub use engine::{Engine, EngineError, ExplainAnalyze, Matches, QueryCheckpoint, StepReport};
+pub use engine::{Engine, EngineError, ExplainAnalyze, Matches, Paged, Position, StepReport};
 pub use naive::NaiveEvaluator;
 pub use queryset::{benchmark_batch, BenchQuery, ExtQuery, EXTENDED_QUERIES, QUERIES};
 pub use translate::{Translator, Unsupported};
-pub use walker::{Walker, WalkerCheckpoint};
+pub use walker::Walker;

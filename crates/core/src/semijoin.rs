@@ -26,7 +26,8 @@
 //! context and the scope: a cycle, so they stay on the cursor.
 //!
 //! Execution visits the trees of the *driver* — the required alias
-//! with the smallest posting list — in `tid` order. Per tree, each
+//! with the smallest posting list — in `tid` order, from any start
+//! tree (a page continues where the last one stopped). Per tree, each
 //! posting list gallops a finger forward to the tree's window; element
 //! rows are found by position, since the `value = NULL` range lists
 //! every element in `(tid, id)` order and ids number each tree's
@@ -552,7 +553,7 @@ impl<'e> Program<'e> {
     /// Every match, sorted in document order.
     pub fn query(&self) -> Vec<(u32, NodeId)> {
         let mut out = Vec::new();
-        self.for_each_tree(|tid, ids| {
+        self.for_each_tree(0, |tid, ids| {
             out.extend(ids.iter().map(|&id| (tid, NodeId(id - 2))));
             ControlFlow::Continue(())
         });
@@ -562,7 +563,7 @@ impl<'e> Program<'e> {
     /// The number of matches.
     pub fn count(&self) -> usize {
         let mut n = 0;
-        self.for_each_tree(|_, ids| {
+        self.for_each_tree(0, |_, ids| {
             n += ids.len();
             ControlFlow::Continue(())
         });
@@ -572,16 +573,21 @@ impl<'e> Program<'e> {
     /// Is there any match? Stops at the first tree that has one.
     pub fn exists(&self) -> bool {
         let mut found = false;
-        self.for_each_tree(|_, _| {
+        self.for_each_tree(0, |_, _| {
             found = true;
             ControlFlow::Break(())
         });
         found
     }
 
-    /// Run the program: `f` receives each tree with matches, in `tid`
-    /// order, with the sorted `id`s of its matches.
-    fn for_each_tree(&self, mut f: impl FnMut(u32, &[Value]) -> ControlFlow<()>) {
+    /// Run the program over trees `from..`: `f` receives each tree
+    /// with matches, in `tid` order, with the sorted `id`s of its
+    /// matches, until it breaks.
+    pub(crate) fn for_each_tree(
+        &self,
+        from: u32,
+        mut f: impl FnMut(u32, &[Value]) -> ControlFlow<()>,
+    ) {
         let tids = self.table.column(self.cols.col(NCol::Tid));
         let ids = self.table.column(self.cols.col(NCol::Id));
         let mut st = State {
@@ -609,8 +615,8 @@ impl<'e> Program<'e> {
         match self.driver {
             Driver::Nothing => {}
             Driver::Every => {
-                for t in 0..self.tree_starts.len() - 1 {
-                    if visit(t as u32, &mut st).is_break() {
+                for t in from..self.tree_starts.len() as u32 - 1 {
+                    if visit(t, &mut st).is_break() {
                         return;
                     }
                 }
@@ -620,7 +626,7 @@ impl<'e> Program<'e> {
                     unreachable!("the driver reads a posting list");
                 };
                 let rows = self.lists[list];
-                let mut i = 0;
+                let mut i = rows.partition_point(|r| tids[r.index()] < from);
                 while let Some(&first) = rows.get(i) {
                     let t = tids[first.index()];
                     let start = i;
@@ -916,5 +922,64 @@ impl Program<'_> {
             self.fmt_edges(f, e.child, depth + 1)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Engine;
+    use lpath_model::ptb::parse_str;
+
+    const TREES: [&str; 3] = [
+        "( (S (NP (DT the) (NN man)) (VP (VBD ran))) )",
+        "( (S (VP (VBD left))) )",
+        "( (S (NP (NN rain)) (VP (VBD fell) (NP (NN snow)))) )",
+    ];
+
+    /// Every `(tree, ids)` a run from tree `from` visits.
+    fn visits(program: &Program<'_>, from: u32) -> Vec<(u32, Vec<Value>)> {
+        let mut out = Vec::new();
+        program.for_each_tree(from, |t, ids| {
+            out.push((t, ids.to_vec()));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// A run from any tree visits exactly the trees of a whole run
+    /// from that tree on, with the same matches; returns the whole
+    /// run's visits.
+    fn starts_anywhere(query: &str, driver: fn(&Driver) -> bool) -> Vec<(u32, Vec<Value>)> {
+        let engine = Engine::build(&parse_str(&TREES.join("\n")).unwrap());
+        let ast = lpath_syntax::parse(query).unwrap();
+        let program = engine.semijoin_ast(&ast).unwrap().expect("covered");
+        assert!(driver(&program.driver), "{query}: {program}");
+        let whole = visits(&program, 0);
+        for from in 0..=TREES.len() as u32 + 1 {
+            let suffix: Vec<_> = whole.iter().filter(|v| v.0 >= from).cloned().collect();
+            assert_eq!(visits(&program, from), suffix, "{query} from {from}");
+        }
+        whole
+    }
+
+    #[test]
+    fn a_posting_driven_run_starts_at_any_tree() {
+        let whole = starts_anywhere("//NP", |d| matches!(d, Driver::Alias(_)));
+        let trees: Vec<u32> = whole.iter().map(|v| v.0).collect();
+        assert_eq!(trees, [0, 2]);
+        assert_eq!(whole[1].1.len(), 2);
+    }
+
+    #[test]
+    fn an_every_tree_run_starts_at_any_tree() {
+        let whole = starts_anywhere("//_[not(//NP)]", |d| matches!(d, Driver::Every));
+        assert_eq!(whole.len(), TREES.len());
+    }
+
+    #[test]
+    fn a_run_with_nothing_to_drive_visits_nothing() {
+        let whole = starts_anywhere("//ZZZ", |d| matches!(d, Driver::Nothing));
+        assert!(whole.is_empty());
     }
 }

@@ -8,11 +8,10 @@
 //! is differentially tested against.
 
 use lpath_model::{label, label_tree, Corpus, Label, NodeId, Tree};
-use lpath_relstore::wire;
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, PosRhs, Pred, Step};
 
 use crate::compile::{axis_rel, is_reverse_axis};
-use crate::engine::{decode_rows, encode_rows};
+use crate::engine::{PageSink, Paged, Position};
 
 /// A point of evaluation inside one tree.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -30,43 +29,6 @@ impl Point {
             Point::Doc => None,
             Point::Elem(e) | Point::Attr(e, _) => Some(e),
         }
-    }
-}
-
-/// A suspended [`Walker::eval_resume`] enumeration: the next tree to
-/// evaluate plus any matches already found past the last emitted page.
-/// Tree-granular (trees are cheap to evaluate individually), owned,
-/// and valid only against the corpus it was produced over.
-#[derive(Clone, Debug)]
-pub struct WalkerCheckpoint {
-    next_tree: usize,
-    pending: Vec<(u32, NodeId)>,
-}
-
-impl WalkerCheckpoint {
-    /// Serialize this checkpoint into `w` (the walker-strategy half of
-    /// a wire token; see [`crate::QueryCheckpoint::encode_into`]).
-    pub fn encode_into(&self, w: &mut wire::Writer) {
-        w.usize(self.next_tree);
-        encode_rows(w, &self.pending);
-    }
-
-    /// Decode a checkpoint over `corpus` from untrusted bytes. A resume
-    /// point past the corpus is clamped to "exhausted" rather than
-    /// trusted; a pending row that is not a node of `corpus` is
-    /// malformed.
-    pub fn decode(
-        r: &mut wire::Reader<'_>,
-        corpus: &Corpus,
-    ) -> Result<WalkerCheckpoint, wire::WireError> {
-        let trees = corpus.trees();
-        let next_tree = r.usize()?.min(trees.len());
-        let pending = decode_rows(r, |tid, node| {
-            trees
-                .get(tid as usize)
-                .is_some_and(|t| node.index() < t.len())
-        })?;
-        Ok(WalkerCheckpoint { next_tree, pending })
     }
 }
 
@@ -172,44 +134,40 @@ impl<'c> Walker<'c> {
         if limit == 0 {
             return Vec::new();
         }
-        let (mut rows, _) = self.eval_resume(query, None, offset.saturating_add(limit));
+        let (mut rows, _) = self.eval_resume(query, Position::START, offset.saturating_add(limit));
         rows.split_off(offset.min(rows.len()))
     }
 
-    /// Resume (or begin) a document-ordered enumeration: up to `limit`
-    /// further matches after `checkpoint` (from the start when
-    /// `None`), plus the checkpoint to continue from — `None` once the
-    /// corpus is known exhausted. Concatenating the chunks of
-    /// successive calls is byte-identical to [`Walker::eval`]; no tree
-    /// is re-evaluated across calls. The walker-strategy mirror of
-    /// [`crate::Engine::query_resume`].
-    pub fn eval_resume(
-        &self,
-        query: &Path,
-        checkpoint: Option<WalkerCheckpoint>,
-        limit: usize,
-    ) -> (Vec<(u32, NodeId)>, Option<WalkerCheckpoint>) {
-        let (mut ready, mut next_tree) = match checkpoint {
-            Some(c) => (c.pending, c.next_tree),
-            None => (Vec::new(), 0),
-        };
-        let ntrees = self.corpus.trees().len();
-        while next_tree < ntrees && ready.len() < limit {
-            for node in self.eval_tree(next_tree, query) {
-                ready.push((next_tree as u32, node));
-            }
-            next_tree += 1;
+    /// One page of the document-ordered result from position `at`:
+    /// the walker mirror of [`crate::Engine::page_ast`], whose
+    /// contract it keeps. Trees before `at.tree` are never evaluated.
+    pub fn eval_resume(&self, query: &Path, at: Position, limit: usize) -> Paged {
+        if limit == 0 {
+            return (Vec::new(), Some(at));
         }
-        let out: Vec<(u32, NodeId)> = ready.drain(..limit.min(ready.len())).collect();
-        let next = if next_tree >= ntrees && ready.is_empty() {
-            None
-        } else {
-            Some(WalkerCheckpoint {
-                next_tree,
-                pending: ready,
-            })
-        };
-        (out, next)
+        let mut page = PageSink::new(at, limit);
+        for t in at.tree as usize..self.corpus.trees().len() {
+            if page
+                .tree(t as u32, self.eval_tree(t, query).into_iter())
+                .is_break()
+            {
+                break;
+            }
+        }
+        page.finish()
+    }
+
+    /// A budgeted count from tree `from` on: the walker mirror of
+    /// [`crate::Engine::count_resume`], whose contract it keeps.
+    pub fn count_resume(&self, query: &Path, from: u32, budget: usize) -> (u64, Option<u32>) {
+        let mut n = 0u64;
+        for t in from as usize..self.corpus.trees().len() {
+            if n >= budget as u64 {
+                return (n, Some(t as u32));
+            }
+            n += self.eval_tree(t, query).len() as u64;
+        }
+        (n, None)
     }
 }
 
@@ -645,27 +603,27 @@ mod tests {
     }
 
     #[test]
-    fn decoding_rejects_rows_that_are_not_nodes_of_the_corpus() {
-        let src = format!("{FIG1}\n{FIG1}");
+    fn counts_park_at_tree_boundaries_and_sum_to_the_count() {
+        let src: String = std::iter::repeat_n(FIG1, 5).collect::<Vec<_>>().join("\n");
         let c = parse_str(&src).unwrap();
         let w = Walker::new(&c);
-        let q = parse("//NP").unwrap();
-        let (_, ckpt) = w.eval_resume(&q, None, 1);
-        let mut out = wire::Writer::new();
-        ckpt.unwrap().encode_into(&mut out);
-        let bytes = out.into_bytes();
-        let decode = |bytes: &[u8]| WalkerCheckpoint::decode(&mut wire::Reader::new(bytes), &c);
-        assert!(decode(&bytes).is_ok());
-        // The first pending row follows `next_tree` and the row count.
-        let forge = |tree: u32, node: u32| {
-            let mut b = bytes.clone();
-            b[16..20].copy_from_slice(&tree.to_le_bytes());
-            b[20..24].copy_from_slice(&node.to_le_bytes());
-            b
-        };
-        assert!(decode(&forge(1, 0)).is_ok());
-        for (tree, node) in [(0, 9999), (2, 0), (u32::MAX, 0)] {
-            assert!(decode(&forge(tree, node)).is_err(), "({tree}, {node})");
+        for q in ["//NP", "//V->NP", "//VP/_[last()]", "//ZZZ"] {
+            let query = parse(q).unwrap();
+            for budget in 1..4 {
+                let (mut sum, mut tree) = (0, 0);
+                loop {
+                    let (n, next) = w.count_resume(&query, tree, budget);
+                    sum += n;
+                    match next {
+                        Some(t) => {
+                            assert!(t > tree && n >= budget as u64, "{q}");
+                            tree = t;
+                        }
+                        None => break,
+                    }
+                }
+                assert_eq!(sum as usize, w.count(&query), "{q} budget {budget}");
+            }
         }
     }
 
@@ -698,28 +656,45 @@ mod tests {
         for q in ["//V->NP", "//VP/_[last()]", "//NP[not(//Det)]", "//ZZZ"] {
             let query = parse(q).unwrap();
             let full = w.eval(&query);
-            for split in 1..=full.len().max(1) {
-                let (head, ckpt) = w.eval_resume(&query, None, split);
-                assert_eq!(head, full[..split.min(full.len())], "{q} split {split}");
-                let Some(ckpt) = ckpt else {
-                    assert_eq!(split, full.len().max(split), "{q}");
-                    continue;
-                };
-                let (tail, end) = w.eval_resume(&query, Some(ckpt), usize::MAX);
-                assert_eq!(tail, full[split.min(full.len())..], "{q} split {split}");
+            for split in 1..=full.len() {
+                let (head, next) = w.eval_resume(&query, Position::START, split);
+                assert_eq!(head, full[..split], "{q} split {split}");
+                let at = next.expect("a full page parks");
+                let (tail, end) = w.eval_resume(&query, at, usize::MAX);
+                assert_eq!(tail, full[split..], "{q} split {split}");
                 assert!(end.is_none(), "{q} split {split}");
             }
             // Page-at-a-time sweep.
-            let (mut got, mut ckpt) = (Vec::new(), None);
+            let (mut got, mut at) = (Vec::new(), Position::START);
             loop {
-                let (rows, next) = w.eval_resume(&query, ckpt, 2);
+                let (rows, next) = w.eval_resume(&query, at, 2);
                 got.extend(rows);
                 match next {
-                    Some(c) => ckpt = Some(c),
+                    Some(p) => at = p,
                     None => break,
                 }
             }
             assert_eq!(got, full, "{q} sweep");
+        }
+    }
+
+    #[test]
+    fn every_position_pages_a_suffix() {
+        let src: String = std::iter::repeat_n(FIG1, 3).collect::<Vec<_>>().join("\n");
+        let c = parse_str(&src).unwrap();
+        let w = Walker::new(&c);
+        for q in ["//NP", "//VP/_[last()]", "//ZZZ"] {
+            let query = parse(q).unwrap();
+            let full = w.eval(&query);
+            for tree in 0..5 {
+                for skip in [0, 1, 3, u32::MAX] {
+                    let first = full.iter().position(|m| m.0 >= tree).unwrap_or(full.len());
+                    let in_tree = full[first..].iter().take_while(|m| m.0 == tree).count();
+                    let from = first + (skip as usize).min(in_tree);
+                    let (rows, _) = w.eval_resume(&query, Position { tree, skip }, usize::MAX);
+                    assert_eq!(rows, full[from..], "{q} at ({tree}, {skip})");
+                }
+            }
         }
     }
 

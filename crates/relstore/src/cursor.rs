@@ -12,22 +12,16 @@
 //!   Queries over Trees*);
 //! * [`count`] — enumerate without materializing tuples (the common
 //!   narrow projection dedups through a packed `u64` set);
-//! * [`execute_page`] — skip `offset` tuples, keep `limit`, stop;
-//! * [`execute`] — the classic collect-everything form, now a thin
-//!   wrapper over the cursor;
-//! * [`execute_resume`] — stop after `limit` tuples **and keep the
-//!   right to continue**: the enumeration suspends into a
-//!   [`CursorCheckpoint`] and a later call picks up exactly where it
-//!   stopped, paying nothing for the tuples already emitted.
+//! * [`execute`] — the classic collect-everything form, a thin
+//!   wrapper over the cursor.
 //!
-//! Suspension captures the complete join state — the binding of every
-//! alias, each open stage's candidate position, and the `DISTINCT`
-//! watermark — as plain owned data ([`CursorCheckpoint`]), so a
-//! checkpoint can outlive the cursor, the plan borrow, and the calling
-//! frame (e.g. live in a service's cache between page requests).
+//! A cursor keeps no state worth saving between requests: a caller
+//! that pages through a result re-opens a cursor at a position of its
+//! own choosing, by a lower bound on the anchor step's access path
+//! (the engine bounds the tree id, see `lpath_core::Engine::page_ast`).
 //!
 //! ```
-//! use lpath_relstore::{execute, execute_resume, Cursor};
+//! use lpath_relstore::{execute, Cursor};
 //! # use lpath_relstore::{AccessPath, ColRef, Database, JoinStep, Plan, Schema, Table, ColId};
 //! # let mut t = Table::new(Schema::new(&["grp", "val"]));
 //! # for row in [[1, 10], [1, 11], [2, 20]] { t.push_row(&row); }
@@ -40,14 +34,9 @@
 //! #     checks: vec![], projection: vec![ColRef::new(0, ColId(1))], distinct: false,
 //! #     ..Plan::default()
 //! # };
-//! // Two tuples now…
-//! let (first, ckpt) = execute_resume(&plan, &db, None, 2);
-//! assert_eq!(first.len(), 2);
-//! // …the rest later, with no replay of the first two.
-//! let (rest, done) = execute_resume(&plan, &db, ckpt, usize::MAX);
-//! assert!(done.is_none());
-//! let mut all = first; all.extend(rest);
-//! assert_eq!(all, execute(&plan, &db));
+//! // Two tuples, then the cursor is dropped: the rest is never computed.
+//! let first: Vec<_> = Cursor::new(&plan, &db).take(2).collect();
+//! assert_eq!(first, execute(&plan, &db)[..2]);
 //! ```
 //!
 //! Output order and dedup semantics are identical to the historical
@@ -64,20 +53,15 @@ use crate::catalog::Database;
 use crate::plan::{run_check, CheckScratch, Frame, JoinStep, Plan};
 use crate::table::RowId;
 use crate::value::Value;
-use crate::wire;
 
 /// Observed per-step execution counts — the *actual* side of the
 /// planner's estimated costs, maintained by every cursor at the price
 /// of a few plain integer increments per candidate row.
 ///
-/// One `StepObs` per [`JoinStep`], carried across [`Cursor::suspend`] /
-/// [`Cursor::resume`] so a paged enumeration accumulates the same
-/// totals as an uninterrupted one (modulo the re-run probe each resume
-/// performs, which is counted honestly as a probe).
+/// One `StepObs` per [`JoinStep`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepObs {
-    /// Access-path openings: index range probes (or scan starts),
-    /// including the re-probe a resume performs per suspended stage.
+    /// Access-path openings: index range probes (or scan starts).
     pub probes: u64,
     /// Candidate rows pulled from the step's scan or probe slice.
     pub candidates: u64,
@@ -120,14 +104,6 @@ enum Cands<'a> {
 }
 
 impl Cands<'_> {
-    /// The suspendable half of this stage's state (see [`LevelPos`]).
-    fn pos(&self) -> LevelPos {
-        match self {
-            Cands::Scan { next, .. } => LevelPos::Scan { next: *next },
-            Cands::Rows { pos, .. } => LevelPos::Rows { pos: *pos },
-        }
-    }
-
     fn next(&mut self) -> Option<RowId> {
         match self {
             Cands::Scan { next, end } => {
@@ -144,219 +120,6 @@ impl Cands<'_> {
                 row
             }
         }
-    }
-}
-
-/// The suspendable position of one open pipeline stage — the owned
-/// mirror of [`Cands`], minus everything re-derivable from the plan
-/// and database (the scan's end, the index probe's row slice).
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum LevelPos {
-    /// Next physical row of a full scan.
-    Scan { next: u32 },
-    /// Position within an index probe's candidate slice.
-    Rows { pos: usize },
-}
-
-/// A suspended [`Cursor`]: the complete join state as plain owned data.
-///
-/// Produced by [`Cursor::suspend`]; turned back into a live cursor by
-/// [`Cursor::resume`]. A checkpoint holds
-///
-/// * the current binding of **every** alias (the join `Frame` the
-///   recursive checker and the cursor share),
-/// * each open stage's candidate position (scan offset or index-probe
-///   position — the probe itself is re-run on resume and lands on the
-///   same clustered-order slice, since the bindings it is keyed by are
-///   restored first),
-/// * the emitted-tuple `DISTINCT` watermark (packed for narrow
-///   projections, materialized for wide ones), so duplicates spanning
-///   a suspension are still suppressed.
-///
-/// The cursor's search fingers (see [`Cursor`]) are deliberately *not*
-/// part of a checkpoint: they only speed up index probes, never change
-/// their results, so a resumed cursor starts with cold fingers and the
-/// encoded bytes (hence service page tokens) are the same as they
-/// would be without fingers.
-///
-/// A checkpoint is only meaningful against the **same plan over the
-/// same database contents** it was suspended from. Callers that cache
-/// checkpoints must scope them accordingly (the service scopes them to
-/// a shard's immutable build); resuming against a structurally
-/// different plan panics, resuming against different *data* silently
-/// yields garbage.
-#[derive(Clone, Debug)]
-pub struct CursorCheckpoint {
-    bindings: Vec<RowId>,
-    levels: Vec<LevelPos>,
-    primed: bool,
-    done: bool,
-    seen_narrow: HashSet<u64>,
-    seen_wide: HashSet<Vec<Value>>,
-    obs: Vec<StepObs>,
-}
-
-impl CursorCheckpoint {
-    /// Has the suspended enumeration already finished? A resumed
-    /// cursor over a finished checkpoint yields nothing (cheaply).
-    pub fn exhausted(&self) -> bool {
-        self.done
-    }
-
-    /// Serialize the checkpoint into `w` (the deterministic half of a
-    /// wire token: the dedup watermarks are written sorted, so
-    /// encoding the same logical state always yields the same bytes).
-    pub fn encode_into(&self, w: &mut wire::Writer) {
-        w.usize(self.bindings.len());
-        for b in &self.bindings {
-            w.u32(b.0);
-        }
-        w.usize(self.levels.len());
-        for level in &self.levels {
-            match level {
-                LevelPos::Scan { next } => {
-                    w.u8(0);
-                    w.u64(u64::from(*next));
-                }
-                LevelPos::Rows { pos } => {
-                    w.u8(1);
-                    w.usize(*pos);
-                }
-            }
-        }
-        w.bool(self.primed);
-        w.bool(self.done);
-        let mut narrow: Vec<u64> = self.seen_narrow.iter().copied().collect();
-        narrow.sort_unstable();
-        w.usize(narrow.len());
-        for v in narrow {
-            w.u64(v);
-        }
-        let mut wide: Vec<&Vec<Value>> = self.seen_wide.iter().collect();
-        wide.sort_unstable();
-        w.usize(wide.len());
-        for tuple in wide {
-            w.usize(tuple.len());
-            for &v in tuple {
-                w.u32(v);
-            }
-        }
-        w.usize(self.obs.len());
-        for o in &self.obs {
-            w.u64(o.probes);
-            w.u64(o.candidates);
-            w.u64(o.residual_evals);
-            w.u64(o.rows_out);
-        }
-    }
-
-    /// Decode a checkpoint from untrusted bytes, validated against the
-    /// `plan` and `db` it claims to resume over: the alias count must
-    /// match the plan, each open stage's recorded kind must agree with
-    /// the plan's access path, and every binding an open stage has
-    /// fixed must reference a real row of its alias's table. A
-    /// checkpoint this accepts can be fed to [`Cursor::resume`]
-    /// without tripping its shape assertions.
-    pub fn decode(
-        r: &mut wire::Reader<'_>,
-        plan: &Plan,
-        db: &Database,
-    ) -> Result<CursorCheckpoint, wire::WireError> {
-        use wire::WireError::Malformed;
-        let nbind = r.seq_len(4)?;
-        if nbind != plan.alias_tables.len() {
-            return Err(Malformed("alias count does not match plan"));
-        }
-        let mut bindings = Vec::with_capacity(nbind);
-        for _ in 0..nbind {
-            bindings.push(RowId(r.u32()?));
-        }
-        let nlevels = r.seq_len(2)?;
-        if nlevels > plan.steps.len() {
-            return Err(Malformed("more open stages than plan steps"));
-        }
-        let mut levels = Vec::with_capacity(nlevels);
-        for d in 0..nlevels {
-            let level = match r.u8()? {
-                0 => LevelPos::Scan {
-                    next: u32::try_from(r.u64()?).unwrap_or(u32::MAX),
-                },
-                1 => LevelPos::Rows { pos: r.usize()? },
-                _ => return Err(Malformed("level kind")),
-            };
-            let scan = matches!(level, LevelPos::Scan { .. });
-            let wants_scan = matches!(plan.steps[d].access, crate::plan::AccessPath::FullScan);
-            if scan != wants_scan {
-                return Err(Malformed("stage kind disagrees with plan access path"));
-            }
-            levels.push(level);
-        }
-        // Every alias a suspended open stage has bound must point at a
-        // real row — those bindings are read when checks run and when
-        // deeper probes resolve their keys. Aliases beyond the open
-        // stages keep their placeholder and are never read before
-        // being rebound, so they need no constraint.
-        for step in &plan.steps[..nlevels] {
-            let rows = db.table(step.table).num_rows();
-            if bindings[step.alias].0 as usize >= rows {
-                return Err(Malformed("binding references a missing row"));
-            }
-        }
-        let primed = r.bool()?;
-        let done = r.bool()?;
-        if !primed && nlevels > 0 {
-            return Err(Malformed("open stages on an unprimed cursor"));
-        }
-        let n_narrow = r.seq_len(8)?;
-        let mut seen_narrow = HashSet::with_capacity(n_narrow);
-        for _ in 0..n_narrow {
-            seen_narrow.insert(r.u64()?);
-        }
-        let n_wide = r.seq_len(8)?;
-        let mut seen_wide = HashSet::with_capacity(n_wide);
-        for _ in 0..n_wide {
-            let tlen = r.seq_len(4)?;
-            let mut tuple = Vec::with_capacity(tlen);
-            for _ in 0..tlen {
-                tuple.push(r.u32()?);
-            }
-            seen_wide.insert(tuple);
-        }
-        let nobs = r.seq_len(32)?;
-        if nobs != plan.steps.len() {
-            return Err(Malformed("observation count does not match plan"));
-        }
-        let mut obs = Vec::with_capacity(nobs);
-        for _ in 0..nobs {
-            obs.push(StepObs {
-                probes: r.u64()?,
-                candidates: r.u64()?,
-                residual_evals: r.u64()?,
-                rows_out: r.u64()?,
-            });
-        }
-        Ok(CursorCheckpoint {
-            bindings,
-            levels,
-            primed,
-            done,
-            seen_narrow,
-            seen_wide,
-            obs,
-        })
-    }
-
-    /// The per-step observed counts accumulated up to the suspension
-    /// (restored into the cursor on resume, so they keep growing).
-    pub fn step_observations(&self) -> &[StepObs] {
-        &self.obs
-    }
-
-    /// Number of distinct tuples emitted before suspension (the dedup
-    /// watermark's size). Zero for non-`DISTINCT` plans, whose
-    /// emissions are not tracked.
-    pub fn distinct_emitted(&self) -> usize {
-        self.seen_narrow.len() + self.seen_wide.len()
     }
 }
 
@@ -377,9 +140,8 @@ enum Mode {
 /// the cursor keeps one finger per plan step — and one per step of
 /// each existence check, beside that check's reusable binding buffer —
 /// and each probe searches from where the same step's previous probe
-/// landed. Fingers are search hints only, and are not saved by
-/// [`Cursor::suspend`]: a resumed cursor searches cold until its
-/// first probe of each step.
+/// landed. Fingers are search hints only: they never change a probe's
+/// result.
 pub struct Cursor<'a> {
     plan: Cow<'a, Plan>,
     db: &'a Database,
@@ -426,7 +188,7 @@ impl<'a> Cursor<'a> {
         let narrow = plan.projection.len() <= 2;
         let obs = vec![StepObs::default(); plan.steps.len()];
         // A constant-empty plan's cursor is born exhausted: every
-        // entry point (execute, count, exists, paging, resume) funnels
+        // entry point (execute, count, exists) funnels
         // through `advance_match`, whose first check is `done`.
         let done = plan.const_empty;
         Cursor {
@@ -465,104 +227,6 @@ impl<'a> Cursor<'a> {
     /// cursor was built [`Cursor::with_timing`].
     pub fn step_nanos(&self) -> &[u64] {
         &self.step_nanos
-    }
-
-    /// Capture the complete join state as owned data, leaving the
-    /// cursor untouched. Valid at any point between [`Iterator::next`]
-    /// calls — before the first pull, mid-enumeration, or after
-    /// exhaustion.
-    pub fn suspend(&self) -> CursorCheckpoint {
-        CursorCheckpoint {
-            bindings: self.bindings.clone(),
-            levels: self.levels.iter().map(Cands::pos).collect(),
-            primed: self.primed,
-            done: self.done,
-            seen_narrow: self.seen_narrow.clone(),
-            seen_wide: self.seen_wide.clone(),
-            obs: self.obs.clone(),
-        }
-    }
-
-    /// [`Cursor::suspend`] by move: consumes the cursor and hands its
-    /// state over without copying the `DISTINCT` watermark — the
-    /// right form when the cursor is done being polled (a paging loop
-    /// suspending between requests), where cloning a large emitted
-    /// set per page would make suspension itself O(rows emitted).
-    pub fn into_checkpoint(self) -> CursorCheckpoint {
-        CursorCheckpoint {
-            levels: self.levels.iter().map(Cands::pos).collect(),
-            bindings: self.bindings,
-            primed: self.primed,
-            done: self.done,
-            seen_narrow: self.seen_narrow,
-            seen_wide: self.seen_wide,
-            obs: self.obs,
-        }
-    }
-
-    /// Rebuild a live cursor from a checkpoint taken over the same
-    /// `plan` and `db`. The continuation is exact: the resumed cursor
-    /// yields precisely the tuples the suspended one would have yielded
-    /// next, in the same order, with the same `DISTINCT` suppression.
-    ///
-    /// # Panics
-    ///
-    /// If the checkpoint's shape does not match `plan` (different alias
-    /// count, more open stages than steps, or a stage whose recorded
-    /// position kind disagrees with the plan's access path).
-    pub fn resume(plan: &'a Plan, db: &'a Database, ckpt: CursorCheckpoint) -> Self {
-        assert_eq!(
-            ckpt.bindings.len(),
-            plan.alias_tables.len(),
-            "checkpoint does not belong to this plan (alias count)"
-        );
-        assert!(
-            ckpt.levels.len() <= plan.steps.len(),
-            "checkpoint does not belong to this plan (open stages)"
-        );
-        let narrow = plan.projection.len() <= 2;
-        debug_assert_eq!(ckpt.obs.len(), plan.steps.len());
-        let done = ckpt.done || plan.const_empty;
-        let mut cursor = Cursor {
-            plan: Cow::Borrowed(plan),
-            db,
-            bindings: ckpt.bindings,
-            levels: Vec::with_capacity(ckpt.levels.len()),
-            fingers: vec![usize::MAX; plan.steps.len()],
-            checks: CheckScratch::for_checks(plan),
-            primed: ckpt.primed,
-            done,
-            narrow,
-            seen_narrow: ckpt.seen_narrow,
-            seen_wide: ckpt.seen_wide,
-            obs: ckpt.obs,
-            timed: false,
-            step_nanos: Vec::new(),
-        };
-        // Reopen each suspended stage against the restored bindings.
-        // While stage `d` is open, the bindings of steps `< d` are
-        // fixed (only deeper stages mutate deeper aliases), so the
-        // re-run probe resolves to the same candidate slice the
-        // suspended stage was iterating — only the position needs
-        // fast-forwarding.
-        for (d, saved) in ckpt.levels.iter().enumerate() {
-            let mut cands = cursor.open(d);
-            cursor.obs[d].probes += 1; // the re-run probe is real work
-            match (&mut cands, saved) {
-                (Cands::Scan { next, .. }, LevelPos::Scan { next: n }) => *next = *n,
-                (Cands::Rows { rows, pos }, LevelPos::Rows { pos: p }) => {
-                    // A legitimate checkpoint's position is always
-                    // within the re-run probe's slice; clamping (not
-                    // asserting) keeps decoded-from-the-wire state —
-                    // validated structurally, but not against this
-                    // probe — safe: past-the-end means exhausted.
-                    *pos = (*p).min(rows.len());
-                }
-                _ => panic!("checkpoint stage {d} disagrees with the plan's access path"),
-            }
-            cursor.levels.push(cands);
-        }
-        cursor
     }
 
     fn frame(&self) -> Frame<'_> {
@@ -734,43 +398,23 @@ impl Cursor<'_> {
     /// provably impossible and both the projection and the watermark
     /// sets are skipped (the count pushdown fast path).
     pub fn count_remaining(&mut self) -> u64 {
-        self.count_up_to(u64::MAX).0
-    }
-
-    /// Count at most `budget` further tuples. Returns the number
-    /// counted plus whether the enumeration is exhausted (`false`
-    /// means the budget ran out and the cursor can be suspended).
-    fn count_up_to(&mut self, budget: u64) -> (u64, bool) {
         let mut n = 0u64;
         if !self.plan.distinct || self.plan.dedup_free {
-            while n < budget {
-                if !self.advance_match() {
-                    return (n, true);
-                }
+            while self.advance_match() {
                 n += 1;
             }
         } else if self.narrow {
-            while n < budget {
-                if !self.advance_match() {
-                    return (n, true);
-                }
+            while self.advance_match() {
                 let key = self.packed();
-                if self.seen_narrow.insert(key) {
-                    n += 1;
-                }
+                n += u64::from(self.seen_narrow.insert(key));
             }
         } else {
-            while n < budget {
-                if !self.advance_match() {
-                    return (n, true);
-                }
+            while self.advance_match() {
                 let tuple = self.project();
-                if self.seen_wide.insert(tuple) {
-                    n += 1;
-                }
+                n += u64::from(self.seen_wide.insert(tuple));
             }
         }
-        (n, false)
+        n
     }
 }
 
@@ -782,7 +426,8 @@ impl Iterator for Cursor<'_> {
             if !self.advance_match() {
                 return None;
             }
-            if !self.plan.distinct {
+            // Like counting, a dedup-free plan keeps no watermark.
+            if !self.plan.distinct || self.plan.dedup_free {
                 return Some(self.project());
             }
             if self.narrow {
@@ -828,70 +473,6 @@ pub fn exists(plan: &Plan, db: &Database) -> bool {
 /// them immediately).
 pub fn count(plan: &Plan, db: &Database) -> usize {
     Cursor::new(plan, db).count_remaining() as usize
-}
-
-/// Count up to `budget` further tuples of `plan`'s output, continuing
-/// from `checkpoint` (or from the start when `None`), plus the
-/// checkpoint to continue from next — `None` once the enumeration is
-/// known exhausted. Summing the counts of successive calls equals
-/// [`count`], whatever the per-call budgets: the checkpoint carries
-/// the distinct watermark sets, so resumed counting never double- or
-/// under-counts across a suspension boundary.
-pub fn count_resume(
-    plan: &Plan,
-    db: &Database,
-    checkpoint: Option<CursorCheckpoint>,
-    budget: usize,
-) -> (u64, Option<CursorCheckpoint>) {
-    let mut cursor = match checkpoint {
-        Some(ckpt) => Cursor::resume(plan, db, ckpt),
-        None => Cursor::new(plan, db),
-    };
-    let (n, exhausted) = cursor.count_up_to(budget as u64);
-    if exhausted {
-        (n, None)
-    } else {
-        (n, Some(cursor.into_checkpoint()))
-    }
-}
-
-/// The `[offset, offset + limit)` slice of `execute`'s output, stopping
-/// the enumeration as soon as the page is filled. Exactly equal to
-/// `execute(plan, db)[offset..][..limit]` (clamped at the end).
-pub fn execute_page(plan: &Plan, db: &Database, offset: usize, limit: usize) -> Vec<Vec<Value>> {
-    if limit == 0 {
-        return Vec::new();
-    }
-    Cursor::new(plan, db).skip(offset).take(limit).collect()
-}
-
-/// Up to `limit` further tuples of `plan`'s output, continuing from
-/// `checkpoint` (or from the start when `None`), plus the checkpoint
-/// to continue from *next* — `None` once the enumeration is known
-/// exhausted. Concatenating the row chunks of successive calls is
-/// byte-identical to [`execute`], whatever the per-call limits.
-///
-/// A full page may coincide with the end of the enumeration; the call
-/// then still returns a checkpoint, and the following call returns
-/// `(vec![], None)` — "no more rows" is only ever discovered by asking.
-pub fn execute_resume(
-    plan: &Plan,
-    db: &Database,
-    checkpoint: Option<CursorCheckpoint>,
-    limit: usize,
-) -> (Vec<Vec<Value>>, Option<CursorCheckpoint>) {
-    let mut cursor = match checkpoint {
-        Some(ckpt) => Cursor::resume(plan, db, ckpt),
-        None => Cursor::new(plan, db),
-    };
-    let mut rows = Vec::new();
-    while rows.len() < limit {
-        match cursor.next() {
-            Some(row) => rows.push(row),
-            None => return (rows, None),
-        }
-    }
-    (rows, Some(cursor.into_checkpoint()))
 }
 
 #[cfg(test)]
@@ -976,18 +557,51 @@ mod tests {
     }
 
     #[test]
-    fn pages_are_prefix_slices() {
-        let (db, tid, _) = setup();
-        let plan = scan_plan(tid, vec![ColRef::new(0, VAL)], false);
-        let full = execute(&plan, &db);
+    fn a_lower_bound_on_the_anchor_yields_a_suffix() {
+        // Paging re-opens a cursor with a lower bound on its anchor's
+        // first range column: the output is the unbounded output from
+        // the bound on, in the same order.
+        let (db, tid, idx) = setup();
+        let bounded = |lo: Option<(bool, Operand)>| Plan {
+            alias_tables: vec![tid],
+            steps: vec![JoinStep {
+                alias: 0,
+                table: tid,
+                access: AccessPath::IndexRange {
+                    index: idx,
+                    eq: vec![],
+                    lo,
+                    hi: None,
+                },
+                residual: vec![],
+                sets: vec![],
+            }],
+            projection: vec![ColRef::new(0, GRP), ColRef::new(0, VAL)],
+            ..Plan::default()
+        };
+        let full = execute(&bounded(None), &db);
         assert_eq!(full.len(), 6);
-        for offset in 0..8 {
-            for limit in 0..8 {
-                let page = execute_page(&plan, &db, offset, limit);
-                let want: Vec<Vec<Value>> = full.iter().skip(offset).take(limit).cloned().collect();
-                assert_eq!(page, want, "offset {offset} limit {limit}");
-            }
+        for grp in 0..5 {
+            let plan = bounded(Some((true, Operand::Const(grp))));
+            let want: Vec<Vec<Value>> = full.iter().filter(|r| r[0] >= grp).cloned().collect();
+            assert_eq!(execute(&plan, &db), want, "grp >= {grp}");
+            assert_eq!(count(&plan, &db), want.len(), "grp >= {grp}");
         }
+    }
+
+    #[test]
+    fn dedup_free_enumeration_keeps_no_watermark() {
+        // A planner-certified dedup-free plan emits every binding as
+        // is: enumerating it, like counting it, hashes nothing.
+        let (db, tid, _) = setup();
+        let mut plan = scan_plan(tid, vec![ColRef::new(0, GRP), ColRef::new(0, VAL)], true);
+        plan.dedup_free = true;
+        let mut cursor = Cursor::new(&plan, &db);
+        let rows: Vec<Vec<Value>> = cursor.by_ref().collect();
+        assert_eq!(rows.len(), 6);
+        assert!(cursor.seen_narrow.is_empty() && cursor.seen_wide.is_empty());
+        plan.dedup_free = false;
+        assert_eq!(rows, execute(&plan, &db));
     }
 
     #[test]
@@ -1012,7 +626,27 @@ mod tests {
         );
         assert_eq!(execute(&wide, &db), [[1, 1, 1], [2, 2, 2], [3, 3, 3]]);
         assert_eq!(count(&wide, &db), 3);
-        assert_eq!(execute_page(&wide, &db, 1, 1), [[2, 2, 2]]);
+        let second: Vec<Vec<Value>> = Cursor::new(&wide, &db).skip(1).take(1).collect();
+        assert_eq!(second, [[2, 2, 2]]);
+    }
+
+    #[test]
+    fn count_remaining_counts_only_what_is_left() {
+        // A cursor pulled part-way counts the rest, distinct plans
+        // through the watermark the pulled rows already filled.
+        let (db, tid, idx) = setup();
+        for (pi, plan) in plan_shapes(tid, idx).iter().enumerate() {
+            let total = count(plan, &db) as u64;
+            for pulled in 0..=total {
+                let mut cursor = Cursor::new(plan, &db);
+                let got = cursor.by_ref().take(pulled as usize).count() as u64;
+                assert_eq!(
+                    got + cursor.count_remaining(),
+                    total,
+                    "plan {pi} after {pulled}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1036,13 +670,11 @@ mod tests {
         assert_eq!(execute(&plan, &db), [Vec::<Value>::new()]);
         assert_eq!(count(&plan, &db), 1);
         assert!(exists(&plan, &db));
-        assert_eq!(execute_page(&plan, &db, 1, 5), Vec::<Vec<Value>>::new());
     }
 
-    /// Every plan shape the suspension tests sweep: scans, probes,
-    /// joins, distinct narrow/wide projections, existence checks.
-    fn checkpoint_plans(db: &Database, tid: TableId, idx: IndexId) -> Vec<Plan> {
-        let _ = db;
+    /// Plan shapes over the toy table: scans, probes, joins, distinct
+    /// narrow/wide projections, existence checks.
+    fn plan_shapes(tid: TableId, idx: IndexId) -> Vec<Plan> {
         let join = Plan {
             alias_tables: vec![tid, tid],
             steps: vec![
@@ -1115,91 +747,9 @@ mod tests {
     }
 
     #[test]
-    fn suspend_resume_at_every_row_boundary_is_exact() {
-        let (db, tid, idx) = setup();
-        for (pi, plan) in checkpoint_plans(&db, tid, idx).iter().enumerate() {
-            let full = execute(plan, &db);
-            // Split the enumeration at every boundary, including 0
-            // (suspend before the first pull) and len (suspend after
-            // the last row but before discovering exhaustion).
-            for split in 0..=full.len() {
-                let (head, ckpt) = execute_resume(plan, &db, None, split);
-                assert_eq!(head, full[..split], "plan {pi} split {split}");
-                let Some(ckpt) = ckpt else {
-                    // Only possible when the head already exhausted
-                    // the enumeration.
-                    assert_eq!(split, full.len(), "plan {pi}");
-                    continue;
-                };
-                let (tail, end) = execute_resume(plan, &db, Some(ckpt), usize::MAX);
-                assert_eq!(tail, full[split..], "plan {pi} split {split}");
-                assert!(end.is_none(), "plan {pi} split {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn resume_in_single_steps_matches_execute() {
-        let (db, tid, idx) = setup();
-        for (pi, plan) in checkpoint_plans(&db, tid, idx).iter().enumerate() {
-            let full = execute(plan, &db);
-            // Row-at-a-time resumption across fresh cursors each time.
-            let mut got = Vec::new();
-            let mut ckpt = None;
-            loop {
-                let (rows, next) = execute_resume(plan, &db, ckpt, 1);
-                got.extend(rows);
-                match next {
-                    Some(c) => ckpt = Some(c),
-                    None => break,
-                }
-            }
-            assert_eq!(got, full, "plan {pi}");
-        }
-    }
-
-    #[test]
-    fn distinct_watermark_survives_suspension() {
-        // Rows (1,10), (1,11), (1,12) project to one distinct (grp,)
-        // tuple; suspending between them must not re-emit it.
-        let (db, tid, _) = setup();
-        let plan = scan_plan(tid, vec![ColRef::new(0, GRP)], true);
-        let (head, ckpt) = execute_resume(&plan, &db, None, 1);
-        assert_eq!(head, [[1]]);
-        let ckpt = ckpt.unwrap();
-        assert_eq!(ckpt.distinct_emitted(), 1);
-        assert!(!ckpt.exhausted());
-        let (tail, _) = execute_resume(&plan, &db, Some(ckpt), usize::MAX);
-        assert_eq!(tail, [[2], [3]]);
-    }
-
-    #[test]
-    fn suspending_an_exhausted_cursor_resumes_to_nothing() {
-        let (db, tid, _) = setup();
-        let plan = scan_plan(tid, vec![ColRef::new(0, VAL)], false);
-        let mut cursor = Cursor::new(&plan, &db);
-        while cursor.next().is_some() {}
-        let ckpt = cursor.suspend();
-        assert!(ckpt.exhausted());
-        let (rows, end) = execute_resume(&plan, &db, Some(ckpt), 10);
-        assert_eq!(rows, Vec::<Vec<Value>>::new());
-        assert!(end.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "alias count")]
-    fn resuming_against_a_different_plan_panics() {
-        let (db, tid, idx) = setup();
-        let one = scan_plan(tid, vec![ColRef::new(0, VAL)], false);
-        let (_, ckpt) = execute_resume(&one, &db, None, 1);
-        let other = &checkpoint_plans(&db, tid, idx)[3]; // two aliases
-        let _ = Cursor::resume(other, &db, ckpt.unwrap());
-    }
-
-    #[test]
     fn observations_count_candidates_rows_and_probes() {
         let (db, tid, idx) = setup();
-        let join = &checkpoint_plans(&db, tid, idx)[3]; // scan ⋈ probe
+        let join = &plan_shapes(tid, idx)[3]; // scan ⋈ probe
         let (rows, obs, nanos) = execute_analyzed(join, &db);
         assert_eq!(rows, execute(join, &db));
         assert_eq!(obs.len(), 2);
@@ -1241,56 +791,6 @@ mod tests {
         assert_eq!(obs[0].rows_out, 3);
     }
 
-    #[test]
-    fn observations_accumulate_across_suspend_resume() {
-        let (db, tid, idx) = setup();
-        for (pi, plan) in checkpoint_plans(&db, tid, idx).iter().enumerate() {
-            let (_, straight, _) = execute_analyzed(plan, &db);
-            // Row-at-a-time sweep: every boundary suspends and resumes.
-            let mut ckpt: Option<CursorCheckpoint> = None;
-            let final_obs = loop {
-                let (_, next) = execute_resume(plan, &db, ckpt.clone(), 1);
-                match next {
-                    Some(c) => ckpt = Some(c),
-                    // Exhaustion drops the cursor; the last checkpoint
-                    // before it carries the accumulated counts.
-                    None => break ckpt.take(),
-                }
-            };
-            // The checkpoint right before exhaustion already accounts
-            // for every candidate pulled so far; compare the row/eval
-            // totals (probes legitimately exceed the straight run by
-            // the per-resume re-probes).
-            if let Some(c) = final_obs {
-                for (d, (got, want)) in c.step_observations().iter().zip(&straight).enumerate() {
-                    assert!(
-                        got.candidates <= want.candidates && got.rows_out <= want.rows_out,
-                        "plan {pi} step {d}: suspended sweep overshot the straight run"
-                    );
-                    assert!(
-                        got.probes >= want.probes,
-                        "plan {pi} step {d}: resumes must re-probe"
-                    );
-                }
-            }
-            // And a single mid-way suspension, drained to the end,
-            // lands on exactly the straight-run candidate totals.
-            let (_, ckpt) = execute_resume(plan, &db, None, 1);
-            if let Some(ckpt) = ckpt {
-                let mut cursor = Cursor::resume(plan, &db, ckpt);
-                while cursor.next().is_some() {}
-                for (d, (got, want)) in cursor.step_observations().iter().zip(&straight).enumerate()
-                {
-                    assert_eq!(
-                        (got.candidates, got.residual_evals, got.rows_out),
-                        (want.candidates, want.residual_evals, want.rows_out),
-                        "plan {pi} step {d}: split run diverged from straight run"
-                    );
-                }
-            }
-        }
-    }
-
     /// The recursive nested-loop executor's output for `plan` (the
     /// reference the cursor must reproduce), `DISTINCT` applied in
     /// first-encounter order.
@@ -1311,38 +811,16 @@ mod tests {
         out
     }
 
-    /// Suspend `plan`'s enumeration after every row, resume it on a
-    /// fresh cursor and drain: each split yields exactly the
-    /// uninterrupted rows and per-step candidate counts, and every
-    /// resumed cursor starts with cold fingers (they are not part of
-    /// the checkpoint).
-    fn assert_resumes_exactly(plan: &Plan, db: &Database) {
-        let (full, straight, _) = execute_analyzed(plan, db);
-        assert_eq!(full, nested_loop(plan, db));
-        for split in 0..=full.len() {
-            let mut head = Cursor::new(plan, db);
-            let mut rows: Vec<Vec<Value>> = head.by_ref().take(split).collect();
-            let ckpt = head.suspend();
-            let mut tail = Cursor::resume(plan, db, ckpt);
-            // Only the stages the resume re-opened have probed.
-            for (d, &f) in tail.fingers.iter().enumerate() {
-                assert!(
-                    d < tail.levels.len() || f == usize::MAX,
-                    "split {split} step {d}"
-                );
-            }
-            assert!(tail
-                .checks
-                .iter()
-                .all(|c| c.fingers().iter().all(|&f| f == usize::MAX)));
-            rows.extend(tail.by_ref());
-            assert_eq!(rows, full, "split {split}");
-            let candidates = |obs: &[StepObs]| obs.iter().map(|o| o.candidates).collect::<Vec<_>>();
-            assert_eq!(
-                candidates(tail.step_observations()),
-                candidates(&straight),
-                "split {split}"
-            );
+    /// Every plan shape's cursor reproduces the recursive executor,
+    /// tuple for tuple, and counts what it enumerates.
+    #[test]
+    fn cursors_reproduce_the_nested_loop_executor() {
+        let (db, tid, idx) = setup();
+        for (pi, plan) in plan_shapes(tid, idx).iter().enumerate() {
+            let full = execute(plan, &db);
+            assert_eq!(full, nested_loop(plan, &db), "plan {pi}");
+            assert_eq!(count(plan, &db), full.len(), "plan {pi}");
+            assert_eq!(exists(plan, &db), !full.is_empty(), "plan {pi}");
         }
     }
 
@@ -1395,7 +873,6 @@ mod tests {
         // Group 3 starts at permutation offset 5, group 2 at 3, group
         // 1 at 0: the finger follows the key down and up again.
         assert_eq!(fingers, [5, 3, 3, 0, 0, 0, 3, 3, 0, 0, 0]);
-        assert_resumes_exactly(&plan, &db);
     }
 
     #[test]
@@ -1431,26 +908,6 @@ mod tests {
         // The check probed through its own finger, which is now warm:
         // the last probe (group 3 above 30) lands at the end.
         assert_eq!(cursor.checks[0].fingers(), [6]);
-        assert_resumes_exactly(&plan, &db);
-    }
-
-    #[test]
-    fn resume_mid_stage_restarts_fingers_cold() {
-        let (db, tid, idx) = setup();
-        // scan ⋈ probe: the split points fall inside stage 1's slices.
-        let join = &checkpoint_plans(&db, tid, idx)[3];
-        let mut cursor = Cursor::new(join, &db);
-        cursor.next();
-        cursor.next();
-        assert_eq!(cursor.levels.len(), 2);
-        assert_ne!(cursor.fingers[1], usize::MAX);
-        // The resume re-runs each open stage's probe from a cold
-        // finger, and it lands exactly where the warm finger was.
-        let resumed = Cursor::resume(join, &db, cursor.suspend());
-        assert_eq!(resumed.fingers, cursor.fingers);
-        for plan in &checkpoint_plans(&db, tid, idx) {
-            assert_resumes_exactly(plan, &db);
-        }
     }
 
     #[test]
@@ -1472,7 +929,6 @@ mod tests {
         let plan = scan_plan(tid, vec![ColRef::new(0, VAL)], false);
         assert!(!exists(&plan, &db));
         assert_eq!(count(&plan, &db), 0);
-        assert_eq!(execute_page(&plan, &db, 0, 5), Vec::<Vec<Value>>::new());
     }
 
     #[test]
@@ -1484,17 +940,7 @@ mod tests {
         assert_eq!(execute(&plan, &db), Vec::<Vec<Value>>::new());
         assert!(!exists(&plan, &db));
         assert_eq!(count(&plan, &db), 0);
-        assert_eq!(execute_page(&plan, &db, 0, 5), Vec::<Vec<Value>>::new());
         let (rows, obs, nanos) = execute_analyzed(&plan, &db);
         assert!(rows.is_empty() && obs.is_empty() && nanos.is_empty());
-        // Paged/resumed execution stays empty and reports exhaustion.
-        let (rows, ckpt) = execute_resume(&plan, &db, None, 10);
-        assert!(rows.is_empty());
-        assert!(ckpt.is_none(), "a constant-empty cursor is exhausted");
-        // A checkpoint restored over a constant-empty plan never runs.
-        let live = Cursor::new(&plan, &db);
-        let ckpt = live.suspend();
-        let mut resumed = Cursor::resume(&plan, &db, ckpt);
-        assert!(resumed.next().is_none());
     }
 }

@@ -16,10 +16,8 @@
 //! * [`mod@plan`] — pipelined index-nested-loop plans with correlated
 //!   semi/anti joins;
 //! * [`cursor`] — pull-based streaming execution with early
-//!   termination (`exists`, materialization-free `count`,
-//!   `limit`/`offset` pages) and **suspension**: a [`Cursor`] can be
-//!   checkpointed mid-enumeration ([`Cursor::suspend`]) and resumed
-//!   later ([`Cursor::resume`]) with nothing replayed.
+//!   termination (`exists`, materialization-free `count`, and any
+//!   prefix a caller pulls before dropping the [`Cursor`]).
 //!
 //! Nothing here knows about trees or LPath: the query compiler in
 //! `lpath-core` lowers axis relations to plain column comparisons.
@@ -48,13 +46,11 @@
 //!     ..Plan::default()
 //! };
 //!
-//! // Pull one tuple, suspend, resume later: nothing is replayed.
+//! // Pull one tuple, then the rest: the cursor streams on demand.
 //! let mut cursor = Cursor::new(&plan, &db);
 //! assert_eq!(cursor.next(), Some(vec![10]));
-//! let checkpoint = cursor.suspend();
-//! drop(cursor);
-//! let resumed: Vec<_> = Cursor::resume(&plan, &db, checkpoint).collect();
-//! assert_eq!(resumed, [[11], [20]]);
+//! let rest: Vec<_> = cursor.collect();
+//! assert_eq!(rest, [[11], [20]]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,10 +70,7 @@ pub mod value;
 pub mod wire;
 
 pub use catalog::{Database, IndexId, TableId};
-pub use cursor::{
-    count, count_resume, execute, execute_analyzed, execute_page, execute_resume, exists, Cursor,
-    CursorCheckpoint, StepObs,
-};
+pub use cursor::{count, execute, execute_analyzed, exists, Cursor, StepObs};
 pub use expr::{ColRef, Cond, InCond, Operand};
 pub use index::Index;
 pub use plan::{AccessPath, JoinStep, Plan, SubCheck};

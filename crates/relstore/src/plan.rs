@@ -116,8 +116,8 @@ pub struct Plan {
     /// Deduplicate output tuples.
     pub distinct: bool,
     /// Duplicates are provably impossible (see
-    /// [`crate::ConjQuery::dedup_free`]): counting may skip the
-    /// distinct watermark sets. Never set on hand-built plans.
+    /// [`crate::ConjQuery::dedup_free`]): enumerating and counting
+    /// skip the distinct watermark sets. The planner sets it.
     pub dedup_free: bool,
     /// Planner estimate of the cost (candidate rows × probes) to
     /// produce the *first* output tuple: the anchor's share of

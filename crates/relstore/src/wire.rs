@@ -1,10 +1,10 @@
-//! Hand-rolled binary serialization for checkpoint tokens.
+//! Hand-rolled binary serialization for paging tokens.
 //!
-//! The workspace ships no serde (offline-shim policy), so suspended
-//! execution state crosses the wire in a small fixed format built
-//! here: little-endian fixed-width integers, length-prefixed
-//! sequences, an FNV-1a checksum over the payload, and a URL-safe
-//! base64 rendering for embedding tokens in line-delimited JSON.
+//! The workspace ships no serde (offline-shim policy), so tokens cross
+//! the wire in a small fixed format built here: little-endian
+//! fixed-width integers, length-prefixed sequences, an FNV-1a checksum
+//! over the payload, and a URL-safe base64 rendering for embedding
+//! tokens in line-delimited JSON.
 //!
 //! Everything in this module is written against **hostile input**: the
 //! reader never allocates more than the bytes actually present (the
@@ -21,7 +21,7 @@ pub enum WireError {
     Truncated,
     /// A field held a value the format does not allow (bad tag, a
     /// length prefix larger than the remaining input, an out-of-range
-    /// reference into the data the checkpoint resumes over).
+    /// reference into the data a token continues over).
     Malformed(&'static str),
     /// The payload checksum did not match: bytes were corrupted or
     /// forged in transit.

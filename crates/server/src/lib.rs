@@ -7,7 +7,7 @@
 //! surface — `eval`, `eval_page`, `count`, `hist`, `exists`, `check`,
 //! `metrics`, `append_ptb` — where every paged response carries an
 //! **opaque resumption token** ([`lpath_service::Page`]): the
-//! serialized, checksummed, corpus-stamped execution checkpoint. The
+//! checksummed, corpus-stamped position the sweep stopped at. The
 //! client echoes the token; the server keeps *no* per-client session
 //! state, so deep paging survives reconnects, server restarts onto the
 //! same corpus, and load-balancing across identical replicas.

@@ -7,9 +7,9 @@
 //! * the plan cache: query text → its compilation, which depends on
 //!   the text alone;
 //! * the row and count stores (`GenCache`): `(normalized query,
-//!   shard id)` → the shard's rows so far plus the checkpoint that
-//!   continues them, and — kept separate so counting never forces (or
-//!   evicts) materialized rows — the same key → the shard's *count*.
+//!   shard id)` → the shard's rows so far and whether they are all of
+//!   them, and — kept separate so counting never forces (or evicts)
+//!   materialized rows — the same key → the shard's *count*.
 //!   Each value is stamped with the shard build id it was computed on.
 
 use std::borrow::Borrow;
@@ -20,25 +20,22 @@ use std::sync::Arc;
 use lpath_model::NodeId;
 
 use crate::plan::CompiledQuery;
-use crate::shard::ShardCheckpoint;
 
 /// A materialized, document-ordered match set.
 pub type ResultSet = Vec<(u32, NodeId)>;
 
 /// What the service knows of one shard's result for one query: the
-/// rows enumerated so far and — while the enumeration is unfinished —
-/// the suspended execution state that continues right after them. The
-/// entry is the shard's **complete** result exactly when `ckpt` is
-/// `None` (what [`crate::shard::ShardPage`] already says). Entries are
-/// stamped with the shard's build id (the same scope the checkpoint
-/// itself is tagged with), so head-shard entries survive `append_ptb`
-/// untouched.
+/// rows enumerated so far, and whether they are the shard's
+/// **complete** result. An unfinished prefix continues from the
+/// position after its last row (that row's tree, and how many rows of
+/// it the prefix holds). Entries are stamped with the shard's build
+/// id, so head-shard entries survive `append_ptb` untouched.
 #[derive(Clone)]
 pub(crate) struct ShardRows {
     /// The shard's first `rows.len()` matches, global tree ids.
     pub rows: Arc<ResultSet>,
-    /// Resumes the shard's enumeration at row `rows.len()`.
-    pub ckpt: Option<Arc<ShardCheckpoint>>,
+    /// No match of the shard lies past `rows`.
+    pub complete: bool,
 }
 
 /// Cache key: the normalized query text plus the shard it was
@@ -184,7 +181,7 @@ pub(crate) struct GenCache<V>(LruMap<Key, (u64, V)>);
 /// smaller than the match sets they summarize.
 pub(crate) type CountCache = GenCache<usize>;
 
-/// The row store: complete results and checkpointed prefixes alike.
+/// The row store: complete results and unfinished prefixes alike.
 pub(crate) type ShardRowCache = GenCache<ShardRows>;
 
 impl<V: Clone> GenCache<V> {
@@ -214,7 +211,7 @@ impl ShardRowCache {
     /// The shard's full result, when the cached entry is complete.
     pub fn complete(&mut self, key: &Key, build: u64) -> Option<Arc<ResultSet>> {
         let entry = self.get(key, build)?;
-        entry.ckpt.is_none().then_some(entry.rows)
+        entry.complete.then_some(entry.rows)
     }
 
     /// Drop `key`'s entry only if it is still `observed` — the very
@@ -230,9 +227,9 @@ impl ShardRowCache {
         }
     }
 
-    /// `(complete, checkpointed)` entry counts.
+    /// `(complete, unfinished)` entry counts.
     pub fn census(&self) -> (usize, usize) {
-        let complete = self.0.values().filter(|e| e.1.ckpt.is_none()).count();
+        let complete = self.0.values().filter(|e| e.1.complete).count();
         (complete, self.0.len() - complete)
     }
 }
@@ -253,7 +250,7 @@ mod tests {
     fn rows(rows: &Arc<ResultSet>) -> ShardRows {
         ShardRows {
             rows: Arc::clone(rows),
-            ckpt: None,
+            complete: true,
         }
     }
 

@@ -33,13 +33,12 @@
 //!   of a query instead of its full result size.
 //! * **Sweeps** — paging and budgeted counting are one resumable walk
 //!   over the shards ([`sweep`]), parked at a [`SweepPos`]: a shard,
-//!   the progress within it and that shard's build-id-tagged
-//!   [`Checkpoint`] (riding `lpath-relstore`'s suspendable cursor). The
-//!   row store keeps each shard's rows so far *with* that checkpoint,
-//!   tokens seal it, so sweeping pages 1…K re-enumerates nothing
-//!   (Gottlob, Koch & Schulz's join state, suspended between requests;
-//!   pages and counts served from incremental state, as *On the Count
-//!   of Trees* prescribes).
+//!   the tree to continue from and how many of its matches were
+//!   already served. No match crosses a tree, so that position is all
+//!   a sweep needs to continue: the row store continues a cached
+//!   prefix from the position after its rows, tokens seal the
+//!   position, and sweeping pages 1…K re-enumerates no tree before the
+//!   one a page starts in.
 //! * **Shard pruning** — each shard records which symbols occur in it
 //!   and, in its aggregate tables, which tag pairs stand in the
 //!   parent/child, ancestor/descendant, `=>` and `->` relations; a
@@ -109,10 +108,10 @@ use cache::{CountCache, PlanCache, ShardRowCache, ShardRows};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
 pub use plan::{requirements, CompiledQuery, Requirements};
-pub use shard::{Checkpoint, Shard, ShardCheckpoint, ShardCountCheckpoint, StaleCheckpoint};
+pub use shard::Shard;
 use stats::{Class, Counters, Instruments};
 pub use stats::{ClassMetrics, Metrics, ServiceStats, ShardStats, SlowQuery};
-pub use sweep::{CountCheckpoint, SweepPos};
+pub use sweep::SweepPos;
 pub use token::{CountPage, Page};
 
 /// Everything that can go wrong answering a service request.
@@ -235,7 +234,7 @@ pub(crate) struct Request {
     pub(crate) hit: bool,
     /// Shards the request visited.
     pub(crate) fanout: usize,
-    /// Checkpoints resumed, cached or token-borne.
+    /// Shard sweeps continued from a position inside the shard.
     resumes: u64,
 }
 
@@ -282,12 +281,10 @@ pub struct Service {
     shard_counts: Mutex<CountCache>,
     /// Per-shard rows (`(query, shard)` keys), build-id scoped like the
     /// counts: a shard's *complete* result, or a monotonically growing
-    /// prefix with the checkpoint that continues it ([`ShardRows`]).
-    /// Head-shard entries (and their checkpoints, which are only valid
-    /// against that exact build) survive `append_ptb`, so a post-append
-    /// [`Service::eval`] only re-evaluates the rebuilt tail shard and
-    /// deeper pages resume right after the cached rows instead of
-    /// recomputing from the shard's start.
+    /// prefix ([`ShardRows`]). Head-shard entries survive `append_ptb`,
+    /// so a post-append [`Service::eval`] only re-evaluates the rebuilt
+    /// tail shard, and deeper pages continue from the position after
+    /// the cached rows instead of recomputing from the shard's start.
     shard_rows: Mutex<ShardRowCache>,
     counters: Counters,
     instr: Instruments,
@@ -602,7 +599,7 @@ impl Service {
                     for (&w, rows) in members.iter().zip(rows) {
                         let entry = ShardRows {
                             rows: Arc::new(rows),
-                            ckpt: None,
+                            complete: true,
                         };
                         let key = (wanted[w].1.normalized.clone(), *si as u16);
                         parts[w][*si] = Some(Arc::clone(&entry.rows));
@@ -689,7 +686,7 @@ impl Service {
             return (usize::try_from(n).unwrap_or(usize::MAX), shards.len());
         }
         // `(count, learned)`: learned counts are new to the count store.
-        let rows = |e: ShardRows| e.ckpt.is_none().then(|| (e.rows.len(), true));
+        let rows = |e: ShardRows| e.complete.then(|| (e.rows.len(), true));
         let mut n = self.known(compiled, shards, |n| (n, false), rows);
         let uncounted: Vec<usize> = (0..shards.len()).filter(|&i| n[i].is_none()).collect();
         if !uncounted.is_empty() {
@@ -756,25 +753,23 @@ impl Service {
         live
     }
 
-    /// Resume (or begin) a budgeted count sweep: up to roughly
-    /// `budget` further matches counted after `checkpoint` (from the
-    /// start when `None`), plus the checkpoint to continue from —
-    /// `None` once the count is complete. Summing the chunks of
+    /// Resume (or begin) a budgeted count sweep: whole trees counted
+    /// from position `at` (from the start when `None`) until at least
+    /// `budget` matches are counted, plus the position to continue
+    /// from — `None` once the count is complete. Summing the chunks of
     /// successive calls equals [`Service::count`] over unchanged
     /// content; no match is counted twice. This is the counting
-    /// analogue of [`Service::eval_page`]'s resumable enumeration:
-    /// each call does O(budget) work (shards whose shape the
-    /// aggregate tables cover are counted in O(1) regardless of
-    /// budget, which may overshoot it — the budget bounds *work*, not
-    /// the returned number), so a very large count can be spread
+    /// analogue of [`Service::eval_page`]'s resumable enumeration: the
+    /// budget bounds *work*, not the returned number (one tree may
+    /// overshoot it, and shards whose shape the aggregate tables cover
+    /// are counted whole in O(1)), so a very large count can be spread
     /// across many small, interruptible requests.
     ///
-    /// If the corpus is mutated between calls, the suspended position
-    /// is stale: the sweep recovers by recounting the affected shard
-    /// in full and reporting only the part not yet reported
-    /// ([`ServiceStats::stale_checkpoints`] advances) — the total
-    /// converges to the current content's count of that shard plus
-    /// whatever earlier shards contributed when they were counted.
+    /// A position names a shard and a tree in it, not an execution
+    /// state. An append only adds trees after the last one, so a sweep
+    /// continued across it counts the grown corpus; after a
+    /// [`Service::swap_corpus`] it continues at the same shard and tree
+    /// of the new content.
     ///
     /// # Errors
     ///
@@ -782,12 +777,12 @@ impl Service {
     pub fn count_resume(
         &self,
         query: &str,
-        checkpoint: Option<CountCheckpoint>,
+        at: Option<SweepPos>,
         budget: usize,
-    ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
+    ) -> Result<(u64, Option<SweepPos>), ServiceError> {
         self.counters.count_resumes.bump();
         self.solo(Class::Count, query, (0, None), |req, compiled| {
-            self.count_advance(req, compiled, checkpoint.unwrap_or_default(), budget)
+            Ok(self.count_advance(req, compiled, at.unwrap_or_default(), budget))
         })
     }
 
@@ -908,7 +903,7 @@ impl Service {
             // A prefix with rows holds a witness; an empty one knows
             // nothing yet.
             let rows =
-                |e: ShardRows| (e.ckpt.is_none() || !e.rows.is_empty()).then(|| !e.rows.is_empty());
+                |e: ShardRows| (e.complete || !e.rows.is_empty()).then(|| !e.rows.is_empty());
             let mut computed = 0;
             let witness = |&(si, shard): &(u16, &Shard)| match &compiled.fast {
                 Some(fast) => {
@@ -936,22 +931,18 @@ impl Service {
     /// the shards: shards are visited in document order (their
     /// concatenation *is* the full result), the fan-out is
     /// short-circuited as soon as the page is covered, and each shard
-    /// visited evaluates through [`Shard::eval_resume`] — per-shard
-    /// work is bounded by what the page still needs, not by the
-    /// shard's full result size.
+    /// visited pages through [`Shard::page`] — per-shard work is
+    /// bounded by what the page still needs, not by the shard's full
+    /// result size.
     ///
     /// Paging is **resumable end to end**: each shard's enumerated
-    /// prefix is cached together with the suspended execution state
-    /// that continues right after it ([`ShardCheckpoint`]), so a
-    /// deeper page *extends* the cached prefix — enumerating only the
-    /// delta — instead of recomputing from the shard's start. A
-    /// page-1 → page-K sweep therefore costs amortized O(rows
-    /// emitted), not O(page × shard result). An entry whose
-    /// enumeration completes simply loses its checkpoint and *is* the
-    /// full per-shard result ([`Service::eval`] and [`Service::count`]
-    /// reuse it); entries are scoped to the shard's *build id*, so
-    /// head-shard pages survive [`Service::append_ptb`]. (The walk
-    /// itself is described once, in [`sweep`].)
+    /// prefix is cached, and a deeper page *extends* it by a page from
+    /// the position after its last row — the trees before that one are
+    /// never evaluated again. An entry whose enumeration completes is
+    /// the full per-shard result ([`Service::eval`] and
+    /// [`Service::count`] reuse it); entries are scoped to the shard's
+    /// *build id*, so head-shard pages survive [`Service::append_ptb`].
+    /// (The walk itself is described once, in [`sweep`].)
     pub fn eval_page(
         &self,
         query: &str,
@@ -960,7 +951,10 @@ impl Service {
     ) -> Result<ResultSet, ServiceError> {
         self.counters.pages.bump();
         self.solo(Class::EvalPage, query, Vec::new(), |req, compiled| {
-            self.page_by_offset(req, compiled, offset, limit)
+            if limit == 0 {
+                return Ok(Vec::new());
+            }
+            Ok(self.page_by_offset(req, compiled, offset, limit).0)
         })
     }
 
@@ -1044,7 +1038,7 @@ impl Service {
         let per_shard: Vec<ShardStats> = st.shards.iter().map(|s| s.stats()).collect();
         let c = &self.counters;
         let load = |a: &lpath_obs::Counter| a.get();
-        let (complete, checkpointed) = self.shard_rows.lock().unwrap().census();
+        let (complete, unfinished) = self.shard_rows.lock().unwrap().census();
         ServiceStats {
             generation: st.generation,
             shards: st.shards.len(),
@@ -1055,7 +1049,7 @@ impl Service {
             plan_hits: load(&c.plan_hits),
             plan_misses: load(&c.plan_misses),
             shard_result_cache_entries: complete,
-            prefix_cache_entries: checkpointed,
+            prefix_cache_entries: unfinished,
             result_hits: load(&c.result_hits),
             result_misses: load(&c.result_misses),
             count_hits: load(&c.count_hits),
@@ -1199,6 +1193,24 @@ mod tests {
                 ..ServiceConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn count_positions_outlive_an_append() {
+        // A position names a shard and a tree in it; an append only
+        // adds trees after the tail's last one, so a budgeted count
+        // continued across it sums to the grown corpus's count.
+        let svc = service(2);
+        let (mut total, mut at) = svc.count_resume("//S//NN", None, 1).unwrap();
+        assert!(at.is_some(), "more to count");
+        svc.append_ptb("( (S (NP (NN fog)) (VP (VBD rose))) )")
+            .unwrap();
+        while let Some(p) = at {
+            let (n, next) = svc.count_resume("//S//NN", Some(p), 1).unwrap();
+            total += n;
+            at = next;
+        }
+        assert_eq!(total, svc.count("//S//NN").unwrap() as u64);
     }
 
     #[test]
@@ -1908,10 +1920,10 @@ mod tests {
     }
 
     #[test]
-    fn page_sweep_extends_checkpoints_and_never_re_enumerates() {
+    fn page_sweep_extends_prefixes_and_never_re_enumerates() {
         // Page-1 → page-K sweep, page size 1: each shard is evaluated
         // from scratch exactly once; every deeper page either extends
-        // a cached prefix through its checkpoint (enumerating only
+        // a cached prefix from its last position (enumerating only
         // the missing row) or reads the cache.
         let svc = service(2);
         let full = service(2).eval("//NP").unwrap();
@@ -1943,7 +1955,7 @@ mod tests {
     fn pages_and_prefixes_survive_append_for_untouched_shards() {
         let svc = service(2);
         // Covers shard 0 completely (promoted) and leaves shard 1 as
-        // a checkpointed prefix.
+        // an unfinished prefix.
         svc.eval_page("//NP", 0, 3).unwrap();
         let before = svc.stats();
         assert!(before.shard_result_cache_entries > 0, "{before:?}");
@@ -2113,7 +2125,7 @@ mod tests {
     fn page_metrics_track_fanout_and_resumes() {
         let svc = traced_service(2);
         // Page 1 enumerates from scratch (miss), page 2 extends the
-        // cached prefix through its checkpoint (miss, with a resume),
+        // cached prefix from its last position (miss, with a resume),
         // replaying page 1 is pure cache (hit).
         svc.eval_page("//NP", 0, 1).unwrap();
         svc.eval_page("//NP", 0, 2).unwrap();

@@ -4,9 +4,8 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use lpath_core::{Engine, EngineError, QueryCheckpoint, Walker, WalkerCheckpoint};
+use lpath_core::{Engine, EngineError, Paged, Position, Walker};
 use lpath_model::{label_tree, Corpus, Label, NodeId};
-use lpath_relstore::{wire, CursorCheckpoint};
 use lpath_syntax::Path;
 
 use crate::agg::{AggTables, FastClass};
@@ -34,15 +33,15 @@ pub struct Shard {
     /// names, attribute names and attribute values that occur in this
     /// shard's trees.
     present: Vec<u64>,
-    /// Content-derived id of this build, used to scope caches — and
-    /// serialized checkpoint tokens — to the shard's *content*: an
-    /// append rebuilds only the tail shard, so the other shards keep
-    /// their build id (and everything cached against it) across the
-    /// corpus generation bump. Derived by a stable hash over the
-    /// shard's tree data plus the corpus generation it was built at,
-    /// so the same content in a different process yields the same id:
-    /// a token minted before a restart resumes against an identical
-    /// rebuild and is deterministically rejected against anything
+    /// Content-derived id of this build, used to scope caches — and,
+    /// through the corpus stamp, page tokens — to the shard's
+    /// *content*: an append rebuilds only the tail shard, so the other
+    /// shards keep their build id (and everything cached against it)
+    /// across the corpus generation bump. Derived by a stable hash
+    /// over the shard's tree data plus the corpus generation it was
+    /// built at, so the same content in a different process yields the
+    /// same id: a token minted before a restart continues against an
+    /// identical rebuild and is recovered as stale against anything
     /// else. (A process-local counter here would make cross-restart
     /// tokens meaningless — and, worse, could spuriously *match* a
     /// fresh process's counter.)
@@ -53,196 +52,12 @@ pub struct Shard {
     agg: AggTables,
 }
 
-/// A suspended per-shard sweep: the execution strategy's own
-/// checkpoint — the engine payload `P` ([`lpath_core::QueryCheckpoint`]
-/// when the sweep yields rows, [`lpath_relstore::CursorCheckpoint`]
-/// when it only counts: the streaming cursor itself, no rows
-/// materialized) or [`lpath_core::WalkerCheckpoint`] on the walker
-/// fallback — tagged with the [`Shard::build_id`] it belongs to.
-///
-/// The tag makes misuse *recoverable*: a checkpoint resumed against a
-/// shard whose content has changed (the tail shard after an
-/// `append_ptb`-triggered rebuild) would silently yield rows of the
-/// wrong corpus slice, so [`Shard::resume`] returns a typed
-/// [`StaleCheckpoint`] error instead — never a panic, because with
-/// serialized tokens a stale checkpoint is an expected runtime event
-/// (an echoed token from before an append), not a caller bug. The
-/// service degrades to a fresh evaluation when it sees one.
-#[derive(Clone, Debug)]
-pub struct Checkpoint<P> {
-    build_id: u64,
-    inner: Resume<P>,
-}
-
-/// A suspended page enumeration (see [`Shard::eval_resume`]).
-pub type ShardCheckpoint = Checkpoint<QueryCheckpoint>;
-
-/// A suspended count (see [`Shard::resume`]).
-pub type ShardCountCheckpoint = Checkpoint<CursorCheckpoint>;
-
-#[derive(Clone, Debug)]
-enum Resume<P> {
-    // Boxed: a suspended pipeline is much larger than a walker's
-    // tree index, and checkpoints travel inside cache entries.
-    Engine(Box<P>),
-    Walker(WalkerCheckpoint),
-}
-
-/// The engine half of a sweep, by what the sweep keeps: how the
-/// relational strategy resumes, serializes and thaws its suspended
-/// state, and how the walker fallback's rows become the same kind of
-/// chunk. Implemented for exactly the two payloads named on
-/// [`Checkpoint`].
-pub trait Payload: Sized {
-    /// What one step yields: rows, or a number of matches.
-    type Chunk;
-    /// Resume (or begin) on the relational engine.
-    fn resume(
-        engine: &Engine,
-        ast: &Path,
-        checkpoint: Option<Self>,
-        budget: usize,
-    ) -> Result<(Self::Chunk, Option<Self>), EngineError>;
-    /// A walker page, as this sweep's chunk.
-    fn walked(rows: Vec<(u32, NodeId)>) -> Self::Chunk;
-    /// Serialize the suspended state.
-    fn encode_into(&self, w: &mut wire::Writer);
-    /// Thaw it from untrusted bytes, validated against `engine`'s plan.
-    fn decode(
-        engine: &Engine,
-        ast: &Path,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<Self, wire::WireError>;
-}
-
-impl Payload for QueryCheckpoint {
-    type Chunk = Vec<(u32, NodeId)>;
-    fn resume(
-        engine: &Engine,
-        ast: &Path,
-        checkpoint: Option<Self>,
-        budget: usize,
-    ) -> Result<(Self::Chunk, Option<Self>), EngineError> {
-        engine.query_resume(ast, checkpoint, budget)
-    }
-    fn walked(rows: Vec<(u32, NodeId)>) -> Self::Chunk {
-        rows
-    }
-    fn encode_into(&self, w: &mut wire::Writer) {
-        self.encode_into(w);
-    }
-    fn decode(
-        engine: &Engine,
-        ast: &Path,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<Self, wire::WireError> {
-        engine.decode_checkpoint(ast, r)
-    }
-}
-
-impl Payload for CursorCheckpoint {
-    type Chunk = u64;
-    fn resume(
-        engine: &Engine,
-        ast: &Path,
-        checkpoint: Option<Self>,
-        budget: usize,
-    ) -> Result<(u64, Option<Self>), EngineError> {
-        engine.count_resume(ast, checkpoint, budget)
-    }
-    fn walked(rows: Vec<(u32, NodeId)>) -> u64 {
-        rows.len() as u64
-    }
-    fn encode_into(&self, w: &mut wire::Writer) {
-        self.encode_into(w);
-    }
-    fn decode(
-        engine: &Engine,
-        ast: &Path,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<Self, wire::WireError> {
-        engine.decode_count_checkpoint(ast, r)
-    }
-}
-
-/// A checkpoint was presented to a shard build it does not belong to
-/// — its suspended positions index into different content and cannot
-/// be continued correctly. Recoverable: re-evaluate the shard from
-/// the start and skip the rows already served.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct StaleCheckpoint {
-    /// The build the checkpoint was suspended against.
-    pub checkpoint_build: u64,
-    /// The build of the shard it was presented to.
-    pub shard_build: u64,
-}
-
-impl std::fmt::Display for StaleCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "stale checkpoint: suspended against shard build {:#x}, presented to {:#x}",
-            self.checkpoint_build, self.shard_build
-        )
-    }
-}
-
-impl std::error::Error for StaleCheckpoint {}
-
-impl<P: Payload> Checkpoint<P> {
-    /// The shard build this checkpoint is valid against.
-    pub fn build_id(&self) -> u64 {
-        self.build_id
-    }
-
-    /// Serialize this checkpoint into `w`: the build id it is scoped
-    /// to, the execution strategy, and the strategy's own suspended
-    /// state. [`Shard::decode_checkpoint`] reverses it.
-    pub fn encode_into(&self, w: &mut wire::Writer) {
-        w.u64(self.build_id);
-        match &self.inner {
-            Resume::Engine(c) => {
-                w.u8(0);
-                c.encode_into(w);
-            }
-            Resume::Walker(c) => {
-                w.u8(1);
-                c.encode_into(w);
-            }
-        }
-    }
-}
-
-/// Why a serialized shard checkpoint could not be turned back into a
-/// live one.
-#[derive(Debug)]
-pub enum CheckpointDecodeError {
-    /// The bytes are well-formed but belong to a different shard
-    /// build — recover by re-evaluating (see [`StaleCheckpoint`]).
-    Stale(StaleCheckpoint),
-    /// The bytes are truncated, corrupted or structurally inconsistent
-    /// with this shard's plan for the query — a protocol error.
-    Wire(wire::WireError),
-}
-
-impl From<wire::WireError> for CheckpointDecodeError {
-    fn from(e: wire::WireError) -> Self {
-        CheckpointDecodeError::Wire(e)
-    }
-}
-
-/// One chunk of a shard's enumeration: rows with *global* tree ids,
-/// plus the checkpoint to continue from (`None` once exhausted).
-pub type ShardPage = (Vec<(u32, NodeId)>, Option<ShardCheckpoint>);
-
 /// FNV-1a over `u32` words — the stable content hash behind
 /// [`Shard::build_id`]. Seeded with the shard's base tree id and the
 /// corpus generation, then fed every node's preorder position data
 /// (interned name, child count, attributes): two builds hash equal
 /// exactly when they cover the same slice of identical tree data at
-/// the same generation — the precise condition under which a
-/// suspended checkpoint (whose positions index into the engine built
-/// from that data) remains resumable.
+/// the same generation.
 struct ContentHash(u64);
 
 impl ContentHash {
@@ -393,7 +208,7 @@ impl Shard {
         rows
     }
 
-    /// The dispatch of every evaluation that starts fresh, mirroring
+    /// The dispatch of every evaluation, mirroring
     /// [`lpath_core::Engine`]'s fallback contract: the shard's engine
     /// where the relational translation covers the query, the walker —
     /// which answers the full language — where it does not.
@@ -406,146 +221,42 @@ impl Shard {
         engine(&self.engine, &compiled.ast).unwrap_or_else(|_| walker(self.walker(), &compiled.ast))
     }
 
-    /// The first `limit` matches of the shard's document-ordered
-    /// result — the page bound pushed *into* the shard, so a page-1
-    /// request over a large shard pays for a bounded prefix instead of
-    /// a full [`Shard::eval`] — plus the checkpoint to continue from
-    /// ([`Shard::eval_resume`] with `None`).
-    ///
-    /// A returned checkpoint of `None` proves the prefix is the
-    /// shard's complete result (so does coming back short, which
-    /// always yields `None`).
-    pub fn eval_limit(&self, compiled: &CompiledQuery, limit: usize) -> ShardPage {
-        // Starting fresh presents no checkpoint, so staleness is
-        // impossible.
-        match self.eval_resume(compiled, None, limit) {
-            Ok(page) => page,
-            Err(stale) => unreachable!("fresh evaluation reported {stale}"),
-        }
+    /// One page of the shard's document-ordered result from position
+    /// `at` (shard-local tree ids): up to `limit` matches with *global*
+    /// tree ids, plus the position after the last of them — `None`
+    /// once the shard is exhausted (see
+    /// [`lpath_core::Engine::page_ast`]). Concatenating the pages of a
+    /// sweep is [`Shard::eval`]. A page from [`Position::START`] is
+    /// the page bound pushed *into* the shard: page 1 over a large
+    /// shard pays for a bounded prefix, not a full evaluation.
+    pub fn page(&self, compiled: &CompiledQuery, at: Position, limit: usize) -> Paged {
+        let (rows, next) = self.fresh(
+            compiled,
+            |e, ast| e.page_ast(ast, at, limit),
+            |w, ast| w.eval_resume(ast, at, limit),
+        );
+        (self.global(rows), next)
     }
 
-    /// Resume (or begin) the shard's document-ordered enumeration: up
-    /// to `limit` further matches after `checkpoint` (from the start
-    /// when `None`), with *global* tree ids, plus the checkpoint to
-    /// continue from — `None` once the shard is known exhausted.
-    /// Concatenating the chunks of successive calls is byte-identical
-    /// to [`Shard::eval`]; already-returned matches are never
-    /// re-enumerated. This is [`Shard::resume`] keeping rows: on the
-    /// relational strategy it rides
-    /// [`lpath_core::Engine::query_resume`] (one suspended pipeline,
-    /// retiring trees in tree-id order); the walker strategy resumes
-    /// its tree scan at the next unvisited tree.
-    ///
-    /// # Errors
-    ///
-    /// [`StaleCheckpoint`], as [`Shard::resume`].
-    pub fn eval_resume(
+    /// A budgeted count from shard-local tree `from` on: whole trees
+    /// until at least `budget` matches are counted, plus the tree to
+    /// continue from — `None` once the shard is exhausted (see
+    /// [`lpath_core::Engine::count_resume`]).
+    pub fn count_resume(
         &self,
         compiled: &CompiledQuery,
-        checkpoint: Option<ShardCheckpoint>,
-        limit: usize,
-    ) -> Result<ShardPage, StaleCheckpoint> {
-        let (rows, next) = self.resume(compiled, checkpoint, limit)?;
-        Ok((self.global(rows), next))
-    }
-
-    /// Resume (or begin) a sweep of the shard's result, keeping what
-    /// the payload `P` keeps: up to `budget` further matches after
-    /// `checkpoint` (from the start when `None`) — as rows with
-    /// *shard-local* tree ids, or merely counted, materialization-free
-    /// through the suspended cursor — plus the checkpoint to continue
-    /// from, `None` once the shard is exhausted. The chunks of
-    /// successive calls add up to [`Shard::eval`] / [`Shard::count`];
-    /// no match is ever produced twice.
-    ///
-    /// # Errors
-    ///
-    /// [`StaleCheckpoint`] if `checkpoint` carries a different
-    /// [`Shard::build_id`] — it was taken over different shard content
-    /// (an echoed token from before an append, say) and cannot be
-    /// continued correctly. Nothing has been evaluated when this
-    /// returns; the caller recovers by re-enumerating from the start
-    /// and skipping what it already served.
-    pub fn resume<P: Payload>(
-        &self,
-        compiled: &CompiledQuery,
-        checkpoint: Option<Checkpoint<P>>,
+        from: u32,
         budget: usize,
-    ) -> Result<(P::Chunk, Option<Checkpoint<P>>), StaleCheckpoint> {
-        if let Some(c) = &checkpoint {
-            self.check_build(c.build_id)?;
-        }
-        let walk = |w: Walker<'_>, ast: &Path, ck| {
-            let (rows, next) = w.eval_resume(ast, ck, budget);
-            (P::walked(rows), next.map(Resume::Walker))
-        };
-        let engine = |e: &Engine, ast: &Path, ck| {
-            let (chunk, next) = P::resume(e, ast, ck, budget)?;
-            Ok((chunk, next.map(|c| Resume::Engine(Box::new(c)))))
-        };
-        // Dispatch on the checkpoint's own executor when resuming (a
-        // first call that fell back to the walker must *stay* on the
-        // walker), through `fresh` when starting fresh. The
-        // checkpoint is consumed, not cloned: its pending rows and
-        // dedup watermark move straight back into the executor.
-        let (chunk, inner) = match checkpoint.map(|c| c.inner) {
-            Some(Resume::Walker(ck)) => walk(self.walker(), &compiled.ast, Some(ck)),
-            Some(Resume::Engine(ck)) => engine(&self.engine, &compiled.ast, Some(*ck))
-                .expect("a resumed query translated before"),
-            None => self.fresh(
-                compiled,
-                |e, ast| engine(e, ast, None),
-                |w, ast| walk(w, ast, None),
-            ),
-        };
-        let build_id = self.build_id;
-        Ok((chunk, inner.map(|inner| Checkpoint { build_id, inner })))
-    }
-
-    /// The one staleness gate: does a checkpoint tagged `build_id`
-    /// belong to this build of the shard?
-    fn check_build(&self, build_id: u64) -> Result<(), StaleCheckpoint> {
-        if build_id == self.build_id {
-            return Ok(());
-        }
-        Err(StaleCheckpoint {
-            checkpoint_build: build_id,
-            shard_build: self.build_id,
-        })
-    }
-
-    /// Decode a [`Checkpoint`] for `compiled` from untrusted bytes —
-    /// the validate half of the token API, for either payload. The
-    /// build id is checked first: a mismatch is
-    /// [`CheckpointDecodeError::Stale`] without touching the strategy
-    /// payload (which is only meaningful against the build that wrote
-    /// it). A matching build then validates the payload structurally
-    /// against this shard's engine (see
-    /// [`lpath_core::Engine::decode_checkpoint`]); any inconsistency
-    /// is a recoverable [`CheckpointDecodeError::Wire`], never a
-    /// panic.
-    pub fn decode_checkpoint<P: Payload>(
-        &self,
-        compiled: &CompiledQuery,
-        r: &mut wire::Reader<'_>,
-    ) -> Result<Checkpoint<P>, CheckpointDecodeError> {
-        let build_id = r.u64()?;
-        self.check_build(build_id)
-            .map_err(CheckpointDecodeError::Stale)?;
-        let inner = match r.u8()? {
-            0 => Resume::Engine(Box::new(P::decode(&self.engine, &compiled.ast, r)?)),
-            1 => Resume::Walker(WalkerCheckpoint::decode(r, &self.corpus)?),
-            _ => {
-                return Err(CheckpointDecodeError::Wire(wire::WireError::Malformed(
-                    "shard resume strategy tag",
-                )))
-            }
-        };
-        Ok(Checkpoint { build_id, inner })
+    ) -> (u64, Option<u32>) {
+        self.fresh(
+            compiled,
+            |e, ast| e.count_resume(ast, from, budget),
+            |w, ast| w.count_resume(ast, from, budget),
+        )
     }
 
     /// Result count on this shard, without materializing the match
-    /// set (the relational path counts through the streaming cursor).
+    /// set on the engine (a semijoin program or the streaming cursor).
     pub fn count(&self, compiled: &CompiledQuery) -> usize {
         self.fresh(compiled, Engine::count_ast, |w, ast| w.count(ast))
     }
@@ -642,60 +353,87 @@ mod tests {
     }
 
     #[test]
-    fn eval_limit_is_a_prefix_of_eval() {
+    fn page_one_is_a_prefix_of_eval() {
         let master = parse_str(SRC).unwrap();
         let shard = Shard::build(&master, 1, 2, 0);
-        for q in ["//NP", "//VBD->NP", "//_[@lex=saw]", "//ZZZ"] {
+        // The walker fallback (`//VP/_[last()]`) pushes the bound too.
+        for q in [
+            "//NP",
+            "//VBD->NP",
+            "//_[@lex=saw]",
+            "//ZZZ",
+            "//VP/_[last()]",
+        ] {
             let c = compiled(q);
             let full = shard.eval(&c);
             for limit in 0..=full.len() + 2 {
-                let (got, ckpt) = shard.eval_limit(&c, limit);
+                let (got, next) = shard.page(&c, Position::START, limit);
                 assert_eq!(got, full[..limit.min(full.len())], "{q} limit {limit}");
                 // Coming back short proves completeness.
                 if got.len() < limit {
-                    assert!(ckpt.is_none(), "{q} limit {limit}");
+                    assert!(next.is_none(), "{q} limit {limit}");
                 }
             }
         }
-        // The walker fallback pushes the bound too.
-        let c = compiled("//VP/_[last()]");
-        let full = shard.eval(&c);
-        assert_eq!(shard.eval_limit(&c, 1).0, full[..1.min(full.len())]);
     }
 
-    #[test]
-    fn eval_resume_extends_without_replay_on_both_strategies() {
-        let master = parse_str(SRC).unwrap();
-        let shard = Shard::build(&master, 1, 2, 0);
-        let walker_q = compiled("//VP/_[last()]");
-        for c in [compiled("//NP"), compiled("//VBD->NP"), walker_q] {
-            let full = shard.eval(&c);
-            for split in 1..=full.len().max(1) {
-                let (head, ckpt) = shard.eval_resume(&c, None, split).unwrap();
-                assert_eq!(head, full[..split.min(full.len())]);
-                let Some(ckpt) = ckpt else { continue };
-                assert_eq!(ckpt.build_id(), shard.build_id());
-                let (tail, end) = shard.eval_resume(&c, Some(ckpt), usize::MAX).unwrap();
-                assert_eq!(tail, full[split.min(full.len())..]);
-                assert!(end.is_none());
+    /// Page `c` on `shard` to exhaustion from `at`, `limit` rows a page.
+    fn sweep(
+        shard: &Shard,
+        c: &CompiledQuery,
+        mut at: Position,
+        limit: usize,
+    ) -> Vec<(u32, NodeId)> {
+        let mut got = Vec::new();
+        loop {
+            let (rows, next) = shard.page(c, at, limit);
+            got.extend(rows);
+            match next {
+                Some(p) => at = p,
+                None => return got,
             }
         }
     }
 
     #[test]
-    fn resuming_against_a_different_build_is_a_typed_error() {
+    fn pages_continue_from_positions_on_both_strategies() {
         let master = parse_str(SRC).unwrap();
-        let a = Shard::build(&master, 0, 2, 0);
-        // Same slice, different generation: different content stamp.
-        let b = Shard::build(&master, 0, 2, 1);
-        // One VBD per tree: stopping after the first leaves a live
-        // checkpoint.
-        let c = compiled("//VBD");
-        let (_, ckpt) = a.eval_resume(&c, None, 1).unwrap();
-        let ckpt = ckpt.unwrap();
-        let stale = b.eval_resume(&c, Some(ckpt), 1).unwrap_err();
-        assert_eq!(stale.checkpoint_build, a.build_id());
-        assert_eq!(stale.shard_build, b.build_id());
+        let shard = Shard::build(&master, 1, 2, 0);
+        for c in [
+            compiled("//NP"),
+            compiled("//VBD->NP"),
+            compiled("//VP/_[last()]"),
+        ] {
+            let full = shard.eval(&c);
+            for split in 1..=full.len() {
+                let (head, next) = shard.page(&c, Position::START, split);
+                assert_eq!(head, full[..split]);
+                let (tail, end) = shard.page(&c, next.expect("a full page parks"), usize::MAX);
+                assert_eq!(tail, full[split..]);
+                assert!(end.is_none());
+            }
+            assert_eq!(sweep(&shard, &c, Position::START, 1), full);
+        }
+    }
+
+    #[test]
+    fn positions_outlive_an_append_to_the_tail() {
+        // An append adds trees after the tail's last one: a position
+        // taken before it names the same place after it, and paging on
+        // from there reads the grown shard's result.
+        let mut corpus = parse_str(SRC).unwrap();
+        let before = Shard::build(&corpus, 1, 2, 0);
+        lpath_model::ptb::parse_into("( (S (NP (NN snow)) (VP (VBD fell))) )", &mut corpus)
+            .unwrap();
+        let after = Shard::build(&corpus, 1, 3, 1);
+        for q in ["//NP", "//VBD", "//VP/_[last()]"] {
+            let c = compiled(q);
+            let (head, at) = before.page(&c, Position::START, 1);
+            let at = at.expect("more rows remain");
+            let mut joined = head;
+            joined.extend(sweep(&after, &c, at, 2));
+            assert_eq!(joined, after.eval(&c), "{q}");
+        }
     }
 
     #[test]
@@ -737,87 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_round_trip_through_the_wire() {
-        let master = parse_str(SRC).unwrap();
-        let shard = Shard::build(&master, 0, 3, 0);
-        let walker_q = compiled("//VP/_[last()]");
-        for c in [compiled("//NP"), walker_q] {
-            let full = shard.eval(&c);
-            let (head, ckpt) = shard.eval_resume(&c, None, 1).unwrap();
-            let ckpt = ckpt.expect("more rows remain");
-            let mut w = wire::Writer::new();
-            ckpt.encode_into(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = wire::Reader::new(&bytes);
-            let decoded = match shard.decode_checkpoint(&c, &mut r) {
-                Ok(d) => d,
-                Err(e) => panic!("decode failed: {e:?}"),
-            };
-            assert!(r.finished());
-            let (tail, _) = shard.eval_resume(&c, Some(decoded), usize::MAX).unwrap();
-            let mut joined = head.clone();
-            joined.extend(tail);
-            assert_eq!(joined, full);
-        }
-    }
-
-    /// The serialized form of `c`'s checkpoint after one match on
-    /// `shard`, for either payload.
-    fn frozen<P: Payload>(shard: &Shard, c: &CompiledQuery) -> Vec<u8> {
-        let (_, ckpt) = shard.resume::<P>(c, None, 1).unwrap();
-        let mut w = wire::Writer::new();
-        ckpt.expect("more matches remain").encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    fn rebuilt_shard_reports_stale<P: Payload + std::fmt::Debug>() {
-        let master = parse_str(SRC).unwrap();
-        let a = Shard::build(&master, 0, 3, 0);
-        let b = Shard::build(&master, 0, 3, 7);
-        let c = compiled("//NP");
-        let bytes = frozen::<P>(&a, &c);
-        match b.decode_checkpoint::<P>(&c, &mut wire::Reader::new(&bytes)) {
-            Err(CheckpointDecodeError::Stale(s)) => {
-                assert_eq!(s.checkpoint_build, a.build_id());
-                assert_eq!(s.shard_build, b.build_id());
-            }
-            other => panic!("expected stale, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn decoding_against_a_rebuilt_shard_reports_stale() {
-        rebuilt_shard_reports_stale::<QueryCheckpoint>();
-        rebuilt_shard_reports_stale::<CursorCheckpoint>();
-    }
-
-    fn hostile_bytes_never_panic<P: Payload>() {
-        let master = parse_str(SRC).unwrap();
-        let shard = Shard::build(&master, 0, 3, 0);
-        let c = compiled("//NP");
-        let bytes = frozen::<P>(&shard, &c);
-        // Every truncation decodes to an error, not a panic.
-        for cut in 0..bytes.len() {
-            let _ = shard.decode_checkpoint::<P>(&c, &mut wire::Reader::new(&bytes[..cut]));
-        }
-        // Every single-byte corruption either decodes (and can then
-        // only yield bounded garbage) or errors — never panics.
-        for i in 0..bytes.len() {
-            for delta in [1u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[i] = bad[i].wrapping_add(delta);
-                let _ = shard.decode_checkpoint::<P>(&c, &mut wire::Reader::new(&bad));
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_checkpoint_bytes_never_panic() {
-        hostile_bytes_never_panic::<QueryCheckpoint>();
-        hostile_bytes_never_panic::<CursorCheckpoint>();
-    }
-
-    #[test]
     fn count_and_exists_agree_with_eval() {
         let master = parse_str(SRC).unwrap();
         let shard = Shard::build(&master, 1, 2, 0);
@@ -831,5 +488,24 @@ mod tests {
         let c = compiled("//VP/_[last()]");
         assert_eq!(shard.count(&c), shard.eval(&c).len());
         assert_eq!(shard.exists(&c), !shard.eval(&c).is_empty());
+    }
+
+    #[test]
+    fn budgeted_counts_sum_to_the_count_on_both_strategies() {
+        let master = parse_str(SRC).unwrap();
+        let shard = Shard::build(&master, 0, 3, 0);
+        for q in ["//NP", "//VBD->NP", "//ZZZ", "//VP/_[last()]"] {
+            let c = compiled(q);
+            let (mut sum, mut tree) = (0, 0);
+            loop {
+                let (n, next) = shard.count_resume(&c, tree, 1);
+                sum += n;
+                match next {
+                    Some(t) => tree = t,
+                    None => break,
+                }
+            }
+            assert_eq!(sum as usize, shard.count(&c), "{q}");
+        }
     }
 }

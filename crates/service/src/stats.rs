@@ -205,8 +205,8 @@ pub struct SlowQuery {
     pub execute_ns: u64,
     /// Shard fan-out width: shards the request actually visited.
     pub fanout: usize,
-    /// Checkpoints resumed by the request's sweep, cached or
-    /// token-borne.
+    /// Shard sweeps the request continued from a position inside the
+    /// shard, cached or token-borne.
     pub resumes: u64,
 }
 
@@ -336,8 +336,8 @@ pub struct ServiceStats {
     /// *Complete* entries (whole per-shard match sets) currently in
     /// the build-id-scoped per-shard row store.
     pub shard_result_cache_entries: usize,
-    /// Entries of the same store still carrying a checkpoint
-    /// (extendable per-shard prefixes).
+    /// Entries of the same store that are unfinished (extendable
+    /// per-shard prefixes).
     pub prefix_cache_entries: usize,
     /// Row-store probes answered, one per `(query, shard)` pair asked.
     pub result_hits: u64,
@@ -375,18 +375,19 @@ pub struct ServiceStats {
     /// (the paging short-circuit at work).
     pub page_shards_skipped: u64,
     /// Budget-bounded shard enumerations started **from scratch**
-    /// ([`crate::Shard::resume`] without a checkpoint): shards a page
-    /// or count sweep entered with nothing to build on. In a page-1 →
-    /// page-K sweep this stays at one per shard — every deeper page
-    /// resumes instead (see [`ServiceStats::page_resumes`]).
+    /// ([`crate::Shard::page`] or [`crate::Shard::count_resume`] at the
+    /// shard's start): shards a page or count sweep entered with
+    /// nothing to build on. In a page-1 → page-K sweep this stays at
+    /// one per shard — every deeper page resumes instead (see
+    /// [`ServiceStats::page_resumes`]).
     pub page_partial_evals: u64,
     /// Pages (partially) served from a cached per-shard result prefix
     /// without any new enumeration.
     pub page_prefix_hits: u64,
-    /// Sweep steps that *resumed* a suspended checkpoint — a cached
-    /// prefix extended by exactly the missing delta, or the position
-    /// an echoed token carried: the no-re-enumeration signal of
-    /// resumable paging and counting.
+    /// Sweep steps that continued from a position inside a shard — a
+    /// cached prefix extended by exactly the missing delta, or the
+    /// position an echoed token carried: the no-re-enumeration signal
+    /// of resumable paging and counting.
     pub page_resumes: u64,
     /// Per-shard evaluations actually executed.
     pub shard_evals: u64,
@@ -398,12 +399,11 @@ pub struct ServiceStats {
     /// path: the query was proven empty at compile time, so no shard
     /// was visited and no cache entry was written.
     pub statically_empty: u64,
-    /// Stale checkpoints encountered and recovered from: a suspended
-    /// enumeration (cached prefix or echoed paging token) presented to
-    /// a shard build it does not belong to — the service degraded to a
-    /// fresh bounded evaluation instead of resuming. Nonzero values
-    /// are expected operational events around appends and restarts,
-    /// never errors.
+    /// Stale tokens encountered and recovered from: an echoed page or
+    /// count token minted against corpus content that has changed
+    /// since — the page recovered by global offset, the count by a
+    /// recount. Nonzero values are expected operational events around
+    /// appends and restarts, never errors.
     pub stale_checkpoints: u64,
     /// Serialized paging tokens minted ([`crate::Service::eval_page_token`]).
     pub tokens_minted: u64,

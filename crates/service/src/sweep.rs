@@ -2,59 +2,44 @@
 //!
 //! Paging through a result in document order and reading its size are
 //! the same walk over the shards in order, differing only in what each
-//! step keeps. A **suspended sweep** is a [`SweepPos`]: the shard it is
-//! parked in, the progress already made within that shard, and — when
-//! parked mid-shard — the shard's own [`crate::Checkpoint`]. `Service::sweep`
-//! advances one by a budget: prune a shard the sweep enters fresh,
-//! account the fan-out, take the caller's per-shard *step*, park on a
-//! checkpoint or move to the next shard. Three steps exist:
+//! step keeps. Trees partition the corpus and no match crosses one, so
+//! where a sweep stopped is a **position**, never an execution state:
+//! a [`SweepPos`] names the shard it is parked in, the shard-local tree
+//! to continue from, and how many of that tree's matches were already
+//! served. `Service::sweep` advances one by a budget: prune a shard the
+//! sweep enters at its start, account the fan-out, take the caller's
+//! per-shard *step*, park at the position the step reports or move to
+//! the next shard. Three steps exist:
 //!
-//! * **resume rows** (`page_positioned`, behind
-//!   [`Service::eval_page_token`]) — [`Shard::eval_resume`] from the
-//!   position a token carried;
-//! * **resume a count** (`count_advance`, behind
+//! * **page from a position** (`page_positioned`, behind
+//!   [`Service::eval_page_token`]) — [`Shard::page`] from the position
+//!   a token carried;
+//! * **count from a tree** (`count_advance`, behind
 //!   [`Service::count_resume`] and [`Service::count_token`]) —
-//!   [`Shard::resume`] through the counting cursor, or the aggregate
-//!   table's O(1) answer for a whole shape-covered shard;
+//!   [`Shard::count_resume`], parking only at tree boundaries, or the
+//!   aggregate table's O(1) answer for a whole shape-covered shard;
 //! * **serve or extend the cached entry** (`page_by_offset`, behind
 //!   [`Service::eval_page`] and stale-token recovery) — the per-shard
-//!   row store answers, or its checkpoint enumerates the missing delta.
-//!
-//! A step also owns its stale-recovery rule: what to do when the
-//! checkpoint it was handed belongs to a shard build that is gone.
+//!   row store answers, or a page from the position after its rows
+//!   enumerates the missing delta.
 
 use std::sync::Arc;
 
-use lpath_relstore::wire::WireError::Malformed;
+use lpath_core::Position;
+use lpath_model::NodeId;
 
 use crate::cache::ShardRows;
-use crate::shard::{Shard, ShardCheckpoint, ShardCountCheckpoint};
-use crate::{CompiledQuery, Request, ResultSet, Service, ServiceError};
+use crate::shard::Shard;
+use crate::{CompiledQuery, Request, ResultSet, Service};
 
-/// Where a sweep is parked. The default is the start of the corpus.
-/// [`Service::count_resume`] hands these out directly
-/// ([`CountCheckpoint`]); tokens seal them (see [`crate::token`]).
-#[derive(Clone, Debug)]
-pub struct SweepPos<C> {
+/// Where a sweep is parked: a shard, and the position within it. The
+/// default is the start of the corpus. [`Service::count_resume`] hands
+/// these out directly; tokens seal them (see [`crate::token`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct SweepPos {
     pub(crate) shard: u16,
-    /// Matches already produced within `shard` — lets a stale resume
-    /// recover by offset instead of repeating them.
-    pub(crate) within: u64,
-    pub(crate) ckpt: Option<C>,
+    pub(crate) at: Position,
 }
-
-impl<C> Default for SweepPos<C> {
-    fn default() -> Self {
-        SweepPos {
-            shard: 0,
-            within: 0,
-            ckpt: None,
-        }
-    }
-}
-
-/// A suspended [`Service::count_resume`] sweep.
-pub type CountCheckpoint = SweepPos<ShardCountCheckpoint>;
 
 /// How a step got its chunk — what the walk accounts for it.
 pub(crate) enum Did {
@@ -64,10 +49,34 @@ pub(crate) enum Did {
     Tabulated,
     /// Began the shard's enumeration.
     Started,
-    /// Continued a checkpoint, cached or token-borne.
+    /// Continued from a position inside the shard.
     Resumed,
-    /// Met a checkpoint of a build that is gone, and recovered.
-    Stale,
+}
+
+impl Did {
+    /// A shard evaluation from `at`: the shard's start, or a position
+    /// inside it.
+    fn from(at: Position) -> Did {
+        if at == Position::START {
+            Did::Started
+        } else {
+            Did::Resumed
+        }
+    }
+}
+
+/// The position after `rows`, a shard's document-ordered rows with
+/// global tree ids from the shard at `base`: the last row's tree, and
+/// how many rows of that tree `rows` holds.
+fn position_after(rows: &[(u32, NodeId)], base: u32) -> Position {
+    let Some(&(tree, _)) = rows.last() else {
+        return Position::START;
+    };
+    let served = rows.iter().rev().take_while(|r| r.0 == tree).count();
+    Position {
+        tree: tree - base,
+        skip: u32::try_from(served).unwrap_or(u32::MAX),
+    }
 }
 
 impl Service {
@@ -75,30 +84,28 @@ impl Service {
     /// `budget` matches (a step may overshoot: the budget bounds work)
     /// and returns what the steps produced plus where the sweep is now
     /// parked — `None` once the shards are exhausted. `step` receives
-    /// the shard, its index, the progress within it, its checkpoint
-    /// and the budget left; it answers how much it produced, the
-    /// checkpoint the shard is parked on (`None`: exhausted), and how.
-    /// A token-borne position that advancing would overflow is a
-    /// counted [`ServiceError::BadToken`].
-    fn sweep<C>(
+    /// the shard, its index, the position within it and the budget
+    /// left; it answers how much it produced, the position the shard
+    /// is parked at (`None`: exhausted), and how.
+    fn sweep(
         &self,
         req: &mut Request,
         compiled: &CompiledQuery,
-        mut at: SweepPos<C>,
+        mut at: SweepPos,
         budget: usize,
-        mut step: impl FnMut(&Shard, u16, u64, Option<C>, usize) -> (u64, Option<C>, Did),
-    ) -> Result<(u64, Option<SweepPos<C>>), ServiceError> {
+        mut step: impl FnMut(&Shard, u16, Position, usize) -> (u64, Option<Position>, Did),
+    ) -> (u64, Option<SweepPos>) {
         let mut produced = 0u64;
         while (at.shard as usize) < req.shards.len() && produced < budget as u64 {
             let shard = &req.shards[at.shard as usize];
-            if at.ckpt.is_none() && at.within == 0 && !shard.may_match(&compiled.required) {
+            if at.at == Position::START && !shard.may_match(&compiled.required) {
                 self.counters.shards_pruned.bump();
                 at.shard += 1;
                 continue;
             }
             req.fanout += 1;
             let room = usize::try_from(budget as u64 - produced).unwrap_or(usize::MAX);
-            let (n, next, did) = step(shard, at.shard, at.within, at.ckpt.take(), room);
+            let (n, next, did) = step(shard, at.shard, at.at, room);
             req.hit &= matches!(did, Did::Cached);
             match did {
                 Did::Cached => {}
@@ -108,55 +115,41 @@ impl Service {
                     self.counters.page_resumes.bump();
                     req.resumes += 1;
                 }
-                Did::Stale => self.counters.stale_checkpoints.bump(),
             }
             produced += n;
-            let within = at.within.checked_add(n);
-            at.within =
-                within.ok_or_else(|| self.bad_token(Malformed("token position overflows")))?;
-            at.ckpt = next;
-            if at.ckpt.is_some() {
+            if let Some(next) = next {
                 // A shard parks only on a spent budget.
+                at.at = next;
                 break;
             }
-            at.shard += 1;
-            at.within = 0;
+            at = SweepPos {
+                shard: at.shard + 1,
+                at: Position::START,
+            };
         }
         let parked = (at.shard as usize) < req.shards.len();
-        Ok((produced, parked.then_some(at)))
+        (produced, parked.then_some(at))
     }
 
-    /// Continue a positioned page sweep: resume the suspended shard (or
-    /// start the next one) and walk forward until the page fills or
-    /// the shards run out.
+    /// Continue a positioned page sweep: page the shard it is parked
+    /// in from its position (or start the next one) and walk forward
+    /// until the page fills or the shards run out.
     pub(crate) fn page_positioned(
         &self,
         req: &mut Request,
         compiled: &CompiledQuery,
-        pos: SweepPos<ShardCheckpoint>,
+        pos: SweepPos,
         limit: usize,
-    ) -> Result<(ResultSet, Option<SweepPos<ShardCheckpoint>>), ServiceError> {
+    ) -> (ResultSet, Option<SweepPos>) {
         let mut acc: ResultSet = Vec::new();
-        let swept = self.sweep(req, compiled, pos, limit, |shard, _, within, ckpt, room| {
-            let did = ckpt.as_ref().map_or(Did::Started, |_| Did::Resumed);
-            let (rows, next, did) = match shard.eval_resume(compiled, ckpt, room) {
-                Ok((rows, next)) => (rows, next, did),
-                // Unreachable when the corpus stamp matched (the
-                // checkpoint's build id is covered by the stamp), but
-                // recover locally anyway: re-enumerate this shard and
-                // drop the rows the client already has.
-                Err(_) => {
-                    let already = usize::try_from(within).unwrap_or(usize::MAX);
-                    let (mut rows, next) = shard.eval_limit(compiled, already.saturating_add(room));
-                    rows.drain(..already.min(rows.len()));
-                    (rows, next, Did::Stale)
-                }
-            };
+        let (_, parked) = self.sweep(req, compiled, pos, limit, |shard, _, at, room| {
+            let did = Did::from(at);
+            let (rows, next) = shard.page(compiled, at, room);
             let n = rows.len() as u64;
             acc.extend(rows);
             (n, next, did)
         });
-        Ok((acc, swept?.1))
+        (acc, parked)
     }
 
     /// The shared engine of [`Service::count_resume`] and the token
@@ -167,79 +160,62 @@ impl Service {
         &self,
         req: &mut Request,
         compiled: &CompiledQuery,
-        pos: CountCheckpoint,
+        pos: SweepPos,
         budget: usize,
-    ) -> Result<(u64, Option<CountCheckpoint>), ServiceError> {
-        self.sweep(
-            req,
-            compiled,
-            pos,
-            budget,
-            |shard, si, within, ckpt, room| {
-                // A whole untouched shard is O(1) when the aggregate
-                // tables cover the query — take it regardless of budget.
-                if let (None, 0, Some(fast)) = (&ckpt, within, &compiled.fast) {
-                    return (shard.tabulated(fast), None, Did::Tabulated);
-                }
-                let did = ckpt.as_ref().map_or(Did::Started, |_| Did::Resumed);
-                match shard.resume(compiled, ckpt, room) {
-                    Ok((n, next)) => (n, next, did),
-                    // The corpus changed between calls and this shard's
-                    // suspended position indexes content that is gone.
-                    // Recover by offset: count the current content in full
-                    // (cheap — the count store or aggregate tables
-                    // usually answer) and report only what the sweep has
-                    // not yet seen.
-                    Err(_) => {
-                        let (full, _) =
-                            self.count_shards(compiled, &self.unpruned(compiled, [(si, shard)]));
-                        ((full as u64).saturating_sub(within), None, Did::Stale)
-                    }
-                }
-            },
-        )
+    ) -> (u64, Option<SweepPos>) {
+        self.sweep(req, compiled, pos, budget, |shard, _, at, room| {
+            // A whole untouched shard is O(1) when the aggregate
+            // tables cover the query — take it regardless of budget.
+            if let (Position::START, Some(fast)) = (at, &compiled.fast) {
+                return (shard.tabulated(fast), None, Did::Tabulated);
+            }
+            let did = Did::from(at);
+            let (n, next) = shard.count_resume(compiled, at.tree, room);
+            let next = next.map(|tree| Position { tree, skip: 0 });
+            (n, next, did)
+        })
     }
 
     /// The offset page behind [`Service::eval_page`] and
     /// [`Service::eval_page_token`]'s stale recovery: sweep from the
     /// corpus start to `offset + limit` rows, every shard serving or
-    /// extending its cached entry, and keep the last `limit`.
+    /// extending its cached entry, and keep the last `limit` — plus
+    /// the position after them, `None` once the result is exhausted.
     pub(crate) fn page_by_offset(
         &self,
         req: &mut Request,
         compiled: &CompiledQuery,
         offset: usize,
         limit: usize,
-    ) -> Result<ResultSet, ServiceError> {
-        if limit == 0 {
-            return Ok(Vec::new());
-        }
+    ) -> (ResultSet, Option<SweepPos>) {
         let need = offset.saturating_add(limit);
         let mut acc: ResultSet = Vec::new();
-        // The store, not the position, carries each shard's checkpoint.
         let start = SweepPos::default();
-        let (_, parked) = self.sweep(req, compiled, start, need, |shard, si, _, _, room| {
+        let (_, parked) = self.sweep(req, compiled, start, need, |shard, si, _, room| {
             let (entry, did) = self.shard_rows_to(shard, si, compiled, room);
             let taken = entry.rows.len().min(room);
             acc.extend_from_slice(&entry.rows[..taken]);
-            (taken as u64, entry.ckpt, did)
-        })?;
+            let done = entry.complete && taken == entry.rows.len();
+            let next = (!done).then(|| position_after(&entry.rows[..taken], shard.base()));
+            (taken as u64, next, did)
+        });
         if let Some(at) = parked {
             // The page filled before these shards were reached.
-            let unvisited = req.shards.len() - at.shard as usize - usize::from(at.ckpt.is_some());
+            let entered = usize::from(at.at != Position::START);
+            let unvisited = req.shards.len() - at.shard as usize - entered;
             self.counters.page_shards_skipped.add(unvisited as u64);
         }
-        Ok(acc.split_off(offset.min(acc.len())))
+        (acc.split_off(offset.min(acc.len())), parked)
     }
 
     /// One shard's rows to a depth of at least `depth` (or complete),
     /// through the build-id-scoped per-shard row store: a complete
     /// entry serves any depth; a prefix at least as deep serves
-    /// outright; a shallower one is *extended* from its checkpoint —
-    /// only the missing rows are enumerated, nothing already cached is
-    /// replayed; nothing cached enumerates from the shard's start.
-    /// What was enumerated is stored back, complete or checkpointed,
-    /// where [`Service::eval`] and [`Service::count`] reuse it.
+    /// outright; a shallower one is *extended* by a page from the
+    /// position after its rows — only the missing rows are enumerated;
+    /// nothing cached enumerates from the shard's start. What was
+    /// enumerated is stored back, complete or not, where
+    /// [`Service::eval`] and [`Service::count`] reuse it.
     fn shard_rows_to(
         &self,
         shard: &Shard,
@@ -250,8 +226,8 @@ impl Service {
         let key = (compiled.normalized.clone(), si);
         let build = shard.build_id();
         let cached = self.shard_rows.lock().unwrap().get(&key, build);
-        let ((rows, ckpt), did) = match cached {
-            Some(entry) if entry.ckpt.is_none() => {
+        let ((rows, next), did) = match cached {
+            Some(entry) if entry.complete => {
                 self.counters.result_hits.bump();
                 return (entry, Did::Cached);
             }
@@ -264,47 +240,52 @@ impl Service {
                 self.counters.result_misses.bump();
                 // Take the observed entry back out of the cache (only
                 // it — a deeper prefix a concurrent sweep just
-                // installed must survive): both `Arc`s are then unique
-                // in the common single-client case, so the row buffer
-                // and the checkpoint (whose dedup watermark is O(rows
-                // emitted)) *move* through the extension instead of
-                // being copied per page. Concurrency degrades this to
-                // one copy, never to a wrong answer.
+                // installed must survive): its `Arc` is then unique in
+                // the common single-client case, so the row buffer
+                // *moves* through the extension instead of being
+                // copied per page. Concurrency degrades this to one
+                // copy, never to a wrong answer.
                 self.shard_rows.lock().unwrap().remove_match(&key, &entry);
-                let ShardRows { rows, ckpt } = entry;
-                let ckpt = ckpt.map(Arc::unwrap_or_clone);
-                match shard.eval_resume(compiled, ckpt, depth - rows.len()) {
-                    Ok((more, next)) => {
-                        let mut rows = Arc::unwrap_or_clone(rows);
-                        rows.extend(more);
-                        ((rows, next), Did::Resumed)
-                    }
-                    // The store is keyed by build id, so a stale
-                    // checkpoint here means the entry raced a rebuild;
-                    // its rows belong to the old content too. Degrade
-                    // to a fresh bounded evaluation.
-                    Err(_) => (shard.eval_limit(compiled, depth), Did::Stale),
-                }
+                let at = position_after(&entry.rows, shard.base());
+                let (more, next) = shard.page(compiled, at, depth - entry.rows.len());
+                let mut rows = Arc::unwrap_or_clone(entry.rows);
+                rows.extend(more);
+                ((rows, next), Did::Resumed)
             }
             None => {
                 self.counters.result_misses.bump();
-                (shard.eval_limit(compiled, depth), Did::Started)
+                (shard.page(compiled, Position::START, depth), Did::Started)
             }
         };
         let entry = ShardRows {
             rows: Arc::new(rows),
-            ckpt: ckpt.map(Arc::new),
+            complete: next.is_none(),
         };
         let mut store = self.shard_rows.lock().unwrap();
         // Concurrent sweeps of the same query: cached depth only
         // grows — never overwrite a deeper entry with a shallower one.
-        let deeper_cached = entry.ckpt.is_some()
+        let deeper_cached = !entry.complete
             && store
                 .get(&key, build)
-                .is_some_and(|e| e.ckpt.is_none() || e.rows.len() >= entry.rows.len());
+                .is_some_and(|e| e.complete || e.rows.len() >= entry.rows.len());
         if !deeper_cached {
             store.insert(key, build, entry.clone());
         }
         (entry, did)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_position_after_rows_names_their_last_tree() {
+        let rows = [(5, NodeId(0)), (6, NodeId(1)), (6, NodeId(4))];
+        // Global trees 5 and 6 of the shard whose first tree is 4.
+        assert_eq!(position_after(&rows, 4), Position { tree: 2, skip: 2 });
+        assert_eq!(position_after(&rows[..2], 4), Position { tree: 2, skip: 1 });
+        assert_eq!(position_after(&rows[..1], 5), Position { tree: 0, skip: 1 });
+        assert_eq!(position_after(&[], 4), Position::START);
     }
 }

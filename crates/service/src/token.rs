@@ -1,66 +1,67 @@
-//! Opaque, stateless paging tokens: the serialized form of a
-//! suspended [`Service::eval_page`] sweep, minted by
-//! [`Service::eval_page_token`] and echoed back by the client.
+//! Opaque, stateless paging tokens: a sealed [`SweepPos`], minted by
+//! [`Service::eval_page_token`] and [`Service::count_token`] and echoed
+//! back by the client.
 //!
-//! A token carries everything needed to continue the enumeration —
+//! Trees partition the corpus and no match crosses one, so where a
+//! sweep stopped is fully described by a position — the shard, the
+//! shard-local tree to continue from, and how many of that tree's
+//! matches were already served. A token carries that position plus
 //! the query's fingerprint, a stamp of the corpus content it was
-//! minted against, the global row offset already served, and (in the
-//! common *positioned* mode) the current shard plus that shard's
-//! serialized [`crate::ShardCheckpoint`] — so the server keeps **no**
+//! minted against and the sweep's progress, so the server keeps **no**
 //! per-client session state: any server process holding the same
 //! corpus can continue any client's sweep from the token alone.
 //!
 //! # Wire format
 //!
-//! URL-safe base64 (no padding) over:
+//! URL-safe base64 (no padding) over 44 bytes, 59 characters:
 //!
 //! ```text
-//! ver          u16   1 = paging token, 2 = count token
+//! ver          u16   3 = page token, 4 = count token
 //! query_fp     u64   FNV-1a of the normalized query text
 //! corpus_stamp u64   FNV-1a over all shard build ids, in shard order
 //! progress     u64   rows already served / matches already counted
-//! mode         u8    ver 1 only: 0 = positioned, 1 = offset-only
-//! -- the position (absent from offset-only tokens) --
 //! shard        u16   shard the sweep is parked in
-//! within       u64   progress already made within that shard
-//! has_ckpt     u8    0|1
-//! ckpt         ...   Checkpoint::encode_into, when has_ckpt = 1
-//! -- always --
+//! tree         u32   shard-local tree to continue from
+//! skip         u32   matches of that tree already served (0 in count
+//!                    tokens: a count parks only at a tree boundary)
 //! checksum     u64   FNV-1a over every preceding byte
 //! ```
 //!
-//! Both versions carry the same position body — one
-//! [`SweepPos`], written and read by one codec — around a
-//! [`crate::ShardCheckpoint`] (ver 1) or a [`crate::ShardCountCheckpoint`]
-//! (ver 2).
+//! Versions 1 and 2 were the page and count tokens that carried a
+//! serialized execution state; they open to a typed
+//! [`ServiceError::BadToken`] carrying their version.
 //!
 //! # Trust boundary
 //!
-//! Tokens cross the network, so decoding treats them as hostile:
-//! every length prefix is validated before allocation, the checksum
-//! gates structural parsing, and the embedded checkpoint is decoded
-//! by [`Shard::decode_checkpoint`], which re-validates it against the
-//! shard's *current* plan for the query — a forged token can make the
-//! server do bounded extra work or return an error, never panic and
-//! never execute a plan it did not build itself. Three outcomes:
+//! Tokens cross the network, so opening treats them as hostile. The
+//! checksum (unkeyed: it catches corruption, not forgery) gates
+//! parsing, and the body is fixed-size. A client can re-seal any
+//! position, but a position names only *where* to continue, never a
+//! row or an execution state, so a forged token gets a different
+//! contiguous run of the query's own result, or a typed error — never
+//! a non-match and never a panic. Three outcomes:
 //!
-//! * **valid** — the sweep continues exactly where it left off;
-//! * **stale** — well-formed bytes whose corpus stamp or build id no
-//!   longer matches (the corpus was appended to, or the server
-//!   restarted onto different content): recovered silently by
-//!   re-entering at the token's global offset, offset-only from then on
-//!   ([`ServiceStats::stale_checkpoints`] advances);
+//! * **valid** — the stamp matches, the shard exists and the tree is
+//!   at most its tree count: the sweep continues from the position;
+//! * **stale** — a well-formed token whose corpus stamp no longer
+//!   matches (the corpus was appended to, or the server restarted onto
+//!   different content): recovered silently by re-entering at the
+//!   token's progress as a global offset, and the next token is a
+//!   position in current content ([`ServiceStats::stale_checkpoints`]
+//!   advances);
 //! * **malformed** — truncated / corrupted / version-skewed / minted
-//!   for a different query: a typed [`ServiceError::BadToken`]
-//!   ([`ServiceStats::tokens_rejected`] advances).
+//!   for a different query / positioned outside the corpus: a typed
+//!   [`ServiceError::BadToken`] ([`ServiceStats::tokens_rejected`]
+//!   advances).
 
 use std::sync::Arc;
 
+use lpath_core::Position;
 use lpath_relstore::wire;
 use lpath_relstore::wire::WireError::Malformed;
 
 use crate::plan::CompiledQuery;
-use crate::shard::{Checkpoint, CheckpointDecodeError, Payload, Shard};
+use crate::shard::Shard;
 use crate::stats::Class;
 use crate::sweep::SweepPos;
 use crate::{ResultSet, Service, ServiceError};
@@ -68,17 +69,16 @@ use crate::{ResultSet, Service, ServiceError};
 #[cfg(doc)]
 use crate::ServiceStats;
 
-/// Token format version; bumped on any envelope layout change so old
+/// Page-token format version; bumped on any layout change so old
 /// tokens are rejected with [`wire::WireError::Version`] instead of
 /// being misparsed.
-pub const TOKEN_VERSION: u16 = 1;
+pub const TOKEN_VERSION: u16 = 3;
 
 /// Count-token format version. Deliberately distinct from
-/// [`TOKEN_VERSION`]: a paging token echoed to the count endpoint (or
-/// vice versa) fails the version gate outright instead of being
-/// misparsed as the other envelope — both layouts checksum cleanly,
-/// so the version word is what keeps them apart.
-pub const COUNT_TOKEN_VERSION: u16 = 2;
+/// [`TOKEN_VERSION`]: a page token echoed to the count endpoint (or
+/// vice versa) fails the version gate outright — both layouts
+/// checksum cleanly, so the version word is what keeps them apart.
+pub const COUNT_TOKEN_VERSION: u16 = 4;
 
 /// One page of a token-driven sweep: the rows plus the opaque token
 /// that continues the enumeration — `None` once the result set is
@@ -108,12 +108,6 @@ pub struct CountPage {
     pub token: Option<String>,
 }
 
-/// The decoded, validated interior of a token: the sweep's progress
-/// across all prior calls, and the exact resume position — `None` when
-/// only the progress is meaningful: an offset-only paging token (the
-/// stale-recovery mode), or any token that has just been found stale.
-type TokenState<P> = (u64, Option<SweepPos<Checkpoint<P>>>);
-
 /// FNV-1a fingerprint of the normalized query text — ties a token to
 /// the query it pages, so echoing it with a different query is a
 /// typed error instead of silently wrong rows.
@@ -122,11 +116,8 @@ fn query_fp(compiled: &CompiledQuery) -> u64 {
 }
 
 /// FNV-1a over all shard build ids in shard order: one word that
-/// changes whenever any shard's content does. Validates the
-/// *positionless* parts of a token (global offset, shard index) that
-/// no individual build id covers — a checkpoint suspended exactly on
-/// a shard boundary carries no [`Checkpoint`], so this stamp is
-/// what detects that the boundary itself moved.
+/// changes whenever any shard's content does, so a token's position
+/// is only ever read against the content it was taken in.
 fn corpus_stamp(shards: &[Arc<Shard>]) -> u64 {
     let mut w = wire::Writer::new();
     for s in shards {
@@ -143,28 +134,23 @@ impl Service {
     /// [`Page::token`] for each subsequent one. Concatenating the
     /// pages of a full sweep is byte-identical to [`Service::eval`]
     /// (and to an offset sweep through [`Service::eval_page`]) over
-    /// unchanged content. Tokens come in two modes. A positioned token
-    /// carries the suspended execution state of the shard it is parked
-    /// in, so its next page re-enumerates no prefix, even with every
-    /// cache cold: it is O(new rows) on *any* server process holding
-    /// the same corpus. An offset-only token — minted by stale
-    /// recovery, and by every page that continues one — pages by global
-    /// offset through the row store, as [`Service::eval_page`] does:
-    /// without re-enumeration only where the store holds the prefix.
+    /// unchanged content. A token is a position, so its page
+    /// evaluates only from there: the shard it names pages from its
+    /// tree on, with every cache cold, on *any* server process holding
+    /// the same corpus.
     ///
     /// A stale token (minted before an [`Service::append_ptb`] or
     /// against a different build of the corpus) is not an error: the
     /// sweep re-enters at the token's global offset against current
     /// content, [`ServiceStats::stale_checkpoints`] advances, and the
-    /// freshly minted token is offset-only — as is every token after
-    /// it in that sweep.
+    /// token minted with that page is a position in current content.
     ///
     /// # Errors
     ///
     /// [`ServiceError::BadToken`] when `token` is present but
-    /// malformed (truncated, corrupted, wrong version, or minted for
-    /// a different query); [`ServiceError::Syntax`] when the query
-    /// does not parse.
+    /// malformed (truncated, corrupted, wrong version, minted for a
+    /// different query, or positioned outside the corpus);
+    /// [`ServiceError::Syntax`] when the query does not parse.
     pub fn eval_page_token(
         &self,
         query: &str,
@@ -177,34 +163,21 @@ impl Service {
                 None => (0, Some(SweepPos::default())),
                 Some(t) => self.open_token(TOKEN_VERSION, t, compiled, &req.shards)?,
             };
-            // Where the sweep continues, if it does: `Some(None)` is an
-            // offset-only continuation.
             let (rows, next) = match pos {
-                Some(pos) => {
-                    let (rows, parked) = self.page_positioned(req, compiled, pos, limit)?;
-                    (rows, parked.map(Some))
-                }
+                Some(pos) => self.page_positioned(req, compiled, pos, limit),
                 // Stale-token recovery: serve the page by global offset
-                // through `eval_page`'s walk (whose build-id-scoped
-                // row store keeps repeated recoveries from
-                // re-enumerating), then mint an offset-only token. The
-                // *next* echo of that token lands here again, so a
-                // client that was mid-sweep when the corpus changed
-                // keeps paging seamlessly — against the new content, as
-                // the offset contract requires.
+                // through `eval_page`'s walk, whose build-id-scoped row
+                // store keeps repeated recoveries from re-enumerating.
                 None => {
                     let offset = usize::try_from(emitted).unwrap_or(usize::MAX);
-                    let rows = self.page_by_offset(req, compiled, offset, limit)?;
-                    // Coming back short proves the sweep is complete.
-                    let more = rows.len() == limit;
-                    (rows, more.then_some(None))
+                    self.page_by_offset(req, compiled, offset, limit)
                 }
             };
             let emitted = emitted
                 .checked_add(rows.len() as u64)
                 .ok_or_else(|| self.bad_token(Malformed("token progress overflows")))?;
-            let token = next
-                .map(|pos| self.mint(TOKEN_VERSION, compiled, &req.shards, emitted, pos.as_ref()));
+            let token =
+                next.map(|pos| self.mint(TOKEN_VERSION, compiled, &req.shards, emitted, pos));
             Ok(Page { rows, token })
         })
     }
@@ -213,13 +186,13 @@ impl Service {
     /// — `ver`, `query_fp`, `corpus_stamp` — the sweep's `progress` and
     /// parked position, an FNV-1a checksum over all of it, in URL-safe
     /// base64.
-    fn mint<P: Payload>(
+    fn mint(
         &self,
         version: u16,
         compiled: &CompiledQuery,
         shards: &[Arc<Shard>],
         progress: u64,
-        pos: Option<&SweepPos<Checkpoint<P>>>,
+        pos: SweepPos,
     ) -> String {
         self.counters.tokens_minted.bump();
         let mut w = wire::Writer::new();
@@ -227,17 +200,9 @@ impl Service {
         w.u64(query_fp(compiled));
         w.u64(corpus_stamp(shards));
         w.u64(progress);
-        if version == TOKEN_VERSION {
-            w.bool(pos.is_none());
-        }
-        if let Some(p) = pos {
-            w.u16(p.shard);
-            w.u64(p.within);
-            w.bool(p.ckpt.is_some());
-            if let Some(c) = &p.ckpt {
-                c.encode_into(&mut w);
-            }
-        }
+        w.u16(pos.shard);
+        w.u32(pos.at.tree);
+        w.u32(pos.at.skip);
         let sum = wire::fnv1a(w.bytes());
         w.u64(sum);
         wire::b64_encode(w.bytes())
@@ -247,21 +212,23 @@ impl Service {
     /// of [`Service::count_resume`], for clients across a network
     /// edge. Pass `token: None` to start; echo [`CountPage::token`]
     /// until [`CountPage::total`] arrives. Over unchanged content the
-    /// final `total` equals [`Service::count`]; each call does
-    /// O(budget) work (aggregate-table shards are O(1), so `so_far`
-    /// may overshoot the budget — it bounds work, not the count).
+    /// final `total` equals [`Service::count`]; each call counts whole
+    /// trees until its budget is spent (aggregate-table shards are
+    /// O(1), so `so_far` may overshoot the budget — it bounds work,
+    /// not the count).
     ///
     /// A stale token (the corpus changed mid-sweep) is not an error:
-    /// the parked position indexes content that is gone, so the sweep
-    /// finishes by recounting current content outright — cheap, since
-    /// the count store and aggregate tables answer — and returns a
-    /// final page ([`ServiceStats::stale_checkpoints`] advances).
+    /// the sweep finishes by recounting current content outright —
+    /// cheap, since the count store and aggregate tables answer — and
+    /// returns a final page ([`ServiceStats::stale_checkpoints`]
+    /// advances).
     ///
     /// # Errors
     ///
     /// [`ServiceError::BadToken`] when `token` is present but
     /// malformed (truncated, corrupted, version-skewed — including a
-    /// *paging* token echoed here — or minted for a different query);
+    /// *paging* token echoed here — minted for a different query, or
+    /// positioned outside the corpus or inside a tree);
     /// [`ServiceError::Syntax`] when the query does not parse.
     pub fn count_token(
         &self,
@@ -280,50 +247,35 @@ impl Service {
                 None => (0, Some(SweepPos::default())),
                 Some(t) => self.open_token(COUNT_TOKEN_VERSION, t, compiled, &req.shards)?,
             };
-            // A stale token: its parked position indexes content that
-            // is gone, so finish by recounting current content.
+            // A stale token: its position indexes content that is
+            // gone, so finish by recounting current content.
             let Some(pos) = pos else {
                 return Ok(page(self.count_whole(req, compiled) as u64, None));
             };
-            let (n, next) = self.count_advance(req, compiled, pos, budget)?;
+            let (n, next) = self.count_advance(req, compiled, pos, budget);
             let so_far = prior
                 .checked_add(n)
                 .ok_or_else(|| self.bad_token(Malformed("token progress overflows")))?;
-            let token = next.map(|pos| {
-                self.mint(
-                    COUNT_TOKEN_VERSION,
-                    compiled,
-                    &req.shards,
-                    so_far,
-                    Some(&pos),
-                )
-            });
+            let token =
+                next.map(|pos| self.mint(COUNT_TOKEN_VERSION, compiled, &req.shards, so_far, pos));
             Ok(page(so_far, token))
         })
     }
 
     /// Open an echoed token against the current compiled query and
-    /// shard snapshot: the envelope, then the sweep's progress and
-    /// parked position. Hostile input is the normal case here: the
-    /// checksum gates structural parsing, the embedded checkpoint is
-    /// decoded against the shard it names, and every failure is a
-    /// counted, typed [`ServiceError::BadToken`], never a panic. A
-    /// stale token is no failure: it is counted and opens to its
-    /// progress alone, stopping before its checkpoint — the parked
-    /// position indexes content that is gone, so it is not decoded
-    /// against shards it does not belong to.
-    fn open_token<P: Payload>(
+    /// shard snapshot: its progress, and the position to continue from
+    /// — `None` when the token is stale (counted), whose position
+    /// indexes content that is gone. Hostile input is the normal case
+    /// here: every failure is a counted, typed
+    /// [`ServiceError::BadToken`], never a panic.
+    fn open_token(
         &self,
         version: u16,
         token: &str,
         compiled: &CompiledQuery,
         shards: &[Arc<Shard>],
-    ) -> Result<TokenState<P>, ServiceError> {
+    ) -> Result<(u64, Option<SweepPos>), ServiceError> {
         use wire::WireError::{Checksum, Truncated, Version};
-        let stale = |progress: u64| {
-            self.counters.stale_checkpoints.bump();
-            Ok((progress, None))
-        };
         let open = || {
             let bytes = wire::b64_decode(token)?;
             let Some(body_len) = bytes.len().checked_sub(8) else {
@@ -344,50 +296,28 @@ impl Service {
             }
             let fresh = r.u64()? == corpus_stamp(shards);
             let progress = r.u64()?;
-            let pos = match if version == TOKEN_VERSION { r.u8()? } else { 0 } {
-                // Offset-only: the global offset is meaningful against
-                // any content, so staleness is irrelevant — offset
-                // paging already promises "current content at this
-                // offset".
-                1 => None,
-                0 => {
-                    let shard = r.u16()?;
-                    let within = r.u64()?;
-                    // Progress within a shard is part of the progress
-                    // overall: a position beyond it was forged.
-                    if within > progress {
-                        return Err(Malformed("token position beyond its progress"));
-                    }
-                    let has_ckpt = r.bool()?;
-                    // A sweep parks mid-shard only on its checkpoint:
-                    // honoured, this shape would restart the shard.
-                    if within > 0 && !has_ckpt {
-                        return Err(Malformed("token position without its checkpoint"));
-                    }
-                    if !fresh {
-                        return stale(progress);
-                    }
-                    let Some(target) = shards.get(shard as usize) else {
-                        return Err(Malformed("token shard index out of range"));
-                    };
-                    let ckpt = match has_ckpt.then(|| target.decode_checkpoint(compiled, &mut r)) {
-                        Some(Err(CheckpointDecodeError::Stale(_))) => return stale(progress),
-                        Some(Err(CheckpointDecodeError::Wire(e))) => return Err(e),
-                        Some(Ok(ckpt)) => Some(ckpt),
-                        None => None,
-                    };
-                    Some(SweepPos {
-                        shard,
-                        within,
-                        ckpt,
-                    })
-                }
-                _ => return Err(Malformed("token mode")),
+            let shard = r.u16()?;
+            let at = Position {
+                tree: r.u32()?,
+                skip: r.u32()?,
             };
             if !r.finished() {
                 return Err(Malformed("trailing bytes after token body"));
             }
-            Ok((progress, pos))
+            if version == COUNT_TOKEN_VERSION && at.skip != 0 {
+                return Err(Malformed("count token parked inside a tree"));
+            }
+            if !fresh {
+                self.counters.stale_checkpoints.bump();
+                return Ok((progress, None));
+            }
+            let Some(target) = shards.get(shard as usize) else {
+                return Err(Malformed("token shard index out of range"));
+            };
+            if at.tree as usize > target.trees() {
+                return Err(Malformed("token tree out of range"));
+            }
+            Ok((progress, Some(SweepPos { shard, at })))
         };
         open().map_err(|e| self.bad_token(e))
     }
@@ -509,7 +439,7 @@ mod tests {
             },
         );
         // A fresh token page on a cold service starts one shard's
-        // enumeration; echoing its token resumes the checkpoint.
+        // enumeration; echoing its token resumes from its position.
         let p1 = svc.eval_page_token("//NN", None, 1).unwrap();
         let s = svc.stats();
         assert_eq!((s.page_partial_evals, s.page_resumes), (1, 0), "{s:?}");
@@ -535,7 +465,10 @@ mod tests {
             s.page_partial_evals >= 2,
             "the count started a shard: {s:?}"
         );
-        assert_eq!(s.page_resumes, 2, "the echo resumed its checkpoint: {s:?}");
+        assert_eq!(
+            s.page_resumes, 2,
+            "the echo resumed from its position: {s:?}"
+        );
         assert_eq!(s.shard_evals, 0, "{s:?}");
     }
 
@@ -597,24 +530,107 @@ mod tests {
     }
 
     #[test]
-    fn offset_tokens_keep_paging_after_recovery() {
+    fn stale_recovery_mints_positions_in_current_content() {
         let svc = service(2);
         let p1 = svc.eval_page_token("//NP", None, 1).unwrap();
         let t1 = p1.token.unwrap();
         svc.append_ptb("( (S (NP (NN fog))) )").unwrap();
-        // Recovery mints an offset-only token (`mode` byte 1); echoing
-        // it pages on.
+        // Recovery pages by offset once, then mints a position in the
+        // grown corpus: echoing it is no longer stale.
         let p2 = svc.eval_page_token("//NP", Some(&t1), 1).unwrap();
+        assert_eq!(svc.stats().stale_checkpoints, 1);
         let t2 = p2.token.expect("more NPs remain");
-        assert_eq!(wire::b64_decode(&t2).unwrap()[26], 1);
         let p3 = svc
             .eval_page_token("//NP", Some(&t2), usize::MAX - 1)
             .unwrap();
+        assert_eq!(svc.stats().stale_checkpoints, 1);
         let full = (*svc.eval("//NP").unwrap()).clone();
         let mut joined = p1.rows;
         joined.extend(p2.rows.iter().copied());
         joined.extend(p3.rows.iter().copied());
         assert_eq!(joined, full);
+    }
+
+    #[test]
+    fn every_minted_token_fits_in_64_characters() {
+        let svc = service(3);
+        for q in ["//NP", "//VBD->NP", "//_", "//VP/_[last()]"] {
+            for limit in [1, 2, 5] {
+                let mut token = None;
+                loop {
+                    let page = svc.eval_page_token(q, token.as_deref(), limit).unwrap();
+                    let Some(t) = page.token else { break };
+                    assert!(t.len() <= 64, "{q}: {} characters", t.len());
+                    token = Some(t);
+                }
+                let mut token = None;
+                loop {
+                    let page = svc.count_token(q, token.as_deref(), limit).unwrap();
+                    let Some(t) = page.token else { break };
+                    assert!(t.len() <= 64, "{q}: {} characters", t.len());
+                    token = Some(t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tokens_positioned_outside_the_corpus_are_rejected() {
+        let svc = service(2);
+        let t = svc.eval_page_token("//NP", None, 1).unwrap().token.unwrap();
+        // Re-seal the position (`shard` u16 at byte 26, `tree` u32 at
+        // 28, `skip` u32 at 32) and the checksum.
+        let forge = |shard: u16, tree: u32, skip: u32| {
+            let mut b = wire::b64_decode(&t).unwrap();
+            b[26..28].copy_from_slice(&shard.to_le_bytes());
+            b[28..32].copy_from_slice(&tree.to_le_bytes());
+            b[32..36].copy_from_slice(&skip.to_le_bytes());
+            let sum = wire::fnv1a(&b[..36]);
+            b[36..].copy_from_slice(&sum.to_le_bytes());
+            wire::b64_encode(&b)
+        };
+        // Two trees per shard: tree 2 of shard 1 is its end, tree 3
+        // and shard 2 do not exist.
+        let full = (*svc.eval("//NP").unwrap()).clone();
+        let end = svc
+            .eval_page_token("//NP", Some(&forge(1, 2, 0)), 5)
+            .unwrap();
+        assert!(end.rows.is_empty() && end.token.is_none());
+        let tail = svc
+            .eval_page_token("//NP", Some(&forge(1, 1, 1)), 99)
+            .unwrap();
+        let from = full.iter().position(|m| m.0 == 3).unwrap() + 1;
+        assert_eq!(tail.rows, full[from..]);
+        for (shard, tree) in [(1, 3), (2, 0), (u16::MAX, 0), (0, u32::MAX)] {
+            assert!(
+                matches!(
+                    svc.eval_page_token("//NP", Some(&forge(shard, tree, 0)), 5),
+                    Err(ServiceError::BadToken(wire::WireError::Malformed(_)))
+                ),
+                "({shard}, {tree})"
+            );
+        }
+        assert_eq!(svc.stats().tokens_rejected, 4);
+    }
+
+    #[test]
+    fn count_tokens_park_only_at_tree_boundaries() {
+        let svc = service(2);
+        let c = svc.count_token("//VP//NP", None, 1).unwrap();
+        let t = c.token.expect("more to count");
+        let mut b = wire::b64_decode(&t).unwrap();
+        // A nonzero `skip` (u32 at byte 32), re-sealed.
+        b[32] = 1;
+        let sum = wire::fnv1a(&b[..36]);
+        b[36..].copy_from_slice(&sum.to_le_bytes());
+        let inside = wire::b64_encode(&b);
+        assert!(matches!(
+            svc.count_token("//VP//NP", Some(&inside), 1),
+            Err(ServiceError::BadToken(wire::WireError::Malformed(_)))
+        ));
+        // The genuine token counts on to the total.
+        let done = svc.count_token("//VP//NP", Some(&t), usize::MAX).unwrap();
+        assert_eq!(done.total, Some(svc.count("//VP//NP").unwrap() as u64));
     }
 
     #[test]
@@ -633,11 +649,15 @@ mod tests {
         assert_eq!(joined, full);
     }
 
-    /// One token per envelope version, minted by the pre-refactor
-    /// sealing code over this module's fixture (2 shards): the bytes on
-    /// the wire must not move, in either direction.
-    const GOLDEN_PAGE_NN: &str = "AQCbhjGqnXDm6Phywi8q-MZoAQAAAAAAAAAAAAABAAAAAAAAAAGOfjTCOkx-6QABAAAAAAAAAAAAAAAAAAAAAQEAAAAAAAAAFQAAAAEAAAAAAAAAAQIAAAAAAAAAAQACAAAAAAAAAAkAAAAAAAAABQAAAAEAAAAAAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAADAAAAgz56ax5cFVs";
-    const GOLDEN_COUNT_VP_NP: &str = "AgCdJohO3zquIvhywi8q-MZoAQAAAAAAAAAAAAEAAAAAAAAAAY5-NMI6TH7pAAIAAAAAAAAADQAAABEAAAACAAAAAAAAAAEBAAAAAAAAAAEBAAAAAAAAAAEAAQAAAAAAAAAHAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAAAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAEAAAAAAAAAC3MpkNgrGGc";
+    /// One token per envelope version over this module's fixture (2
+    /// shards): the bytes on the wire must not move, in either
+    /// direction.
+    const GOLDEN_PAGE_NN: &str = "AwCbhjGqnXDm6Phywi8q-MZoAQAAAAAAAAAAAAAAAAABAAAAgnb2UWwZLdw";
+    const GOLDEN_COUNT_VP_NP: &str = "BACdJohO3zquIvhywi8q-MZoAQAAAAAAAAAAAAEAAAAAAAAAJB4QhLO3Gcw";
+    /// The same two tokens as the checkpoint-carrying versions 1 and 2
+    /// sealed them: still checksummed cleanly, now refused by version.
+    const OLD_PAGE_NN: &str = "AQCbhjGqnXDm6Phywi8q-MZoAQAAAAAAAAAAAAABAAAAAAAAAAGOfjTCOkx-6QABAAAAAAAAAAAAAAAAAAAAAQEAAAAAAAAAFQAAAAEAAAAAAAAAAQIAAAAAAAAAAQACAAAAAAAAAAkAAAAAAAAABQAAAAEAAAAAAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAADAAAAgz56ax5cFVs";
+    const OLD_COUNT_VP_NP: &str = "AgCdJohO3zquIvhywi8q-MZoAQAAAAAAAAAAAAEAAAAAAAAAAY5-NMI6TH7pAAIAAAAAAAAADQAAABEAAAACAAAAAAAAAAEBAAAAAAAAAAEBAAAAAAAAAAEAAQAAAAAAAAAHAAAAAAAAAAAAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAAAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAACAAAAAAAAAAEAAAAAAAAAC3MpkNgrGGc";
 
     #[test]
     fn golden_tokens_still_seal_and_open_byte_for_byte() {
@@ -664,7 +684,18 @@ mod tests {
         // The version word keeps the two envelopes apart.
         assert!(matches!(
             svc.count_token("//NN", Some(GOLDEN_PAGE_NN), 1),
+            Err(ServiceError::BadToken(wire::WireError::Version(3)))
+        ));
+        // Checkpoint-carrying tokens are refused by their version,
+        // counted as rejections.
+        assert!(matches!(
+            svc.eval_page_token("//NN", Some(OLD_PAGE_NN), 1),
             Err(ServiceError::BadToken(wire::WireError::Version(1)))
         ));
+        assert!(matches!(
+            svc.count_token("//VP//NP", Some(OLD_COUNT_VP_NP), 1),
+            Err(ServiceError::BadToken(wire::WireError::Version(2)))
+        ));
+        assert_eq!(svc.stats().tokens_rejected, 3);
     }
 }

@@ -15,9 +15,11 @@
 //! Some appends carry tags first seen in that append, and the readers
 //! ask for those tags from the start: a plan compiled (and cached)
 //! before the append must answer correctly after it. A second history
-//! swaps whole corpora instead, under the same per-request check
-//! (token sweeps aside: a swap replaces content, so a stale sweep
-//! resumes by offset over different trees).
+//! swaps whole corpora instead, under the same per-request check. Its
+//! token sweeps must complete without error, and a sweep that began
+//! and ended in one generation must equal that generation's result; a
+//! sweep a swap interrupts resumes by offset over different trees, so
+//! its concatenation answers to no one generation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -70,11 +72,12 @@ fn oracle(generations: &[String]) -> Oracle {
 
 type Oracle = Vec<Vec<Vec<(u32, NodeId)>>>;
 
-/// One reader: cycles through the queries and the first `kinds`
-/// request kinds until the writer is done, then once more, checking
-/// each answer against the generations live during it. Returns the
-/// number of checked reads.
-fn read(svc: &Service, want: &Oracle, done: &AtomicBool, seed: usize, kinds: usize) -> usize {
+/// One reader: cycles through the queries and the five request kinds
+/// until the writer is done, then once more, checking each answer
+/// against the generations live during it. Under `swaps`, a token
+/// sweep that spans generations is checked only for completing.
+/// Returns the number of checked reads.
+fn read(svc: &Service, want: &Oracle, done: &AtomicBool, seed: usize, swaps: bool) -> usize {
     let mut checked = 0;
     let mut last_round = false;
     for round in 0.. {
@@ -83,7 +86,7 @@ fn read(svc: &Service, want: &Oracle, done: &AtomicBool, seed: usize, kinds: usi
         }
         last_round = done.load(Ordering::SeqCst);
         let q = (round + seed) % QUERIES.len();
-        let (query, kind) = (QUERIES[q], (round + seed) % kinds);
+        let (query, kind) = (QUERIES[q], (round + seed) % 5);
         let g0 = svc.generation() as usize;
         // `ok(g)`: does the read match generation `g`?
         let ok: Box<dyn Fn(usize) -> bool + '_> = match kind {
@@ -117,7 +120,9 @@ fn read(svc: &Service, want: &Oracle, done: &AtomicBool, seed: usize, kinds: usi
                         break;
                     }
                 }
-                Box::new(move |g| rows == want[g][q])
+                // `g1` is read after the last page.
+                let g1 = svc.generation() as usize;
+                Box::new(move |g| rows == want[g][q] || (swaps && g0 != g1))
             }
         };
         let g1 = svc.generation() as usize;
@@ -130,10 +135,11 @@ fn read(svc: &Service, want: &Oracle, done: &AtomicBool, seed: usize, kinds: usi
     checked
 }
 
-/// Run two readers over the first `kinds` request kinds while
-/// `write(svc, g)` moves the service to generation `g`, for each `g`
-/// past the first of `generations`; then check the final state.
-fn history(generations: &[String], kinds: usize, write: impl Fn(&Service, usize)) {
+/// Run two readers while `write(svc, g)` moves the service to
+/// generation `g`, for each `g` past the first of `generations`; then
+/// check the final state. `swaps`: the writer replaces content rather
+/// than appending to it.
+fn history(generations: &[String], swaps: bool, write: impl Fn(&Service, usize)) {
     let want = oracle(generations);
     let svc = Service::with_config(
         &parse_str(&generations[0]).unwrap(),
@@ -149,7 +155,7 @@ fn history(generations: &[String], kinds: usize, write: impl Fn(&Service, usize)
         let readers: Vec<_> = (0..2)
             .map(|seed| {
                 let (svc, want, done) = (&svc, &want, &done);
-                scope.spawn(move || read(svc, want, done, seed * 3, kinds))
+                scope.spawn(move || read(svc, want, done, seed * 3, swaps))
             })
             .collect();
         for g in 1..generations.len() {
@@ -176,7 +182,7 @@ fn concurrent_reads_match_a_live_generation() {
     for batch in &batches {
         generations.push(format!("{}\n{batch}", generations.last().unwrap()));
     }
-    history(&generations, 5, |svc, g| {
+    history(&generations, false, |svc, g| {
         assert!(svc.append_ptb(&batches[g - 1]).unwrap() > 0);
     });
 }
@@ -191,7 +197,7 @@ fn reads_across_swaps_match_a_live_generation() {
             format!("{}\n{batch}", trees.to_ptb_string())
         })
         .collect();
-    history(&generations, 4, |svc, g| {
+    history(&generations, true, |svc, g| {
         svc.swap_corpus(&parse_str(&generations[g]).unwrap());
     });
 }

@@ -4,7 +4,7 @@
 //! invariant anchors everything: **`count == eval().len()`** for any
 //! corpus, query, sharding, and budget schedule — whether the count
 //! came from the walker, the engine's streaming cursor, the service's
-//! fan-out, the O(index) aggregate tables, a budgeted checkpointed
+//! fan-out, the O(index) aggregate tables, a budgeted positioned
 //! sweep, or a stateless count-token sweep. On top of that: chunk
 //! counts of a suspended sweep must sum to the one-shot count at
 //! *every* budget, the aggregate fast path must answer without running
@@ -123,35 +123,35 @@ proptest! {
         if let Ok(n) = engine.count_ast(&ast) {
             prop_assert_eq!(n as u64, reference, "engine one-shot on {}", q);
             let mut total = 0u64;
-            let mut ckpt = None;
+            let mut tree = 0;
             for _ in 0..10_000 {
-                let (chunk, next) = engine.count_resume(&ast, ckpt, budget).unwrap();
+                let (chunk, next) = engine.count_resume(&ast, tree, budget).unwrap();
                 total += chunk;
                 match next {
-                    Some(c) => ckpt = Some(c),
+                    Some(t) => tree = t,
                     None => break,
                 }
             }
             prop_assert_eq!(total, reference, "engine budgeted sweep on {}", q);
         }
 
-        // Service: enumeration, one-shot count, checkpointed sweep,
+        // Service: enumeration, one-shot count, positioned sweep,
         // and the stateless token sweep all agree.
         let svc = service_over(&corpus, shards);
         prop_assert_eq!(svc.eval(q).unwrap().len() as u64, reference, "eval on {}", q);
         prop_assert_eq!(svc.count(q).unwrap() as u64, reference, "service count on {}", q);
 
         let mut total = 0u64;
-        let mut ckpt = None;
+        let mut at = None;
         for _ in 0..10_000 {
-            let (chunk, next) = svc.count_resume(q, ckpt, budget).unwrap();
+            let (chunk, next) = svc.count_resume(q, at, budget).unwrap();
             total += chunk;
             match next {
-                Some(c) => ckpt = Some(c),
+                Some(p) => at = Some(p),
                 None => break,
             }
         }
-        prop_assert_eq!(total, reference, "service checkpointed sweep on {}", q);
+        prop_assert_eq!(total, reference, "service positioned sweep on {}", q);
 
         let mut token: Option<String> = None;
         let mut last = 0u64;

@@ -1,13 +1,16 @@
-//! Resumable-execution invariants, property-tested across every layer.
+//! Resumable-enumeration invariants, property-tested across every
+//! layer.
 //!
-//! Suspending an enumeration and resuming it later must be
-//! *unobservable* in the output: for any corpus, query and split
-//! schedule, the concatenation of resumed chunks is byte-identical to
-//! the uninterrupted enumeration — on the relstore cursor (pipeline
-//! order), the walker, the engine (document order) and the sharded
-//! service's checkpointed page path alike. On top of that, cached
-//! prefixes extended *across* `append_ptb` must agree with a fresh
-//! evaluation of the grown corpus.
+//! Stopping an enumeration and continuing it later from its position
+//! — the tree to continue from and how many of its matches were
+//! already served — must be *unobservable* in the output: for any
+//! corpus, query and split schedule, the concatenation of the pages is
+//! byte-identical to the uninterrupted enumeration — on the walker,
+//! the engine (document order) and the sharded service's prefix-
+//! extending page path alike. Any position names a suffix of the
+//! result. On top of that, cached prefixes extended *across*
+//! `append_ptb` must agree with a fresh evaluation of the grown
+//! corpus.
 //!
 //! `PROPTEST_CASES` scales the case count (CI's nightly sweep raises
 //! it); the default here is the acceptance floor of 256.
@@ -15,6 +18,7 @@
 use proptest::prelude::*;
 
 use lpath::prelude::*;
+use lpath_core::{Paged, Position};
 use lpath_service::ResultSet;
 
 mod fixtures;
@@ -57,9 +61,9 @@ fn arb_treebank() -> impl Strategy<Value = Vec<String>> {
 }
 
 /// Queries spanning the resumable paths: name anchors, joins and
-/// negation, attribute filters, the walker fallback, and queries
-/// matching nothing.
-const POOL: [&str; 9] = [
+/// negation, attribute filters, a multi-step scope (the cursor), the
+/// walker fallback, and queries matching nothing.
+const POOL: [&str; 10] = [
     "//A",
     "//_",
     "//S//B",
@@ -67,9 +71,44 @@ const POOL: [&str; 9] = [
     "//A[not(//B)]",
     "//_[@lex=u]",
     "//B[//_[@lex=v]]",
+    "//S{/A-->B}",   // cyclic: no semijoin program, pages on the cursor
     "//S/_[last()]", // no SQL translation: exercises the walker fallback
     "//ZZZ",         // matches nothing anywhere
 ];
+
+/// Split `layer`'s pages at an arbitrary boundary and drain, then
+/// page `chunk` rows at a time to exhaustion: both schedules
+/// concatenate to `full`.
+fn pages_concatenate(
+    layer: &str,
+    q: &str,
+    full: &[(u32, NodeId)],
+    split: usize,
+    chunk: usize,
+    page: impl Fn(Position, usize) -> Paged,
+) -> Result<(), TestCaseError> {
+    let cut = split.max(1).min(full.len());
+    let (head, next) = page(Position::START, split.max(1));
+    prop_assert_eq!(&head[..], &full[..cut], "{} head on {}", layer, q);
+    if let Some(at) = next {
+        let (tail, end) = page(at, usize::MAX);
+        prop_assert_eq!(&tail[..], &full[cut..], "{} tail on {}", layer, q);
+        prop_assert!(end.is_none());
+    } else {
+        prop_assert_eq!(cut, full.len(), "{} early None on {}", layer, q);
+    }
+    let (mut got, mut at) = (Vec::new(), Position::START);
+    loop {
+        let (rows, next) = page(at, chunk);
+        got.extend(rows);
+        match next {
+            Some(p) => at = p,
+            None => break,
+        }
+    }
+    prop_assert_eq!(&got[..], full, "{} chunked sweep on {}", layer, q);
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -94,58 +133,19 @@ proptest! {
             Err(_) => walker.eval(&ast),
         };
 
-        // Walker: split at an arbitrary boundary, then drain.
-        let (head, ckpt) = walker.eval_resume(&ast, None, split.max(1));
-        let cut = split.max(1).min(full.len());
-        prop_assert_eq!(&head[..], &full[..cut], "walker head on {}", q);
-        if let Some(ckpt) = ckpt {
-            let (tail, end) = walker.eval_resume(&ast, Some(ckpt), usize::MAX);
-            prop_assert_eq!(&tail[..], &full[cut..], "walker tail on {}", q);
-            prop_assert!(end.is_none());
-        } else {
-            prop_assert_eq!(cut, full.len(), "walker early None on {}", q);
-        }
-
-        // Walker: fixed-size chunks to exhaustion.
-        let mut got: ResultSet = Vec::new();
-        let mut ckpt = None;
-        loop {
-            let (rows, next) = walker.eval_resume(&ast, ckpt, chunk);
-            got.extend(rows);
-            match next {
-                Some(c) => ckpt = Some(c),
-                None => break,
-            }
-        }
-        prop_assert_eq!(&got, &full, "walker chunked sweep on {}", q);
-
-        // Engine (translatable queries): same two schedules.
+        // Walker, then engine (translatable queries).
+        pages_concatenate("walker", q, &full, split, chunk, |at, limit| {
+            walker.eval_resume(&ast, at, limit)
+        })?;
         if engine.query_ast(&ast).is_ok() {
-            let (head, ckpt) = engine.query_resume(&ast, None, split.max(1)).unwrap();
-            prop_assert_eq!(&head[..], &full[..cut], "engine head on {}", q);
-            if let Some(ckpt) = ckpt {
-                let (tail, end) = engine.query_resume(&ast, Some(ckpt), usize::MAX).unwrap();
-                prop_assert_eq!(&tail[..], &full[cut..], "engine tail on {}", q);
-                prop_assert!(end.is_none());
-            } else {
-                prop_assert_eq!(cut, full.len(), "engine early None on {}", q);
-            }
-            let mut got: ResultSet = Vec::new();
-            let mut ckpt = None;
-            loop {
-                let (rows, next) = engine.query_resume(&ast, ckpt, chunk).unwrap();
-                got.extend(rows);
-                match next {
-                    Some(c) => ckpt = Some(c),
-                    None => break,
-                }
-            }
-            prop_assert_eq!(&got, &full, "engine chunked sweep on {}", q);
+            pages_concatenate("engine", q, &full, split, chunk, |at, limit| {
+                engine.page_ast(&ast, at, limit).unwrap()
+            })?;
         }
     }
 
     #[test]
-    fn service_page_sweep_rides_checkpoints_exactly(
+    fn service_page_sweep_extends_prefixes_exactly(
         trees in arb_treebank(),
         qi in 0usize..POOL.len(),
         page in 1usize..5,
@@ -164,8 +164,7 @@ proptest! {
             ServiceConfig { shards, threads: 1, ..ServiceConfig::default() },
         );
         // Sweep pages 1..K on one service so every deeper page
-        // extends the cached, checkpointed prefixes of the earlier
-        // ones.
+        // extends the cached prefixes of the earlier ones.
         let mut got: ResultSet = Vec::new();
         loop {
             let chunk = service.eval_page(q, got.len(), page).unwrap();
@@ -221,28 +220,6 @@ proptest! {
     }
 }
 
-/// Does `query_resume` keep `ast` on the suspended pipeline? Every
-/// translatable query that is not statically empty and whose matches
-/// span at least two trees must come back from a one-row first page
-/// with a live (streaming) checkpoint: its anchor is tree-ordered, so
-/// the cursor suspends inside the second tree. The engine's
-/// full-evaluation fallback — meant only for the constant-empty plan —
-/// would return a drained checkpoint instead.
-fn streams_if_it_spans_trees(engine: &Engine, ast: &Path) -> Result<(), String> {
-    let Ok(full) = engine.query_ast(ast) else {
-        return Ok(()); // no relational translation: the walker pages it
-    };
-    if engine.check_ast(ast).statically_empty || full.iter().all(|m| m.0 == full[0].0) {
-        return Ok(());
-    }
-    match engine.query_resume(ast, None, 1) {
-        Ok((_, Some(ckpt))) if ckpt.is_streaming() => Ok(()),
-        Ok((_, Some(_))) => Err("first page drained the enumeration".into()),
-        Ok((_, None)) => Err("first page returned no checkpoint".into()),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
 /// The engine under each join order the planner offers.
 fn engines_under_every_order(corpus: &Corpus) -> [Engine; 2] {
     [JoinOrder::GreedyStats, JoinOrder::Syntactic].map(|order| {
@@ -262,21 +239,38 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Every real query pages from the suspended pipeline, under both
-    /// join orders: no translatable, satisfiable query whose matches
-    /// span trees reaches the full-evaluation fallback.
+    /// Any position — inside a tree, past its matches, past the
+    /// corpus — pages a suffix of the result under both join orders:
+    /// the trees from `tree` on, less the first `skip` matches of
+    /// `tree`.
     #[test]
-    fn real_queries_page_from_the_suspended_pipeline(
+    fn every_position_pages_a_suffix_under_every_order(
         trees in arb_treebank(),
         qi in 0usize..POOL.len(),
+        tree in 0u32..7,
+        skip in 0u32..4,
+        limit in 1usize..5,
     ) {
         let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
         let q = POOL[qi];
         let ast = parse(q).unwrap();
         for engine in engines_under_every_order(&corpus) {
-            if let Err(why) = streams_if_it_spans_trees(&engine, &ast) {
-                return Err(TestCaseError::fail(format!("{q}: {why}")));
+            let Ok(full) = engine.query_ast(&ast) else {
+                return Ok(()); // no relational translation
+            };
+            let first = full.iter().position(|m| m.0 >= tree).unwrap_or(full.len());
+            let in_tree = full[first..].iter().take_while(|m| m.0 == tree).count();
+            let suffix = &full[first + (skip as usize).min(in_tree)..];
+            let (mut got, mut at) = (Vec::new(), Position { tree, skip });
+            loop {
+                let (rows, next) = engine.page_ast(&ast, at, limit).unwrap();
+                got.extend(rows);
+                match next {
+                    Some(p) => at = p,
+                    None => break,
+                }
             }
+            prop_assert_eq!(&got[..], suffix, "{} from ({}, {})", q, tree, skip);
         }
     }
 }
@@ -284,19 +278,6 @@ proptest! {
 // ---------------------------------------------------------------
 // The 23 evaluation queries, deterministically
 // ---------------------------------------------------------------
-
-#[test]
-fn evaluation_queries_page_from_the_suspended_pipeline() {
-    let corpus = generate(&GenConfig::wsj(40).with_seed(7));
-    for engine in engines_under_every_order(&corpus) {
-        for case in fixtures::eval_cases() {
-            let ast = parse(case.lpath).unwrap();
-            if let Err(why) = streams_if_it_spans_trees(&engine, &ast) {
-                panic!("Q{}: {why}", case.id);
-            }
-        }
-    }
-}
 
 #[test]
 fn evaluation_queries_resume_identically_at_every_layer() {
@@ -312,22 +293,17 @@ fn evaluation_queries_resume_identically_at_every_layer() {
     for case in fixtures::eval_cases() {
         let ast = parse(case.lpath).unwrap();
         let full = engine.query(case.lpath).unwrap();
-        // Engine: resume after 1, then 7, then the rest.
+        // Engine: a page of 1, then 7, then the rest.
         let mut got = Vec::new();
-        let mut ckpt = None;
+        let mut at = Some(Position::START);
         for limit in [1usize, 7, usize::MAX] {
-            let (rows, next) = engine.query_resume(&ast, ckpt.take(), limit).unwrap();
+            let Some(from) = at else { break };
+            let (rows, next) = engine.page_ast(&ast, from, limit).unwrap();
             got.extend(rows);
-            match next {
-                Some(c) => ckpt = Some(c),
-                None => break,
-            }
+            at = next;
         }
-        if ckpt.is_some() {
-            let (rows, _) = engine.query_resume(&ast, ckpt, usize::MAX).unwrap();
-            got.extend(rows);
-        }
-        assert_eq!(got, full, "Q{} engine resume", case.id);
+        assert!(at.is_none(), "Q{} pages past the end", case.id);
+        assert_eq!(got, full, "Q{} engine pages", case.id);
         // Service: page sweep with growing offsets.
         let mut got: ResultSet = Vec::new();
         loop {

@@ -1,10 +1,10 @@
 //! Semijoin programs against the cursor and the walker.
 //!
-//! `Engine::query_ast`, `count_ast` and `exists_ast` answer every
-//! query whose translation a semijoin program covers by that program;
-//! the cursor (`Engine::matches_ast`, `Engine::count_resume`) and the
-//! tree walker answer the same queries by machinery that shares
-//! nothing with it. For random trees × random covered queries —
+//! `Engine::query_ast`, `page_ast`, `count_ast`, `count_resume` and
+//! `exists_ast` answer every query whose translation a semijoin
+//! program covers by that program; the cursor (`Engine::matches_ast`)
+//! and the tree walker answer the same queries by machinery that
+//! shares nothing with it. For random trees × random covered queries —
 //! negation, nested predicates, every conjunctive axis, attribute
 //! steps, scopes and alignment — all three must agree.
 //!
@@ -15,6 +15,7 @@
 use proptest::prelude::*;
 
 use lpath::prelude::*;
+use lpath_core::Position;
 use lpath_syntax::{Axis, CmpOp, NodeTest, Path, Pred, Step, StrFunc};
 
 /// A random subtree of bounded depth/width in bracketed form.
@@ -219,17 +220,22 @@ proptest! {
         };
         let rows = engine.query_ast(&query).unwrap();
         let mut cursor: Vec<_> = engine.matches_ast(&query).unwrap().collect();
+        let cursor_count = cursor.len();
         cursor.sort_unstable();
         cursor.dedup();
         prop_assert_eq!(&rows, &cursor, "semijoin vs cursor rows on {}", query);
+        prop_assert_eq!(cursor_count, rows.len(), "the cursor's DISTINCT on {}", query);
         let walker = Walker::new(&corpus).eval(&query);
         prop_assert_eq!(&rows, &walker, "semijoin vs walker rows on {}", query);
 
-        let (cursor_count, rest) = engine.count_resume(&query, None, usize::MAX).unwrap();
+        let (program_count, rest) = engine.count_resume(&query, 0, usize::MAX).unwrap();
         prop_assert!(rest.is_none());
         let count = engine.count_ast(&query).unwrap();
         prop_assert_eq!(count, rows.len(), "count on {}", query);
-        prop_assert_eq!(count as u64, cursor_count, "cursor count on {}", query);
+        prop_assert_eq!(count as u64, program_count, "budgeted count on {}", query);
+        let (page, end) = engine.page_ast(&query, Position::START, usize::MAX).unwrap();
+        prop_assert!(end.is_none());
+        prop_assert_eq!(&page, &rows, "page on {}", query);
 
         let exists = engine.exists_ast(&query).unwrap();
         prop_assert_eq!(exists, !rows.is_empty(), "exists on {}", query);
