@@ -385,8 +385,9 @@ impl Engine {
 
     /// A budgeted count from tree `from` on: count whole trees, in
     /// order, until at least `budget` matches are counted, and return
-    /// the count plus the tree to continue from — `None` once the
-    /// trees ran out. A count parks only at a tree boundary, so the
+    /// the count plus the tree to continue from — `None` once no tree
+    /// is left to count, as [`crate::Walker::count_resume`] does. A
+    /// count parks only at a tree boundary, so the
     /// budget bounds work, not the count: one tree may overshoot it.
     /// Summing the counts of successive calls equals
     /// [`Engine::count_ast`], whatever the budgets. Runs what
@@ -398,8 +399,10 @@ impl Engine {
         budget: usize,
     ) -> Result<(u64, Option<u32>), EngineError> {
         let exec = self.executor(ast, self.planner.goal)?;
+        let trees = (self.tree_starts.len() - 1) as u32;
+        let unless_past_end = |t: u32| (t < trees).then_some(t);
         if budget == 0 {
-            return Ok((0, Some(from)));
+            return Ok((0, unless_past_end(from)));
         }
         let (mut n, mut next) = (0u64, None);
         self.for_each_tree(exec, from, |t, ids| {
@@ -407,7 +410,7 @@ impl Engine {
             if n < budget as u64 {
                 return ControlFlow::Continue(());
             }
-            next = Some(t.saturating_add(1));
+            next = unless_past_end(t + 1);
             ControlFlow::Break(())
         });
         Ok((n, next))
@@ -561,6 +564,18 @@ impl Engine {
         }
         *lo = Some((true, rel::Operand::Const(from)));
         true
+    }
+
+    /// Does the cursor's plan for `ast` under `goal` start at a tree
+    /// — constant-empty, or anchored tree-ordered — rather than
+    /// evaluating the whole corpus, filtering and sorting? A test
+    /// hook for the paging and counting invariant: every query the
+    /// translation accepts should answer `true` under every goal and
+    /// join order.
+    #[doc(hidden)]
+    pub fn cursor_starts_at_a_tree(&self, ast: &Path, goal: OptGoal) -> Result<bool, EngineError> {
+        let mut plan = self.plan_for(ast, goal)?;
+        Ok(plan.const_empty || self.bound_anchor(&mut plan, 0))
     }
 }
 
@@ -1316,20 +1331,33 @@ mod tests {
     #[test]
     fn every_page_plan_streams() {
         use lpath_model::{generate, GenConfig};
-        // Every paper query's paging plan is either the constant-empty
-        // plan or anchored tree-ordered, so a page never evaluates a
-        // tree before its position.
+        // Every paper query's cursor plan — under the page goals and
+        // the all-rows goal budgeted counts plan for, and under both
+        // join orders — is either the constant-empty plan or anchored
+        // tree-ordered, so no page or count evaluates a tree before
+        // its position.
         for cfg in [GenConfig::wsj(400), GenConfig::swb(900)] {
-            let e = Engine::build(&generate(&cfg));
-            for q in crate::QUERIES {
-                let ast = lpath_syntax::parse(q.lpath).unwrap();
-                for k in [1, 25] {
-                    let mut plan = e.plan_for(&ast, OptGoal::FirstRows(k)).unwrap();
-                    assert!(
-                        plan.const_empty || e.bound_anchor(&mut plan, 1),
-                        "Q{} at k = {k} does not stream:\n{plan}",
-                        q.id
-                    );
+            let corpus = generate(&cfg);
+            for order in [rel::JoinOrder::GreedyStats, rel::JoinOrder::Syntactic] {
+                let cfg = PlannerConfig {
+                    order,
+                    ..Default::default()
+                };
+                let e = Engine::with_config(&corpus, cfg);
+                for q in crate::QUERIES {
+                    let ast = lpath_syntax::parse(q.lpath).unwrap();
+                    for goal in [
+                        OptGoal::FirstRows(1),
+                        OptGoal::FirstRows(25),
+                        OptGoal::AllRows,
+                    ] {
+                        assert!(
+                            e.cursor_starts_at_a_tree(&ast, goal).unwrap(),
+                            "Q{} under {order:?}, {goal:?} does not stream:\n{}",
+                            q.id,
+                            e.plan_for(&ast, goal).unwrap()
+                        );
+                    }
                 }
             }
         }
@@ -1354,7 +1382,8 @@ mod tests {
     #[test]
     fn budgeted_counts_sum_to_the_one_shot_count() {
         let src: String = std::iter::repeat_n(FIG1, 5).collect::<Vec<_>>().join("\n");
-        let e = Engine::build(&parse_str(&src).unwrap());
+        let corpus = parse_str(&src).unwrap();
+        let (e, w) = (Engine::build(&corpus), crate::Walker::new(&corpus));
         // `//V->NP` exercises the dedup path, `//NP/_` the dedup-free
         // one, `//VP{/V-->N}` the cursor.
         for q in [
@@ -1371,6 +1400,8 @@ mod tests {
                 let (mut sum, mut tree, mut rounds) = (0, 0, 0);
                 loop {
                     let (n, next) = e.count_resume(&ast, tree, budget).unwrap();
+                    // The walker parks where the engine does.
+                    assert_eq!((n, next), w.count_resume(&ast, tree, budget), "{q}");
                     sum += n;
                     rounds += 1;
                     assert!(rounds < 100, "count_resume failed to converge");
@@ -1386,7 +1417,10 @@ mod tests {
                 }
                 assert_eq!(sum, total, "{q} with budget {budget}");
             }
+            // A zero budget keeps the place, unless no tree is left.
             assert_eq!(e.count_resume(&ast, 2, 0).unwrap(), (0, Some(2)), "{q}");
+            assert_eq!(e.count_resume(&ast, 5, 0).unwrap(), (0, None), "{q}");
+            assert_eq!(w.count_resume(&ast, 5, 0), (0, None), "{q}");
         }
     }
 

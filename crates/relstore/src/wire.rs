@@ -2,16 +2,13 @@
 //!
 //! The workspace ships no serde (offline-shim policy), so tokens cross
 //! the wire in a small fixed format built here: little-endian
-//! fixed-width integers, length-prefixed sequences, an FNV-1a checksum
-//! over the payload, and a URL-safe base64 rendering for embedding
-//! tokens in line-delimited JSON.
+//! fixed-width integers, an FNV-1a checksum over the payload, and a
+//! URL-safe base64 rendering for embedding tokens in line-delimited
+//! JSON.
 //!
 //! Everything in this module is written against **hostile input**: the
-//! reader never allocates more than the bytes actually present (the
-//! `tgrep` binfmt lesson — a corrupted length prefix must not turn
-//! into a giant allocation), never indexes past the buffer, and
-//! returns [`WireError`] instead of panicking on truncation,
-//! corruption or version skew.
+//! reader never indexes past the buffer and returns [`WireError`]
+//! instead of panicking on truncation, corruption or version skew.
 
 /// Why a byte sequence failed to decode. Every variant is a
 /// recoverable protocol error; decoding never panics.
@@ -19,8 +16,8 @@
 pub enum WireError {
     /// The input ended before the announced structure did.
     Truncated,
-    /// A field held a value the format does not allow (bad tag, a
-    /// length prefix larger than the remaining input, an out-of-range
+    /// A field held a value the format does not allow (a token
+    /// minted for another query, trailing bytes, an out-of-range
     /// reference into the data a token continues over).
     Malformed(&'static str),
     /// The payload checksum did not match: bytes were corrupted or
@@ -69,11 +66,6 @@ impl Writer {
         &self.buf
     }
 
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Append a `u16`, little-endian.
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -87,27 +79,6 @@ impl Writer {
     /// Append a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `usize` as `u64` (the format is 64-bit everywhere).
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Append a boolean as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    /// Append a length-prefixed byte slice (`u32` length).
-    pub fn bytes_prefixed(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str_prefixed(&mut self, v: &str) {
-        self.bytes_prefixed(v.as_bytes());
     }
 }
 
@@ -143,11 +114,6 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
     /// Read a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
@@ -161,48 +127,6 @@ impl<'a> Reader<'a> {
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a `u64` that must fit `usize` on this platform.
-    pub fn usize(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("usize overflow"))
-    }
-
-    /// Read a boolean byte (`0` or `1`; anything else is malformed).
-    pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("bool")),
-        }
-    }
-
-    /// Read a length-prefixed byte slice. The length is validated
-    /// against the remaining input *before* any allocation — a
-    /// corrupted prefix cannot request more than what is actually
-    /// there.
-    pub fn bytes_prefixed(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Malformed("length prefix exceeds input"));
-        }
-        self.take(len)
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str_prefixed(&mut self) -> Result<&'a str, WireError> {
-        std::str::from_utf8(self.bytes_prefixed()?).map_err(|_| WireError::Malformed("utf-8"))
-    }
-
-    /// Read a sequence length prefix (`u64`), validated against a
-    /// per-element lower bound in bytes so a hostile count cannot
-    /// drive a huge `Vec::with_capacity`.
-    pub fn seq_len(&mut self, min_bytes_per_elem: usize) -> Result<usize, WireError> {
-        let n = self.usize()?;
-        if n.saturating_mul(min_bytes_per_elem.max(1)) > self.remaining() {
-            return Err(WireError::Malformed("sequence length exceeds input"));
-        }
-        Ok(n)
     }
 }
 
@@ -284,43 +208,15 @@ mod tests {
     #[test]
     fn integers_round_trip() {
         let mut w = Writer::new();
-        w.u8(7);
         w.u16(65_000);
         w.u32(4_000_000_000);
         w.u64(u64::MAX - 1);
-        w.usize(12_345);
-        w.bool(true);
-        w.bool(false);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 65_000);
         assert_eq!(r.u32().unwrap(), 4_000_000_000);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.usize().unwrap(), 12_345);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
         assert!(r.finished());
-    }
-
-    #[test]
-    fn prefixed_slices_round_trip_and_reject_liar_lengths() {
-        let mut w = Writer::new();
-        w.str_prefixed("//VBD->NP");
-        w.bytes_prefixed(&[1, 2, 3]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.str_prefixed().unwrap(), "//VBD->NP");
-        assert_eq!(r.bytes_prefixed().unwrap(), &[1, 2, 3]);
-        // A length prefix announcing more than the input holds is
-        // rejected before any allocation.
-        let mut liar = Writer::new();
-        liar.u32(u32::MAX);
-        let bytes = liar.into_bytes();
-        assert_eq!(
-            Reader::new(&bytes).bytes_prefixed().unwrap_err(),
-            WireError::Malformed("length prefix exceeds input")
-        );
     }
 
     #[test]
@@ -334,15 +230,6 @@ mod tests {
                 WireError::Truncated
             );
         }
-    }
-
-    #[test]
-    fn seq_len_caps_at_remaining_input() {
-        let mut w = Writer::new();
-        w.usize(1_000_000);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(r.seq_len(4), Err(WireError::Malformed(_))));
     }
 
     #[test]

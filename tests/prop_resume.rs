@@ -233,11 +233,53 @@ fn engines_under_every_order(corpus: &Corpus) -> [Engine; 2] {
     })
 }
 
+/// Does every cursor plan of `ast` — under the first-rows goals pages
+/// plan for and the all-rows goal budgeted counts plan for — start at
+/// a tree? A plan whose anchor is not tree-ordered would send every
+/// page and count back to evaluating the whole corpus, filtering and
+/// sorting; only the constant-empty plan may lack an anchor.
+fn starts_at_a_tree(engine: &Engine, ast: &Path) -> Result<(), String> {
+    if engine.query_ast(ast).is_err() {
+        return Ok(()); // no relational translation: the walker pages it
+    }
+    for goal in [
+        OptGoal::FirstRows(1),
+        OptGoal::FirstRows(25),
+        OptGoal::AllRows,
+    ] {
+        if !engine
+            .cursor_starts_at_a_tree(ast, goal)
+            .map_err(|e| e.to_string())?
+        {
+            return Err(format!("the {goal:?} plan evaluates the whole corpus"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: ProptestConfig::cases_or_env(256),
         ..ProptestConfig::default()
     })]
+
+    /// Every real query pages and counts from a tree under both join
+    /// orders: no translatable query reaches the whole-corpus
+    /// fallback.
+    #[test]
+    fn real_queries_page_from_a_tree_under_every_order(
+        trees in arb_treebank(),
+        qi in 0usize..POOL.len(),
+    ) {
+        let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
+        let q = POOL[qi];
+        let ast = parse(q).unwrap();
+        for engine in engines_under_every_order(&corpus) {
+            if let Err(why) = starts_at_a_tree(&engine, &ast) {
+                return Err(TestCaseError::fail(format!("{q}: {why}")));
+            }
+        }
+    }
 
     /// Any position — inside a tree, past its matches, past the
     /// corpus — pages a suffix of the result under both join orders:

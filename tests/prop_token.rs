@@ -202,7 +202,7 @@ proptest! {
         }
     }
 
-    /// A token handed out at any row boundary continues to exactly the    /// A token handed out at any row boundary continues to exactly the
+    /// A token handed out at any row boundary continues to exactly the
     /// rows in-process offset paging serves from that boundary — and
     /// re-issuing the same token is deterministic, which is the
     /// statelessness contract (nothing server-side distinguishes the
