@@ -240,14 +240,7 @@ fn ablation(wsj: &Corpus) {
         let cq = engine
             .translate(&lpath_syntax::parse(lpath).unwrap())
             .unwrap();
-        let plan = lpath_relstore::plan(
-            db,
-            &cq,
-            &PlannerConfig {
-                order,
-                ..Default::default()
-            },
-        );
+        let plan = lpath_relstore::plan(db, &cq, &PlannerConfig { order });
         lpath_relstore::count(&plan, db)
     };
     println!("{:<5}{:>12}{:>12}{:>9}", "Q", "greedy", "syntactic", "×");

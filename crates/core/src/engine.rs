@@ -14,7 +14,7 @@ use lpath_check::CheckReport;
 use lpath_model::{label_tree, Corpus, Interner, NodeId, Sym};
 use lpath_obs::{Recorder, Span};
 use lpath_relstore::{
-    self as rel, ColRef, Database, OptGoal, PlannerConfig, Schema, Table, TableId, Value, NULL,
+    self as rel, ColRef, Database, PlannerConfig, Schema, Table, TableId, Value, NULL,
 };
 use lpath_syntax::{parse, Path, SyntaxError};
 
@@ -240,11 +240,11 @@ impl Engine {
         let span = Span::enter("parse", &stages);
         let ast = parse(query)?;
         span.finish();
-        let goal = self.planner.goal;
-        let semijoin = matches!(self.executor(&ast, goal)?, Executor::Semijoin(_));
         let span = Span::enter("plan", &stages);
-        let plan = self.plan_ast(&ast)?;
+        let cq = self.translated(&ast)?;
+        let plan = self.plan_of(cq.as_ref());
         span.finish();
+        let semijoin = cq.is_some_and(|cq| self.program(&cq).is_some());
         let span = Span::enter("execute", &stages);
         let (rows, obs, step_nanos) = rel::execute_analyzed(&plan, &self.db);
         span.finish();
@@ -301,7 +301,7 @@ impl Engine {
     /// Evaluate a parsed query: by its semijoin program when it has
     /// one, else on the cursor.
     pub fn query_ast(&self, ast: &Path) -> Result<Vec<(u32, NodeId)>, EngineError> {
-        Ok(match self.executor(ast, self.planner.goal)? {
+        Ok(match self.executor(ast)? {
             Executor::Semijoin(program) => program.query(),
             Executor::Cursor(plan) => {
                 let mut out = rows_to_matches(rel::execute(&plan, &self.db));
@@ -322,17 +322,12 @@ impl Engine {
     }
 
     /// What answers `ast`: its semijoin program when the translation
-    /// has one, else the cursor over the plan for `goal`.
-    fn executor(&self, ast: &Path, goal: OptGoal) -> Result<Executor<'_>, Unsupported> {
-        let Some(cq) = self.translated(ast)? else {
-            return Ok(Executor::Cursor(rel::Plan::constant_empty()));
-        };
-        Ok(match self.program(&cq) {
+    /// has one, else the cursor over its plan.
+    fn executor(&self, ast: &Path) -> Result<Executor<'_>, Unsupported> {
+        let cq = self.translated(ast)?;
+        Ok(match cq.as_ref().and_then(|cq| self.program(cq)) {
             Some(program) => Executor::Semijoin(program),
-            None => {
-                let order = self.planner.order;
-                Executor::Cursor(rel::plan(&self.db, &cq, &PlannerConfig { order, goal }))
-            }
+            None => Executor::Cursor(self.plan_of(cq.as_ref())),
         })
     }
 
@@ -352,18 +347,14 @@ impl Engine {
     /// The cursor's plan for a parsed query. Proven-empty queries get
     /// the constant-empty plan: no index probes, no scans, a cursor
     /// born exhausted.
-    fn plan_ast(&self, ast: &Path) -> Result<rel::Plan, EngineError> {
-        Ok(self.plan_for(ast, self.planner.goal)?)
+    fn plan_ast(&self, ast: &Path) -> Result<rel::Plan, Unsupported> {
+        Ok(self.plan_of(self.translated(ast)?.as_ref()))
     }
 
-    /// [`Engine::plan_ast`] under an explicit optimization `goal`.
-    fn plan_for(&self, ast: &Path, goal: OptGoal) -> Result<rel::Plan, Unsupported> {
-        Ok(match self.translated(ast)? {
-            Some(cq) => {
-                let order = self.planner.order;
-                rel::plan(&self.db, &cq, &PlannerConfig { order, goal })
-            }
-            None => rel::Plan::constant_empty(),
+    /// The plan of a [`Engine::translated`] query.
+    fn plan_of(&self, cq: Option<&rel::ConjQuery>) -> rel::Plan {
+        cq.map_or_else(rel::Plan::constant_empty, |cq| {
+            rel::plan(&self.db, cq, &self.planner)
         })
     }
 
@@ -377,7 +368,7 @@ impl Engine {
 
     /// Result size of an already-parsed query.
     pub fn count_ast(&self, ast: &Path) -> Result<usize, EngineError> {
-        Ok(match self.executor(ast, self.planner.goal)? {
+        Ok(match self.executor(ast)? {
             Executor::Semijoin(program) => program.count(),
             Executor::Cursor(plan) => rel::count(&plan, &self.db),
         })
@@ -391,14 +382,14 @@ impl Engine {
     /// budget bounds work, not the count: one tree may overshoot it.
     /// Summing the counts of successive calls equals
     /// [`Engine::count_ast`], whatever the budgets. Runs what
-    /// [`Engine::page_ast`] runs, under the configured planner goal.
+    /// [`Engine::page_ast`] runs.
     pub fn count_resume(
         &self,
         ast: &Path,
         from: u32,
         budget: usize,
     ) -> Result<(u64, Option<u32>), EngineError> {
-        let exec = self.executor(ast, self.planner.goal)?;
+        let exec = self.executor(ast)?;
         let trees = (self.tree_starts.len() - 1) as u32;
         let unless_past_end = |t: u32| (t < trees).then_some(t);
         if budget == 0 {
@@ -421,7 +412,7 @@ impl Engine {
     /// (Gottlob–Koch–Schulz): the semijoin program stops after the
     /// first tree with a match, the cursor after the first row.
     pub fn exists_ast(&self, ast: &Path) -> Result<bool, EngineError> {
-        Ok(match self.executor(ast, self.planner.goal)? {
+        Ok(match self.executor(ast)? {
             Executor::Semijoin(program) => program.exists(),
             Executor::Cursor(plan) => rel::exists(&plan, &self.db),
         })
@@ -482,13 +473,12 @@ impl Engine {
     /// Trees partition the corpus and no match crosses one, so a page
     /// visits trees `at.tree..` in order and drops the first `at.skip`
     /// matches of `at.tree`. The semijoin program starts at that tree;
-    /// the cursor — planned under [`OptGoal::FirstRows`] — gets a
+    /// the cursor — the very plan [`Engine::query_ast`] runs — gets a
     /// `tid >= at.tree` lower bound on its tree-ordered anchor, and
     /// each tree's matches are buffered and sorted as the anchor moves
     /// past it. Nothing is kept between pages.
     pub fn page_ast(&self, ast: &Path, at: Position, limit: usize) -> Result<Paged, EngineError> {
-        let goal = OptGoal::FirstRows(limit.clamp(1, usize::MAX / 2));
-        let exec = self.executor(ast, goal)?;
+        let exec = self.executor(ast)?;
         if limit == 0 {
             return Ok((Vec::new(), Some(at)));
         }
@@ -566,15 +556,15 @@ impl Engine {
         true
     }
 
-    /// Does the cursor's plan for `ast` under `goal` start at a tree
-    /// — constant-empty, or anchored tree-ordered — rather than
+    /// Does the cursor's plan for `ast` start at a tree —
+    /// constant-empty, or anchored tree-ordered — rather than
     /// evaluating the whole corpus, filtering and sorting? A test
     /// hook for the paging and counting invariant: every query the
-    /// translation accepts should answer `true` under every goal and
-    /// join order.
+    /// translation accepts should answer `true` under every join
+    /// order.
     #[doc(hidden)]
-    pub fn cursor_starts_at_a_tree(&self, ast: &Path, goal: OptGoal) -> Result<bool, EngineError> {
-        let mut plan = self.plan_for(ast, goal)?;
+    pub fn cursor_starts_at_a_tree(&self, ast: &Path) -> Result<bool, EngineError> {
+        let mut plan = self.plan_ast(ast)?;
         Ok(plan.const_empty || self.bound_anchor(&mut plan, 0))
     }
 }
@@ -959,6 +949,31 @@ mod tests {
     }
 
     #[test]
+    fn explain_analyze_runs_the_plan_explain_prints() {
+        use lpath_model::{generate, GenConfig};
+        // One plan per query: EXPLAIN ANALYZE annotates exactly the
+        // steps and checks EXPLAIN prints, and says whether a semijoin
+        // program answers the query as EXPLAIN shows it.
+        let e = Engine::build(&generate(&GenConfig::wsj(200)));
+        for q in crate::QUERIES {
+            let text = e.explain(q.lpath).unwrap();
+            let ea = e.explain_analyze(q.lpath).unwrap();
+            let steps: Vec<&str> = text.lines().filter(|l| l.starts_with("step ")).collect();
+            let checks: Vec<&str> = text.lines().filter(|l| l.starts_with("check ")).collect();
+            let annotated: Vec<&str> = ea.steps.iter().map(|s| s.text.as_str()).collect();
+            assert_eq!(annotated, steps, "Q{}", q.id);
+            assert_eq!(ea.checks, checks, "Q{}", q.id);
+            assert_eq!(
+                ea.semijoin,
+                text.starts_with("semijoin program:"),
+                "Q{}",
+                q.id
+            );
+            assert_eq!(ea.actual_rows, e.count(q.lpath).unwrap(), "Q{}", q.id);
+        }
+    }
+
+    #[test]
     fn explain_shows_index_probes() {
         let e = engine();
         let plan = e.explain("//V->NP").unwrap();
@@ -1017,7 +1032,6 @@ mod tests {
             &corpus,
             PlannerConfig {
                 order: rel::JoinOrder::Syntactic,
-                ..Default::default()
             },
         );
         for q in ["//V->NP", "//VP{/NP$}", "//S[//NP/PP]", "//NP[not(//Det)]"] {
@@ -1118,31 +1132,35 @@ mod tests {
     }
 
     #[test]
-    fn query_limit_goals_agree() {
+    fn query_limit_join_orders_agree() {
         let src: String = std::iter::repeat_n(FIG1, 30).collect::<Vec<_>>().join("\n");
         let corpus = parse_str(&src).unwrap();
         let e = Engine::build(&corpus);
-        for q in ["//NP", "//V->NP", "//NP[not(//Det)]", "//_", "//ZZZ"] {
+        let syntactic = Engine::with_config(
+            &corpus,
+            PlannerConfig {
+                order: rel::JoinOrder::Syntactic,
+            },
+        );
+        for q in [
+            "//NP",
+            "//V->NP",
+            "//NP[not(//Det)]",
+            "//VP{/V-->N}",
+            "//_",
+            "//ZZZ",
+        ] {
             let ast = lpath_syntax::parse(q).unwrap();
             let full = e.query(q).unwrap();
+            assert_eq!(syntactic.query_ast(&ast).unwrap(), full, "{q}");
             for (offset, limit) in [(0, 1), (0, 10), (3, 4), (full.len(), 2), (0, usize::MAX)] {
                 let want: Vec<(u32, NodeId)> =
                     full.iter().skip(offset).take(limit).copied().collect();
-                for goal in [
-                    OptGoal::AllRows,
-                    OptGoal::FirstRows(offset.saturating_add(limit)),
-                    OptGoal::FirstRows(1),
-                ] {
-                    let cfg = PlannerConfig {
-                        goal,
-                        ..Default::default()
-                    };
-                    let e = Engine::with_config(&corpus, cfg);
-                    assert_eq!(e.query_ast(&ast).unwrap(), full, "{q} goal {goal:?}");
+                for e in [&e, &syntactic] {
                     assert_eq!(
                         e.query_limit_ast(&ast, offset, limit).unwrap(),
                         want,
-                        "{q} offset {offset} limit {limit} goal {goal:?}"
+                        "{q} offset {offset} limit {limit}"
                     );
                 }
             }
@@ -1317,10 +1335,8 @@ mod tests {
         // (the smallest alias input) cannot exceed the scarcest step
         // symbol's exact frequency.
         let ast = lpath_syntax::parse("//VP//NP").unwrap();
-        for goal in [OptGoal::AllRows, OptGoal::FirstRows(1)] {
-            let plan = e.plan_for(&ast, goal).unwrap();
-            assert!(plan.estimated_result <= 1, "{}", plan.estimated_result);
-        }
+        let plan = e.plan_ast(&ast).unwrap();
+        assert!(plan.estimated_result <= 1, "{}", plan.estimated_result);
         // Paging still returns the correct full result.
         assert_eq!(
             e.query_limit("//VP//NP", 0, 100).unwrap(),
@@ -1331,34 +1347,69 @@ mod tests {
     #[test]
     fn every_page_plan_streams() {
         use lpath_model::{generate, GenConfig};
-        // Every paper query's cursor plan — under the page goals and
-        // the all-rows goal budgeted counts plan for, and under both
-        // join orders — is either the constant-empty plan or anchored
-        // tree-ordered, so no page or count evaluates a tree before
-        // its position.
+        // Every paper query's cursor plan, under both join orders, is
+        // either the constant-empty plan or anchored tree-ordered, so
+        // no page or count evaluates a tree before its position.
         for cfg in [GenConfig::wsj(400), GenConfig::swb(900)] {
             let corpus = generate(&cfg);
             for order in [rel::JoinOrder::GreedyStats, rel::JoinOrder::Syntactic] {
-                let cfg = PlannerConfig {
-                    order,
-                    ..Default::default()
-                };
-                let e = Engine::with_config(&corpus, cfg);
+                let e = Engine::with_config(&corpus, PlannerConfig { order });
                 for q in crate::QUERIES {
                     let ast = lpath_syntax::parse(q.lpath).unwrap();
-                    for goal in [
-                        OptGoal::FirstRows(1),
-                        OptGoal::FirstRows(25),
-                        OptGoal::AllRows,
-                    ] {
-                        assert!(
-                            e.cursor_starts_at_a_tree(&ast, goal).unwrap(),
-                            "Q{} under {order:?}, {goal:?} does not stream:\n{}",
-                            q.id,
-                            e.plan_for(&ast, goal).unwrap()
-                        );
-                    }
+                    assert!(
+                        e.cursor_starts_at_a_tree(&ast).unwrap(),
+                        "Q{} under {order:?} does not stream:\n{}",
+                        q.id,
+                        e.plan_ast(&ast).unwrap()
+                    );
                 }
+            }
+        }
+    }
+
+    /// Does a condition of `cq` tie alias `a` to an alias `bound`
+    /// marks?
+    fn directly_conditioned(cq: &rel::ConjQuery, bound: &[bool], a: usize) -> bool {
+        cq.conds.iter().any(|c| match c.right {
+            rel::Operand::Col(r) if c.left.alias == a => r.alias != a && bound[r.alias],
+            rel::Operand::Col(r) if r.alias == a => c.left.alias != a && bound[c.left.alias],
+            _ => false,
+        })
+    }
+
+    /// The first step of `plan` (or of one of its checks, recursively)
+    /// that binds an alias tied to the bound set only through an
+    /// equality class while a directly conditioned alias still waits.
+    fn closure_only_step(cq: &rel::ConjQuery, plan: &rel::Plan) -> Option<String> {
+        let mut bound = vec![false; cq.aliases.len()];
+        for (i, step) in plan.steps.iter().enumerate() {
+            if i > 0 && !directly_conditioned(cq, &bound, step.alias) {
+                let waiting =
+                    (0..bound.len()).find(|&a| !bound[a] && directly_conditioned(cq, &bound, a));
+                if let Some(w) = waiting {
+                    return Some(format!("step {i} binds n{} while n{w} waits", step.alias));
+                }
+            }
+            bound[step.alias] = true;
+        }
+        let mut subs = cq.subqueries.iter().zip(&plan.checks);
+        subs.find_map(|(sub, check)| closure_only_step(&sub.query, &check.plan))
+    }
+
+    #[test]
+    fn no_plan_binds_a_closure_only_alias_while_a_direct_one_waits() {
+        use lpath_model::{generate, GenConfig};
+        // The translation ties every alias to its neighbours by
+        // structural conditions and to all of them by `tid` equality.
+        // Joining on `tid` alone is a same-tree cross product, so the
+        // greedy order binds the directly conditioned aliases first.
+        for cfg in [GenConfig::wsj(400), GenConfig::swb(900)] {
+            let e = Engine::build(&generate(&cfg));
+            for q in crate::QUERIES {
+                let cq = e.translate(&lpath_syntax::parse(q.lpath).unwrap()).unwrap();
+                let plan = rel::plan(&e.db, &cq, &e.planner);
+                let bad = closure_only_step(&cq, &plan);
+                assert!(bad.is_none(), "Q{}: {}:\n{plan}", q.id, bad.unwrap());
             }
         }
     }
@@ -1367,7 +1418,7 @@ mod tests {
     fn only_tree_ordered_anchors_take_a_tree_bound() {
         let e = engine();
         let ast = lpath_syntax::parse("//NP").unwrap();
-        let mut plan = e.plan_for(&ast, OptGoal::FirstRows(1)).unwrap();
+        let mut plan = e.plan_ast(&ast).unwrap();
         assert!(e.bound_anchor(&mut plan, 3));
         let rel::AccessPath::IndexRange { lo, .. } = &plan.steps[0].access else {
             panic!("`//NP` anchors on an index");
@@ -1421,6 +1472,34 @@ mod tests {
             assert_eq!(e.count_resume(&ast, 2, 0).unwrap(), (0, Some(2)), "{q}");
             assert_eq!(e.count_resume(&ast, 5, 0).unwrap(), (0, None), "{q}");
             assert_eq!(w.count_resume(&ast, 5, 0), (0, None), "{q}");
+        }
+    }
+
+    #[test]
+    fn uncovered_paper_queries_page_and_count_exactly_under_both_orders() {
+        use lpath_model::{generate, GenConfig};
+        // The queries no semijoin program covers run their one cursor
+        // plan for every page and budgeted count, under either join
+        // order: pages of 25 concatenate to the result, and budgeted
+        // counts sum to the count.
+        let corpus = generate(&GenConfig::wsj(300));
+        for order in [rel::JoinOrder::GreedyStats, rel::JoinOrder::Syntactic] {
+            let e = Engine::with_config(&corpus, PlannerConfig { order });
+            for q in crate::QUERIES {
+                let ast = lpath_syntax::parse(q.lpath).unwrap();
+                if e.semijoin_ast(&ast).unwrap().is_some() {
+                    continue;
+                }
+                let full = e.query_ast(&ast).unwrap();
+                assert_eq!(sweep(&e, &ast, Position::START, 25), full, "Q{}", q.id);
+                let (mut sum, mut tree) = (0, Some(0));
+                while let Some(from) = tree {
+                    let (n, next) = e.count_resume(&ast, from, 7).unwrap();
+                    sum += n;
+                    tree = next;
+                }
+                assert_eq!(sum, full.len() as u64, "Q{} under {order:?}", q.id);
+            }
         }
     }
 

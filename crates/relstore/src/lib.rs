@@ -74,7 +74,7 @@ pub use cursor::{count, execute, execute_analyzed, exists, Cursor, StepObs};
 pub use expr::{ColRef, Cond, InCond, Operand};
 pub use index::Index;
 pub use plan::{AccessPath, JoinStep, Plan, SubCheck};
-pub use planner::{plan, JoinOrder, OptGoal, PlannerConfig};
+pub use planner::{plan, JoinOrder, PlannerConfig};
 pub use schema::{ColId, Schema};
 pub use sql::{ConjQuery, SubQuery};
 pub use stats::{ColumnStats, TableStats};

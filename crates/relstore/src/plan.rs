@@ -119,11 +119,6 @@ pub struct Plan {
     /// [`crate::ConjQuery::dedup_free`]): enumerating and counting
     /// skip the distinct watermark sets. The planner sets it.
     pub dedup_free: bool,
-    /// Planner estimate of the cost (candidate rows × probes) to
-    /// produce the *first* output tuple: the anchor's share of
-    /// candidate rows before the first match, times the pipeline
-    /// length. Zero for hand-built plans.
-    pub estimated_startup: usize,
     /// Planner estimate of the total enumeration cost (intermediate
     /// tuples summed over the pipeline). Zero for hand-built plans.
     pub estimated_total: usize,
@@ -358,8 +353,8 @@ impl fmt::Display for Plan {
         if self.estimated_total > 0 {
             writeln!(
                 f,
-                "estimates: startup {}, total {}, result {}",
-                self.estimated_startup, self.estimated_total, self.estimated_result
+                "estimates: total {}, result {}",
+                self.estimated_total, self.estimated_result
             )?;
         }
         Ok(())

@@ -10,13 +10,14 @@
 //!    equivalence class, not just its syntactic neighbour. Without
 //!    this, reordering the tid-chained aliases of an LPath query would
 //!    degrade probes into scans.
-//! 2. **Join order** — greedy smallest-estimated-cardinality first,
-//!    restricted to aliases connected to the already-bound set when
-//!    possible. Estimates come from the catalog's frequency statistics
-//!    on equality-with-constant conditions (`name = 'NP'`,
-//!    `value = 'saw'`); correlated equalities get a strong fixed
-//!    discount. A syntactic (query order) mode exists for the
-//!    join-order ablation benchmark.
+//! 2. **Join order** — greedy smallest-estimated-cardinality first
+//!    (ties to the output alias), then extended along aliases directly
+//!    conditioned on the already-bound set before those linked to it
+//!    only through an equality class. Estimates come from the
+//!    catalog's frequency statistics on equality-with-constant
+//!    conditions (`name = 'NP'`, `value = 'saw'`); correlated
+//!    equalities get a strong fixed discount. A syntactic (query
+//!    order) mode exists for the join-order ablation benchmark.
 //! 3. **Access path** — per step, every index is scored by the
 //!    estimated rows its best probe would return (equality prefix from
 //!    available conditions, then a range on the next key column);
@@ -42,32 +43,11 @@ pub enum JoinOrder {
     Syntactic,
 }
 
-/// What the plan should optimize for.
-///
-/// `AllRows` is the classical objective: the cheapest *complete*
-/// enumeration, which the greedy order approximates by binding the
-/// smallest estimated input first. `FirstRows(k)` instead minimizes the
-/// estimated cost of the first `k` output tuples — the objective of an
-/// interactive, page-1-dominated workload — and breaks cost ties toward
-/// the **output alias**, whose index scan emits tuples in document
-/// order. Both goals produce plans with identical result sets — only
-/// cost (and emission order) may differ.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum OptGoal {
-    /// Minimize estimated total enumeration cost (the default).
-    #[default]
-    AllRows,
-    /// Minimize the estimated cost of the first `k` tuples.
-    FirstRows(usize),
-}
-
 /// Planner configuration.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct PlannerConfig {
     /// Join-order policy.
     pub order: JoinOrder,
-    /// Optimization goal (all rows vs first rows).
-    pub goal: OptGoal,
 }
 
 /// Union-find over `(alias, column)` pairs, built from `Eq`
@@ -164,16 +144,9 @@ pub fn plan(db: &Database, q: &ConjQuery, cfg: &PlannerConfig) -> Plan {
     let est: Vec<usize> = (0..q.aliases.len()).map(|a| estimate(db, q, a)).collect();
     let order = match cfg.order {
         JoinOrder::Syntactic => (0..q.aliases.len()).collect::<Vec<_>>(),
-        JoinOrder::GreedyStats => {
-            let seed = match cfg.goal {
-                OptGoal::AllRows => None,
-                OptGoal::FirstRows(k) => first_rows_anchor(q, &est, k),
-            };
-            greedy_order(q, &classes, &est, seed)
-        }
+        JoinOrder::GreedyStats => greedy_order(q, &classes, &est),
     };
-    let (estimated_startup, estimated_total, estimated_result) =
-        plan_estimates(q, &classes, &est, &order);
+    let (estimated_total, estimated_result) = plan_estimates(q, &classes, &est, &order);
 
     let mut bound: Vec<bool> = vec![false; q.aliases.len()];
     let mut consumed: Vec<bool> = vec![false; q.conds.len()];
@@ -225,7 +198,6 @@ pub fn plan(db: &Database, q: &ConjQuery, cfg: &PlannerConfig) -> Plan {
         projection: q.projection.clone(),
         distinct: q.distinct,
         dedup_free: q.dedup_free,
-        estimated_startup,
         estimated_total,
         estimated_result,
         const_empty: false,
@@ -311,46 +283,28 @@ fn connectivity(q: &ConjQuery, classes: &EqClasses, bound: &[bool], a: usize) ->
     }
 }
 
-/// Greedy connected ordering by cardinality estimate. `seed`, when
-/// given, is forced to bind first (the first-rows anchor), and the
-/// completion prefers *directly* conditioned aliases over
-/// closure-only ones: an anchor in the middle of a structural chain
-/// must be extended along the chain, not jumped across — a
-/// closure-only join degenerates to a same-tree cross product.
-/// (Unseeded orders keep the historical behavior: any connectivity
-/// qualifies equally, selectivity decides.)
-fn greedy_order(
-    q: &ConjQuery,
-    classes: &EqClasses,
-    est: &[usize],
-    seed: Option<usize>,
-) -> Vec<usize> {
+/// Greedy connected ordering by cardinality estimate. The anchor (the
+/// first bound alias) is the smallest estimate, ties going to the
+/// output alias — its index scan emits in document order — and then to
+/// the alias id. Every later alias is the smallest estimate among
+/// those *directly* conditioned on the bound set, then among
+/// closure-only ones, then among the rest: an anchor in the middle of
+/// a structural chain is extended along the chain, not jumped across —
+/// a closure-only join degenerates to a same-tree cross product.
+fn greedy_order(q: &ConjQuery, classes: &EqClasses, est: &[usize]) -> Vec<usize> {
     let n = q.aliases.len();
-    let prefer_direct = seed.is_some();
+    let out = q.projection.first().map(|c| c.alias);
     let mut order = Vec::with_capacity(n);
     let mut bound = vec![false; n];
-    if let Some(s) = seed {
-        bound[s] = true;
-        order.push(s);
-    }
     while order.len() < n {
-        // Candidates connected to the bound set get priority;
-        // otherwise any unbound alias qualifies.
         let pick = (0..n)
             .filter(|&a| !bound[a])
             .min_by_key(|&a| {
-                let class = if order.is_empty() {
-                    0
+                if order.is_empty() {
+                    (0, est[a], usize::from(Some(a) != out), a)
                 } else {
-                    let c = connectivity(q, classes, &bound, a);
-                    if prefer_direct {
-                        c
-                    } else {
-                        // Historical two-way split: connected or not.
-                        usize::from(c == 2)
-                    }
-                };
-                (class, est[a], a)
+                    (connectivity(q, classes, &bound, a), est[a], 0, a)
+                }
             })
             .expect("an unbound alias remains");
         bound[pick] = true;
@@ -359,43 +313,9 @@ fn greedy_order(
     order
 }
 
-/// Estimated cost of the first `k` output tuples when the pipeline is
-/// anchored on alias `a`.
-///
-/// Model: the join only filters, so the result size is roughly
-/// `m = min_a est[a]`. Scanning anchor `a` in index order, matches are
-/// spread across its `est[a]` rows, so the first `min(k, m)` tuples
-/// cost about `est[a] · min(k, m) / m` candidate rows, each paying one
-/// index probe per remaining alias. Emission order is not priced:
-/// `lpath-core` pages by streaming from any tree-ordered anchor.
-fn startup_cost(est: &[usize], k: usize, a: usize) -> usize {
-    let n = est.len().max(1);
-    let m = est.iter().copied().min().unwrap_or(0).max(1);
-    let k = k.max(1);
-    let rows = est[a].saturating_mul(k.min(m)) / m;
-    rows.saturating_mul(n).max(1)
-}
-
-/// The anchor (first bound alias) minimizing [`startup_cost`], ties
-/// broken toward the output alias (its scan order is document order),
-/// then the smaller estimate, then the alias id.
-fn first_rows_anchor(q: &ConjQuery, est: &[usize], k: usize) -> Option<usize> {
-    let out = q.projection.first().map(|c| c.alias);
-    (0..q.aliases.len()).min_by_key(|&a| {
-        (
-            startup_cost(est, k, a),
-            usize::from(Some(a) != out),
-            est[a],
-            a,
-        )
-    })
-}
-
 /// The plan-level cost estimates surfaced on [`Plan`]:
-/// `(startup, total, result)`.
+/// `(total, result)`.
 ///
-/// * `startup` — [`startup_cost`] of the chosen anchor for `k = 1`
-///   (comparable across goals);
 /// * `total` — a crude left-deep enumeration estimate: the anchor
 ///   contributes its full input, each later alias multiplies the
 ///   intermediate size by its fan-out (1 when it joins the bound set
@@ -409,12 +329,11 @@ fn plan_estimates(
     classes: &EqClasses,
     est: &[usize],
     order: &[usize],
-) -> (usize, usize, usize) {
+) -> (usize, usize) {
     if order.is_empty() {
         // A stepless plan emits exactly one (empty) tuple.
-        return (1, 1, 1);
+        return (1, 1);
     }
-    let startup = startup_cost(est, 1, order[0]);
     let mut bound = vec![false; q.aliases.len()];
     let mut inter = 1usize;
     let mut total = 0usize;
@@ -429,7 +348,7 @@ fn plan_estimates(
         bound[a] = true;
     }
     let result = est.iter().copied().min().unwrap_or(1);
-    (startup, total, result)
+    (total, result)
 }
 
 /// An available condition for a step: either an original query
@@ -667,7 +586,6 @@ mod tests {
             q,
             &PlannerConfig {
                 order: JoinOrder::Syntactic,
-                ..Default::default()
             },
         );
         let mut a = execute(&p1, db);
@@ -741,7 +659,6 @@ mod tests {
             &q,
             &PlannerConfig {
                 order: JoinOrder::Syntactic,
-                ..Default::default()
             },
         );
         assert_eq!(p_syn.steps[0].alias, a);
@@ -901,11 +818,10 @@ mod tests {
     }
 
     #[test]
-    fn first_rows_flips_the_anchor_to_the_output_alias() {
+    fn anchor_ties_go_to_the_output_alias() {
         // Two aliases with equal estimates (grp = 5: 6 rows each), the
-        // output alias second. AllRows breaks the tie by alias id;
-        // FirstRows breaks it toward the output alias, whose scan order
-        // is emission order.
+        // output alias second: the tie goes to the output alias, whose
+        // scan order is emission order.
         let (db, tid) = setup();
         let mk = |other_grp| {
             let mut q = ConjQuery::default();
@@ -923,72 +839,77 @@ mod tests {
             q.projection.push(ColRef::new(b, VAL));
             q
         };
-        let first_rows = PlannerConfig {
-            goal: OptGoal::FirstRows(10),
-            ..Default::default()
-        };
-        let q = mk(5);
-        let all = plan(&db, &q, &PlannerConfig::default());
-        assert_eq!(all.steps[0].alias, 0, "{all}");
-        let first = plan(&db, &q, &first_rows);
-        assert_eq!(first.steps[0].alias, 1, "{first}");
-        // The goal may change the order, never the answers.
-        let (mut x, mut y) = (execute(&all, &db), execute(&first, &db));
+        let tie = plan(&db, &mk(5), &PlannerConfig::default());
+        assert_eq!(tie.steps[0].alias, 1, "{tie}");
+        // A strictly smaller partner (grp = 4: 5 rows) keeps the anchor:
+        // the output alias is a tie-break, not a premium.
+        let skewed = plan(&db, &mk(4), &PlannerConfig::default());
+        assert_eq!(skewed.steps[0].alias, 0, "{skewed}");
+        let (mut x, mut y) = (execute(&tie, &db), exec_both(&db, &mk(5)).1);
         x.sort();
         y.sort();
         assert_eq!(x, y);
-        assert_eq!(first.estimated_startup, all.estimated_startup);
-        // A strictly smaller partner (grp = 4: 5 rows) keeps the anchor:
-        // the output alias is a tie-break, not a premium.
-        let skewed = plan(&db, &mk(4), &first_rows);
-        assert_eq!(skewed.steps[0].alias, 0, "{skewed}");
     }
 
     #[test]
-    fn startup_cost_scales_the_anchor_by_the_rows_it_must_read() {
-        // m = 5, n = 3: the first k tuples cost est[a]·min(k, m)/m
-        // candidate rows, each probing all three aliases.
-        let est = [10, 5, 20];
-        assert_eq!(startup_cost(&est, 1, 0), 6);
-        assert_eq!(startup_cost(&est, 1, 1), 3);
-        assert_eq!(startup_cost(&est, 1, 2), 12);
-        // k beyond the result size reads the whole anchor input.
-        assert_eq!(startup_cost(&est, 100, 0), 30);
-        assert_eq!(startup_cost(&est, 5, 2), 60);
-        // k = 0 counts as one row; an empty anchor still costs one.
-        assert_eq!(startup_cost(&est, 0, 1), 3);
-        assert_eq!(startup_cost(&[0, 4], 1, 0), 1);
-    }
-
-    #[test]
-    fn first_rows_keeps_a_dominant_selective_anchor() {
-        // When a join partner is orders of magnitude more selective
-        // than the output alias, first-rows cost is still minimized by
-        // anchoring the selective alias — document order is not worth
-        // scanning the whole output input.
+    fn anchor_ties_elsewhere_go_to_the_lower_alias_id() {
+        // n0 and n1 tie (grp = 5: 6 rows each); the output alias n2
+        // (grp = 9: 10 rows) is not in the tie, so the lower id anchors.
         let (db, tid) = setup();
         let mut q = ConjQuery::default();
-        let a = q.add_alias(tid); // output: unfiltered, 55 rows
-        let b = q.add_alias(tid); // point: grp = 0, 1 row
-        q.conds
-            .push(Cond::against_const(ColRef::new(b, GRP), Cmp::Eq, 0));
-        q.conds.push(Cond::between(
-            ColRef::new(a, GRP),
-            Cmp::Eq,
-            ColRef::new(b, VAL),
-        ));
-        q.projection.push(ColRef::new(a, VAL));
-        for k in [1, 10, usize::MAX] {
-            let p = plan(
-                &db,
-                &q,
-                &PlannerConfig {
-                    goal: OptGoal::FirstRows(k),
-                    ..Default::default()
-                },
-            );
-            assert_eq!(p.steps[0].alias, b, "k = {k}: {p}");
+        let [a, b, c] = [(); 3].map(|()| q.add_alias(tid));
+        for (alias, grp) in [(b, 5), (a, 5), (c, 9)] {
+            q.conds
+                .push(Cond::against_const(ColRef::new(alias, GRP), Cmp::Eq, grp));
         }
+        for alias in [a, b] {
+            q.conds.push(Cond::between(
+                ColRef::new(alias, VAL),
+                Cmp::Eq,
+                ColRef::new(c, VAL),
+            ));
+        }
+        q.projection.push(ColRef::new(c, VAL));
+        let p = plan(&db, &q, &PlannerConfig::default());
+        assert_eq!(p.steps[0].alias, a, "{p}");
+        let (got, got_syn) = exec_both(&db, &q);
+        assert_eq!(got, (0..6).map(|v| vec![v]).collect::<Vec<_>>());
+        assert_eq!(got, got_syn);
+    }
+
+    #[test]
+    fn greedy_extends_along_direct_conditions_first() {
+        // a (grp = 0: 1 row) anchors. b joins a directly (b.grp =
+        // a.grp) and has no filter of its own (55 rows); c's one join
+        // is with b (c.grp = b.grp), so only the equality closure links
+        // it to a. c is the smaller input (val = 0: 10 rows), yet b
+        // binds first: c waits until a direct condition reaches it.
+        let (db, tid) = setup();
+        let mut q = ConjQuery::default();
+        let a = q.add_alias(tid);
+        let b = q.add_alias(tid);
+        let c = q.add_alias(tid);
+        q.conds
+            .push(Cond::against_const(ColRef::new(a, GRP), Cmp::Eq, 0));
+        q.conds.push(Cond::between(
+            ColRef::new(b, GRP),
+            Cmp::Eq,
+            ColRef::new(a, GRP),
+        ));
+        q.conds.push(Cond::between(
+            ColRef::new(c, GRP),
+            Cmp::Eq,
+            ColRef::new(b, GRP),
+        ));
+        q.conds
+            .push(Cond::against_const(ColRef::new(c, VAL), Cmp::Eq, 0));
+        q.projection.push(ColRef::new(b, VAL));
+        let p = plan(&db, &q, &PlannerConfig::default());
+        let order: Vec<usize> = p.steps.iter().map(|s| s.alias).collect();
+        assert_eq!(order, [a, b, c], "{p}");
+        let (got, got_syn) = exec_both(&db, &q);
+        assert_eq!(got, [[0]]);
+        assert_eq!(got, got_syn);
     }
 
     #[test]
@@ -1003,7 +924,6 @@ mod tests {
         // grp = 4 has exactly 5 rows; the estimates must reflect it.
         assert_eq!(p.estimated_result, 5);
         assert_eq!(p.estimated_total, 5);
-        assert!(p.estimated_startup >= 1);
         assert!(p.to_string().contains("estimates:"), "{p}");
         // Hand-built plans carry no estimates and print none.
         assert_eq!(Plan::default().estimated_total, 0);

@@ -8,7 +8,7 @@
 
 use lpath_relstore::{
     execute, plan, Cmp, ColId, ColRef, Cond, ConjQuery, Database, InCond, JoinOrder, Operand,
-    OptGoal, PlannerConfig, Schema, SubQuery, Table, TableId, Value,
+    PlannerConfig, Schema, SubQuery, Table, TableId, Value,
 };
 use proptest::prelude::*;
 
@@ -182,6 +182,18 @@ fn reference(spec: &QSpec, rows: &[[Value; NCOLS]]) -> Vec<Vec<Value>> {
     out
 }
 
+/// Does a condition of `q` tie alias `a` to a bound alias?
+fn direct(q: &ConjQuery, bound: &[bool], a: usize) -> bool {
+    q.conds.iter().any(|c| {
+        let other = match c.right {
+            Operand::Col(r) if c.left.alias == a => r.alias,
+            Operand::Col(r) if r.alias == a => c.left.alias,
+            _ => return false,
+        };
+        other != a && bound[other]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: ProptestConfig::cases_or_env(96), ..ProptestConfig::default() })]
 
@@ -191,12 +203,10 @@ proptest! {
         let q = build_query(&spec, tid);
         let want = reference(&spec, &rows);
         for order in [JoinOrder::GreedyStats, JoinOrder::Syntactic] {
-            for goal in [OptGoal::AllRows, OptGoal::FirstRows(1), OptGoal::FirstRows(7)] {
-                let p = plan(&db, &q, &PlannerConfig { order, goal });
-                let mut got = execute(&p, &db);
-                got.sort();
-                prop_assert_eq!(&got, &want, "order {:?} goal {:?} on {:?}", order, goal, spec);
-            }
+            let p = plan(&db, &q, &PlannerConfig { order });
+            let mut got = execute(&p, &db);
+            got.sort();
+            prop_assert_eq!(&got, &want, "order {:?} on {:?}", order, spec);
         }
     }
 
@@ -211,17 +221,41 @@ proptest! {
         let (db, tid) = build_db(&rows);
         let q = build_query(&spec, tid);
         let stats = db.stats(tid).expect("analyzed");
-        for goal in [OptGoal::AllRows, OptGoal::FirstRows(1), OptGoal::FirstRows(7)] {
-            let p = plan(&db, &q, &PlannerConfig { goal, ..Default::default() });
-            for c in q.conds.iter().filter(|c| c.cmp == Cmp::Eq) {
-                let Operand::Const(v) = c.right else { continue };
-                let cap = stats.est_eq(c.left.col, v);
+        let p = plan(&db, &q, &PlannerConfig::default());
+        for c in q.conds.iter().filter(|c| c.cmp == Cmp::Eq) {
+            let Operand::Const(v) = c.right else { continue };
+            let cap = stats.est_eq(c.left.col, v);
+            prop_assert!(
+                p.estimated_result <= cap,
+                "estimate {} above {:?}'s frequency {} on {:?}",
+                p.estimated_result, c, cap, spec
+            );
+        }
+    }
+
+    #[test]
+    fn greedy_plans_extend_along_direct_conditions_first(
+        rows in arb_table(),
+        spec in arb_spec(),
+    ) {
+        // After the anchor, no step binds an alias that no condition
+        // ties to the bound set while an alias that one does still
+        // waits: a closure-only join is a same-tree cross product in
+        // the LPath translation.
+        let (db, tid) = build_db(&rows);
+        let q = build_query(&spec, tid);
+        let p = plan(&db, &q, &PlannerConfig::default());
+        let mut bound = vec![false; q.aliases.len()];
+        for (i, step) in p.steps.iter().enumerate() {
+            if i > 0 && !direct(&q, &bound, step.alias) {
+                let waiting = (0..bound.len()).find(|&a| !bound[a] && direct(&q, &bound, a));
                 prop_assert!(
-                    p.estimated_result <= cap,
-                    "goal {:?}: estimate {} above {:?}'s frequency {} on {:?}",
-                    goal, p.estimated_result, c, cap, spec
+                    waiting.is_none(),
+                    "step {} binds n{} while n{:?} is directly conditioned:\n{}",
+                    i, step.alias, waiting, p
                 );
             }
+            bound[step.alias] = true;
         }
     }
 

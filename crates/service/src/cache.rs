@@ -7,9 +7,9 @@
 //! * the plan cache: query text → its compilation, which depends on
 //!   the text alone;
 //! * the row and count stores (`GenCache`): `(normalized query,
-//!   shard id)` → the shard's rows so far and whether they are all of
-//!   them, and — kept separate so counting never forces (or evicts)
-//!   materialized rows — the same key → the shard's *count*.
+//!   shard id)` → the shard's complete rows, and — kept separate so
+//!   counting never forces (or evicts) materialized rows — the same
+//!   key → the shard's *count*.
 //!   Each value is stamped with the shard build id it was computed on.
 
 use std::borrow::Borrow;
@@ -23,20 +23,6 @@ use crate::plan::CompiledQuery;
 
 /// A materialized, document-ordered match set.
 pub type ResultSet = Vec<(u32, NodeId)>;
-
-/// What the service knows of one shard's result for one query: the
-/// rows enumerated so far, and whether they are the shard's
-/// **complete** result. An unfinished prefix continues from the
-/// position after its last row (that row's tree, and how many rows of
-/// it the prefix holds). Entries are stamped with the shard's build
-/// id, so head-shard entries survive `append_ptb` untouched.
-#[derive(Clone)]
-pub(crate) struct ShardRows {
-    /// The shard's first `rows.len()` matches, global tree ids.
-    pub rows: Arc<ResultSet>,
-    /// No match of the shard lies past `rows`.
-    pub complete: bool,
-}
 
 /// Cache key: the normalized query text plus the shard it was
 /// evaluated on.
@@ -125,10 +111,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruMap<K, V> {
         &self.slots[i].as_ref().expect("a live slot").1
     }
 
-    fn values(&self) -> impl Iterator<Item = &V> {
-        self.slots.iter().flatten().map(|(_, v)| v)
-    }
-
     /// Move slot `i` to the head of the list and return its value.
     fn touch(&mut self, i: usize) -> &V {
         if self.head != i {
@@ -181,8 +163,8 @@ pub(crate) struct GenCache<V>(LruMap<Key, (u64, V)>);
 /// smaller than the match sets they summarize.
 pub(crate) type CountCache = GenCache<usize>;
 
-/// The row store: complete results and unfinished prefixes alike.
-pub(crate) type ShardRowCache = GenCache<ShardRows>;
+/// The row store: one shard's complete result, global tree ids.
+pub(crate) type ShardRowCache = GenCache<Arc<ResultSet>>;
 
 impl<V: Clone> GenCache<V> {
     pub fn new(capacity: usize) -> Self {
@@ -205,32 +187,10 @@ impl<V: Clone> GenCache<V> {
     pub fn clear(&mut self) {
         self.0.clear();
     }
-}
 
-impl ShardRowCache {
-    /// The shard's full result, when the cached entry is complete.
-    pub fn complete(&mut self, key: &Key, build: u64) -> Option<Arc<ResultSet>> {
-        let entry = self.get(key, build)?;
-        entry.complete.then_some(entry.rows)
-    }
-
-    /// Drop `key`'s entry only if it is still `observed` — the very
-    /// entry (by `Arc` identity: every insert allocates its rows) a
-    /// caller read earlier. Takes an observed entry back out of the
-    /// store without discarding a replacement a concurrent caller
-    /// installed in the meantime.
-    pub fn remove_match(&mut self, key: &Key, observed: &ShardRows) {
-        if let Some(&i) = self.0.index.get(key) {
-            if Arc::ptr_eq(&self.0.value(i).1.rows, &observed.rows) {
-                self.0.remove_slot(i);
-            }
-        }
-    }
-
-    /// `(complete, unfinished)` entry counts.
-    pub fn census(&self) -> (usize, usize) {
-        let complete = self.0.values().filter(|e| e.1.complete).count();
-        (complete, self.0.len() - complete)
+    /// Resident entries, whatever their stamps.
+    pub fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -245,13 +205,6 @@ mod tests {
 
     fn set(n: u32) -> Arc<ResultSet> {
         Arc::new(vec![(n, NodeId(0))])
-    }
-
-    fn rows(rows: &Arc<ResultSet>) -> ShardRows {
-        ShardRows {
-            rows: Arc::clone(rows),
-            complete: true,
-        }
     }
 
     #[test]
@@ -365,22 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_by_identity_leaves_a_concurrent_replacement() {
-        let mut c = ShardRowCache::new(2);
-        let observed = rows(&set(1));
-        c.insert(key("q"), 1, observed.clone());
-        // A concurrent sweep installs equal rows in a new allocation
-        // before the observer takes its entry back out.
-        c.insert(key("q"), 1, rows(&set(1)));
-        c.remove_match(&key("q"), &observed);
-        let kept = c.get(&key("q"), 1).expect("the replacement survives");
-        assert!(!Arc::ptr_eq(&kept.rows, &observed.rows));
-        // The observed entry itself is removed.
-        c.remove_match(&key("q"), &kept);
-        assert!(c.get(&key("q"), 1).is_none());
-    }
-
-    #[test]
     fn count_cache_counts() {
         let mut c = CountCache::new(2);
         c.insert(key("a"), 1, 41);
@@ -440,12 +377,6 @@ mod tests {
             }
             self.map.insert(key, (build, self.tick, rows));
         }
-
-        fn remove_match(&mut self, key: &Key, rows: &Arc<ResultSet>) {
-            if self.map.get(key).is_some_and(|e| Arc::ptr_eq(&e.2, rows)) {
-                self.map.remove(key);
-            }
-        }
     }
 
     /// The recency list is well linked and holds each resident entry
@@ -462,14 +393,12 @@ mod tests {
         assert_eq!(listed, m.index.len());
     }
 
-    /// Seeded random `get` / `insert` / identity `remove_match` /
-    /// `clear` sequences over up to 3 shards, 3 builds and 8 query
-    /// texts, at capacities 0–6: after every operation the row store
-    /// and the plain-LRU scan agree on the rows served (by identity)
-    /// and on the resident `(key, build)` set. Identity removals
-    /// present a `(key, rows)` pair drawn from every insert so far, so
-    /// equal rows in a replaced allocation are exercised too.
-    /// `PROPTEST_CASES` sets the number of sequences (default 256).
+    /// Seeded random `get` / `insert` / `clear` sequences over up to 3
+    /// shards, 3 builds and 8 query texts, at capacities 0–6: after
+    /// every operation the row store and the plain-LRU scan agree on
+    /// the rows served (by identity) and on the resident
+    /// `(key, build)` set. `PROPTEST_CASES` sets the number of
+    /// sequences (default 256).
     #[test]
     fn recency_lists_pick_the_victim_the_scan_picks() {
         let cases: u64 = std::env::var("PROPTEST_CASES")
@@ -493,7 +422,6 @@ mod tests {
                 tick: 0,
                 map: HashMap::new(),
             };
-            let mut inserted: Vec<(Key, Arc<ResultSet>)> = Vec::new();
             for op in 0..200 {
                 let k: Key = (
                     format!("q{}", next(keys)),
@@ -501,9 +429,9 @@ mod tests {
                 );
                 let build = 1 + next(builds);
                 let at = format!("case {case} op {op}");
-                match next(16) {
+                match next(15) {
                     0..=6 => {
-                        let got = store.get(&k, build).map(|e| Arc::as_ptr(&e.rows));
+                        let got = store.get(&k, build).map(|r| Arc::as_ptr(&r));
                         let want = scan.get(&k, build).map(|r| Arc::as_ptr(&r));
                         assert_eq!(got, want, "{at}");
                     }
@@ -511,15 +439,8 @@ mod tests {
                         // Few distinct values: equal rows recur in
                         // distinct allocations.
                         let value = set(u32::try_from(next(3)).unwrap());
-                        inserted.push((k.clone(), Arc::clone(&value)));
-                        store.insert(k.clone(), build, rows(&value));
+                        store.insert(k.clone(), build, Arc::clone(&value));
                         scan.insert(k, build, value);
-                    }
-                    14 if !inserted.is_empty() => {
-                        let len = u64::try_from(inserted.len()).unwrap();
-                        let (k, pick) = &inserted[usize::try_from(next(len)).unwrap()];
-                        store.remove_match(k, &rows(pick));
-                        scan.remove_match(k, pick);
                     }
                     _ => {
                         store.clear();

@@ -21,7 +21,7 @@
 //!   translation where it exists, the full-language tree walker
 //!   otherwise.
 //! * **Row and count stores** — bounded LRUs from `(query, shard)` to
-//!   the shard's match set (or a prefix of it) and to its count, scoped
+//!   the shard's complete match set and to its count, scoped
 //!   to each shard's *build id*, so entries survive appends that did not
 //!   touch their shard. Whole-corpus answers are built on read: rows
 //!   concatenate in shard order, counts sum ([`Service::count`] never
@@ -35,10 +35,9 @@
 //!   over the shards ([`sweep`]), parked at a [`SweepPos`]: a shard,
 //!   the tree to continue from and how many of its matches were
 //!   already served. No match crosses a tree, so that position is all
-//!   a sweep needs to continue: the row store continues a cached
-//!   prefix from the position after its rows, tokens seal the
-//!   position, and sweeping pages 1…K re-enumerates no tree before the
-//!   one a page starts in.
+//!   a sweep needs to continue: tokens seal the position, and sweeping
+//!   pages 1…K re-enumerates no tree before the one a page starts in.
+//!   An offset page is the same sweep from the corpus start.
 //! * **Shard pruning** — each shard records which symbols occur in it
 //!   and, in its aggregate tables, which tag pairs stand in the
 //!   parent/child, ancestor/descendant, `=>` and `->` relations; a
@@ -104,7 +103,7 @@ use lpath_syntax::{parse, SyntaxError};
 
 pub use agg::{AggTables, FastClass};
 pub use cache::ResultSet;
-use cache::{CountCache, PlanCache, ShardRowCache, ShardRows};
+use cache::{CountCache, PlanCache, ShardRowCache};
 pub use lpath_check::{CheckReport, Diagnostic, Severity};
 pub use lpath_obs::HistogramSnapshot;
 pub use plan::{requirements, CompiledQuery, Requirements};
@@ -230,7 +229,7 @@ pub(crate) struct Request {
     /// The request's one shard snapshot.
     pub(crate) shards: Vec<Arc<Shard>>,
     /// Served entirely from cached state so far; any enumeration — a
-    /// shard evaluation, a resumed prefix, a cursor count — clears it.
+    /// shard evaluation, a page, a cursor count — clears it.
     pub(crate) hit: bool,
     /// Shards the request visited.
     pub(crate) fanout: usize,
@@ -280,11 +279,9 @@ pub struct Service {
     /// generation bump and only the tail is recounted.
     shard_counts: Mutex<CountCache>,
     /// Per-shard rows (`(query, shard)` keys), build-id scoped like the
-    /// counts: a shard's *complete* result, or a monotonically growing
-    /// prefix ([`ShardRows`]). Head-shard entries survive `append_ptb`,
-    /// so a post-append [`Service::eval`] only re-evaluates the rebuilt
-    /// tail shard, and deeper pages continue from the position after
-    /// the cached rows instead of recomputing from the shard's start.
+    /// counts: a shard's *complete* result. Head-shard entries survive
+    /// `append_ptb`, so a post-append [`Service::eval`] only
+    /// re-evaluates the rebuilt tail shard.
     shard_rows: Mutex<ShardRowCache>,
     counters: Counters,
     instr: Instruments,
@@ -559,7 +556,7 @@ impl Service {
                 probe.0.clone_from(&c.normalized);
                 for (si, shard) in self.unpruned(c, ids(shards)) {
                     probe.1 = si;
-                    match store.complete(&probe, shard.build_id()) {
+                    match store.get(&probe, shard.build_id()) {
                         Some(rows) => parts[w][si as usize] = Some(rows),
                         None => misses.entry(si as usize).or_default().push(w),
                     }
@@ -597,13 +594,10 @@ impl Service {
                 let mut store = self.shard_rows.lock().unwrap();
                 for ((si, members), rows) in work.iter().zip(evaluated) {
                     for (&w, rows) in members.iter().zip(rows) {
-                        let entry = ShardRows {
-                            rows: Arc::new(rows),
-                            complete: true,
-                        };
+                        let rows = Arc::new(rows);
                         let key = (wanted[w].1.normalized.clone(), *si as u16);
-                        parts[w][*si] = Some(Arc::clone(&entry.rows));
-                        store.insert(key, shards[*si].build_id(), entry);
+                        parts[w][*si] = Some(Arc::clone(&rows));
+                        store.insert(key, shards[*si].build_id(), rows);
                     }
                 }
             }
@@ -675,10 +669,10 @@ impl Service {
     /// The sum of `compiled`'s counts on (unpruned) `shards`, and how
     /// many shards were counted rather than read. Each goes through one
     /// chain: the aggregate tables (a hash lookup, cheaper than the
-    /// probes it replaces); the count store; a complete row-store
-    /// entry, whose length is the count; and only then the counting
-    /// cursor, fanned out over the shards that reach it. What the count
-    /// store missed it remembers.
+    /// probes it replaces); the count store; a row-store entry, whose
+    /// length is the count; and only then the counting cursor, fanned
+    /// out over the shards that reach it. What the count store missed
+    /// it remembers.
     fn count_shards(&self, compiled: &CompiledQuery, shards: &[(u16, &Shard)]) -> (usize, usize) {
         if let Some(fast) = &compiled.fast {
             self.counters.count_fast.add(shards.len() as u64);
@@ -686,8 +680,7 @@ impl Service {
             return (usize::try_from(n).unwrap_or(usize::MAX), shards.len());
         }
         // `(count, learned)`: learned counts are new to the count store.
-        let rows = |e: ShardRows| e.complete.then(|| (e.rows.len(), true));
-        let mut n = self.known(compiled, shards, |n| (n, false), rows);
+        let mut n = self.known(compiled, shards);
         let uncounted: Vec<usize> = (0..shards.len()).filter(|&i| n[i].is_none()).collect();
         if !uncounted.is_empty() {
             let counted = fan_out(self.threads, uncounted.len(), |t| {
@@ -708,17 +701,16 @@ impl Service {
         (n.iter().flatten().map(|&(k, _)| k).sum(), uncounted.len())
     }
 
-    /// What the stores know of `compiled` on each of `shards`: the
-    /// count store, read through `count`, then — where it misses — the
-    /// row store, read through `rows`. Each store is locked once (the
-    /// count store first), and every probe is one hit or one miss.
-    fn known<T>(
+    /// What the stores know of `compiled`'s count on each of `shards`:
+    /// the count store's, else — where it misses — the length of the
+    /// row store's entry, flagged `true` as new to the count store.
+    /// Each store is locked once (the count store first), and every
+    /// probe is one hit or one miss.
+    fn known(
         &self,
         compiled: &CompiledQuery,
         shards: &[(u16, &Shard)],
-        count: impl Fn(usize) -> T,
-        rows: impl Fn(ShardRows) -> Option<T>,
-    ) -> Vec<Option<T>> {
+    ) -> Vec<Option<(usize, bool)>> {
         let c = &self.counters;
         let mut key: cache::Key = (compiled.normalized.clone(), 0);
         let mut counts = self.shard_counts.lock().unwrap();
@@ -727,11 +719,13 @@ impl Service {
             key.1 = si;
             if let Some(n) = counts.get(&key, shard.build_id()) {
                 c.count_hits.bump();
-                return Some(count(n));
+                return Some((n, false));
             }
             c.count_misses.bump();
             let store = row_store.get_or_insert_with(|| self.shard_rows.lock().unwrap());
-            let found = store.get(&key, shard.build_id()).and_then(&rows);
+            let found = store
+                .get(&key, shard.build_id())
+                .map(|rows| (rows.len(), true));
             c.result_hits.add(u64::from(found.is_some()));
             c.result_misses.add(u64::from(found.is_none()));
             found
@@ -891,32 +885,29 @@ impl Service {
     /// Does `query` match anywhere in the corpus? Shards are visited in
     /// document order, one at a time, and the scan stops at the first
     /// witness: the aggregate tables answer a tabulated query; else a
-    /// cached count or cached rows (complete, or a non-empty prefix)
-    /// answer for a shard, else its evaluation stops at the first
-    /// match. On selective queries over large corpora this is orders of
-    /// magnitude cheaper than any enumeration.
+    /// cached count or cached rows answer for a shard, else its
+    /// evaluation stops at the first match. On selective queries over
+    /// large corpora this is orders of magnitude cheaper than any
+    /// enumeration.
     ///
     /// Latency class `exists`: a hit when cached counts or rows
     /// answered every shard visited, as for [`Service::count`].
     pub fn exists(&self, query: &str) -> Result<bool, ServiceError> {
         self.solo(Class::Exists, query, false, |req, compiled| {
-            // A prefix with rows holds a witness; an empty one knows
-            // nothing yet.
-            let rows =
-                |e: ShardRows| (e.complete || !e.rows.is_empty()).then(|| !e.rows.is_empty());
             let mut computed = 0;
             let witness = |&(si, shard): &(u16, &Shard)| match &compiled.fast {
                 Some(fast) => {
                     computed += 1;
                     shard.tabulated(fast) > 0
                 }
-                None => {
-                    self.known(compiled, &[(si, shard)], |n| n > 0, rows)[0].unwrap_or_else(|| {
+                None => self.known(compiled, &[(si, shard)])[0].map_or_else(
+                    || {
                         computed += 1;
                         self.counters.shard_evals.bump();
                         shard.exists(compiled)
-                    })
-                }
+                    },
+                    |(n, _)| n > 0,
+                ),
             };
             let shards = self.unpruned(compiled, ids(&req.shards));
             let found = shards.iter().any(witness);
@@ -935,14 +926,13 @@ impl Service {
     /// bounded by what the page still needs, not by the shard's full
     /// result size.
     ///
-    /// Paging is **resumable end to end**: each shard's enumerated
-    /// prefix is cached, and a deeper page *extends* it by a page from
-    /// the position after its last row — the trees before that one are
-    /// never evaluated again. An entry whose enumeration completes is
-    /// the full per-shard result ([`Service::eval`] and
-    /// [`Service::count`] reuse it); entries are scoped to the shard's
-    /// *build id*, so head-shard pages survive [`Service::append_ptb`].
-    /// (The walk itself is described once, in [`sweep`].)
+    /// An offset page is a positioned sweep from the corpus start for
+    /// `offset + limit` rows, less the first `offset`; it reads and
+    /// writes neither store. Deep paging is what
+    /// [`Service::eval_page_token`] is for: a token's page starts at
+    /// the position the previous page ended, so no tree before it is
+    /// evaluated again. (The walk itself is described once, in
+    /// [`sweep`].)
     pub fn eval_page(
         &self,
         query: &str,
@@ -1038,7 +1028,6 @@ impl Service {
         let per_shard: Vec<ShardStats> = st.shards.iter().map(|s| s.stats()).collect();
         let c = &self.counters;
         let load = |a: &lpath_obs::Counter| a.get();
-        let (complete, unfinished) = self.shard_rows.lock().unwrap().census();
         ServiceStats {
             generation: st.generation,
             shards: st.shards.len(),
@@ -1048,8 +1037,7 @@ impl Service {
             plan_cache_entries: self.plans.lock().unwrap().len(),
             plan_hits: load(&c.plan_hits),
             plan_misses: load(&c.plan_misses),
-            shard_result_cache_entries: complete,
-            prefix_cache_entries: unfinished,
+            shard_result_cache_entries: self.shard_rows.lock().unwrap().len(),
             result_hits: load(&c.result_hits),
             result_misses: load(&c.result_misses),
             count_hits: load(&c.count_hits),
@@ -1062,9 +1050,8 @@ impl Service {
             queries: load(&c.queries),
             batches: load(&c.batches),
             pages: load(&c.pages),
-            page_shards_skipped: load(&c.page_shards_skipped),
             page_partial_evals: load(&c.page_partial_evals),
-            page_prefix_hits: load(&c.page_prefix_hits),
+            page_prefix_hits: 0,
             page_resumes: load(&c.page_resumes),
             shard_evals: load(&c.shard_evals),
             shards_pruned: load(&c.shards_pruned),
@@ -1765,7 +1752,6 @@ mod tests {
         // insertions — the verdict answered everything.
         assert_eq!(stats.shard_evals, 0, "{stats:?}");
         assert_eq!(stats.shard_result_cache_entries, 0, "{stats:?}");
-        assert_eq!(stats.prefix_cache_entries, 0, "{stats:?}");
         assert_eq!(stats.result_misses, 0, "{stats:?}");
         // 6 requests per structurally empty query (batch members count
         // individually); the two the vocabulary rules out are pruned
@@ -1863,37 +1849,16 @@ mod tests {
                 "offset {offset} limit {limit}"
             );
         }
-        // A page-1 request over 5 shards must have skipped some.
+        // A page-1 request over 5 shards stops at the shard that
+        // fills it, and evaluates that one under the page bound.
         let fresh = service(5);
         fresh.eval_page("//NP", 0, 1).unwrap();
-        assert!(fresh.stats().page_shards_skipped > 0);
-        // Paging again reuses the cached per-shard prefixes (or full
-        // sets, for shards whose prefix proved complete).
         let s = fresh.stats();
-        let before = s.result_hits + s.page_prefix_hits;
-        fresh.eval_page("//NP", 0, 1).unwrap();
-        let s = fresh.stats();
-        assert!(s.result_hits + s.page_prefix_hits > before);
-        // The visited shards were evaluated under the page bound.
-        assert!(s.page_partial_evals > 0);
+        assert_eq!((s.page_partial_evals, s.shard_evals), (1, 0), "{s:?}");
     }
 
     #[test]
-    fn eval_page_serves_from_a_cached_full_result() {
-        let svc = service(3);
-        let full = svc.eval("//NP").unwrap();
-        let page = svc.eval_page("//NP", 1, 2).unwrap();
-        assert_eq!(
-            page,
-            full.iter().skip(1).take(2).copied().collect::<Vec<_>>()
-        );
-        // Served off the cached full set: no new shard evaluations.
-        let stats = svc.stats();
-        assert_eq!(stats.shard_evals, 3);
-    }
-
-    #[test]
-    fn page_pushdown_bounds_shard_work_and_promotes_complete_prefixes() {
+    fn page_pushdown_bounds_shard_work() {
         let svc = service(2);
         // Page 1 of "//NP" fills within the first shard: the first
         // shard is evaluated under the page bound, the second never
@@ -1904,98 +1869,71 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.page_partial_evals, 1);
         assert_eq!(s.shard_evals, 0, "page bound did not reach the shard");
-        // A page past the shard's result exhausts it: the short prefix
-        // is promoted to the full per-shard set, which eval() then
-        // combines with the remaining shard.
-        let all = svc.eval_page("//NP", 0, 99).unwrap();
-        assert_eq!(all, *full);
-        let evals_before = svc.stats().shard_evals;
-        assert_eq!(*svc.eval("//NP").unwrap(), *full);
+        // A page past the result pages both shards from their starts,
+        // still without a full shard evaluation.
+        assert_eq!(svc.eval_page("//NP", 0, 99).unwrap(), *full);
         let s = svc.stats();
-        assert!(
-            s.result_hits >= 2,
-            "promoted prefixes must serve eval(): {s:?}"
-        );
-        assert_eq!(s.shard_evals, evals_before, "no re-evaluation: {s:?}");
+        assert_eq!((s.page_partial_evals, s.shard_evals), (3, 0), "{s:?}");
     }
 
     #[test]
-    fn page_sweep_extends_prefixes_and_never_re_enumerates() {
-        // Page-1 → page-K sweep, page size 1: each shard is evaluated
-        // from scratch exactly once; every deeper page either extends
-        // a cached prefix from its last position (enumerating only
-        // the missing row) or reads the cache.
+    fn offset_pages_and_stale_recoveries_leave_the_row_store_alone() {
+        // The row store holds complete per-shard results, which only
+        // `eval` (and the batch core behind it) writes: an offset page
+        // and a stale token's recovery are positioned sweeps from the
+        // corpus start, equal to the matching `eval` slice, and store
+        // nothing.
         let svc = service(2);
         let full = service(2).eval("//NP").unwrap();
-        let mut got: ResultSet = Vec::new();
-        loop {
-            let page = svc.eval_page("//NP", got.len(), 1).unwrap();
-            if page.is_empty() {
-                break;
-            }
-            got.extend(page);
+        for (offset, limit) in [(0, 2), (1, 3), (0, 99)] {
+            let want: ResultSet = full.iter().skip(offset).take(limit).copied().collect();
+            assert_eq!(svc.eval_page("//NP", offset, limit).unwrap(), want);
         }
-        assert_eq!(got, *full);
-        let s = svc.stats();
-        assert_eq!(s.page_partial_evals, 2, "one cold start per shard: {s:?}");
-        assert!(s.page_resumes >= 2, "deeper pages must resume: {s:?}");
-        assert_eq!(s.shard_evals, 0, "no full shard evaluation: {s:?}");
-        // Re-sweeping the same pages is pure cache.
-        let resumes = s.page_resumes;
-        let partials = s.page_partial_evals;
-        for offset in 0..full.len() {
-            svc.eval_page("//NP", offset, 1).unwrap();
-        }
-        let s = svc.stats();
-        assert_eq!(s.page_resumes, resumes);
-        assert_eq!(s.page_partial_evals, partials);
-    }
-
-    #[test]
-    fn pages_and_prefixes_survive_append_for_untouched_shards() {
-        let svc = service(2);
-        // Covers shard 0 completely (promoted) and leaves shard 1 as
-        // an unfinished prefix.
-        svc.eval_page("//NP", 0, 3).unwrap();
-        let before = svc.stats();
-        assert!(before.shard_result_cache_entries > 0, "{before:?}");
-        assert!(before.prefix_cache_entries > 0, "{before:?}");
+        assert_eq!(svc.stats().shard_result_cache_entries, 0);
+        let t = svc.eval_page_token("//NP", None, 2).unwrap().token.unwrap();
         let tree = "( (S (NP (NN bird)) (VP (VBD flew))) )";
         svc.append_ptb(tree).unwrap();
         let mut grown = parse_str(SRC).unwrap();
         parse_into(tree, &mut grown).unwrap();
-        // The tail shard was rebuilt; the head shard's promoted result
-        // still serves — deep-paging the grown corpus re-evaluates
-        // only the tail, and agrees with a from-scratch reference.
-        let all = svc.eval_page("//NP", 0, 99).unwrap();
-        assert_eq!(all, walk(&grown, "//NP"));
+        let recovered = svc.eval_page_token("//NP", Some(&t), 3).unwrap();
+        assert_eq!(svc.stats().stale_checkpoints, 1);
+        assert_eq!(recovered.rows, walk(&grown, "//NP")[2..5]);
+        assert_eq!(svc.stats().shard_result_cache_entries, 0);
+        // Entries `eval` stored stay as they are.
+        svc.eval("//NP").unwrap();
+        let entries = svc.stats().shard_result_cache_entries;
+        assert_eq!(entries, 2);
+        svc.eval_page("//NP", 1, 2).unwrap();
+        assert_eq!(svc.stats().shard_result_cache_entries, entries);
+    }
+
+    #[test]
+    fn offset_pages_page_the_shards_even_when_eval_stored_them() {
+        // Pages read no store: one code path serves every page, a
+        // positioned sweep through the shards, whatever `eval` left
+        // behind.
+        let svc = service(2);
+        let full = svc.eval("//NP").unwrap();
+        let before = svc.stats();
+        assert_eq!(svc.eval_page("//NP", 1, 2).unwrap(), full[1..3]);
         let s = svc.stats();
-        assert!(
-            s.result_hits > before.result_hits,
-            "head shard cached: {s:?}"
-        );
-        assert_eq!(s.shard_evals, 0, "page path never fully evaluates: {s:?}");
+        assert!(s.page_partial_evals > before.page_partial_evals, "{s:?}");
         assert_eq!(
-            s.page_partial_evals,
-            before.page_partial_evals + 1,
-            "only the rebuilt tail restarted: {s:?}"
+            (s.result_hits, s.result_misses),
+            (before.result_hits, before.result_misses)
         );
     }
 
     #[test]
-    fn prefix_cache_keys_never_collide_with_adversarial_query_text() {
+    fn row_store_keys_never_collide_with_adversarial_query_text() {
         // A quoted attribute literal can put any bytes — including a
-        // NUL — into a normalized query, so prefix entries must be
+        // NUL — into a normalized query, so store entries must be
         // distinguished structurally, not by string mangling. The
         // second query matches nothing and must not be served the
-        // first query's cached page prefix.
+        // first query's cached rows.
         let svc = service(2);
-        let page = svc.eval_page("//NN@lex", 0, 2).unwrap();
-        assert_eq!(page.len(), 2);
-        assert_eq!(
-            svc.eval_page("//NN@'lex\u{0}page'", 0, 100).unwrap(),
-            Vec::new()
-        );
+        assert!(!svc.eval("//NN@lex").unwrap().is_empty());
+        assert!(svc.eval("//NN@'lex\u{0}page'").unwrap().is_empty());
     }
 
     #[test]
@@ -2124,16 +2062,17 @@ mod tests {
     #[test]
     fn page_metrics_track_fanout_and_resumes() {
         let svc = traced_service(2);
-        // Page 1 enumerates from scratch (miss), page 2 extends the
-        // cached prefix from its last position (miss, with a resume),
-        // replaying page 1 is pure cache (hit).
-        svc.eval_page("//NP", 0, 1).unwrap();
-        svc.eval_page("//NP", 0, 2).unwrap();
+        // Page 1 enumerates from scratch, page 2 continues from the
+        // position its token carried (a resume), and an offset page
+        // starts its shards afresh: all three enumerate (misses).
+        let first = svc.eval_page_token("//NP", None, 1).unwrap();
+        svc.eval_page_token("//NP", first.token.as_deref(), 1)
+            .unwrap();
         svc.eval_page("//NP", 0, 1).unwrap();
         let m = svc.metrics();
         let page = class(&m, "eval_page");
-        assert_eq!(page.misses.count, 2);
-        assert_eq!(page.hits.count, 1);
+        assert_eq!(page.misses.count, 3);
+        assert_eq!(page.hits.count, 0);
         // Every request crossed the zero threshold into the slow log,
         // newest last, carrying the fan-out and resume trace.
         let slow: Vec<_> = m
@@ -2144,8 +2083,8 @@ mod tests {
         assert_eq!(slow.len(), 3);
         assert!(slow.iter().all(|q| q.query == "//NP"));
         assert!(slow.iter().all(|q| q.fanout >= 1));
-        assert_eq!(slow[1].resumes, 1, "page 2 extended one prefix");
-        assert_eq!(slow[2].resumes, 0, "replay resumed nothing");
+        assert_eq!(slow[1].resumes, 1, "page 2 resumed from its token");
+        assert_eq!(slow[2].resumes, 0, "the offset page resumed nothing");
         assert!(slow.iter().all(|q| q.total_ns >= q.compile_ns));
     }
 

@@ -28,9 +28,7 @@ pub(crate) struct Counters {
     pub queries: Counter,
     pub batches: Counter,
     pub pages: Counter,
-    pub page_shards_skipped: Counter,
     pub page_partial_evals: Counter,
-    pub page_prefix_hits: Counter,
     pub page_resumes: Counter,
     pub shard_evals: Counter,
     pub shards_pruned: Counter,
@@ -206,7 +204,7 @@ pub struct SlowQuery {
     /// Shard fan-out width: shards the request actually visited.
     pub fanout: usize,
     /// Shard sweeps the request continued from a position inside the
-    /// shard, cached or token-borne.
+    /// shard, as a token carried it.
     pub resumes: u64,
 }
 
@@ -333,12 +331,9 @@ pub struct ServiceStats {
     pub plan_hits: u64,
     /// Plan-cache misses (compilations performed).
     pub plan_misses: u64,
-    /// *Complete* entries (whole per-shard match sets) currently in
-    /// the build-id-scoped per-shard row store.
+    /// Entries (whole per-shard match sets) currently in the
+    /// build-id-scoped per-shard row store.
     pub shard_result_cache_entries: usize,
-    /// Entries of the same store that are unfinished (extendable
-    /// per-shard prefixes).
-    pub prefix_cache_entries: usize,
     /// Row-store probes answered, one per `(query, shard)` pair asked.
     pub result_hits: u64,
     /// Row-store probes the store could not answer.
@@ -371,21 +366,19 @@ pub struct ServiceStats {
     /// Paged evaluations served ([`crate::Service::eval_page`] and
     /// [`crate::Service::eval_page_token`], every outcome included).
     pub pages: u64,
-    /// Shards never visited because a page filled before reaching them
-    /// (the paging short-circuit at work).
-    pub page_shards_skipped: u64,
     /// Budget-bounded shard enumerations started **from scratch**
     /// ([`crate::Shard::page`] or [`crate::Shard::count_resume`] at the
     /// shard's start): shards a page or count sweep entered with
-    /// nothing to build on. In a page-1 → page-K sweep this stays at
-    /// one per shard — every deeper page resumes instead (see
-    /// [`ServiceStats::page_resumes`]).
+    /// nothing to build on. In a token sweep of pages 1 → K this
+    /// stays at one per shard — every deeper page resumes instead (see
+    /// [`ServiceStats::page_resumes`]); every offset page starts its
+    /// shards afresh.
     pub page_partial_evals: u64,
-    /// Pages (partially) served from a cached per-shard result prefix
-    /// without any new enumeration.
+    /// Always 0: pages read no store. Kept because existing readers of
+    /// the field, the benchmark's per-layer report among them, still
+    /// read it.
     pub page_prefix_hits: u64,
-    /// Sweep steps that continued from a position inside a shard — a
-    /// cached prefix extended by exactly the missing delta, or the
+    /// Sweep steps that continued from a position inside a shard — the
     /// position an echoed token carried: the no-re-enumeration signal
     /// of resumable paging and counting.
     pub page_resumes: u64,
@@ -470,7 +463,6 @@ mod tests {
             plan_hits: 0,
             plan_misses: 0,
             shard_result_cache_entries: 0,
-            prefix_cache_entries: 0,
             result_hits: 3,
             result_misses: 1,
             count_hits: 0,
@@ -483,7 +475,6 @@ mod tests {
             queries: 0,
             batches: 0,
             pages: 0,
-            page_shards_skipped: 0,
             page_partial_evals: 0,
             page_prefix_hits: 0,
             page_resumes: 0,

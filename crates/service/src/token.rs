@@ -165,9 +165,8 @@ impl Service {
             };
             let (rows, next) = match pos {
                 Some(pos) => self.page_positioned(req, compiled, pos, limit),
-                // Stale-token recovery: serve the page by global offset
-                // through `eval_page`'s walk, whose build-id-scoped row
-                // store keeps repeated recoveries from re-enumerating.
+                // Stale-token recovery: serve the page by global offset,
+                // sweeping current content from its start.
                 None => {
                     let offset = usize::try_from(emitted).unwrap_or(usize::MAX);
                     self.page_by_offset(req, compiled, offset, limit)

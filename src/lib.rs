@@ -93,7 +93,7 @@ pub mod prelude {
     pub use lpath_corpussearch::{CsEngine, CS_QUERIES};
     pub use lpath_model::ptb::{parse_into, parse_str};
     pub use lpath_model::{generate, Corpus, GenConfig, NodeId, Profile, Tree};
-    pub use lpath_relstore::{JoinOrder, OptGoal, PlannerConfig};
+    pub use lpath_relstore::{JoinOrder, PlannerConfig};
     pub use lpath_server::{serve, Client, ServerConfig};
     pub use lpath_service::{Service, ServiceConfig, ServiceError, ServiceStats};
     pub use lpath_syntax::{parse, Axis, Path};

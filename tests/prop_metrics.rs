@@ -15,7 +15,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use lpath::prelude::*;
-use lpath_service::{ClassMetrics, Metrics, ResultSet};
+use lpath_service::{ClassMetrics, Metrics};
 
 /// A random subtree of bounded depth/width in bracketed form.
 fn arb_subtree(depth: u32) -> BoxedStrategy<String> {
@@ -179,8 +179,8 @@ proptest! {
             m.slow_queries.len() as u64,
             evals + counts + pages + batches + exists
         );
-        // Every resumed checkpoint — a cached prefix or one a token
-        // carried — is on some request's trace.
+        // Every position a token carried and a sweep resumed from is
+        // on some request's trace.
         let resumed: u64 = m.slow_queries.iter().map(|e| e.resumes).sum();
         prop_assert_eq!(resumed, s.page_resumes);
         // Percentiles stay monotone on every snapshot.
@@ -189,53 +189,5 @@ proptest! {
                 prop_assert!(h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.max);
             }
         }
-    }
-
-    /// Suspend/resume page sweeps keep the books stable: a repeated
-    /// sweep returns identical rows, adds only cache-hit samples, and
-    /// never re-enumerates (no new misses, no shard evals).
-    #[test]
-    fn repeat_page_sweeps_are_pure_hits(
-        trees in arb_treebank(),
-        qi in 0usize..POOL.len(),
-        page in 1usize..5,
-        shards in 1usize..4,
-    ) {
-        let corpus = parse_str(&trees.join("\n")).expect("generated treebank parses");
-        let q = POOL[qi];
-        let svc = traced(&corpus, shards);
-        let sweep = |svc: &Service| -> (ResultSet, u64) {
-            let mut got: ResultSet = Vec::new();
-            let mut pages_issued = 0;
-            loop {
-                let chunk = svc.eval_page(q, got.len(), page).unwrap();
-                pages_issued += 1;
-                let short = chunk.len() < page;
-                got.extend(chunk);
-                if short {
-                    break;
-                }
-            }
-            (got, pages_issued)
-        };
-        let (first, pages1) = sweep(&svc);
-        let m1 = svc.metrics();
-        let (hits1, miss1) = {
-            let c = class(&m1, "eval_page");
-            (c.hits.count, c.misses.count)
-        };
-        prop_assert_eq!(hits1 + miss1, pages1);
-        let (second, pages2) = sweep(&svc);
-        prop_assert_eq!(&second, &first, "repeat sweep rows on {}", q);
-        let m2 = svc.metrics();
-        let c = class(&m2, "eval_page");
-        // The first sweep promoted every prefix; the second is served
-        // entirely from cache — misses frozen, hits grow by its pages.
-        prop_assert_eq!(c.misses.count, miss1, "no new misses on {}", q);
-        prop_assert_eq!(c.hits.count, hits1 + pages2, "all hits on {}", q);
-        prop_assert_eq!(svc.stats().shard_evals, 0, "sweeps stay page-bounded on {}", q);
-        // Both sweeps' resume counts survived into the slow log.
-        let resumed: u64 = m2.slow_queries.iter().map(|e| e.resumes).sum();
-        prop_assert_eq!(resumed, svc.stats().page_resumes, "resume trace on {}", q);
     }
 }

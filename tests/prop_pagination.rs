@@ -1,12 +1,11 @@
 //! Pagination invariants, property-tested across every query layer.
 //!
-//! The limit-aware pipeline (first-rows planning, adaptive tree-id
-//! chunking, shard-level page pushdown) must never change *what* a
-//! query answers — only how much work a page costs. The invariant that
-//! pins this down: for any corpus, query, page size and offset,
-//! concatenating pages is **byte-identical** to the full sorted result,
-//! on the walker, the engine (both optimization goals) and the sharded
-//! service alike.
+//! The limit-aware pipeline (pages from positions, shard-level page
+//! pushdown) must never change *what* a query answers — only how much
+//! work a page costs. The invariant that pins this down: for any
+//! corpus, query, page size and offset, concatenating pages is
+//! **byte-identical** to the full sorted result, on the walker, the
+//! engine (both join orders) and the sharded service alike.
 //!
 //! `PROPTEST_CASES` scales the case count (CI's nightly sweep raises
 //! it); the default here is the acceptance floor of 256.
@@ -14,7 +13,7 @@
 use proptest::prelude::*;
 
 use lpath::prelude::*;
-use lpath_relstore::{OptGoal, PlannerConfig};
+use lpath_relstore::{JoinOrder, PlannerConfig};
 use lpath_service::ResultSet;
 
 mod fixtures;
@@ -152,35 +151,58 @@ proptest! {
     }
 
     #[test]
-    fn first_rows_and_all_rows_plans_answer_identically(
+    fn offset_pages_never_write_the_row_store(
+        corpus in arb_corpus(),
+        qi in 0usize..POOL.len(),
+        windows in prop::collection::vec((0usize..12, 1usize..6), 1..6),
+        shards in 1usize..5,
+    ) {
+        // The row store holds complete per-shard results that only
+        // `eval` writes: any run of offset pages leaves it empty, and
+        // each page is the matching slice of `eval`.
+        let q = POOL[qi];
+        let service = Service::with_config(
+            &corpus,
+            ServiceConfig { shards, threads: 1, ..ServiceConfig::default() },
+        );
+        let reference = Service::with_config(
+            &corpus,
+            ServiceConfig { shards, threads: 1, ..ServiceConfig::default() },
+        );
+        let full = reference.eval(q).unwrap();
+        for (offset, limit) in windows {
+            let want: ResultSet = full.iter().skip(offset).take(limit).copied().collect();
+            prop_assert_eq!(service.eval_page(q, offset, limit).unwrap(), want, "{}", q);
+            prop_assert_eq!(service.stats().shard_result_cache_entries, 0, "{}", q);
+        }
+    }
+
+    #[test]
+    fn join_orders_answer_and_page_identically(
         corpus in arb_corpus(),
         qi in 0usize..POOL.len(),
         k in 1usize..12,
     ) {
-        // The optimization goal may pick a different join order; it
-        // must never change the result set — full or paged.
+        // The join order changes how pages are computed, never the
+        // result set — full or paged.
         let q = POOL[qi];
         let ast = parse(q).unwrap();
-        let all_rows = Engine::build(&corpus);
-        let first_rows = Engine::with_config(
+        let greedy = Engine::build(&corpus);
+        let syntactic = Engine::with_config(
             &corpus,
-            PlannerConfig { goal: OptGoal::FirstRows(k), ..Default::default() },
+            PlannerConfig { order: JoinOrder::Syntactic },
         );
-        let (a, b) = (all_rows.query_ast(&ast), first_rows.query_ast(&ast));
+        let (a, b) = (greedy.query_ast(&ast), syntactic.query_ast(&ast));
         match (a, b) {
             (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a, &b, "goals disagree on {}", q);
-                for (goal, engine) in [(OptGoal::AllRows, &all_rows), (OptGoal::FirstRows(k), &first_rows)] {
+                prop_assert_eq!(&a, &b, "join orders disagree on {}", q);
+                for engine in [&greedy, &syntactic] {
                     let page = engine.query_limit_ast(&ast, 0, k).unwrap();
-                    prop_assert_eq!(
-                        &page[..],
-                        &a[..k.min(a.len())],
-                        "page under {:?} on {}", goal, q
-                    );
+                    prop_assert_eq!(&page[..], &a[..k.min(a.len())], "page on {}", q);
                 }
             }
             (Err(_), Err(_)) => {} // walker-only query: no plans to compare
-            (a, b) => prop_assert!(false, "{}: one goal errored: {:?} vs {:?}", q, a.is_ok(), b.is_ok()),
+            (a, b) => prop_assert!(false, "{}: one order errored: {:?} vs {:?}", q, a.is_ok(), b.is_ok()),
         }
     }
 }
@@ -190,14 +212,13 @@ proptest! {
 // ---------------------------------------------------------------
 
 #[test]
-fn evaluation_queries_paginate_identically_across_goals_and_layers() {
+fn evaluation_queries_paginate_identically_across_orders_and_layers() {
     let corpus = generate(&GenConfig::wsj(60).with_seed(11));
     let engine = Engine::build(&corpus);
-    let first_rows = Engine::with_config(
+    let syntactic = Engine::with_config(
         &corpus,
         PlannerConfig {
-            goal: OptGoal::FirstRows(10),
-            ..Default::default()
+            order: JoinOrder::Syntactic,
         },
     );
     let service = Service::with_config(
@@ -210,14 +231,14 @@ fn evaluation_queries_paginate_identically_across_goals_and_layers() {
     for case in fixtures::eval_cases() {
         let ast = parse(case.lpath).unwrap();
         let full = engine.query(case.lpath).unwrap();
-        assert_eq!(first_rows.query_ast(&ast).unwrap(), full, "Q{}", case.id);
+        assert_eq!(syntactic.query_ast(&ast).unwrap(), full, "Q{}", case.id);
         for (offset, limit) in [(0, 1), (0, 10), (7, 10), (full.len(), 5)] {
             let want: ResultSet = full.iter().skip(offset).take(limit).copied().collect();
-            for (goal, engine) in [("AllRows", &engine), ("FirstRows", &first_rows)] {
+            for (order, engine) in [("greedy", &engine), ("syntactic", &syntactic)] {
                 assert_eq!(
                     engine.query_limit_ast(&ast, offset, limit).unwrap(),
                     want,
-                    "Q{} {offset}/{limit} under {goal}",
+                    "Q{} {offset}/{limit} under {order}",
                     case.id
                 );
             }

@@ -6,11 +6,10 @@
 //! already served — must be *unobservable* in the output: for any
 //! corpus, query and split schedule, the concatenation of the pages is
 //! byte-identical to the uninterrupted enumeration — on the walker,
-//! the engine (document order) and the sharded service's prefix-
-//! extending page path alike. Any position names a suffix of the
-//! result. On top of that, cached prefixes extended *across*
-//! `append_ptb` must agree with a fresh evaluation of the grown
-//! corpus.
+//! the engine (document order) and the sharded service's positioned
+//! page sweeps alike. Any position names a suffix of the result. On
+//! top of that, pages swept *across* `append_ptb` must agree with a
+//! fresh evaluation of the grown corpus.
 //!
 //! `PROPTEST_CASES` scales the case count (CI's nightly sweep raises
 //! it); the default here is the acceptance floor of 256.
@@ -145,7 +144,7 @@ proptest! {
     }
 
     #[test]
-    fn service_page_sweep_extends_prefixes_exactly(
+    fn service_offset_pages_sweep_from_positions_exactly(
         trees in arb_treebank(),
         qi in 0usize..POOL.len(),
         page in 1usize..5,
@@ -163,8 +162,8 @@ proptest! {
             &corpus,
             ServiceConfig { shards, threads: 1, ..ServiceConfig::default() },
         );
-        // Sweep pages 1..K on one service so every deeper page
-        // extends the cached prefixes of the earlier ones.
+        // Sweep pages 1..K on one service: each offset page is a
+        // positioned sweep from the corpus start.
         let mut got: ResultSet = Vec::new();
         loop {
             let chunk = service.eval_page(q, got.len(), page).unwrap();
@@ -180,7 +179,7 @@ proptest! {
     }
 
     #[test]
-    fn prefixes_extended_across_append_match_fresh_evaluation(
+    fn positioned_pages_across_append_match_fresh_evaluation(
         trees in arb_treebank(),
         tail in arb_treebank(),
         qi in 0usize..POOL.len(),
@@ -193,13 +192,12 @@ proptest! {
             &parse_str(&trees.join("\n")).expect("parses"),
             ServiceConfig { shards, threads: 1, ..ServiceConfig::default() },
         );
-        // Warm the prefix cache with a few pages…
+        // Page a little way in…
         service.eval_page(q, 0, warm.max(1)).unwrap();
         // …grow the corpus…
         service.append_ptb(&tail.join("\n")).unwrap();
-        // …and sweep pages over the grown corpus: head-shard prefixes
-        // survive the append (build-id scoping) and must agree with a
-        // from-scratch evaluation of the whole grown corpus.
+        // …and sweep pages over the grown corpus: they must agree with
+        // a from-scratch evaluation of the whole grown corpus.
         let grown = parse_str(&[trees, tail].concat().join("\n")).expect("parses");
         let engine = Engine::build(&grown);
         let ast = parse(q).unwrap();
@@ -222,39 +220,27 @@ proptest! {
 
 /// The engine under each join order the planner offers.
 fn engines_under_every_order(corpus: &Corpus) -> [Engine; 2] {
-    [JoinOrder::GreedyStats, JoinOrder::Syntactic].map(|order| {
-        Engine::with_config(
-            corpus,
-            PlannerConfig {
-                order,
-                ..PlannerConfig::default()
-            },
-        )
-    })
+    [JoinOrder::GreedyStats, JoinOrder::Syntactic]
+        .map(|order| Engine::with_config(corpus, PlannerConfig { order }))
 }
 
-/// Does every cursor plan of `ast` — under the first-rows goals pages
-/// plan for and the all-rows goal budgeted counts plan for — start at
-/// a tree? A plan whose anchor is not tree-ordered would send every
-/// page and count back to evaluating the whole corpus, filtering and
-/// sorting; only the constant-empty plan may lack an anchor.
+/// Does the cursor plan of `ast` — what pages and budgeted counts run
+/// when no semijoin program answers — start at a tree? A plan whose
+/// anchor is not tree-ordered would send every page and count back to
+/// evaluating the whole corpus, filtering and sorting; only the
+/// constant-empty plan may lack an anchor.
 fn starts_at_a_tree(engine: &Engine, ast: &Path) -> Result<(), String> {
     if engine.query_ast(ast).is_err() {
         return Ok(()); // no relational translation: the walker pages it
     }
-    for goal in [
-        OptGoal::FirstRows(1),
-        OptGoal::FirstRows(25),
-        OptGoal::AllRows,
-    ] {
-        if !engine
-            .cursor_starts_at_a_tree(ast, goal)
-            .map_err(|e| e.to_string())?
-        {
-            return Err(format!("the {goal:?} plan evaluates the whole corpus"));
-        }
+    if engine
+        .cursor_starts_at_a_tree(ast)
+        .map_err(|e| e.to_string())?
+    {
+        Ok(())
+    } else {
+        Err("the cursor plan evaluates the whole corpus".to_string())
     }
-    Ok(())
 }
 
 proptest! {

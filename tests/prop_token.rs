@@ -447,7 +447,7 @@ proptest! {
 
     /// A page token held across an `append_ptb` is stale: the sweep
     /// re-enters at the token's global offset against current content
-    /// and continues on offset-only tokens to exhaustion. The rows
+    /// and continues on position tokens to exhaustion. The rows
     /// served before the append, followed by those served after it,
     /// are the served rows followed by the current
     /// [`Service::eval`] from that offset on — and the
