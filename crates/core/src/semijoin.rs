@@ -1,4 +1,4 @@
-//! Semijoin programs: acyclic LPath queries answered tree by tree.
+//! Semijoin programs: LPath queries answered tree by tree.
 //!
 //! Every answer of an LPath query is one node set, and every join the
 //! §4 translation emits carries `tid` equality. When the translated
@@ -10,9 +10,11 @@
 //!
 //! * after dropping the `tid = tid` equalities, each query level's join
 //!   graph is a tree — rooted at the output alias for the top level,
-//!   at the alias that carries the correlation for a subquery;
+//!   at the alias that carries the correlation for a subquery — or
+//!   becomes a forest once one *bound* alias is removed (below);
 //! * each `EXISTS` / `NOT EXISTS` subquery correlates with exactly one
-//!   outer alias, through exactly one of its own aliases;
+//!   outer alias, through exactly one of its own aliases, besides
+//!   enclosing bound aliases;
 //! * the `tid` equalities tie every alias to one tree;
 //! * every alias has a candidate source: an equality on `name` or on a
 //!   `value` literal (its posting list — the clustered `(name, tid, …)`
@@ -20,10 +22,32 @@
 //!   — for an element alias without either, such as `_` — an `id = id`
 //!   link to an alias with a posting list (the same tree node, as in
 //!   `_[@lex=w]`), else `depth = 1` (the tree's root), else every
-//!   element of the tree.
+//!   element of the tree. An element alias tied by `id` to a bound
+//!   alias's `id` or `pid` reads that one node instead.
 //!
-//! Multi-step scopes (`//VP{/VB-->NN}`) tie a later step to both its
-//! context and the scope: a cycle, so they stay on the cursor.
+//! Multi-step scopes (`//VP{/VB-->NN}`) tie every inner step to both
+//! its context and the scope alias, which closes a cycle — but a cycle
+//! that removing one alias breaks (Gottlob–Koch–Schulz's cyclic
+//! queries need more; these need a cut set of one). That alias is
+//! *bound*: the level is evaluated once per candidate `r` of it, with
+//! every link to it a filter of the other aliases' candidates against
+//! `r` (a link that bounds `left` first cuts them to `r`'s span by
+//! binary search: every candidate source lists a tree's rows in `left`
+//! order). The remaining aliases form a forest: the level root's
+//! component is reduced per `r` and its survivors are unioned over all
+//! `r`; every other component is a *witness*, rooted at its alias with
+//! the fewest rows, that must keep a row for `r` to count. When the
+//! bound alias is the level root itself (`//VP[{//VB->NP}]`), it keeps
+//! the `r`s whose witnesses all hold. Before that loop, the bound rows
+//! are cut to those with a partner among the candidates of each alias
+//! of the level tied to them by an equality (`^`, `$`, `/`). A
+//! subquery correlated with two aliases of a level (a `not(…)` inside
+//! a scope names both its context and the scope) needs one of them
+//! bound; the other is its parent. Among the aliases whose removal
+//! leaves a forest, and that every such subquery names, the bound one
+//! is the one with the fewest rows, then the one of highest degree,
+//! then the lower. A level that needs two bound aliases stays on the
+//! cursor.
 //!
 //! Execution visits the trees of the *driver* — the required alias
 //! with the smallest posting list — in `tid` order, from any start
@@ -36,7 +60,9 @@
 //! parent's is reduced first: when it keeps no rows, the parent's
 //! candidates are never read. A dearer child is reduced after them,
 //! its own candidates first cut to those with a partner among the
-//! parent's. Either way a parent row is kept when it has a witness
+//! parent's — read by binary search, parent row by parent row, when
+//! the edge sets an `=` on the child's `left` and the parent rows are
+//! fewer than the child's source rows. Either way a parent row is kept when it has a witness
 //! among the child's survivors — found by sorting the child rows on the
 //! edge's `=` column (else on a bounded column), binary-searching, and
 //! scanning the remaining conditions up to the first hit. A
@@ -44,7 +70,7 @@
 //! survivors are the tree's answers.
 
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use lpath_model::NodeId;
 use lpath_relstore::{
@@ -102,6 +128,28 @@ struct Node {
     /// Edges to the aliases below it: early ones first, then the other
     /// semijoins, then the anti-semijoins; cheapest first within each.
     children: Vec<Edge>,
+    /// Links to bound aliases: filters against their current rows.
+    binds: Vec<Bind>,
+    /// On a level root: the level's bound alias.
+    scope: Option<Scope>,
+}
+
+/// A level's bound alias and what each of its rows must witness.
+struct Scope {
+    alias: usize,
+    /// Roots of the components that hang off the bound alias alone:
+    /// each must keep a row for the bound row to count.
+    witnesses: Vec<usize>,
+    /// The aliases of its level whose candidates, read unbound, first
+    /// cut the bound alias's rows to those with a partner among them.
+    prefilter: Vec<usize>,
+}
+
+/// An alias's links to one bound alias, as a [`Search`] from the bound
+/// row for the alias's candidates, keyed on `left`.
+struct Bind {
+    alias: usize,
+    search: Search,
 }
 
 /// Where an alias's candidates in one tree come from.
@@ -110,9 +158,12 @@ enum Source {
     /// A posting list (in [`Program::lists`]) sorted by `tid` first:
     /// the rows equal to one constant on `name` or `value`.
     Posting { list: usize, on: NCol },
-    /// The element rows of the nodes the candidates of `from` (a
-    /// [`Source::Posting`] alias) name — they share `id`.
-    SameNode { from: usize },
+    /// The element rows of the nodes the rows of `from`'s posting list
+    /// `list` that pass `from`'s filters name — they share `id`.
+    SameNode { from: usize, list: usize },
+    /// The element row whose `id` is column `col` (`id` or `pid`) of
+    /// the row bound alias `of` is bound to.
+    BoundNode { of: usize, col: ColId },
     /// The tree's root element.
     Root,
     /// Every element of the tree.
@@ -129,7 +180,7 @@ enum Filter {
 }
 
 /// `x.x cmp y.y` between the rows of two aliases.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 struct Link {
     x: ColId,
     cmp: Cmp,
@@ -154,11 +205,29 @@ struct Edge {
     /// A semijoin edge to a child whose posting list is no longer than
     /// its parent's: evaluated before the parent's candidates are read.
     early: bool,
+    /// The child's candidates may be probed for, parent row by parent
+    /// row: `up` searches on `left`, the order every source lists, and
+    /// pins it by an `=`, so each parent's range is narrow.
+    probe: bool,
     /// Witnesses among the child's rows, for a parent row.
     up: Search,
     /// Partners among the parent's rows, for a child row.
     down: Search,
 }
+
+/// The rows of an alias's parent and the edge down from it.
+type Cut<'a> = (&'a [RowId], &'a Edge);
+
+/// Rows a source lists in one tree, in `left` order, and the posting
+/// alias they belong to when they only name the candidates' nodes.
+#[derive(Copy, Clone)]
+struct Listed<'r> {
+    rows: &'r [RowId],
+    named_by: Option<usize>,
+}
+
+/// Bounds on a key, each `(x column, offset)`.
+type Bounds = Vec<(ColId, u32)>;
 
 /// How to find, for one `x` row, a `y` row satisfying every link: sort
 /// the `y` rows on `key`, binary-search the bound the links put on it,
@@ -167,56 +236,20 @@ struct Search {
     links: Vec<Link>,
     key: Option<ColId>,
     /// `y.key >= x.col + d`.
-    lo: Vec<(ColId, u32)>,
+    lo: Bounds,
     /// `y.key <= x.col - d`.
-    hi: Vec<(ColId, u32)>,
+    hi: Bounds,
 }
 
 impl Search {
     /// Choose the key: a column under an `=` link, else one bounded on
-    /// both sides, else one bounded on either. Intervals are never
-    /// empty (`left < right` on every row), so a bound on `right`
-    /// bounds `left` too, and vice versa.
+    /// both sides, else one bounded on either.
     fn plan(links: Vec<Link>, cols: NodeCols) -> Search {
-        let (left, right) = (cols.col(NCol::Left), cols.col(NCol::Right));
-        let bounds = |key: ColId| {
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            for l in &links {
-                // `y.(l.y) flip x.(l.x)`.
-                let c = l.cmp.flip();
-                if l.y == key {
-                    match c {
-                        Cmp::Eq => {
-                            lo.push((l.x, 0));
-                            hi.push((l.x, 0));
-                        }
-                        Cmp::Ge => lo.push((l.x, 0)),
-                        Cmp::Gt => lo.push((l.x, 1)),
-                        Cmp::Le => hi.push((l.x, 0)),
-                        Cmp::Lt => hi.push((l.x, 1)),
-                        Cmp::Ne => {}
-                    }
-                } else if key == left && l.y == right {
-                    match c {
-                        Cmp::Eq | Cmp::Le => hi.push((l.x, 1)),
-                        Cmp::Lt => hi.push((l.x, 2)),
-                        _ => {}
-                    }
-                } else if key == right && l.y == left {
-                    match c {
-                        Cmp::Eq | Cmp::Ge => lo.push((l.x, 1)),
-                        Cmp::Gt => lo.push((l.x, 2)),
-                        _ => {}
-                    }
-                }
-            }
-            (lo, hi)
-        };
         let score = |key: ColId| {
             if links.iter().any(|l| l.y == key && l.cmp == Cmp::Eq) {
                 return 3;
             }
-            let (lo, hi) = bounds(key);
+            let (lo, hi) = bounds(&links, key, cols);
             usize::from(!lo.is_empty()) + usize::from(!hi.is_empty())
         };
         let mut key = None;
@@ -227,9 +260,75 @@ impl Search {
                 (key, best) = (Some(l.y), s);
             }
         }
-        let (lo, hi) = key.map(bounds).unwrap_or_default();
+        let (lo, hi) = key.map(|k| bounds(&links, k, cols)).unwrap_or_default();
         Search { links, key, lo, hi }
     }
+
+    /// Search on `key` whatever the links bound.
+    fn keyed(links: Vec<Link>, key: ColId, cols: NodeCols) -> Search {
+        let (lo, hi) = bounds(&links, key, cols);
+        Search {
+            links,
+            key: Some(key),
+            lo,
+            hi,
+        }
+    }
+
+    /// The closed range the links put on a `y` row's key, for row `x`.
+    #[inline]
+    fn range(&self, table: &Table, x: RowId) -> (i64, i64) {
+        let v = |c: ColId| i64::from(table.value(x, c));
+        let lo = self.lo.iter().map(|&(c, d)| v(c) + i64::from(d));
+        let hi = self.hi.iter().map(|&(c, d)| v(c) - i64::from(d));
+        (lo.max().unwrap_or(0), hi.min().unwrap_or(i64::MAX))
+    }
+
+    /// Do rows `x` and `y` satisfy every link?
+    #[inline]
+    fn holds(&self, table: &Table, x: RowId, y: RowId) -> bool {
+        let v = |r: RowId, c: ColId| table.value(r, c);
+        self.links.iter().all(|l| l.cmp.eval(v(x, l.x), v(y, l.y)))
+    }
+}
+
+/// The bounds `links` put on `y.key`, as `(x column, offset)` pairs:
+/// `y.key >= x.col + d` (low) and `y.key <= x.col - d` (high).
+/// Intervals are never empty (`left < right` on every row), so a bound
+/// on `right` bounds `left` too, and vice versa.
+fn bounds(links: &[Link], key: ColId, cols: NodeCols) -> (Bounds, Bounds) {
+    let (left, right) = (cols.col(NCol::Left), cols.col(NCol::Right));
+    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+    for l in links {
+        // `y.(l.y) flip x.(l.x)`.
+        let c = l.cmp.flip();
+        if l.y == key {
+            match c {
+                Cmp::Eq => {
+                    lo.push((l.x, 0));
+                    hi.push((l.x, 0));
+                }
+                Cmp::Ge => lo.push((l.x, 0)),
+                Cmp::Gt => lo.push((l.x, 1)),
+                Cmp::Le => hi.push((l.x, 0)),
+                Cmp::Lt => hi.push((l.x, 1)),
+                Cmp::Ne => {}
+            }
+        } else if key == left && l.y == right {
+            match c {
+                Cmp::Eq | Cmp::Le => hi.push((l.x, 1)),
+                Cmp::Lt => hi.push((l.x, 2)),
+                _ => {}
+            }
+        } else if key == right && l.y == left {
+            match c {
+                Cmp::Eq | Cmp::Ge => lo.push((l.x, 1)),
+                Cmp::Gt => lo.push((l.x, 2)),
+                _ => {}
+            }
+        }
+    }
+    (lo, hi)
 }
 
 /// Per-run state: each list's window in the current tree, and reusable
@@ -243,6 +342,10 @@ struct State {
     /// candidates are read.
     early: Vec<Vec<RowId>>,
     sorted: Vec<(Value, RowId)>,
+    /// Per alias: the row a bound alias is bound to.
+    bound: Vec<RowId>,
+    /// Probe ranges.
+    spans: Vec<(i64, i64)>,
 }
 
 impl State {
@@ -268,6 +371,13 @@ impl<'e> Program<'e> {
         tree_starts: &'e [u32],
     ) -> Option<Self> {
         let (tid, id) = (cols.col(NCol::Tid), cols.col(NCol::Id));
+        let eq = |col: ColId| Link {
+            x: col,
+            cmp: Cmp::Eq,
+            y: col,
+        };
+        let (tid_link, id_link) = (eq(tid), eq(id));
+        let pid = cols.col(NCol::Pid);
         let [out_tid, out_id] = cq.projection[..] else {
             return None;
         };
@@ -283,110 +393,180 @@ impl<'e> Program<'e> {
         // `(parent, child, links, anti)`, oriented.
         let mut edges: Vec<(usize, usize, Vec<Link>, bool)> = Vec::new();
 
+        let table_ref = db.table(table);
+        let by_name = db.index(access.by_name);
+        let by_value = db.index(access.by_value);
+        let (name, value, depth) = (
+            cols.col(NCol::Name),
+            cols.col(NCol::Value),
+            cols.col(NCol::Depth),
+        );
+        // Per alias: the shortest posting list an equality on `name` or
+        // on a `value` literal gives it, and that equality's index.
+        let mut postings: Vec<Option<(&'e [RowId], NCol, usize)>> = Vec::with_capacity(total);
+
         for lvl in &levels {
             let q = lvl.query;
             let g = |a: usize| lvl.offset + a;
             // Unordered local pairs with their links, `first.x cmp second.y`.
             let mut pairs: Vec<(usize, usize, Vec<Link>)> = Vec::new();
-            let mut outer = None;
-            let mut correlated = None;
-            let mut corr_links = Vec::new();
+            // Correlations `(local, outer, links)`, `local.x cmp outer.y`.
+            let mut corr: Vec<(usize, usize, Vec<Link>)> = Vec::new();
             for c in &q.conds {
                 let l = g(c.left.alias);
-                let tid_eq = |col: ColId| c.cmp == Cmp::Eq && c.left.col == tid && col == tid;
-                let id_eq = |col: ColId| c.cmp == Cmp::Eq && c.left.col == id && col == id;
-                match c.right {
-                    Operand::Const(v) => drafts[l].consts.push((c.left.col, c.cmp, v)),
+                let (other, col, outer) = match c.right {
+                    Operand::Const(v) => {
+                        drafts[l].consts.push((c.left.col, c.cmp, v));
+                        continue;
+                    }
                     Operand::Col(r) if r.alias == c.left.alias => {
                         drafts[l]
                             .filters
                             .push(Filter::Cols(c.left.col, c.cmp, r.col));
+                        continue;
                     }
-                    Operand::Col(r) => {
-                        let other = g(r.alias);
-                        if tid_eq(r.col) {
-                            same_tree.union(l, other);
-                            continue;
-                        }
-                        if id_eq(r.col) {
-                            same_node.union(l, other);
-                        }
-                        let link = Link {
-                            x: c.left.col,
-                            cmp: c.cmp,
-                            y: r.col,
-                        };
-                        match pairs
-                            .iter_mut()
-                            .find(|(a, b, _)| (*a, *b) == (l, other) || (*a, *b) == (other, l))
-                        {
-                            Some((a, _, links)) => {
-                                links.push(if *a == l { link } else { link.flipped() });
-                            }
-                            None => pairs.push((l, other, vec![link])),
-                        }
-                    }
-                    Operand::Outer(r) => {
-                        let p = levels[lvl.outer?].offset + r.alias;
-                        if *outer.get_or_insert(p) != p || *correlated.get_or_insert(l) != l {
-                            return None;
-                        }
-                        if tid_eq(r.col) {
-                            same_tree.union(l, p);
-                            continue;
-                        }
-                        if id_eq(r.col) {
-                            same_node.union(l, p);
-                        }
-                        corr_links.push(Link {
-                            x: c.left.col,
-                            cmp: c.cmp,
-                            y: r.col,
-                        });
-                    }
+                    Operand::Col(r) => (g(r.alias), r.col, false),
+                    Operand::Outer(r) => (levels[lvl.outer?].offset + r.alias, r.col, true),
+                };
+                let link = Link {
+                    x: c.left.col,
+                    cmp: c.cmp,
+                    y: col,
+                };
+                let (tid_eq, id_eq) = (link == tid_link, link == id_link);
+                if tid_eq {
+                    same_tree.union(l, other);
+                } else if id_eq {
+                    same_node.union(l, other);
                 }
+                // A tree-only pair joins nothing; a tree-only
+                // correlation still names the subquery's parent.
+                let (list, link) = match (outer, tid_eq) {
+                    (false, true) => continue,
+                    (false, false) => (&mut pairs, Some(link)),
+                    (true, tid_eq) => (&mut corr, (!tid_eq).then_some(link)),
+                };
+                let at = list
+                    .iter()
+                    .position(|&(a, b, _)| (a, b) == (l, other) || (a, b) == (other, l));
+                let at = at.unwrap_or_else(|| {
+                    list.push((l, other, Vec::new()));
+                    list.len() - 1
+                });
+                let (a, _, links) = &mut list[at];
+                let link = link.map(|k| if *a == l { k } else { k.flipped() });
+                links.extend(link.filter(|k| !links.contains(k)));
             }
             for ic in &q.in_conds {
                 drafts[g(ic.col.alias)]
                     .filters
                     .push(Filter::In(ic.col.col, ic.values().to_vec()));
             }
+            for d in &drafts[lvl.offset..lvl.offset + q.aliases.len()] {
+                let mut best: Option<(&'e [RowId], NCol, usize)> = None;
+                for (i, &(col, cmp, v)) in d.consts.iter().enumerate() {
+                    let rows = match (col, cmp) {
+                        (c, Cmp::Eq) if c == name => by_name.equal_range(table_ref, &[v]),
+                        (c, Cmp::Eq) if c == value && v != NULL => {
+                            by_value.equal_range(table_ref, &[v])
+                        }
+                        _ => continue,
+                    };
+                    if best.is_none_or(|(b, ..)| rows.len() < b.len()) {
+                        let on = if col == name { NCol::Name } else { NCol::Value };
+                        best = Some((rows, on, i));
+                    }
+                }
+                postings.push(best);
+            }
 
-            // The level's root, then its join graph as a tree below it.
+            // The level's root. A subquery's parent is the one outer
+            // alias it correlates with whose binders hold every other
+            // one: links to those are filters against their rows.
             let root = match lvl.outer {
                 None => out_id.alias,
                 Some(_) => {
-                    let (p, a) = (outer?, correlated?);
-                    edges.push((p, a, corr_links, lvl.negated));
-                    a
+                    let p = corr.iter().map(|c| c.1).find(|&p| {
+                        corr.iter()
+                            .all(|c| c.1 == p || drafts[p].binders.contains(&c.1))
+                    })?;
+                    let mut root = None;
+                    for (l, o, links) in corr {
+                        if o != p {
+                            drafts[l].bound.push((o, links));
+                        } else if root.replace(l).is_none() {
+                            edges.push((p, l, links, lvl.negated));
+                        } else {
+                            return None;
+                        }
+                    }
+                    let root = root?;
+                    let inherited = drafts[p].binders.clone();
+                    for d in &mut drafts[lvl.offset..lvl.offset + q.aliases.len()] {
+                        d.binders.clone_from(&inherited);
+                    }
+                    root
                 }
             };
-            let n = q.aliases.len();
-            if pairs.len() + 1 != n {
-                return None;
-            }
-            let mut reached = vec![false; n];
-            reached[root - lvl.offset] = true;
-            let mut frontier = vec![root];
-            while let Some(u) = frontier.pop() {
-                for (a, b, links) in &pairs {
-                    let child = match (*a == u, *b == u) {
-                        (true, _) => *b,
-                        (_, true) => *a,
-                        _ => continue,
-                    };
-                    if reached[child - lvl.offset] {
-                        continue;
-                    }
-                    reached[child - lvl.offset] = true;
-                    // Child first: `child.x cmp parent.y`.
-                    let links = links.iter().map(|&l| if *a == u { l.flipped() } else { l });
-                    edges.push((u, child, links.collect(), false));
-                    frontier.push(child);
+            // Its join graph as a tree below the root — else as a forest
+            // once the bound alias is removed. A subquery correlated with
+            // two of its aliases needs one of them bound: the other is
+            // its parent.
+            let local = lvl.offset..lvl.offset + q.aliases.len();
+            let mut shared: Option<Vec<usize>> = None;
+            for sub in &q.subqueries {
+                let mut outers: Vec<usize> = (sub.query.conds.iter())
+                    .filter_map(|c| match c.right {
+                        Operand::Outer(r) => Some(g(r.alias)),
+                        _ => None,
+                    })
+                    .collect();
+                outers.sort_unstable();
+                outers.dedup();
+                if outers.len() > 1 {
+                    let keep = shared.get_or_insert_with(|| outers.clone());
+                    keep.retain(|a| outers.contains(a));
                 }
             }
-            if reached.contains(&false) {
-                return None;
+            let rows_of = |a: usize| postings[a].map_or(usize::MAX, |(rows, ..)| rows.len());
+            let base = edges.len();
+            let tree = shared
+                .is_none()
+                .then(|| span(&pairs, local.clone(), root, None, rows_of, &mut edges));
+            let (bound, witnesses) = match tree.flatten() {
+                Some(witnesses) if witnesses.is_empty() => (None, witnesses),
+                _ => {
+                    edges.truncate(base);
+                    // Bind the alias with the fewest rows, then the one
+                    // of highest degree, then the lower one.
+                    let degree = |a: usize| pairs.iter().filter(|p| p.0 == a || p.1 == a).count();
+                    let mut order: Vec<usize> = shared.unwrap_or_else(|| local.clone().collect());
+                    order.sort_by_key(|&a| (rows_of(a), std::cmp::Reverse(degree(a)), a));
+                    let mut forest =
+                        |b| span(&pairs, local.clone(), root, Some(b), rows_of, &mut edges);
+                    order
+                        .into_iter()
+                        .find_map(|b| forest(b).map(|w| (Some(b), w)))?
+                }
+            };
+            if let Some(b) = bound {
+                for (x, y, links) in pairs {
+                    if x == b {
+                        drafts[y]
+                            .bound
+                            .push((b, links.into_iter().map(Link::flipped).collect()));
+                    } else if y == b {
+                        drafts[x].bound.push((b, links));
+                    }
+                }
+                for a in local.filter(|&a| a != b) {
+                    drafts[a].binders.push(b);
+                }
+                drafts[root].scope = Some(Scope {
+                    alias: b,
+                    witnesses,
+                    prefilter: Vec::new(),
+                });
             }
         }
         if (1..total).any(|a| !same_tree.same(0, a)) {
@@ -394,64 +574,59 @@ impl<'e> Program<'e> {
         }
 
         // Candidate sources (see the module docs).
-        let table_ref = db.table(table);
-        let by_name = db.index(access.by_name);
-        let by_value = db.index(access.by_value);
         let mut lists: Vec<&'e [RowId]> = Vec::new();
-        let mut own: Vec<Option<(usize, NCol)>> = Vec::with_capacity(total);
-        let (name, value, depth) = (
-            cols.col(NCol::Name),
-            cols.col(NCol::Value),
-            cols.col(NCol::Depth),
-        );
-        for d in &mut drafts {
-            let mut best: Option<(&'e [RowId], NCol, usize)> = None;
-            for (i, &(col, cmp, v)) in d.consts.iter().enumerate() {
+        // Per alias: its posting list, the column and the constant.
+        let mut own: Vec<Option<(usize, NCol, Value)>> = Vec::with_capacity(total);
+        for (d, best) in drafts.iter_mut().zip(postings) {
+            for &(col, cmp, v) in &d.consts {
                 d.empty |= cmp == Cmp::Lt && v == 0;
                 d.element |= (col, cmp, v) == (value, Cmp::Eq, NULL);
                 d.root |= (col, cmp, v) == (depth, Cmp::Eq, 1);
-                let rows = match (col, cmp) {
-                    (c, Cmp::Eq) if c == name => (by_name.equal_range(table_ref, &[v]), NCol::Name),
-                    (c, Cmp::Eq) if c == value && v != NULL => {
-                        (by_value.equal_range(table_ref, &[v]), NCol::Value)
-                    }
-                    _ => continue,
-                };
-                if best.is_none_or(|(b, ..)| rows.0.len() < b.len()) {
-                    best = Some((rows.0, rows.1, i));
-                }
-            }
-            // A posting implies its own equality.
-            if let Some((_, _, i)) = best {
-                d.consts.remove(i);
             }
             // An alias that matches nothing lends no rows to its node.
-            own.push(best.filter(|_| !d.empty).map(|(rows, on, _)| {
+            own.push(best.filter(|_| !d.empty).map(|(rows, on, i)| {
                 let same = |l: &&[RowId]| std::ptr::eq(*l, rows);
                 let list = lists.iter().position(same).unwrap_or_else(|| {
                     lists.push(rows);
                     lists.len() - 1
                 });
-                (list, on)
+                (list, on, d.consts[i].2)
             }));
         }
         let level_of: Vec<usize> = (0..levels.len())
             .flat_map(|l| std::iter::repeat_n(l, levels[l].query.aliases.len()))
             .collect();
         let mut nodes = Vec::with_capacity(total);
-        for (a, d) in drafts.into_iter().enumerate() {
+        let left = cols.col(NCol::Left);
+        for (a, mut d) in drafts.into_iter().enumerate() {
             // Only an alias every match of `a` needs can lend it rows:
             // one of `a`'s level or an enclosing one.
             let cheapest = (0..total)
                 .filter(|&b| same_node.same(a, b) && within(&levels, level_of[a], level_of[b]))
-                .filter_map(|b| own[b].map(|(list, _)| (lists[list].len(), b)))
+                .filter_map(|b| own[b].map(|(list, ..)| (lists[list].len(), b, list)))
                 .min();
+            // `id = b.id` or `id = b.pid`: the node of a bound row or its
+            // parent.
+            let bound_node = d.bound.iter().find_map(|(b, links)| {
+                let l = links
+                    .iter()
+                    .find(|l| l.x == id && l.cmp == Cmp::Eq && (l.y == id || l.y == pid))?;
+                Some(Source::BoundNode { of: *b, col: l.y })
+            });
+            // Element rows only: `value = NULL`, or a tag's posting.
+            let element = || {
+                d.element
+                    || own[a].is_some_and(|(list, ..)| {
+                        (lists[list].first()).is_some_and(|&r| table_ref.value(r, value) == NULL)
+                    })
+            };
             let source = match (own[a], cheapest) {
                 _ if d.empty => Source::Empty,
-                (Some((list, on)), _) => Source::Posting { list, on },
+                _ if bound_node.is_some() && element() => bound_node.expect("just checked"),
+                (Some((list, on, _)), _) => Source::Posting { list, on },
                 _ if !d.element => return None,
                 _ if d.root => Source::Root,
-                (None, Some((_, from))) => Source::SameNode { from },
+                (None, Some((_, from, list))) => Source::SameNode { from, list },
                 (None, None) => Source::Elements,
             };
             // Element sources imply `value = NULL`, the root `depth = 1`.
@@ -459,10 +634,14 @@ impl<'e> Program<'e> {
                 Source::Root => {
                     (col, cmp, v) == (value, Cmp::Eq, NULL) || (col, cmp, v) == (depth, Cmp::Eq, 1)
                 }
-                Source::SameNode { .. } | Source::Elements => {
+                Source::SameNode { .. } | Source::BoundNode { .. } | Source::Elements => {
                     (col, cmp, v) == (value, Cmp::Eq, NULL)
                 }
-                Source::Posting { .. } | Source::Empty => false,
+                // A posting implies its own equality.
+                Source::Posting { list, .. } => own[a].is_some_and(|(l, on, k)| {
+                    l == list && (col, cmp, v) == (cols.col(on), Cmp::Eq, k)
+                }),
+                Source::Empty => false,
             };
             let mut filters: Vec<Filter> = d
                 .consts
@@ -471,18 +650,34 @@ impl<'e> Program<'e> {
                 .map(|&(col, cmp, v)| Filter::Const(col, cmp, v))
                 .collect();
             filters.extend(d.filters);
+            let binds = d
+                .bound
+                .into_iter()
+                .map(|(b, links)| Bind {
+                    alias: b,
+                    search: Search::keyed(
+                        links.into_iter().map(Link::flipped).collect(),
+                        left,
+                        cols,
+                    ),
+                })
+                .collect();
             nodes.push(Node {
                 source,
                 filters,
                 children: Vec::new(),
+                binds,
+                scope: d.scope.take(),
             });
         }
         let elements = by_value.equal_range(table_ref, &[NULL]);
 
-        // Rows read per run: the planning currency.
+        // Rows read per run (per binding for a bound node): the
+        // planning currency.
         let cost = |nodes: &[Node], a: usize| match nodes[a].source {
             Source::Posting { list, .. } => lists[list].len(),
-            Source::SameNode { from } => own[from].map_or(0, |(list, _)| lists[list].len()),
+            Source::SameNode { list, .. } => lists[list].len(),
+            Source::BoundNode { .. } => 1,
             Source::Root => tree_starts.len() - 1,
             Source::Elements => elements.len(),
             Source::Empty => 0,
@@ -503,13 +698,14 @@ impl<'e> Program<'e> {
         }
         for (parent, child, links, anti) in edges {
             // A parent read off its child's nodes has, in every row, a
-            // witness for a bare `id = id` edge to a childless child.
-            let implied = matches!(nodes[parent].source, Source::SameNode { from } if from == child)
+            // witness for a bare `id = id` edge to a childless child
+            // that answers to no bound alias.
+            let implied = matches!(nodes[parent].source, Source::SameNode { from, .. } if from == child)
                 && !anti
-                && links
-                    .iter()
-                    .all(|l| l.x == id && l.y == id && l.cmp == Cmp::Eq)
-                && !has_children[child];
+                && links.iter().all(|&l| l == id_link)
+                && !has_children[child]
+                && nodes[child].binds.is_empty()
+                && nodes[child].scope.is_none();
             if implied {
                 continue;
             }
@@ -520,9 +716,34 @@ impl<'e> Program<'e> {
                 child,
                 anti,
                 early,
+                probe: up.key == Some(left)
+                    && up.links.iter().any(|l| l.y == left && l.cmp == Cmp::Eq),
                 up,
                 down,
             });
+        }
+
+        // Before the per-row loop, a bound alias's rows are cut to those
+        // with a partner among the unbound candidates of each alias of
+        // its level that it filters by an equality — those listed apart
+        // from the bound row, cheapest first.
+        for a in 0..total {
+            let Some(b) = nodes[a].scope.as_ref().map(|s| s.alias) else {
+                continue;
+            };
+            let mut prefilter: Vec<usize> = (0..total)
+                .filter(|&x| {
+                    level_of[x] == level_of[b]
+                        && !matches!(nodes[x].source, Source::BoundNode { .. } | Source::Elements)
+                        && nodes[x].binds.iter().any(|bind| {
+                            bind.alias == b && bind.search.links.iter().any(|l| l.cmp == Cmp::Eq)
+                        })
+                })
+                .collect();
+            prefilter.sort_by_key(|&x| cost(&nodes, x));
+            if let Some(scope) = &mut nodes[a].scope {
+                scope.prefilter = prefilter;
+            }
         }
 
         // The driver: the top level's smallest posting. A top-level
@@ -595,7 +816,12 @@ impl<'e> Program<'e> {
             bufs: Vec::new(),
             early: Vec::new(),
             sorted: Vec::new(),
+            bound: Vec::new(),
+            spans: Vec::new(),
         };
+        if self.nodes.iter().any(|n| n.scope.is_some()) {
+            st.bound = vec![RowId(0); self.nodes.len()];
+        }
         let mut out = Vec::new();
         let mut visit = |t: u32, st: &mut State| {
             let mut matches = st.take();
@@ -654,28 +880,102 @@ impl<'e> Program<'e> {
         &list[start..end]
     }
 
+    /// The rows alias `a`'s source lists in tree `t`, in `left` order —
+    /// when `bound`, only those within the span every bound row allows.
+    fn source(&self, a: usize, t: u32, st: &mut State, bound: bool) -> Listed<'e> {
+        let tree = self.tree_starts[t as usize] as usize..self.tree_starts[t as usize + 1] as usize;
+        let node = &self.nodes[a];
+        let (mut rows, named_by) = match node.source {
+            Source::Empty => (&self.elements[..0], None),
+            Source::Posting { list, .. } => (self.window(list, t, st), None),
+            Source::Elements => (&self.elements[tree], None),
+            Source::Root => (
+                &self.elements[tree.start..tree.end.min(tree.start + 1)],
+                None,
+            ),
+            Source::SameNode { from, list } => (self.window(list, t, st), Some(from)),
+            Source::BoundNode { of, col } => {
+                // Ids number a tree's elements from 2; a root's `pid` is 1.
+                let at = (self.table.value(st.bound[of], col) as usize).checked_sub(2);
+                let at = at.map_or(tree.start..tree.start, |i| {
+                    tree.start + i..tree.start + i + 1
+                });
+                (&self.elements[at], None)
+            }
+        };
+        for b in node.binds.iter().filter(|_| bound) {
+            let (lo, hi) = b.search.range(self.table, st.bound[b.alias]);
+            rows = &rows[self.left_range(rows, lo, hi)];
+        }
+        Listed { rows, named_by }
+    }
+
+    /// Where `rows` (in `left` order) have `lo <= left <= hi`.
+    fn left_range(&self, rows: &[RowId], lo: i64, hi: i64) -> Range<usize> {
+        let left = |r: &RowId| i64::from(self.value(*r, NCol::Left));
+        let start = rows.partition_point(|r| left(r) < lo);
+        start..start + rows[start..].partition_point(|r| left(r) <= hi)
+    }
+
+    fn value(&self, r: RowId, col: NCol) -> Value {
+        self.table.value(r, self.cols.col(col))
+    }
+
     /// Alias `a`'s candidates in tree `t`: its source's rows there that
-    /// pass its own filters.
+    /// pass its own filters and its links to bound rows. (What
+    /// [`Program::source`] and [`Program::read`] give, spelled out for
+    /// aliases no bound row filters: the path most aliases take, once
+    /// per tree.)
     fn candidates(&self, a: usize, t: u32, out: &mut Vec<RowId>, st: &mut State) {
         let tree = self.tree_starts[t as usize] as usize..self.tree_starts[t as usize + 1] as usize;
         let keep = |&r: &RowId| self.passes(a, r);
         match self.nodes[a].source {
-            Source::Empty => {}
+            _ if !self.nodes[a].binds.is_empty() => {
+                let listed = self.source(a, t, st, true);
+                self.read(a, t, listed, true, out, st);
+            }
+            Source::Empty | Source::BoundNode { .. } => {}
             Source::Posting { list, .. } => {
                 out.extend(self.window(list, t, st).iter().filter(|r| keep(r)));
             }
             Source::Elements => out.extend(self.elements[tree].iter().filter(|r| keep(r))),
             Source::Root => out.extend(self.elements[tree].first().filter(|r| keep(r))),
-            Source::SameNode { from } => {
-                let Source::Posting { list, .. } = self.nodes[from].source else {
-                    unreachable!("same-node sources read a posting list");
-                };
+            Source::SameNode { from, list } => {
                 let ids = self.table.column(self.cols.col(NCol::Id));
                 let nodes = self
                     .window(list, t, st)
                     .iter()
                     .filter(|&&s| self.passes(from, s));
                 let rows = nodes.map(|s| self.elements[tree.start + ids[s.index()] as usize - 2]);
+                out.extend(rows.filter(keep));
+            }
+        }
+    }
+
+    /// Alias `a`'s candidates among the `listed` rows: those that pass
+    /// its own filters and — when `bound` — its links to bound rows.
+    fn read(
+        &self,
+        a: usize,
+        t: u32,
+        listed: Listed<'_>,
+        bound: bool,
+        out: &mut Vec<RowId>,
+        st: &State,
+    ) {
+        let Listed { rows, named_by } = listed;
+        let binds = if bound { &self.nodes[a].binds[..] } else { &[] };
+        let keep = |&r: &RowId| {
+            self.passes(a, r)
+                && (binds.iter()).all(|b| b.search.holds(self.table, st.bound[b.alias], r))
+        };
+        match named_by {
+            None => out.extend(rows.iter().filter(|r| keep(r))),
+            Some(from) => {
+                let start = self.tree_starts[t as usize] as usize;
+                let nodes = rows.iter().filter(|&&s| self.passes(from, s));
+                let rows =
+                    nodes.map(|&s| self.elements[start + self.value(s, NCol::Id) as usize - 2]);
                 out.extend(rows.filter(keep));
             }
         }
@@ -691,21 +991,143 @@ impl<'e> Program<'e> {
     }
 
     /// Alias `a`'s rows in tree `t` that have a match of its subtree,
-    /// into the empty `rows`, one filter per edge. A child no dearer
-    /// than `a` is evaluated first and whole: when it has no rows, `a`'s
-    /// candidates are never read. The others are evaluated after `a`'s
-    /// candidates, each cut first to the rows with a partner among `a`'s
-    /// (`cut`, which `a`'s parent passes down the same way).
-    fn eval(
+    /// into the empty `rows`: [`Program::eval_bound`] at a level root
+    /// with a bound alias, else [`Program::reduce`].
+    fn eval(&self, a: usize, t: u32, rows: &mut Vec<RowId>, st: &mut State, cut: Option<Cut<'_>>) {
+        if self.nodes[a].scope.is_some() || cut.is_some_and(|(_, e)| e.probe) {
+            return self.eval_rare(a, t, rows, st, cut);
+        }
+        self.reduce(a, t, rows, st, cut, None);
+    }
+
+    /// [`Program::eval`] at a level root with a bound alias, or down an
+    /// edge that can probe.
+    #[inline(never)]
+    fn eval_rare(
         &self,
         a: usize,
         t: u32,
         rows: &mut Vec<RowId>,
         st: &mut State,
-        cut: Option<(&[RowId], &Search)>,
+        cut: Option<Cut<'_>>,
+    ) {
+        match &self.nodes[a].scope {
+            Some(scope) => self.eval_bound(scope, a, t, rows, st, cut),
+            None => {
+                let probe = self.probe(a, t, st, cut);
+                self.reduce(a, t, rows, st, cut, probe);
+            }
+        }
+    }
+
+    /// The cut to probe `a`'s candidates by — one down an edge that can
+    /// probe, with fewer parent rows than `a`'s source lists — and
+    /// those rows.
+    fn probe<'c>(
+        &self,
+        a: usize,
+        t: u32,
+        st: &mut State,
+        cut: Option<Cut<'c>>,
+    ) -> Option<(Cut<'c>, Listed<'e>)> {
+        let (parents, e) = cut.filter(|(_, e)| e.probe)?;
+        let source = self.source(a, t, st, true);
+        (parents.len() < source.rows.len()).then_some(((parents, e), source))
+    }
+
+    /// [`Program::eval`] at a level root with a bound alias: the
+    /// level is reduced once per bound row. A root that is itself bound
+    /// keeps the rows whose witnesses hold; any other root gathers its
+    /// survivors under every bound row whose witnesses hold.
+    #[inline(never)]
+    fn eval_bound(
+        &self,
+        scope: &Scope,
+        a: usize,
+        t: u32,
+        rows: &mut Vec<RowId>,
+        st: &mut State,
+        cut: Option<Cut<'_>>,
+    ) {
+        if scope.alias == a {
+            let probe = self.probe(a, t, st, cut);
+            self.reduce(a, t, rows, st, cut, probe);
+            self.prefilter(scope, rows, t, st);
+            rows.retain(|&r| self.witnessed(scope, r, t, st));
+            return;
+        }
+        let mut bound = st.take();
+        self.eval(scope.alias, t, &mut bound, st, None);
+        self.prefilter(scope, &mut bound, t, st);
+        for &r in &bound {
+            if self.witnessed(scope, r, t, st) {
+                let mut kid = st.take();
+                let probe = self.probe(a, t, st, cut);
+                self.reduce(a, t, &mut kid, st, cut, probe);
+                rows.extend_from_slice(&kid);
+                st.give(kid);
+            }
+        }
+        st.give(bound);
+        rows.sort_unstable();
+        rows.dedup();
+    }
+
+    /// Keep the rows of `scope`'s alias with a partner among the
+    /// unbound candidates of each alias it prefilters by.
+    fn prefilter(&self, scope: &Scope, rows: &mut Vec<RowId>, t: u32, st: &mut State) {
+        for &x in &scope.prefilter {
+            if rows.is_empty() {
+                return;
+            }
+            let mut ys = st.take();
+            let listed = self.source(x, t, st, false);
+            self.read(x, t, listed, false, &mut ys, st);
+            let binds = &self.nodes[x].binds;
+            let bind = binds.iter().find(|b| b.alias == scope.alias);
+            self.filter(rows, &ys, &bind.expect("prefilters bind").search, true, st);
+            st.give(ys);
+        }
+    }
+
+    /// Bind `scope`'s alias to `r`: does every witness keep a row?
+    fn witnessed(&self, scope: &Scope, r: RowId, t: u32, st: &mut State) -> bool {
+        st.bound[scope.alias] = r;
+        scope.witnesses.iter().all(|&w| {
+            let mut kid = st.take();
+            self.eval(w, t, &mut kid, st, None);
+            let found = !kid.is_empty();
+            st.give(kid);
+            found
+        })
+    }
+
+    /// Alias `a`'s rows in tree `t` that have a match of its alias
+    /// subtree (the level below it, for a level root with a bound
+    /// alias), one filter per edge. A child no dearer than `a` is
+    /// evaluated first and whole: when it has no rows, `a`'s candidates
+    /// are never read. The others are evaluated after `a`'s candidates,
+    /// each cut first to the rows with a partner among `a`'s (`cut`,
+    /// which `a`'s parent passes down the same way). When fewer parent
+    /// rows than source rows come down an edge that can probe, the
+    /// candidates are probed for, parent by parent, and every child is
+    /// evaluated after them.
+    #[inline]
+    fn reduce(
+        &self,
+        a: usize,
+        t: u32,
+        rows: &mut Vec<RowId>,
+        st: &mut State,
+        cut: Option<Cut<'_>>,
+        probe: Option<(Cut<'_>, Listed<'_>)>,
     ) {
         let edges = &self.nodes[a].children;
-        let split = edges.partition_point(|e| e.early);
+        let split = if probe.is_some() {
+            0
+        } else {
+            edges.partition_point(|e| e.early)
+        };
         let base = st.early.len();
         for e in &edges[..split] {
             let mut kid = st.take();
@@ -720,7 +1142,10 @@ impl<'e> Program<'e> {
                 return;
             }
         }
-        self.candidates(a, t, rows, st);
+        match probe {
+            None => self.candidates(a, t, rows, st),
+            Some((cut, source)) => self.read_probed(a, t, cut, source, rows, st),
+        }
         for e in edges[..split].iter().rev() {
             let kid = st.early.pop().expect("pushed above");
             if !rows.is_empty() {
@@ -728,9 +1153,9 @@ impl<'e> Program<'e> {
             }
             st.give(kid);
         }
-        if let Some((parents, down)) = cut.filter(|_| split < edges.len()) {
+        if let Some((parents, e)) = cut.filter(|_| split < edges.len()) {
             if !rows.is_empty() {
-                self.filter(rows, parents, down, true, st);
+                self.filter(rows, parents, &e.down, true, st);
             }
         }
         for e in &edges[split..] {
@@ -738,7 +1163,7 @@ impl<'e> Program<'e> {
                 return;
             }
             let mut kid = st.take();
-            self.eval(e.child, t, &mut kid, st, Some((rows, &e.down)));
+            self.eval(e.child, t, &mut kid, st, Some((rows, e)));
             if kid.is_empty() {
                 if !e.anti {
                     rows.clear();
@@ -748,6 +1173,37 @@ impl<'e> Program<'e> {
             }
             st.give(kid);
         }
+    }
+
+    /// [`Program::read`] of only the `source` rows whose `left` lies in
+    /// the range edge `e` gives some parent row.
+    fn read_probed(
+        &self,
+        a: usize,
+        t: u32,
+        (parents, e): Cut<'_>,
+        source: Listed<'_>,
+        rows: &mut Vec<RowId>,
+        st: &mut State,
+    ) {
+        let mut spans = std::mem::take(&mut st.spans);
+        spans.clear();
+        spans.extend(parents.iter().map(|&p| e.up.range(self.table, p)));
+        spans.sort_unstable();
+        // Each source row is read once, however the ranges overlap.
+        let mut rest = source;
+        for &(lo, hi) in &spans {
+            let span = self.left_range(rest.rows, lo, hi);
+            if !span.is_empty() {
+                let rows_in = Listed {
+                    rows: &rest.rows[span.clone()],
+                    ..rest
+                };
+                self.read(a, t, rows_in, true, rows, st);
+                rest.rows = &rest.rows[span.end..];
+            }
+        }
+        st.spans = spans;
     }
 
     /// Keep the `xs` that have (`keep_found`) or lack a witness among
@@ -760,6 +1216,8 @@ impl<'e> Program<'e> {
         keep_found: bool,
         st: &mut State,
     ) {
+        // (`Search::holds` and `Search::range`, spelled out for the
+        // hottest loop.)
         let v = |r: RowId, c: ColId| self.table.value(r, c);
         let holds = |x: RowId, y: RowId| s.links.iter().all(|l| l.cmp.eval(v(x, l.x), v(y, l.y)));
         // A handful of rows is searched faster than sorted.
@@ -796,6 +1254,13 @@ struct Draft {
     element: bool,
     /// `depth = 1`.
     root: bool,
+    /// The bound aliases whose rows are fixed while its candidates are
+    /// read.
+    binders: Vec<usize>,
+    /// Its links to bound aliases, `self.x cmp b.y`.
+    bound: Vec<(usize, Vec<Link>)>,
+    /// On a level root: the level's bound alias.
+    scope: Option<Scope>,
 }
 
 /// One query level, its aliases numbered from `offset`.
@@ -818,6 +1283,66 @@ fn within(levels: &[Level<'_>], mut inner: usize, outer: usize) -> bool {
             None => return false,
         }
     }
+}
+
+/// Span the aliases `local` less `cut` by the `pairs` that avoid it:
+/// the component of `root` (unless it is cut) from `root`, every other
+/// component from its alias with the fewest `rows`. Pushes the
+/// forest's edges `(parent, child, links, false)`, links oriented
+/// `child.x cmp parent.y`, onto `edges` and returns the roots of the
+/// components that lack `root`; `None`, pushing nothing, when a cycle
+/// remains.
+fn span(
+    pairs: &[(usize, usize, Vec<Link>)],
+    local: Range<usize>,
+    root: usize,
+    cut: Option<usize>,
+    rows: impl Fn(usize) -> usize,
+    edges: &mut Vec<(usize, usize, Vec<Link>, bool)>,
+) -> Option<Vec<usize>> {
+    let kept = || (pairs.iter()).filter(move |(a, b, _)| cut != Some(*a) && cut != Some(*b));
+    let base = edges.len();
+    let mut reached = vec![false; local.len()];
+    if let Some(c) = cut {
+        reached[c - local.start] = true;
+    }
+    let mut witnesses = Vec::new();
+    let mut first = Some(root).filter(|&r| cut != Some(r));
+    while let Some(start) = first.take().or_else(|| {
+        let open = local.clone().filter(|&a| !reached[a - local.start]);
+        open.min_by_key(|&a| (rows(a), a))
+    }) {
+        if start != root {
+            witnesses.push(start);
+        }
+        reached[start - local.start] = true;
+        let mut frontier = vec![start];
+        while let Some(u) = frontier.pop() {
+            for (a, b, links) in kept() {
+                let child = match (*a == u, *b == u) {
+                    (true, _) => *b,
+                    (_, true) => *a,
+                    _ => continue,
+                };
+                if reached[child - local.start] {
+                    continue;
+                }
+                reached[child - local.start] = true;
+                // Child first: `child.x cmp parent.y`.
+                let links = links.iter().map(|&l| if *a == u { l.flipped() } else { l });
+                edges.push((u, child, links.collect(), false));
+                frontier.push(child);
+            }
+        }
+    }
+    // A forest of `c` components over `v` aliases has `v - c` edges.
+    let components = witnesses.len() + usize::from(cut != Some(root));
+    let aliases = local.len() - usize::from(cut.is_some());
+    if kept().count() + components != aliases {
+        edges.truncate(base);
+        return None;
+    }
+    Some(witnesses)
 }
 
 /// List `q` and its subqueries in the SQL rendering's (pre-)order.
@@ -869,7 +1394,8 @@ impl UnionFind {
 }
 
 /// The EXPLAIN section: the alias tree, each edge's kind and search
-/// column, each alias's source, and the driver.
+/// column, each alias's source, each bound alias with the links it
+/// filters by and its witnesses, and the driver.
 impl fmt::Display for Program<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "semijoin program:")?;
@@ -879,7 +1405,7 @@ impl fmt::Display for Program<'_> {
             self.root,
             self.source_text(self.root)
         )?;
-        self.fmt_edges(f, self.root, 2)?;
+        self.fmt_below(f, self.root, 2)?;
         match self.driver {
             Driver::Alias(a) => writeln!(f, "  driver: n{a}"),
             Driver::Every => writeln!(f, "  driver: every tree"),
@@ -894,32 +1420,67 @@ impl Program<'_> {
             Source::Posting { list, on } => {
                 format!("{} range, {} rows", on.name(), self.lists[list].len())
             }
-            Source::SameNode { from } => format!("elements of n{from}'s nodes"),
+            Source::SameNode { from, .. } => format!("elements of n{from}'s nodes"),
+            Source::BoundNode { of, col } => {
+                format!("the element n{of}.{} names", self.col_name(col))
+            }
             Source::Root => "the root element".to_string(),
             Source::Elements => "every element".to_string(),
             Source::Empty => "no rows".to_string(),
         }
     }
 
-    fn fmt_edges(&self, f: &mut fmt::Formatter<'_>, a: usize, depth: usize) -> fmt::Result {
+    fn col_name(&self, c: ColId) -> &'static str {
+        let col = NCol::ALL.iter().find(|&&n| self.cols.col(n) == c);
+        col.map_or("?", |n| n.name())
+    }
+
+    /// What reduces alias `a`, indented `depth` steps: its bound alias
+    /// with what that filters and its witnesses, then its edges.
+    fn fmt_below(&self, f: &mut fmt::Formatter<'_>, a: usize, depth: usize) -> fmt::Result {
+        let pad = 2 * depth;
+        if let Some(scope) = &self.nodes[a].scope {
+            let b = scope.alias;
+            writeln!(
+                f,
+                "{:pad$}bound n{b} (per candidate): {}",
+                "",
+                self.source_text(b)
+            )?;
+            if b != a {
+                self.fmt_below(f, b, depth + 1)?;
+            }
+            for (x, node) in self.nodes.iter().enumerate() {
+                for bind in node.binds.iter().filter(|bind| bind.alias == b) {
+                    // Stored from the bound row's side: `b.x cmp x.y`.
+                    let links: Vec<String> = (bind.search.links.iter())
+                        .map(|l| {
+                            let (y, x_col) = (self.col_name(l.y), self.col_name(l.x));
+                            format!("n{x}.{y} {} n{b}.{x_col}", l.cmp.flip().sql())
+                        })
+                        .collect();
+                    writeln!(f, "{:pad$}  filters n{x} by {}", "", links.join(", "))?;
+                }
+            }
+            for &w in &scope.witnesses {
+                writeln!(f, "{:pad$}witness n{w}: {}", "", self.source_text(w))?;
+                self.fmt_below(f, w, depth + 1)?;
+            }
+        }
         for e in &self.nodes[a].children {
             let search = e.up.key.map_or_else(
                 || "scan".to_string(),
-                |k| {
-                    let col = NCol::ALL.iter().find(|&&n| self.cols.col(n) == k);
-                    format!("search n{}.{}", e.child, col.map_or("?", |n| n.name()))
-                },
+                |k| format!("search n{}.{}", e.child, self.col_name(k)),
             );
             writeln!(
                 f,
-                "{:indent$}{} n{} ({search}): {}",
+                "{:pad$}{} n{} ({search}): {}",
                 "",
                 if e.anti { "anti" } else { "semi" },
                 e.child,
                 self.source_text(e.child),
-                indent = 2 * depth,
             )?;
-            self.fmt_edges(f, e.child, depth + 1)?;
+            self.fmt_below(f, e.child, depth + 1)?;
         }
         Ok(())
     }
@@ -981,5 +1542,90 @@ mod tests {
     fn a_run_with_nothing_to_drive_visits_nothing() {
         let whole = starts_anywhere("//ZZZ", |d| matches!(d, Driver::Nothing));
         assert!(whole.is_empty());
+    }
+
+    /// `TREES` and one more: a `VP` over a `VP`, neither with a `VBD`.
+    const MORE: &str = "( (S (VP (VB go) (VP (VB stop) (NP (NN rain))))) )";
+
+    /// The program for `query` over `TREES` plus `MORE`, checked against
+    /// the walker on every tree.
+    fn bound_program<'e>(engine: &'e Engine, query: &str) -> Program<'e> {
+        let ast = lpath_syntax::parse(query).unwrap();
+        let program = engine.semijoin_ast(&ast).unwrap().expect("covered");
+        let corpus = parse_str(&[&TREES[..], &[MORE]].concat().join("\n")).unwrap();
+        let walker = crate::Walker::new(&corpus).eval(&ast);
+        assert_eq!(program.query(), walker, "{query}: {program}");
+        program
+    }
+
+    fn with_more() -> Engine {
+        Engine::build(&parse_str(&[&TREES[..], &[MORE]].concat().join("\n")).unwrap())
+    }
+
+    #[test]
+    fn a_scope_binds_its_alias_with_the_fewest_rows() {
+        let engine = with_more();
+        // `VP` has 5 rows, `VBD` and `NN` 3 each: the tie goes to the
+        // lower alias, `VBD`, and `VP` is read off its row's `pid`.
+        let program = bound_program(&engine, "//VP{/VBD-->NN}");
+        let scope = program.nodes[program.root].scope.as_ref().expect("a scope");
+        assert_eq!(scope.alias, 1, "{program}");
+        assert!(scope.witnesses.is_empty());
+        assert!(matches!(
+            program.nodes[0].source,
+            Source::BoundNode { of: 1, col } if col == program.cols.col(NCol::Pid)
+        ));
+        assert!(program.to_string().contains("the element n1.pid names"));
+    }
+
+    #[test]
+    fn a_bound_output_keeps_the_rows_its_witnesses_hold_for() {
+        let engine = with_more();
+        // Trees 0 and 2 have an `NP` right before a `VP` inside their
+        // `S`; the witness tree hangs off the bound `S` alone.
+        let program = bound_program(&engine, "//S[{//NP->VP}]");
+        let scope = program.nodes[0].scope.as_ref().expect("a scope");
+        assert_eq!((scope.alias, scope.witnesses.len()), (0, 1), "{program}");
+        let trees: Vec<u32> = visits(&program, 0).iter().map(|v| v.0).collect();
+        assert_eq!(trees, [0, 2]);
+        // Containment alone cuts no bound row up front; `^` ties the
+        // `NP` to the `S` by an equality, so it does.
+        assert!(scope.prefilter.is_empty(), "{program}");
+        let program = bound_program(&engine, "//S[{//^NP->VP}]");
+        let scope = program.nodes[0].scope.as_ref().expect("a scope");
+        assert_eq!(
+            (scope.alias, &scope.prefilter[..]),
+            (0, &[1][..]),
+            "{program}"
+        );
+    }
+
+    #[test]
+    fn survivors_under_every_bound_row_are_gathered_once() {
+        let engine = with_more();
+        // `rain` (id 8) in the last tree follows both `VB`s, each in
+        // its own `VP`: the union keeps it once.
+        let program = bound_program(&engine, "//VP{//VB-->NN}");
+        assert_eq!(program.nodes[2].scope.as_ref().map(|s| s.alias), Some(1));
+        assert_eq!(visits(&program, 3), [(3, vec![8])], "{program}");
+    }
+
+    #[test]
+    fn a_subquery_on_a_scope_and_a_step_binds_one_of_them() {
+        let engine = with_more();
+        // `not(//DT)` inside the scope names both `NP` and the scope's
+        // `VP`: one is bound, the other is the subquery's parent.
+        let program = bound_program(&engine, "//VP{//NP[not(//DT)]}");
+        assert!(program.nodes.iter().any(|n| n.scope.is_some()), "{program}");
+        // Two such subqueries naming no alias in common need two.
+        let ast = lpath_syntax::parse("//S{//NP[not(//DT)]/NN[{//JJ[not(//DT)]}]}").unwrap();
+        assert!(engine.semijoin_ast(&ast).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_bound_run_starts_at_any_tree() {
+        let whole = starts_anywhere("//VP{/VBD-->NN}", |d| matches!(d, Driver::Alias(_)));
+        let trees: Vec<u32> = whole.iter().map(|v| v.0).collect();
+        assert_eq!(trees, [2]);
     }
 }

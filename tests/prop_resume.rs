@@ -60,9 +60,10 @@ fn arb_treebank() -> impl Strategy<Value = Vec<String>> {
 }
 
 /// Queries spanning the resumable paths: name anchors, joins and
-/// negation, attribute filters, a multi-step scope (the cursor), the
-/// walker fallback, and queries matching nothing.
-const POOL: [&str; 10] = [
+/// negation, attribute filters, a multi-step scope (its scope alias
+/// bound per candidate), two separate cycles (the cursor), the walker
+/// fallback, and queries matching nothing.
+const POOL: [&str; 11] = [
     "//A",
     "//_",
     "//S//B",
@@ -70,9 +71,10 @@ const POOL: [&str; 10] = [
     "//A[not(//B)]",
     "//_[@lex=u]",
     "//B[//_[@lex=v]]",
-    "//S{/A-->B}",   // cyclic: no semijoin program, pages on the cursor
-    "//S/_[last()]", // no SQL translation: exercises the walker fallback
-    "//ZZZ",         // matches nothing anywhere
+    "//S{/A-->B}",             // cyclic through the scope alias: binds it per candidate
+    "//S[{//A->B}]/A{/B-->C}", // two separate cycles: pages on the cursor
+    "//S/_[last()]",           // no SQL translation: exercises the walker fallback
+    "//ZZZ",                   // matches nothing anywhere
 ];
 
 /// Split `layer`'s pages at an arbitrary boundary and drain, then

@@ -243,24 +243,163 @@ proptest! {
     }
 }
 
-/// Coverage of the paper's 23 queries is pinned: only the multi-step
-/// scopes (Q4, Q7, Q11), whose later steps join both their context and
-/// the scope, are cyclic and stay on the cursor. A silent drop in
-/// coverage fails here.
+/// A multi-step scope over the generator's tags — `//H{…}`, `//H[{…}]`
+/// or `//H[not({…})]` around two or three steps on any conjunctive
+/// axis, each optionally aligned or carrying a predicate — as text.
+/// Its join graph is cyclic, but only through the scope alias.
+fn arb_scoped_query() -> impl Strategy<Value = String> {
+    let tag = || {
+        prop_oneof![
+            6 => Just("_"),
+            2 => Just("A"),
+            2 => Just("B"),
+            1 => Just("C"),
+            1 => Just("S"),
+        ]
+    };
+    let axis = prop_oneof![
+        3 => Just("/"),
+        3 => Just("//"),
+        2 => Just("->"),
+        2 => Just("-->"),
+        1 => Just("\\"),
+        1 => Just("<-"),
+        1 => Just("<--"),
+        1 => Just("=>"),
+        1 => Just("==>"),
+        1 => Just("<=="),
+    ];
+    let pred = prop_oneof![
+        6 => Just(""),
+        1 => Just("[//B]"),
+        1 => Just("[@lex=u]"),
+        1 => Just("[->_[@lex=v]]"),
+    ];
+    let step = (
+        axis,
+        prop::bool::weighted(0.15),
+        tag(),
+        prop::bool::weighted(0.15),
+        pred,
+    )
+        .prop_map(|(axis, left, tag, right, pred)| {
+            let (l, r) = (if left { "^" } else { "" }, if right { "$" } else { "" });
+            format!("{axis}{l}{tag}{r}{pred}")
+        });
+    let inner = (
+        step.clone(),
+        step.clone(),
+        prop::option::weighted(0.25, step),
+    )
+        .prop_map(|(a, b, c)| format!("{a}{b}{}", c.unwrap_or_default()));
+    (tag(), 0..3, inner).prop_map(|(head, form, inner)| match form {
+        0 => format!("//{head}{{{inner}}}"),
+        1 => format!("//{head}[{{{inner}}}]"),
+        _ => format!("//{head}[not({{{inner}}})]"),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::cases_or_env(512),
+        ..ProptestConfig::default()
+    })]
+
+    /// Every multi-step scope is covered — by binding its scope alias
+    /// per candidate — and its program agrees with the cursor and the
+    /// walker on rows, counts, pages and `exists`.
+    #[test]
+    fn scoped_programs_are_covered_and_agree(
+        corpus in arb_corpus(),
+        text in arb_scoped_query(),
+    ) {
+        let engine = Engine::build(&corpus);
+        let query = parse(&text).unwrap();
+        prop_assert!(engine.semijoin_ast(&query).unwrap().is_some(), "{} not covered", text);
+        let rows = engine.query_ast(&query).unwrap();
+        let mut cursor: Vec<_> = engine.matches_ast(&query).unwrap().collect();
+        cursor.sort_unstable();
+        cursor.dedup();
+        prop_assert_eq!(&rows, &cursor, "semijoin vs cursor rows on {}", text);
+        prop_assert_eq!(&rows, &Walker::new(&corpus).eval(&query), "semijoin vs walker on {}", text);
+        prop_assert_eq!(engine.count_ast(&query).unwrap(), rows.len(), "count on {}", text);
+        let (count, rest) = engine.count_resume(&query, 0, 1).unwrap();
+        let first_tree = rows.first().map(|m| m.0);
+        let in_first = rows.iter().filter(|m| Some(m.0) == first_tree).count();
+        prop_assert_eq!(count, in_first as u64, "budgeted count on {}", text);
+        prop_assert!(rest.is_some() || rows.len() == in_first, "{}", text);
+        let mut at = Position::START;
+        let mut paged = Vec::new();
+        loop {
+            let (page, next) = engine.page_ast(&query, at, 2).unwrap();
+            paged.extend(page);
+            match next {
+                Some(next) => at = next,
+                None => break,
+            }
+        }
+        prop_assert_eq!(&paged, &rows, "pages of 2 on {}", text);
+        prop_assert_eq!(engine.exists_ast(&query).unwrap(), !rows.is_empty(), "exists on {}", text);
+    }
+}
+
+/// Coverage of the paper's 23 queries is pinned: every one, the
+/// multi-step scopes (Q4, Q7, Q11) included, compiles to a semijoin
+/// program on both corpora. A silent drop in coverage fails here.
 #[test]
 fn fixture_coverage_is_pinned() {
     use lpath::model::{generate, GenConfig};
+    for config in [GenConfig::wsj(200), GenConfig::swb(400)] {
+        let engine = Engine::build(&generate(&config));
+        for q in lpath::core::QUERIES {
+            let ast = parse(q.lpath).unwrap();
+            let covered = engine.semijoin_ast(&ast).unwrap().is_some();
+            assert!(covered, "Q{}: {}", q.id, q.lpath);
+        }
+    }
+}
+
+/// The shapes exploration traffic is expanded from — spelled out here,
+/// over tags and words of the generated corpus, same tags included —
+/// all compile to semijoin programs: no template reaches the cursor.
+#[test]
+fn exploration_templates_are_covered() {
+    use lpath::model::{generate, GenConfig};
     let engine = Engine::build(&generate(&GenConfig::wsj(200)));
-    for q in lpath::core::QUERIES {
-        let ast = parse(q.lpath).unwrap();
-        let covered = engine.semijoin_ast(&ast).unwrap().is_some();
-        assert_eq!(
-            covered,
-            ![4, 7, 11].contains(&q.id),
-            "Q{}: {}",
-            q.id,
-            q.lpath
-        );
+    // `a`, `b`, `c` are tags, `w` a word.
+    type Template = fn(&str, &str, &str, &str) -> String;
+    let templates: [Template; 11] = [
+        |a, b, _, _| format!("//{a}[//{b}]"),
+        |a, b, _, _| format!("//{a}->{b}"),
+        |a, b, c, _| format!("//{a}/{b}-->{c}"),
+        |a, b, _, _| format!("//{a}{{/{b}$}}"),
+        |a, b, _, _| format!("//{a}[not(//{b})]"),
+        |a, b, _, w| format!("//{a}[->{b}[//_[@lex={w}]]]"),
+        |a, b, _, _| format!("//{a}/{b}"),
+        |a, b, _, _| format!("//{a}=>{b}"),
+        |a, b, c, _| format!("//{a}{{//{b}->{c}}}"),
+        |a, _, _, w| format!("//{a}[//_[@lex={w}]]"),
+        |_, _, _, w| format!("//_[@lex={w}]"),
+    ];
+    let tags = [
+        ("VP", "VB", "NN"),
+        ("NP", "DT", "NN"),
+        ("S", "NP", "VP"),
+        ("VP", "DT", "DT"),
+        ("NP", "NP", "NP"),
+        ("PP", "IN", "NP"),
+    ];
+    for template in templates {
+        for (a, b, c) in tags {
+            for w in ["saw", "of"] {
+                let q = template(a, b, c, w);
+                let ast = parse(&q).unwrap();
+                assert!(
+                    engine.semijoin_ast(&ast).unwrap().is_some(),
+                    "{q} not covered"
+                );
+            }
+        }
     }
 }
 
@@ -271,7 +410,9 @@ fn named_shapes_are_covered_and_agree() {
     let corpus = parse_str(
         "( (S (NP (DT the) (JJ old) (NN man)) (VP (VBD saw) (NP (DT a) (NN dog)) \
          (PP (IN with) (NP (NN telescope))))) )\n\
-         ( (S (NP (PRP it)) (VP (VBD ran))) )",
+         ( (S (NP (PRP it)) (VP (VBD ran))) )\n\
+         ( (S (WHNP (WDT what)) (NP (NN building)) (VP (VB saw) (NP (DT all) (DT the) \
+         (NN dogs)) (PP (IN with) (NP (NN care))))) )",
     )
     .unwrap();
     let engine = Engine::build(&corpus);
@@ -292,6 +433,13 @@ fn named_shapes_are_covered_and_agree() {
         "//VP{//NP$}",
         "//NP[not(//ZZ)]",
         "//_",
+        "//VP{/VB-->NN}",
+        "//VP[{//^VB->NP->PP$}]",
+        "//S[{//_[@lex=what]->_[@lex=building]}]",
+        "//VP{//DT->DT}",
+        "//NP[not({//DT->JJ})]",
+        "//S{//VP{/VB-->NN}}",
+        "//VP{/VB[{//DT->DT}]-->NN}",
     ] {
         let ast = parse(q).unwrap();
         assert!(

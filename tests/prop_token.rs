@@ -59,19 +59,20 @@ fn arb_treebank() -> impl Strategy<Value = Vec<String>> {
 }
 
 /// Queries spanning the executors a token's page runs on: semijoin
-/// programs (name anchors, joins and negation, attribute filters), the
-/// cursor (a multi-step scope), the walker fallback, and empty
-/// results.
-const POOL: [&str; 9] = [
+/// programs (name anchors, joins and negation, attribute filters, a
+/// multi-step scope), the cursor (two separate cycles), the walker
+/// fallback, and empty results.
+const POOL: [&str; 10] = [
     "//A",
     "//_",
     "//S//B",
     "//A->B",
     "//A[not(//B)]",
     "//_[@lex=u]",
-    "//S{/A-->B}",   // cyclic: pages on the cursor
-    "//S/_[last()]", // no SQL translation: pages on the walker
-    "//ZZZ",         // matches nothing anywhere
+    "//S{/A-->B}",             // cyclic through the scope alias: binds it per candidate
+    "//S[{//A->B}]/A{/B-->C}", // two separate cycles: pages on the cursor
+    "//S/_[last()]",           // no SQL translation: pages on the walker
+    "//ZZZ",                   // matches nothing anywhere
 ];
 
 /// The URL-safe base64 alphabet tokens are written in.
