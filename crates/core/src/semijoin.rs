@@ -22,8 +22,7 @@
 //!   — for an element alias without either, such as `_` — an `id = id`
 //!   link to an alias with a posting list (the same tree node, as in
 //!   `_[@lex=w]`), else `depth = 1` (the tree's root), else every
-//!   element of the tree. An element alias tied by `id` to a bound
-//!   alias's `id` or `pid` reads that one node instead.
+//!   element of the tree.
 //!
 //! Multi-step scopes (`//VP{/VB-->NN}`) tie every inner step to both
 //! its context and the scope alias, which closes a cycle — but a cycle
@@ -45,9 +44,9 @@
 //! a scope names both its context and the scope) needs one of them
 //! bound; the other is its parent. Among the aliases whose removal
 //! leaves a forest, and that every such subquery names, the bound one
-//! is the one with the fewest rows, then the one of highest degree,
-//! then the lower. A level that needs two bound aliases stays on the
-//! cursor.
+//! is the one of highest degree — the scope alias, which every inner
+//! step links to — then the lower. A level that needs two bound
+//! aliases stays on the cursor.
 //!
 //! Execution visits the trees of the *driver* — the required alias
 //! with the smallest posting list — in `tid` order, from any start
@@ -60,9 +59,7 @@
 //! parent's is reduced first: when it keeps no rows, the parent's
 //! candidates are never read. A dearer child is reduced after them,
 //! its own candidates first cut to those with a partner among the
-//! parent's — read by binary search, parent row by parent row, when
-//! the edge sets an `=` on the child's `left` and the parent rows are
-//! fewer than the child's source rows. Either way a parent row is kept when it has a witness
+//! parent's. Either way a parent row is kept when it has a witness
 //! among the child's survivors — found by sorting the child rows on the
 //! edge's `=` column (else on a bounded column), binary-searching, and
 //! scanning the remaining conditions up to the first hit. A
@@ -158,12 +155,9 @@ enum Source {
     /// A posting list (in [`Program::lists`]) sorted by `tid` first:
     /// the rows equal to one constant on `name` or `value`.
     Posting { list: usize, on: NCol },
-    /// The element rows of the nodes the rows of `from`'s posting list
-    /// `list` that pass `from`'s filters name — they share `id`.
-    SameNode { from: usize, list: usize },
-    /// The element row whose `id` is column `col` (`id` or `pid`) of
-    /// the row bound alias `of` is bound to.
-    BoundNode { of: usize, col: ColId },
+    /// The element rows of the nodes the candidates of `from` (a
+    /// [`Source::Posting`] alias) name — they share `id`.
+    SameNode { from: usize },
     /// The tree's root element.
     Root,
     /// Every element of the tree.
@@ -205,25 +199,10 @@ struct Edge {
     /// A semijoin edge to a child whose posting list is no longer than
     /// its parent's: evaluated before the parent's candidates are read.
     early: bool,
-    /// The child's candidates may be probed for, parent row by parent
-    /// row: `up` searches on `left`, the order every source lists, and
-    /// pins it by an `=`, so each parent's range is narrow.
-    probe: bool,
     /// Witnesses among the child's rows, for a parent row.
     up: Search,
     /// Partners among the parent's rows, for a child row.
     down: Search,
-}
-
-/// The rows of an alias's parent and the edge down from it.
-type Cut<'a> = (&'a [RowId], &'a Edge);
-
-/// Rows a source lists in one tree, in `left` order, and the posting
-/// alias they belong to when they only name the candidates' nodes.
-#[derive(Copy, Clone)]
-struct Listed<'r> {
-    rows: &'r [RowId],
-    named_by: Option<usize>,
 }
 
 /// Bounds on a key, each `(x column, offset)`.
@@ -344,8 +323,6 @@ struct State {
     sorted: Vec<(Value, RowId)>,
     /// Per alias: the row a bound alias is bound to.
     bound: Vec<RowId>,
-    /// Probe ranges.
-    spans: Vec<(i64, i64)>,
 }
 
 impl State {
@@ -377,7 +354,6 @@ impl<'e> Program<'e> {
             y: col,
         };
         let (tid_link, id_link) = (eq(tid), eq(id));
-        let pid = cols.col(NCol::Pid);
         let [out_tid, out_id] = cq.projection[..] else {
             return None;
         };
@@ -401,9 +377,24 @@ impl<'e> Program<'e> {
             cols.col(NCol::Value),
             cols.col(NCol::Depth),
         );
-        // Per alias: the shortest posting list an equality on `name` or
-        // on a `value` literal gives it, and that equality's index.
-        let mut postings: Vec<Option<(&'e [RowId], NCol, usize)>> = Vec::with_capacity(total);
+        // The shortest posting list an equality on `name` or on a
+        // `value` literal gives an alias, and that equality's index.
+        let posting = |consts: &[(ColId, Cmp, Value)]| {
+            let mut best: Option<(&'e [RowId], NCol, usize)> = None;
+            for (i, &(col, cmp, v)) in consts.iter().enumerate() {
+                let rows = match (col, cmp) {
+                    (c, Cmp::Eq) if c == name => (by_name.equal_range(table_ref, &[v]), NCol::Name),
+                    (c, Cmp::Eq) if c == value && v != NULL => {
+                        (by_value.equal_range(table_ref, &[v]), NCol::Value)
+                    }
+                    _ => continue,
+                };
+                if best.is_none_or(|(b, ..)| rows.0.len() < b.len()) {
+                    best = Some((rows.0, rows.1, i));
+                }
+            }
+            best
+        };
 
         for lvl in &levels {
             let q = lvl.query;
@@ -462,23 +453,6 @@ impl<'e> Program<'e> {
                     .filters
                     .push(Filter::In(ic.col.col, ic.values().to_vec()));
             }
-            for d in &drafts[lvl.offset..lvl.offset + q.aliases.len()] {
-                let mut best: Option<(&'e [RowId], NCol, usize)> = None;
-                for (i, &(col, cmp, v)) in d.consts.iter().enumerate() {
-                    let rows = match (col, cmp) {
-                        (c, Cmp::Eq) if c == name => by_name.equal_range(table_ref, &[v]),
-                        (c, Cmp::Eq) if c == value && v != NULL => {
-                            by_value.equal_range(table_ref, &[v])
-                        }
-                        _ => continue,
-                    };
-                    if best.is_none_or(|(b, ..)| rows.len() < b.len()) {
-                        let on = if col == name { NCol::Name } else { NCol::Value };
-                        best = Some((rows, on, i));
-                    }
-                }
-                postings.push(best);
-            }
 
             // The level's root. A subquery's parent is the one outer
             // alias it correlates with whose binders hold every other
@@ -513,9 +487,8 @@ impl<'e> Program<'e> {
             // two of its aliases needs one of them bound: the other is
             // its parent.
             let local = lvl.offset..lvl.offset + q.aliases.len();
-            let mut shared: Option<Vec<usize>> = None;
-            for sub in &q.subqueries {
-                let mut outers: Vec<usize> = (sub.query.conds.iter())
+            let outers = |sub: &ConjQuery| {
+                let mut outers: Vec<usize> = (sub.conds.iter())
                     .filter_map(|c| match c.right {
                         Operand::Outer(r) => Some(g(r.alias)),
                         _ => None,
@@ -523,25 +496,41 @@ impl<'e> Program<'e> {
                     .collect();
                 outers.sort_unstable();
                 outers.dedup();
-                if outers.len() > 1 {
-                    let keep = shared.get_or_insert_with(|| outers.clone());
-                    keep.retain(|a| outers.contains(a));
-                }
-            }
-            let rows_of = |a: usize| postings[a].map_or(usize::MAX, |(rows, ..)| rows.len());
+                outers
+            };
+            let two_way = |sub: &ConjQuery| {
+                let mut named = sub.conds.iter().filter_map(|c| match c.right {
+                    Operand::Outer(r) => Some(r.alias),
+                    _ => None,
+                });
+                let first = named.next();
+                named.any(|a| Some(a) != first)
+            };
             let base = edges.len();
-            let tree = shared
-                .is_none()
-                .then(|| span(&pairs, local.clone(), root, None, rows_of, &mut edges));
-            let (bound, witnesses) = match tree.flatten() {
+            let tree = if q.subqueries.iter().any(|s| two_way(&s.query)) {
+                None
+            } else {
+                span(&pairs, local.clone(), root, None, |_| 0, &mut edges)
+            };
+            let (bound, witnesses) = match tree {
                 Some(witnesses) if witnesses.is_empty() => (None, witnesses),
                 _ => {
                     edges.truncate(base);
-                    // Bind the alias with the fewest rows, then the one
-                    // of highest degree, then the lower one.
+                    // Bind the alias of highest degree — the scope alias,
+                    // which every inner step links to — then the lower
+                    // one, among those every two-way subquery names.
+                    let named: Vec<Vec<usize>> = (q.subqueries.iter())
+                        .map(|s| outers(&s.query))
+                        .filter(|o| o.len() > 1)
+                        .collect();
+                    let mut order: Vec<usize> = local
+                        .clone()
+                        .filter(|a| named.iter().all(|o| o.contains(a)))
+                        .collect();
                     let degree = |a: usize| pairs.iter().filter(|p| p.0 == a || p.1 == a).count();
-                    let mut order: Vec<usize> = shared.unwrap_or_else(|| local.clone().collect());
-                    order.sort_by_key(|&a| (rows_of(a), std::cmp::Reverse(degree(a)), a));
+                    order.sort_by_key(|&a| (std::cmp::Reverse(degree(a)), a));
+                    let rows_of =
+                        |a: usize| posting(&drafts[a].consts).map_or(usize::MAX, |(r, ..)| r.len());
                     let mut forest =
                         |b| span(&pairs, local.clone(), root, Some(b), rows_of, &mut edges);
                     order
@@ -575,22 +564,26 @@ impl<'e> Program<'e> {
 
         // Candidate sources (see the module docs).
         let mut lists: Vec<&'e [RowId]> = Vec::new();
-        // Per alias: its posting list, the column and the constant.
-        let mut own: Vec<Option<(usize, NCol, Value)>> = Vec::with_capacity(total);
-        for (d, best) in drafts.iter_mut().zip(postings) {
+        let mut own: Vec<Option<(usize, NCol)>> = Vec::with_capacity(total);
+        for d in &mut drafts {
             for &(col, cmp, v) in &d.consts {
                 d.empty |= cmp == Cmp::Lt && v == 0;
                 d.element |= (col, cmp, v) == (value, Cmp::Eq, NULL);
                 d.root |= (col, cmp, v) == (depth, Cmp::Eq, 1);
             }
+            let best = posting(&d.consts);
+            // A posting implies its own equality.
+            if let Some((_, _, i)) = best {
+                d.consts.remove(i);
+            }
             // An alias that matches nothing lends no rows to its node.
-            own.push(best.filter(|_| !d.empty).map(|(rows, on, i)| {
+            own.push(best.filter(|_| !d.empty).map(|(rows, on, _)| {
                 let same = |l: &&[RowId]| std::ptr::eq(*l, rows);
                 let list = lists.iter().position(same).unwrap_or_else(|| {
                     lists.push(rows);
                     lists.len() - 1
                 });
-                (list, on, d.consts[i].2)
+                (list, on)
             }));
         }
         let level_of: Vec<usize> = (0..levels.len())
@@ -603,30 +596,14 @@ impl<'e> Program<'e> {
             // one of `a`'s level or an enclosing one.
             let cheapest = (0..total)
                 .filter(|&b| same_node.same(a, b) && within(&levels, level_of[a], level_of[b]))
-                .filter_map(|b| own[b].map(|(list, ..)| (lists[list].len(), b, list)))
+                .filter_map(|b| own[b].map(|(list, _)| (lists[list].len(), b)))
                 .min();
-            // `id = b.id` or `id = b.pid`: the node of a bound row or its
-            // parent.
-            let bound_node = d.bound.iter().find_map(|(b, links)| {
-                let l = links
-                    .iter()
-                    .find(|l| l.x == id && l.cmp == Cmp::Eq && (l.y == id || l.y == pid))?;
-                Some(Source::BoundNode { of: *b, col: l.y })
-            });
-            // Element rows only: `value = NULL`, or a tag's posting.
-            let element = || {
-                d.element
-                    || own[a].is_some_and(|(list, ..)| {
-                        (lists[list].first()).is_some_and(|&r| table_ref.value(r, value) == NULL)
-                    })
-            };
             let source = match (own[a], cheapest) {
                 _ if d.empty => Source::Empty,
-                _ if bound_node.is_some() && element() => bound_node.expect("just checked"),
-                (Some((list, on, _)), _) => Source::Posting { list, on },
+                (Some((list, on)), _) => Source::Posting { list, on },
                 _ if !d.element => return None,
                 _ if d.root => Source::Root,
-                (None, Some((_, from, list))) => Source::SameNode { from, list },
+                (None, Some((_, from))) => Source::SameNode { from },
                 (None, None) => Source::Elements,
             };
             // Element sources imply `value = NULL`, the root `depth = 1`.
@@ -634,14 +611,10 @@ impl<'e> Program<'e> {
                 Source::Root => {
                     (col, cmp, v) == (value, Cmp::Eq, NULL) || (col, cmp, v) == (depth, Cmp::Eq, 1)
                 }
-                Source::SameNode { .. } | Source::BoundNode { .. } | Source::Elements => {
+                Source::SameNode { .. } | Source::Elements => {
                     (col, cmp, v) == (value, Cmp::Eq, NULL)
                 }
-                // A posting implies its own equality.
-                Source::Posting { list, .. } => own[a].is_some_and(|(l, on, k)| {
-                    l == list && (col, cmp, v) == (cols.col(on), Cmp::Eq, k)
-                }),
-                Source::Empty => false,
+                Source::Posting { .. } | Source::Empty => false,
             };
             let mut filters: Vec<Filter> = d
                 .consts
@@ -672,12 +645,10 @@ impl<'e> Program<'e> {
         }
         let elements = by_value.equal_range(table_ref, &[NULL]);
 
-        // Rows read per run (per binding for a bound node): the
-        // planning currency.
+        // Rows read per run: the planning currency.
         let cost = |nodes: &[Node], a: usize| match nodes[a].source {
             Source::Posting { list, .. } => lists[list].len(),
-            Source::SameNode { list, .. } => lists[list].len(),
-            Source::BoundNode { .. } => 1,
+            Source::SameNode { from } => own[from].map_or(0, |(list, _)| lists[list].len()),
             Source::Root => tree_starts.len() - 1,
             Source::Elements => elements.len(),
             Source::Empty => 0,
@@ -700,7 +671,7 @@ impl<'e> Program<'e> {
             // A parent read off its child's nodes has, in every row, a
             // witness for a bare `id = id` edge to a childless child
             // that answers to no bound alias.
-            let implied = matches!(nodes[parent].source, Source::SameNode { from, .. } if from == child)
+            let implied = matches!(nodes[parent].source, Source::SameNode { from } if from == child)
                 && !anti
                 && links.iter().all(|&l| l == id_link)
                 && !has_children[child]
@@ -716,8 +687,6 @@ impl<'e> Program<'e> {
                 child,
                 anti,
                 early,
-                probe: up.key == Some(left)
-                    && up.links.iter().any(|l| l.y == left && l.cmp == Cmp::Eq),
                 up,
                 down,
             });
@@ -734,7 +703,7 @@ impl<'e> Program<'e> {
             let mut prefilter: Vec<usize> = (0..total)
                 .filter(|&x| {
                     level_of[x] == level_of[b]
-                        && !matches!(nodes[x].source, Source::BoundNode { .. } | Source::Elements)
+                        && !matches!(nodes[x].source, Source::Elements)
                         && nodes[x].binds.iter().any(|bind| {
                             bind.alias == b && bind.search.links.iter().any(|l| l.cmp == Cmp::Eq)
                         })
@@ -817,7 +786,6 @@ impl<'e> Program<'e> {
             early: Vec::new(),
             sorted: Vec::new(),
             bound: Vec::new(),
-            spans: Vec::new(),
         };
         if self.nodes.iter().any(|n| n.scope.is_some()) {
             st.bound = vec![RowId(0); self.nodes.len()];
@@ -880,41 +848,19 @@ impl<'e> Program<'e> {
         &list[start..end]
     }
 
-    /// The rows alias `a`'s source lists in tree `t`, in `left` order —
-    /// when `bound`, only those within the span every bound row allows.
-    fn source(&self, a: usize, t: u32, st: &mut State, bound: bool) -> Listed<'e> {
-        let tree = self.tree_starts[t as usize] as usize..self.tree_starts[t as usize + 1] as usize;
-        let node = &self.nodes[a];
-        let (mut rows, named_by) = match node.source {
-            Source::Empty => (&self.elements[..0], None),
-            Source::Posting { list, .. } => (self.window(list, t, st), None),
-            Source::Elements => (&self.elements[tree], None),
-            Source::Root => (
-                &self.elements[tree.start..tree.end.min(tree.start + 1)],
-                None,
-            ),
-            Source::SameNode { from, list } => (self.window(list, t, st), Some(from)),
-            Source::BoundNode { of, col } => {
-                // Ids number a tree's elements from 2; a root's `pid` is 1.
-                let at = (self.table.value(st.bound[of], col) as usize).checked_sub(2);
-                let at = at.map_or(tree.start..tree.start, |i| {
-                    tree.start + i..tree.start + i + 1
-                });
-                (&self.elements[at], None)
-            }
-        };
-        for b in node.binds.iter().filter(|_| bound) {
-            let (lo, hi) = b.search.range(self.table, st.bound[b.alias]);
-            rows = &rows[self.left_range(rows, lo, hi)];
-        }
-        Listed { rows, named_by }
-    }
-
     /// Where `rows` (in `left` order) have `lo <= left <= hi`.
     fn left_range(&self, rows: &[RowId], lo: i64, hi: i64) -> Range<usize> {
         let left = |r: &RowId| i64::from(self.value(*r, NCol::Left));
         let start = rows.partition_point(|r| left(r) < lo);
         start..start + rows[start..].partition_point(|r| left(r) <= hi)
+    }
+
+    /// The posting list a [`Source::SameNode`] alias's lender reads.
+    fn list_of(&self, from: usize) -> usize {
+        let Source::Posting { list, .. } = self.nodes[from].source else {
+            unreachable!("same-node sources read a posting list");
+        };
+        list
     }
 
     fn value(&self, r: RowId, col: NCol) -> Value {
@@ -923,27 +869,23 @@ impl<'e> Program<'e> {
 
     /// Alias `a`'s candidates in tree `t`: its source's rows there that
     /// pass its own filters and its links to bound rows. (What
-    /// [`Program::source`] and [`Program::read`] give, spelled out for
-    /// aliases no bound row filters: the path most aliases take, once
-    /// per tree.)
+    /// [`Program::read`] gives, spelled out for aliases no bound row
+    /// filters: the path most aliases take, once per tree.)
     fn candidates(&self, a: usize, t: u32, out: &mut Vec<RowId>, st: &mut State) {
         let tree = self.tree_starts[t as usize] as usize..self.tree_starts[t as usize + 1] as usize;
         let keep = |&r: &RowId| self.passes(a, r);
         match self.nodes[a].source {
-            _ if !self.nodes[a].binds.is_empty() => {
-                let listed = self.source(a, t, st, true);
-                self.read(a, t, listed, true, out, st);
-            }
-            Source::Empty | Source::BoundNode { .. } => {}
+            _ if !self.nodes[a].binds.is_empty() => self.read(a, t, true, out, st),
+            Source::Empty => {}
             Source::Posting { list, .. } => {
                 out.extend(self.window(list, t, st).iter().filter(|r| keep(r)));
             }
             Source::Elements => out.extend(self.elements[tree].iter().filter(|r| keep(r))),
             Source::Root => out.extend(self.elements[tree].first().filter(|r| keep(r))),
-            Source::SameNode { from, list } => {
+            Source::SameNode { from } => {
                 let ids = self.table.column(self.cols.col(NCol::Id));
                 let nodes = self
-                    .window(list, t, st)
+                    .window(self.list_of(from), t, st)
                     .iter()
                     .filter(|&&s| self.passes(from, s));
                 let rows = nodes.map(|s| self.elements[tree.start + ids[s.index()] as usize - 2]);
@@ -952,19 +894,30 @@ impl<'e> Program<'e> {
         }
     }
 
-    /// Alias `a`'s candidates among the `listed` rows: those that pass
-    /// its own filters and — when `bound` — its links to bound rows.
-    fn read(
-        &self,
-        a: usize,
-        t: u32,
-        listed: Listed<'_>,
-        bound: bool,
-        out: &mut Vec<RowId>,
-        st: &State,
-    ) {
-        let Listed { rows, named_by } = listed;
-        let binds = if bound { &self.nodes[a].binds[..] } else { &[] };
+    /// Alias `a`'s candidates in tree `t`: its source's rows there that
+    /// pass its own filters and — when `bound` — its links to bound
+    /// rows, which first cut the rows to the span each bound row allows
+    /// (every source lists a tree's rows in `left` order).
+    fn read(&self, a: usize, t: u32, bound: bool, out: &mut Vec<RowId>, st: &mut State) {
+        let tree = self.tree_starts[t as usize] as usize..self.tree_starts[t as usize + 1] as usize;
+        let node = &self.nodes[a];
+        // For a same-node source, the lender's rows: they name the
+        // candidates' nodes.
+        let (mut rows, named_by) = match node.source {
+            Source::Empty => (&self.elements[..0], None),
+            Source::Posting { list, .. } => (self.window(list, t, st), None),
+            Source::Elements => (&self.elements[tree.clone()], None),
+            Source::Root => (
+                &self.elements[tree.start..tree.end.min(tree.start + 1)],
+                None,
+            ),
+            Source::SameNode { from } => (self.window(self.list_of(from), t, st), Some(from)),
+        };
+        let binds = if bound { &node.binds[..] } else { &[] };
+        for b in binds {
+            let (lo, hi) = b.search.range(self.table, st.bound[b.alias]);
+            rows = &rows[self.left_range(rows, lo, hi)];
+        }
         let keep = |&r: &RowId| {
             self.passes(a, r)
                 && (binds.iter()).all(|b| b.search.holds(self.table, st.bound[b.alias], r))
@@ -972,10 +925,9 @@ impl<'e> Program<'e> {
         match named_by {
             None => out.extend(rows.iter().filter(|r| keep(r))),
             Some(from) => {
-                let start = self.tree_starts[t as usize] as usize;
                 let nodes = rows.iter().filter(|&&s| self.passes(from, s));
-                let rows =
-                    nodes.map(|&s| self.elements[start + self.value(s, NCol::Id) as usize - 2]);
+                let rows = nodes
+                    .map(|&s| self.elements[tree.start + self.value(s, NCol::Id) as usize - 2]);
                 out.extend(rows.filter(keep));
             }
         }
@@ -993,46 +945,18 @@ impl<'e> Program<'e> {
     /// Alias `a`'s rows in tree `t` that have a match of its subtree,
     /// into the empty `rows`: [`Program::eval_bound`] at a level root
     /// with a bound alias, else [`Program::reduce`].
-    fn eval(&self, a: usize, t: u32, rows: &mut Vec<RowId>, st: &mut State, cut: Option<Cut<'_>>) {
-        if self.nodes[a].scope.is_some() || cut.is_some_and(|(_, e)| e.probe) {
-            return self.eval_rare(a, t, rows, st, cut);
-        }
-        self.reduce(a, t, rows, st, cut, None);
-    }
-
-    /// [`Program::eval`] at a level root with a bound alias, or down an
-    /// edge that can probe.
-    #[inline(never)]
-    fn eval_rare(
+    fn eval(
         &self,
         a: usize,
         t: u32,
         rows: &mut Vec<RowId>,
         st: &mut State,
-        cut: Option<Cut<'_>>,
+        cut: Option<(&[RowId], &Search)>,
     ) {
         match &self.nodes[a].scope {
             Some(scope) => self.eval_bound(scope, a, t, rows, st, cut),
-            None => {
-                let probe = self.probe(a, t, st, cut);
-                self.reduce(a, t, rows, st, cut, probe);
-            }
+            None => self.reduce(a, t, rows, st, cut),
         }
-    }
-
-    /// The cut to probe `a`'s candidates by — one down an edge that can
-    /// probe, with fewer parent rows than `a`'s source lists — and
-    /// those rows.
-    fn probe<'c>(
-        &self,
-        a: usize,
-        t: u32,
-        st: &mut State,
-        cut: Option<Cut<'c>>,
-    ) -> Option<(Cut<'c>, Listed<'e>)> {
-        let (parents, e) = cut.filter(|(_, e)| e.probe)?;
-        let source = self.source(a, t, st, true);
-        (parents.len() < source.rows.len()).then_some(((parents, e), source))
     }
 
     /// [`Program::eval`] at a level root with a bound alias: the
@@ -1047,11 +971,10 @@ impl<'e> Program<'e> {
         t: u32,
         rows: &mut Vec<RowId>,
         st: &mut State,
-        cut: Option<Cut<'_>>,
+        cut: Option<(&[RowId], &Search)>,
     ) {
         if scope.alias == a {
-            let probe = self.probe(a, t, st, cut);
-            self.reduce(a, t, rows, st, cut, probe);
+            self.reduce(a, t, rows, st, cut);
             self.prefilter(scope, rows, t, st);
             rows.retain(|&r| self.witnessed(scope, r, t, st));
             return;
@@ -1062,8 +985,7 @@ impl<'e> Program<'e> {
         for &r in &bound {
             if self.witnessed(scope, r, t, st) {
                 let mut kid = st.take();
-                let probe = self.probe(a, t, st, cut);
-                self.reduce(a, t, &mut kid, st, cut, probe);
+                self.reduce(a, t, &mut kid, st, cut);
                 rows.extend_from_slice(&kid);
                 st.give(kid);
             }
@@ -1081,8 +1003,7 @@ impl<'e> Program<'e> {
                 return;
             }
             let mut ys = st.take();
-            let listed = self.source(x, t, st, false);
-            self.read(x, t, listed, false, &mut ys, st);
+            self.read(x, t, false, &mut ys, st);
             let binds = &self.nodes[x].binds;
             let bind = binds.iter().find(|b| b.alias == scope.alias);
             self.filter(rows, &ys, &bind.expect("prefilters bind").search, true, st);
@@ -1108,10 +1029,7 @@ impl<'e> Program<'e> {
     /// evaluated first and whole: when it has no rows, `a`'s candidates
     /// are never read. The others are evaluated after `a`'s candidates,
     /// each cut first to the rows with a partner among `a`'s (`cut`,
-    /// which `a`'s parent passes down the same way). When fewer parent
-    /// rows than source rows come down an edge that can probe, the
-    /// candidates are probed for, parent by parent, and every child is
-    /// evaluated after them.
+    /// which `a`'s parent passes down the same way).
     #[inline]
     fn reduce(
         &self,
@@ -1119,15 +1037,10 @@ impl<'e> Program<'e> {
         t: u32,
         rows: &mut Vec<RowId>,
         st: &mut State,
-        cut: Option<Cut<'_>>,
-        probe: Option<(Cut<'_>, Listed<'_>)>,
+        cut: Option<(&[RowId], &Search)>,
     ) {
         let edges = &self.nodes[a].children;
-        let split = if probe.is_some() {
-            0
-        } else {
-            edges.partition_point(|e| e.early)
-        };
+        let split = edges.partition_point(|e| e.early);
         let base = st.early.len();
         for e in &edges[..split] {
             let mut kid = st.take();
@@ -1142,10 +1055,7 @@ impl<'e> Program<'e> {
                 return;
             }
         }
-        match probe {
-            None => self.candidates(a, t, rows, st),
-            Some((cut, source)) => self.read_probed(a, t, cut, source, rows, st),
-        }
+        self.candidates(a, t, rows, st);
         for e in edges[..split].iter().rev() {
             let kid = st.early.pop().expect("pushed above");
             if !rows.is_empty() {
@@ -1153,9 +1063,9 @@ impl<'e> Program<'e> {
             }
             st.give(kid);
         }
-        if let Some((parents, e)) = cut.filter(|_| split < edges.len()) {
+        if let Some((parents, down)) = cut.filter(|_| split < edges.len()) {
             if !rows.is_empty() {
-                self.filter(rows, parents, &e.down, true, st);
+                self.filter(rows, parents, down, true, st);
             }
         }
         for e in &edges[split..] {
@@ -1163,7 +1073,7 @@ impl<'e> Program<'e> {
                 return;
             }
             let mut kid = st.take();
-            self.eval(e.child, t, &mut kid, st, Some((rows, e)));
+            self.eval(e.child, t, &mut kid, st, Some((rows, &e.down)));
             if kid.is_empty() {
                 if !e.anti {
                     rows.clear();
@@ -1173,37 +1083,6 @@ impl<'e> Program<'e> {
             }
             st.give(kid);
         }
-    }
-
-    /// [`Program::read`] of only the `source` rows whose `left` lies in
-    /// the range edge `e` gives some parent row.
-    fn read_probed(
-        &self,
-        a: usize,
-        t: u32,
-        (parents, e): Cut<'_>,
-        source: Listed<'_>,
-        rows: &mut Vec<RowId>,
-        st: &mut State,
-    ) {
-        let mut spans = std::mem::take(&mut st.spans);
-        spans.clear();
-        spans.extend(parents.iter().map(|&p| e.up.range(self.table, p)));
-        spans.sort_unstable();
-        // Each source row is read once, however the ranges overlap.
-        let mut rest = source;
-        for &(lo, hi) in &spans {
-            let span = self.left_range(rest.rows, lo, hi);
-            if !span.is_empty() {
-                let rows_in = Listed {
-                    rows: &rest.rows[span.clone()],
-                    ..rest
-                };
-                self.read(a, t, rows_in, true, rows, st);
-                rest.rows = &rest.rows[span.end..];
-            }
-        }
-        st.spans = spans;
     }
 
     /// Keep the `xs` that have (`keep_found`) or lack a witness among
@@ -1420,10 +1299,7 @@ impl Program<'_> {
             Source::Posting { list, on } => {
                 format!("{} range, {} rows", on.name(), self.lists[list].len())
             }
-            Source::SameNode { from, .. } => format!("elements of n{from}'s nodes"),
-            Source::BoundNode { of, col } => {
-                format!("the element n{of}.{} names", self.col_name(col))
-            }
+            Source::SameNode { from } => format!("elements of n{from}'s nodes"),
             Source::Root => "the root element".to_string(),
             Source::Elements => "every element".to_string(),
             Source::Empty => "no rows".to_string(),
@@ -1563,19 +1439,20 @@ mod tests {
     }
 
     #[test]
-    fn a_scope_binds_its_alias_with_the_fewest_rows() {
+    fn a_scope_binds_its_scope_alias() {
         let engine = with_more();
-        // `VP` has 5 rows, `VBD` and `NN` 3 each: the tie goes to the
-        // lower alias, `VBD`, and `VP` is read off its row's `pid`.
+        // Every inner step links to the scope's `VP`, and `VP` has the
+        // most rows: it is bound all the same.
         let program = bound_program(&engine, "//VP{/VBD-->NN}");
         let scope = program.nodes[program.root].scope.as_ref().expect("a scope");
-        assert_eq!(scope.alias, 1, "{program}");
+        assert_eq!(scope.alias, 0, "{program}");
         assert!(scope.witnesses.is_empty());
-        assert!(matches!(
-            program.nodes[0].source,
-            Source::BoundNode { of: 1, col } if col == program.cols.col(NCol::Pid)
-        ));
-        assert!(program.to_string().contains("the element n1.pid names"));
+        // `/` ties the `VBD` to its `VP` by an equality: only `VP`s
+        // with a `VBD` child are bound.
+        assert_eq!(scope.prefilter, [1], "{program}");
+        let text = program.to_string();
+        assert!(text.contains("bound n0 (per candidate)"), "{text}");
+        assert!(text.contains("filters n1 by n1.pid = n0.id"), "{text}");
     }
 
     #[test]
@@ -1603,10 +1480,10 @@ mod tests {
     #[test]
     fn survivors_under_every_bound_row_are_gathered_once() {
         let engine = with_more();
-        // `rain` (id 8) in the last tree follows both `VB`s, each in
-        // its own `VP`: the union keeps it once.
+        // `rain` (id 8) in the last tree follows a `VB` inside both
+        // `VP`s: the union keeps it once.
         let program = bound_program(&engine, "//VP{//VB-->NN}");
-        assert_eq!(program.nodes[2].scope.as_ref().map(|s| s.alias), Some(1));
+        assert_eq!(program.nodes[2].scope.as_ref().map(|s| s.alias), Some(0));
         assert_eq!(visits(&program, 3), [(3, vec![8])], "{program}");
     }
 
